@@ -22,6 +22,20 @@ from repro.errors import ArityError, SchemaError
 Row = tuple[Value, ...]
 
 
+def _checked_rows(
+    name: str, arity: int, rows: Iterable[Row]
+) -> frozenset[Row]:
+    """``rows`` as a relation of ``name``, every tuple arity-checked."""
+    relation = frozenset(tuple(row) for row in rows)
+    for row in relation:
+        if len(row) != arity:
+            raise ArityError(
+                f"tuple {row!r} has arity {len(row)}, but "
+                f"{name!r} has arity {arity}"
+            )
+    return relation
+
+
 class Database:
     """An assignment ``D`` of a finite relation to each schema name.
 
@@ -60,18 +74,10 @@ class Database:
             raise SchemaError(
                 f"relations {sorted(unknown)} not in schema {schema!r}"
             )
-        filled: dict[str, frozenset[Row]] = {}
-        for name in schema:
-            arity = schema[name]
-            rows = frozenset(tuple(row) for row in provided.get(name, ()))
-            for row in rows:
-                if len(row) != arity:
-                    raise ArityError(
-                        f"tuple {row!r} has arity {len(row)}, but "
-                        f"{name!r} has arity {arity}"
-                    )
-            filled[name] = rows
-        self._relations = filled
+        self._relations = {
+            name: _checked_rows(name, schema[name], provided.get(name, ()))
+            for name in schema
+        }
         self._hash: int | None = None
 
     # ------------------------------------------------------------------
@@ -150,25 +156,42 @@ class Database:
     # Structural operations (all return new databases)
     # ------------------------------------------------------------------
 
+    def _replacing(
+        self, changed: Mapping[str, frozenset[Row]]
+    ) -> "Database":
+        """A new database with the ``changed`` relations swapped in.
+
+        The untouched relations are *shared* with this database (same
+        frozenset objects, so their cached hashes keep
+        :meth:`version_token` cheap); ``changed`` must already be
+        validated — this skips the constructor's per-row checks.
+        """
+        successor = Database.__new__(Database)
+        successor.schema = self.schema
+        successor._relations = {**self._relations, **changed}
+        successor._hash = None
+        return successor
+
     def with_tuples(self, additions: Mapping[str, Iterable[Row]]) -> "Database":
         """A new database with extra tuples added to some relations."""
-        merged = {
-            name: set(rows) for name, rows in self._relations.items()
-        }
-        for name, rows in additions.items():
-            self.schema[name]  # validate name
-            merged[name].update(tuple(row) for row in rows)
-        return Database(self.schema, merged)
+        for name in additions:
+            self.schema[name]  # every name is checked before any arity
+        return self._replacing({
+            name: self._relations[name]
+            | _checked_rows(name, self.schema[name], additions[name])
+            for name in self.schema
+            if name in additions
+        })
 
     def without_tuples(self, removals: Mapping[str, Iterable[Row]]) -> "Database":
         """A new database with the given tuples removed."""
-        pruned = {
-            name: set(rows) for name, rows in self._relations.items()
-        }
+        changed: dict[str, frozenset[Row]] = {}
         for name, rows in removals.items():
             self.schema[name]
-            pruned[name].difference_update(tuple(row) for row in rows)
-        return Database(self.schema, pruned)
+            changed[name] = self._relations[name].difference(
+                tuple(row) for row in rows
+            )
+        return self._replacing(changed)
 
     def rename_values(self, renaming: Mapping[Value, Value]) -> "Database":
         """Apply a value renaming to every tuple.

@@ -9,12 +9,15 @@ already lives:
   is the descriptor from :meth:`~repro.storage.backend.Backend.
   export_snapshot`, resolved back to relations by
   :func:`~repro.storage.attach_snapshot` wherever the read actually
-  runs.  Memory-backend pins carry rows by value and stay servable
-  forever; shm/mmap pins are by-reference — a write re-encodes the
-  backend and the old storage evaporates, so attaching a stale pin
-  raises the engine's existing :class:`~repro.errors.StaleDataError`,
-  which the server answers by re-pricing and re-pinning the read
-  against the fresh snapshot and retrying **once**.
+  runs.  Memory-backend pins carry the database by value — one
+  columnar image, **encoded once per generation, decoded once per
+  worker process, shared by every ticket of that generation** — and
+  stay servable forever; shm/mmap pins are by-reference — a write
+  re-encodes the backend and the old storage evaporates, so attaching
+  a stale pin raises the engine's existing
+  :class:`~repro.errors.StaleDataError`, which the server answers by
+  re-pricing and re-pinning the read against the fresh snapshot and
+  retrying **once**.
 * **Admission and fairness** (:mod:`repro.serve.admission`).  Reads
   are priced by the cost model's certified upper bounds before they
   run; the sum debits the server's in-flight row budget, over-budget
@@ -27,7 +30,9 @@ already lives:
   can clone held locks into the child.  Each worker process keeps a
   small LRU of per-snapshot :class:`~repro.session.Session` objects
   (memory backend, serial plans), so consecutive reads against the
-  same snapshot reuse indexes, statistics, and the result cache.  The
+  same snapshot reuse indexes, statistics, and the result cache — and
+  never look inside the pin again: its image is decoded only by the
+  first read of a generation that reaches the process.  The
   pool is sized by :func:`~repro.engine.parallel.available_cpus`;
   ``workers=0`` — or a pool that breaks mid-run — degrades to running
   the identical task function inline, serialized, with the same
@@ -81,6 +86,8 @@ _SNAPSHOT_SESSION_BOUND = 2
 
 
 def _session_for_snapshot(token, descriptor, schema) -> Session:
+    # The LRU is consulted before the descriptor is touched: attaching
+    # (a decode of every row) happens once per (process, token).
     session = _SNAPSHOT_SESSIONS.get(token)
     if session is not None:
         _SNAPSHOT_SESSIONS.move_to_end(token)
@@ -148,7 +155,10 @@ class Ticket:
         #: The snapshot this read is pinned to.
         self.pinned_generation = -1
         self.pinned_token: int | None = None
-        self._descriptor = None
+        #: The ``_run_pinned`` arguments, built once per pin and dropped
+        #: at completion so a kept ticket does not keep its
+        #: generation's snapshot image alive.
+        self._task: tuple | None = None
         #: True once the read was re-pinned after a stale snapshot.
         self.retried = False
         #: Outcome.
@@ -167,6 +177,11 @@ class Ticket:
 
     def done(self) -> bool:
         return self._done.is_set()
+
+    def _finish(self) -> None:
+        """Mark done (server side): nothing can re-dispatch it now."""
+        self._task = None
+        self._done.set()
 
     def exception(self, timeout: float | None = None) -> BaseException | None:
         """Wait for completion; the error, or None on success."""
@@ -364,7 +379,7 @@ class Server:
             ticket.error = SchemaError(
                 "server closed while this read was queued"
             )
-            ticket._done.set()
+            ticket._finish()
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=False)
         self._session.close()
@@ -509,7 +524,9 @@ class Server:
         generation, token, descriptor = self._current_snapshot()
         ticket.pinned_generation = generation
         ticket.pinned_token = token
-        ticket._descriptor = descriptor
+        ticket._task = (
+            token, descriptor, self.db.schema, ticket.expr, ticket.options
+        )
 
     def _note_dispatched(self, ready) -> list[Ticket]:
         """Dispatch-time bookkeeping for drained reads (lock held)."""
@@ -545,21 +562,13 @@ class Server:
 
     def _dispatch(self, ticket: Ticket) -> None:
         """Hand an admitted, debited read to execution (lock NOT held)."""
-        pool = self._ensure_pool()
-        task = (
-            ticket.pinned_token,
-            ticket._descriptor,
-            self.db.schema,
-            ticket.expr,
-            ticket.options,
-        )
-        if pool is not None:
+        task = ticket._task
+        while (pool := self._ensure_pool()) is not None:
             try:
                 future = pool.submit(_run_pinned, *task)
             except (BrokenProcessPool, RuntimeError):
                 self._degrade_pool()
-                self._dispatch(ticket)
-                return
+                continue
             future.add_done_callback(
                 lambda f, t=ticket: self._on_future(t, f)
             )
@@ -623,7 +632,7 @@ class Server:
                 tenant.actual_rows += actual
                 if cached:
                     tenant.cache_hits += 1
-        ticket._done.set()
+        ticket._finish()
         self._dispatch_batch(batch)
 
     def _retry(self, ticket: Ticket) -> None:
@@ -661,7 +670,7 @@ class Server:
         if rejection is not None:
             ticket.error = rejection
             ticket.finished_at = time.perf_counter()
-            ticket._done.set()
+            ticket._finish()
         self._dispatch_batch(batch)
 
     def _reprice_options(self, ticket: Ticket) -> PlannerOptions:

@@ -22,7 +22,9 @@ Three implementations ship:
 
 * :class:`MemoryBackend` (here) — the original in-memory dict path,
   extracted from the executor's direct ``db[name]`` reads.  Zero copy,
-  zero setup; parallel workers receive pickled row fragments.
+  zero setup; parallel workers receive pickled row fragments, and
+  serving snapshots travel as one columnar image encoded once per
+  content version.
 * :class:`~repro.storage.shm.SharedMemoryBackend` — relations encoded
   columnar into a :mod:`multiprocessing.shared_memory` segment.  Its
   ``attached`` flag tells the parallel layer workers can attach batch
@@ -47,6 +49,7 @@ from repro.algebra.evaluator import Relation
 from repro.data.database import Database
 from repro.data.schema import Schema
 from repro.errors import SchemaError, StaleDataError
+from repro.storage.columnar import decode_rows, encode_rows
 
 #: The selectable backend kinds, in CLI/option spelling.
 BACKEND_KINDS = ("memory", "shm", "mmap")
@@ -55,6 +58,28 @@ BACKEND_KINDS = ("memory", "shm", "mmap")
 #: what :mod:`repro.engine.cost` prices at the descriptor (not pickle)
 #: transport rate.
 ATTACHED_KINDS = frozenset({"shm", "mmap"})
+
+#: relation name → ``(base offset, BlockMeta)`` into one columnar image.
+Layout = dict[str, tuple[int, tuple]]
+
+
+def encode_relations(db: Database) -> tuple[Layout, list[bytes], int]:
+    """Encode every relation of ``db`` column-wise, in schema order.
+
+    Returns ``(layout, parts, nbytes)``: the parts concatenate to one
+    ``nbytes``-long image that ``layout`` indexes.  The one encoding
+    behind every backend's image — only where the bytes are placed (a
+    segment, a spill file, inline in a snapshot descriptor) differs.
+    """
+    layout: Layout = {}
+    parts: list[bytes] = []
+    offset = 0
+    for name in db.schema.names():
+        meta, relation_parts = encode_rows(list(db[name]))
+        layout[name] = (offset, meta)
+        parts.extend(relation_parts)
+        offset += sum(len(p) for p in relation_parts)
+    return layout, parts, offset
 
 
 class Backend(abc.ABC):
@@ -142,20 +167,20 @@ class Backend(abc.ABC):
 
         The serving layer (:mod:`repro.serve`) ships this to worker
         processes, which rebuild the relation map with
-        :func:`repro.storage.snapshot.attach_snapshot` — by value for
-        the memory backend, by shared-segment name / spill path for
-        the columnar ones (the concurrent-attach path: many workers
-        decode one encoded image in place).  The descriptor identifies
-        the contents *at export time*; attaching after the storage was
-        re-encoded or released raises
-        :class:`~repro.errors.StaleDataError` on the attach side.
+        :func:`repro.storage.snapshot.attach_snapshot`.  Every
+        descriptor is ``(kind, locator, layout)`` over one columnar
+        image (:func:`encode_relations`); the kinds differ only in
+        where the image lives.  This default is the by-value form: the
+        locator *is* the image, one immutable ``bytes``, so the
+        snapshot stays attachable forever.  The columnar backends
+        export by reference instead — a segment name / spill path that
+        many workers decode in place, and whose attach raises
+        :class:`~repro.errors.StaleDataError` once the storage was
+        re-encoded or released.
         """
         self._ensure_open()
-        return (
-            "rows",
-            self.version_token(),
-            {name: self._db[name] for name in self._db.schema.names()},
-        )
+        layout, parts, _ = encode_relations(self._db)
+        return ("rows", b"".join(parts), layout)
 
     def _ensure_open(self) -> None:
         if self._closed:
@@ -196,9 +221,27 @@ class MemoryBackend(Backend):
     kind = "memory"
     attached = False
 
+    def __init__(self, db: Database) -> None:
+        super().__init__(db)
+        #: ``(version token, descriptor)`` of the last export.
+        self._exported: tuple[int, tuple] | None = None
+
     def rows(self, name: str) -> Relation:
         self._ensure_open()
         return self._db[name]
+
+    def export_snapshot(self) -> tuple:
+        """The by-value descriptor, encoded once per content version.
+
+        Repeated exports at one version token return the *same*
+        descriptor object, so every serving read of a generation ships
+        the same image and pickling a task costs one ``bytes`` copy,
+        not a row-by-row encode.
+        """
+        token = self.version_token()
+        if self._exported is None or self._exported[0] != token:
+            self._exported = (token, super().export_snapshot())
+        return self._exported[1]
 
 
 class ColumnarBackend(Backend):
@@ -213,35 +256,20 @@ class ColumnarBackend(Backend):
     """
 
     def __init__(self, db: Database) -> None:
-        from repro.storage.columnar import encode_rows
-
         super().__init__(db)
-        self._encode_rows = encode_rows
         self._token: int | None = None
-        #: relation name → ``(base offset, BlockMeta)``
-        self._layout: dict[str, tuple[int, tuple]] = {}
+        self._layout: Layout = {}
         self._decoded: dict[str, Relation] = {}
         self._reload()
 
     def _reload(self) -> None:
-        parts: list[bytes] = []
-        layout: dict[str, tuple[int, tuple]] = {}
-        offset = 0
-        for name in self._db.schema.names():
-            meta, relation_parts = self._encode_rows(
-                list(self._db[name])
-            )
-            layout[name] = (offset, meta)
-            parts.extend(relation_parts)
-            offset += sum(len(p) for p in relation_parts)
-        self._store(parts, offset)
+        layout, parts, nbytes = encode_relations(self._db)
+        self._store(parts, nbytes)
         self._layout = layout
         self._decoded.clear()
         self._token = self._db.version_token()
 
     def rows(self, name: str) -> Relation:
-        from repro.storage.columnar import decode_rows
-
         self._ensure_open()
         self._ensure_fresh(self._token)
         cached = self._decoded.get(name)

@@ -4,16 +4,27 @@ The serving layer (:mod:`repro.serve`) pins every read to the backend
 contents current at submit time.  The pin travels as the descriptor
 returned by :meth:`repro.storage.backend.Backend.export_snapshot`; a
 worker process hands it to :func:`attach_snapshot` and gets back the
-full ``name → frozenset(rows)`` map the read must execute against:
+full ``name → frozenset(rows)`` map the read must execute against.
 
-* ``("rows", token, relations)`` — the memory backend's by-value form.
-  The relations ride inside the descriptor itself, so the snapshot
-  stays servable forever: a write after submit cannot take it away.
-* ``("shm", segment_name, layout)`` / ``("mmap", path, layout)`` — the
-  columnar backends' by-reference forms.  The worker attaches the one
-  encoded image (suppressed-tracker segment attach / read-only mmap)
-  and decodes every relation in place, so N workers share one copy —
-  the PR 7 zero-copy transport, reused for whole-database snapshots.
+Every descriptor is ``(kind, locator, layout)`` over one columnar image
+of the whole database (:func:`repro.storage.backend.encode_relations`),
+decoded by one routine; the kinds differ only in where the image lives:
+
+* ``'rows'`` — the memory backend's by-value form: the locator *is* the
+  image, one immutable ``bytes`` encoded once per content version and
+  shared by every read pinned to it.  It rides inside the descriptor,
+  so the snapshot stays servable forever — a write after submit cannot
+  take it away — and pickling it for a worker is one buffer copy.
+* ``'shm'`` / ``'mmap'`` — the columnar backends' by-reference forms:
+  the locator is a segment name / spill path.  The worker attaches the
+  one encoded image (suppressed-tracker segment attach / read-only
+  mmap) and decodes every relation in place, so N workers share one
+  copy — the PR 7 zero-copy transport, reused for whole-database
+  snapshots.
+
+Decoding is the expensive half (a tuple per row), so callers keep the
+result: the serving workers decode once per (process, version token)
+and never on a read that finds its snapshot session already built.
 
 By-reference snapshots live exactly as long as the backend keeps the
 encoded image: a write re-encodes (releasing the old segment or spill
@@ -25,20 +36,51 @@ to the fresh snapshot and retrying once.
 
 from __future__ import annotations
 
+import pickle
+
 from repro.data.database import Row
 from repro.errors import SchemaError, StaleDataError
+from repro.storage.backend import Layout
 from repro.storage.columnar import decode_rows
 
 __all__ = ["attach_snapshot"]
 
 
-def _decode_all(
-    buffer, layout: dict[str, tuple[int, tuple]]
-) -> dict[str, frozenset[Row]]:
-    return {
-        name: frozenset(decode_rows(buffer, base, meta))
-        for name, (base, meta) in layout.items()
-    }
+def _decode_all(buffer, layout: Layout) -> dict[str, frozenset[Row]]:
+    relations = {}
+    for name, (base, meta) in layout.items():
+        relation = frozenset(decode_rows(buffer, base, meta))
+        # A short buffer decodes to short columns, which ``zip`` would
+        # silently truncate to: the layout's row count is the check.
+        if len(relation) != meta[0]:
+            raise SchemaError(
+                f"snapshot image holds {len(relation)} row(s) of "
+                f"{name!r} where its layout records {meta[0]}"
+            )
+        relations[name] = relation
+    return relations
+
+
+#: What decoding a damaged image or layout can raise (``pickle.loads``
+#: on arbitrary bytes accounts for most of the list).
+_DECODE_ERRORS = (
+    TypeError,
+    ValueError,
+    LookupError,
+    AttributeError,
+    EOFError,
+    ImportError,
+    pickle.UnpicklingError,
+)
+
+
+def _decode_inline(image, layout: Layout) -> dict[str, frozenset[Row]]:
+    try:
+        return _decode_all(memoryview(image), layout)
+    except _DECODE_ERRORS as error:
+        raise SchemaError(
+            f"malformed by-value snapshot image: {error!r}"
+        ) from error
 
 
 def _stale(kind: str, locator: str) -> StaleDataError:
@@ -60,11 +102,9 @@ def attach_snapshot(descriptor: tuple) -> dict[str, frozenset[Row]]:
         raise SchemaError(
             f"malformed snapshot descriptor: {descriptor!r}"
         )
-    kind, locator, payload = descriptor
+    kind, locator, layout = descriptor
     if kind == "rows":
-        return {
-            name: frozenset(rows) for name, rows in payload.items()
-        }
+        return _decode_inline(locator, layout)
     if kind == "shm":
         from repro.storage.shm import attach_segment
 
@@ -74,7 +114,7 @@ def attach_snapshot(descriptor: tuple) -> dict[str, frozenset[Row]]:
             raise _stale(kind, locator) from error
         try:
             with memoryview(segment.buf) as view:
-                return _decode_all(view, payload)
+                return _decode_all(view, layout)
         finally:
             segment.close()
     if kind == "mmap":
@@ -85,7 +125,7 @@ def attach_snapshot(descriptor: tuple) -> dict[str, frozenset[Row]]:
         except (FileNotFoundError, OSError) as error:
             raise _stale(kind, locator) from error
         try:
-            return _decode_all(view, payload)
+            return _decode_all(view, layout)
         finally:
             view.release()
             mapping.close()

@@ -129,6 +129,37 @@ class TestDatabaseOperations:
         smaller = db.without_tuples({"R": [(1, 2)]})
         assert smaller["R"] == frozenset({(3, 4)})
 
+    def test_deltas_share_the_untouched_relations(self):
+        # A write rebuilds only what it touches: the other relations are
+        # the very same frozensets (cached hashes and all).
+        db = database({"R": 2, "S": 1, "T": 1}, R=[(1, 2)], S=[(1,)])
+        bigger = db.with_tuples({"R": [(3, 4)], "T": [[7]]})
+        assert bigger["S"] is db["S"]
+        assert bigger["R"] == {(1, 2), (3, 4)} and bigger["T"] == {(7,)}
+        smaller = bigger.without_tuples({"R": [[1, 2]]})
+        assert smaller["S"] is db["S"] and smaller["T"] is bigger["T"]
+        assert smaller["R"] == {(3, 4)}
+        assert db["R"] == {(1, 2)} and db["T"] == frozenset()
+        assert bigger == Database(
+            db.schema, {"R": [(1, 2), (3, 4)], "S": [(1,)], "T": [(7,)]}
+        )
+        assert bigger.version_token() != db.version_token()
+        assert hash(bigger) != hash(db)
+
+    def test_bad_deltas_raise_what_the_constructor_raises(self):
+        db = database({"R": 2, "S": 1}, R=[(1, 2)])
+        with pytest.raises(UnknownRelationError):
+            db.with_tuples({"R": [(1,)], "Q": [(1,)]})  # name before arity
+        with pytest.raises(UnknownRelationError):
+            db.without_tuples({"Q": [(1,)]})
+        with pytest.raises(ArityError) as caught:
+            db.with_tuples({"R": [(5, 6)], "S": [(1, 2, 3)]})
+        with pytest.raises(ArityError) as built:
+            Database(db.schema, {"R": [(5, 6)], "S": [(1, 2, 3)]})
+        assert str(caught.value) == str(built.value)
+        # Removing a tuple that cannot be there is a no-op, as before.
+        assert db.without_tuples({"R": [(9,)]}) == db
+
     def test_rename_values(self):
         db = database({"R": 2}, R=[(1, 2)])
         renamed = db.rename_values({1: 10, 2: 20})
@@ -190,3 +221,16 @@ def test_guarded_sets_come_from_tuple_space(db: Database):
 @given(databases())
 def test_rename_identity(db: Database):
     assert db.rename_values({}) == db
+
+
+@given(databases(), databases())
+def test_deltas_equal_rebuilding_from_scratch(db: Database, delta: Database):
+    added = db.with_tuples(delta.relations())
+    removed = db.without_tuples(delta.relations())
+    assert added == Database(
+        db.schema, {name: db[name] | delta[name] for name in db.schema}
+    )
+    assert removed == Database(
+        db.schema, {name: db[name] - delta[name] for name in db.schema}
+    )
+    assert added.version_token() == db.disjoint_union(delta).version_token()

@@ -4,7 +4,11 @@ Concurrency here is made deterministic, not sampled: tests that need a
 read to be *in flight* while a write lands patch the module-level task
 function (``_run_pinned``) with a gate the test controls, so snapshot
 isolation and the stale-pin retry path are exercised on every run
-instead of when the scheduler happens to cooperate.  The closing
+instead of when the scheduler happens to cooperate.  The transport
+tests count row-level work instead of timing it: one encode per
+generation, one decode per (process, generation), none on a hit — in
+the server process by patching the storage functions, in a real pool
+worker by sending it the same patch as a task.  The closing
 Hypothesis property is the serving layer's contract in one line: every
 admitted read returns exactly the serial oracle's rows at its pinned
 generation, whatever the thread interleaving.
@@ -12,13 +16,18 @@ generation, whatever the thread interleaving.
 
 from __future__ import annotations
 
+import gc
+import pickle
 import threading
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.serve.server as serve_server
+import repro.storage.backend as storage_backend
+import repro.storage.snapshot as storage_snapshot
 from repro.algebra.evaluator import evaluate
 from repro.data.database import Database
 from repro.engine.parallel import available_cpus
@@ -68,7 +77,8 @@ class _Gate:
 
     ``block_first=True`` holds only the first call at the gate;
     ``fail_first`` makes the first call raise StaleDataError instead
-    of running (the simulated evaporated snapshot).
+    of running (the simulated evaporated snapshot).  With neither it
+    only records: ``tasks`` holds every dispatched argument tuple.
     """
 
     def __init__(self, block_first=False, fail_first=0):
@@ -77,6 +87,7 @@ class _Gate:
         self.block_first = block_first
         self.fail_first = fail_first
         self.calls = 0
+        self.tasks = []
         self._lock = threading.Lock()
 
     def __enter__(self):
@@ -90,11 +101,44 @@ class _Gate:
         with self._lock:
             self.calls += 1
             call_no = self.calls
+            self.tasks.append(args)
         if self.block_first and call_no == 1:
             assert self.event.wait(30)
         if call_no <= self.fail_first:
             raise StaleDataError("snapshot gone (simulated)")
         return self.real(*args)
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """Patch ``module.name`` with a pass-through that logs each call."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+# Tasks for a *pool worker*: spawn children unpickle them by qualified
+# name, so they must live at module level.
+
+
+def _worker_start_counting_attaches():
+    real = storage_snapshot.attach_snapshot
+    calls = storage_snapshot._test_attach_calls = []
+
+    def counting(descriptor):
+        calls.append(descriptor[0])
+        return real(descriptor)
+
+    storage_snapshot.attach_snapshot = counting
+
+
+def _worker_attach_count():
+    return len(storage_snapshot._test_attach_calls)
 
 
 # ----------------------------------------------------------------------
@@ -138,6 +182,7 @@ def test_ticket_audit_trail(db):
         assert ticket.queue_seconds >= 0
         assert ticket.run_seconds >= 0
         assert not ticket.retried
+        assert ticket._task is None  # dropped once it cannot re-run
 
 
 def test_rejection_is_typed_and_counted(db):
@@ -225,7 +270,8 @@ def test_pinned_read_ignores_concurrent_write(db):
             outcome = {}
 
             def submit():
-                outcome["rows"] = handle.run(QUERIES[0], timeout=30)
+                outcome["ticket"] = handle.submit(QUERIES[0])
+                outcome["rows"] = outcome["ticket"].result(30)
 
             reader = threading.Thread(target=submit)
             reader.start()
@@ -236,6 +282,9 @@ def test_pinned_read_ignores_concurrent_write(db):
             assert not reader.is_alive()
         assert outcome["rows"] == oracle_before
         assert (77,) not in outcome["rows"]
+        # Served from the pin itself: no stale error, no re-pin.
+        assert not outcome["ticket"].retried
+        assert outcome["ticket"].pinned_generation == 0
         # A read submitted after the write sees the new contents.
         assert (77,) in handle.run(QUERIES[0])
 
@@ -301,6 +350,137 @@ def test_retry_recovers_when_fresh_snapshot_works(db):
 
 
 # ----------------------------------------------------------------------
+# Snapshot transport: encode per generation, decode per process
+# ----------------------------------------------------------------------
+
+
+def test_one_generation_is_encoded_once_and_shared_by_its_tickets(
+    db, monkeypatch
+):
+    encodes = _count_calls(monkeypatch, storage_backend, "encode_relations")
+    with Server(db, workers=0) as server, _Gate() as seen:
+        handle = server.connect("t")
+        for index in range(6):
+            handle.run(QUERIES[index % len(QUERIES)])
+        assert len(encodes) == 1
+        descriptors = [task[1] for task in seen.tasks]
+        assert len(descriptors) == 6
+        assert all(d is descriptors[0] for d in descriptors)
+        kind, image, __ = descriptors[0]
+        assert kind == "rows" and type(image) is bytes
+        # What a pool would pickle per task: the image once, not rows.
+        assert len(pickle.dumps(seen.tasks[0])) < len(image) + 2048
+        handle.write(additions={"R": [(99, 0)]})
+        handle.run(QUERIES[0])
+        handle.run(QUERIES[1])
+        assert len(encodes) == 2
+        assert seen.tasks[-1][1] is seen.tasks[-2][1]
+        assert seen.tasks[-1][1] is not descriptors[0]
+
+
+def test_inline_server_decodes_once_per_generation(db, monkeypatch):
+    attaches = _count_calls(
+        monkeypatch, storage_snapshot, "attach_snapshot"
+    )
+    with Server(db, workers=0) as server:
+        handle = server.connect("t")
+        first = handle.submit(QUERIES[0])
+        first.result(30)
+        assert len(attaches) == 1 and not first.cached
+        for index in range(5):
+            handle.run(QUERIES[index % len(QUERIES)])
+        hit = handle.submit(QUERIES[0])
+        hit.result(30)
+        assert hit.cached  # a result-cache hit decodes nothing ...
+        assert len(attaches) == 1  # ... and neither does a miss
+        handle.write(additions={"R": [(99, 0)]})
+        handle.run(QUERIES[0])
+        handle.run(QUERIES[1])
+        assert len(attaches) == 2
+
+
+def test_pool_worker_decodes_once_per_generation(db):
+    with Server(db, workers=1) as server:
+        handle = server.connect("t")
+        handle.run(QUERIES[0], timeout=120)  # spawns the one worker
+        pool = server._pool
+        pool.submit(_worker_start_counting_attaches).result(120)
+        handle.write(additions={"R": [(98, 0)]})
+        tickets = [
+            handle.submit(QUERIES[index % len(QUERIES)])
+            for index in range(7)
+        ]
+        for ticket in tickets:
+            ticket.result(120)
+        assert any(ticket.cached for ticket in tickets)
+        assert pool.submit(_worker_attach_count).result(120) == 1
+        handle.write(additions={"R": [(99, 0)]})
+        assert (99,) in handle.run(QUERIES[0], timeout=120)
+        handle.run(QUERIES[0], timeout=120)
+        assert pool.submit(_worker_attach_count).result(120) == 2
+
+
+def test_finished_tickets_do_not_pin_their_generation(db, monkeypatch):
+    # The lab keeps every ticket for its oracle audit; that must not
+    # keep every generation's image alive.  Plain tuples, bytes and
+    # dicts take no weak references, so each export's layout table is
+    # swapped for a dict subclass that does.
+    class Layout(dict):
+        pass
+
+    real = storage_backend.Backend.export_snapshot
+    exported = []
+
+    def export(self):
+        kind, image, layout = real(self)
+        exported.append(weakref.ref(layout := Layout(layout)))
+        return (kind, image, layout)
+
+    monkeypatch.setattr(storage_backend.Backend, "export_snapshot", export)
+    kept = []
+    with Server(db, workers=0) as server:
+        handle = server.connect("t")
+        for generation in range(4):
+            if generation:
+                handle.write(additions={"R": [(100 + generation, 0)]})
+            kept.extend(handle.submit(text) for text in QUERIES)
+        assert all(ticket.result(30) is not None for ticket in kept)
+        assert all(ticket._task is None for ticket in kept)
+        gc.collect()
+        assert len(exported) == 4
+        # Generations 0-2 are gone; the current one is still cached.
+        assert [ref() is None for ref in exported] == [True] * 3 + [False]
+
+
+def test_close_fails_queued_reads_and_drops_their_pins(db):
+    with Server(db, workers=0) as probe:
+        bound = probe.connect("t").submit(QUERIES[1]).bound
+    server = Server(db, workers=0, budget=1.5 * bound)
+    handle = server.connect("t")
+    with _Gate(block_first=True) as gate:
+        running = {}
+
+        def submit():
+            running["ticket"] = handle.submit(QUERIES[1])
+
+        reader = threading.Thread(target=submit)
+        reader.start()
+        while not gate.calls:  # the first read holds the budget
+            threading.Event().wait(0.01)
+        queued = handle.submit(QUERIES[1])
+        assert not queued.done() and queued._task is not None
+        server.close()
+        with pytest.raises(SchemaError, match="closed"):
+            queued.result(30)
+        assert queued._task is None
+        gate.event.set()
+        reader.join(30)
+        assert not reader.is_alive()
+    assert running["ticket"].result(30)
+    assert running["ticket"]._task is None
+
+
+# ----------------------------------------------------------------------
 # Process-pool execution
 # ----------------------------------------------------------------------
 
@@ -342,6 +522,24 @@ def test_broken_pool_degrades_to_inline(db):
             server._session.parse(QUERIES[1]), db, use_engine=False
         )
         assert server._pool_broken or server._pool is not None
+
+
+def test_killed_worker_reruns_the_same_pin_inline(db):
+    with Server(db, workers=1) as server:
+        handle = server.connect("t")
+        assert handle.run(QUERIES[1], timeout=120)
+        for process in list(server._pool._processes.values()):
+            process.kill()
+        # Whether the pool notices at submit or under the future, the
+        # read keeps its pin and finishes inline.
+        tickets = [handle.submit(text) for text in QUERIES]
+        for ticket in tickets:
+            assert ticket.result(120) == evaluate(
+                ticket.expr, db, use_engine=False
+            )
+            assert not ticket.retried and ticket._task is None
+        assert server._pool_broken and server._pool is None
+        assert server.metrics().in_flight_rows == 0.0
 
 
 # ----------------------------------------------------------------------

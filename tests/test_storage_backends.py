@@ -16,9 +16,14 @@ The contract under test (see ``docs/storage.md``):
   and broken pools degrade to inline with locally resolved blocks;
 * closing a backend (or the owning :class:`~repro.session.Session`)
   releases every shared-memory segment and spill file this process
-  created — the leak check reads the live registries directly.
+  created — the leak check reads the live registries directly;
+* a snapshot descriptor of any kind attaches back to exactly the source
+  relations; the memory backend's by-value image is encoded once per
+  content version, survives later writes, and a damaged image is a
+  :class:`~repro.errors.SchemaError`, never a silently short relation.
 """
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -26,6 +31,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.engine.partition as partition_module
+import repro.storage.backend as backend_module
 import repro.storage.mmapio as mmapio_module
 import repro.storage.shm as shm_module
 from repro.algebra.parser import parse
@@ -43,6 +49,7 @@ from repro.storage import (
     MemoryBackend,
     MmapBackend,
     SharedMemoryBackend,
+    attach_snapshot,
     open_backend,
 )
 from repro.workloads.generators import division_database
@@ -163,6 +170,86 @@ class TestBackendProtocol:
                 backend.rows("S")
             backend.refresh()
             assert backend.rows("S") == {(7,)}
+
+
+# ----------------------------------------------------------------------
+# Snapshot descriptors
+# ----------------------------------------------------------------------
+
+
+class TestSnapshots:
+    @pytest.mark.parametrize("kind", BACKEND_KINDS)
+    def test_descriptor_attaches_back_to_the_source(self, kind):
+        for db in (small_db(), mixed_db()):
+            with open_backend(db, kind) as backend:
+                descriptor = backend.export_snapshot()
+                assert descriptor[0] == ("rows" if kind == "memory" else kind)
+                assert attach_snapshot(descriptor) == db.relations()
+        assert no_leaks()
+
+    def test_memory_image_is_encoded_once_per_version(self, monkeypatch):
+        encodes = []
+        real = backend_module.encode_relations
+
+        def counting(db):
+            encodes.append(db.version_token())
+            return real(db)
+
+        monkeypatch.setattr(backend_module, "encode_relations", counting)
+        db = small_db()
+        with open_backend(db, "memory") as backend:
+            first = backend.export_snapshot()
+            assert all(backend.export_snapshot() is first for _ in range(5))
+            assert len(encodes) == 1
+            kind, image, layout = first
+            assert kind == "rows" and type(image) is bytes
+            assert set(layout) == {"R", "S"}
+            # Shipping it is one buffer copy plus a small layout table.
+            assert len(pickle.dumps(first)) < len(image) + 512
+            db._relations = {**db._relations, "S": frozenset({(7,)})}
+            second = backend.export_snapshot()
+            assert second is not first and backend.export_snapshot() is second
+            assert len(encodes) == 2
+            assert attach_snapshot(second)["S"] == {(7,)}
+
+    def test_by_value_snapshot_outlives_writes_and_the_backend(self):
+        db = small_db()
+        before = db.relations()
+        with open_backend(db, "memory") as backend:
+            pinned = backend.export_snapshot()
+            db._relations = {**db._relations, "S": frozenset({(7,)})}
+            assert attach_snapshot(pinned) == before
+        assert attach_snapshot(pinned) == before  # closed backend too
+
+    def test_closed_backend_refuses_to_export(self):
+        backend = open_backend(small_db(), "memory")
+        backend.export_snapshot()
+        backend.close()
+        with pytest.raises(SchemaError, match="closed"):
+            backend.export_snapshot()
+
+    @pytest.mark.parametrize("make_db", [small_db, mixed_db])
+    def test_damaged_image_is_a_schema_error(self, make_db):
+        db = make_db()
+        with open_backend(db, "memory") as backend:
+            kind, image, layout = backend.export_snapshot()
+        for cut in sorted({0, 1, 8, len(image) // 2, len(image) - 8,
+                           len(image) - 1}):
+            with pytest.raises(SchemaError):
+                attach_snapshot((kind, image[:cut], layout))
+        for locator, table in (
+            (None, layout),
+            ("not-bytes", layout),
+            (image, None),
+            (image, {"R": "nonsense"}),
+            (image, {"R": (0, (3, 2, (("q", 0, 24), ("z", 24, 24))))}),
+        ):
+            with pytest.raises(SchemaError):
+                attach_snapshot((kind, locator, table))
+        with pytest.raises(SchemaError, match="malformed"):
+            attach_snapshot((kind, image))
+        with pytest.raises(SchemaError, match="unknown"):
+            attach_snapshot(("tape", image, layout))
 
 
 # ----------------------------------------------------------------------
@@ -401,4 +488,50 @@ def test_snapshot_backends_roundtrip_every_relation(db):
         with open_backend(db, kind) as backend:
             for name in db.schema.names():
                 assert backend.rows(name) == db[name]
+    assert no_leaks()
+
+
+_INT64_EDGE = st.sampled_from(
+    [-(2**63) - 1, -(2**63), -1, 0, 1, 2**63 - 1, 2**63, 2**70]
+)
+_SNAPSHOT_VALUES = st.one_of(
+    st.integers(-3, 3),
+    _INT64_EDGE,
+    st.sampled_from(["", "ale", "stout"]),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3),
+)
+
+
+@st.composite
+def _snapshot_databases(draw):
+    """Databases hitting every column encoding, empty relations included."""
+    schema = Schema({"A": 1, "B": 2, "C": 3})
+    # Per-column value strategies: an all-int column packs as int64, a
+    # mixed / str / Fraction / beyond-64-bit one falls back to pickle.
+    relations = {}
+    for name in schema:
+        columns = [
+            draw(st.sampled_from(
+                [st.integers(-3, 3), _INT64_EDGE, _SNAPSHOT_VALUES]
+            ))
+            for _ in range(schema[name])
+        ]
+        relations[name] = draw(
+            st.frozensets(st.tuples(*columns), max_size=6)
+        )
+    return Database(schema, relations)
+
+
+@PROPERTY
+@given(_snapshot_databases())
+def test_snapshot_descriptors_roundtrip_every_kind(db):
+    for kind in BACKEND_KINDS:
+        with open_backend(db, kind) as backend:
+            attached = attach_snapshot(backend.export_snapshot())
+        assert attached == db.relations()
+        for name, rows in attached.items():
+            # Equal *and* same types: 1 must not come back as Fraction(1).
+            assert {tuple(map(type, r)) for r in rows} == {
+                tuple(map(type, r)) for r in db[name]
+            }
     assert no_leaks()
