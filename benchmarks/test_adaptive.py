@@ -25,12 +25,6 @@ root:
   into a handful, differentially verified against the oracle.
 """
 
-import json
-import time
-from pathlib import Path
-
-import pytest
-
 from repro.algebra.evaluator import evaluate
 from repro.algebra.parser import parse
 from repro.data.database import Database
@@ -38,8 +32,7 @@ from repro.data.schema import Schema
 from repro.engine import PlannerOptions
 from repro.session import Session
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-RESULTS_PATH = REPO_ROOT / "BENCH_adaptive.json"
+from benchmarks.conftest import results_writer, timed
 
 #: Re-plan when any operator's observed estimator error drifts 2×.
 THRESHOLD = 2.0
@@ -56,18 +49,7 @@ RESULTS: dict = {
 }
 
 
-@pytest.fixture(scope="module", autouse=True)
-def emit_results():
-    yield
-    RESULTS_PATH.write_text(
-        json.dumps(RESULTS, indent=2, sort_keys=True) + "\n"
-    )
-
-
-def timed(fn):
-    start = time.perf_counter()
-    result = fn()
-    return time.perf_counter() - start, result
+emit_results = results_writer("BENCH_adaptive.json", RESULTS)
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,8 @@ import pytest
 from repro.algebra.parser import parse
 from repro.data.database import Database, database
 from repro.data.schema import Schema
-from repro.engine import Executor, PlannerOptions, plan_expression, run
+from repro.engine import Executor, PlannerOptions, plan_expression
+from repro.session import run
 
 SCHEMA = Schema({"R": 2, "S": 1, "T": 3})
 

@@ -17,7 +17,8 @@ from repro.bisim.bisimulation import (
     are_bisimilar,
     is_guarded_bisimulation,
 )
-from repro.engine import Executor, plan_expression, run
+from repro.engine import Executor, plan_expression
+from repro.session import run
 from repro.setjoins.division import classic_division_expr, divide_reference
 from repro.workloads.generators import (
     crossproduct_division_family,

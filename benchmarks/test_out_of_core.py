@@ -24,10 +24,7 @@ writes ``BENCH_out_of_core.json`` at the repo root:
 ``test_parallel_joins.py``.
 """
 
-import json
 import os
-import time
-from pathlib import Path
 
 import pytest
 
@@ -37,10 +34,9 @@ from repro.data.database import Database
 from repro.data.schema import Schema
 from repro.engine import Executor, ParallelRun, PlannerOptions, available_cpus
 
+from benchmarks.conftest import results_writer, timed
 from benchmarks.test_parallel_joins import force_parallel, parallel_nodes
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-RESULTS_PATH = REPO_ROOT / "BENCH_out_of_core.json"
 WORKERS = max(2, int(os.environ.get("REPRO_BENCH_WORKERS", "4")))
 
 #: Rows allowed in flight at once — a small fraction of the stored
@@ -58,12 +54,7 @@ RESULTS: dict = {
 QUERY = "Person semijoin[2=2,1>1] Disease"
 
 
-@pytest.fixture(scope="module", autouse=True)
-def emit_results():
-    yield
-    RESULTS_PATH.write_text(
-        json.dumps(RESULTS, indent=2, sort_keys=True) + "\n"
-    )
+emit_results = results_writer("BENCH_out_of_core.json", RESULTS)
 
 
 @pytest.fixture(scope="module")
@@ -85,12 +76,6 @@ def big_db():
 def big_oracle(big_db):
     expr = parse(QUERY, big_db.schema)
     return evaluate(expr, big_db, use_engine=False)
-
-
-def timed(fn):
-    start = time.perf_counter()
-    result = fn()
-    return time.perf_counter() - start, result
 
 
 def test_out_of_core_semijoin_matches_memory_oracle(big_db, big_oracle):

@@ -32,11 +32,8 @@ next to the cost-model constants in use, so a trajectory point can be
 audited against the machine it was taken on.
 """
 
-import json
 import os
-import time
 from dataclasses import fields, replace
-from pathlib import Path
 
 import pytest
 
@@ -56,11 +53,10 @@ from repro.engine.plan import PARTITIONABLE_OPS
 from repro.setjoins.division import classic_division_expr, divide_reference
 from repro.workloads.generators import crossproduct_division_family
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-RESULTS_PATH = REPO_ROOT / "BENCH_parallel.json"
+from benchmarks.conftest import best_of, results_writer
+
 WORKERS = max(2, int(os.environ.get("REPRO_BENCH_WORKERS", "4")))
 BACKEND = os.environ.get("REPRO_BENCH_BACKEND", "shm")
-TIMING_REPEATS = 3
 
 RESULTS: dict = {
     "benchmark": "parallel-set-joins",
@@ -74,13 +70,7 @@ RESULTS: dict = {
 }
 
 
-@pytest.fixture(scope="module", autouse=True)
-def emit_results():
-    """Write the accumulated trajectory after the module's tests ran."""
-    yield
-    RESULTS_PATH.write_text(
-        json.dumps(RESULTS, indent=2, sort_keys=True) + "\n"
-    )
+emit_results = results_writer("BENCH_parallel.json", RESULTS)
 
 
 # ----------------------------------------------------------------------
@@ -144,16 +134,6 @@ def _force_children(node, workers):
             if new is not value:
                 changes[f.name] = new
     return replace(node, **changes) if changes else node
-
-
-def best_of(fn, repeats: int = TIMING_REPEATS):
-    """(best wall-clock seconds, last result) over ``repeats`` runs."""
-    best, result = float("inf"), None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
 
 
 def parallel_nodes(plan):

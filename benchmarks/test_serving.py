@@ -30,10 +30,8 @@ Environment: ``REPRO_BENCH_WORKERS`` caps the pool (CI sets 2),
 descriptors export from (memory/shm/mmap).
 """
 
-import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -51,8 +49,8 @@ from repro.workloads.serving import (
     scenario,
 )
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-RESULTS_PATH = REPO_ROOT / "BENCH_serving.json"
+from benchmarks.conftest import results_writer
+
 
 WORKERS = max(2, int(os.environ.get("REPRO_BENCH_WORKERS", "4")))
 BACKEND = os.environ.get("REPRO_BENCH_BACKEND", "memory")
@@ -71,12 +69,7 @@ RESULTS: dict = {
 }
 
 
-@pytest.fixture(scope="module", autouse=True)
-def emit_results():
-    yield
-    RESULTS_PATH.write_text(
-        json.dumps(RESULTS, indent=2, sort_keys=True) + "\n"
-    )
+emit_results = results_writer("BENCH_serving.json", RESULTS)
 
 
 def _scaling_queries() -> list[tuple[str, str]]:

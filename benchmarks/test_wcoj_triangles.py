@@ -21,21 +21,13 @@ trajectory (``BENCH_wcoj.json`` at the repo root, the
   first.
 """
 
-import json
-import time
-from pathlib import Path
-
-import pytest
-
 from repro.algebra.evaluator import evaluate
 from repro.data.database import Database
 from repro.engine import Executor, MultiwayJoinOp, PlannerOptions
 from repro.workloads.generators import zipf_triangle_db
 from tests.strategies import cycle_expr
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-RESULTS_PATH = REPO_ROOT / "BENCH_wcoj.json"
-TIMING_REPEATS = 3
+from benchmarks.conftest import TIMING_REPEATS, best_of, results_writer
 
 #: Hub-star wing counts; the ≥2× wall-clock assertion is made at the
 #: largest size, where the binary plan's quadratic intermediate
@@ -50,23 +42,7 @@ RESULTS: dict = {
 }
 
 
-@pytest.fixture(scope="module", autouse=True)
-def emit_results():
-    """Write the accumulated trajectory after the module's tests ran."""
-    yield
-    RESULTS_PATH.write_text(
-        json.dumps(RESULTS, indent=2, sort_keys=True) + "\n"
-    )
-
-
-def best_of(fn, repeats: int = TIMING_REPEATS):
-    """(best wall-clock seconds, last result) over ``repeats`` runs."""
-    best, result = float("inf"), None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
+emit_results = results_writer("BENCH_wcoj.json", RESULTS)
 
 
 def triangle_db(wings: int) -> Database:

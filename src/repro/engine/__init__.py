@@ -41,17 +41,14 @@ door (``docs/session.md``)::
     rows = session.run(expr)                    # plan + execute (+ cache)
     print(session.explain(expr, costs=True))    # what the planner chose
 
-:func:`run` below remains as a thin compatibility shim over the shared
-implicit session; new code should construct a ``Session``.
+The one-shot convenience is :func:`repro.session.run` (the
+``repro.engine.run`` shim that delegated to it is gone).
 
 See ``docs/engine.md`` for the architecture and the routing rules.
 """
 
 from __future__ import annotations
 
-from repro.algebra.ast import Expr
-from repro.algebra.evaluator import Relation
-from repro.data.database import Database
 from repro.engine.cost import (
     CostModel,
     Estimate,
@@ -131,36 +128,5 @@ __all__ = [
     "match_division",
     "plan_expression",
     "planned_partitions",
-    "run",
     "shutdown_worker_pools",
 ]
-
-def run(
-    expr: Expr,
-    db: Database,
-    options: PlannerOptions = DEFAULT_OPTIONS,
-    executor: Executor | None = None,
-) -> Relation:
-    """Plan ``expr`` and execute it on ``db``.
-
-    .. deprecated::
-        Compatibility shim — the :class:`~repro.session.Session` front
-        door (``docs/session.md``) is the supported entry point.  With
-        no ``executor`` this delegates to :func:`repro.session.run`,
-        which routes through the shared per-database session: planning
-        is cost-based against the database's actual cardinalities,
-        plans/indexes/statistics amortize across calls, and every cache
-        is version-token invalidated.  Results are recomputed per call
-        (the shared sessions keep result caching off); construct a
-        ``Session`` to opt into the cross-query result cache.
-
-    Pass an :class:`Executor` bound to ``db`` to manage reuse
-    explicitly — caller-managed executors keep their result memo
-    across :meth:`~Executor.execute` calls.
-    """
-    if executor is None:
-        from repro.session import run as session_run
-
-        return session_run(expr, db, options)
-    plan = executor.plan(expr, options)
-    return execute_plan(plan, db, executor)

@@ -263,10 +263,8 @@ class CostModel:
             return self._semijoin(node)
         if isinstance(node, DivisionOp):
             return self._division(node)
-        if isinstance(node, PartitionedOp):
-            return self._partitioned(node)
-        if isinstance(node, ParallelOp):
-            return self._parallel(node)
+        if isinstance(node, (PartitionedOp, ParallelOp)):
+            return self._batched(node)
         if isinstance(node, GroupByOp):
             return self._group_by(node)
         if isinstance(node, SortOp):
@@ -515,44 +513,29 @@ class CostModel:
             dividend.sound and divisor.sound,
         )
 
-    def _partitioned(self, node: PartitionedOp) -> Estimate:
+    def _batched(self, node: PartitionedOp | ParallelOp) -> Estimate:
         """Batched execution: same output, plus the scatter pass.
 
-        Partitioning never changes what is computed — rows, the sound
+        Neither wrapper changes what is computed — rows, the sound
         upper bound, and distinct counts are the inner operator's.  The
         extra cost is one grouping pass over each input (the scatter)
-        plus per-batch bookkeeping.  The wrapped plan therefore always
+        plus per-batch bookkeeping.  A wrapped plan therefore always
         prices ≥ the unwrapped one: the planner partitions to honour
         the rows-in-flight *budget*, not because it is cheaper — the
         cost-based part of the decision is *which* operators must pay
         the scatter at all (only those whose in-flight bound exceeds
         the budget; see :func:`repro.engine.partition.in_flight_upper`).
+
+        A :class:`ParallelOp` is repriced for the pool instead, at the
+        certified parallel cost of :func:`parallel_cost_split`, when
+        the bounds allow one; a hand-built node over unsound estimates
+        pays the scatter surcharge — the planner itself never emits an
+        uncertified :class:`ParallelOp`.
         """
         inner = self.estimate(node.inner)
-        scatter = sum(
-            self.estimate(child).rows for child in node.inner.children()
-        )
-        return Estimate(
-            inner.rows,
-            inner.upper,
-            inner.cost + scatter + node.partitions,
-            inner.distinct,
-            inner.sound,
-        )
-
-    def _parallel(self, node: ParallelOp) -> Estimate:
-        """Sharded execution: same output, repriced for the pool.
-
-        Like :meth:`_partitioned`, parallelism never changes what is
-        computed — rows, the sound upper bound, and distinct counts are
-        the inner operator's.  The cost is the certified parallel cost
-        from :func:`parallel_cost_split` when the bounds allow one;
-        when they do not (a hand-built node over unsound estimates)
-        the partitioned-style scatter surcharge is used — the planner
-        itself never emits an uncertified :class:`ParallelOp`.
-        """
-        inner = self.estimate(node.inner)
-        split = parallel_cost_split(self, node)
+        split = None
+        if isinstance(node, ParallelOp):
+            split = parallel_cost_split(self, node)
         if split is None:
             scatter = sum(
                 self.estimate(child).rows

@@ -752,8 +752,8 @@ class Executor:
     def reset_query_state(self) -> None:
         """Drop per-query state (result memo, stats), keep the indexes.
 
-        :func:`repro.engine.run` calls this between top-level queries
-        on its implicitly cached executors: hash indexes amortize
+        A :class:`~repro.session.Session` calls this after each
+        top-level query on its executor: hash indexes amortize
         across queries, but results are recomputed per call — so
         repeated evaluations measure real work, and large result sets
         are never pinned by the cache.  Caller-managed executors keep
@@ -819,10 +819,8 @@ class Executor:
             return self._nested_loop_semijoin(node)
         if isinstance(node, DivisionOp):
             return self._division(node)
-        if isinstance(node, PartitionedOp):
-            return self._partitioned(node)
-        if isinstance(node, ParallelOp):
-            return self._parallel(node)
+        if isinstance(node, (PartitionedOp, ParallelOp)):
+            return self._batched(node)
         if isinstance(node, GroupByOp):
             return self._group_by(node)
         if isinstance(node, SortOp):
@@ -910,33 +908,28 @@ class Executor:
         quotient = algorithm(dividend, divisor)
         return ((a,) for a in quotient)
 
-    def _partitioned(self, node: PartitionedOp) -> Iterable[Row]:
-        """Budget-bounded batch execution (see :mod:`repro.engine.partition`).
+    def _batched(self, node: PartitionedOp | ParallelOp) -> Iterable[Row]:
+        """Batched execution, serial or on the worker pool.
 
-        The wrapped operator is *not* dispatched through :meth:`_rows`
-        — that would run it one-shot and record its whole intermediate
-        as a single working set instead of the per-batch figures the
-        budget is checked against.  Its children are, so fragments
-        come from the usual memo, and hash (semi)join groupings go
-        through :class:`IndexCache` under the same keys the one-shot
-        operators use (partitioned and one-shot runs share builds;
-        re-executions against unchanged contents regroup nothing).
+        See :mod:`repro.engine.partition` (the shared scatter → pack →
+        run → record pipeline) and :mod:`repro.engine.parallel` (pool
+        dispatch).  The wrapped operator is *not* dispatched through
+        :meth:`_rows` — that would run it one-shot and record its whole
+        intermediate as a single working set instead of the per-batch
+        figures the budget is checked against.  Its children are, so
+        fragments come from the usual memo, and hash (semi)join
+        groupings go through :class:`IndexCache` under the same keys
+        the one-shot operators use (batched and one-shot runs share
+        builds; re-executions against unchanged contents regroup
+        nothing).
         """
+        if isinstance(node, ParallelOp):
+            from repro.engine.parallel import run_parallel
+
+            return run_parallel(self, node)
         from repro.engine.partition import run_partitioned
 
         return run_partitioned(self, node)
-
-    def _parallel(self, node: ParallelOp) -> Iterable[Row]:
-        """Shard-per-worker execution (see :mod:`repro.engine.parallel`).
-
-        Same memoization discipline as :meth:`_partitioned`: the inner
-        operator is never dispatched through :meth:`_rows`, its
-        children are, and the scatter's groupings share the
-        :class:`IndexCache` with the serial paths.
-        """
-        from repro.engine.parallel import run_parallel
-
-        return run_parallel(self, node)
 
     def _group_by(self, node: GroupByOp) -> Relation:
         from repro.extended.evaluator import _eval_group_by

@@ -1,50 +1,41 @@
 """Shard-per-worker parallel execution of key-disjoint batches.
 
-The partition layer (:mod:`repro.engine.partition`) already cuts the
-big operators into key-disjoint batches whose union is exactly the
-one-shot result.  This module is the raw-speed lever that design was
-built for: the same batches, produced by the same scatter and run by
-the same kernels, dispatched across a
-:class:`concurrent.futures.ProcessPoolExecutor` instead of a serial
-loop.
+The batched-execution pipeline of :mod:`repro.engine.partition`
+(scatter → pack → run → record) cuts the big operators into
+key-disjoint batches whose union is exactly the one-shot result.  This
+module is the raw-speed lever that design was built for: the same
+scatter, packing, kernels and records, with the batches dispatched
+across a :class:`concurrent.futures.ProcessPoolExecutor` instead of
+run by the serial loop.
 
 Three properties the implementation is organized around:
 
-* **Parallel ≡ serial by construction.**  Workers run the module-level
-  kernels of :mod:`repro.engine.partition` — the identical code the
-  serial partitioned path runs in-process.  When a
-  :class:`~repro.engine.plan.ParallelOp` carries a budget, the batches
-  are the exact ones :func:`~repro.engine.partition.packed_or_fallback`
-  would produce serially; without a budget they are sized to balance
+* **Parallel ≡ serial by construction.**  Under a budget the batches
+  are exactly the serial ones; without one they are sized to balance
   *work* (not memory) across ``workers × OVERSUBSCRIPTION`` batches so
   one hot key cannot serialize the run.  How fragments *reach* the
-  kernels depends on the executor's storage backend: on the memory
-  backend they are pickled through the pool (the original transport);
-  on an attached backend (shm/mmap) the scatter writes every distinct
-  fragment once into a shared columnar shipment and the tasks carry
-  only block descriptors — workers attach by segment name or spill
-  path and decode in place (:mod:`repro.storage.ship`), which is what
-  makes the dispatch pay off on multi-core machines.
+  kernels depends on the executor's storage backend
+  (:func:`_run_on_pool`): pickled through the pool on the memory
+  backend; on an attached backend (shm/mmap) written once into a
+  shared columnar shipment, the tasks carrying only block descriptors
+  (:mod:`repro.storage.ship`) — which is what makes the dispatch pay
+  off on multi-core machines.
 * **Certified dispatch only.**  The planner post-pass
-  (:func:`apply_parallelism`) consults
-  :func:`~repro.engine.cost.parallel_cost_split`: a sound bound on the
-  operator's own splittable work, the scatter pass, and a per-row IPC
-  surcharge on everything that might cross the process boundary.  An
-  operator is sharded only when the certified parallel cost beats the
-  certified serial cost — zero-stats plans never parallelize,
-  mirroring the partition gate.
+  (:func:`apply_parallelism`) shards an operator only when
+  :func:`~repro.engine.cost.parallel_cost_split` certifies, from sound
+  bounds, that scatter + IPC + divided work beats the serial cost —
+  zero-stats plans never parallelize, mirroring the partition gate.
 * **Staleness over wrong answers.**  The database version token is
-  checked before the scatter and again as each worker's result is
-  gathered.  A mutation mid-query raises
-  :class:`~repro.errors.StaleDataError` instead of mixing two content
-  versions into one result — the same contract serial batches honour,
-  now covering the window while work is out at the pool.
+  checked before anything is submitted and again as each worker's
+  result is gathered (:func:`_gather_pool`): a mutation mid-query
+  raises :class:`~repro.errors.StaleDataError` instead of mixing two
+  content versions into one result — the contract serial batches
+  honour, now covering the window while work is out at the pool.
 
 Worker pools are cached per worker count and shut down at interpreter
-exit.  If a pool cannot be created or breaks mid-run (a killed worker),
-execution falls back to running the same batches inline and records
-why on the :class:`ParallelRun`, so a degraded environment degrades to
-serial speed, not to failure.
+exit.  Every way the pool can be bypassed (:func:`run_parallel`) ends
+in the serial loop over the same batches, with the reason on the
+:class:`ParallelRun`.
 """
 
 from __future__ import annotations
@@ -53,35 +44,30 @@ import atexit
 import math
 import multiprocessing
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.data.database import Row
 from repro.engine.partition import (
-    BatchRecord,
     PartitionRun,
+    Task,
     _check_version,
-    division_batch_kernel,
     in_flight_upper,
-    keyed_batch_kernel,
     pack_groups,
     packed_or_fallback,
     planned_partitions,
-    semijoin_batch_kernel,
+    run_batches,
+    run_task,
+    scatter_for,
 )
 from repro.engine.plan import (
     PARTITIONABLE_OPS,
-    DivisionOp,
-    HashJoinOp,
-    HashSemijoinOp,
-    NestedLoopSemijoinOp,
     ParallelOp,
     PartitionedOp,
     PlanNode,
+    rewrite_plan,
 )
-from repro.errors import SchemaError
 from repro.storage.ship import ShipmentWriter, run_shipped_task
 
 #: Batches per worker when no memory budget shapes them: enough slack
@@ -151,6 +137,12 @@ class ParallelRun(PartitionRun):
     #: ``None`` for pickled transport or inline execution
     transport: str | None = None
 
+    def record(
+        self, task: Task, output_rows: int, seconds: float, pid: int
+    ) -> None:
+        super().record(task, output_rows, seconds, pid)
+        self.timings.append((pid, seconds))
+
     def within_budget(self) -> bool:
         if self.budget is None:
             return True
@@ -181,6 +173,8 @@ class ParallelRun(PartitionRun):
             line += f" [one-shot fallback: {self.fallback}]"
         if self.pool_fallback:
             line += f" [ran inline: {self.pool_fallback}]"
+        if self.replans:
+            line += f" [mid-query re-packs: {self.replans}]"
         for worker in self.worker_slices():
             line += (
                 f"\n    worker {worker.pid}: {worker.batches} batch(es) "
@@ -225,330 +219,110 @@ def shutdown_worker_pools() -> None:
 atexit.register(shutdown_worker_pools)
 
 
-def _run_task(kernel, args) -> tuple[list[Row], float, int]:
-    """Worker-side batch body: run the kernel, report time and pid.
-
-    Module-level so the pool can pickle it by reference; the in-worker
-    wall clock (not the submit-to-result latency, which includes queue
-    wait) is what the per-worker report aggregates.
-    """
-    start = time.perf_counter()
-    rows = kernel(*args)
-    return rows, time.perf_counter() - start, os.getpid()
-
-
-# ----------------------------------------------------------------------
-# Scatter: plan batches as picklable tasks
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Task:
-    """One batch, ready to run locally or ship to a worker."""
-
-    groups: int
-    input_rows: int
-    kernel: object  # a module-level kernel function
-    args: tuple  # picklable kernel arguments
-
-
 def _work_capacity(weights: dict[object, int], workers: int) -> int:
     """Per-batch work target for budget-free (speed-only) sharding."""
-    total = sum(weights.values())
-    target = max(workers * OVERSUBSCRIPTION, 1)
-    return max(math.ceil(total / target), 1)
-
-
-def _scatter_keyed(
-    executor, node: ParallelOp, inner, ship: ShipmentWriter | None
-) -> tuple[list[_Task], int, str | None]:
-    """Hash join / hash semijoin: group both sides on the equality keys.
-
-    Identical grouping (through the shared
-    :class:`~repro.engine.executor.IndexCache`) and — under a budget —
-    identical packing to the serial ``_run_keyed``.  Without a budget,
-    weights switch from rows-in-flight to *work* (the pair count a key
-    group can generate) so batches even out worker load.  With a
-    shipment writer, each key group's fragment is registered once and
-    tasks carry block references instead of the rows.
-    """
-    eq = inner.cond.by_op("=")
-    left_positions = tuple(a.i for a in eq)
-    right_positions = tuple(a.j for a in eq)
-    rest = tuple(a for a in inner.cond if a.op != "=")
-    join = isinstance(inner, HashJoinOp)
-
-    left_groups = executor.indexes.index_for(
-        inner.left.logical, executor._rows(inner.left), left_positions
-    )
-    right_groups = executor.indexes.index_for(
-        inner.right.logical, executor._rows(inner.right), right_positions
-    )
-    shared = left_groups.keys() & right_groups.keys()
-    if node.budget is not None:
-        weights = {}
-        for key in shared:
-            n_left = len(left_groups[key])
-            n_right = len(right_groups[key])
-            worst = n_left * n_right if join else n_left
-            weights[key] = n_left + n_right + worst
-        batches = pack_groups(weights, node.budget)
-    else:
-        weights = {}
-        for key in shared:
-            n_left = len(left_groups[key])
-            n_right = len(right_groups[key])
-            pairs = n_left * n_right if (join or rest) else 0
-            weights[key] = n_left + n_right + pairs
-        batches = pack_groups(
-            weights, _work_capacity(weights, node.workers)
-        )
-
-    tasks = []
-    for keys in batches:
-        pairs = [(left_groups[key], right_groups[key]) for key in keys]
-        input_rows = sum(len(ls) + len(rs) for ls, rs in pairs)
-        if ship is not None:
-            pairs = [
-                (ship.rows(ls), ship.rows(rs)) for ls, rs in pairs
-            ]
-        tasks.append(
-            _Task(len(keys), input_rows, keyed_batch_kernel,
-                  (pairs, rest, join))
-        )
-    return tasks, 0, None
-
-
-def _scatter_semijoin(
-    executor, node: ParallelOp, inner: NestedLoopSemijoinOp,
-    ship: ShipmentWriter | None,
-) -> tuple[list[_Task], int, str | None]:
-    """θ-semijoin: batch left rows; the right side ships to every batch.
-
-    The replicated right side is where descriptor transport wins most:
-    the writer's identity dedup encodes it once, and every task's
-    reference resolves to the same block — pickled transport
-    re-serializes it per task.
-    """
-    left_rows = executor._rows(inner.left)
-    right_rows = list(executor._rows(inner.right))
-    replicated = len(right_rows)
-    weights = {row: 2 for row in left_rows}
-    if node.budget is not None:
-        batches, fallback = packed_or_fallback(
-            weights, node.budget, replicated
-        )
-    else:
-        batches = pack_groups(
-            weights, _work_capacity(weights, node.workers)
-        )
-        fallback = None
-    shipped_right = (
-        ship.rows(right_rows) if ship is not None else right_rows
-    )
-    tasks = []
-    for batch in batches:
-        batch_rows = list(batch)
-        shipped_batch = (
-            ship.rows(batch_rows) if ship is not None else batch_rows
-        )
-        tasks.append(
-            _Task(len(batch), len(batch), semijoin_batch_kernel,
-                  (shipped_batch, shipped_right, inner.cond))
-        )
-    return tasks, replicated, fallback
-
-
-def _scatter_division(
-    executor, node: ParallelOp, inner: DivisionOp,
-    ship: ShipmentWriter | None,
-) -> tuple[list[_Task], int, str | None]:
-    """Division: shard the dividend by candidate; ship the divisor.
-
-    Like the θ-semijoin's right side, the divisor is replicated into
-    every batch and therefore encoded exactly once under descriptor
-    transport (as a scalar value block).
-    """
-    divisor_rows = executor._rows(inner.divisor)
-    replicated = len(divisor_rows)
-    if not divisor_rows and inner.empty_divisor == "none":
-        # γ-plan semantics: empty divisor ⇒ empty result, no batches.
-        return [], replicated, None
-    divisor = [row[0] for row in divisor_rows]
-    groups = executor.indexes.index_for(
-        inner.dividend.logical, executor._rows(inner.dividend), (1,)
-    )
-    if node.budget is not None:
-        weights = {key: len(rows) + 1 for key, rows in groups.items()}
-        batches, fallback = packed_or_fallback(
-            weights, node.budget, replicated
-        )
-    else:
-        # Per-candidate *work* ~ its rows plus one divisor probe pass.
-        weights = {
-            key: len(rows) + max(len(divisor), 1)
-            for key, rows in groups.items()
-        }
-        batches = pack_groups(
-            weights, _work_capacity(weights, node.workers)
-        )
-        fallback = None
-    shipped_divisor = (
-        ship.values(divisor) if ship is not None else divisor
-    )
-    tasks = []
-    for keys in batches:
-        fragment = [row for key in keys for row in groups[key]]
-        shipped_fragment = (
-            ship.rows(fragment) if ship is not None else fragment
-        )
-        tasks.append(
-            _Task(len(keys), len(fragment), division_batch_kernel,
-                  (shipped_fragment, shipped_divisor, inner.method,
-                   inner.eq))
-        )
-    return tasks, replicated, fallback
+    batches = workers * OVERSUBSCRIPTION  # ParallelOp: workers >= 1
+    return max(math.ceil(sum(weights.values()) / batches), 1)
 
 
 # ----------------------------------------------------------------------
-# Gather: pool dispatch with staleness re-checks
+# Dispatch: the pool, or the serial loop when it is bypassed
 # ----------------------------------------------------------------------
 
 
 def run_parallel(executor, node: ParallelOp) -> list[Row]:
     """Execute ``node.inner``'s batches across the worker pool.
 
-    Called by :meth:`repro.engine.executor.Executor._compute`; returns
+    Called by :meth:`repro.engine.executor.Executor._batched`; returns
     the full result (key-disjoint batches union exactly) and records a
-    :class:`ParallelRun` in the executor's stats.  Single-batch and
-    ``workers=1`` runs skip the pool entirely; a missing or broken
-    pool degrades to inline execution of the same batches.
-
-    When the executor's backend is *attached* (shm/mmap), the scatter
-    registers fragments with a :class:`~repro.storage.ship.
-    ShipmentWriter` and the pool path seals them into one shared
-    columnar shipment that workers attach to — tasks then carry block
-    descriptors, not rows.  Every fallback path (single batch, no
-    pool, pool broke, shipment storage unavailable) resolves the same
-    references locally at zero encode cost, so degraded environments
-    run the identical batches inline.
+    :class:`ParallelRun` in the executor's stats.  Scatter and packing
+    are the serial ones; only a budget-free node packs differently, by
+    work, into ``workers × OVERSUBSCRIPTION`` batches.  The degradation
+    ladder — single batch, ``workers=1``, then whatever
+    :func:`_run_on_pool` reports — ends in
+    :func:`~repro.engine.partition.run_batches` over the same batches:
+    serial speed, not failure (and, like every serial run, a mid-query
+    re-pack under a budget and a ``replan_threshold``; batches out at
+    the pool never re-pack).
     """
-    inner = node.inner
-    ship: ShipmentWriter | None = None
-    if executor.backend.attached and node.workers > 1:
-        ship = ShipmentWriter(
-            "file" if executor.backend.kind == "mmap" else "shm"
-        )
-    if isinstance(inner, (HashJoinOp, HashSemijoinOp)):
-        tasks, replicated, fallback = _scatter_keyed(
-            executor, node, inner, ship
-        )
-    elif isinstance(inner, NestedLoopSemijoinOp):
-        tasks, replicated, fallback = _scatter_semijoin(
-            executor, node, inner, ship
-        )
-    elif isinstance(inner, DivisionOp):
-        tasks, replicated, fallback = _scatter_division(
-            executor, node, inner, ship
-        )
-    else:  # pragma: no cover - ParallelOp.__post_init__ rejects these
-        raise SchemaError(f"cannot parallelize {type(inner).__name__}")
-
+    scatter = scatter_for(executor, node.inner, node.budget)
     run = ParallelRun(
         planned=node.partitions,
         budget=node.budget,
-        replicated_rows=replicated,
+        replicated_rows=scatter.replicated,
         workers=node.workers,
-        fallback=fallback,
     )
-    out: list[Row] = []
-    if node.workers <= 1 or len(tasks) <= 1:
-        reason = (
-            "single batch" if len(tasks) <= 1 else "workers=1"
+    if node.budget is None:
+        batches = pack_groups(
+            scatter.weights, _work_capacity(scatter.weights, node.workers)
         )
-        _gather_inline(executor, node, run, tasks, out, reason, ship)
     else:
-        try:
-            pool = _pool_for(node.workers)
-        except OSError as error:
-            _gather_inline(
-                executor, node, run, tasks, out,
-                f"pool unavailable ({error})", ship,
-            )
-        else:
-            shipment = None
-            try:
-                try:
-                    if ship is not None and len(ship):
-                        shipment = ship.seal()
-                        run.transport = ship.transport
-                except OSError as error:
-                    _gather_inline(
-                        executor, node, run, tasks, out,
-                        f"shipment storage unavailable ({error})", ship,
-                    )
-                else:
-                    try:
-                        _gather_pool(
-                            executor, node, run, pool, tasks, out,
-                            shipment,
-                        )
-                    except BrokenProcessPool as error:
-                        # Dispose of the broken pool and redo the whole
-                        # run inline — partial results may be missing
-                        # batches.
-                        _pools.pop(node.workers, None)
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        run.batches.clear()
-                        run.timings.clear()
-                        run.transport = None
-                        out.clear()
-                        _gather_inline(
-                            executor, node, run, tasks, out,
-                            f"worker pool broke ({error})", ship,
-                        )
-            finally:
-                if shipment is not None:
-                    shipment.close()
+        batches, run.fallback = packed_or_fallback(
+            scatter.weights, node.budget, scatter.replicated
+        )
+    out: list[Row] = []
+    if len(batches) <= 1:
+        reason = "single batch"
+    elif node.workers <= 1:
+        reason = "workers=1"
+    else:
+        reason = _run_on_pool(executor, node, run, scatter, batches, out)
+    if reason is not None:
+        if node.workers > 1:
+            run.pool_fallback = reason
+        out = run_batches(executor, node, run, scatter, batches)
     executor.stats.partition_runs[node] = run
     return out
 
 
-def _record(run: ParallelRun, task: _Task, rows, seconds, pid) -> None:
-    run.batches.append(
-        BatchRecord(
-            groups=task.groups,
-            input_rows=task.input_rows,
-            output_rows=len(rows),
-            in_flight=task.input_rows + run.replicated_rows + len(rows),
-            fallback=run.fallback is not None,
-        )
-    )
-    run.timings.append((pid, seconds))
+def _run_on_pool(
+    executor, node: ParallelOp, run: ParallelRun, scatter, batches, out
+) -> str | None:
+    """Run ``batches`` on the pool; the reason if they must run inline.
 
-
-def _gather_inline(
-    executor, node, run: ParallelRun, tasks, out,
-    reason: str | None, ship: ShipmentWriter | None = None,
-) -> None:
-    """Run the batches in-process (serial semantics, same kernels).
-
-    Shipment block references resolve to the original fragment objects
-    (:meth:`~repro.storage.ship.ShipmentWriter.resolve_local`) — no
-    encoding happened or happens on this path.
+    On an *attached* backend (shm/mmap) the tasks register their
+    fragments with a :class:`~repro.storage.ship.ShipmentWriter`,
+    sealed into the one shipment workers attach to; on the memory
+    backend the fragments are pickled through the pool.  A pool that
+    cannot be created, shipment storage that cannot be allocated, or a
+    pool that breaks mid-run (a killed worker) returns the reason with
+    ``run`` left empty — partial results may be missing batches, so
+    the caller discards ``out`` and redoes the whole run inline.
     """
-    if reason is not None and node.workers > 1:
-        run.pool_fallback = reason
-    for task in tasks:
-        _check_version(executor, node)
-        args = task.args if ship is None else ship.resolve_local(task.args)
-        rows, seconds, pid = _run_task(task.kernel, args)
-        out.extend(rows)
-        _record(run, task, rows, seconds, pid)
+    try:
+        pool = _pool_for(node.workers)
+    except OSError as error:
+        return f"pool unavailable ({error})"
+    ship: ShipmentWriter | None = None
+    if executor.backend.attached:
+        ship = ShipmentWriter(
+            "file" if executor.backend.kind == "mmap" else "shm"
+        )
+    tasks = [scatter.task(keys, ship) for keys in batches]
+    shipment = None
+    if ship is not None:
+        try:
+            shipment = ship.seal()
+        except OSError as error:
+            return f"shipment storage unavailable ({error})"
+        run.transport = ship.transport
+    try:
+        _gather_pool(executor, node, run, pool, tasks, out, shipment)
+    except BrokenProcessPool as error:
+        _pools.pop(node.workers, None)
+        pool.shutdown(wait=False, cancel_futures=True)
+        run.batches.clear()
+        run.timings.clear()
+        run.transport = None
+        return f"worker pool broke ({error})"
+    finally:
+        if shipment is not None:
+            shipment.close()
+    return None
 
 
 def _gather_pool(
-    executor, node, run: ParallelRun, pool, tasks, out, shipment=None
+    executor, node, run: ParallelRun, pool, tasks, out, shipment
 ) -> None:
     """Dispatch batches to the pool; re-check the version per gather.
 
@@ -569,25 +343,18 @@ def _gather_pool(
     instead.
     """
     _check_version(executor, node)
-    if shipment is None:
-        futures = [
-            pool.submit(_run_task, task.kernel, task.args)
-            for task in tasks
-        ]
-    else:
-        futures = [
-            pool.submit(
-                run_shipped_task, shipment.locator, shipment.blocks,
-                task.kernel, task.args,
-            )
-            for task in tasks
-        ]
+    body = (run_task,)
+    if shipment is not None:
+        body = (run_shipped_task, shipment.locator, shipment.blocks)
+    futures = [
+        pool.submit(*body, task.kernel, task.args) for task in tasks
+    ]
     try:
         for task, future in zip(tasks, futures):
             rows, seconds, pid = future.result()
             _check_version(executor, node)
             out.extend(rows)
-            _record(run, task, rows, seconds, pid)
+            run.record(task, len(rows), seconds, pid)
     except BaseException:
         for future in futures:
             future.cancel()
@@ -622,8 +389,6 @@ def apply_parallelism(
     infinite bounds — zero-stats planning — certify nothing and leave
     the plan untouched.
     """
-    from dataclasses import fields, replace
-
     from repro.engine.cost import parallel_cost_split
 
     if workers <= 1:
@@ -644,50 +409,26 @@ def apply_parallelism(
             note = f"{candidate.note}; {note}"
         return replace(candidate, note=note)
 
-    memo: dict[int, PlanNode] = {}
-
-    def rebuild(node: PlanNode) -> PlanNode:
-        cached = memo.get(id(node))
-        if cached is not None:
-            return cached
+    def step(node: PlanNode, descend) -> PlanNode:
         if isinstance(node, ParallelOp):
-            # Already sharded (re-applying to a planned plan).
-            memo[id(node)] = node
-            return node
+            return node  # already sharded (re-applying to a planned plan)
         if isinstance(node, PartitionedOp):
-            inner = rebuild_children(node.inner)
+            inner = descend(node.inner)
             candidate = ParallelOp(
                 inner, node.partitions, node.budget, workers,
                 note=node.note,
             )
-            original: PlanNode = node
             if inner is not node.inner:
-                original = PartitionedOp(
-                    inner, node.partitions, node.budget, node.note
-                )
-            result = gate(candidate, original)
-            memo[id(node)] = result
-            return result
-        rebuilt = rebuild_children(node)
+                node = replace(node, inner=inner)
+            return gate(candidate, node)
+        rebuilt = descend(node)
         if isinstance(rebuilt, PARTITIONABLE_OPS):
             upper = in_flight_upper(cost_model, rebuilt)
             partitions = min(
-                planned_partitions(upper, 1),
-                max(workers * OVERSUBSCRIPTION, 1),
+                planned_partitions(upper, 1), workers * OVERSUBSCRIPTION
             )
             candidate = ParallelOp(rebuilt, partitions, None, workers)
             rebuilt = gate(candidate, rebuilt)
-        memo[id(node)] = rebuilt
         return rebuilt
 
-    def rebuild_children(node: PlanNode) -> PlanNode:
-        changes = {}
-        for f in fields(node):
-            value = getattr(node, f.name)
-            if isinstance(value, PlanNode):
-                new = rebuild(value)
-                if new is not value:
-                    changes[f.name] = new
-        return replace(node, **changes) if changes else node
-
-    return rebuild(plan)
+    return rewrite_plan(plan, step)

@@ -12,23 +12,28 @@ holds more than a configured number of rows in flight.
 Two layers cooperate:
 
 * **Planning** (static, estimate-driven).  In a post-pass over the
-  fully chosen plan (:func:`apply_partitioning` — after every cost
-  comparison, so the wrapper's scatter surcharge never flips an
-  operator choice), each partitionable operator whose
-  :func:`in_flight_upper` — the cost model's *sound* upper bound on
-  its rows in flight (inputs + output materialized at once) — exceeds
-  ``PlannerOptions.partition_budget`` is wrapped in a
+  fully chosen plan (:func:`apply_partitioning`), each partitionable
+  operator whose :func:`in_flight_upper` — the cost model's *sound*
+  upper bound on its rows in flight (inputs + output materialized at
+  once) — exceeds ``PlannerOptions.partition_budget`` is wrapped in a
   :class:`~repro.engine.plan.PartitionedOp` whose ``partitions`` field
   carries :func:`planned_partitions`, the predicted batch count
   ``ceil(upper / budget)``.
-* **Execution** (exact, weight-driven).  At run time the inputs are
-  already materialized frozensets, so per-key weights are *exact*:
-  :func:`run_partitioned` groups each input by its partitioning key,
-  bounds every key group's contribution (inputs **plus the worst-case
-  output** that group can emit), and packs groups into batches by
-  best-fit-decreasing (:func:`pack_groups`) with capacity
-  ``budget − replicated rows``.  The resulting invariant, asserted by
-  the property tests in ``tests/test_engine_partition.py``:
+* **Execution** (exact, weight-driven) — one pipeline, shared with
+  :mod:`repro.engine.parallel`.  At run time the inputs are already
+  materialized frozensets, so per-key weights are *exact*: a
+  per-operator **scatter** (:func:`scatter_for`) groups each input by
+  its partitioning key and bounds every key group's contribution
+  (inputs **plus the worst-case output** that group can emit); the
+  groups are packed into batches by best-fit-decreasing
+  (:func:`pack_groups`) with capacity ``budget − replicated rows``;
+  :func:`run_batches` runs the batches one after another and
+  :meth:`PartitionRun.record` writes each :class:`BatchRecord`.  A
+  :class:`~repro.engine.plan.ParallelOp` differs only in *where*
+  batches run — a worker pool, or this same loop when the pool is
+  bypassed — so parallel and serial batches agree by construction.
+  The resulting invariant, asserted by the property tests in
+  ``tests/test_engine_partition.py``:
 
       every batch's measured rows in flight is ≤ the budget, unless
       the batch is a single atomic key group whose own weight already
@@ -59,21 +64,18 @@ operator                    strategy
 
 Replicated sides count toward every batch's rows in flight, which is
 why they are subtracted from the packing capacity.  When the replicated
-side alone meets the budget that capacity vanishes (≤ 0) and per-group
-batches would rescan the replicated side once per row/candidate — a
-quadratic cliff for zero memory gain, since every batch already holds
-at least the replicated rows.  :func:`packed_or_fallback` detects this
-and falls back to one-shot execution (a single batch), recording the
-reason on the :class:`PartitionRun` and marking the batch so the
-``within()`` invariant knows it was deliberate.  Nested-loop *joins*
-are not partitionable: without equality keys a batch's output is not
-bounded by its own fragment, so no per-batch budget could be certified.
+side alone meets the budget that capacity vanishes (≤ 0), and
+:func:`packed_or_fallback` runs one deliberate one-shot batch instead
+of rescanning the replicated side once per group, recording the reason
+on the :class:`PartitionRun` and marking the batch so the ``within()``
+invariant knows it was deliberate.  Nested-loop *joins* are not
+partitionable: without equality keys a batch's output is not bounded
+by its own fragment, so no per-batch budget could be certified.
 
 The per-batch bodies are module-level **kernels**
 (:func:`keyed_batch_kernel`, :func:`semijoin_batch_kernel`,
-:func:`division_batch_kernel`) operating on plain picklable data, so
-:mod:`repro.engine.parallel` can ship the very same code to pool
-workers — parallel and serial batches agree by construction.
+:func:`division_batch_kernel`) over plain picklable data, which is
+what lets a pool worker run them.
 
 Between batches the executor's database version token is re-checked;
 a mutation mid-run raises :class:`~repro.errors.StaleDataError` rather
@@ -85,7 +87,11 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+import os
+import time
+from collections import deque
+from dataclasses import dataclass, field, replace
+from itertools import chain
 
 from repro.data.database import Row
 from repro.engine.plan import (
@@ -97,6 +103,7 @@ from repro.engine.plan import (
     NestedLoopSemijoinOp,
     PartitionedOp,
     PlanNode,
+    rewrite_plan,
 )
 from repro.errors import SchemaError, StaleDataError
 from repro.setjoins.division import DIVISION_ALGORITHMS, DIVISION_EQ_ALGORITHMS
@@ -150,30 +157,16 @@ def apply_partitioning(plan: PlanNode, cost_model, budget: int) -> PlanNode:
     (children first, so an operator's in-flight bound is computed over
     its possibly-wrapped children); shared sub-plans stay shared, and
     untouched subtrees are returned as the same objects so executor
-    memoization is unaffected.
+    memoization is unaffected (:func:`~repro.engine.plan.rewrite_plan`).
     """
-    from dataclasses import fields, replace
 
-    memo: dict[int, PlanNode] = {}
-
-    def rebuild(node: PlanNode) -> PlanNode:
-        cached = memo.get(id(node))
-        if cached is not None:
-            return cached
+    def step(node: PlanNode, descend) -> PlanNode:
         if isinstance(node, PartitionedOp):
             # Already partitioned (re-applying to a planned plan):
             # keep the existing wrapper — and its budget — untouched
             # rather than wrapping its inner operator a second time.
-            memo[id(node)] = node
             return node
-        changes = {}
-        for f in fields(node):
-            value = getattr(node, f.name)
-            if isinstance(value, PlanNode):
-                new = rebuild(value)
-                if new is not value:
-                    changes[f.name] = new
-        rebuilt = replace(node, **changes) if changes else node
+        rebuilt = descend(node)
         if isinstance(rebuilt, PARTITIONABLE_OPS):
             upper = in_flight_upper(cost_model, rebuilt)
             if math.isfinite(upper) and upper > budget:
@@ -215,10 +208,9 @@ def apply_partitioning(plan: PlanNode, cost_model, budget: int) -> PlanNode:
                     f"{rebuilt.note}; {extra}" if rebuilt.note else extra
                 )
                 rebuilt = replace(rebuilt, note=merged)
-        memo[id(node)] = rebuilt
         return rebuilt
 
-    return rebuild(plan)
+    return rewrite_plan(plan, step)
 
 
 # ----------------------------------------------------------------------
@@ -274,6 +266,28 @@ class PartitionRun:
     fallback: str | None = None
     #: mid-query re-packs of the remaining batches (adaptive feedback)
     replans: int = 0
+
+    def record(
+        self, task: "Task", output_rows: int, seconds: float, pid: int
+    ) -> None:
+        """Append the :class:`BatchRecord` of one executed batch.
+
+        The one place records are written, whichever runner executed
+        the batch.  A serial run keeps no ``(pid, seconds)`` timings —
+        :class:`~repro.engine.parallel.ParallelRun` adds them.
+        """
+        self.batches.append(
+            BatchRecord(
+                groups=task.groups,
+                input_rows=task.input_rows,
+                output_rows=output_rows,
+                in_flight=task.input_rows
+                + self.replicated_rows
+                + output_rows,
+                fallback=self.fallback is not None,
+                adaptive=self.replans > 0,
+            )
+        )
 
     def actual(self) -> int:
         return len(self.batches)
@@ -431,6 +445,190 @@ def division_batch_kernel(
 
 
 # ----------------------------------------------------------------------
+# Scatter: atomic groups, their weights, and how to run a batch of them
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Task:
+    """One batch, ready to run locally or ship to a worker."""
+
+    groups: int
+    input_rows: int
+    kernel: object  # a module-level kernel function
+    args: tuple  # picklable kernel arguments
+
+
+def run_task(kernel, args) -> tuple[list[Row], float, int]:
+    """The batch body: run the kernel, report time and pid.
+
+    Module-level so a pool can pickle it by reference; the in-worker
+    wall clock (not the submit-to-result latency, which includes queue
+    wait) is what the per-worker report aggregates.
+    """
+    start = time.perf_counter()
+    rows = kernel(*args)
+    return rows, time.perf_counter() - start, os.getpid()
+
+
+@dataclass(frozen=True)
+class Scatter:
+    """One operator's inputs cut into atomic groups — what packing sees.
+
+    ``weights`` prices each group: under a budget, its worst-case rows
+    in flight (fragments **plus the worst-case output**); without one
+    (speed-only sharding) its *work*, so batches even out worker load.
+    ``replicated`` is the side every batch holds in full.
+    ``task(keys, ship)`` builds the :class:`Task` running the groups
+    ``keys``: with ``ship=None`` the arguments are the fragments
+    themselves (inline execution, pickled transport); with a
+    :class:`~repro.storage.ship.ShipmentWriter` each distinct fragment
+    is registered once and the arguments carry block references.
+    ``worst_output`` (keyed operators only) is each group's worst-case
+    output — the part of its weight the mid-query re-pack rescales.
+    """
+
+    weights: dict[object, int]
+    replicated: int
+    task: object
+    worst_output: dict[object, int] | None = None
+
+
+def scatter_for(executor, inner: PlanNode, budget: int | None) -> Scatter:
+    """The scatter of partitionable operator ``inner``."""
+    if isinstance(inner, (HashJoinOp, HashSemijoinOp)):
+        return _scatter_keyed(executor, inner, budget)
+    if isinstance(inner, NestedLoopSemijoinOp):
+        return _scatter_semijoin(executor, inner)
+    if isinstance(inner, DivisionOp):
+        return _scatter_division(executor, inner, budget)
+    # The wrappers' __post_init__ rejects everything else.
+    raise SchemaError(  # pragma: no cover
+        f"cannot partition {type(inner).__name__}"
+    )
+
+
+def _scatter_keyed(executor, inner, budget: int | None) -> Scatter:
+    """Hash join / hash semijoin: both sides grouped on equality keys.
+
+    Both groupings go through the executor's
+    :class:`~repro.engine.executor.IndexCache` under the same
+    ``(logical expression, positions)`` keys the one-shot hash
+    operators use, so batched and one-shot executions of the same
+    input share a single build and re-executing against unchanged
+    contents regroups nothing.  Keys present on only one side are
+    pruned at scatter time: with no partner rows they cannot produce
+    output (``rest`` atoms only filter further), so they never consume
+    batch capacity or rows in flight.  A group's worst-case output is
+    ``nL·nR`` (join) or ``nL`` (semijoin); its work is the pair count
+    it can generate.
+    """
+    eq = inner.cond.by_op("=")
+    rest = tuple(a for a in inner.cond if a.op != "=")
+    join = isinstance(inner, HashJoinOp)
+    left_groups = executor.indexes.index_for(
+        inner.left.logical,
+        executor._rows(inner.left),
+        tuple(a.i for a in eq),
+    )
+    right_groups = executor.indexes.index_for(
+        inner.right.logical,
+        executor._rows(inner.right),
+        tuple(a.j for a in eq),
+    )
+    weights: dict[object, int] = {}
+    worst_output: dict[object, int] = {}
+    for key in left_groups.keys() & right_groups.keys():
+        n_left = len(left_groups[key])
+        n_right = len(right_groups[key])
+        pairs = n_left * n_right
+        worst_output[key] = pairs if join else n_left
+        if budget is not None:
+            weights[key] = n_left + n_right + worst_output[key]
+        else:
+            weights[key] = n_left + n_right + (pairs if join or rest else 0)
+
+    def task(keys, ship) -> Task:
+        pairs = [(left_groups[key], right_groups[key]) for key in keys]
+        input_rows = sum(len(ls) + len(rs) for ls, rs in pairs)
+        if ship is not None:
+            pairs = [(ship.rows(ls), ship.rows(rs)) for ls, rs in pairs]
+        return Task(
+            len(keys), input_rows, keyed_batch_kernel, (pairs, rest, join)
+        )
+
+    return Scatter(weights, 0, task, worst_output)
+
+
+def _scatter_semijoin(executor, inner: NestedLoopSemijoinOp) -> Scatter:
+    """θ-semijoin: batch left rows; the right side goes to every batch.
+
+    Each left row is its own atomic group (no key to group by) of
+    weight 2 — the row plus the at-most-one output row it can emit —
+    in rows in flight and in work alike.  The right side is one list
+    object, so a shipment's identity dedup encodes it once however
+    many tasks reference it.
+    """
+    right_rows = list(executor._rows(inner.right))
+
+    def task(batch, ship) -> Task:
+        left_rows = list(batch)
+        if ship is None:
+            args = (left_rows, right_rows, inner.cond)
+        else:
+            args = (ship.rows(left_rows), ship.rows(right_rows), inner.cond)
+        return Task(len(batch), len(batch), semijoin_batch_kernel, args)
+
+    weights = {row: 2 for row in executor._rows(inner.left)}
+    return Scatter(weights, len(right_rows), task)
+
+
+def _scatter_division(
+    executor, inner: DivisionOp, budget: int | None
+) -> Scatter:
+    """Division: partition the dividend by candidate; replicate the divisor.
+
+    A candidate's *entire* B-set must sit in one batch for the
+    containment/equality test to be answerable there, so the atomic
+    group is the candidate's dividend rows (weight ``n_a + 1``: the
+    group plus at most one quotient row; as work, its rows plus one
+    divisor probe pass).  Each batch runs the same direct algorithm
+    the unpartitioned operator would (the ``method``/``eq`` registry
+    of :mod:`repro.setjoins.division`) on its fragment; quotients from
+    disjoint candidate sets union exactly.  Like the keyed joins, the
+    per-candidate grouping goes through the executor's
+    :class:`~repro.engine.executor.IndexCache`, so re-executions
+    against unchanged contents regroup nothing.  The divisor ships
+    once, as a scalar value block.
+    """
+    divisor_rows = executor._rows(inner.divisor)
+    if not divisor_rows and inner.empty_divisor == "none":
+        # γ-plan semantics: empty divisor ⇒ empty result, no batches.
+        return Scatter({}, 0, None)
+    divisor = [row[0] for row in divisor_rows]
+    groups = executor.indexes.index_for(
+        inner.dividend.logical, executor._rows(inner.dividend), (1,)
+    )
+    extra = 1 if budget is not None else max(len(divisor), 1)
+    weights = {key: len(rows) + extra for key, rows in groups.items()}
+
+    def task(keys, ship) -> Task:
+        fragment = [row for key in keys for row in groups[key]]
+        if ship is None:
+            args = (fragment, divisor, inner.method, inner.eq)
+        else:
+            args = (
+                ship.rows(fragment),
+                ship.values(divisor),
+                inner.method,
+                inner.eq,
+            )
+        return Task(len(keys), len(fragment), division_batch_kernel, args)
+
+    return Scatter(weights, len(divisor_rows), task)
+
+
+# ----------------------------------------------------------------------
 # Batch execution
 # ----------------------------------------------------------------------
 
@@ -438,27 +636,22 @@ def division_batch_kernel(
 def run_partitioned(executor, node: PartitionedOp) -> list[Row]:
     """Execute ``node.inner`` in budget-bounded batches.
 
-    Called by :meth:`repro.engine.executor.Executor._compute`; returns
+    Called by :meth:`repro.engine.executor.Executor._batched`; returns
     the full result (the union over batches — key-disjoint fragments
     make it exact) and records a :class:`PartitionRun` in the
     executor's :class:`~repro.engine.executor.ExecutionStats`.
     """
-    inner = node.inner
-    if isinstance(inner, (HashJoinOp, HashSemijoinOp)):
-        rows, run = _run_keyed(executor, node, inner)
-    elif isinstance(inner, NestedLoopSemijoinOp):
-        rows, run = _run_left_batched(executor, node, inner)
-    elif isinstance(inner, DivisionOp):
-        rows, run = _run_division(executor, node, inner)
-    else:  # pragma: no cover - PartitionedOp.__post_init__ rejects these
-        raise SchemaError(
-            f"cannot partition {type(inner).__name__}"
-        )
+    scatter = scatter_for(executor, node.inner, node.budget)
+    run = PartitionRun(node.partitions, node.budget, scatter.replicated)
+    batches, run.fallback = packed_or_fallback(
+        scatter.weights, node.budget, scatter.replicated
+    )
+    out = run_batches(executor, node, run, scatter, batches)
     executor.stats.partition_runs[node] = run
-    return rows
+    return out
 
 
-def _check_version(executor, node: PartitionedOp) -> None:
+def _check_version(executor, node: PlanNode) -> None:
     """Fail fast if the database mutated between batches."""
     if executor.backend.version_token() != executor._version:
         raise StaleDataError(
@@ -468,179 +661,56 @@ def _check_version(executor, node: PartitionedOp) -> None:
         )
 
 
-def _run_keyed(executor, node: PartitionedOp, inner) -> tuple[list, PartitionRun]:
-    """Hash join / hash semijoin: both sides grouped on equality keys.
+def run_batches(
+    executor, node, run: PartitionRun, scatter: Scatter, batches
+) -> list[Row]:
+    """Run ``batches`` in-process, one after another; their rows.
 
-    Both groupings go through the executor's
-    :class:`~repro.engine.executor.IndexCache` under the same
-    ``(logical expression, positions)`` keys the one-shot hash
-    operators use, so partitioned and one-shot executions of the same
-    input share a single build and re-executing against unchanged
-    contents regroups nothing.  Keys present on only one side are
-    pruned at scatter time: with no partner rows they cannot produce
-    output (``rest`` atoms only filter further), so they never consume
-    batch capacity or rows in flight.
+    The serial runner of a :class:`~repro.engine.plan.PartitionedOp`
+    and the inline path of a :class:`~repro.engine.plan.ParallelOp`
+    whose pool is bypassed.  The version token is checked before every
+    batch.  Batches start out packed with worst-case weights; under a
+    budget and a ``replan_threshold``, keyed operators re-pack the
+    *still-pending* batches with observed-rate weights when actuals
+    show the worst case priced them absurdly (adaptive feedback).
     """
-    eq = inner.cond.by_op("=")
-    left_positions = tuple(a.i for a in eq)
-    right_positions = tuple(a.j for a in eq)
-    rest = tuple(a for a in inner.cond if a.op != "=")
-    join = isinstance(inner, HashJoinOp)
-
-    left_groups = executor.indexes.index_for(
-        inner.left.logical, executor._rows(inner.left), left_positions
+    threshold = executor._replan_threshold
+    adaptive = (
+        threshold is not None
+        and node.budget is not None
+        and scatter.worst_output is not None
     )
-    right_groups = executor.indexes.index_for(
-        inner.right.logical, executor._rows(inner.right), right_positions
-    )
-    sizes: dict[object, tuple[int, int]] = {}
-    weights: dict[object, int] = {}
-    for key in left_groups.keys() & right_groups.keys():
-        n_left = len(left_groups[key])
-        n_right = len(right_groups[key])
-        sizes[key] = (n_left, n_right)
-        worst_output = n_left * n_right if join else n_left
-        weights[key] = n_left + n_right + worst_output
-
-    def _weight(key: object, rate: float) -> int:
-        n_left, n_right = sizes[key]
-        worst = n_left * n_right if join else n_left
-        return n_left + n_right + max(1, math.ceil(worst * rate))
-
-    # Worst-case weights to start; the mid-query re-plan below re-packs
-    # the *remaining* batches with observed-rate weights when actuals
-    # show the worst case priced them absurdly (adaptive feedback).
-    threshold = getattr(executor, "_replan_threshold", None)
     assumed_rate = 1.0
-    done_out = 0
-    done_worst = 0
-
-    run = PartitionRun(node.partitions, node.budget)
+    done_out = done_worst = 0
     out: list[Row] = []
-    pending = list(pack_groups(weights, node.budget))
+    pending = deque(batches)
     while pending:
-        keys = pending.pop(0)
+        keys = pending.popleft()
         _check_version(executor, node)
-        pairs = [(left_groups[key], right_groups[key]) for key in keys]
-        input_rows = sum(len(ls) + len(rs) for ls, rs in pairs)
-        rows = keyed_batch_kernel(pairs, rest, join)
+        task = scatter.task(keys, None)
+        rows, seconds, pid = run_task(task.kernel, task.args)
         out.extend(rows)
-        run.batches.append(
-            BatchRecord(
-                groups=len(keys),
-                input_rows=input_rows,
-                output_rows=len(rows),
-                in_flight=input_rows + len(rows),
-                adaptive=run.replans > 0,
-            )
-        )
-        done_out += len(rows)
-        for key in keys:
-            n_left, n_right = sizes[key]
-            done_worst += n_left * n_right if join else n_left
-        if threshold is None or not pending or done_worst <= 0:
+        run.record(task, len(rows), seconds, pid)
+        if not adaptive or not pending:
             continue
         # Between-batch checkpoint (same spot the StaleDataError check
         # runs): if the batches executed so far produced far fewer rows
         # than the worst-case bound they were priced at, re-pack the
         # remaining groups with observed-rate weights — fewer, fuller
         # batches instead of thousands of near-empty ones.
-        observed = max(done_out / done_worst, 1.0 / done_worst)
+        done_out += len(rows)
+        done_worst += sum(scatter.worst_output[key] for key in keys)
+        observed = max(done_out, 1) / done_worst
         if assumed_rate / observed >= threshold:
             assumed_rate = min(1.0, observed * ADAPTIVE_SAFETY)
-            remaining = [key for batch in pending for key in batch]
-            pending = list(
-                pack_groups(
-                    {k: _weight(k, assumed_rate) for k in remaining},
-                    node.budget,
+            weights = {}
+            for key in chain.from_iterable(pending):
+                worst = scatter.worst_output[key]
+                weights[key] = (
+                    scatter.weights[key]
+                    - worst
+                    + max(1, math.ceil(worst * assumed_rate))
                 )
-            )
+            pending = deque(pack_groups(weights, node.budget))
             run.replans += 1
-    return out, run
-
-
-def _run_left_batched(
-    executor, node: PartitionedOp, inner: NestedLoopSemijoinOp
-) -> tuple[list, PartitionRun]:
-    """θ-semijoin: batch left rows; the right side goes to every batch.
-
-    Each left row is its own atomic group (no key to group by) of
-    weight 2 — the row plus the at-most-one output row it can emit.
-    When the replicated right side alone meets the budget the batches
-    collapse to one (:func:`packed_or_fallback`) — per-row batches
-    would rescan the right side once per left row for no memory gain.
-    """
-    left_rows = executor._rows(inner.left)
-    right_rows = executor._rows(inner.right)
-    replicated = len(right_rows)
-    weights = {row: 2 for row in left_rows}
-
-    run = PartitionRun(node.partitions, node.budget, replicated)
-    batches, run.fallback = packed_or_fallback(
-        weights, node.budget, replicated
-    )
-    out: list[Row] = []
-    for batch in batches:
-        _check_version(executor, node)
-        rows = semijoin_batch_kernel(batch, right_rows, inner.cond)
-        out.extend(rows)
-        run.batches.append(
-            BatchRecord(
-                groups=len(batch),
-                input_rows=len(batch),
-                output_rows=len(rows),
-                in_flight=len(batch) + replicated + len(rows),
-                fallback=run.fallback is not None,
-            )
-        )
-    return out, run
-
-
-def _run_division(
-    executor, node: PartitionedOp, inner: DivisionOp
-) -> tuple[list, PartitionRun]:
-    """Division: partition the dividend by candidate; replicate the divisor.
-
-    A candidate's *entire* B-set must sit in one batch for the
-    containment/equality test to be answerable there, so the atomic
-    group is the candidate's dividend rows (weight ``n_a + 1``).  Each
-    batch runs the same direct algorithm the unpartitioned operator
-    would (the ``method``/``eq`` registry of
-    :mod:`repro.setjoins.division`) on its fragment; quotients from
-    disjoint candidate sets union exactly.  Like the keyed joins, the
-    per-candidate grouping goes through the executor's
-    :class:`~repro.engine.executor.IndexCache`, so re-executions
-    against unchanged contents regroup nothing.
-    """
-    divisor_rows = executor._rows(inner.divisor)
-    run = PartitionRun(node.partitions, node.budget, len(divisor_rows))
-    if not divisor_rows and inner.empty_divisor == "none":
-        # γ-plan semantics: empty divisor ⇒ empty result, no batches.
-        return [], run
-    divisor = [row[0] for row in divisor_rows]
-    groups = executor.indexes.index_for(
-        inner.dividend.logical, executor._rows(inner.dividend), (1,)
-    )
-    weights = {key: len(rows) + 1 for key, rows in groups.items()}
-
-    batches, run.fallback = packed_or_fallback(
-        weights, node.budget, len(divisor_rows)
-    )
-    out: list[Row] = []
-    for keys in batches:
-        _check_version(executor, node)
-        fragment = [row for key in keys for row in groups[key]]
-        rows = division_batch_kernel(
-            fragment, divisor, inner.method, inner.eq
-        )
-        out.extend(rows)
-        run.batches.append(
-            BatchRecord(
-                groups=len(keys),
-                input_rows=len(fragment),
-                output_rows=len(rows),
-                in_flight=len(fragment) + len(divisor_rows) + len(rows),
-                fallback=run.fallback is not None,
-            )
-        )
-    return out, run
+    return out

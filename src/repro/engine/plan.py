@@ -24,7 +24,7 @@ evaluator memoizes sub-expressions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from repro.algebra.ast import Expr
 from repro.algebra.conditions import Condition
@@ -705,6 +705,39 @@ PARTITIONABLE_OPS = (
     NestedLoopSemijoinOp,
     DivisionOp,
 )
+
+
+def rewrite_plan(plan: PlanNode, step) -> PlanNode:
+    """Rewrite the plan DAG through ``step``, once per distinct node.
+
+    ``step(node, descend)`` returns the node's replacement;
+    ``descend(n)`` returns ``n`` with every child field rewritten (by
+    ``step``, memoized on node identity, so shared sub-plans stay
+    shared) — and returns ``n`` itself when no child changed, so
+    untouched subtrees keep their identity and executor memoization is
+    unaffected.  A step that does not call ``descend`` leaves the
+    subtree alone.  The partition and parallel post-passes are both
+    one ``step`` over this walker.
+    """
+    memo: dict[int, PlanNode] = {}
+
+    def rewrite(node: PlanNode) -> PlanNode:
+        cached = memo.get(id(node))
+        if cached is None:
+            cached = memo[id(node)] = step(node, descend)
+        return cached
+
+    def descend(node: PlanNode) -> PlanNode:
+        changes = {}
+        for f in fields(node):
+            value = getattr(node, f.name)
+            if isinstance(value, PlanNode):
+                new = rewrite(value)
+                if new is not value:
+                    changes[f.name] = new
+        return replace(node, **changes) if changes else node
+
+    return rewrite(plan)
 
 
 def _cached_hash(self) -> int:

@@ -88,7 +88,6 @@ def execute_division_plan(
     eq: bool = False,
     r: Expr | None = None,
     s: Expr | None = None,
-    executor=None,
     session=None,
 ):
     """Run the §5 plan through the engine (routed to linear division).
@@ -99,17 +98,12 @@ def execute_division_plan(
     empty-divisor caveat) match :func:`repro.extended.evaluator.
     evaluate_extended` on the same expression exactly.  Pass a
     :class:`~repro.session.Session` bound to ``db`` to share caches
-    (and the cross-query result cache) across calls; with neither
-    ``session`` nor the legacy ``executor`` shim the shared implicit
-    session is used (:func:`repro.session.run`).
+    (and the cross-query result cache) across calls; without one the
+    shared implicit session is used (:func:`repro.session.run`).
     """
     expr = division_plan(eq, r, s)
     if session is not None:
         return session.run(expr)
-    if executor is not None:
-        from repro.engine import run
-
-        return run(expr, db, executor=executor)
     from repro.session import run as session_run
 
     return session_run(expr, db)

@@ -4,9 +4,10 @@ The paper's dichotomy (Theorem 17) and the division lower bound
 (Proposition 26) are statements about *plan choice*, and the engine
 (:mod:`repro.engine`) is the machinery that acts on them.  Before this
 module, callers reached that machinery through four inconsistent entry
-points — ``repro.engine.run``/``explain``, :func:`repro.algebra.
-evaluator.evaluate`, a hand-managed :class:`~repro.engine.executor.
-Executor`, and ad-hoc CLI helpers — each re-threading
+points — ``repro.engine.run``/``explain`` (``run`` since removed),
+:func:`repro.algebra.evaluator.evaluate`, a hand-managed
+:class:`~repro.engine.executor.Executor`, and ad-hoc CLI helpers —
+each re-threading
 :class:`~repro.engine.planner.PlannerOptions` by hand.  A
 :class:`Session` replaces all of them:
 
@@ -42,11 +43,11 @@ Typical use::
     print(prepared.explain(costs=True))
     print(session.last_report.render())
 
-The old entry points remain as thin shims over this module —
-``repro.engine.run(expr, db)`` and plain ``evaluate(expr, db)`` both
-route through the shared per-database session returned by
-:func:`session_for` — and the deprecation table in ``docs/session.md``
-maps each old call to its Session form.  The implicit shared sessions
+Plain ``evaluate(expr, db)`` remains as a thin shim over this module
+— like :func:`run`, it routes through the shared per-database session
+returned by :func:`session_for` — and the deprecation table in
+``docs/session.md`` maps each old call to its Session form.  The
+implicit shared sessions
 keep result caching **disabled** so that repeated ``evaluate()`` calls
 still measure real work (the documented contract the benchmarks rely
 on); an explicitly constructed ``Session`` enables caching by default.
@@ -543,7 +544,7 @@ class Session:
 # ----------------------------------------------------------------------
 
 #: Sessions bound to recently seen databases, so back-to-back
-#: ``evaluate()``/``engine.run()`` calls against the same database
+#: ``evaluate()``/:func:`run` calls against the same database
 #: share hash-index builds, statistics, and plans even when the caller
 #: manages no session.  Result caching is **disabled** on these —
 #: plain calls keep the documented "each call recomputes" contract the
@@ -576,11 +577,10 @@ def run(
 ) -> Relation:
     """Plan and execute ``expr`` on ``db`` via the shared session.
 
-    The one-shot convenience behind ``evaluate(expr, db)`` and the
-    ``repro.engine.run`` shim.  Cost-based planning, hash-index and
-    statistics reuse, and version-token invalidation all come from the
-    shared per-database session; results are recomputed per call (see
-    :func:`session_for`).
+    The one-shot convenience behind ``evaluate(expr, db)``.
+    Cost-based planning, hash-index and statistics reuse, and
+    version-token invalidation all come from the shared per-database
+    session; results are recomputed per call (see :func:`session_for`).
     """
     session = session_for(db)
     result = session.run(expr, options)

@@ -26,6 +26,7 @@ storage, shipped fragments, per-batch decodes — not the handle.
 from __future__ import annotations
 
 import atexit
+import errno
 import itertools
 import mmap
 import os
@@ -47,18 +48,29 @@ def create_spill_file(parts: list[bytes]) -> tuple[str, int]:
     The returned fd stays open (mappings need it on some platforms);
     :func:`release_spill_file` closes and unlinks.  An empty payload
     still writes one byte so ``mmap`` never sees a zero-length file.
+    ``os.write`` may accept fewer bytes than offered (a nearly full
+    ``TMPDIR``, a part over 2 GiB): each part is written until none
+    of it is left, and a write that accepts nothing raises ``OSError``
+    — a truncated file would be mapped and decoded as garbage.
     """
     path = os.path.join(
         tempfile.gettempdir(), f"{SPILL_PREFIX}{next(_counter)}"
     )
     fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_RDWR, 0o600)
     try:
-        total = 0
+        if not any(parts):
+            parts = [b"\0"]
         for part in parts:
-            os.write(fd, part)
-            total += len(part)
-        if total == 0:
-            os.write(fd, b"\0")
+            left = memoryview(part)
+            while left:
+                written = os.write(fd, left)
+                if written <= 0:
+                    raise OSError(
+                        errno.ENOSPC,
+                        f"short write to spill file {path}: "
+                        f"{len(left)} byte(s) not accepted",
+                    )
+                left = left[written:]
     except BaseException:
         os.close(fd)
         os.unlink(path)

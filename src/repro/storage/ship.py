@@ -20,17 +20,18 @@ descriptors:
   anonymous memory) and returns the :class:`Shipment` descriptor:
   locator plus per-block ``(kind, base offset, block meta)`` table;
 * :func:`run_shipped_task` is the worker body: attach by name/path,
-  decode exactly the blocks this task references (decodes are cached
-  per task, and int64 columns decode zero-copy straight out of the
-  mapping), substitute them into the kernel arguments, run the
-  *unchanged* serial kernel.
+  decode exactly the blocks this task references into plain row
+  tuples (decodes are cached per task; int64 columns are read straight
+  out of the mapping, with no intermediate byte copy), substitute them
+  into the kernel arguments, run the *unchanged* serial kernel.
 
-The parallel layer's fallbacks stay cheap: the writer keeps the
-original fragment objects, so :meth:`ShipmentWriter.resolve_local`
-rebuilds inline-executable arguments without any encoding when the
-pool is skipped or breaks mid-run.  The creator closes the shipment
-after the gather; POSIX keeps the unlinked segment/file readable for
-any worker still holding it open.
+The parallel layer's fallbacks stay cheap: nothing is encoded before
+:meth:`ShipmentWriter.seal`, and when the pool is skipped or breaks
+mid-run the batches are rebuilt from the original fragments and run
+inline (:func:`repro.engine.partition.run_batches`), no shipment
+involved.  The creator closes the shipment after the gather; POSIX
+keeps the unlinked segment/file readable for any worker still holding
+it open.
 """
 
 from __future__ import annotations
@@ -146,15 +147,6 @@ class ShipmentWriter:
         """Register a flat scalar list (e.g. a division's divisor)."""
         return self._add("values", values)
 
-    def __len__(self) -> int:
-        return len(self._payloads)
-
-    def resolve_local(self, args):
-        """Kernel arguments for inline execution — no encoding at all."""
-        return _substitute(
-            args, lambda index: self._payloads[index][1]
-        )
-
     def seal(self) -> Shipment:
         """Encode every registered fragment into one shared buffer."""
         parts: list[bytes] = []
@@ -213,7 +205,7 @@ def run_shipped_task(
     """Worker-side batch body for descriptor-based dispatch.
 
     The shipped-transport analogue of
-    :func:`repro.engine.parallel._run_task` with the same return
+    :func:`repro.engine.partition.run_task` with the same return
     contract ``(rows, in-worker seconds, pid)``; the clock includes
     attach + decode, so per-worker report timings stay honest about
     the transport's real cost.
@@ -233,9 +225,6 @@ def run_shipped_task(
             return block
 
         rows = kernel(*_substitute(args, lookup))
-        # Int64 columns decode as zero-copy views; drop every decoded
-        # block before releasing the buffer they point into.
-        decoded.clear()
     finally:
         release()
     return rows, time.perf_counter() - start, os.getpid()

@@ -17,7 +17,7 @@ import pytest
 from repro.algebra.evaluator import evaluate
 from repro.data.database import Database, database
 from repro.data.schema import Schema
-from repro.engine import run
+from repro.session import run
 from repro.errors import SchemaError
 from repro.extended.division_plan import (
     containment_division_plan,

@@ -14,7 +14,6 @@ from repro.engine import (
     PlannerOptions,
     execute_plan,
     plan_expression,
-    run,
 )
 from repro.engine.plan import (
     DivisionOp,
@@ -35,6 +34,7 @@ from repro.extended.division_plan import (
     physical_division_plan,
 )
 from repro.extended.evaluator import evaluate_extended
+from repro.session import run
 from repro.setjoins.division import classic_division_expr, divide_reference
 from repro.workloads.generators import (
     crossproduct_division_family,

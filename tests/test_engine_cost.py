@@ -35,7 +35,6 @@ from repro.engine import (
     StatsCatalog,
     fractional_edge_cover,
     plan_expression,
-    run,
 )
 from repro.engine.plan import (
     DivisionOp,
@@ -47,6 +46,7 @@ from repro.engine.plan import (
 )
 from repro.engine.stats import relation_stats
 from repro.errors import SchemaError
+from repro.session import run
 from repro.setjoins.division import classic_division_expr
 from repro.workloads.generators import (
     crossproduct_division_family,

@@ -14,7 +14,8 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.algebra.evaluator import evaluate
 from repro.algebra.reference import evaluate_reference
-from repro.engine import Executor, PlannerOptions, plan_expression, run
+from repro.engine import Executor, PlannerOptions, plan_expression
+from repro.session import run
 from tests.strategies import databases, expressions, sa_eq_expressions
 
 #: ≥ 200 seeded random cases, as the harness's acceptance bar demands.

@@ -32,7 +32,6 @@ from repro.engine import (
     PartitionedOp,
     PlannerOptions,
     plan_expression,
-    run,
 )
 from repro.engine.partition import (
     MAX_PARTITIONS,
@@ -47,6 +46,7 @@ from repro.engine.plan import (
 )
 from repro.engine.planner import explain
 from repro.errors import SchemaError, StaleDataError
+from repro.session import run
 from repro.setjoins.division import (
     classic_division_expr,
     divide_hash,

@@ -23,7 +23,9 @@ The contract under test (see ``docs/storage.md``):
   :class:`~repro.errors.SchemaError`, never a silently short relation.
 """
 
+import os
 import pickle
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -94,6 +96,15 @@ def no_leaks():
     return (
         not shm_module.live_segment_names()
         and not mmapio_module.live_spill_paths()
+    )
+
+
+def spill_files():
+    """This process's spill files actually present on disk."""
+    return sorted(
+        name
+        for name in os.listdir(tempfile.gettempdir())
+        if name.startswith(mmapio_module.SPILL_PREFIX)
     )
 
 
@@ -427,6 +438,60 @@ class TestParallelShipment:
         assert run.transport is None
         executor.close()
         assert no_leaks()
+
+
+# ----------------------------------------------------------------------
+# Spill files: ``os.write`` may accept fewer bytes than it is offered
+# ----------------------------------------------------------------------
+
+
+class TestSpillFileShortWrites:
+    def test_short_writes_are_completed(self, monkeypatch):
+        real_write = os.write
+        offered = []
+
+        def at_most_five(fd, data):
+            offered.append(len(data))
+            return real_write(fd, bytes(data[:5]))
+
+        monkeypatch.setattr(mmapio_module.os, "write", at_most_five)
+        db = mixed_db()
+        with open_backend(db, "mmap") as backend:
+            assert backend.rows("M") == db["M"]
+            assert backend.rows("E") == frozenset()
+        assert max(offered) > 5  # some part really needed several calls
+        assert no_leaks()
+
+    def test_shipped_fragments_survive_short_writes(self, monkeypatch):
+        real_write = os.write
+        monkeypatch.setattr(
+            mmapio_module.os,
+            "write",
+            lambda fd, data: real_write(fd, bytes(data[:64])),
+        )
+        db = division_database(
+            num_keys=30, divisor_size=4, extra_per_key=2, seed=5
+        )
+        expr = classic_division_expr()
+        executor = Executor(db, backend="mmap")
+        plan = force_parallel(
+            executor.plan(expr, PlannerOptions(partition_budget=40)), 2
+        )
+        assert executor.execute(plan) == evaluate_reference(expr, db)
+        (run,) = parallel_runs(executor)
+        assert run.transport == "file" and run.pool_fallback is None
+        executor.close()
+        assert no_leaks()
+
+    def test_a_write_that_accepts_nothing_raises_and_leaves_nothing(
+        self, monkeypatch
+    ):
+        files, live = spill_files(), dict(mmapio_module._live)
+        monkeypatch.setattr(mmapio_module.os, "write", lambda fd, data: 0)
+        with pytest.raises(OSError, match="short write"):
+            mmapio_module.create_spill_file([b"abc", b"defgh"])
+        assert mmapio_module._live == live
+        assert spill_files() == files
 
 
 # ----------------------------------------------------------------------
