@@ -255,7 +255,6 @@ def test_scenario_sweep_oracle_audited(name):
         "latency_p50_ms": round(result.latency_p50 * 1000, 3),
         "latency_p99_ms": round(result.latency_p99 * 1000, 3),
         "rejection_rate": result.rejection_rate,
-        "retried": result.retried,
         "writes": result.writes,
         "utilization": result.utilization,
         "oracle_checked": result.oracle_checked,

@@ -20,9 +20,8 @@ Subcommands::
 ``eval``, ``explain``, ``divide``, and ``optimize`` build one
 :class:`~repro.session.Session` from the shared session flags
 (``--partition-budget``, ``--max-workers``, ``--no-costs``,
-``--no-reorder-joins``, ``--no-partitions``), applied uniformly;
-contradictory combinations are
-rejected up front.  Expressions use the textual syntax of
+``--no-reorder-joins``), applied uniformly; contradictory combinations
+are rejected up front.  Expressions use the textual syntax of
 :mod:`repro.algebra.parser`; the schema comes from the database file or
 from ``--schema 'R:2,S:1'``.
 """
@@ -92,10 +91,10 @@ def _session_options(args):
     """PlannerOptions from the shared session flags (None = defaults).
 
     The planner flags (``--partition-budget``, ``--max-workers``,
-    ``--no-costs``, ``--no-reorder-joins``, ``--no-partitions``,
-    ``--no-multiway``) are session-level: every subcommand that builds
-    a session applies them uniformly.  Contradictory combinations are
-    rejected here, before any work.
+    ``--no-costs``, ``--no-reorder-joins``, ``--no-multiway``) are
+    session-level: every subcommand that builds a session applies them
+    uniformly.  Contradictory combinations are rejected here, before
+    any work.
     """
     budget = getattr(args, "partition_budget", None)
     workers = getattr(args, "max_workers", None)
@@ -103,19 +102,12 @@ def _session_options(args):
     replan = getattr(args, "replan_threshold", None)
     no_costs = bool(getattr(args, "no_costs", False))
     no_reorder = bool(getattr(args, "no_reorder_joins", False))
-    no_partitions = bool(getattr(args, "no_partitions", False))
     no_multiway = bool(getattr(args, "no_multiway", False))
     if replan is not None and no_costs:
         raise ReproError(
             "--replan-threshold needs cost-based planning (the "
             "threshold measures the cost model's estimation error, "
             "which --no-costs disables); drop --no-costs"
-        )
-    if budget is not None and no_partitions:
-        raise ReproError(
-            "--partition-budget and --no-partitions contradict each "
-            "other: a budget requests partitioned execution, "
-            "--no-partitions forbids it; drop one"
         )
     if budget is not None and no_costs:
         raise ReproError(
@@ -132,7 +124,7 @@ def _session_options(args):
         and workers is None
         and backend is None
         and replan is None
-        and not (no_costs or no_reorder or no_partitions or no_multiway)
+        and not (no_costs or no_reorder or no_multiway)
     ):
         return None
     from repro.engine import PlannerOptions
@@ -142,7 +134,6 @@ def _session_options(args):
     return PlannerOptions(
         use_costs=not no_costs,
         reorder_joins=not no_reorder,
-        use_partitions=not no_partitions,
         use_multiway=not no_multiway,
         partition_budget=budget,
         max_workers=1 if workers is None else workers,
@@ -175,12 +166,6 @@ _SESSION_BOOL_FLAGS = (
         "no_reorder_joins",
         "--no-reorder-joins",
         "keep >=3-way join chains in their written order",
-    ),
-    (
-        "no_partitions",
-        "--no-partitions",
-        "never wrap operators in partitioned execution "
-        "(contradicts --partition-budget)",
     ),
     (
         "no_multiway",

@@ -295,9 +295,7 @@ def _run_on_pool(
         return f"pool unavailable ({error})"
     ship: ShipmentWriter | None = None
     if executor.backend.attached:
-        ship = ShipmentWriter(
-            "file" if executor.backend.kind == "mmap" else "shm"
-        )
+        ship = ShipmentWriter(executor.backend.kind)
     tasks = [scatter.task(keys, ship) for keys in batches]
     shipment = None
     if ship is not None:

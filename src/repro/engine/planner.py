@@ -134,8 +134,8 @@ class PlannerOptions:
     chain byte-identically.
 
     ``partition_budget`` is the rows-in-flight cap for partitioned
-    execution: when set (and ``use_partitions`` is on and statistics
-    are present — sizing needs *sound* bounds), any partitionable
+    execution: when set (and statistics are present — sizing needs
+    *sound* bounds), any partitionable
     operator whose estimated in-flight upper bound exceeds the budget
     is wrapped in a :class:`~repro.engine.plan.PartitionedOp` and runs
     in budget-bounded batches.  ``None`` (the default) disables
@@ -179,7 +179,6 @@ class PlannerOptions:
     push_selections: bool = True
     use_costs: bool = True
     reorder_joins: bool = True
-    use_partitions: bool = True
     partition_budget: int | None = None
     max_workers: int = 1
     backend: str = "memory"
@@ -460,11 +459,7 @@ class Planner:
         statistics (or without a budget) plans are returned untouched.
         """
         budget = self.options.partition_budget
-        if (
-            budget is None
-            or not self.options.use_partitions
-            or not self._costed()
-        ):
+        if budget is None or not self._costed():
             return plan
         from repro.engine.partition import apply_partitioning
 
@@ -867,7 +862,7 @@ class Planner:
             f"binary plan's peak intermediate bound {_fmt(peak)}"
         )
         budget = self.options.partition_budget
-        if budget is not None and self.options.use_partitions:
+        if budget is not None:
             if agm + sum(cards) > budget:
                 # The binary chain can run partitioned under the
                 # budget; the one-shot generic join cannot.

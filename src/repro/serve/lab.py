@@ -7,8 +7,8 @@ set of client :class:`StreamSpec` streams — each a tenant issuing a
 cycle of queries closed-loop (submit, wait, think, repeat), optionally
 interleaving serialized writes.  :func:`run_scenario` spins up the
 server, runs one thread per stream, and folds what happened into a
-:class:`LabResult`: throughput, p50/p99 latency, rejection rate, retry
-count, and (when asked) a full **oracle audit** — every admitted
+:class:`LabResult`: throughput, p50/p99 latency, rejection rate,
+and (when asked) a full **oracle audit** — every admitted
 read's rows replayed against :meth:`~repro.serve.server.Server.
 database_at` for its pinned generation with the structural evaluator,
 so snapshot isolation is checked end-to-end, not assumed.
@@ -106,7 +106,6 @@ class LabResult:
     completed: int = 0
     rejected: int = 0
     failed: int = 0
-    retried: int = 0
     writes: int = 0
     rows_returned: int = 0
     throughput: float = 0.0
@@ -138,8 +137,8 @@ class LabResult:
             f"  latency    : p50 {self.latency_p50 * 1000:.1f}ms, "
             f"p99 {self.latency_p99 * 1000:.1f}ms",
             f"  admission  : {self.rejected} rejected "
-            f"({self.rejection_rate:.1%}), {self.retried} retried, "
-            f"peak {self.in_flight_peak:g} bound row(s) in flight",
+            f"({self.rejection_rate:.1%}), peak "
+            f"{self.in_flight_peak:g} bound row(s) in flight",
         ]
         if self.utilization is not None:
             lines.append(f"  utilization: {self.utilization:.3f}")
@@ -285,7 +284,6 @@ def run_scenario(
         result.completed = len(tickets)
         result.rejected = sum(s.rejected for s in streams)
         result.failed = sum(s.failed for s in streams)
-        result.retried = totals.retried
         result.writes = sum(s.writes for s in streams)
         result.rows_returned = totals.rows_returned
         result.throughput = (

@@ -1,13 +1,12 @@
 """Observability for the serving layer: per-tenant counters.
 
 Every outcome the server can hand a query — admitted straight through,
-queued behind the budget, rejected as provably unservable, retried
-after a snapshot moved, failed, completed — increments exactly one
-place here, so rejection rates, queue latency, and bound-vs-actual
-utilization are readable *after the fact* without instrumenting
-clients.  The registry itself does no locking: the
-:class:`~repro.serve.server.Server` mutates it only under its
-scheduler lock, and :meth:`MetricsRegistry.snapshot` (what
+queued behind the budget, rejected as provably unservable, failed,
+completed — increments exactly one place here, so rejection rates,
+queue latency, and bound-vs-actual utilization are readable *after the
+fact* without instrumenting clients.  The registry itself does no
+locking: the :class:`~repro.serve.server.Server` mutates it only under
+its scheduler lock, and :meth:`MetricsRegistry.snapshot` (what
 ``Server.metrics()`` returns) deep-copies under the same lock, so a
 snapshot is internally consistent — counters taken together describe
 one moment, not a smear.
@@ -40,7 +39,10 @@ class TenantMetrics:
     queued: int = 0
     #: Reads refused with :class:`~repro.errors.AdmissionError`.
     rejected: int = 0
-    #: Reads re-pinned and re-run after a snapshot moved mid-read.
+    #: Always 0 and written by nothing: a read executes on the snapshot
+    #: it was pinned to or fails.  Kept only because its sole reader,
+    #: ``perfbench/measure.py::_per_layer``, is frozen benchmark code;
+    #: ROADMAP item 4 drops both in the next ``benchmark`` PR.
     retried: int = 0
     #: Reads that finished with rows.
     completed: int = 0
@@ -75,9 +77,8 @@ class TenantMetrics:
             f"{self.tenant:<12} w={self.weight:<4g} "
             f"sub={self.submitted:<5} adm={self.admitted:<5} "
             f"q={self.queued:<4} rej={self.rejected:<4} "
-            f"retry={self.retried:<3} done={self.completed:<5} "
-            f"fail={self.failed:<3} wr={self.writes:<4} "
-            f"qwait={self.queue_seconds:.3f}s "
+            f"done={self.completed:<5} fail={self.failed:<3} "
+            f"wr={self.writes:<4} qwait={self.queue_seconds:.3f}s "
             f"(max {self.queue_seconds_max:.3f}s) "
             f"util={util_text} hits={self.cache_hits}"
         )
@@ -109,7 +110,6 @@ class ServerMetrics:
             total.admitted += m.admitted
             total.queued += m.queued
             total.rejected += m.rejected
-            total.retried += m.retried
             total.completed += m.completed
             total.failed += m.failed
             total.writes += m.writes

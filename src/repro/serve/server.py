@@ -11,13 +11,14 @@ already lives:
   :func:`~repro.storage.attach_snapshot` wherever the read actually
   runs.  Memory-backend pins carry the database by value — one
   columnar image, **encoded once per generation, decoded once per
-  worker process, shared by every ticket of that generation** — and
-  stay servable forever; shm/mmap pins are by-reference — a write
-  re-encodes the backend and the old storage evaporates, so attaching
-  a stale pin raises the engine's existing
-  :class:`~repro.errors.StaleDataError`, which the server answers by
-  re-pricing and re-pinning the read against the fresh snapshot and
-  retrying **once**.
+  worker process, shared by every ticket of that generation**;
+  shm/mmap pins are by-reference to that generation's immutable image,
+  which the backend keeps until the last ticket pinned to it has
+  finished (:meth:`~repro.storage.backend.Backend.pin`).  Either way a
+  read executes on the generation it was priced and pinned on,
+  whatever is written meanwhile; an image that is gone anyway (an
+  outside fault) fails the ticket with
+  :class:`~repro.errors.StaleDataError`.
 * **Admission and fairness** (:mod:`repro.serve.admission`).  Reads
   are priced by the cost model's certified upper bounds before they
   run; the sum debits the server's in-flight row budget, over-budget
@@ -65,7 +66,7 @@ from repro.algebra.ast import Expr
 from repro.data.database import Database
 from repro.engine.parallel import available_cpus
 from repro.engine.planner import PlannerOptions
-from repro.errors import AdmissionError, SchemaError, StaleDataError
+from repro.errors import AdmissionError, SchemaError
 from repro.serve.admission import AdmissionController, price_plan
 from repro.serve.metrics import MetricsRegistry, ServerMetrics
 from repro.session import Session
@@ -108,7 +109,7 @@ def _run_pinned(token, descriptor, schema, expr, options):
 
     Returns ``(rows, actual_rows, max_in_flight, cached)``.  Raises
     :class:`~repro.errors.StaleDataError` when the pin's storage is
-    gone (the server's cue to re-pin and retry).  Also the inline
+    gone (an outside fault: the ticket fails).  Also the inline
     fallback path: the server calls this very function in-process when
     it has no pool, so both modes execute identical code.
     """
@@ -148,19 +149,17 @@ class Ticket:
         self.expr = expr
         self.text = text
         self.options = options
-        #: Admission price (re-written if the read is re-pinned).
+        #: Admission price.
         self.bound = 0.0
         self.sound = False
         self.expected_rows = 0.0
-        #: The snapshot this read is pinned to.
+        #: The snapshot this read is pinned to — and executes on.
         self.pinned_generation = -1
         self.pinned_token: int | None = None
-        #: The ``_run_pinned`` arguments, built once per pin and dropped
+        #: The ``_run_pinned`` arguments, built with the pin and dropped
         #: at completion so a kept ticket does not keep its
         #: generation's snapshot image alive.
         self._task: tuple | None = None
-        #: True once the read was re-pinned after a stale snapshot.
-        self.retried = False
         #: Outcome.
         self.rows = None
         self.error: BaseException | None = None
@@ -492,11 +491,16 @@ class Server:
         text = query if isinstance(query, str) else None
         pricing, worker = self._resolve_options(handle, options)
         ticket = Ticket(handle.tenant, expr, text, worker)
+        executor = self._session.executor
         with self._lock:
             self._check_open()
             tenant = self._metrics.tenant(handle.tenant)
             tenant.submitted += 1
-            self._price_and_pin(ticket, pricing)
+            price = price_plan(executor, executor.plan(expr, pricing))
+            ticket.bound = price.bound
+            ticket.sound = price.sound
+            ticket.expected_rows = price.expected_rows
+            generation, token, descriptor = self._current_snapshot()
             try:
                 ready = self._admission.submit(
                     handle.tenant, ticket.bound, ticket.sound, ticket
@@ -504,29 +508,18 @@ class Server:
             except AdmissionError:
                 tenant.rejected += 1
                 raise
+            # Pinned only once admitted — a refused read holds no pin —
+            # and for good: the read runs on this snapshot or fails.
+            executor.backend.pin(token)
+            ticket.pinned_generation = generation
+            ticket.pinned_token = token
+            ticket._task = (token, descriptor, self.db.schema, expr, worker)
             dispatched_now = any(t is ticket for __, __, t in ready)
             if not dispatched_now:
                 tenant.queued += 1
             batch = self._note_dispatched(ready)
         self._dispatch_batch(batch)
         return ticket
-
-    def _price_and_pin(
-        self, ticket: Ticket, pricing: PlannerOptions
-    ) -> None:
-        """Price ``ticket`` and pin it to the current snapshot (lock held)."""
-        executor = self._session.executor
-        plan = executor.plan(ticket.expr, pricing)
-        price = price_plan(executor, plan)
-        ticket.bound = price.bound
-        ticket.sound = price.sound
-        ticket.expected_rows = price.expected_rows
-        generation, token, descriptor = self._current_snapshot()
-        ticket.pinned_generation = generation
-        ticket.pinned_token = token
-        ticket._task = (
-            token, descriptor, self.db.schema, ticket.expr, ticket.options
-        )
 
     def _note_dispatched(self, ready) -> list[Ticket]:
         """Dispatch-time bookkeeping for drained reads (lock held)."""
@@ -536,8 +529,7 @@ class Server:
             ticket.dispatched_at = now
             ticket.queue_seconds = now - ticket.submitted_at
             tenant = self._metrics.tenant(ticket.tenant)
-            if not ticket.retried:
-                tenant.admitted += 1
+            tenant.admitted += 1
             tenant.queue_seconds += ticket.queue_seconds
             tenant.queue_seconds_max = max(
                 tenant.queue_seconds_max, ticket.queue_seconds
@@ -604,14 +596,13 @@ class Server:
         self, ticket: Ticket, payload=None, error=None
     ) -> None:
         """Completion bookkeeping + queue pump (lock NOT held on entry)."""
-        if isinstance(error, StaleDataError) and not ticket.retried:
-            self._retry(ticket)
-            return
         now = time.perf_counter()
         with self._lock:
             batch = self._note_dispatched(
                 self._admission.release(ticket.bound)
             )
+            # The last ticket off a replaced generation frees its image.
+            self._session.executor.backend.unpin(ticket.pinned_token)
             tenant = self._metrics.tenant(ticket.tenant)
             if ticket.dispatched_at is not None:
                 ticket.run_seconds = now - ticket.dispatched_at
@@ -634,50 +625,6 @@ class Server:
                     tenant.cache_hits += 1
         ticket._finish()
         self._dispatch_batch(batch)
-
-    def _retry(self, ticket: Ticket) -> None:
-        """Re-price and re-pin a read whose snapshot evaporated mid-run.
-
-        The original debit is credited back, the read is priced against
-        the *current* statistics (its certified bound must be sound for
-        the snapshot it will actually execute on), and it goes through
-        admission again — which may dispatch it, queue it, or reject it
-        outright if the fresh bound no longer fits the whole budget.
-        """
-        with self._lock:
-            batch = self._note_dispatched(
-                self._admission.release(ticket.bound)
-            )
-            ticket.retried = True
-            tenant = self._metrics.tenant(ticket.tenant)
-            tenant.retried += 1
-            rejection = None
-            if self._closed:
-                rejection = SchemaError(
-                    "server closed while this read was being retried"
-                )
-            else:
-                self._price_and_pin(ticket, self._reprice_options(ticket))
-                try:
-                    ready = self._admission.submit(
-                        ticket.tenant, ticket.bound, ticket.sound, ticket
-                    )
-                except AdmissionError as error:
-                    tenant.rejected += 1
-                    rejection = error
-                else:
-                    batch.extend(self._note_dispatched(ready))
-        if rejection is not None:
-            ticket.error = rejection
-            ticket.finished_at = time.perf_counter()
-            ticket._finish()
-        self._dispatch_batch(batch)
-
-    def _reprice_options(self, ticket: Ticket) -> PlannerOptions:
-        options = ticket.options
-        if options.backend != self.options.backend:
-            options = replace(options, backend=self.options.backend)
-        return options
 
     def _explain(
         self,
@@ -720,9 +667,8 @@ class Server:
                 (self._generation, additions, removals)
             )
             # Re-encode the shared backend now, while writes are still
-            # serialized: by-reference pins taken before this instant
-            # go stale (their readers retry); new pins see the new
-            # encoding.
+            # serialized: new pins see the new image; the backend keeps
+            # the old one for exactly as long as a ticket pins it.
             self._session.executor.check_version()
             self._metrics.tenant(tenant).writes += 1
             return self._generation

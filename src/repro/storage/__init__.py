@@ -1,10 +1,12 @@
 """Storage backends: where the engine's relation bytes live.
 
-See :mod:`repro.storage.backend` for the protocol and the design
-rationale, :mod:`repro.storage.shm`/:mod:`repro.storage.mmapio` for
-the attachable columnar implementations, and :mod:`repro.storage.ship`
-for the descriptor-based batch transport the parallel path uses over
-attached backends.  ``docs/storage.md`` is the narrative tour.
+See :mod:`repro.storage.backend` for the protocol, the three
+implementations and the design rationale, :mod:`repro.storage.image`
+for where encoded bytes live and who frees them (over the segment and
+spill-file primitives in :mod:`repro.storage.shm` /
+:mod:`repro.storage.mmapio`), and :mod:`repro.storage.ship` for the
+descriptor-based batch transport the parallel path uses over attached
+backends.  ``docs/storage.md`` is the narrative tour.
 """
 
 from repro.storage.backend import (
@@ -12,10 +14,10 @@ from repro.storage.backend import (
     Backend,
     ColumnarBackend,
     MemoryBackend,
+    MmapBackend,
+    SharedMemoryBackend,
     open_backend,
 )
-from repro.storage.mmapio import MmapBackend
-from repro.storage.shm import SharedMemoryBackend
 from repro.storage.ship import BlockRef, Shipment, ShipmentWriter
 from repro.storage.snapshot import attach_snapshot
 

@@ -18,18 +18,22 @@ kept:
   detects a token movement) re-encodes so the next query sees fresh
   contents.
 
-Three implementations ship:
+Where encoded bytes live and who frees them is
+:mod:`repro.storage.image`'s business: a backend holds one ``Image``
+per content version (:class:`ColumnarBackend` says for how long).
+
+Three implementations ship, all in this module:
 
 * :class:`MemoryBackend` (here) — the original in-memory dict path,
   extracted from the executor's direct ``db[name]`` reads.  Zero copy,
   zero setup; parallel workers receive pickled row fragments, and
   serving snapshots travel as one columnar image encoded once per
   content version.
-* :class:`~repro.storage.shm.SharedMemoryBackend` — relations encoded
+* :class:`SharedMemoryBackend` — relations encoded
   columnar into a :mod:`multiprocessing.shared_memory` segment.  Its
   ``attached`` flag tells the parallel layer workers can attach batch
   fragments by segment name instead of receiving pickled rows.
-* :class:`~repro.storage.mmapio.MmapBackend` — the same columnar
+* :class:`MmapBackend` — the same columnar
   layout spilled to a memory-mapped temp file, for databases whose
   working set should not live in anonymous memory; workers attach by
   file path.
@@ -50,6 +54,7 @@ from repro.data.database import Database
 from repro.data.schema import Schema
 from repro.errors import SchemaError, StaleDataError
 from repro.storage.columnar import decode_rows, encode_rows
+from repro.storage.image import PLACEMENT_OF_KIND, Image
 
 #: The selectable backend kinds, in CLI/option spelling.
 BACKEND_KINDS = ("memory", "shm", "mmap")
@@ -97,8 +102,8 @@ class Backend(abc.ABC):
         # close() must be idempotent *and* race-free: a Session used in
         # a ``with`` block and closed explicitly too, or shared by the
         # serving layer's threads, may close concurrently — without the
-        # atomic test-and-set two closers could both run a columnar
-        # backend's _release() and unlink its segment twice.
+        # atomic test-and-set two closers could both release a columnar
+        # backend's images and unlink its segment twice.
         self._close_lock = threading.Lock()
 
     @property
@@ -174,13 +179,21 @@ class Backend(abc.ABC):
         locator *is* the image, one immutable ``bytes``, so the
         snapshot stays attachable forever.  The columnar backends
         export by reference instead — a segment name / spill path that
-        many workers decode in place, and whose attach raises
-        :class:`~repro.errors.StaleDataError` once the storage was
-        re-encoded or released.
+        many workers decode in place — and keep the image for as long
+        as a reader has it pinned (:meth:`pin`).
         """
         self._ensure_open()
-        layout, parts, _ = encode_relations(self._db)
-        return ("rows", b"".join(parts), layout)
+        layout, parts, nbytes = encode_relations(self._db)
+        return ("rows", Image("inline", parts, nbytes).locator, layout)
+
+    def pin(self, token: int) -> None:
+        """Keep the snapshot exported at ``token`` attachable until the
+        matching :meth:`unpin`, whatever is written meanwhile.  (A
+        no-op here: a by-value descriptor carries its own image.)
+        """
+
+    def unpin(self, token: int) -> None:
+        """The reader pinned at ``token`` has finished (see :meth:`pin`)."""
 
     def _ensure_open(self) -> None:
         if self._closed:
@@ -247,27 +260,50 @@ class MemoryBackend(Backend):
 class ColumnarBackend(Backend):
     """Shared machinery for the encoded (shm / mmap) backends.
 
-    Subclasses own the byte placement: :meth:`_store` materializes the
-    concatenated column parts somewhere attachable and :meth:`_buffer`
-    returns a :class:`memoryview` over them; :meth:`_release` gives the
-    storage back.  Everything else — the per-relation layout table, the
-    snapshot token, staleness checks, re-encode on refresh — lives
+    A content version is one immutable :class:`~repro.storage.image.
+    Image` plus the layout table that indexes it; the subclass's
+    ``kind`` picks the placement.  The per-relation layout, the
+    snapshot token, staleness checks and re-encode on refresh all live
     here so the two implementations cannot drift.
+
+    **How long an old version lives.**  :meth:`refresh` makes a new
+    version current; the old one is released on the spot unless readers
+    have its token pinned (:meth:`pin`), in which case it stays
+    attachable through the descriptor they hold until the last of them
+    unpins — and at the latest until :meth:`close`.  Retention is not
+    configurable.  ``pin`` / ``unpin`` / ``refresh`` are not
+    synchronised here; the server calls all three under its scheduler
+    lock.
     """
+
+    #: Whether decoded relations are memoized (the shm backend keeps
+    #: them — decode once per content version; the mmap backend decodes
+    #: per read so large relations stay resident only while in use).
+    _cache_decoded = True
 
     def __init__(self, db: Database) -> None:
         super().__init__(db)
-        self._token: int | None = None
-        self._layout: Layout = {}
         self._decoded: dict[str, Relation] = {}
+        #: version token → ``(image, layout)``: the current version and
+        #: every replaced one a reader still pins.
+        self._versions: dict[int, tuple[Image, Layout]] = {}
+        #: version token → readers currently pinned to it.
+        self._pins: dict[int, int] = {}
         self._reload()
 
     def _reload(self) -> None:
-        layout, parts, nbytes = encode_relations(self._db)
-        self._store(parts, nbytes)
-        self._layout = layout
-        self._decoded.clear()
-        self._token = self._db.version_token()
+        token = self._db.version_token()
+        # Tokens are content hashes: a write that restores earlier
+        # contents finds that version again if a reader kept it alive.
+        if token not in self._versions:
+            layout, parts, nbytes = encode_relations(self._db)
+            image = Image(PLACEMENT_OF_KIND[self.kind], parts, nbytes)
+            self._versions[token] = (image, layout)
+        self._token = token
+
+    @property
+    def _image(self) -> Image:
+        return self._versions[self._token][0]
 
     def rows(self, name: str) -> Relation:
         self._ensure_open()
@@ -275,13 +311,14 @@ class ColumnarBackend(Backend):
         cached = self._decoded.get(name)
         if cached is not None:
             return cached
+        image, layout = self._versions[self._token]
         try:
-            base, meta = self._layout[name]
+            base, meta = layout[name]
         except KeyError:
             raise SchemaError(
                 f"unknown relation {name!r} in {self.kind} backend"
             ) from None
-        relation = frozenset(decode_rows(self._buffer(), base, meta))
+        relation = frozenset(decode_rows(image.buffer, base, meta))
         if self._cache_decoded:
             self._decoded[name] = relation
         return relation
@@ -289,11 +326,35 @@ class ColumnarBackend(Backend):
     def refresh(self) -> None:
         self._ensure_open()
         if self._db.version_token() != self._token:
-            self._release()
+            if not self._pins.get(self._token):
+                self._versions.pop(self._token)[0].release()
+            self._decoded.clear()
             self._reload()
 
+    def pin(self, token: int) -> None:
+        self._ensure_open()
+        if token != self._token:
+            raise StaleDataError(
+                f"cannot pin version {token}: the {self.kind} backend "
+                f"holds version {self._token}"
+            )
+        self._pins[token] = self._pins.get(token, 0) + 1
+
+    def unpin(self, token: int) -> None:
+        count = self._pins.pop(token, 0) - 1
+        if count > 0:
+            self._pins[token] = count
+        elif token != self._token and token in self._versions:
+            self._versions.pop(token)[0].release()
+
+    def storage_bytes(self) -> int:
+        return 0 if self._closed else self._image.nbytes
+
     def _close_once(self) -> None:
-        self._release()
+        while self._versions:  # popitem: an unpin may race a close
+            image, __ = self._versions.popitem()[1]
+            image.release()
+        self._pins.clear()
         self._decoded.clear()
 
     def export_snapshot(self) -> tuple:
@@ -302,44 +363,58 @@ class ColumnarBackend(Backend):
         ``(kind, locator, layout)`` — the attach side maps/attaches
         ``locator`` (segment name or spill path) and decodes each
         relation from ``layout`` in place, so N workers share one
-        encoded copy.  Valid until the next :meth:`refresh` or
-        :meth:`close` releases the storage; attaching later raises
+        encoded copy.  Attachable while this version is current or
+        pinned, and until :meth:`close`; attaching after that raises
         :class:`~repro.errors.StaleDataError`.
         """
         self._ensure_open()
         self._ensure_fresh(self._token)
-        return (self.kind, self._locator(), dict(self._layout))
+        image, layout = self._versions[self._token]
+        return (self.kind, image.locator, dict(layout))
 
-    def _locator(self) -> str:
-        raise NotImplementedError
 
-    #: Whether decoded relations are memoized (the shm backend keeps
-    #: them — decode once per content version; the mmap backend decodes
-    #: per read so large relations stay resident only while in use).
-    _cache_decoded = True
+class SharedMemoryBackend(ColumnarBackend):
+    """Relations encoded columnar into one shared-memory segment.
 
-    def _store(self, parts: list[bytes], nbytes: int) -> None:
-        raise NotImplementedError
+    The segment is written once per content version (and re-encoded by
+    :meth:`refresh` when the version token moves).  Decoded relations
+    are memoized, so serial reads pay the decode once; the segment's
+    purpose is the parallel path, where batch shipments ride the same
+    shared-memory transport and workers attach by name instead of
+    unpickling row fragments.
+    """
 
-    def _buffer(self) -> memoryview:
-        raise NotImplementedError
+    kind = "shm"
+    attached = True
 
-    def _release(self) -> None:
-        raise NotImplementedError
+    def segment_name(self) -> str:
+        """The attachable segment name (diagnostics and tests)."""
+        self._ensure_open()
+        return self._image.locator
+
+
+class MmapBackend(ColumnarBackend):
+    """Relations spilled to a memory-mapped temp file.
+
+    Decodes per read and ships parallel fragments through spill files
+    too — see :mod:`repro.storage.mmapio` for why.
+    """
+
+    kind = "mmap"
+    attached = True
+    _cache_decoded = False
+
+    def spill_path(self) -> str:
+        """The backing file's path (diagnostics and tests)."""
+        self._ensure_open()
+        return self._image.locator
 
 
 def open_backend(db: Database, kind: str = "memory") -> Backend:
     """Construct the backend implementation named ``kind`` over ``db``."""
-    if kind == "memory":
-        return MemoryBackend(db)
-    if kind == "shm":
-        from repro.storage.shm import SharedMemoryBackend
-
-        return SharedMemoryBackend(db)
-    if kind == "mmap":
-        from repro.storage.mmapio import MmapBackend
-
-        return MmapBackend(db)
+    for backend in (MemoryBackend, SharedMemoryBackend, MmapBackend):
+        if backend.kind == kind:
+            return backend(db)
     raise SchemaError(
         f"unknown storage backend {kind!r}; expected one of "
         f"{', '.join(BACKEND_KINDS)}"

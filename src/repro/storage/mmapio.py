@@ -1,8 +1,9 @@
-"""Memory-mapped spill files: the out-of-core columnar backend.
+"""Memory-mapped spill files: storage for the out-of-core backend.
 
 Same columnar layout as :mod:`repro.storage.shm`, but the bytes live
 in an unlinked-on-close temp file mapped read-only.  Two behavioural
-differences are the point:
+differences of :class:`~repro.storage.backend.MmapBackend` are the
+point:
 
 * **Decoded relations are not memoized.**  ``rows()`` decodes from the
   mapping on every read, so a relation's Python-object form is
@@ -21,6 +22,9 @@ segment rules; the source :class:`~repro.data.database.Database`
 handle itself stays in heap (it is the mutation/version authority),
 so "larger than RAM" here means the engine's working set — encoded
 storage, shipped fragments, per-batch decodes — not the handle.
+
+Only :mod:`repro.storage.image` calls these functions; everything else
+holds an :class:`~repro.storage.image.Image`.
 """
 
 from __future__ import annotations
@@ -31,8 +35,6 @@ import itertools
 import mmap
 import os
 import tempfile
-
-from repro.storage.backend import ColumnarBackend
 
 #: Spill files are named ``repro-spill-<pid>-<n>`` under the system
 #: temp dir; the leak test scans for strays by this prefix.
@@ -119,36 +121,3 @@ def _release_all() -> None:
 
 
 atexit.register(_release_all)
-
-
-class MmapBackend(ColumnarBackend):
-    """Relations spilled to a memory-mapped temp file (see module doc)."""
-
-    kind = "mmap"
-    attached = True
-    _cache_decoded = False
-
-    def _store(self, parts: list[bytes], nbytes: int) -> None:
-        self._path, fd = create_spill_file(parts)
-        self._nbytes = nbytes
-        self._mmap = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
-        self._view = memoryview(self._mmap)
-
-    def _buffer(self) -> memoryview:
-        return self._view
-
-    def _release(self) -> None:
-        self._view.release()
-        self._mmap.close()
-        release_spill_file(self._path)
-
-    def storage_bytes(self) -> int:
-        return 0 if self._closed else self._nbytes
-
-    def spill_path(self) -> str:
-        """The backing file's path (diagnostics and tests)."""
-        self._ensure_open()
-        return self._path
-
-    def _locator(self) -> str:
-        return self._path

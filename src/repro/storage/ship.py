@@ -14,12 +14,14 @@ descriptors:
   right side, a division's divisor) is encoded exactly once no matter
   how many tasks reference it;
 * :meth:`ShipmentWriter.seal` encodes all referenced fragments
-  (:mod:`repro.storage.columnar`) into one shared-memory segment
-  (``"shm"`` transport) or spill file (``"file"`` transport — the mmap
-  backend's choice, so its parallel runs spill rather than grow
-  anonymous memory) and returns the :class:`Shipment` descriptor:
-  locator plus per-block ``(kind, base offset, block meta)`` table;
-* :func:`run_shipped_task` is the worker body: attach by name/path,
+  (:mod:`repro.storage.columnar`) into one
+  :class:`~repro.storage.image.Image` — a shared-memory segment
+  (``"shm"`` transport) or a spill file (``"file"`` transport — the
+  mmap backend's placement, so its parallel runs spill rather than
+  grow anonymous memory) — and returns the :class:`Shipment`
+  descriptor: locator plus per-block ``(kind, base offset, block
+  meta)`` table;
+* :func:`run_shipped_task` is the worker body: attach the image,
   decode exactly the blocks this task references into plain row
   tuples (decodes are cached per task; int64 columns are read straight
   out of the mapping, with no intermediate byte copy), substitute them
@@ -40,17 +42,13 @@ import os
 import time
 
 from repro.data.database import Row
-from repro.errors import SchemaError
 from repro.storage.columnar import (
     decode_rows,
     decode_values,
     encode_rows,
     encode_values,
 )
-
-#: Transport spellings accepted by :class:`ShipmentWriter` and carried
-#: in shipment locators.
-TRANSPORTS = ("shm", "file")
+from repro.storage.image import PLACEMENT_OF_KIND, Image, attached
 
 
 class BlockRef:
@@ -93,41 +91,26 @@ def _substitute(args, lookup):
 class Shipment:
     """One sealed, attachable shipment (the parent-side handle)."""
 
-    def __init__(self, locator: tuple[str, str], blocks: tuple) -> None:
-        #: ``("shm", segment name)`` or ``("file", spill path)``.
-        self.locator = locator
+    def __init__(self, image: Image, blocks: tuple) -> None:
+        self._image = image
+        #: ``("shm", segment name)`` or ``("file", spill path)`` — what
+        #: a worker hands to :func:`~repro.storage.image.attached`.
+        self.locator = (image.placement, image.locator)
         #: Per-block ``(kind, base, meta)``; kind is "rows"/"values".
         self.blocks = blocks
-        self._closed = False
 
     def close(self) -> None:
-        """Unlink the backing storage (idempotent; creator calls)."""
-        if self._closed:
-            return
-        self._closed = True
-        transport, name = self.locator
-        if transport == "shm":
-            from repro.storage import shm
-
-            segment = shm._live.get(name)
-            if segment is not None:
-                shm.release_segment(segment)
-        else:
-            from repro.storage import mmapio
-
-            mmapio.release_spill_file(name)
+        """Release the backing storage (idempotent; creator calls)."""
+        self._image.release()
 
 
 class ShipmentWriter:
     """Collects fragments during scatter; seals them into a shipment."""
 
-    def __init__(self, transport: str) -> None:
-        if transport not in TRANSPORTS:
-            raise SchemaError(
-                f"unknown shipment transport {transport!r}; expected "
-                f"one of {', '.join(TRANSPORTS)}"
-            )
-        self.transport = transport
+    def __init__(self, backend_kind: str) -> None:
+        #: Where the sealed image goes — the placement the backend of
+        #: that kind stores its own image at (``"shm"`` / ``"file"``).
+        self.transport = PLACEMENT_OF_KIND[backend_kind]
         self._payloads: list[tuple[str, list]] = []
         self._by_id: dict[int, BlockRef] = {}
 
@@ -158,45 +141,12 @@ class ShipmentWriter:
             blocks.append((kind, offset, meta))
             parts.extend(payload_parts)
             offset += sum(len(p) for p in payload_parts)
-        if self.transport == "shm":
-            from repro.storage.shm import create_segment
-
-            segment = create_segment(offset)
-            at = 0
-            for part in parts:
-                segment.buf[at : at + len(part)] = part
-                at += len(part)
-            locator = ("shm", segment.name)
-        else:
-            from repro.storage.mmapio import create_spill_file
-
-            path, _ = create_spill_file(parts)
-            locator = ("file", path)
-        return Shipment(locator, tuple(blocks))
+        return Shipment(Image(self.transport, parts, offset), tuple(blocks))
 
 
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-
-
-def _attach(locator):
-    """``(release callable, buffer memoryview)`` for a shipment."""
-    transport, name = locator
-    if transport == "shm":
-        from repro.storage.shm import attach_segment
-
-        segment = attach_segment(name)
-        return segment.close, segment.buf
-    from repro.storage.mmapio import attach_path
-
-    mapping, view = attach_path(name)
-
-    def release() -> None:
-        view.release()
-        mapping.close()
-
-    return release, view
 
 
 def run_shipped_task(
@@ -211,8 +161,7 @@ def run_shipped_task(
     the transport's real cost.
     """
     start = time.perf_counter()
-    release, buffer = _attach(locator)
-    try:
+    with attached(*locator) as buffer:
         decoded: dict[int, list] = {}
 
         def lookup(index: int) -> list:
@@ -225,6 +174,4 @@ def run_shipped_task(
             return block
 
         rows = kernel(*_substitute(args, lookup))
-    finally:
-        release()
     return rows, time.perf_counter() - start, os.getpid()

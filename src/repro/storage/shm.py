@@ -1,4 +1,4 @@
-"""Shared-memory segments: creation registry, safe attach, backend.
+"""Shared-memory segments: creation registry and safe attach.
 
 Segment lifecycle is the part of the storage tentpole that can actually
 hurt: a leaked POSIX shared-memory object survives the process, and
@@ -18,12 +18,21 @@ here:
   an unlinked-while-mapped segment stays readable until the last
   attacher closes.
 * **Workers attach untracked.**  :func:`attach_segment` suppresses the
-  resource tracker's attach-side registration (the 3.13
-  ``track=False`` behaviour, done by temporarily no-op-ing
+  resource tracker's attach-side registration (``track=False`` where
+  the interpreter has it, 3.13+; before that by temporarily no-op-ing
   ``resource_tracker.register`` — it is consulted by attribute).  A
   spawn-started worker would otherwise hand the name to its *own*
   tracker, which unlinks it when the worker exits — yanking the
   segment out from under the parent mid-run.
+* **Create and attach never overlap.**  The no-op swap is process-wide,
+  so a :func:`create_segment` on another thread inside that window
+  would go unregistered — its ``unlink()`` then makes the tracker
+  print a ``KeyError`` traceback, and a hard crash would orphan the
+  segment in ``/dev/shm``.  One module lock serialises the two (the
+  server's inline reads attach while its writes create).
+
+Only :mod:`repro.storage.image` calls these functions; everything else
+holds an :class:`~repro.storage.image.Image`.
 
 :data:`live_segment_names` exists for the leak-check test: after every
 session and shipment is closed it must be empty, and ``/dev/shm`` must
@@ -35,9 +44,9 @@ from __future__ import annotations
 import atexit
 import itertools
 import os
+import sys
+import threading
 from multiprocessing import resource_tracker, shared_memory
-
-from repro.storage.backend import ColumnarBackend
 
 #: Every segment this process creates starts with this (pid-scoped, so
 #: the leak test can scan ``/dev/shm`` for strays without seeing other
@@ -47,14 +56,17 @@ SEGMENT_PREFIX = f"repro-{os.getpid()}-"
 
 _counter = itertools.count()
 _live: dict[str, shared_memory.SharedMemory] = {}
+#: Held across every create and every register-swapping attach.
+_tracker_lock = threading.Lock()
 
 
 def create_segment(nbytes: int) -> shared_memory.SharedMemory:
     """Create a tracked, pid-scoped segment of at least ``nbytes``."""
     name = f"{SEGMENT_PREFIX}{next(_counter)}"
-    segment = shared_memory.SharedMemory(
-        name=name, create=True, size=max(nbytes, 1)
-    )
+    with _tracker_lock:
+        segment = shared_memory.SharedMemory(
+            name=name, create=True, size=max(nbytes, 1)
+        )
     _live[segment.name] = segment
     return segment
 
@@ -79,12 +91,15 @@ def attach_segment(name: str) -> shared_memory.SharedMemory:
     the returned handle.  See the module docstring for why attach-side
     registration must be suppressed.
     """
-    registered = resource_tracker.register
-    resource_tracker.register = lambda *args, **kwargs: None
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = registered
+    if sys.version_info >= (3, 13):
+        return shared_memory.SharedMemory(name=name, track=False)
+    with _tracker_lock:
+        registered = resource_tracker.register
+        resource_tracker.register = lambda *args, **kwargs: None
+        try:
+            return shared_memory.SharedMemory(name=name)
+        finally:
+            resource_tracker.register = registered
 
 
 def live_segment_names() -> tuple[str, ...]:
@@ -98,43 +113,3 @@ def _release_all() -> None:
 
 
 atexit.register(_release_all)
-
-
-class SharedMemoryBackend(ColumnarBackend):
-    """Relations encoded columnar into one shared-memory segment.
-
-    The segment is written once per content version (and re-encoded by
-    :meth:`refresh` when the version token moves).  Decoded relations
-    are memoized, so serial reads pay the decode once; the segment's
-    purpose is the parallel path, where batch shipments ride the same
-    shared-memory transport and workers attach by name instead of
-    unpickling row fragments.
-    """
-
-    kind = "shm"
-    attached = True
-
-    def _store(self, parts: list[bytes], nbytes: int) -> None:
-        segment = create_segment(nbytes)
-        offset = 0
-        for part in parts:
-            segment.buf[offset : offset + len(part)] = part
-            offset += len(part)
-        self._segment = segment
-
-    def _buffer(self) -> memoryview:
-        return self._segment.buf
-
-    def _release(self) -> None:
-        release_segment(self._segment)
-
-    def storage_bytes(self) -> int:
-        return 0 if self._closed else self._segment.size
-
-    def segment_name(self) -> str:
-        """The attachable segment name (diagnostics and tests)."""
-        self._ensure_open()
-        return self._segment.name
-
-    def _locator(self) -> str:
-        return self._segment.name

@@ -8,30 +8,30 @@ full ``name → frozenset(rows)`` map the read must execute against.
 
 Every descriptor is ``(kind, locator, layout)`` over one columnar image
 of the whole database (:func:`repro.storage.backend.encode_relations`),
-decoded by one routine; the kinds differ only in where the image lives:
+read through :func:`repro.storage.image.attached` and decoded by one
+routine; the kinds differ only in where the image lives:
 
 * ``'rows'`` — the memory backend's by-value form: the locator *is* the
   image, one immutable ``bytes`` encoded once per content version and
   shared by every read pinned to it.  It rides inside the descriptor,
-  so the snapshot stays servable forever — a write after submit cannot
-  take it away — and pickling it for a worker is one buffer copy.
+  so the snapshot stays servable forever, and pickling it for a worker
+  is one buffer copy.
 * ``'shm'`` / ``'mmap'`` — the columnar backends' by-reference forms:
   the locator is a segment name / spill path.  The worker attaches the
-  one encoded image (suppressed-tracker segment attach / read-only
-  mmap) and decodes every relation in place, so N workers share one
-  copy — the PR 7 zero-copy transport, reused for whole-database
-  snapshots.
+  one encoded image (untracked segment attach / read-only mmap) and
+  decodes every relation in place, so N workers share one copy — the
+  PR 7 zero-copy transport, reused for whole-database snapshots.
 
 Decoding is the expensive half (a tuple per row), so callers keep the
 result: the serving workers decode once per (process, version token)
 and never on a read that finds its snapshot session already built.
 
-By-reference snapshots live exactly as long as the backend keeps the
-encoded image: a write re-encodes (releasing the old segment or spill
-file), after which attaching the old descriptor raises
-:class:`~repro.errors.StaleDataError` — the same mid-query failure mode
-the engine already has, which the server answers by re-pinning the read
-to the fresh snapshot and retrying once.
+A by-reference snapshot lives as long as the backend keeps that
+version's image: while it is current, and after a write for as long as
+a reader has its token pinned (:meth:`~repro.storage.backend.Backend.
+pin`) — so a pinned read always finds it.  Attaching a descriptor whose
+image really is gone (the backend closed, or something outside the
+program unlinked it) raises :class:`~repro.errors.StaleDataError`.
 """
 
 from __future__ import annotations
@@ -39,9 +39,10 @@ from __future__ import annotations
 import pickle
 
 from repro.data.database import Row
-from repro.errors import SchemaError, StaleDataError
+from repro.errors import SchemaError
 from repro.storage.backend import Layout
 from repro.storage.columnar import decode_rows
+from repro.storage.image import PLACEMENT_OF_KIND, attached
 
 __all__ = ["attach_snapshot"]
 
@@ -74,62 +75,28 @@ _DECODE_ERRORS = (
 )
 
 
-def _decode_inline(image, layout: Layout) -> dict[str, frozenset[Row]]:
-    try:
-        return _decode_all(memoryview(image), layout)
-    except _DECODE_ERRORS as error:
-        raise SchemaError(
-            f"malformed by-value snapshot image: {error!r}"
-        ) from error
-
-
-def _stale(kind: str, locator: str) -> StaleDataError:
-    return StaleDataError(
-        f"{kind} snapshot {locator!r} is gone: the source database was "
-        "re-encoded (a write landed) or the backend closed after this "
-        "read was pinned — re-pin to the current snapshot and retry"
-    )
-
-
 def attach_snapshot(descriptor: tuple) -> dict[str, frozenset[Row]]:
     """The relation map a descriptor pins (see module docstring).
 
     Raises :class:`~repro.errors.StaleDataError` when a by-reference
     descriptor's storage no longer exists, and
-    :class:`~repro.errors.SchemaError` on a malformed descriptor.
+    :class:`~repro.errors.SchemaError` on a malformed descriptor or a
+    damaged image.
     """
     if not isinstance(descriptor, tuple) or len(descriptor) != 3:
         raise SchemaError(
             f"malformed snapshot descriptor: {descriptor!r}"
         )
     kind, locator, layout = descriptor
-    if kind == "rows":
-        return _decode_inline(locator, layout)
-    if kind == "shm":
-        from repro.storage.shm import attach_segment
-
-        try:
-            segment = attach_segment(locator)
-        except (FileNotFoundError, OSError) as error:
-            raise _stale(kind, locator) from error
-        try:
-            with memoryview(segment.buf) as view:
-                return _decode_all(view, layout)
-        finally:
-            segment.close()
-    if kind == "mmap":
-        from repro.storage.mmapio import attach_path
-
-        try:
-            mapping, view = attach_path(locator)
-        except (FileNotFoundError, OSError) as error:
-            raise _stale(kind, locator) from error
-        try:
-            return _decode_all(view, layout)
-        finally:
-            view.release()
-            mapping.close()
-    raise SchemaError(
-        f"unknown snapshot descriptor kind {kind!r}; expected "
-        "'rows', 'shm', or 'mmap'"
-    )
+    if kind not in tuple(PLACEMENT_OF_KIND):  # tuple: kind may not hash
+        raise SchemaError(
+            f"unknown snapshot descriptor kind {kind!r}; expected "
+            "'rows', 'shm', or 'mmap'"
+        )
+    try:
+        with attached(PLACEMENT_OF_KIND[kind], locator) as buffer:
+            return _decode_all(buffer, layout)
+    except _DECODE_ERRORS as error:
+        raise SchemaError(
+            f"malformed {kind} snapshot image: {error!r}"
+        ) from error

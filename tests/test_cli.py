@@ -64,10 +64,7 @@ class TestSessionFlags:
         assert "result cache" in err
         assert "ub=" in err  # estimated-vs-actual per operator
 
-    @pytest.mark.parametrize(
-        "flag",
-        ["--no-costs", "--no-reorder-joins", "--no-partitions"],
-    )
+    @pytest.mark.parametrize("flag", ["--no-costs", "--no-reorder-joins"])
     def test_planner_flags_accepted_uniformly(self, db_path, flag, capsys):
         for argv in (
             ["eval", "-d", db_path, flag, "R join[2=1] S"],
@@ -85,17 +82,6 @@ class TestSessionFlags:
             == 0
         )
         assert "HashJoin" in capsys.readouterr().out
-
-    def test_contradictory_budget_and_no_partitions(self, db_path, capsys):
-        code = main(
-            [
-                "eval", "-d", db_path,
-                "--partition-budget", "5", "--no-partitions",
-                "R join[2=1] S",
-            ]
-        )
-        assert code == 2
-        assert "contradict" in capsys.readouterr().err
 
     def test_contradictory_budget_and_no_costs(self, db_path, capsys):
         code = main(
@@ -188,10 +174,10 @@ class TestSessionFlags:
         assert "semijoin" in capsys.readouterr().out
         code = main(
             ["optimize", "-d", db_path, "--partition-budget", "5",
-             "--no-partitions", "project[1](R)"]
+             "--no-costs", "project[1](R)"]
         )
         assert code == 2
-        assert "contradict" in capsys.readouterr().err
+        assert "--no-costs" in capsys.readouterr().err
 
 
 class TestExplain:

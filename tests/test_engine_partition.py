@@ -202,14 +202,6 @@ class TestPlannerSizing:
         plan = executor.plan(parse("R join[2=1] S", SCHEMA))
         assert partitioned_nodes(plan) == []
 
-    def test_use_partitions_false_disables(self):
-        executor = Executor(join_db())
-        plan = executor.plan(
-            parse("R join[2=1] S", SCHEMA),
-            PlannerOptions(partition_budget=30, use_partitions=False),
-        )
-        assert partitioned_nodes(plan) == []
-
     def test_zero_stats_planning_never_partitions(self):
         # Without statistics nothing sound can be sized against the
         # budget, so the structural planner leaves operators one-shot.

@@ -2,8 +2,10 @@
 
 Concurrency here is made deterministic, not sampled: tests that need a
 read to be *in flight* while a write lands patch the module-level task
-function (``_run_pinned``) with a gate the test controls, so snapshot
-isolation and the stale-pin retry path are exercised on every run
+function (``_run_pinned``) with a gate the test controls — or, where a
+real pool worker must run the read, hold the server's first dispatch —
+so snapshot isolation (a pinned read runs on its own generation's
+image, whatever is written meanwhile) is exercised on every run
 instead of when the scheduler happens to cooperate.  The transport
 tests count row-level work instead of timing it: one encode per
 generation, one decode per (process, generation), none on a hit — in
@@ -28,6 +30,7 @@ from hypothesis import strategies as st
 import repro.serve.server as serve_server
 import repro.storage.backend as storage_backend
 import repro.storage.snapshot as storage_snapshot
+from repro.storage.mmapio import live_spill_paths
 from repro.algebra.evaluator import evaluate
 from repro.data.database import Database
 from repro.engine.parallel import available_cpus
@@ -67,6 +70,10 @@ def fresh_snapshot_cache():
     next serve without attaching (masking, e.g., the stale-pin path).
     """
     yield
+    _drop_snapshot_sessions()
+
+
+def _drop_snapshot_sessions():
     for session in serve_server._SNAPSHOT_SESSIONS.values():
         session.close()
     serve_server._SNAPSHOT_SESSIONS.clear()
@@ -76,16 +83,14 @@ class _Gate:
     """Replace ``_run_pinned`` so the test controls when reads proceed.
 
     ``block_first=True`` holds only the first call at the gate;
-    ``fail_first`` makes the first call raise StaleDataError instead
-    of running (the simulated evaporated snapshot).  With neither it
-    only records: ``tasks`` holds every dispatched argument tuple.
+    without it the gate only records: ``tasks`` holds every dispatched
+    argument tuple.
     """
 
-    def __init__(self, block_first=False, fail_first=0):
+    def __init__(self, block_first=False):
         self.real = serve_server._run_pinned
         self.event = threading.Event()
         self.block_first = block_first
-        self.fail_first = fail_first
         self.calls = 0
         self.tasks = []
         self._lock = threading.Lock()
@@ -104,9 +109,54 @@ class _Gate:
             self.tasks.append(args)
         if self.block_first and call_no == 1:
             assert self.event.wait(30)
-        if call_no <= self.fail_first:
-            raise StaleDataError("snapshot gone (simulated)")
         return self.real(*args)
+
+
+class _HeldDispatch:
+    """Hold a server's first dispatch: after the pin, before the run.
+
+    Unlike :class:`_Gate` this works with a real pool — the read is
+    held in the submitting thread, then handed to whatever runner the
+    server has, unpatched.
+    """
+
+    def __init__(self, server):
+        self.real = server._dispatch
+        self.held = threading.Event()
+        self.event = threading.Event()
+        server._dispatch = self
+
+    def __call__(self, ticket):
+        if not self.held.is_set():
+            self.held.set()
+            assert self.event.wait(30)
+        self.real(ticket)
+
+
+def _submit_held(server, handle, text):
+    """Submit ``text`` on a thread and hold it at dispatch.
+
+    Returns ``finish``: call it to open the gate and get the ticket.
+    """
+    hold = _HeldDispatch(server)
+    outcome = {}
+    thread = threading.Thread(
+        target=lambda: outcome.update(ticket=handle.submit(text))
+    )
+    thread.start()
+    assert hold.held.wait(30)
+
+    def finish():
+        hold.event.set()
+        thread.join(30)
+        assert not thread.is_alive()
+        return outcome["ticket"]
+
+    return finish
+
+
+#: Images this process has alive, per by-reference backend kind.
+LIVE_IMAGES = {"shm": live_segment_names, "mmap": live_spill_paths}
 
 
 def _count_calls(monkeypatch, module, name) -> list:
@@ -181,7 +231,6 @@ def test_ticket_audit_trail(db):
         assert ticket.pinned_generation == 0
         assert ticket.queue_seconds >= 0
         assert ticket.run_seconds >= 0
-        assert not ticket.retried
         assert ticket._task is None  # dropped once it cannot re-run
 
 
@@ -282,71 +331,95 @@ def test_pinned_read_ignores_concurrent_write(db):
             assert not reader.is_alive()
         assert outcome["rows"] == oracle_before
         assert (77,) not in outcome["rows"]
-        # Served from the pin itself: no stale error, no re-pin.
-        assert not outcome["ticket"].retried
         assert outcome["ticket"].pinned_generation == 0
         # A read submitted after the write sees the new contents.
         assert (77,) in handle.run(QUERIES[0])
 
 
-def test_stale_shm_pin_retries_against_fresh_snapshot():
-    # By-reference pins really evaporate: the read is pinned to the
-    # generation-0 shm segment, the write re-encodes (unlinking it),
-    # and the gated read then attaches — StaleDataError — and must be
-    # re-pinned, re-priced, and served at generation 1.
+@pytest.mark.parametrize("workers", [0, 1])
+@pytest.mark.parametrize("backend", ["shm", "mmap"])
+def test_pinned_read_runs_on_its_own_image_after_writes(backend, workers):
+    # By-reference pins no longer evaporate: the generation-0 image is
+    # kept while the held read pins it — through three writes — and is
+    # released the moment that read finishes.
+    live = LIVE_IMAGES[backend]
     db = _division_db()
-    with Server(db, workers=0, backend="shm", budget=50_000) as server:
-        handle = server.connect("reader")
-        with _Gate(block_first=True) as gate:
-            outcome = {}
-
-            def submit():
-                outcome["ticket"] = handle.submit(QUERIES[1])
-                outcome["rows"] = outcome["ticket"].result(30)
-
-            reader = threading.Thread(target=submit)
-            reader.start()
-            writer = server.connect("writer")
-            writer.write(additions={"R": [(88, 0)]})
-            gate.event.set()
-            reader.join(30)
-            assert not reader.is_alive()
-        ticket = outcome["ticket"]
-        assert ticket.retried
-        assert ticket.pinned_generation == 1
-        assert outcome["rows"] == evaluate(
-            ticket.expr, server.database_at(1), use_engine=False
+    with Server(db, workers=workers, backend=backend) as server:
+        reader, writer = server.connect("reader"), server.connect("writer")
+        finish = _submit_held(server, reader, QUERIES[1])
+        for n in range(3):
+            writer.write(additions={"R": [(90 + n, 0)]})
+            assert len(live()) == 2  # generation 0's and the current
+        ticket = finish()
+        assert ticket.result(120) == evaluate(
+            ticket.expr, server.database_at(0), use_engine=False
         )
-        assert server.metrics().tenants["reader"].retried == 1
+        assert ticket.pinned_generation == 0
+        assert len(live()) == 1
+        assert (92, 0) in reader.run(QUERIES[1], timeout=120)
+    assert live() == ()
+
+
+def test_refused_read_leaves_no_pin():
+    db = _division_db()
+    with Server(db, workers=0, backend="shm", budget=2.0) as server:
+        handle = server.connect("greedy")
+        with pytest.raises(AdmissionError):
+            handle.submit(QUERIES[0])
+        handle.write(additions={"R": [(99, 0)]})
+        assert len(live_segment_names()) == 1
     assert live_segment_names() == ()
 
 
-def test_retry_happens_once_then_fails(db):
-    with Server(db, workers=0) as server:
+@pytest.mark.parametrize("backend", ["shm", "mmap"])
+def test_vanished_pinned_image_fails_the_ticket(backend):
+    # An image that is gone although a ticket pins it is an outside
+    # fault: the read fails, typed, and nothing else is disturbed.
+    live = LIVE_IMAGES[backend]
+    db = _division_db()
+    with Server(db, workers=0, backend=backend, budget=50_000) as server:
         handle = server.connect("t")
-        with _Gate(fail_first=2):
-            ticket = handle.submit(QUERIES[1])
-            with pytest.raises(StaleDataError):
-                ticket.result(30)
-        assert ticket.retried
+        finish = _submit_held(server, handle, QUERIES[1])
+        server._session.executor.backend._image.release()
+        ticket = finish()
+        with pytest.raises(StaleDataError):
+            ticket.result(30)
+        assert ticket.pinned_generation == 0
         metrics = server.metrics()
-        assert metrics.tenants["t"].retried == 1
         assert metrics.tenants["t"].failed == 1
-        # The debit was credited back despite the failure.
         assert metrics.in_flight_rows == 0.0
+        handle.write(additions={"R": [(88, 0)]})
+        assert (88, 0) in handle.run(QUERIES[1], timeout=30)
+        assert len(live()) == 1
+    assert live() == ()
 
 
-def test_retry_recovers_when_fresh_snapshot_works(db):
-    with Server(db, workers=0) as server:
-        handle = server.connect("t")
-        with _Gate(fail_first=1) as gate:
-            rows = handle.run(QUERIES[1], timeout=30)
-            assert gate.calls == 2
-        assert rows == evaluate(
-            server._session.parse(QUERIES[1]), db, use_engine=False
-        )
-        assert server.metrics().tenants["t"].retried == 1
-        assert server.metrics().tenants["t"].completed == 1
+@pytest.mark.parametrize("backend", ["shm", "mmap"])
+def test_close_fails_reads_queued_on_retired_generations(backend):
+    live = LIVE_IMAGES[backend]
+    db = _division_db()
+    with Server(db, workers=0) as probe:
+        bound = probe.connect("t").submit(QUERIES[1]).bound
+    _drop_snapshot_sessions()  # the held read must attach its image
+    server = Server(db, workers=0, backend=backend, budget=1.5 * bound)
+    handle = server.connect("t")
+    finish = _submit_held(server, handle, QUERIES[1])
+    queued = []
+    for generation in range(2):  # one queued read on each of 0 and 1
+        queued.append(handle.submit(QUERIES[1]))
+        handle.write(additions={"R": [(70 + generation, 0)]})
+    assert [t.pinned_generation for t in queued] == [0, 1]
+    assert not any(t.done() for t in queued)
+    assert len(live()) == 3
+    server.close()
+    for ticket in queued:
+        with pytest.raises(SchemaError, match="closed"):
+            ticket.result(30)
+    assert live() == ()
+    # The held read lost its image to close(): typed, not a crash.
+    with pytest.raises(StaleDataError):
+        finish().result(30)
+    assert server.metrics().in_flight_rows == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -537,7 +610,7 @@ def test_killed_worker_reruns_the_same_pin_inline(db):
             assert ticket.result(120) == evaluate(
                 ticket.expr, db, use_engine=False
             )
-            assert not ticket.retried and ticket._task is None
+            assert ticket._task is None
         assert server._pool_broken and server._pool is None
         assert server.metrics().in_flight_rows == 0.0
 
@@ -547,8 +620,9 @@ def test_killed_worker_reruns_the_same_pin_inline(db):
 # ----------------------------------------------------------------------
 
 
-@settings(max_examples=12)
+@settings(max_examples=12, deadline=None)
 @given(
+    backend=st.sampled_from(["memory", "shm"]),
     reader_ops=st.lists(
         st.sampled_from(range(len(QUERIES))), min_size=1, max_size=5
     ),
@@ -558,20 +632,28 @@ def test_killed_worker_reruns_the_same_pin_inline(db):
         max_size=5,
     ),
 )
-def test_admitted_reads_equal_serial_oracle_replay(reader_ops, writer_ops):
+def test_admitted_reads_equal_serial_oracle_replay(
+    backend, reader_ops, writer_ops
+):
     """Satellite: concurrent mixed traffic vs. the serial oracle.
 
     Two tenants — one read-only, one interleaving writes — race over
     one inline server.  Whatever interleaving the scheduler produces,
     every admitted read's rows must equal the structural evaluator's
     answer on the write-log reconstruction at that read's pinned
-    generation.  (Inline + memory backend keeps this deterministic
+    generation — the one it had when ``submit`` returned, on by-value
+    and by-reference pins alike.  (Inline keeps this deterministic
     enough for Hypothesis: no timing dependence in the *assertion*.)
     """
     db = _division_db()
     tickets = []
-    sink = tickets.append
-    with Server(db, workers=0, budget=1_000_000) as server:
+
+    def sink(ticket):
+        tickets.append((ticket, ticket.pinned_generation))
+
+    with Server(
+        db, workers=0, budget=1_000_000, backend=backend
+    ) as server:
         reader = server.connect("reader")
         writer = server.connect("writer", weight=2.0)
 
@@ -602,9 +684,9 @@ def test_admitted_reads_equal_serial_oracle_replay(reader_ops, writer_ops):
             t.join(60)
         assert not any(t.is_alive() for t in threads)
         oracle_cache = {}
-        for ticket in tickets:
+        for ticket, generation in tickets:
             rows = ticket.result(60)
-            generation = ticket.pinned_generation
+            assert ticket.pinned_generation == generation
             if generation not in oracle_cache:
                 oracle_cache[generation] = server.database_at(generation)
             expected = evaluate(
@@ -614,3 +696,4 @@ def test_admitted_reads_equal_serial_oracle_replay(reader_ops, writer_ops):
             assert ticket.actual_rows <= ticket.bound
         # Budget ledger drained: nothing in flight once all are done.
         assert server.metrics().in_flight_rows == 0.0
+    assert live_segment_names() == ()
