@@ -27,12 +27,12 @@ def hub_database(n: int):
 
 @pytest.mark.parametrize("n", [32, 128])
 def test_unoptimized_plan(benchmark, n):
-    # use_engine=False: the engine performs the semijoin rewrite
-    # itself, which would erase exactly the ablation this measures.
+    # Structural evaluator, not a Session: the engine performs the
+    # semijoin rewrite itself, which would erase this ablation.
     expr = parse(FILTER_QUERY, SCHEMA)
     db = hub_database(n)
     benchmark.group = f"ablation-optimizer-n{n}"
-    result = benchmark(evaluate, expr, db, use_engine=False)
+    result = benchmark(evaluate, expr, db)
     assert len(result) == n
 
 
@@ -41,7 +41,7 @@ def test_optimized_plan(benchmark, n):
     expr = optimize(parse(FILTER_QUERY, SCHEMA))
     db = hub_database(n)
     benchmark.group = f"ablation-optimizer-n{n}"
-    result = benchmark(evaluate, expr, db, use_engine=False)
+    result = benchmark(evaluate, expr, db)
     assert len(result) == n
 
 

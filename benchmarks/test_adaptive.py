@@ -118,7 +118,7 @@ def run_arm(threshold):
             mutate(db, round_no)
         elapsed, result = timed(lambda: session.run(expr))
         seconds += elapsed
-        assert result == evaluate(expr, db, use_engine=False)
+        assert result == evaluate(expr, db)
         fingerprints.append(session.last_report.fingerprint)
     return {
         "seconds": seconds,
@@ -211,7 +211,7 @@ def run_partitioned(threshold):
     seconds, result = timed(lambda: session.run(expr))
     runs = list(session.last_report.stats.partition_runs.values())
     assert runs, "expected a partitioned operator"
-    assert result == evaluate(expr, db, use_engine=False)
+    assert result == evaluate(expr, db)
     return seconds, result, runs[0]
 
 

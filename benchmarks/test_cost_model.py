@@ -15,7 +15,7 @@ from repro.algebra.parser import parse
 from repro.data.database import Database, database
 from repro.data.schema import Schema
 from repro.engine import Executor, PlannerOptions, plan_expression
-from repro.session import run
+from repro.session import Session
 
 SCHEMA = Schema({"R": 2, "S": 1, "T": 3})
 
@@ -44,13 +44,15 @@ def chain_db() -> Database:
 
 def test_cost_ordered_chain(benchmark, chain_db):
     expr = parse(CHAIN, SCHEMA)
-    result = benchmark(run, expr, chain_db)
-    assert result == run(expr, chain_db, STRUCTURAL)
+    session = Session(chain_db, cache_results=False)
+    result = benchmark(session.run, expr)
+    assert result == Session(chain_db, STRUCTURAL).run(expr)
 
 
 def test_written_order_chain(benchmark, chain_db):
     expr = parse(CHAIN, SCHEMA)
-    benchmark(run, expr, chain_db, STRUCTURAL)
+    session = Session(chain_db, STRUCTURAL, cache_results=False)
+    benchmark(session.run, expr)
 
 
 def test_cost_ordering_shrinks_intermediates(chain_db):

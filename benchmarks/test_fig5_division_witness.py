@@ -18,7 +18,7 @@ from repro.bisim.bisimulation import (
     is_guarded_bisimulation,
 )
 from repro.engine import Executor, plan_expression
-from repro.session import run
+from repro.session import Session
 from repro.setjoins.division import classic_division_expr, divide_reference
 from repro.workloads.generators import (
     crossproduct_division_family,
@@ -71,8 +71,8 @@ def test_fig5_witness_classic_plan(benchmark, n):
     db = crossproduct_division_family(n)
     expr = classic_division_expr()
     benchmark.group = f"fig5-witness-division-{n}"
-    result = benchmark(evaluate, expr, db, None, None, False)
-    assert result == evaluate(expr, db, use_engine=False)
+    result = benchmark(evaluate, expr, db)
+    assert result == evaluate(expr, db)
 
 
 @pytest.mark.parametrize("n", WITNESS_SIZES)
@@ -87,7 +87,7 @@ def test_fig5_witness_engine_plan(benchmark, n):
 
     benchmark.group = f"fig5-witness-division-{n}"
     result = benchmark(engine_run)
-    assert result == evaluate(expr, db, use_engine=False)
+    assert result == evaluate(expr, db)
 
 
 def test_fig5_witness_engine_beats_classic_5x():
@@ -103,7 +103,7 @@ def test_fig5_witness_engine_beats_classic_5x():
     classic_peak = trace(expr, db).max_intermediate()
     executor = Executor(db)
     engine_result = executor.execute(plan_expression(expr))
-    assert engine_result == evaluate(expr, db, use_engine=False)
+    assert engine_result == evaluate(expr, db)
     assert classic_peak >= 5 * executor.stats.max_intermediate()
 
 
@@ -111,6 +111,6 @@ def test_fig5_scaled_pair_division_via_engine():
     """The engine answers division on the scaled witness pair itself."""
     a, b = fig5_scaled_pair(16)
     expr = classic_division_expr()
-    quotient_a = {key for (key,) in run(expr, a)}
+    quotient_a = {key for (key,) in Session(a).run(expr)}
     assert quotient_a == divide_reference(a["R"], a["S"])
-    assert run(expr, b) == frozenset()
+    assert Session(b).run(expr) == frozenset()

@@ -75,7 +75,7 @@ def big_db():
 @pytest.fixture(scope="module")
 def big_oracle(big_db):
     expr = parse(QUERY, big_db.schema)
-    return evaluate(expr, big_db, use_engine=False)
+    return evaluate(expr, big_db)
 
 
 def test_out_of_core_semijoin_matches_memory_oracle(big_db, big_oracle):

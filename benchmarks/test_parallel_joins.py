@@ -16,7 +16,7 @@ at the repo root) for cross-version tracking:
   costs more IPC than the divided work saves — the gate must refuse,
   and the forced-parallel trajectory quantifies how right it is;
 * every measured configuration is checked against the brute-force
-  oracle (``use_engine=False`` evaluation or ``divide_reference``).
+  oracle (structural ``evaluate`` or ``divide_reference``).
 
 Worker count comes from ``REPRO_BENCH_WORKERS`` (default 4) and the
 storage backend for the headline speedup from ``REPRO_BENCH_BACKEND``
@@ -107,7 +107,7 @@ def shootout_db():
 @pytest.fixture(scope="module")
 def shootout_oracle(shootout_db):
     expr = parse(HOT_QUERY, shootout_db.schema)
-    return evaluate(expr, shootout_db, use_engine=False)
+    return evaluate(expr, shootout_db)
 
 
 def force_parallel(node, workers):

@@ -11,8 +11,7 @@ division witness family, these benchmarks measure that
   configured ``partition_budget`` (asserted per batch), while the
   unpartitioned engine's peak grows with the instance;
 * results are identical three ways: partitioned ≡ unpartitioned ≡
-  the structural oracle (``use_engine=False`` evaluation or
-  ``divide_reference``);
+  the structural oracle (``evaluate`` or ``divide_reference``);
 * the planner's predicted batch count and the executor's exact packing
   are both recorded (estimated vs actual per partition).
 
@@ -90,7 +89,7 @@ def test_fig1_shootout_join_bounded(benchmark, budget):
 
     baseline = Executor(db)
     unpartitioned = baseline.execute(baseline.plan(expr))
-    oracle = evaluate(expr, db, use_engine=False)
+    oracle = evaluate(expr, db)
     assert result == unpartitioned == oracle
 
     run = [r for r in stats.partition_runs.values()][0]

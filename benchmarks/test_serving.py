@@ -147,7 +147,7 @@ def test_mixed_read_heavy_scaling():
             if generation not in oracle_cache:
                 oracle_cache[generation] = server.database_at(generation)
             assert rows == evaluate(
-                ticket.expr, oracle_cache[generation], use_engine=False
+                ticket.expr, oracle_cache[generation]
             ), f"read {ticket.text!r} diverged from its pinned snapshot"
             assert ticket.sound
             assert ticket.actual_rows <= ticket.bound, (

@@ -18,18 +18,17 @@ def test_compile_benchmark(benchmark):
 
 
 def test_compiled_evaluation_benchmark(benchmark):
-    # use_engine=False on both sides: the comparison is between the
-    # two *expressions* (original vs Theorem 18 compilation), so both
-    # must run structurally, without engine rewrites.
+    # The comparison is between the two *expressions* (original vs
+    # Theorem 18 compilation), so both run structurally, as written.
     expr = parse("R join[2=1] S", SCHEMA)
     compiled = compile_to_sa(expr, SCHEMA, INTEGERS)
     db = random_database(SCHEMA, 300, 60, seed=1)
-    result = benchmark(evaluate, compiled, db, use_engine=False)
+    result = benchmark(evaluate, compiled, db)
     assert result == evaluate(expr, db)
 
 
 def test_original_evaluation_benchmark(benchmark):
     expr = parse("R join[2=1] S", SCHEMA)
     db = random_database(SCHEMA, 300, 60, seed=1)
-    result = benchmark(evaluate, expr, db, use_engine=False)
+    result = benchmark(evaluate, expr, db)
     assert len(result) <= db.size()

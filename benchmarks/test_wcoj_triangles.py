@@ -74,7 +74,7 @@ def test_triangle_family_speedup_and_soundness():
     for wings in SIZES:
         db = triangle_db(wings)
         expr = cycle_expr(("E", "F", "G"), db.schema)
-        oracle = evaluate(expr, db, use_engine=False)
+        oracle = evaluate(expr, db)
 
         multi_s, (multi_rows, multi_plan, multi_stats) = best_of(
             lambda: run_triangle(db, multiway=True)

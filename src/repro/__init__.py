@@ -24,7 +24,6 @@ __version__ = "1.0.0"
 
 from repro.data import Database, Schema, database
 from repro.algebra import Condition, Expr, evaluate, parse, rel, to_text, trace
-from repro.session import PreparedQuery, Session
 
 __all__ = [
     "__version__",
@@ -41,3 +40,14 @@ __all__ = [
     "to_text",
     "trace",
 ]
+
+
+def __getattr__(name: str):
+    # ``Session`` sits above the paper layers (engine ← session), so it
+    # loads on first use: ``import repro.algebra`` never pays for the
+    # engine, and the package graph stays a DAG (tests/test_layering.py).
+    if name in ("PreparedQuery", "Session"):
+        import repro.session
+
+        return getattr(repro.session, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

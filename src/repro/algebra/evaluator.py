@@ -1,19 +1,13 @@
 """Set-semantics evaluation of RA/SA expressions (Definitions 1 and 2).
 
-:func:`evaluate` is the production entry point.  Plain calls
-(``evaluate(expr, db)``) route through the cost-aware engine via the
-shared per-database :class:`~repro.session.Session`
-(:func:`repro.session.run`), which rewrites recognized division
-patterns to the linear direct algorithms and picks hash operators per
-join — the Theorem 17 plan choice made automatic.  Callers who want
-prepared queries, execution reports, or the cross-query result cache
-should hold a :class:`~repro.session.Session` directly.  The classic memoizing
-tree-walk below remains as the *structural evaluator*: it computes each
-logical sub-expression exactly as written, which is what the
-Definition 16 trace measures, so any call that passes a ``memo`` (or an
-``extension`` hook, or ``use_engine=False``) takes that path.  The
-brute-force oracle lives in :mod:`repro.algebra.reference`; the three
-are asserted to agree on random inputs in
+:func:`evaluate` is the *structural evaluator*: a memoizing tree-walk
+that computes each logical sub-expression exactly as written, which is
+what the Definition 16 trace measures and what Theorem 17 and
+Proposition 26 are statements about.  It never plans, rewrites or
+reorders; the cost-aware engine (division rewrites, hash operators,
+join ordering) is reached through :class:`repro.session.Session` only.
+The brute-force oracle lives in :mod:`repro.algebra.reference`; the
+three are asserted to agree on random inputs in
 ``tests/test_engine_differential.py``.
 
 The memo table doubles as the *evaluation trace*: it holds the result of
@@ -58,9 +52,8 @@ def evaluate(
     db: Database,
     memo: dict[Expr, Relation] | None = None,
     extension=None,
-    use_engine: bool | None = None,
 ) -> Relation:
-    """Evaluate ``expr`` on ``db``; returns a ``frozenset`` of tuples.
+    """Evaluate ``expr`` on ``db`` as written; returns a frozenset of rows.
 
     Parameters
     ----------
@@ -72,29 +65,11 @@ def evaluate(
     memo:
         Optional memo table.  Pass a dict to retain the results of every
         distinct sub-expression (used by :mod:`repro.algebra.trace`).
-        Passing a memo selects the structural evaluator — a trace must
-        reflect the expression as written, not the engine's rewrites.
     extension:
-        Optional hook handling extra node types (see :data:`Extension`).
-        Also selects the structural evaluator (the engine knows the
-        built-in extended nodes but not arbitrary hooks).
-    use_engine:
-        Force (``True``) or bypass (``False``) the engine; the default
-        ``None`` routes through the engine exactly when neither ``memo``
-        nor ``extension`` is given.
+        Optional hook handling extra node types (see :data:`Extension`);
+        :func:`repro.extended.evaluator.evaluate_extended` passes the
+        γ / Sort hook.
     """
-    if use_engine is None:
-        use_engine = memo is None and extension is None
-    elif use_engine and (memo is not None or extension is not None):
-        raise SchemaError(
-            "use_engine=True is incompatible with memo/extension: the "
-            "engine executes a rewritten physical plan, so it cannot "
-            "populate a per-sub-expression memo or honor evaluation hooks"
-        )
-    if use_engine:
-        from repro.session import run
-
-        return run(expr, db)
     if memo is None:
         memo = {}
     return _eval(expr, db, memo, extension)

@@ -19,8 +19,9 @@ Subcommands::
 
 ``eval``, ``explain``, ``divide``, and ``optimize`` build one
 :class:`~repro.session.Session` from the shared session flags
-(``--partition-budget``, ``--max-workers``, ``--no-costs``,
-``--no-reorder-joins``), applied uniformly; contradictory combinations
+(``--partition-budget``, ``--max-workers``, ``--backend``,
+``--replan-threshold``, ``--no-costs``, ``--no-reorder-joins``,
+``--no-multiway``), applied uniformly; contradictory combinations
 are rejected up front.  Expressions use the textual syntax of
 :mod:`repro.algebra.parser`; the schema comes from the database file or
 from ``--schema 'R:2,S:1'``.
@@ -43,6 +44,7 @@ from repro.data.universe import INTEGERS, RATIONALS, STRINGS
 from repro.errors import ReproError
 from repro.io.json_io import load_database
 from repro.setjoins.division import DIVISION_ALGORITHMS
+from repro.storage.backend import BACKEND_KINDS
 
 _UNIVERSES = {
     "integers": INTEGERS,
@@ -87,58 +89,111 @@ def _schema_for(args) -> Schema:
     raise ReproError("provide --database or --schema")
 
 
+#: The session-level planner flags: ``(flag, PlannerOptions field,
+#: argparse keyword arguments)``.  The argparse parent parser, the
+#: ``PlannerOptions`` construction and the ``--no-engine`` rejection all
+#: loop over this one table, so a flag added here is parsed everywhere,
+#: applied, *and* rejected under ``--no-engine`` — the lists cannot
+#: drift apart.  A ``store_true`` flag switches its field *off*.
+_SESSION_FLAGS = (
+    ("--partition-budget", "partition_budget", dict(
+        type=int,
+        metavar="ROWS",
+        help="rows-in-flight cap for partitioned execution: operators "
+        "whose estimated in-flight bound exceeds it run in batches "
+        "(needs cost-based planning and a database's statistics)",
+    )),
+    ("--max-workers", "max_workers", dict(
+        type=int,
+        metavar="N",
+        help="shard batched operators across N worker processes when "
+        "the cost model certifies the parallel cost beats serial "
+        "(needs cost-based planning; 1 = exactly serial)",
+    )),
+    ("--backend", "backend", dict(
+        choices=BACKEND_KINDS,
+        help="storage backend the session reads relations from: "
+        "'memory' (default) serves rows straight off the loaded "
+        "database, 'shm' encodes them columnar into shared memory "
+        "(parallel workers attach by segment name), 'mmap' spills the "
+        "same columnar layout to a memory-mapped temp file",
+    )),
+    ("--replan-threshold", "replan_threshold", dict(
+        type=float,
+        metavar="RATIO",
+        help="re-plan a memoized query when the feedback ledger's "
+        "observed estimator error for any of its operators drifts by "
+        "at least this ratio (> 1; needs cost-based planning), and "
+        "let partitioned operators re-pack remaining batches "
+        "mid-query when actuals beat their priced worst case",
+    )),
+    ("--no-costs", "use_costs", dict(
+        action="store_true",
+        help="plan structurally: disable every cost-based decision "
+        "(operator choice, join ordering, partition sizing)",
+    )),
+    ("--no-reorder-joins", "reorder_joins", dict(
+        action="store_true",
+        help="keep >=3-way join chains in their written order",
+    )),
+    ("--no-multiway", "use_multiway", dict(
+        action="store_true",
+        help="never collapse an equi-join chain into the worst-case-"
+        "optimal multiway join (keep binary join plans)",
+    )),
+)
+
+#: Why each of these flags cannot be combined with ``--no-costs``.
+_NEEDS_COSTS = {
+    "--replan-threshold": "the threshold measures the cost model's "
+    "estimation error, which --no-costs disables",
+    "--partition-budget": "partition sizing uses the cost model's "
+    "sound bounds",
+    "--max-workers": "the dispatch gate uses the cost model's sound "
+    "bounds",
+}
+
+
+def _session_flags_given(args) -> dict:
+    """``{flag: value}`` for every session flag present on ``args``."""
+    given = {}
+    for flag, __, ___ in _SESSION_FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None and value is not False:
+            given[flag] = value
+    return given
+
+
 def _session_options(args):
     """PlannerOptions from the shared session flags (None = defaults).
 
-    The planner flags (``--partition-budget``, ``--max-workers``,
-    ``--no-costs``, ``--no-reorder-joins``, ``--no-multiway``) are
-    session-level: every subcommand that builds a session applies them
-    uniformly.  Contradictory combinations are rejected here, before
-    any work.
+    The planner flags (:data:`_SESSION_FLAGS`) are session-level: every
+    subcommand that builds a session applies them uniformly.
+    Contradictory combinations are rejected here, before any work.
     """
-    budget = getattr(args, "partition_budget", None)
-    workers = getattr(args, "max_workers", None)
-    backend = getattr(args, "backend", None)
-    replan = getattr(args, "replan_threshold", None)
-    no_costs = bool(getattr(args, "no_costs", False))
-    no_reorder = bool(getattr(args, "no_reorder_joins", False))
-    no_multiway = bool(getattr(args, "no_multiway", False))
-    if replan is not None and no_costs:
-        raise ReproError(
-            "--replan-threshold needs cost-based planning (the "
-            "threshold measures the cost model's estimation error, "
-            "which --no-costs disables); drop --no-costs"
-        )
-    if budget is not None and no_costs:
-        raise ReproError(
-            "--partition-budget needs cost-based planning (partition "
-            "sizing uses the cost model's sound bounds); drop --no-costs"
-        )
-    if workers is not None and workers > 1 and no_costs:
-        raise ReproError(
-            "--max-workers needs cost-based planning (the dispatch "
-            "gate uses the cost model's sound bounds); drop --no-costs"
-        )
-    if (
-        budget is None
-        and workers is None
-        and backend is None
-        and replan is None
-        and not (no_costs or no_reorder or no_multiway)
-    ):
+    given = _session_flags_given(args)
+    if "--no-costs" in given:
+        for flag, reason in _NEEDS_COSTS.items():
+            # --max-workers 1 is exactly serial: nothing to gate.
+            if flag in given and (
+                flag != "--max-workers" or given[flag] > 1
+            ):
+                raise ReproError(
+                    f"{flag} needs cost-based planning ({reason}); "
+                    "drop --no-costs"
+                )
+    if not given:
         return None
     from repro.engine import PlannerOptions
 
     # PlannerOptions validates the budget, worker count, backend kind,
     # and replan threshold itself.
     return PlannerOptions(
-        use_costs=not no_costs,
-        reorder_joins=not no_reorder,
-        use_multiway=not no_multiway,
-        partition_budget=budget,
-        max_workers=1 if workers is None else workers,
-        backend="memory" if backend is None else backend,
-        replan_threshold=replan,
+        **{
+            field: False if given[flag] is True else given[flag]
+            for flag, field, __ in _SESSION_FLAGS
+            if flag in given
+        }
     )
 
 
@@ -150,49 +205,12 @@ def _session_from_flags(args):
     return Session(db, options=_session_options(args))
 
 
-#: The boolean session-level planner flags: ``(args attribute, flag,
-#: help text)``.  The argparse parent parser and the ``--no-engine``
-#: rejection both derive from this one table, so a flag added here is
-#: automatically parsed everywhere *and* rejected under ``--no-engine``
-#: — the two lists cannot drift apart.
-_SESSION_BOOL_FLAGS = (
-    (
-        "no_costs",
-        "--no-costs",
-        "plan structurally: disable every cost-based decision "
-        "(operator choice, join ordering, partition sizing)",
-    ),
-    (
-        "no_reorder_joins",
-        "--no-reorder-joins",
-        "keep >=3-way join chains in their written order",
-    ),
-    (
-        "no_multiway",
-        "--no-multiway",
-        "never collapse an equi-join chain into the worst-case-"
-        "optimal multiway join (keep binary join plans)",
-    ),
-)
-
-
 def _engine_flags_given(args) -> tuple[str, ...]:
     """Engine-only flags present on ``args`` (for --no-engine checks)."""
-    given = []
-    if getattr(args, "partition_budget", None) is not None:
-        given.append("--partition-budget")
-    if getattr(args, "max_workers", None) is not None:
-        given.append("--max-workers")
-    if getattr(args, "backend", None) is not None:
-        given.append("--backend")
-    if getattr(args, "replan_threshold", None) is not None:
-        given.append("--replan-threshold")
-    for attr, flag, __ in _SESSION_BOOL_FLAGS:
-        if getattr(args, attr, False):
-            given.append(flag)
+    given = tuple(_session_flags_given(args))
     if getattr(args, "stats", False):
-        given.append("--stats")
-    return tuple(given)
+        given += ("--stats",)
+    return given
 
 
 def _cmd_eval(args) -> int:
@@ -205,7 +223,7 @@ def _cmd_eval(args) -> int:
             )
         db = _load_database(args.database)
         expr = parse(args.expression, db.schema)
-        result = evaluate(expr, db, use_engine=False)
+        result = evaluate(expr, db)
     else:
         session = _session_from_flags(args)
         try:
@@ -424,43 +442,8 @@ def _session_flags_parser() -> argparse.ArgumentParser:
     """
     flags = argparse.ArgumentParser(add_help=False)
     group = flags.add_argument_group("session options")
-    group.add_argument(
-        "--partition-budget",
-        type=int,
-        metavar="ROWS",
-        help="rows-in-flight cap for partitioned execution: operators "
-        "whose estimated in-flight bound exceeds it run in batches "
-        "(needs cost-based planning and a database's statistics)",
-    )
-    group.add_argument(
-        "--max-workers",
-        type=int,
-        metavar="N",
-        help="shard batched operators across N worker processes when "
-        "the cost model certifies the parallel cost beats serial "
-        "(needs cost-based planning; 1 = exactly serial)",
-    )
-    group.add_argument(
-        "--backend",
-        choices=("memory", "shm", "mmap"),
-        help="storage backend the session reads relations from: "
-        "'memory' (default) serves rows straight off the loaded "
-        "database, 'shm' encodes them columnar into shared memory "
-        "(parallel workers attach by segment name), 'mmap' spills the "
-        "same columnar layout to a memory-mapped temp file",
-    )
-    group.add_argument(
-        "--replan-threshold",
-        type=float,
-        metavar="RATIO",
-        help="re-plan a memoized query when the feedback ledger's "
-        "observed estimator error for any of its operators drifts by "
-        "at least this ratio (> 1; needs cost-based planning), and "
-        "let partitioned operators re-pack remaining batches "
-        "mid-query when actuals beat their priced worst case",
-    )
-    for __, flag, help_text in _SESSION_BOOL_FLAGS:
-        group.add_argument(flag, action="store_true", help=help_text)
+    for flag, __, kwargs in _SESSION_FLAGS:
+        group.add_argument(flag, **kwargs)
     return flags
 
 
@@ -651,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--backend",
-        choices=("memory", "shm", "mmap"),
+        choices=BACKEND_KINDS,
         help="shared storage backend snapshots are exported from "
         "(default: the scenario's)",
     )

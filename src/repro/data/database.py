@@ -58,7 +58,7 @@ class Database:
     [1, 2, 3]
     """
 
-    __slots__ = ("schema", "_relations", "_hash")
+    __slots__ = ("schema", "_relations")
 
     def __init__(
         self,
@@ -78,7 +78,6 @@ class Database:
             name: _checked_rows(name, schema[name], provided.get(name, ()))
             for name in schema
         }
-        self._hash: int | None = None
 
     # ------------------------------------------------------------------
     # Accessors
@@ -140,9 +139,9 @@ class Database:
     def version_token(self) -> int:
         """A token identifying the *current* relation contents.
 
-        Unlike ``hash(self)`` this is recomputed from the relation
-        frozensets on every call (each frozenset caches its own hash, so
-        the recomputation is cheap).  Caches keyed by a database — the
+        Recomputed from the relation frozensets on every call (each
+        frozenset caches its own hash, so the recomputation is cheap),
+        as is ``hash(self)``.  Caches keyed by a database — the
         engine's per-database executors with their hash indexes, plan
         memos, and statistics — compare tokens to detect that contents
         changed underneath them (e.g. a storage backend swapping a
@@ -169,7 +168,6 @@ class Database:
         successor = Database.__new__(Database)
         successor.schema = self.schema
         successor._relations = {**self._relations, **changed}
-        successor._hash = None
         return successor
 
     def with_tuples(self, additions: Mapping[str, Iterable[Row]]) -> "Database":
@@ -247,12 +245,10 @@ class Database:
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            items = tuple(
-                (name, self._relations[name]) for name in self.schema
-            )
-            self._hash = hash((self.schema, items))
-        return self._hash
+        # Recomputed per call, like version_token(): the frozensets
+        # cache their own hashes, and an in-place contents swap (the
+        # server's write path) must not leave a stale value behind.
+        return hash((self.schema, self.version_token()))
 
     def __repr__(self) -> str:
         parts = []

@@ -41,8 +41,9 @@ door (``docs/session.md``)::
     rows = session.run(expr)                    # plan + execute (+ cache)
     print(session.explain(expr, costs=True))    # what the planner chose
 
-The one-shot convenience is :func:`repro.session.run` (the
-``repro.engine.run`` shim that delegated to it is gone).
+There is no other entry point: plain
+:func:`repro.algebra.evaluator.evaluate` runs the expression as written
+and never reaches this package.
 
 See ``docs/engine.md`` for the architecture and the routing rules.
 """
@@ -52,7 +53,6 @@ from __future__ import annotations
 from repro.engine.cost import (
     CostModel,
     Estimate,
-    estimate_plan,
     fractional_edge_cover,
 )
 from repro.engine.executor import (
@@ -60,7 +60,6 @@ from repro.engine.executor import (
     Executor,
     IndexCache,
     ResultCache,
-    execute_plan,
 )
 from repro.engine.parallel import (
     ParallelRun,
@@ -119,8 +118,6 @@ __all__ = [
     "apply_parallelism",
     "apply_partitioning",
     "available_cpus",
-    "estimate_plan",
-    "execute_plan",
     "explain",
     "feedback_key",
     "fractional_edge_cover",

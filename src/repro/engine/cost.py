@@ -923,13 +923,6 @@ def _edge_cover_lp(edge_sets, variables, weights):
     return None
 
 
-def estimate_plan(
-    plan: PlanNode, catalog: StatsCatalog | None = None
-) -> dict[PlanNode, Estimate]:
-    """Estimates for every node of ``plan`` (one-shot convenience)."""
-    return CostModel(catalog).estimates(plan)
-
-
 # ----------------------------------------------------------------------
 # Parallel pricing
 # ----------------------------------------------------------------------

@@ -344,8 +344,8 @@ class ResultCache:
         self.evictions = 0
         self.invalidations = 0
         #: Lookups made while the cache was disabled — not misses (the
-        #: cache never got a chance), tracked so implicit shared
-        #: sessions (caching off by contract) keep hit rates honest.
+        #: cache never got a chance), tracked so ``cache_results=False``
+        #: sessions keep hit rates honest.
         self.disabled_lookups = 0
 
     def __len__(self) -> int:
@@ -411,9 +411,9 @@ class Executor:
     """Execute physical plans against one database.
 
     Keep an executor alive across queries to reuse its memo, index
-    cache, statistics, and plan memo; :func:`execute_plan` is the
-    one-shot convenience.  All caches are invalidated together when the
-    database's version token changes (see module docstring).
+    cache, statistics, and plan memo.  All caches are invalidated
+    together when the database's version token changes (see module
+    docstring).
 
     The plan and estimate memos are LRU-bounded (long-running processes
     — classification probes, bisimulation loops — plan many distinct
@@ -935,17 +935,3 @@ class Executor:
         from repro.extended.evaluator import _eval_group_by
 
         return _eval_group_by(node.expr, self._rows(node.child))
-
-
-def execute_plan(
-    plan: PlanNode, db: Database, executor: Executor | None = None
-) -> Relation:
-    """One-shot plan execution (pass an executor to reuse its caches)."""
-    if executor is None:
-        executor = Executor(db)
-    elif executor.db is not db and executor.db != db:
-        raise SchemaError(
-            "executor is bound to a different database; caches are "
-            "per-database — create a new Executor"
-        )
-    return executor.execute(plan)

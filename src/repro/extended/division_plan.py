@@ -19,15 +19,14 @@ divisor and the tests document it.
 Production execution goes through the engine: the planner recognizes
 both plans structurally (:func:`repro.engine.planner.match_division`)
 and collapses them into a single linear division operator —
-:func:`execute_division_plan` is the rewired entry point, and the
-expressions above stay as the reference semantics the engine is tested
-against (the empty-divisor caveat is preserved exactly).
+``Session(db).run(division_plan(eq))`` — and the expressions above stay
+as the reference semantics the engine is tested against (the
+empty-divisor caveat is preserved exactly).
 """
 
 from __future__ import annotations
 
 from repro.algebra.ast import Expr, Join, Projection, Rel, Selection
-from repro.data.database import Database
 from repro.errors import SchemaError
 from repro.extended.ast import Aggregate, GroupBy
 
@@ -81,39 +80,6 @@ def division_plan(eq: bool = False, r: Expr | None = None, s: Expr | None = None
     if eq:
         return equality_division_plan(r, s)
     return containment_division_plan(r, s)
-
-
-def execute_division_plan(
-    db: Database,
-    eq: bool = False,
-    r: Expr | None = None,
-    s: Expr | None = None,
-    session=None,
-):
-    """Run the §5 plan through the engine (routed to linear division).
-
-    The planner collapses the γ expression into one
-    :class:`~repro.engine.plan.DivisionOp`, so no join or grouping
-    intermediate is materialized; semantics (including the
-    empty-divisor caveat) match :func:`repro.extended.evaluator.
-    evaluate_extended` on the same expression exactly.  Pass a
-    :class:`~repro.session.Session` bound to ``db`` to share caches
-    (and the cross-query result cache) across calls; without one the
-    shared implicit session is used (:func:`repro.session.run`).
-    """
-    expr = division_plan(eq, r, s)
-    if session is not None:
-        return session.run(expr)
-    from repro.session import run as session_run
-
-    return session_run(expr, db)
-
-
-def physical_division_plan(eq: bool = False):
-    """The engine's physical plan for the §5 expression (for EXPLAIN)."""
-    from repro.engine import plan_expression
-
-    return plan_expression(division_plan(eq))
 
 
 def plan_intermediate_bound(r_size: int, s_size: int) -> int:

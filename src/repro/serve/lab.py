@@ -230,7 +230,7 @@ def _audit_oracle(server: Server, tickets: list[Ticket]) -> tuple[int, int]:
         if oracle_db is None:
             oracle_db = server.database_at(generation)
             databases[generation] = oracle_db
-        expected = evaluate(ticket.expr, oracle_db, use_engine=False)
+        expected = evaluate(ticket.expr, oracle_db)
         checked += 1
         if ticket.rows != expected:
             mismatched += 1

@@ -2,14 +2,8 @@
 
 The paper's dichotomy (Theorem 17) and the division lower bound
 (Proposition 26) are statements about *plan choice*, and the engine
-(:mod:`repro.engine`) is the machinery that acts on them.  Before this
-module, callers reached that machinery through four inconsistent entry
-points — ``repro.engine.run``/``explain`` (``run`` since removed),
-:func:`repro.algebra.evaluator.evaluate`, a hand-managed
-:class:`~repro.engine.executor.Executor`, and ad-hoc CLI helpers —
-each re-threading
-:class:`~repro.engine.planner.PlannerOptions` by hand.  A
-:class:`Session` replaces all of them:
+(:mod:`repro.engine`) is the machinery that acts on them.  A
+:class:`Session` is the one door to that machinery:
 
 * it is bound to one :class:`~repro.data.database.Database` and owns
   one :class:`~repro.engine.executor.Executor` (hash indexes,
@@ -43,14 +37,10 @@ Typical use::
     print(prepared.explain(costs=True))
     print(session.last_report.render())
 
-Plain ``evaluate(expr, db)`` remains as a thin shim over this module
-— like :func:`run`, it routes through the shared per-database session
-returned by :func:`session_for` — and the deprecation table in
-``docs/session.md`` maps each old call to its Session form.  The
-implicit shared sessions
-keep result caching **disabled** so that repeated ``evaluate()`` calls
-still measure real work (the documented contract the benchmarks rely
-on); an explicitly constructed ``Session`` enables caching by default.
+A ``Session`` is the *only* way into the engine: plain
+:func:`~repro.algebra.evaluator.evaluate` runs the expression as
+written and never plans.  For a one-shot engine run that must measure
+real work, open ``Session(db, options, cache_results=False)``.
 
 The semijoin-algebra line of related work (Leinders et al., "On the
 expressive power of semijoin queries") motivates keeping the structural
@@ -62,7 +52,6 @@ engine results against.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.algebra.ast import Expr, Rel
@@ -83,8 +72,6 @@ __all__ = [
     "ExecutionReport",
     "PreparedQuery",
     "Session",
-    "run",
-    "session_for",
 ]
 
 
@@ -423,7 +410,7 @@ class Session:
         from repro.algebra.evaluator import evaluate
 
         expr = self.parse(query) if isinstance(query, str) else query
-        return evaluate(expr, self.db, use_engine=False)
+        return evaluate(expr, self.db)
 
     # ------------------------------------------------------------------
     # Division (the uniform validation path shared with the CLI)
@@ -537,53 +524,3 @@ class Session:
         prepared.last_report = report
         self.last_report = report
         return result
-
-
-# ----------------------------------------------------------------------
-# Implicit shared sessions (the shim layer's backing store)
-# ----------------------------------------------------------------------
-
-#: Sessions bound to recently seen databases, so back-to-back
-#: ``evaluate()``/:func:`run` calls against the same database
-#: share hash-index builds, statistics, and plans even when the caller
-#: manages no session.  Result caching is **disabled** on these —
-#: plain calls keep the documented "each call recomputes" contract the
-#: timing benchmarks rely on; construct a ``Session`` explicitly to
-#: opt into result caching.  Strong references, hence the small FIFO
-#: bound; a session whose indexes outgrow the row bound is dropped
-#: rather than pinned.
-_SESSION_CACHE_SIZE = 8
-_SESSION_ROWS_BOUND = 200_000
-_sessions: "OrderedDict[Database, Session]" = OrderedDict()
-
-
-def session_for(db: Database) -> Session:
-    """The shared implicit session for ``db`` (result caching off)."""
-    session = _sessions.get(db)
-    if session is None:
-        session = Session(db, cache_results=False)
-        _sessions[db] = session
-        while len(_sessions) > _SESSION_CACHE_SIZE:
-            _sessions.popitem(last=False)
-    else:
-        _sessions.move_to_end(db)
-    return session
-
-
-def run(
-    expr: Expr,
-    db: Database,
-    options: PlannerOptions | None = None,
-) -> Relation:
-    """Plan and execute ``expr`` on ``db`` via the shared session.
-
-    The one-shot convenience behind ``evaluate(expr, db)``.
-    Cost-based planning, hash-index and statistics reuse, and
-    version-token invalidation all come from the shared per-database
-    session; results are recomputed per call (see :func:`session_for`).
-    """
-    session = session_for(db)
-    result = session.run(expr, options)
-    if session.executor.indexes.rows_indexed > _SESSION_ROWS_BOUND:
-        _sessions.pop(db, None)
-    return result

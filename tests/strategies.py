@@ -24,6 +24,7 @@ from repro.algebra.ast import (
 from repro.algebra.conditions import Atom, Condition
 from repro.data.database import Database
 from repro.data.schema import Schema
+from repro.session import Session
 
 #: The standard test schema: a binary, a unary and a ternary relation.
 TEST_SCHEMA = Schema({"R": 2, "S": 1, "T": 3})
@@ -39,6 +40,11 @@ TEST_CONSTANTS = (0, 5)
 
 #: The arity cap for random expressions (joins double arities fast).
 MAX_ARITY = 6
+
+
+def engine_run(expr: Expr, db: Database, options=None):
+    """One engine run of ``expr`` on a fresh, result-cache-off Session."""
+    return Session(db, options, cache_results=False).run(expr)
 
 
 def rows(arity: int, max_rows: int = 6) -> st.SearchStrategy:
@@ -235,8 +241,11 @@ def join_chains(
     while len(parts) > 1:
         index = draw(st.integers(0, len(parts) - 2))
         left, right = parts[index], parts.pop(index + 1)
-        if left.arity + right.arity > MAX_ARITY:
-            left = _fit_arity(left, MAX_ARITY - right.arity)
+        over = left.arity + right.arity - MAX_ARITY
+        if over > 0 and left.arity >= right.arity:
+            left = _fit_arity(left, left.arity - over)
+        elif over > 0:  # never shrink the narrower side to nothing
+            right = _fit_arity(right, right.arity - over)
         cond = draw(conditions(left.arity, right.arity))
         parts[index] = Join(left, right, cond)
     return parts[0]

@@ -234,3 +234,30 @@ def test_deltas_equal_rebuilding_from_scratch(db: Database, delta: Database):
         db.schema, {name: db[name] - delta[name] for name in db.schema}
     )
     assert added.version_token() == db.disjoint_union(delta).version_token()
+
+
+class TestHashAgreesWithEquality:
+    """``a == b`` must imply ``hash(a) == hash(b)``, also after the
+    in-place contents swap a ``Server`` write does to its database."""
+
+    def test_after_with_tuples(self):
+        db = database({"R": 2, "S": 1}, R=[(1, 7)], S=[(7,)])
+        hash(db)  # a cached value here must not outlive the contents
+        grown = db.with_tuples({"S": [(8,)]})
+        fresh = database({"R": 2, "S": 1}, R=[(1, 7)], S=[(7,), (8,)])
+        assert grown == fresh and hash(grown) == hash(fresh)
+        assert {fresh: 1}.get(grown) == 1
+
+    def test_after_server_write(self):
+        from repro.serve.server import Server
+
+        db = database({"R": 2, "S": 1}, R=[(1, 7)], S=[(7,)])
+        with Server(db, workers=0) as server:
+            hash(server.db)
+            server.connect("writer").write(additions={"S": [(8,)]})
+            fresh = database(
+                {"R": 2, "S": 1}, R=[(1, 7)], S=[(7,), (8,)]
+            )
+            assert server.db == fresh
+            assert hash(server.db) == hash(fresh)
+            assert {fresh: 1}.get(server.db) == 1

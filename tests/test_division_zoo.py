@@ -17,7 +17,6 @@ import pytest
 from repro.algebra.evaluator import evaluate
 from repro.data.database import Database, database
 from repro.data.schema import Schema
-from repro.session import run
 from repro.errors import SchemaError
 from repro.extended.division_plan import (
     containment_division_plan,
@@ -36,6 +35,7 @@ from repro.workloads.generators import (
     division_workload,
     sparse_division_workload,
 )
+from tests.strategies import engine_run
 
 #: (name, workload) pairs covering dense, sparse, skewed and edge cases.
 WORKLOADS = [
@@ -72,8 +72,8 @@ class TestContainmentZooAgrees:
         )
         db = _db_for(rows, divisor)
         expr = classic_division_expr()
-        assert evaluate(expr, db, use_engine=False) == expected
-        assert run(expr, db) == expected
+        assert evaluate(expr, db) == expected
+        assert engine_run(expr, db) == expected
 
     def test_small_divisor_plan(self, rows, divisor):
         expected = frozenset(
@@ -81,8 +81,8 @@ class TestContainmentZooAgrees:
         )
         db = _db_for(rows, divisor)
         expr = small_divisor_expr(divisor)
-        assert evaluate(expr, db, use_engine=False) == expected
-        assert run(expr, db) == expected
+        assert evaluate(expr, db) == expected
+        assert engine_run(expr, db) == expected
 
     def test_gamma_plan_and_engine_agree(self, rows, divisor):
         """The γ plan matches the reference except on an empty divisor,
@@ -91,7 +91,7 @@ class TestContainmentZooAgrees:
         db = _db_for(rows, divisor)
         expr = containment_division_plan()
         structural = evaluate_extended(expr, db)
-        assert run(expr, db) == structural
+        assert engine_run(expr, db) == structural
         if divisor:
             assert structural == frozenset(
                 (a,) for a in divide_reference(rows, divisor)
@@ -111,7 +111,7 @@ class TestEqualityZooAgrees:
         db = _db_for(rows, divisor)
         expr = equality_division_plan()
         structural = evaluate_extended(expr, db)
-        assert run(expr, db) == structural
+        assert engine_run(expr, db) == structural
         if divisor:
             assert structural == frozenset(
                 (a,) for a in divide_reference_eq(rows, divisor)

@@ -12,7 +12,6 @@ from repro.engine import (
     Executor,
     Planner,
     PlannerOptions,
-    execute_plan,
     plan_expression,
 )
 from repro.engine.plan import (
@@ -29,17 +28,17 @@ from repro.engine.planner import explain, match_division
 from repro.errors import ArityError, SchemaError
 from repro.extended.division_plan import (
     containment_division_plan,
+    division_plan,
     equality_division_plan,
-    execute_division_plan,
-    physical_division_plan,
 )
 from repro.extended.evaluator import evaluate_extended
-from repro.session import run
+from repro.session import Session
 from repro.setjoins.division import classic_division_expr, divide_reference
 from repro.workloads.generators import (
     crossproduct_division_family,
     division_database,
 )
+from tests.strategies import engine_run
 
 SCHEMA = Schema({"R": 2, "S": 1})
 
@@ -100,12 +99,12 @@ class TestDivisionRouting:
         )
 
     def test_division_methods_agree(self, db):
-        expected = evaluate(
-            classic_division_expr(), db, use_engine=False
-        )
+        expected = evaluate(classic_division_expr(), db)
         for method in ("hash", "sort_merge", "counting", "nested_loop"):
             options = PlannerOptions(division_method=method)
-            assert run(classic_division_expr(), db, options) == expected
+            assert (
+                engine_run(classic_division_expr(), db, options) == expected
+            )
 
     def test_unknown_division_method_rejected(self):
         with pytest.raises(SchemaError):
@@ -169,7 +168,7 @@ class TestOperatorChoice:
 
     def test_scan_checks_arity(self, db):
         with pytest.raises(ArityError):
-            run(rel("R", 3), db)
+            engine_run(rel("R", 3), db)
 
 
 class TestExecutor:
@@ -183,9 +182,7 @@ class TestExecutor:
             "tag[5](S) union project[1,1](S)",
         ):
             expr = parse(text, SCHEMA)
-            assert run(expr, db) == evaluate(
-                expr, db, use_engine=False
-            ), text
+            assert engine_run(expr, db) == evaluate(expr, db), text
 
     def test_index_reused_across_subplans(self, db):
         # Both joins probe S on column 1: one index build, one reuse.
@@ -203,14 +200,6 @@ class TestExecutor:
         )
         assert executor.stats.indexes_built == built
         assert executor.stats.index_reuses >= 1
-
-    def test_executor_bound_to_database(self, db):
-        other = database({"R": 2, "S": 1}, R=[(9, 9)])
-        executor = Executor(db)
-        with pytest.raises(SchemaError):
-            execute_plan(
-                plan_expression(parse("R", SCHEMA)), other, executor
-            )
 
     def test_stats_report_renders(self, db):
         executor = Executor(db)
@@ -231,14 +220,15 @@ class TestVersionInvalidation:
     statistics, plans, and memo.
     """
 
-    def test_mutating_database_between_evaluates_refreshes_results(self):
+    def test_mutating_database_between_runs_refreshes_results(self):
         db = database({"R": 2, "S": 1}, R=[(1, 7), (2, 8)], S=[(7,)])
         expr = parse("R join[2=1] S", SCHEMA)
-        assert evaluate(expr, db) == {(1, 7, 7)}
+        session = Session(db)
+        assert session.run(expr) == {(1, 7, 7)}
         db._relations = {**db._relations, "S": frozenset({(8,)})}
-        # Same handle, new contents: the cached per-database executor
-        # must rebuild its index on S instead of probing the stale one.
-        assert evaluate(expr, db) == {(2, 8, 8)}
+        # Same handle, new contents: the session's executor must
+        # rebuild its index on S instead of probing the stale one.
+        assert session.run(expr) == {(2, 8, 8)}
 
     def test_executor_drops_indexes_stats_and_plans(self):
         db = database(
@@ -279,8 +269,8 @@ class TestDivisionSemantics:
     def test_empty_divisor_classic_returns_candidates(self):
         db = database({"R": 2, "S": 1}, R=[(1, 7), (2, 9)])
         expr = classic_division_expr()
-        assert run(expr, db) == evaluate(expr, db, use_engine=False)
-        assert run(expr, db) == frozenset({(1,), (2,)})
+        assert engine_run(expr, db) == evaluate(expr, db)
+        assert engine_run(expr, db) == frozenset({(1,), (2,)})
 
     def test_empty_divisor_gamma_returns_empty(self):
         db = database({"R": 2, "S": 1}, R=[(1, 7), (2, 9)])
@@ -288,28 +278,30 @@ class TestDivisionSemantics:
             containment_division_plan(),
             equality_division_plan(),
         ):
-            assert run(expr, db) == evaluate_extended(expr, db)
-            assert run(expr, db) == frozenset()
+            assert engine_run(expr, db) == evaluate_extended(expr, db)
+            assert engine_run(expr, db) == frozenset()
 
-    def test_execute_division_plan_matches_reference(self, db):
-        result = execute_division_plan(db)
+    def test_division_plan_through_session_matches_reference(self, db):
+        result = engine_run(division_plan(), db)
         assert result == evaluate_extended(containment_division_plan(), db)
         assert {a for (a,) in result} == divide_reference(db["R"], db["S"])
 
-    def test_execute_division_plan_eq(self, db):
-        result = execute_division_plan(db, eq=True)
+    def test_division_plan_eq_through_session(self, db):
+        result = engine_run(division_plan(eq=True), db)
         assert result == evaluate_extended(equality_division_plan(), db)
 
-    def test_physical_division_plan_is_division_op(self):
-        assert isinstance(physical_division_plan(), DivisionOp)
-        assert isinstance(physical_division_plan(eq=True), DivisionOp)
+    def test_division_plans_plan_to_division_op(self):
+        assert isinstance(plan_expression(division_plan()), DivisionOp)
+        assert isinstance(
+            plan_expression(division_plan(eq=True)), DivisionOp
+        )
 
     def test_division_on_generated_workload(self):
         db = division_database(
             num_keys=30, divisor_size=5, hit_fraction=0.4, seed=11
         )
         expr = classic_division_expr()
-        assert run(expr, db) == evaluate(expr, db, use_engine=False)
+        assert engine_run(expr, db) == evaluate(expr, db)
 
 
 class TestEngineBeatsClassicPlan:
@@ -326,7 +318,7 @@ class TestEngineBeatsClassicPlan:
             classic_max = trace(expr, db).max_intermediate()
             executor = Executor(db)
             engine_result = executor.execute(plan_expression(expr))
-            assert engine_result == evaluate(expr, db, use_engine=False)
+            assert engine_result == evaluate(expr, db)
             ratios.append(classic_max / executor.stats.max_intermediate())
         assert ratios[-1] >= 5.0
         # And the separation grows with n — quadratic vs linear.
@@ -361,62 +353,56 @@ class TestExplain:
             explain(parse("R cartesian S", SCHEMA), analyze=True)
 
 
-class TestEvaluatorIntegration:
-    def test_plain_evaluate_routes_through_engine(self, db):
-        # The engine understands γ nodes without the extension hook.
-        assert evaluate(containment_division_plan(), db) == (
-            evaluate_extended(containment_division_plan(), db)
-        )
+class TestTwoEvaluators:
+    """``evaluate`` runs the expression as written; ``Session`` plans."""
 
-    def test_explicit_engine_with_memo_rejected(self, db):
-        # A memo cannot be populated by the engine (it executes a
-        # rewritten plan, not the expression as written).
-        with pytest.raises(SchemaError):
-            evaluate(classic_division_expr(), db, {}, use_engine=True)
-
-    def test_run_reuses_cached_session_indexes(self, db):
-        import repro.session as session_module
-
-        session_module._sessions.clear()
-        run(parse("R join[2=1] S", SCHEMA), db)
-        run(parse("R semijoin[2=1] S", SCHEMA), db)
-        executor = session_module._sessions[db].executor
-        assert executor.indexes.builds == 1
-        assert executor.indexes.reuses >= 1
-
-    def test_run_does_not_pin_query_results(self, db):
-        import repro.session as session_module
-
-        session_module._sessions.clear()
-        run(parse("R cartesian S", SCHEMA), db)
-        # Only index state survives a top-level query; the result memo
-        # is reset so repeated calls recompute (and big relations are
-        # never pinned by the module-level cache).  The implicit shared
-        # sessions also keep result caching off — that is the explicit
-        # Session front door's opt-in.
-        executor = session_module._sessions[db].executor
-        assert executor._memo == {}
-        assert executor.stats.node_rows == {}
-        assert not executor.results.enabled
-
-    def test_run_evicts_index_heavy_sessions(self, db, monkeypatch):
-        import repro.session as session_module
-
-        monkeypatch.setattr(session_module, "_SESSION_ROWS_BOUND", 1)
-        session_module._sessions.clear()
-        run(parse("R join[2=1] S", SCHEMA), db)
-        assert db not in session_module._sessions
-
-    def test_memo_selects_structural_path(self, db):
-        memo = {}
+    def test_evaluate_is_as_written_session_is_one_division_op(self):
+        db = crossproduct_division_family(32)
         expr = classic_division_expr()
-        evaluate(expr, db, memo)
-        # The structural path records every logical sub-expression,
-        # including the quadratic cross product the engine never builds.
+        memo = {}
+        as_written = evaluate(expr, db, memo)
+        # The structural evaluator records every logical
+        # sub-expression; the largest is the quadratic cross product
+        # π_A(R) × S that the engine never builds.
         cross = next(
             node for node in expr.subexpressions() if isinstance(node, Join)
         )
-        assert cross in memo
+        largest = max(memo, key=lambda node: len(memo[node]))
+        assert largest == cross
         assert len(memo[cross]) == len({a for a, __ in db["R"]}) * len(
             db["S"]
         )
+        session = Session(db, cache_results=False)
+        assert session.run(expr) == as_written
+        executed = sorted(
+            type(node).__name__
+            for node in session.last_report.stats.node_rows
+        )
+        assert executed == ["DivisionOp", "ScanOp", "ScanOp"]
+
+    def test_evaluate_needs_the_extension_hook_for_gamma(self, db):
+        # evaluate() knows RA/SA nodes only; evaluate_extended is the
+        # documented form for γ / Sort expressions.
+        gamma = containment_division_plan()
+        with pytest.raises(SchemaError):
+            evaluate(gamma, db)
+        assert evaluate_extended(gamma, db) == engine_run(gamma, db)
+
+    def test_session_reuses_indexes_across_queries(self, db):
+        session = Session(db, cache_results=False)
+        session.run(parse("R join[2=1] S", SCHEMA))
+        session.run(parse("R semijoin[2=1] S", SCHEMA))
+        assert session.executor.indexes.builds == 1
+        assert session.executor.indexes.reuses >= 1
+
+    def test_session_does_not_pin_query_results(self, db):
+        session = Session(db, cache_results=False)
+        session.run(parse("R cartesian S", SCHEMA))
+        # Only index state survives a run; the per-query result memo
+        # and stats are reset, so repeated runs recompute and big
+        # relations are never pinned outside the (here disabled)
+        # bounded result cache.
+        executor = session.executor
+        assert executor._memo == {}
+        assert executor.stats.node_rows == {}
+        assert len(session.result_cache) == 0

@@ -46,7 +46,6 @@ from repro.engine.plan import (
 )
 from repro.engine.stats import relation_stats
 from repro.errors import SchemaError
-from repro.session import run
 from repro.setjoins.division import classic_division_expr
 from repro.workloads.generators import (
     crossproduct_division_family,
@@ -56,6 +55,7 @@ from tests.strategies import (
     TEST_SCHEMA,
     databases,
     dense_databases,
+    engine_run,
     expressions,
     join_chains,
 )
@@ -178,7 +178,7 @@ def test_zero_stats_join_over_unsatisfiable_filter_is_not_nan():
 @SMALLER
 @given(join_chains(), dense_databases(max_rows=12))
 def test_reordered_join_chains_preserve_semantics(expr, db):
-    assert run(expr, db) == evaluate_reference(expr, db)
+    assert engine_run(expr, db) == evaluate_reference(expr, db)
 
 
 @SMALLER

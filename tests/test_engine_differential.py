@@ -15,8 +15,12 @@ from hypothesis import HealthCheck, given, settings
 from repro.algebra.evaluator import evaluate
 from repro.algebra.reference import evaluate_reference
 from repro.engine import Executor, PlannerOptions, plan_expression
-from repro.session import run
-from tests.strategies import databases, expressions, sa_eq_expressions
+from tests.strategies import (
+    databases,
+    engine_run,
+    expressions,
+    sa_eq_expressions,
+)
 
 #: ≥ 200 seeded random cases, as the harness's acceptance bar demands.
 DIFFERENTIAL = settings(
@@ -37,7 +41,7 @@ SMALLER = settings(
 @DIFFERENTIAL
 @given(expressions(max_depth=4), databases())
 def test_engine_evaluator_and_oracle_agree(expr, db):
-    engine = run(expr, db)  # cost-based: run() plans with statistics
+    engine = engine_run(expr, db)  # cost-based: plans with statistics
     memoized = evaluate(expr, db, memo={})
     oracle = evaluate_reference(expr, db)
     assert engine == memoized == oracle
@@ -57,7 +61,7 @@ def test_stats_present_and_absent_plans_agree(expr, db):
 @SMALLER
 @given(sa_eq_expressions(max_depth=4), databases())
 def test_agreement_on_sa_eq_fragment(expr, db):
-    assert run(expr, db) == evaluate_reference(expr, db)
+    assert engine_run(expr, db) == evaluate_reference(expr, db)
 
 
 @SMALLER
@@ -79,7 +83,7 @@ def test_rewrites_do_not_change_semantics(expr, db):
             use_costs=False,
         ),
     ):
-        assert run(expr, db, options) == baseline
+        assert engine_run(expr, db, options) == baseline
 
 
 @SMALLER
@@ -90,4 +94,4 @@ def test_executor_reuse_is_pure(expr, db):
     plan = plan_expression(expr)
     first = executor.execute(plan)
     second = executor.execute(plan)
-    assert first == second == run(expr, db)
+    assert first == second == engine_run(expr, db)

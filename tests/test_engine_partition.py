@@ -46,7 +46,6 @@ from repro.engine.plan import (
 )
 from repro.engine.planner import explain
 from repro.errors import SchemaError, StaleDataError
-from repro.session import run
 from repro.setjoins.division import (
     classic_division_expr,
     divide_hash,
@@ -56,7 +55,7 @@ from repro.workloads.generators import (
     crossproduct_division_family,
     division_database,
 )
-from tests.strategies import databases, expressions
+from tests.strategies import databases, engine_run, expressions
 
 SCHEMA = Schema({"R": 2, "S": 1})
 
@@ -347,7 +346,9 @@ class TestPartitionedExecution:
         db = join_db()
         expr = parse("R join[2=1] S", SCHEMA)
         options = PlannerOptions(partition_budget=25)
-        assert run(expr, db, options) == evaluate_reference(expr, db)
+        assert engine_run(expr, db, options) == evaluate_reference(
+            expr, db
+        )
 
     def test_estimated_vs_actual_batch_counts_recorded(self):
         db = join_db()

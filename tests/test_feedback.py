@@ -359,7 +359,7 @@ def test_feedback_corrected_runs_match_oracle(expr, db):
     enough for the ledger to learn, trigger re-plans, and stabilize —
     and every result must equal the structural evaluator's.
     """
-    oracle = evaluate(expr, db, use_engine=False)
+    oracle = evaluate(expr, db)
     session = Session(
         db,
         options=PlannerOptions(replan_threshold=1.5),
@@ -379,7 +379,7 @@ def test_feedback_corrected_runs_match_oracle(expr, db):
 def test_partitioned_feedback_runs_match_oracle(expr, db):
     """Mid-query re-packs never change results (tiny budget forces
     partitioned execution; the threshold arms between-batch re-packs)."""
-    oracle = evaluate(expr, db, use_engine=False)
+    oracle = evaluate(expr, db)
     session = Session(
         db,
         options=PlannerOptions(

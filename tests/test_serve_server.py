@@ -200,9 +200,7 @@ def test_inline_server_basic_read_write_cycle(db):
     with Server(db, workers=0) as server:
         handle = server.connect("alice")
         rows = handle.run(QUERIES[0])
-        assert rows == evaluate(
-            server._session.parse(QUERIES[0]), db, use_engine=False
-        )
+        assert rows == evaluate(server._session.parse(QUERIES[0]), db)
         generation = handle.write(additions={"R": [(99, 0)]})
         assert generation == 1
         assert (99,) in handle.run(QUERIES[0])
@@ -310,9 +308,7 @@ def test_pinned_read_ignores_concurrent_write(db):
     # carry rows by value, so it must see generation 0 exactly.
     from repro.algebra.parser import parse
 
-    oracle_before = evaluate(
-        parse(QUERIES[0], db.schema), _division_db(), use_engine=False
-    )
+    oracle_before = evaluate(parse(QUERIES[0], db.schema), _division_db())
     with Server(db, workers=0) as server:
         handle = server.connect("reader")
         with _Gate(block_first=True) as gate:
@@ -352,7 +348,7 @@ def test_pinned_read_runs_on_its_own_image_after_writes(backend, workers):
             assert len(live()) == 2  # generation 0's and the current
         ticket = finish()
         assert ticket.result(120) == evaluate(
-            ticket.expr, server.database_at(0), use_engine=False
+            ticket.expr, server.database_at(0)
         )
         assert ticket.pinned_generation == 0
         assert len(live()) == 1
@@ -563,9 +559,7 @@ def test_pool_serves_reads_and_reuses_snapshot_sessions(db):
         handle = server.connect("t")
         tickets = [handle.submit(QUERIES[0]) for __ in range(6)]
         results = [t.result(120) for t in tickets]
-        oracle = evaluate(
-            server._session.parse(QUERIES[0]), db, use_engine=False
-        )
+        oracle = evaluate(server._session.parse(QUERIES[0]), db)
         assert all(rows == oracle for rows in results)
         metrics = server.metrics()
         assert metrics.tenants["t"].completed == 6
@@ -591,9 +585,7 @@ def test_broken_pool_degrades_to_inline(db):
         # Kill the pool out from under the server.
         server._pool.shutdown(wait=True, cancel_futures=True)
         rows = handle.run(QUERIES[1], timeout=120)
-        assert rows == evaluate(
-            server._session.parse(QUERIES[1]), db, use_engine=False
-        )
+        assert rows == evaluate(server._session.parse(QUERIES[1]), db)
         assert server._pool_broken or server._pool is not None
 
 
@@ -607,9 +599,7 @@ def test_killed_worker_reruns_the_same_pin_inline(db):
         # read keeps its pin and finishes inline.
         tickets = [handle.submit(text) for text in QUERIES]
         for ticket in tickets:
-            assert ticket.result(120) == evaluate(
-                ticket.expr, db, use_engine=False
-            )
+            assert ticket.result(120) == evaluate(ticket.expr, db)
             assert ticket._task is None
         assert server._pool_broken and server._pool is None
         assert server.metrics().in_flight_rows == 0.0
@@ -689,9 +679,7 @@ def test_admitted_reads_equal_serial_oracle_replay(
             assert ticket.pinned_generation == generation
             if generation not in oracle_cache:
                 oracle_cache[generation] = server.database_at(generation)
-            expected = evaluate(
-                ticket.expr, oracle_cache[generation], use_engine=False
-            )
+            expected = evaluate(ticket.expr, oracle_cache[generation])
             assert rows == expected
             assert ticket.actual_rows <= ticket.bound
         # Budget ledger drained: nothing in flight once all are done.

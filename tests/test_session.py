@@ -29,7 +29,7 @@ from repro.data.schema import Schema
 from repro.engine import PlannerOptions
 from repro.engine.executor import ResultCache
 from repro.errors import SchemaError, StaleDataError, UnknownRelationError
-from repro.session import Session, run, session_for
+from repro.session import Session
 from repro.setjoins.division import classic_division_expr, divide_hash
 from repro.workloads.generators import division_database
 from tests.strategies import rows
@@ -66,7 +66,7 @@ class TestPreparedQuery:
         expr = parse("project[1](R)", SCHEMA)
         prepared = session.query(expr)
         assert prepared.expr is expr
-        assert prepared.run() == evaluate(expr, session.db, use_engine=False)
+        assert prepared.run() == evaluate(expr, session.db)
 
     def test_rejects_non_queries(self):
         session = Session(join_db())
@@ -160,7 +160,7 @@ class TestResultCache:
         # correct rows, no StaleDataError.
         after = prepared.run()
         assert not prepared.last_report.cached
-        assert after == evaluate(prepared.expr, db, use_engine=False)
+        assert after == evaluate(prepared.expr, db)
         assert (99, 99, 99) in after
         assert after != before
 
@@ -382,26 +382,11 @@ class TestDivideUniformity:
             )
 
 
-class TestImplicitSessions:
-    def test_run_uses_shared_session_without_result_caching(self):
-        import repro.session as session_module
+def test_session_module_has_no_one_shot_door_or_registry():
+    import repro.session as session_module
 
-        session_module._sessions.clear()
-        db = join_db()
-        expr = parse("R join[2=1] S", SCHEMA)
-        first = run(expr, db)
-        second = run(expr, db)
-        assert first == second
-        shared = session_for(db)
-        assert not shared.result_cache.enabled
-        assert shared.result_cache.hits == 0
-
-    def test_session_for_is_idempotent_per_database(self):
-        import repro.session as session_module
-
-        session_module._sessions.clear()
-        db = join_db()
-        assert session_for(db) is session_for(db)
+    assert not hasattr(session_module, "run")
+    assert not hasattr(session_module, "_sessions")
 
 
 # ----------------------------------------------------------------------
@@ -429,7 +414,6 @@ def test_mutation_schedule_never_serves_stale_rows(
         oracle = evaluate(
             prepared.expr,
             Database(SCHEMA, {"R": r_rows, "S": s_rows}),
-            use_engine=False,
         )
         for _ in range(repeats):
             assert prepared.run() == oracle
