@@ -34,7 +34,7 @@ tests and benchmarks assert against.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict, defaultdict
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -42,6 +42,7 @@ from repro.algebra.ast import Expr
 from repro.algebra.evaluator import Relation
 from repro.data.database import Database, Row
 from repro.data.universe import Value
+from repro.engine import kernels
 from repro.engine.plan import (
     DifferenceOp,
     DivisionOp,
@@ -219,13 +220,8 @@ class IndexCache:
                 self._indexes.move_to_end(cache_key)
                 self.reuses += 1
                 return cached[0]
-            index: dict[tuple[Value, ...], list[Row]] = defaultdict(list)
-            count = 0
-            for row in rows:
-                index[tuple(row[p - 1] for p in positions)].append(row)
-                count += 1
-            built = dict(index)
-            self._admit(cache_key, built, count)
+            built = kernels.build_index(rows, positions)
+            self._admit(cache_key, built, sum(map(len, built.values())))
             return built
 
     def trie_for(
@@ -795,9 +791,8 @@ class Executor:
         if isinstance(node, DifferenceOp):
             return self._rows(node.left) - self._rows(node.right)
         if isinstance(node, ProjectOp):
-            idx = tuple(p - 1 for p in node.positions)
-            return (
-                tuple(row[i] for i in idx) for row in self._rows(node.child)
+            return map(
+                kernels.key_getter(node.positions), self._rows(node.child)
             )
         if isinstance(node, FilterOp):
             return (
@@ -843,33 +838,34 @@ class Executor:
             )
         return stored
 
-    def _probe_index(
-        self, node: PlanNode, cond
-    ) -> tuple[dict, tuple[int, ...], tuple]:
-        """Build/fetch the right-side index for a hash (semi)join."""
-        eq = cond.by_op("=")
-        right_positions = tuple(a.j for a in eq)
+    def _probe(self, node: PlanNode) -> tuple:
+        """A hash (semi)join's loop arguments, compiled once per run.
+
+        The left rows, the right side's index (built or fetched), the
+        left key extractor for the equality atoms and the matcher for
+        the remaining ones.
+        """
+        eq = node.cond.by_op("=")
         index = self.indexes.index_for(
-            node.right.logical, self._rows(node.right), right_positions
+            node.right.logical,
+            self._rows(node.right),
+            tuple(a.j for a in eq),
         )
-        left_positions = tuple(a.i for a in eq)
-        rest = tuple(a for a in cond if a.op != "=")
-        return index, left_positions, rest
+        return (
+            self._rows(node.left),
+            index,
+            kernels.key_getter(tuple(a.i for a in eq)),
+            kernels.matcher(a for a in node.cond if a.op != "="),
+        )
 
     def _hash_join(self, node: HashJoinOp) -> Iterator[Row]:
-        index, left_positions, rest = self._probe_index(node, node.cond)
-        for lrow in self._rows(node.left):
-            key = tuple(lrow[p - 1] for p in left_positions)
-            for rrow in index.get(key, ()):
-                if all(atom.holds(lrow, rrow) for atom in rest):
-                    yield lrow + rrow
+        return kernels.hash_join(*self._probe(node))
 
     def _nested_loop_join(self, node: NestedLoopJoinOp) -> Iterator[Row]:
         right = self._rows(node.right)
-        for lrow in self._rows(node.left):
-            for rrow in right:
-                if node.cond.holds(lrow, rrow):
-                    yield lrow + rrow
+        return kernels.nested_loop_join(
+            self._rows(node.left), right, kernels.matcher(node.cond)
+        )
 
     def _multiway(self, node: MultiwayJoinOp) -> Iterable[Row]:
         from repro.engine.wcoj import run_multiway
@@ -877,23 +873,15 @@ class Executor:
         return run_multiway(self, node)
 
     def _hash_semijoin(self, node: HashSemijoinOp) -> Iterator[Row]:
-        index, left_positions, rest = self._probe_index(node, node.cond)
-        for lrow in self._rows(node.left):
-            key = tuple(lrow[p - 1] for p in left_positions)
-            candidates = index.get(key, ())
-            if any(
-                all(atom.holds(lrow, rrow) for atom in rest)
-                for rrow in candidates
-            ):
-                yield lrow
+        return kernels.hash_semijoin(*self._probe(node))
 
     def _nested_loop_semijoin(
         self, node: NestedLoopSemijoinOp
     ) -> Iterator[Row]:
         right = self._rows(node.right)
-        for lrow in self._rows(node.left):
-            if any(node.cond.holds(lrow, rrow) for rrow in right):
-                yield lrow
+        return kernels.nested_loop_semijoin(
+            self._rows(node.left), right, kernels.matcher(node.cond)
+        )
 
     def _division(self, node: DivisionOp) -> Iterator[Row]:
         dividend = self._rows(node.dividend)

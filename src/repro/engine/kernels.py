@@ -1,0 +1,179 @@
+"""Operator kernels: a condition compiled once per operator execution.
+
+A join condition is a conjunction of atoms ``i α j``
+(:mod:`repro.algebra.conditions`).  Interpreting it for every row pair
+costs a generator, a method call and an operator-table lambda per atom
+per pair — on the engine's linear operators, most of the run time.
+Here the condition becomes closures over fixed 0-based offsets **once**,
+when an operator starts (one-shot, or inside a batch kernel in a pool
+worker): :func:`key_getter` for the equality keys (also the projection
+row mapper and the :class:`~repro.engine.executor.IndexCache` grouping
+key) and :func:`matcher` for the other atoms.  The four pair loops
+every join / semijoin operator runs are written once, over those
+closures, as generators: the executor feeds them straight into the
+memo's ``frozenset``, batch kernels into their result list.
+
+Closures never travel — a batch task carries atoms, and the kernel
+compiles them in the worker.  The structural evaluator and the
+reference semantics do not import this module; they keep their own
+naive loops, so the differential suites compare independent
+implementations (``tests/test_layering.py``).
+"""
+
+from __future__ import annotations
+
+import operator
+from typing import (
+    Callable,
+    Collection,
+    Iterable,
+    Iterator,
+    Mapping,
+    Sequence,
+)
+
+from repro.algebra.conditions import Atom
+from repro.data.database import Row
+
+KeyGetter = Callable[[Row], tuple]
+Matcher = Callable[[Row, Row], bool]
+
+_COMPARE = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    ">": operator.gt,
+}
+
+
+def key_getter(positions: Sequence[int]) -> KeyGetter:
+    """``row -> tuple(row[p - 1] for p in positions)``, specialised.
+
+    Always returns a tuple — ``operator.itemgetter`` alone would return
+    a scalar for one position and refuses zero — so index keys have one
+    shape however many equality atoms a condition has.
+    """
+    if not positions:
+        return lambda row: ()
+    if len(positions) == 1:
+        offset = positions[0] - 1
+        return lambda row: (row[offset],)
+    return operator.itemgetter(*(p - 1 for p in positions))
+
+
+def always(left: Row, right: Row) -> bool:
+    """The empty conjunction.  The pair loops test ``match is always``
+    and skip the per-pair call altogether."""
+    return True
+
+
+def matcher(atoms: Iterable[Atom]) -> Matcher:
+    """The conjunction of ``atoms`` on a (left row, right row) pair.
+
+    Atoms are checked in order and the first false one ends the check,
+    as ``Condition.holds`` does; comparing incomparable values raises
+    whatever the comparison itself raises.  No atoms: :func:`always`.
+    """
+    triples = tuple((a.i - 1, a.j - 1, _COMPARE[a.op]) for a in atoms)
+    if not triples:
+        return always
+    if len(triples) == 1:
+        ((i, j, compare),) = triples
+        return lambda left, right: compare(left[i], right[j])
+
+    def holds(left: Row, right: Row) -> bool:
+        for i, j, compare in triples:
+            if not compare(left[i], right[j]):
+                return False
+        return True
+
+    return holds
+
+
+def build_index(
+    rows: Iterable[Row], positions: Sequence[int]
+) -> dict[tuple, list[Row]]:
+    """Group ``rows`` by their key on ``positions``: ``key → rows``."""
+    key = key_getter(positions)
+    index: dict[tuple, list[Row]] = {}
+    for row in rows:
+        k = key(row)
+        group = index.get(k)
+        if group is None:
+            index[k] = [row]
+        else:
+            group.append(row)
+    return index
+
+
+def hash_join(
+    lefts: Iterable[Row],
+    index: Mapping[tuple, Sequence[Row]],
+    key: KeyGetter,
+    match: Matcher,
+) -> Iterator[Row]:
+    """``l + r`` for every ``r`` indexed under ``key(l)`` that matches."""
+    get = index.get
+    if match is always:
+        for lrow in lefts:
+            for rrow in get(key(lrow), ()):
+                yield lrow + rrow
+        return
+    for lrow in lefts:
+        for rrow in get(key(lrow), ()):
+            if match(lrow, rrow):
+                yield lrow + rrow
+
+
+def hash_semijoin(
+    lefts: Iterable[Row],
+    index: Mapping[tuple, Sequence[Row]],
+    key: KeyGetter,
+    match: Matcher,
+) -> Iterator[Row]:
+    """Every ``l`` with a witness under ``key(l)``; stops at the first.
+
+    No pair is evaluated after a row's first witness — the early exit
+    :func:`repro.engine.cost.parallel_work_bound` prices.
+    """
+    if match is always:
+        # Index groups are never empty, so key membership is a witness.
+        for lrow in lefts:
+            if key(lrow) in index:
+                yield lrow
+        return
+    get = index.get
+    for lrow in lefts:
+        for rrow in get(key(lrow), ()):
+            if match(lrow, rrow):
+                yield lrow
+                break
+
+
+def nested_loop_join(
+    lefts: Iterable[Row], rights: Collection[Row], match: Matcher
+) -> Iterator[Row]:
+    """``l + r`` for every matching pair (:func:`always`: cross product)."""
+    if match is always:
+        return (lrow + rrow for lrow in lefts for rrow in rights)
+    return (
+        lrow + rrow
+        for lrow in lefts
+        for rrow in rights
+        if match(lrow, rrow)
+    )
+
+
+def nested_loop_semijoin(
+    lefts: Iterable[Row], rights: Collection[Row], match: Matcher
+) -> Iterator[Row]:
+    """Every ``l`` with some matching ``r``; stops at the first."""
+    if match is always:
+        if rights:
+            yield from lefts
+        return
+    for lrow in lefts:
+        for rrow in rights:
+            if match(lrow, rrow):
+                yield lrow
+                break

@@ -94,6 +94,7 @@ from dataclasses import dataclass, field, replace
 from itertools import chain
 
 from repro.data.database import Row
+from repro.engine import kernels
 from repro.engine.plan import (
     PARTITIONABLE_OPS,
     DivisionOp,
@@ -403,20 +404,14 @@ def keyed_batch_kernel(
     group packed into the batch; ``rest`` the non-equality atoms still
     to check.  Joins emit concatenated rows, semijoins the left row on
     first witness.  Module-level and argument-pure so a process-pool
-    worker can run it on pickled fragments.
+    worker can run it on pickled fragments; the atoms travel, and
+    :mod:`repro.engine.kernels` compiles them here, in the worker.
     """
+    loop = kernels.nested_loop_join if join else kernels.nested_loop_semijoin
+    match = kernels.matcher(rest)
     out: list[Row] = []
     for lefts, rights in pairs:
-        for lrow in lefts:
-            if join:
-                for rrow in rights:
-                    if all(atom.holds(lrow, rrow) for atom in rest):
-                        out.append(lrow + rrow)
-            elif any(
-                all(atom.holds(lrow, rrow) for atom in rest)
-                for rrow in rights
-            ):
-                out.append(lrow)
+        out.extend(loop(lefts, rights, match))
     return out
 
 
@@ -424,11 +419,11 @@ def semijoin_batch_kernel(
     left_rows, right_rows, cond
 ) -> list[Row]:
     """One θ-semijoin batch: left fragment against the replicated right."""
-    return [
-        lrow
-        for lrow in left_rows
-        if any(cond.holds(lrow, rrow) for rrow in right_rows)
-    ]
+    return list(
+        kernels.nested_loop_semijoin(
+            left_rows, right_rows, kernels.matcher(cond)
+        )
+    )
 
 
 def division_batch_kernel(

@@ -57,7 +57,19 @@ def _pairs(r: BinaryRelation) -> frozenset[tuple[Value, Value]]:
     sequences of length 2 far too often (``tuple("ab") == ('a', 'b')``)
     and non-sequences used to surface as ``TypeError`` from deep inside
     an algorithm instead of a schema complaint at the boundary.
+
+    A ``frozenset`` whose rows are all exactly ``tuple`` s of length 2
+    (what the engine's executor hands over) is already normal: two
+    C-speed passes check that, and it is returned uncopied.  Anything
+    else — lists, tuple subclasses, strings, wrong lengths — takes the
+    row-by-row path below and fails or normalizes there.
     """
+    if (
+        isinstance(r, frozenset)
+        and set(map(type, r)) <= {tuple}
+        and set(map(len, r)) <= {2}
+    ):
+        return r
     out: set[tuple[Value, Value]] = set()
     for row in r:
         if isinstance(row, str) or not isinstance(row, (tuple, list)):
@@ -194,42 +206,35 @@ def divide_hash(r: BinaryRelation, s: Iterable) -> frozenset[Value]:
     """Graefe's hash-division: divisor table + per-candidate bitmaps.
 
     The divisor is hashed to bit positions ``0..|S|-1``; one pass over
-    the dividend ORs bits into each candidate's bitmap; candidates with
-    a full bitmap qualify.  ``O(|R| + |S|)``.
+    the dividend ORs bits into each candidate's bitmap (one dict
+    update per row; a non-divisor value contributes no bit);
+    candidates with a full bitmap qualify.  ``O(|R| + |S|)``.
     """
-    divisor = divisor_values(s)
-    bit_of = {b: i for i, b in enumerate(sorted(divisor, key=repr))}
-    full = (1 << len(divisor)) - 1
-    bitmaps: dict[Value, int] = {}
-    for a, b in _pairs(r):
-        bit = bit_of.get(b)
-        if bitmaps.get(a) is None:
-            bitmaps[a] = 0
-        if bit is not None:
-            bitmaps[a] |= 1 << bit
-    return frozenset(a for a, bits in bitmaps.items() if bits == full)
+    return _hash_division(r, s, stray=0)
 
 
 def divide_hash_eq(r: BinaryRelation, s: Iterable) -> frozenset[Value]:
-    """Hash-division, equality variant: a full bitmap and no strays."""
+    """Hash-division, equality variant: a full bitmap and no strays.
+
+    A non-divisor value sets one extra bit above the full mask, so a
+    candidate holding any stray can never compare equal to it.
+    """
+    return _hash_division(r, s, stray=1)
+
+
+def _hash_division(
+    r: BinaryRelation, s: Iterable, stray: int
+) -> frozenset[Value]:
     divisor = divisor_values(s)
-    bit_of = {b: i for i, b in enumerate(sorted(divisor, key=repr))}
-    full = (1 << len(divisor)) - 1
+    ordered = sorted(divisor, key=repr)
+    mask = {b: 1 << i for i, b in enumerate(ordered)}.get
+    full = (1 << len(ordered)) - 1
+    other = stray << len(ordered)
     bitmaps: dict[Value, int] = {}
-    strays: set[Value] = set()
+    seen = bitmaps.get
     for a, b in _pairs(r):
-        bit = bit_of.get(b)
-        if bitmaps.get(a) is None:
-            bitmaps[a] = 0
-        if bit is None:
-            strays.add(a)
-        else:
-            bitmaps[a] |= 1 << bit
-    return frozenset(
-        a
-        for a, bits in bitmaps.items()
-        if bits == full and a not in strays
-    )
+        bitmaps[a] = seen(a, 0) | mask(b, other)
+    return frozenset(a for a, bits in bitmaps.items() if bits == full)
 
 
 # ----------------------------------------------------------------------

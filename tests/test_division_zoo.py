@@ -12,6 +12,8 @@ Also here: the regression tests for consistent ``SchemaError``
 validation of malformed dividends across all zoo variants.
 """
 
+from collections import namedtuple
+
 import pytest
 
 from repro.algebra.evaluator import evaluate
@@ -120,8 +122,11 @@ class TestEqualityZooAgrees:
             assert structural == frozenset()
 
 
+Pair = namedtuple("Pair", "a b")
+Triple = namedtuple("Triple", "a b c")
+
 #: Malformed dividends: wrong arity, string rows (sneaky 2-sequences),
-#: and non-sequence rows.
+#: non-sequence rows, and a tuple subclass of the wrong length.
 BAD_DIVIDENDS = [
     [(1, 2, 3)],
     [(1,)],
@@ -130,6 +135,19 @@ BAD_DIVIDENDS = [
     [7],
     [None],
     [(1, 2), (3, 4, 5)],
+    [(1, 7), Triple(1, 8, 9)],
+]
+
+#: Well-formed dividends that are not already sets of plain 2-tuples:
+#: every one normalizes to ``{(1, 7), (1, 8)}``.  (A list row cannot
+#: sit in a ``frozenset``; the other row types can, and a ``frozenset``
+#: is what skips the row-by-row check when all its rows are plain.)
+GOOD_DIVIDENDS = [
+    [[1, 7], [1, 8]],
+    [[1, 7], (1, 8)],
+    frozenset({(1, 7), (1, 8)}),
+    frozenset({Pair(1, 7), Pair(1, 8)}),
+    frozenset({(1, 7), Pair(1, 8)}),
 ]
 
 ALL_DIVISION_FUNCTIONS = (
@@ -147,20 +165,24 @@ class TestDividendValidation:
         ALL_DIVISION_FUNCTIONS,
         ids=[name for name, __ in ALL_DIVISION_FUNCTIONS],
     )
+    @pytest.mark.parametrize("container", (list, set, frozenset))
     @pytest.mark.parametrize("bad", BAD_DIVIDENDS, ids=repr)
-    def test_bad_dividend_rejected(self, name, algorithm, bad):
-        with pytest.raises(SchemaError):
-            algorithm(bad, [7])
+    def test_bad_dividend_rejected(self, name, algorithm, bad, container):
+        with pytest.raises(SchemaError, match="2-tuples"):
+            algorithm(container(bad), [7])
 
     @pytest.mark.parametrize(
         "name,algorithm",
         ALL_DIVISION_FUNCTIONS,
         ids=[name for name, __ in ALL_DIVISION_FUNCTIONS],
     )
-    def test_list_rows_still_accepted(self, name, algorithm):
-        # Lists of length 2 are legitimate rows, same as tuples.
-        result = algorithm([[1, 7], [1, 8]], [7, 8])
-        assert result == frozenset({1})
+    @pytest.mark.parametrize("rows", GOOD_DIVIDENDS, ids=repr)
+    def test_sequence_rows_are_normalized(self, name, algorithm, rows):
+        # Lists and tuple subclasses of length 2 are legitimate rows.
+        assert algorithm(rows, [7, 8]) == frozenset({1})
+        assert algorithm(rows, [7]) == (
+            frozenset() if name.endswith("_eq") else frozenset({1})
+        )
 
     def test_error_message_names_the_row(self):
         with pytest.raises(SchemaError, match="2-tuples"):

@@ -27,17 +27,24 @@ PAPER_LAYERS = (
     "data",
 )
 
-#: Imports every paper layer, evaluates one expression, and prints each
-#: loaded module that belongs to a layer above them.
+#: Imports every paper layer, answers one division with each of the
+#: three oracles, and prints each loaded module that belongs to a layer
+#: above them.
 PROBE = """
 import sys
 from repro import %s
 from repro.algebra.evaluator import evaluate
+from repro.algebra.reference import evaluate_reference
 from repro.data.database import database
-from repro.setjoins.division import classic_division_expr
+from repro.setjoins.division import (
+    classic_division_expr, divide_reference, divide_reference_eq,
+)
 
 db = database({"R": 2, "S": 1}, R=[(1, 7), (2, 8)], S=[(7,)])
 assert evaluate(classic_division_expr(), db) == {(1,)}
+assert evaluate_reference(classic_division_expr(), db) == {(1,)}
+assert divide_reference(db["R"], db["S"]) == {1}
+assert divide_reference_eq(db["R"], db["S"]) == {1}
 for module in sorted(sys.modules):
     if module.startswith("repro.") and module.split(".")[1] in (
         "engine", "session", "storage", "serve"
@@ -71,3 +78,20 @@ def test_paper_layers_contain_no_upward_import():
         for match in UPWARD_IMPORT.finditer(path.read_text())
     ]
     assert offenders == []
+
+
+def test_only_the_engine_operators_use_the_kernels():
+    """The oracles keep their own naive loops.
+
+    ``evaluate``, ``evaluate_reference`` and ``divide_reference*`` are
+    what the differential suites compare the engine against; sharing
+    :mod:`repro.engine.kernels` with it would make both sides of every
+    comparison one implementation.
+    """
+    mention = re.compile(r"^\s*(?:from|import)\s.*\bkernels\b", re.MULTILINE)
+    importers = sorted(
+        str(path.relative_to(SRC / "repro"))
+        for path in (SRC / "repro").rglob("*.py")
+        if mention.search(path.read_text())
+    )
+    assert importers == ["engine/executor.py", "engine/partition.py"]

@@ -6,9 +6,11 @@ boundary at :data:`~repro.engine.cost.PARALLEL_IPC_ROW_COST` (pickled
 transport) or :data:`~repro.engine.cost.PARALLEL_ATTACHED_ROW_COST`
 (columnar shipment a worker attaches to).  Both constants are in the
 cost model's native unit — "one in-process row touch", concretely a
-hash-semijoin build-plus-probe step, the per-row work the serial
-kernels do — so the right values are ratios of measured wall-clocks,
-not absolute times:
+build-plus-probe step of the engine's own hash semijoin
+(:func:`repro.engine.kernels.build_index` +
+:func:`~repro.engine.kernels.hash_semijoin`, called, not re-typed
+here) — so the right values are ratios of measured wall-clocks, not
+absolute times:
 
 * ``ipc`` ≈ (pickle a row out + unpickle it in a worker) / unit;
 * ``attached`` ≈ (encode a row columnar + decode it from the mapped
@@ -39,6 +41,7 @@ from pathlib import Path
 if __package__ is None and __name__ == "__main__":  # direct script run
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from repro.engine import kernels
 from repro.storage.columnar import decode_rows, encode_rows
 
 
@@ -58,14 +61,14 @@ def measure(
     left = [(i, i % groups) for i in range(rows_n)]
     right = [(10**6 + j, j % groups) for j in range(rows_n // 2)]
 
+    key = kernels.key_getter((2,))
+
     def unit_op() -> None:
-        # The serial hash-semijoin step: build over one side, probe
-        # with the other — the kernel work a "row touch" stands for.
-        index: dict = {}
-        for row in right:
-            index.setdefault(row[1], []).append(row)
-        for row in left:
-            index.get(row[1])
+        # The serial hash-semijoin step as the engine runs it: group
+        # one side, probe with the other — the kernel work a "row
+        # touch" stands for.
+        index = kernels.build_index(right, (2,))
+        list(kernels.hash_semijoin(left, index, key, kernels.always))
 
     def pickle_roundtrip() -> None:
         blob = pickle.dumps(left, protocol=pickle.HIGHEST_PROTOCOL)
