@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sized
 
 from repro.data.database import Database, Row
 from repro.data.universe import Value
@@ -98,13 +98,18 @@ class RelationStats:
 def relation_stats(
     rows: Iterable[Row], arity: int, mcv_size: int = MCV_SIZE
 ) -> RelationStats:
-    """Profile a relation in one pass: cardinality + per-column sketches."""
-    counters: list[Counter] = [Counter() for _ in range(arity)]
-    cardinality = 0
-    for row in rows:
-        cardinality += 1
-        for counter, value in zip(counters, row):
-            counter[value] += 1
+    """Profile a relation: cardinality + per-column sketches.
+
+    One column at a time — a transpose, then one ``Counter`` per
+    column — so the counting runs in C; values are still met in row
+    order, which keeps the MCV order on ties that of a row-by-row count.
+    """
+    if not isinstance(rows, Sized):
+        rows = list(rows)
+    # No rows, nothing to transpose: ``arity`` empty sketches.
+    counters = [Counter(column) for column in zip(*rows)] or (
+        [Counter()] * arity
+    )
     columns = tuple(
         ColumnStats(
             distinct=len(counter),
@@ -113,7 +118,7 @@ def relation_stats(
         )
         for counter in counters
     )
-    return RelationStats(rows=cardinality, columns=columns)
+    return RelationStats(rows=len(rows), columns=columns)
 
 
 class StatsCatalog:

@@ -19,11 +19,12 @@ variable elimination order.  Execution then
    input's variables sorted in the global order (cached in the
    executor's :class:`~repro.engine.executor.IndexCache`, so repeated
    queries against unchanged contents rebuild nothing);
-2. recursively binds variables in order: at each depth the candidate
-   values are the intersection of the current trie nodes of every
-   input containing the variable, enumerated from the smallest
-   candidate set and hash-probed into the others (the "min-set
-   iteration" that makes the generic-join runtime bound go through);
+2. binds variables in order, one step per depth compiled when the
+   operator starts: at each depth the candidate values are the
+   intersection of the current trie nodes of every input containing
+   the variable, enumerated from the smallest candidate set and
+   hash-probed into the others (the "min-set iteration" that makes
+   the generic-join runtime bound go through);
 3. reconstructs output rows from complete bindings — every column of
    every input is some variable, so a full binding *is* the
    concatenated output row, and no intermediate tuple is ever
@@ -55,9 +56,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, Sized
 
 from repro.data.database import Row
+from repro.engine import kernels
 from repro.errors import SchemaError
 
 __all__ = [
@@ -177,27 +179,54 @@ def build_trie(
     dropped); the last level maps values to ``True``.  Returns the
     trie and the number of rows inserted — the figure the
     :class:`~repro.engine.executor.IndexCache` row budget counts.
+
+    The self-filter is one pass, made only when some variable really
+    holds more than one column; the insert loop is written out for one
+    level, for two (every binary edge relation) and for any number.
     """
     root: dict = {}
-    inserted = 0
     if not columns_by_variable:
         return root, 0
-    for row in rows:
-        key = []
-        for columns in columns_by_variable:
-            value = row[columns[0]]
-            if any(row[c] != value for c in columns[1:]):
-                key = None
-                break
-            key.append(value)
-        if key is None:
-            continue
-        node = root
-        for value in key[:-1]:
-            node = node.setdefault(value, {})
-        node[key[-1]] = True
-        inserted += 1
-    return root, inserted
+    repeats = tuple(
+        (columns[0], c)
+        for columns in columns_by_variable
+        for c in columns[1:]
+    )
+    if repeats:
+
+        def agrees(row: Row) -> bool:
+            for first, c in repeats:
+                if row[c] != row[first]:
+                    return False
+            return True
+
+        rows = list(filter(agrees, rows))
+    elif not isinstance(rows, Sized):
+        rows = list(rows)
+    *inner, last = (columns[0] for columns in columns_by_variable)
+    if not inner:
+        for row in rows:
+            root[row[last]] = True
+    elif len(inner) == 1:
+        (first,) = inner
+        get = root.get
+        for row in rows:
+            value = row[first]
+            node = get(value)
+            if node is None:
+                node = root[value] = {}
+            node[row[last]] = True
+    else:
+        for row in rows:
+            node = root
+            for c in inner:
+                value = row[c]
+                child = node.get(value)
+                if child is None:
+                    child = node[value] = {}
+                node = child
+            node[row[last]] = True
+    return root, len(rows)
 
 
 @dataclass(frozen=True)
@@ -227,6 +256,117 @@ class WcojRun:
         )
 
 
+def _level(
+    parts: tuple[int, ...],
+    variable: int,
+    cursors: list,
+    binding: list,
+    tally: list[int],
+    descend: Callable[[], None] | None,
+    emit: Callable[[tuple], None],
+) -> Callable[[], None]:
+    """One depth of :func:`generic_join`, compiled for its plan.
+
+    ``parts`` are the inputs holding ``variable``; whenever the step
+    runs, ``cursors[k]`` of each is a dict keyed by this variable's
+    values.  The step binds every value all of them support and calls
+    ``descend`` (the next depth's step) under it, or — ``descend`` is
+    None, the last depth — hands ``emit`` the completed binding.  The
+    pivot is the participant with the fewest candidates, the first
+    such on a tie.  ``tally`` is ``[candidates, probes]``: the pivot's
+    size, and for each further participant in ``parts`` order the
+    number of values the ones before it left standing (one probe per
+    survivor, none after a value's first miss).
+
+    An inner step writes the descended cursors in place and puts its
+    own back once, after the loop: a deeper step reads only its own
+    participants' cursors, all written before each ``descend``.  The
+    last step has nowhere to descend, so it intersects whole key sets,
+    ``keys() & keys()``, in C.  Two participants — every level of a
+    cycle query — get their own form of each.  No step refers to
+    itself, so a finished join is freed by reference count.
+    """
+    if len(parts) == 2:
+        i, j = parts
+        if descend is None:
+
+            def step() -> None:
+                first, second = cursors[i], cursors[j]
+                smaller = min(len(first), len(second))
+                tally[0] += smaller
+                tally[1] += smaller
+                for value in first.keys() & second.keys():
+                    binding[variable] = value
+                    emit(tuple(binding))
+
+            return step
+
+        def step() -> None:
+            first, second = cursors[i], cursors[j]
+            if len(second) < len(first):
+                pivot, other, base, get = j, i, second, first.get
+            else:
+                pivot, other, base, get = i, j, first, second.get
+            for value, descended in base.items():
+                nxt = get(value)
+                if nxt is not None:
+                    cursors[pivot] = descended
+                    cursors[other] = nxt
+                    binding[variable] = value
+                    descend()
+            cursors[i] = first
+            cursors[j] = second
+            tally[0] += len(base)
+            tally[1] += len(base)
+
+        return step
+
+    if descend is None:
+
+        def step() -> None:
+            nodes = [cursors[k] for k in parts]
+            sizes = [len(node) for node in nodes]
+            survivors = nodes.pop(sizes.index(min(sizes))).keys()
+            tally[0] += len(survivors)
+            for node in nodes:
+                tally[1] += len(survivors)
+                survivors = survivors & node.keys()
+            for value in survivors:
+                binding[variable] = value
+                emit(tuple(binding))
+
+        return step
+
+    def step() -> None:
+        nodes = [cursors[k] for k in parts]
+        sizes = [len(node) for node in nodes]
+        at = sizes.index(min(sizes))
+        pivot, base = parts[at], nodes[at]
+        others = [
+            (k, node.get)
+            for k, node in zip(parts, nodes)
+            if k != pivot
+        ]
+        probes = 0
+        for value, descended in base.items():
+            for k, get in others:
+                probes += 1
+                nxt = get(value)
+                if nxt is None:
+                    break
+                cursors[k] = nxt
+            else:
+                cursors[pivot] = descended
+                binding[variable] = value
+                descend()
+        for k, node in zip(parts, nodes):
+            cursors[k] = node
+        tally[0] += len(base)
+        tally[1] += probes
+
+    return step
+
+
 def generic_join(
     tries: Sequence[dict],
     leaf_variables: Sequence[frozenset[int]],
@@ -237,65 +377,48 @@ def generic_join(
 
     ``tries[k]`` must be keyed by ``leaf_variables[k]`` sorted in
     ``order`` (see :func:`leaf_trie_layout`).  Returns bindings as
-    tuples indexed by variable id.  At each depth the pivot is the
-    participating input with the fewest candidates; its values are
-    enumerated and hash-probed into the others, so the work per level
-    is proportional to the smallest candidate set — the property the
-    worst-case analysis needs.
+    tuples indexed by variable id, in no particular order.  At each
+    depth the pivot is the participating input with the fewest
+    candidates; its values are enumerated and hash-probed into the
+    others, so the work per level is proportional to the smallest
+    candidate set — the property the worst-case analysis needs.
+
+    Who participates at which depth, which slot a value lands in and
+    which depth is the last are fixed by the arguments, so they are
+    decided once: one :func:`_level` step per depth, built bottom-up,
+    and the join is a call to the first.  ``counters`` gains
+    ``candidates`` (values enumerated from pivots) and ``probes``
+    (hash probes into the other participants).
     """
-    depth_count = len(order)
-    if counters is None:
-        counters = {}
-    counters.setdefault("candidates", 0)
-    counters.setdefault("probes", 0)
     participants = [
         tuple(
             k
             for k, variables in enumerate(leaf_variables)
-            if order[d] in variables
+            if variable in variables
         )
-        for d in range(depth_count)
+        for variable in order
     ]
-    if any(not p for p in participants):
+    if not all(participants):
         raise SchemaError(
             "generic join: a variable in the order occurs in no input"
         )
     cursors = list(tries)
-    width = max(order, default=-1) + 1
-    binding = [None] * width
+    binding = [None] * (max(order, default=-1) + 1)
     out: list[tuple] = []
-
-    def recurse(d: int) -> None:
-        if d == depth_count:
-            out.append(tuple(binding))
-            return
-        parts = participants[d]
-        pivot = min(parts, key=lambda k: len(cursors[k]))
-        base = cursors[pivot]
-        others = tuple(k for k in parts if k != pivot)
-        variable = order[d]
-        counters["candidates"] += len(base)
-        for value, descended in base.items():
-            advanced = [(pivot, descended)]
-            supported = True
-            for k in others:
-                counters["probes"] += 1
-                nxt = cursors[k].get(value)
-                if nxt is None:
-                    supported = False
-                    break
-                advanced.append((k, nxt))
-            if not supported:
-                continue
-            saved = tuple((k, cursors[k]) for k, __ in advanced)
-            for k, nxt in advanced:
-                cursors[k] = nxt
-            binding[variable] = value
-            recurse(d + 1)
-            for k, previous in saved:
-                cursors[k] = previous
-
-    recurse(0)
+    tally = [0, 0]
+    step = None
+    for parts, variable in zip(reversed(participants), reversed(order)):
+        step = _level(
+            parts, variable, cursors, binding, tally, step, out.append
+        )
+    if step is None:
+        out.append(())
+    else:
+        step()
+    if counters is not None:
+        candidates, probes = tally
+        counters["candidates"] = counters.get("candidates", 0) + candidates
+        counters["probes"] = counters.get("probes", 0) + probes
     return out
 
 
@@ -320,10 +443,12 @@ def run_multiway(executor, node) -> list[Row]:
         leaf_variables.append(frozenset(variables))
     counters: dict[str, int] = {}
     bindings = generic_join(tries, leaf_variables, node.order, counters)
-    out = [
-        tuple(binding[v] for attrs_k in node.attrs for v in attrs_k)
-        for binding in bindings
-    ]
+    # Every output column is some variable: the row is one pick from
+    # the binding, the same pick for every binding.
+    to_row = kernels.key_getter(
+        [v + 1 for attrs_k in node.attrs for v in attrs_k]
+    )
+    out = list(map(to_row, bindings))
     executor.stats.wcoj_runs[node] = WcojRun(
         variables=len(node.order),
         leaves=len(node.relations),

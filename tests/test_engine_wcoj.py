@@ -22,8 +22,12 @@ optimal joins):
   the operator outright.
 """
 
+import gc
+from collections import Counter
+
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.algebra.ast import Join, Rel
 from repro.algebra.conditions import Atom, Condition
@@ -41,6 +45,12 @@ from repro.engine import (
 from repro.engine.partition import apply_partitioning
 from repro.engine.plan import ScanOp
 from repro.engine.planner import _flatten_logical_join, explain
+from repro.engine.stats import (
+    MCV_SIZE,
+    ColumnStats,
+    RelationStats,
+    relation_stats,
+)
 from repro.engine.wcoj import (
     build_trie,
     choose_order,
@@ -398,3 +408,267 @@ class TestBuildingBlocks:
         variables, columns = leaf_trie_layout((2, 0), (1, 2, 0))
         assert variables == (2, 0)
         assert columns == ((0,), (1,))
+
+
+# ----------------------------------------------------------------------
+# The compiled join against the loops it replaced
+# ----------------------------------------------------------------------
+
+
+def reference_generic_join(tries, leaf_variables, order, counters):
+    """The interpretive recursion ``generic_join`` ran before it was
+    compiled per depth: one ``recurse`` for every level, per-value
+    save/restore of the cursors, early break on the first miss.  Kept
+    here as the definition of the bindings *and* of both counters."""
+    depth_count = len(order)
+    counters.setdefault("candidates", 0)
+    counters.setdefault("probes", 0)
+    participants = [
+        tuple(
+            k
+            for k, variables in enumerate(leaf_variables)
+            if order[d] in variables
+        )
+        for d in range(depth_count)
+    ]
+    cursors = list(tries)
+    binding = [None] * (max(order, default=-1) + 1)
+    out = []
+
+    def recurse(d):
+        if d == depth_count:
+            out.append(tuple(binding))
+            return
+        parts = participants[d]
+        pivot = min(parts, key=lambda k: len(cursors[k]))
+        base = cursors[pivot]
+        others = tuple(k for k in parts if k != pivot)
+        counters["candidates"] += len(base)
+        for value, descended in base.items():
+            advanced = [(pivot, descended)]
+            supported = True
+            for k in others:
+                counters["probes"] += 1
+                nxt = cursors[k].get(value)
+                if nxt is None:
+                    supported = False
+                    break
+                advanced.append((k, nxt))
+            if not supported:
+                continue
+            saved = tuple((k, cursors[k]) for k, __ in advanced)
+            for k, nxt in advanced:
+                cursors[k] = nxt
+            binding[order[d]] = value
+            recurse(d + 1)
+            for k, previous in saved:
+                cursors[k] = previous
+
+    recurse(0)
+    return out
+
+
+def reference_build_trie(rows, columns_by_variable):
+    """The row-by-row builder: a key list and a self-filter per row."""
+    root, inserted = {}, 0
+    if not columns_by_variable:
+        return root, 0
+    for row in rows:
+        key = []
+        for columns in columns_by_variable:
+            value = row[columns[0]]
+            if any(row[c] != value for c in columns[1:]):
+                key = None
+                break
+            key.append(value)
+        if key is None:
+            continue
+        node = root
+        for value in key[:-1]:
+            node = node.setdefault(value, {})
+        node[key[-1]] = True
+        inserted += 1
+    return root, inserted
+
+
+def reference_relation_stats(rows, arity, mcv_size=MCV_SIZE):
+    """The cell-by-cell profile ``relation_stats`` ran before it
+    counted one column at a time."""
+    counters = [Counter() for _ in range(arity)]
+    cardinality = 0
+    for row in rows:
+        cardinality += 1
+        for counter, value in zip(counters, row):
+            counter[value] += 1
+    return RelationStats(
+        rows=cardinality,
+        columns=tuple(
+            ColumnStats(
+                distinct=len(counter),
+                max_freq=max(counter.values(), default=0),
+                mcv=tuple(counter.most_common(mcv_size)),
+            )
+            for counter in counters
+        ),
+    )
+
+
+#: ``attrs`` of the named hypergraphs: between them every level shape —
+#: 1, 2 and ≥ 3 participants, inner and last — occurs under some order.
+SHAPES = {
+    "triangle": ((0, 1), (1, 2), (2, 0)),
+    "four_cycle": ((0, 1), (1, 2), (2, 3), (3, 0)),
+    "star": ((0, 1), (0, 2), (0, 3), (0,)),
+    "bowtie": ((0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)),
+    # The unary input bottoms out at its only variable; the ternary one
+    # equates its outer columns with each other.
+    "bottoms_out_early": ((0,), (0, 1), (1, 2, 1), (2, 2)),
+}
+
+
+@st.composite
+def hypergraph_instances(draw):
+    """``(attrs, order, relations)``: a join hypergraph, an elimination
+    order over its variables, and one small relation per input."""
+    attrs = draw(
+        st.one_of(
+            st.sampled_from(sorted(SHAPES.values())),
+            st.lists(
+                st.lists(st.integers(0, 3), min_size=1, max_size=3).map(
+                    tuple
+                ),
+                min_size=2,
+                max_size=5,
+            ).map(tuple),
+        )
+    )
+    order = tuple(
+        draw(st.permutations(sorted({v for row in attrs for v in row})))
+    )
+    values = draw(
+        st.sampled_from((st.integers(0, 3), st.sampled_from("abcd")))
+    )
+    relations = [
+        draw(
+            st.frozensets(
+                st.tuples(*([values] * len(attrs_k))), max_size=12
+            )
+        )
+        for attrs_k in attrs
+    ]
+    return attrs, order, relations
+
+
+def tries_for(attrs, order, relations):
+    """``(tries, leaf_variables)`` as ``run_multiway`` prepares them."""
+    tries, leaf_variables = [], []
+    for attrs_k, rows in zip(attrs, relations):
+        variables, columns = leaf_trie_layout(attrs_k, order)
+        tries.append(build_trie(rows, columns)[0])
+        leaf_variables.append(frozenset(variables))
+    return tries, leaf_variables
+
+
+class TestCompiledJoinMatchesTheLoopItReplaced:
+    @PROPERTY
+    @given(hypergraph_instances())
+    def test_same_bindings_same_counters_same_tries(self, instance):
+        attrs, order, relations = instance
+        for attrs_k, rows in zip(attrs, relations):
+            __, columns = leaf_trie_layout(attrs_k, order)
+            expected = reference_build_trie(rows, columns)
+            assert build_trie(rows, columns) == expected
+            assert build_trie(iter(rows), columns) == expected
+        tries, leaf_variables = tries_for(attrs, order, relations)
+        counters, expected_counters = {}, {}
+        out = generic_join(tries, leaf_variables, order, counters)
+        expected = reference_generic_join(
+            tries, leaf_variables, order, expected_counters
+        )
+        assert len(out) == len(set(out))
+        assert set(out) == set(expected)
+        assert counters == expected_counters
+
+    def test_every_named_shape_joins_nonempty(self):
+        # The property above must not pass on empty outputs alone.
+        for attrs in SHAPES.values():
+            order = tuple(sorted({v for row in attrs for v in row}))
+            relations = [
+                {(0,) * len(attrs_k), (1,) * len(attrs_k)}
+                for attrs_k in attrs
+            ]
+            out = generic_join(*tries_for(attrs, order, relations), order)
+            width = len(order)
+            assert set(out) == {(0,) * width, (1,) * width}
+
+    def test_counters_accumulate_into_a_passed_dict(self):
+        counters = {"candidates": 5, "probes": 7}
+        generic_join(
+            [{1: True, 2: True}, {2: True}],
+            [frozenset({0}), frozenset({0})],
+            (0,),
+            counters,
+        )
+        assert counters == {"candidates": 6, "probes": 8}
+
+    def test_no_variables_is_the_one_empty_binding(self):
+        assert generic_join([], [], ()) == [()]
+
+    @PROPERTY
+    @given(
+        st.integers(0, 3).flatmap(
+            lambda arity: st.tuples(
+                st.just(arity),
+                st.lists(
+                    st.tuples(
+                        *([st.sampled_from((0, 1, 2, "a", "b"))] * arity)
+                    ),
+                    max_size=24,
+                ),
+            )
+        )
+    )
+    def test_relation_stats_match_the_cell_by_cell_count(self, drawn):
+        arity, rows = drawn
+        expected = reference_relation_stats(rows, arity)
+        assert relation_stats(rows, arity) == expected
+        assert relation_stats(iter(rows), arity) == expected
+        distinct = frozenset(rows)
+        assert relation_stats(distinct, arity) == (
+            reference_relation_stats(distinct, arity)
+        )
+        assert relation_stats(rows, arity, 2) == (
+            reference_relation_stats(rows, arity, 2)
+        )
+
+
+# ----------------------------------------------------------------------
+# A finished join is freed by reference count
+# ----------------------------------------------------------------------
+
+
+def test_a_multiway_run_leaves_no_cyclic_garbage():
+    """The recursion used to reach itself through its own closure
+    cell: every run's whole binding list waited for a gen-2 pass."""
+    db = hub_db(40)
+    expr = cycle_expr(("E", "F", "G"))
+    node = collapsed(expr, db)
+    tries, leaf_variables = tries_for(
+        node.attrs, node.order, [db[name] for name in "EFG"]
+    )
+    with Session(db, cache_results=False) as session:
+        assert multiway_nodes(session.executor.plan(expr))
+        session.run(expr)  # plan memo, statistics and tries are warm
+        gc.collect()
+        gc.disable()
+        try:
+            bindings = generic_join(tries, leaf_variables, node.order)
+            assert len(bindings) == 3 * 40 + 1
+            del bindings
+            assert gc.collect() == 0
+            rows = session.run(expr)
+            assert len(rows) == 3 * 40 + 1
+            del rows
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

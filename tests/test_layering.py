@@ -86,7 +86,8 @@ def test_only_the_engine_operators_use_the_kernels():
     ``evaluate``, ``evaluate_reference`` and ``divide_reference*`` are
     what the differential suites compare the engine against; sharing
     :mod:`repro.engine.kernels` with it would make both sides of every
-    comparison one implementation.
+    comparison one implementation.  ``engine/wcoj.py`` takes its
+    binding-to-row mapper from there and nothing from the executor.
     """
     mention = re.compile(r"^\s*(?:from|import)\s.*\bkernels\b", re.MULTILINE)
     importers = sorted(
@@ -94,4 +95,12 @@ def test_only_the_engine_operators_use_the_kernels():
         for path in (SRC / "repro").rglob("*.py")
         if mention.search(path.read_text())
     )
-    assert importers == ["engine/executor.py", "engine/partition.py"]
+    assert importers == [
+        "engine/executor.py",
+        "engine/partition.py",
+        "engine/wcoj.py",
+    ]
+    wcoj = (SRC / "repro" / "engine" / "wcoj.py").read_text()
+    assert not re.search(
+        r"^\s*(?:from|import)\s.*\bexecutor\b", wcoj, re.MULTILINE
+    )
