@@ -283,24 +283,34 @@ def _result_bytes(result: Relation) -> int:
 
 
 class ResultCache:
-    """Cross-query result cache: ``(fingerprint, options, token) → rows``.
+    """Byte-bounded LRU of query results, keyed by what fixes the rows.
 
-    The ROADMAP's cross-query caching seam, owned by the
-    :class:`~repro.session.Session` front door and consulted by
-    :meth:`Executor.execute_cached`.  The key triple makes staleness
-    structural rather than temporal:
+    The class knows nothing about its keys beyond hashing them; the
+    owner builds them, and every key ends in (or is) a **version
+    token** (:meth:`~repro.data.database.Database.version_token`).  A
+    token is a hash of the *contents*, not a counter: any mutation
+    moves it, and a write that restores earlier contents restores the
+    earlier token — A→B→A *is* the same contents, so an entry stored
+    under A is as correct after the swap back as it was before it.
+    Staleness is therefore structural, not temporal, and the two
+    owners differ only in what they keep:
 
-    * the **plan fingerprint** (:meth:`~repro.engine.plan.PlanNode.
-      fingerprint`) identifies *what* is computed, so distinct query
-      texts that plan to the same physical shape share one entry;
-    * the **planner options** distinguish plans the same fingerprint
-      could not (and keep ablation runs honest);
-    * the **version token** (:meth:`~repro.data.database.Database.
-      version_token`) identifies the contents the result was computed
-      against — any mutation moves the token, and :meth:`invalidate`
-      additionally drops every entry whenever the executor detects a
-      version change, so a token colliding after an A→B→A content
-      swap still cannot resurrect rows computed before the swap.
+    * a :class:`~repro.session.Session` keys on ``(plan fingerprint,
+      planner options, token)`` (:meth:`Executor.cache_key` — the
+      fingerprint says *what* is computed, so distinct texts that plan
+      to the same physical shape share one entry; the options tell
+      apart plans one fingerprint could not and keep ablation runs
+      honest) and **invalidates**: :meth:`Executor.check_version` calls
+      :meth:`invalidate` on every token movement, because a session
+      serves one contents at a time and has no use for the last one's
+      rows;
+    * a :class:`~repro.serve.server.Server` keys its front-door cache
+      on ``(token, expression)`` and **retains by token**: reads pinned
+      to the contents a write just replaced are still arriving, and a
+      flip-flopping writer comes back to them, so its ``_write`` calls
+      :meth:`retain` to keep the current and the replaced token's
+      entries and drop everything older — the same pair the storage
+      backend keeps images for.
 
     Entries are LRU-evicted against ``byte_budget`` (estimated bytes
     of the cached rows — the same discipline as the executor's other
@@ -312,11 +322,11 @@ class ResultCache:
     (``disabled_lookups``), never as misses, so hit rates describe
     only lookups the cache actually served.
 
-    ``get``/``put``/``invalidate`` are thread-safe (one lock): the
-    serving layer's worker sessions and any caller sharing a session
-    across threads would otherwise race ``move_to_end`` against
-    LRU eviction and corrupt the eviction order or the byte
-    accounting (hammer regression in ``tests/test_serve_threads.py``).
+    ``get``/``put``/``retain``/``invalidate`` are thread-safe (one
+    lock): a session shared across threads would otherwise race
+    ``move_to_end`` against LRU eviction and corrupt the eviction
+    order or the byte accounting (hammer regression in
+    ``tests/test_serve_threads.py``).
     """
 
     def __init__(
@@ -382,8 +392,19 @@ class ResultCache:
                 self.total_bytes -= evicted_size
                 self.evictions += 1
 
+    def retain(self, keep) -> None:
+        """Drop every entry whose key ``keep(key)`` rejects.
+
+        The owner that retains by token (see the class docstring) calls
+        this when the set of tokens worth keeping moves; dropped
+        entries are not evictions — nothing pushed them out.
+        """
+        with self._lock:
+            for key in [key for key in self._entries if not keep(key)]:
+                self.total_bytes -= self._entries.pop(key)[1]
+
     def invalidate(self) -> None:
-        """Drop every entry (called on version-token movement)."""
+        """Drop every entry (a session's answer to token movement)."""
         with self._lock:
             if self._entries:
                 self.invalidations += 1

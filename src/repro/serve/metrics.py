@@ -1,21 +1,28 @@
 """Observability for the serving layer: per-tenant counters.
 
-Every outcome the server can hand a query — admitted straight through,
-queued behind the budget, rejected as provably unservable, failed,
-completed — increments exactly one place here, so rejection rates,
-queue latency, and bound-vs-actual utilization are readable *after the
-fact* without instrumenting clients.  The registry itself does no
+Every submitted read **ends** in exactly one of ``rejected``,
+``failed`` or ``completed`` — ``submitted == rejected + failed +
+completed`` once the server is idle, whatever happened on the way
+(planning raised, admission refused, the pinned image vanished, the
+server closed under a queued read).  How it got there is counted
+beside that: ``cache_hits`` (answered at the door from the server's
+result cache), ``coalesced`` (rode on an identical read already in
+flight), or ``admitted`` (priced, debited, executed — ``queued`` of
+those waited for budget first).  So rejection rates, queue latency,
+cache behaviour and bound-vs-actual utilization are readable *after
+the fact* without instrumenting clients.  The registry itself does no
 locking: the :class:`~repro.serve.server.Server` mutates it only under
 its scheduler lock, and :meth:`MetricsRegistry.snapshot` (what
 ``Server.metrics()`` returns) deep-copies under the same lock, so a
 snapshot is internally consistent — counters taken together describe
 one moment, not a smear.
 
-``bound_rows`` accumulates each admitted query's certified upper bound
+``bound_rows`` accumulates each *executed* read's certified upper bound
 and ``actual_rows`` the rows its operators really produced, so
 ``actual/bound`` (:meth:`TenantMetrics.utilization`) measures how
 pessimistic admission pricing was for this tenant's workload — the
-figure ``BENCH_serving.json`` tracks across PRs.
+figure ``BENCH_serving.json`` tracks across PRs.  Door hits and riders
+reserve nothing and execute nothing, so they add to neither.
 """
 
 from __future__ import annotations
@@ -31,9 +38,11 @@ class TenantMetrics:
 
     tenant: str
     weight: float = 1.0
-    #: Reads that entered admission at all (rejected ones included).
+    #: Reads the server accepted a submit for (refused and failed ones
+    #: included; a text that does not parse never gets this far).
     submitted: int = 0
-    #: Reads admitted (immediately or after queueing).
+    #: Reads admitted (immediately or after queueing) — the ones that
+    #: were priced, debited and executed.
     admitted: int = 0
     #: Reads that waited in the fair queue before dispatch.
     queued: int = 0
@@ -46,7 +55,9 @@ class TenantMetrics:
     retried: int = 0
     #: Reads that finished with rows.
     completed: int = 0
-    #: Reads that finished with an error (admission refusals excluded).
+    #: Reads that finished with an error (admission refusals excluded;
+    #: a plan that could not be built and a read orphaned by
+    #: ``close()`` included).
     failed: int = 0
     #: Serialized writes applied for this tenant.
     writes: int = 0
@@ -57,15 +68,19 @@ class TenantMetrics:
     run_seconds: float = 0.0
     #: Rows returned to the tenant across completed reads.
     rows_returned: int = 0
-    #: Σ certified upper bounds of admitted reads (debited rows).
+    #: Σ certified upper bounds of executed reads (debited rows).
     bound_rows: float = 0.0
     #: Σ rows actually produced by executed operators of those reads.
     actual_rows: int = 0
-    #: Completed reads served from a worker's result cache.
+    #: Reads answered inside ``submit`` from the server's front-door
+    #: result cache: no plan, no price, no debit, no dispatch.
     cache_hits: int = 0
+    #: Reads that rode on an identical read already queued or
+    #: executing and were finished with its rows (or its error).
+    coalesced: int = 0
 
     def utilization(self) -> float | None:
-        """``actual/bound`` over completed reads (None before any)."""
+        """``actual/bound`` over executed reads (None before any)."""
         if self.bound_rows <= 0.0:
             return None
         return self.actual_rows / self.bound_rows
@@ -80,7 +95,8 @@ class TenantMetrics:
             f"done={self.completed:<5} fail={self.failed:<3} "
             f"wr={self.writes:<4} qwait={self.queue_seconds:.3f}s "
             f"(max {self.queue_seconds_max:.3f}s) "
-            f"util={util_text} hits={self.cache_hits}"
+            f"util={util_text} hits={self.cache_hits} "
+            f"coal={self.coalesced}"
         )
 
 
@@ -101,6 +117,15 @@ class ServerMetrics:
     generation: int
     workers: int
     backend: str
+    #: The front-door result cache at that moment (lookups by every
+    #: tenant together; riders count as misses — the rows were not
+    #: there yet).  ``cache_line`` is its ``ResultCache.stats_line()``.
+    cache_hits: int
+    cache_misses: int
+    cache_evictions: int
+    cache_entries: int
+    cache_bytes: int
+    cache_line: str
 
     def totals(self) -> TenantMetrics:
         """All tenants folded into one row (weight is meaningless)."""
@@ -122,6 +147,7 @@ class ServerMetrics:
             total.bound_rows += m.bound_rows
             total.actual_rows += m.actual_rows
             total.cache_hits += m.cache_hits
+            total.coalesced += m.coalesced
         return total
 
     def render(self) -> str:
@@ -132,6 +158,7 @@ class ServerMetrics:
             f"in flight        : {self.in_flight_rows:g} row(s) bound "
             f"(peak {self.in_flight_peak:g}), queue depth "
             f"{self.queue_depth}",
+            f"door {self.cache_line}",
         ]
         for name in sorted(self.tenants):
             lines.append(self.tenants[name].render())
@@ -169,6 +196,7 @@ class MetricsRegistry:
         generation: int,
         workers: int,
         backend: str,
+        cache,
     ) -> ServerMetrics:
         return ServerMetrics(
             tenants={
@@ -181,4 +209,10 @@ class MetricsRegistry:
             generation=generation,
             workers=workers,
             backend=backend,
+            cache_hits=cache.hits,
+            cache_misses=cache.misses,
+            cache_evictions=cache.evictions,
+            cache_entries=len(cache),
+            cache_bytes=cache.total_bytes,
+            cache_line=cache.stats_line(),
         )

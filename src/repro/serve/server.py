@@ -19,37 +19,52 @@ already lives:
   whatever is written meanwhile; an image that is gone anyway (an
   outside fault) fails the ticket with
   :class:`~repro.errors.StaleDataError`.
+* **One execution per (expression, contents)** (this module).  A
+  read's rows are a function of its expression and the contents it is
+  pinned to and of nothing else — not the plan, not the options, not
+  the worker — so every submit is decided at the door, under the
+  scheduler lock and *before planning*, into one of three outcomes:
+  a **hit** is finished inside ``submit`` with the cached rows
+  themselves; a read whose twin is already queued or executing
+  **rides** on it and is finished with the same rows (or the same
+  error) when that leader ends; everything else **executes**.  Hits
+  and riders are not planned, priced, debited, pinned or dispatched.
+  The cache (:class:`~repro.engine.executor.ResultCache`, keyed by
+  :func:`_result_key`) stores a result only from the second time its
+  key is asked for, and keeps the current contents and the contents
+  the last write replaced — what each worker keeps a session for.
 * **Admission and fairness** (:mod:`repro.serve.admission`).  Reads
-  are priced by the cost model's certified upper bounds before they
-  run; the sum debits the server's in-flight row budget, over-budget
-  reads wait in per-tenant weighted-fair order, and provably
-  unservable reads are refused with
+  that execute are priced by the cost model's certified upper bounds
+  before they run; the sum debits the server's in-flight row budget,
+  over-budget reads wait in per-tenant weighted-fair order, and
+  provably unservable reads are refused with
   :class:`~repro.errors.AdmissionError` up front.
 * **Execution** (:mod:`repro.session`, unchanged).  Reads run in a
   spawn-context process pool — *spawn*, because the server process has
   client and callback threads alive, and forking a threaded process
   can clone held locks into the child.  Each worker process keeps a
   small LRU of per-snapshot :class:`~repro.session.Session` objects
-  (memory backend, serial plans), so consecutive reads against the
-  same snapshot reuse indexes, statistics, and the result cache — and
-  never look inside the pin again: its image is decoded only by the
-  first read of a generation that reaches the process.  The
-  pool is sized by :func:`~repro.engine.parallel.available_cpus`;
-  ``workers=0`` — or a pool that breaks mid-run — degrades to running
-  the identical task function inline, serialized, with the same
-  semantics.
+  (memory backend, serial plans, result caching off — results are
+  cached once, at the door), so consecutive reads against the same
+  snapshot reuse indexes and statistics — and never look inside the
+  pin again: its image is decoded only by the first read of a
+  generation that reaches the process.  The pool is sized by
+  :func:`~repro.engine.parallel.available_cpus`; ``workers=0`` — or a
+  pool that breaks mid-run — degrades to running the identical task
+  function inline, serialized, with the same semantics.
 * **Writes** (this module) are serialized under the scheduler lock:
   apply the delta, bump the content generation, append to the write
   log, refresh the backend.  The write log plus the base contents make
   :meth:`Server.database_at` exact — the serial oracle the stress
   tests and the workload lab replay admitted reads against.
 
-Locking discipline: one scheduler lock guards pricing, admission,
-generation/snapshot state, and metrics; **no query executes under
-it**.  Dispatch — handing a ticket to the pool or running it inline —
-always happens after the lock is released, and completion callbacks
-re-acquire it only for bookkeeping.  ``tests/test_serve_server.py``
-drives the whole surface; ``docs/serving.md`` is the narrative tour.
+Locking discipline: one scheduler lock guards the door cache and the
+in-flight map, pricing, admission, generation/snapshot state, and
+metrics; **no query executes under it**.  Dispatch — handing a ticket
+to the pool or running it inline — always happens after the lock is
+released, and completion callbacks re-acquire it only for bookkeeping.
+``tests/test_serve_server.py`` drives the whole surface;
+``docs/serving.md`` is the narrative tour.
 """
 
 from __future__ import annotations
@@ -64,6 +79,7 @@ from dataclasses import replace
 
 from repro.algebra.ast import Expr
 from repro.data.database import Database
+from repro.engine.executor import ResultCache
 from repro.engine.parallel import available_cpus
 from repro.engine.planner import PlannerOptions
 from repro.errors import AdmissionError, SchemaError
@@ -96,7 +112,11 @@ def _session_for_snapshot(token, descriptor, schema) -> Session:
     from repro.storage.snapshot import attach_snapshot
 
     relations = attach_snapshot(descriptor)
-    session = Session(Database(schema, relations), backend="memory")
+    # No result cache here: the server answers repeats at its door, so
+    # a worker only ever sees reads that must execute.
+    session = Session(
+        Database(schema, relations), backend="memory", cache_results=False
+    )
     _SNAPSHOT_SESSIONS[token] = session
     while len(_SNAPSHOT_SESSIONS) > _SNAPSHOT_SESSION_BOUND:
         __, stale = _SNAPSHOT_SESSIONS.popitem(last=False)
@@ -107,7 +127,7 @@ def _session_for_snapshot(token, descriptor, schema) -> Session:
 def _run_pinned(token, descriptor, schema, expr, options):
     """Execute one pinned read; the task a pool worker runs.
 
-    Returns ``(rows, actual_rows, max_in_flight, cached)``.  Raises
+    Returns ``(rows, actual_rows, max_in_flight)``.  Raises
     :class:`~repro.errors.StaleDataError` when the pin's storage is
     gone (an outside fault: the ticket fails).  Also the inline
     fallback path: the server calls this very function in-process when
@@ -116,12 +136,32 @@ def _run_pinned(token, descriptor, schema, expr, options):
     session = _session_for_snapshot(token, descriptor, schema)
     rows = session.run(expr, options)
     report = session.last_report
-    return (
-        rows,
-        report.stats.total_rows(),
-        report.stats.max_in_flight(),
-        report.cached,
-    )
+    return rows, report.stats.total_rows(), report.stats.max_in_flight()
+
+
+# ----------------------------------------------------------------------
+# The door cache's key
+# ----------------------------------------------------------------------
+
+#: How many asked-for-but-not-stored keys the door remembers (LRU).  A
+#: key that falls out simply needs one more request before it is stored.
+_ASKED_BOUND = 1024
+
+
+def _result_key(expr: Expr, token: int) -> tuple:
+    """What fixes a read's rows: the expression and the contents.
+
+    The one place the door cache's key is built.  ``token`` is the
+    whole-database content hash today; per-relation tokens (ROADMAP
+    item 3) narrow it to the relations ``expr`` reads — here and in
+    :func:`_pinned_to`, nowhere else.
+    """
+    return (token, expr)
+
+
+def _pinned_to(tokens):
+    """Predicate over :func:`_result_key` keys: pinned to one of ``tokens``?"""
+    return lambda key: key[0] in tokens
 
 
 # ----------------------------------------------------------------------
@@ -135,7 +175,12 @@ class Ticket:
     Clients call :meth:`result`; everything else is written exactly
     once by the server and read by tests, metrics, and the lab's
     oracle replay (``pinned_generation`` names the write-log state the
-    rows must match).
+    rows must match).  A read that executed nothing — ``cached``: a
+    door hit, or a rider on an identical read in flight — was never
+    priced, debited, pinned or dispatched: its ``bound`` stays 0.0,
+    ``sound`` False, ``actual_rows`` / ``max_in_flight`` /
+    ``run_seconds`` 0 and ``_task`` None, and ``rows`` is the very
+    frozenset the executing read produced.
     """
 
     def __init__(
@@ -149,11 +194,12 @@ class Ticket:
         self.expr = expr
         self.text = text
         self.options = options
-        #: Admission price.
+        #: Admission price (of a read that executes).
         self.bound = 0.0
         self.sound = False
         self.expected_rows = 0.0
-        #: The snapshot this read is pinned to — and executes on.
+        #: The contents this read is pinned to — executes on, or was
+        #: answered for.
         self.pinned_generation = -1
         self.pinned_token: int | None = None
         #: The ``_run_pinned`` arguments, built with the pin and dropped
@@ -165,11 +211,14 @@ class Ticket:
         self.error: BaseException | None = None
         self.actual_rows = 0
         self.max_in_flight = 0
+        #: Answered without executing: a door hit or a rider.
         self.cached = False
         #: Timing (``time.perf_counter`` seconds).
         self.submitted_at = time.perf_counter()
         self.dispatched_at: float | None = None
         self.finished_at: float | None = None
+        #: Submit → dispatch; for a read that executed nothing, submit
+        #: → finish (a rider's wait for its leader).
         self.queue_seconds = 0.0
         self.run_seconds = 0.0
         self._done = threading.Event()
@@ -234,7 +283,7 @@ class ClientHandle:
     def submit(
         self, query, options: PlannerOptions | None = None
     ) -> Ticket:
-        """Pin, price, and (maybe) dispatch a read; returns its ticket."""
+        """Answer at the door, or price, pin and (maybe) dispatch."""
         self._check_open()
         return self.server._submit(self, query, options)
 
@@ -299,8 +348,14 @@ class Server:
         (handles and submits can override per query).
     backend:
         Storage kind for the shared backend — ``"memory"`` pins travel
-        by value; ``"shm"``/``"mmap"`` pins travel by reference
-        through the PR 7 zero-copy transport.
+        by value (one columnar image per generation);
+        ``"shm"``/``"mmap"`` pins travel by reference to that
+        generation's immutable image.
+
+    There is one result cache, the server's own, and no switch for it:
+    a repeated read is answered inside ``submit`` (see the module
+    docstring for the three outcomes), so worker processes keep indexes,
+    statistics and the decoded image per snapshot, never results.
     """
 
     def __init__(
@@ -335,9 +390,19 @@ class Server:
         self._generation = 0
         self._base_relations = dict(db.relations())
         self._write_log: list[tuple[int, dict, dict]] = []
-        #: Cached snapshot descriptor, keyed by version token.
-        self._descriptor = None
-        self._descriptor_token: int | None = None
+        #: The front door (all three under the scheduler lock, keyed by
+        #: ``_result_key``): finished results; the riders of every read
+        #: queued or executing; and how often each key the cache could
+        #: not answer has been asked for — a result is stored from the
+        #: second request on, so the 1 read in 5 nobody repeats is
+        #: never kept.
+        self._results = ResultCache()
+        self._in_flight: dict[tuple, list[Ticket]] = {}
+        self._asked: "OrderedDict[tuple, int]" = OrderedDict()
+        #: Tokens whose results are kept: the current contents and the
+        #: contents the last write replaced (``_SNAPSHOT_SESSION_BOUND``
+        #: sessions per worker cover the same pair).
+        self._kept: tuple = (self._session.executor.version,)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -366,18 +431,26 @@ class Server:
             if self._closed:
                 return
             self._closed = True
+            now = time.perf_counter()
+            error = SchemaError("server closed while this read was queued")
             orphaned = []
             while True:
                 popped = self._admission.queue.pop(float("inf"))
                 if popped is None:
                     break
-                orphaned.append(popped[2])
+                ticket = popped[2]
+                self._settle(ticket, now, None, error)
+                orphaned.append(ticket)
+                # Its riders end with it; a read already executing
+                # finishes its own through _complete.
+                for rider in self._in_flight.pop(
+                    _result_key(ticket.expr, ticket.pinned_token)
+                ):
+                    self._settle_unexecuted(rider, now, None, error)
+                    orphaned.append(rider)
             pool = self._pool
             self._pool = None
         for ticket in orphaned:
-            ticket.error = SchemaError(
-                "server closed while this read was queued"
-            )
             ticket._finish()
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=False)
@@ -408,6 +481,7 @@ class Server:
                 generation=self._generation,
                 workers=self.workers,
                 backend=self._session.executor.backend.kind,
+                cache=self._results,
             )
 
     @property
@@ -464,16 +538,6 @@ class Server:
         worker = replace(base, backend="memory", max_workers=1)
         return pricing, worker
 
-    def _current_snapshot(self):
-        """``(generation, token, descriptor)`` — scheduler lock held."""
-        executor = self._session.executor
-        executor.check_version()
-        token = executor.version
-        if token != self._descriptor_token:
-            self._descriptor = executor.backend.export_snapshot()
-            self._descriptor_token = token
-        return self._generation, token, self._descriptor
-
     def _submit(
         self,
         handle: ClientHandle,
@@ -496,11 +560,35 @@ class Server:
             self._check_open()
             tenant = self._metrics.tenant(handle.tenant)
             tenant.submitted += 1
-            price = price_plan(executor, executor.plan(expr, pricing))
+            executor.check_version()
+            token = executor.version
+            ticket.pinned_generation = self._generation
+            ticket.pinned_token = token
+            key = _result_key(expr, token)
+            # The door: these rows are a function of the key alone, so a
+            # finished or in-flight twin answers this read as it stands.
+            rows = self._results.get(key)
+            if rows is not None:
+                tenant.cache_hits += 1
+                self._settle_unexecuted(
+                    ticket, time.perf_counter(), rows, None
+                )
+                ticket._finish()
+                return ticket
+            riders = self._in_flight.get(key)
+            if riders is not None:
+                tenant.coalesced += 1
+                self._note_asked(key)
+                riders.append(ticket)
+                return ticket
+            try:
+                price = price_plan(executor, executor.plan(expr, pricing))
+            except Exception:
+                tenant.failed += 1
+                raise
             ticket.bound = price.bound
             ticket.sound = price.sound
             ticket.expected_rows = price.expected_rows
-            generation, token, descriptor = self._current_snapshot()
             try:
                 ready = self._admission.submit(
                     handle.tenant, ticket.bound, ticket.sound, ticket
@@ -511,15 +599,51 @@ class Server:
             # Pinned only once admitted — a refused read holds no pin —
             # and for good: the read runs on this snapshot or fails.
             executor.backend.pin(token)
-            ticket.pinned_generation = generation
-            ticket.pinned_token = token
-            ticket._task = (token, descriptor, self.db.schema, expr, worker)
+            # Exported per executed read, never cached here: a token
+            # names contents, not an image — after A→B→A the by-reference
+            # image for A is a new one (the memory backend memoises its
+            # by-value image per token itself).
+            ticket._task = (
+                token,
+                executor.backend.export_snapshot(),
+                self.db.schema,
+                expr,
+                worker,
+            )
+            self._in_flight[key] = []
+            self._note_asked(key)
             dispatched_now = any(t is ticket for __, __, t in ready)
             if not dispatched_now:
                 tenant.queued += 1
             batch = self._note_dispatched(ready)
         self._dispatch_batch(batch)
         return ticket
+
+    def _note_asked(self, key: tuple) -> None:
+        """One more request the cache could not answer (lock held)."""
+        self._asked[key] = self._asked.pop(key, 0) + 1
+        if len(self._asked) > _ASKED_BOUND:
+            self._asked.popitem(last=False)
+
+    def _settle(self, ticket: Ticket, now: float, rows, error) -> None:
+        """Record how a read ended — rows or error, once (lock held)."""
+        ticket.finished_at = now
+        tenant = self._metrics.tenant(ticket.tenant)
+        if error is not None:
+            ticket.error = error
+            tenant.failed += 1
+        else:
+            ticket.rows = rows
+            tenant.completed += 1
+            tenant.rows_returned += len(rows)
+
+    def _settle_unexecuted(
+        self, ticket: Ticket, now: float, rows, error
+    ) -> None:
+        """End a door hit or a rider with another's outcome (lock held)."""
+        ticket.cached = True
+        ticket.queue_seconds = now - ticket.submitted_at
+        self._settle(ticket, now, rows, error)
 
     def _note_dispatched(self, ready) -> list[Ticket]:
         """Dispatch-time bookkeeping for drained reads (lock held)."""
@@ -603,27 +727,30 @@ class Server:
             )
             # The last ticket off a replaced generation frees its image.
             self._session.executor.backend.unpin(ticket.pinned_token)
+            key = _result_key(ticket.expr, ticket.pinned_token)
+            riders = self._in_flight.pop(key)
             tenant = self._metrics.tenant(ticket.tenant)
             if ticket.dispatched_at is not None:
                 ticket.run_seconds = now - ticket.dispatched_at
                 tenant.run_seconds += ticket.run_seconds
-            ticket.finished_at = now
-            if error is not None:
-                ticket.error = error
-                tenant.failed += 1
-            else:
-                rows, actual, in_flight, cached = payload
-                ticket.rows = rows
-                ticket.actual_rows = actual
-                ticket.max_in_flight = in_flight
-                ticket.cached = cached
-                tenant.completed += 1
-                tenant.rows_returned += len(rows)
+            rows = None
+            if error is None:
+                rows, ticket.actual_rows, ticket.max_in_flight = payload
                 tenant.bound_rows += ticket.bound
-                tenant.actual_rows += actual
-                if cached:
-                    tenant.cache_hits += 1
-        ticket._finish()
+                tenant.actual_rows += ticket.actual_rows
+                # Stored from the second request on, and only for
+                # contents a later read can still be pinned to.
+                if (
+                    self._asked.get(key, 0) > 1
+                    and ticket.pinned_token in self._kept
+                ):
+                    del self._asked[key]
+                    self._results.put(key, rows)
+            self._settle(ticket, now, rows, error)
+            for rider in riders:
+                self._settle_unexecuted(rider, now, rows, error)
+        for finished in (ticket, *riders):
+            finished._finish()
         self._dispatch_batch(batch)
 
     def _explain(
@@ -669,6 +796,17 @@ class Server:
             # Re-encode the shared backend now, while writes are still
             # serialized: new pins see the new image; the backend keeps
             # the old one for exactly as long as a ticket pins it.
-            self._session.executor.check_version()
+            executor = self._session.executor
+            executor.check_version()
+            if executor.version != self._kept[0]:
+                # Results stay for these contents and the ones they
+                # replaced; a write that restores earlier contents
+                # finds its entries again, anything older goes.
+                self._kept = (executor.version, self._kept[0])
+                keep = _pinned_to(self._kept)
+                self._results.retain(keep)
+                self._asked = OrderedDict(
+                    item for item in self._asked.items() if keep(item[0])
+                )
             self._metrics.tenant(tenant).writes += 1
             return self._generation

@@ -20,12 +20,16 @@ paper's operator work made interesting:
   join plans go quadratic; the multiway (WCOJ) path keeps actuals near
   the AGM bound while admission sees the *binary* bound — the
   utilization gap is the point.
-* ``cache_hostile`` — every read carries a fresh selection constant,
-  so worker result caches never hit and throughput measures raw
-  execution.
+* ``cache_hostile`` — every read is a structurally distinct
+  expression, so the server's front-door result cache never answers
+  one (no hit, no twin in flight to ride on) and throughput measures
+  raw execution.
 * ``mutation_heavy`` — one writer tenant flip-flopping rows between
-  readers: exercises write serialization, snapshot pinning, and (on
-  by-reference backends) the stale-pin retry path.
+  readers: exercises write serialization, snapshot pinning (on
+  by-reference backends a replaced generation's image stays alive
+  exactly while a read pins it), and the door cache across writes — it
+  keeps the two contents the writer alternates between, so repeats hit
+  on both sides of a flip.
 
 All scenarios are seeded and deterministic in their inputs; only
 thread interleaving varies between runs.
@@ -149,9 +153,10 @@ MIXED_QUERIES = (
 
 
 def _cache_hostile_queries(count: int) -> tuple[str, ...]:
-    # Structurally distinct plans (different join conditions,
-    # selections, and projections), so no result cache — worker- or
-    # session-level — ever serves a repeat until the shapes recycle.
+    # Structurally distinct expressions and plans (different join
+    # conditions, selections, and projections), so no result cache —
+    # the server's door or a session's — ever serves a repeat until
+    # the shapes recycle.
     shapes = [
         f"project[{projection}](select[{selection}](T) {join} U)"
         for join in ("join[2=1]", "join[1=1]", "join[2=2]")
@@ -233,8 +238,8 @@ def cyclic(
 def cache_hostile(
     reads: int = 24, tenants: int = 3, oracle: bool = False
 ) -> ScenarioSpec:
-    # Disjoint query slices per tenant: even tenants sharing a worker's
-    # snapshot session get no cross-tenant cache hits.
+    # Disjoint query slices per tenant: the door cache is shared by all
+    # tenants, so overlapping slices would hit (or ride) across them.
     pool = _cache_hostile_queries(reads * tenants)
     streams = tuple(
         StreamSpec(

@@ -10,10 +10,15 @@ instead of when the scheduler happens to cooperate.  The transport
 tests count row-level work instead of timing it: one encode per
 generation, one decode per (process, generation), none on a hit — in
 the server process by patching the storage functions, in a real pool
-worker by sending it the same patch as a task.  The closing
+worker by sending it the same patch as a task.  The front door's
+three outcomes — hit, rider, execution — are pinned the same way: by
+counting ``_run_pinned`` / ``plan`` / ``price_plan`` / ``pin`` calls and
+comparing ``rows`` by identity, never by timing.  The closing
 Hypothesis property is the serving layer's contract in one line: every
-admitted read returns exactly the serial oracle's rows at its pinned
-generation, whatever the thread interleaving.
+finished read returns exactly the serial oracle's rows at its pinned
+generation, whatever the thread interleaving — and whichever of the
+three outcomes answered it.  Every server any test here opens is
+checked, once the test is over, by :func:`_assert_drained`.
 """
 
 from __future__ import annotations
@@ -31,10 +36,16 @@ import repro.serve.server as serve_server
 import repro.storage.backend as storage_backend
 import repro.storage.snapshot as storage_snapshot
 from repro.storage.mmapio import live_spill_paths
+from repro.algebra.ast import Rel
 from repro.algebra.evaluator import evaluate
 from repro.data.database import Database
 from repro.engine.parallel import available_cpus
-from repro.errors import AdmissionError, SchemaError, StaleDataError
+from repro.errors import (
+    AdmissionError,
+    SchemaError,
+    StaleDataError,
+    UnknownRelationError,
+)
 from repro.serve import Server
 from repro.storage.shm import live_segment_names
 
@@ -71,6 +82,40 @@ def fresh_snapshot_cache():
     """
     yield
     _drop_snapshot_sessions()
+
+
+def _assert_drained(server):
+    """What every server must look like once nothing is in flight.
+
+    Each submitted read ended in exactly one of rejected / failed /
+    completed, whichever way it was answered; nothing is debited, and
+    no read is waiting for a leader that will never come.
+    """
+    metrics = server.metrics()
+    for name, tenant in metrics.tenants.items():
+        assert tenant.submitted == (
+            tenant.rejected + tenant.failed + tenant.completed
+        ), f"tenant {name!r}: {tenant.render()}"
+    assert metrics.in_flight_rows == 0.0
+    assert metrics.queue_depth == 0
+    assert server._in_flight == {}
+
+
+@pytest.fixture(autouse=True)
+def every_server_drains(monkeypatch):
+    """Run :func:`_assert_drained` on every server a test opened."""
+    opened = []
+    real = Server.__init__
+
+    def recording(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        opened.append(self)
+
+    monkeypatch.setattr(Server, "__init__", recording)
+    yield
+    for server in opened:
+        assert server.closed, "a test left its server open"
+        _assert_drained(server)
 
 
 def _drop_snapshot_sessions():
@@ -153,6 +198,12 @@ def _submit_held(server, handle, text):
         return outcome["ticket"]
 
     return finish
+
+
+def _bound_of(db, text) -> float:
+    """What admission debits for ``text`` on ``db`` (a throwaway server)."""
+    with Server(db, workers=0) as probe:
+        return probe.connect("t").submit(text).bound
 
 
 #: Images this process has alive, per by-reference backend kind.
@@ -394,15 +445,16 @@ def test_vanished_pinned_image_fails_the_ticket(backend):
 def test_close_fails_reads_queued_on_retired_generations(backend):
     live = LIVE_IMAGES[backend]
     db = _division_db()
-    with Server(db, workers=0) as probe:
-        bound = probe.connect("t").submit(QUERIES[1]).bound
+    bound = _bound_of(db, QUERIES[1])
     _drop_snapshot_sessions()  # the held read must attach its image
     server = Server(db, workers=0, backend=backend, budget=1.5 * bound)
     handle = server.connect("t")
     finish = _submit_held(server, handle, QUERIES[1])
     queued = []
     for generation in range(2):  # one queued read on each of 0 and 1
-        queued.append(handle.submit(QUERIES[1]))
+        # Not the held read's text: an identical read would ride on it
+        # at the door instead of queueing for budget with its own pin.
+        queued.append(handle.submit(QUERIES[0]))
         handle.write(additions={"R": [(70 + generation, 0)]})
     assert [t.pinned_generation for t in queued] == [0, 1]
     assert not any(t.done() for t in queued)
@@ -522,9 +574,7 @@ def test_finished_tickets_do_not_pin_their_generation(db, monkeypatch):
 
 
 def test_close_fails_queued_reads_and_drops_their_pins(db):
-    with Server(db, workers=0) as probe:
-        bound = probe.connect("t").submit(QUERIES[1]).bound
-    server = Server(db, workers=0, budget=1.5 * bound)
+    server = Server(db, workers=0, budget=1.5 * _bound_of(db, QUERIES[1]))
     handle = server.connect("t")
     with _Gate(block_first=True) as gate:
         running = {}
@@ -536,7 +586,9 @@ def test_close_fails_queued_reads_and_drops_their_pins(db):
         reader.start()
         while not gate.calls:  # the first read holds the budget
             threading.Event().wait(0.01)
-        queued = handle.submit(QUERIES[1])
+        # A different text: the same one would ride on the running read
+        # (no debit, no pin, no task) and there would be no queue.
+        queued = handle.submit(QUERIES[0])
         assert not queued.done() and queued._task is not None
         server.close()
         with pytest.raises(SchemaError, match="closed"):
@@ -550,6 +602,316 @@ def test_close_fails_queued_reads_and_drops_their_pins(db):
 
 
 # ----------------------------------------------------------------------
+# The front door: hit, rider, execution — counted, not timed
+# ----------------------------------------------------------------------
+
+
+def test_identical_reads_in_flight_execute_once(db):
+    with Server(db, workers=0, budget=10_000) as server, _Gate() as gate:
+        handle = server.connect("t")
+        finish = _submit_held(server, handle, QUERIES[0])
+        riders = [handle.submit(QUERIES[0]) for __ in range(4)]
+        assert not any(ticket.done() for ticket in riders)
+        debited = server.metrics().in_flight_rows
+        leader = finish()
+        tickets = [leader, *riders]
+        rows = leader.result(30)
+        assert rows == evaluate(leader.expr, db)
+        assert all(ticket.result(30) is rows for ticket in tickets)
+        assert gate.calls == 1
+        assert [t.cached for t in tickets] == [False] + [True] * 4
+        # One debit — the leader's — while all five were in flight.
+        assert debited == leader.bound > 0
+        metrics = server.metrics()
+        assert metrics.in_flight_peak == leader.bound
+        tenant = metrics.tenants["t"]
+        assert (tenant.admitted, tenant.coalesced) == (1, 4)
+        assert tenant.completed == 5
+        assert tenant.bound_rows == leader.bound
+        assert tenant.actual_rows == leader.actual_rows
+        for rider in riders:
+            assert rider.bound == 0.0 and rider.actual_rows == 0
+            assert rider._task is None and rider.run_seconds == 0.0
+            assert rider.pinned_token == leader.pinned_token
+            assert rider.queue_seconds > 0.0
+
+
+def test_hit_is_answered_at_the_door_while_the_budget_is_held(
+    db, monkeypatch
+):
+    # The budget fits exactly one QUERIES[0]; while that read is held,
+    # QUERIES[1]'s own bound could only queue.  Its cached rows need
+    # no budget.
+    budget = _bound_of(db, QUERIES[0])
+    assert 0 < _bound_of(db, QUERIES[1]) <= budget
+    with Server(db, workers=0, budget=budget) as server:
+        handle = server.connect("t")
+        first = handle.submit(QUERIES[1])
+        stored = handle.submit(QUERIES[1])
+        assert not first.cached and not stored.cached
+        assert stored.result(30) == evaluate(stored.expr, db)
+        finish = _submit_held(server, handle, QUERIES[0])
+        assert server.metrics().in_flight_rows == budget
+        executor = server._session.executor
+        calls = [
+            _count_calls(monkeypatch, executor, "plan"),
+            _count_calls(monkeypatch, serve_server, "price_plan"),
+            _count_calls(monkeypatch, executor.backend, "pin"),
+            _count_calls(monkeypatch, server, "_dispatch"),
+        ]
+        hit = handle.submit(QUERIES[1])
+        assert hit.done() and hit.cached
+        assert hit.rows is stored.rows
+        assert calls == [[], [], [], []]
+        assert hit.bound == 0.0 and not hit.sound
+        assert hit.actual_rows == 0 and hit.run_seconds == 0.0
+        assert hit._task is None and hit.dispatched_at is None
+        assert hit.pinned_generation == 0
+        assert hit.pinned_token == stored.pinned_token
+        assert hit.finished_at is not None
+        metrics = server.metrics()
+        assert metrics.in_flight_rows == budget
+        assert metrics.queue_depth == 0
+        assert metrics.tenants["t"].cache_hits == 1
+        assert (metrics.cache_hits, metrics.cache_entries) == (1, 1)
+        assert finish().result(30)
+
+
+def test_result_is_stored_from_its_second_request_on(db):
+    with Server(db, workers=0) as server, _Gate() as gate:
+        handle = server.connect("t")
+        once = handle.submit(QUERIES[2])
+        assert once.result(30) and not once.cached
+        assert len(server._results) == 0  # asked once: not kept
+        for expected_calls, text in enumerate(QUERIES[:2], start=2):
+            handle.run(text)
+            assert gate.calls == expected_calls
+        assert len(server._results) == 0
+        again = handle.submit(QUERIES[2])
+        assert not again.cached and gate.calls == 4  # executed, stored
+        assert len(server._results) == 1
+        assert server._results.total_bytes > 0
+        hit = handle.submit(QUERIES[2])
+        assert hit.cached and hit.rows is again.rows and gate.calls == 4
+        metrics = server.metrics()
+        assert (metrics.cache_hits, metrics.cache_misses) == (1, 4)
+        assert metrics.cache_entries == 1
+        assert "1 hit(s), 4 miss(es)" in metrics.render()
+
+
+def test_leader_failure_fails_its_riders_and_stores_nothing():
+    db = _division_db()
+    with Server(db, workers=0, backend="shm", budget=50_000) as server:
+        handle = server.connect("t")
+        finish = _submit_held(server, handle, QUERIES[1])
+        riders = [handle.submit(QUERIES[1]) for __ in range(3)]
+        server._session.executor.backend._image.release()
+        leader = finish()
+        error = leader.exception(30)
+        assert isinstance(error, StaleDataError)
+        for rider in riders:
+            assert rider.exception(30) is error
+            assert rider.cached and rider.rows is None
+            with pytest.raises(StaleDataError):
+                rider.result(30)
+        metrics = server.metrics()
+        tenant = metrics.tenants["t"]
+        assert (tenant.failed, tenant.completed) == (4, 0)
+        assert (tenant.admitted, tenant.coalesced) == (1, 3)
+        assert metrics.in_flight_rows == 0.0
+        assert len(server._results) == 0 and server._in_flight == {}
+        # Nothing of the failure is remembered as a result: the same
+        # text on fresh contents executes.
+        handle.write(additions={"R": [(88, 0)]})
+        with _Gate() as gate:
+            fresh = handle.submit(QUERIES[1])
+            assert (88, 0) in fresh.result(30)
+            assert gate.calls == 1 and not fresh.cached
+    assert live_segment_names() == ()
+
+
+@pytest.mark.parametrize("backend", ["memory", "shm", "mmap"])
+def test_close_fails_a_queued_leader_and_its_riders(backend):
+    db = _division_db()
+    budget = 1.5 * _bound_of(db, QUERIES[1])
+    _drop_snapshot_sessions()  # the held read must attach its image
+    server = Server(db, workers=0, backend=backend, budget=budget)
+    handle = server.connect("t")
+    finish = _submit_held(server, handle, QUERIES[1])
+    on_running = handle.submit(QUERIES[1])  # rides on the held read
+    queued = [handle.submit(QUERIES[0]) for __ in range(3)]
+    assert server.metrics().queue_depth == 1  # a leader; two ride on it
+    assert not any(t.done() for t in (on_running, *queued))
+    server.close()
+    errors = [ticket.exception(30) for ticket in queued]
+    assert isinstance(errors[0], SchemaError) and "closed" in str(errors[0])
+    assert all(error is errors[0] for error in errors)
+    assert [t.cached for t in queued] == [False, True, True]
+    # The read that was already executing ends on its own, after
+    # close(), and takes its rider with it either way.
+    held = finish()
+    if backend == "memory":  # by-value pin: close() took nothing away
+        assert on_running.result(30) is held.result(30)
+    else:
+        assert isinstance(held.exception(30), StaleDataError)
+        assert on_running.exception(30) is held.exception(30)
+    tenant = server.metrics().tenants["t"]
+    assert tenant.submitted == 5 == tenant.failed + tenant.completed
+    assert live_segment_names() == () and live_spill_paths() == ()
+    _assert_drained(server)
+
+
+def test_killed_worker_leader_reruns_inline_and_serves_its_riders(db):
+    with Server(db, workers=1) as server:
+        handle = server.connect("t")
+        assert handle.run(QUERIES[1], timeout=120)
+        for process in list(server._pool._processes.values()):
+            process.kill()
+        finish = _submit_held(server, handle, QUERIES[0])
+        riders = [handle.submit(QUERIES[0]) for __ in range(3)]
+        leader = finish()
+        rows = leader.result(120)
+        assert rows == evaluate(leader.expr, db)
+        assert all(rider.result(120) is rows for rider in riders)
+        assert server._pool_broken and server._pool is None
+        tenant = server.metrics().tenants["t"]
+        assert (tenant.completed, tenant.failed) == (5, 0)
+        assert (tenant.admitted, tenant.coalesced) == (2, 3)
+
+
+def test_door_keeps_the_current_and_the_replaced_contents_only(db):
+    with Server(db, workers=0) as server:
+        handle = server.connect("t")
+        cache = server._results
+        tokens, stored_bytes = [], []
+        for generation in range(4):
+            if generation:  # fresh contents every time
+                handle.write(additions={"R": [(100 + generation, 0)]})
+            before = cache.total_bytes
+            for text in QUERIES[:2]:
+                handle.run(text)
+                handle.run(text)  # second request: stored
+            handle.run(QUERIES[2])  # asked once: remembered, not stored
+            tokens.append(server._session.executor.version)
+            stored_bytes.append(cache.total_bytes - before)
+        assert len(set(tokens)) == 4
+        # The last write dropped everything but generations 2 and 3.
+        assert len(cache) == 4
+        assert cache.total_bytes == sum(stored_bytes[-2:])
+        assert {key[0] for key in server._asked} == set(tokens[-2:])
+        assert server._kept == (tokens[3], tokens[2])
+        assert cache.evictions == 0  # dropped by retention, not pressure
+
+
+def test_late_completion_for_dropped_contents_stores_nothing(db):
+    with Server(db, workers=0) as server:
+        handle = server.connect("t")
+        finish = _submit_held(server, handle, QUERIES[0])
+        rider = handle.submit(QUERIES[0])  # asked twice: would be stored
+        for n in range(2):
+            handle.write(additions={"R": [(100 + n, 0)]})
+        leader = finish()
+        assert rider.result(30) is leader.result(30)
+        assert leader.result(30) == evaluate(
+            leader.expr, server.database_at(0)
+        )
+        assert leader.pinned_generation == rider.pinned_generation == 0
+        assert len(server._results) == 0 and not server._asked
+
+
+def test_same_text_across_a_write_and_back(db):
+    # text, text, text, write, text, text, write back, text: executed /
+    # executed and stored / hit / executed / executed and stored / hit
+    # — the last one on the restored contents, two writes later.
+    delta = {"R": [(200, 0), (201, 1)]}
+    with Server(db, workers=0) as server, _Gate() as gate:
+        handle = server.connect("t")
+        tickets = [handle.submit(QUERIES[0]) for __ in range(3)]
+        handle.write(additions=delta)
+        tickets += [handle.submit(QUERIES[0]) for __ in range(2)]
+        handle.write(removals=delta)
+        tickets.append(handle.submit(QUERIES[0]))
+        assert [t.cached for t in tickets] == [
+            False, False, True, False, False, True,
+        ]
+        assert gate.calls == 4
+        assert [t.pinned_generation for t in tickets] == [0, 0, 0, 1, 1, 2]
+        for ticket in tickets:
+            assert ticket.result(30) == evaluate(
+                ticket.expr, server.database_at(ticket.pinned_generation)
+            )
+        assert tickets[2].rows is tickets[1].rows
+        assert tickets[5].rows is tickets[1].rows  # found again by token
+        assert tickets[5].pinned_token == tickets[0].pinned_token
+        assert tickets[3].pinned_token != tickets[0].pinned_token
+        assert (200,) in tickets[3].rows and (200,) not in tickets[5].rows
+        assert len(server._results) == 2
+        tenant = server.metrics().tenants["t"]
+        assert (tenant.admitted, tenant.cache_hits) == (4, 2)
+
+
+@pytest.mark.parametrize("backend", ["shm", "mmap"])
+def test_restored_contents_execute_on_their_new_image(backend):
+    # A token names contents, not an image: after B → A → B the
+    # by-reference image for B is a new one (nothing pinned the first).
+    # With the door answering every repeat, "no executed read between
+    # two writes" is the common case, so a descriptor remembered per
+    # token would name a released image — seen as one StaleDataError
+    # in 3 200 ops of the serve_rw_shm benchmark before the server
+    # stopped remembering descriptors (reachable at the parent too, by
+    # two writes with no read at all between them).
+    live = LIVE_IMAGES[backend]
+    db = _division_db()
+    delta = {"R": [(200, 0), (201, 1)]}
+    with Server(db, workers=0, backend=backend) as server:
+        handle = server.connect("t")
+        for generation in range(2):  # store QUERIES[0] under A and B
+            if generation:
+                handle.write(additions=delta)
+            handle.run(QUERIES[0])
+            handle.run(QUERIES[0])
+        first_b = live()
+        handle.write(removals=delta)  # A again: only the door is asked
+        assert handle.submit(QUERIES[0]).cached
+        handle.write(additions=delta)  # B again, on a new image
+        assert len(live()) == 1 and live() != first_b
+        _drop_snapshot_sessions()  # the next read must attach
+        fresh = handle.submit(QUERIES[1])  # never asked: executes on B
+        assert not fresh.cached
+        assert fresh.result(30) == evaluate(
+            fresh.expr, server.database_at(3)
+        )
+        assert (200, 0) in fresh.rows
+    assert live() == ()
+
+
+def test_worker_sessions_cache_no_results(db):
+    with Server(db, workers=0) as server, _Gate() as seen:
+        handle = server.connect("t")
+        for __ in range(3):
+            handle.run(QUERIES[0])
+        token, descriptor, schema, *__ = seen.tasks[0]
+        session = serve_server._session_for_snapshot(
+            token, descriptor, schema
+        )
+        assert session.result_cache.enabled is False
+        assert len(session.result_cache) == 0
+        assert session.result_cache.hits == 0
+
+
+def test_every_submitted_read_ends_in_exactly_one_counter(db):
+    with Server(db, workers=0) as server:
+        handle = server.connect("t")
+        with pytest.raises(UnknownRelationError):
+            handle.submit(Rel("Nope", 2))  # fails in planning
+        tenant = server.metrics().tenants["t"]
+        assert (tenant.submitted, tenant.failed) == (1, 1)
+        assert tenant.admitted == tenant.rejected == tenant.completed == 0
+        assert server._in_flight == {} and not server._asked
+        assert handle.run(QUERIES[1])  # still serving
+
+
+# ----------------------------------------------------------------------
 # Process-pool execution
 # ----------------------------------------------------------------------
 
@@ -557,16 +919,29 @@ def test_close_fails_queued_reads_and_drops_their_pins(db):
 def test_pool_serves_reads_and_reuses_snapshot_sessions(db):
     with Server(db, workers=2, budget=100_000) as server:
         handle = server.connect("t")
-        tickets = [handle.submit(QUERIES[0]) for __ in range(6)]
+        # Was "at least some were worker result-cache hits"; the door
+        # makes it exact: 6 identical reads, the first held so that the
+        # other five provably arrive while it is in flight → one
+        # execution in one worker, five riders, one unpickled result.
+        finish = _submit_held(server, handle, QUERIES[0])
+        tickets = [handle.submit(QUERIES[0]) for __ in range(5)]
+        tickets.insert(0, finish())
         results = [t.result(120) for t in tickets]
         oracle = evaluate(server._session.parse(QUERIES[0]), db)
         assert all(rows == oracle for rows in results)
+        assert all(rows is results[0] for rows in results)
+        assert [t.cached for t in tickets] == [False] + [True] * 5
         metrics = server.metrics()
-        assert metrics.tenants["t"].completed == 6
-        # Workers keep per-snapshot sessions: with 6 identical reads
-        # over 2 workers, at least some were result-cache hits.
-        assert metrics.tenants["t"].cache_hits >= 1
+        tenant = metrics.tenants["t"]
+        assert tenant.completed == 6
+        assert (tenant.admitted, tenant.coalesced) == (1, 5)
+        assert tenant.bound_rows == tickets[0].bound
+        assert metrics.in_flight_peak == tickets[0].bound
         assert metrics.in_flight_rows == 0.0
+        # Stored (it was asked for more than once): the next is a hit.
+        hit = handle.submit(QUERIES[0])
+        assert hit.done() and hit.cached and hit.rows is results[0]
+        assert server.metrics().tenants["t"].cache_hits == 1
 
 
 def test_pool_write_then_read_crosses_generations(db):
@@ -610,30 +985,12 @@ def test_killed_worker_reruns_the_same_pin_inline(db):
 # ----------------------------------------------------------------------
 
 
-@settings(max_examples=12, deadline=None)
-@given(
-    backend=st.sampled_from(["memory", "shm"]),
-    reader_ops=st.lists(
-        st.sampled_from(range(len(QUERIES))), min_size=1, max_size=5
-    ),
-    writer_ops=st.lists(
-        st.tuples(st.booleans(), st.sampled_from(range(len(QUERIES)))),
-        min_size=1,
-        max_size=5,
-    ),
-)
-def test_admitted_reads_equal_serial_oracle_replay(
-    backend, reader_ops, writer_ops
-):
-    """Satellite: concurrent mixed traffic vs. the serial oracle.
+def _replay_against_oracle(backend, workers, reader_ops, writer_ops):
+    """Race a reader and a flip-flop writer; audit every ticket.
 
-    Two tenants — one read-only, one interleaving writes — race over
-    one inline server.  Whatever interleaving the scheduler produces,
-    every admitted read's rows must equal the structural evaluator's
-    answer on the write-log reconstruction at that read's pinned
-    generation — the one it had when ``submit`` returned, on by-value
-    and by-reference pins alike.  (Inline keeps this deterministic
-    enough for Hypothesis: no timing dependence in the *assertion*.)
+    The body of the serving contract, shared by the Hypothesis property
+    (inline) and its real-pool variant.  Returns the server's final
+    metrics.
     """
     db = _division_db()
     tickets = []
@@ -642,7 +999,7 @@ def test_admitted_reads_equal_serial_oracle_replay(
         tickets.append((ticket, ticket.pinned_generation))
 
     with Server(
-        db, workers=0, budget=1_000_000, backend=backend
+        db, workers=workers, budget=1_000_000, backend=backend
     ) as server:
         reader = server.connect("reader")
         writer = server.connect("writer", weight=2.0)
@@ -682,6 +1039,67 @@ def test_admitted_reads_equal_serial_oracle_replay(
             expected = evaluate(ticket.expr, oracle_cache[generation])
             assert rows == expected
             assert ticket.actual_rows <= ticket.bound
+            # A hit or a rider never held a debit, a pin or a task.
+            if ticket.cached:
+                assert ticket.bound == 0.0
+                assert ticket.actual_rows == 0
+            assert ticket._task is None
         # Budget ledger drained: nothing in flight once all are done.
         assert server.metrics().in_flight_rows == 0.0
+        _assert_drained(server)
+        metrics = server.metrics()
+        assert sum(
+            tenant.cache_hits + tenant.coalesced
+            for tenant in metrics.tenants.values()
+        ) == sum(1 for ticket, __ in tickets if ticket.cached)
     assert live_segment_names() == ()
+    assert live_spill_paths() == ()
+    return metrics
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    backend=st.sampled_from(["memory", "shm"]),
+    reader_ops=st.lists(
+        st.sampled_from(range(len(QUERIES))), min_size=1, max_size=5
+    ),
+    writer_ops=st.lists(
+        st.tuples(st.booleans(), st.sampled_from(range(len(QUERIES)))),
+        min_size=1,
+        max_size=5,
+    ),
+)
+def test_admitted_reads_equal_serial_oracle_replay(
+    backend, reader_ops, writer_ops
+):
+    """Satellite: concurrent mixed traffic vs. the serial oracle.
+
+    Two tenants — one read-only, one interleaving writes — race over
+    one inline server.  Whatever interleaving the scheduler produces,
+    every admitted read's rows must equal the structural evaluator's
+    answer on the write-log reconstruction at that read's pinned
+    generation — the one it had when ``submit`` returned, on by-value
+    and by-reference pins alike.  (Inline keeps this deterministic
+    enough for Hypothesis: no timing dependence in the *assertion*.)
+    Three texts and a writer that flip-flops between two contents: most
+    examples cross the door cache, so hits are audited like executions.
+    """
+    _replay_against_oracle(backend, 0, reader_ops, writer_ops)
+
+
+@pytest.mark.parametrize("backend", ["memory", "shm", "mmap"])
+def test_oracle_replay_through_a_real_pool_with_riders(backend):
+    # The same traffic shape, fixed, through two pool workers: a pool
+    # read stays in flight across many submits (the first one across
+    # the workers' whole spawn), so identical reads ride — the outcome
+    # an inline server, which executes inside submit, never produces
+    # without a gate.
+    reader_ops = [0, 0, 1, 1, 2, 2] * 3
+    writer_ops = [(False, 0), (False, 1)] + [
+        (n % 4 == 3, n % len(QUERIES)) for n in range(16)
+    ]
+    metrics = _replay_against_oracle(backend, 2, reader_ops, writer_ops)
+    totals = metrics.totals()
+    assert totals.coalesced >= 1
+    assert totals.completed == totals.submitted == 32
+    assert totals.admitted + totals.coalesced + totals.cache_hits == 32

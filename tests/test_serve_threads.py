@@ -8,6 +8,12 @@ state those objects carry must survive concurrent use:
   :class:`~repro.engine.executor.ResultCache` — OrderedDict LRU state
   (``move_to_end`` + eviction) corrupts under interleaving without the
   locks these tests hammer;
+* the :class:`~repro.serve.server.Server`'s front door — result cache,
+  in-flight map and asked-once record, all under the scheduler lock —
+  with more client threads than cores, a flip-flopping writer and a
+  shortened switch interval: a lost update there shows up as a read
+  that never finishes, a wrong answer, or a counter that does not add
+  up;
 * :meth:`~repro.session.Session.close` — double-close from racing
   threads must release shm segments / spill files exactly once (a
   second unlink of a recreated name would yank live storage).
@@ -15,13 +21,16 @@ state those objects carry must survive concurrent use:
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
 
+from repro.algebra.evaluator import evaluate
 from repro.data.database import Database
-from repro.engine.executor import IndexCache, ResultCache
+from repro.engine.executor import IndexCache, ResultCache, _result_bytes
 from repro.errors import SchemaError
+from repro.serve import Server
 from repro.session import Session
 from repro.storage.shm import live_segment_names
 
@@ -90,10 +99,83 @@ def test_result_cache_concurrent_get_put_invalidate():
                 assert hit == payloads[key[1]]
             if round_no % 50 == 49:
                 cache.invalidate()
+            elif round_no % 50 == 24:
+                cache.retain(lambda key: key[1] % 2 == seed % 2)
 
     _hammer(worker)
     stats_total = cache.hits + cache.misses
     assert stats_total == THREADS * ROUNDS
+    # Byte accounting survived eviction, retention and invalidation.
+    assert cache.total_bytes == sum(
+        _result_bytes(rows) for rows, __ in cache._entries.values()
+    )
+    cache.retain(lambda key: False)
+    assert len(cache) == 0 and cache.total_bytes == 0
+
+
+def test_server_door_under_concurrent_identical_reads_and_writes():
+    texts = (
+        "R semijoin[2=1] S",
+        "project[1](R join[2=1] S)",
+        "project[1](R)",
+    )
+    db = Database(
+        {"R": 2, "S": 1},
+        {
+            "R": [(a, b) for a in range(12) for b in range(4)],
+            "S": [(b,) for b in range(4)],
+        },
+    )
+    clients, reads = 8, 40
+    tickets = [[] for __ in range(clients)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with Server(db, workers=0, budget=1_000_000) as server:
+
+            start = threading.Barrier(clients)
+            delta = {"R": [(200, 0), (201, 1)]}
+
+            def worker(index):
+                handle = server.connect(f"c{index}")
+                start.wait(30)
+                for round_no in range(reads):
+                    # Client 0 also writes: two contents, back and forth.
+                    if index == 0 and round_no % 4 == 0:
+                        if round_no % 8:
+                            handle.write(removals=delta)
+                        else:
+                            handle.write(additions=delta)
+                    ticket = handle.submit(texts[(index + round_no) % 3])
+                    tickets[index].append(
+                        (ticket, ticket.pinned_generation)
+                    )
+
+            _hammer(worker, threads=clients)
+            oracles = {}
+            for ticket, generation in (t for per in tickets for t in per):
+                rows = ticket.result(60)
+                assert ticket.pinned_generation == generation
+                # Two contents only: even generations are the base.
+                parity = generation % 2
+                if parity not in oracles:
+                    oracles[parity] = server.database_at(generation)
+                assert rows == evaluate(ticket.expr, oracles[parity])
+            metrics = server.metrics()
+            totals = metrics.totals()
+            assert totals.submitted == clients * reads
+            assert totals.completed == totals.submitted
+            assert totals.submitted == (
+                totals.admitted + totals.coalesced + totals.cache_hits
+            )
+            assert metrics.cache_hits == totals.cache_hits > 0
+            assert metrics.cache_misses == totals.admitted + totals.coalesced
+            assert metrics.in_flight_rows == 0.0
+            assert server._in_flight == {}
+            # Three texts on the two kept contents, at most.
+            assert metrics.cache_entries <= 6
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("backend", ["memory", "shm", "mmap"])
