@@ -74,12 +74,12 @@ AGM_MAX_EDGES = 12
 #: one row touch: an index build-plus-probe step of
 #: :func:`repro.engine.kernels.hash_semijoin`, which is what
 #: ``tools/calibrate_ipc.py`` times.  A pickle dumps+loads round trip
-#: reads 1.3–1.9× that unit on the reference machine, so 5.0
-#: overprices transport about threefold.  Deliberately: overpricing
+#: reads 2.4–2.5× that unit (≈ 65 ns/row) on the reference machine, so
+#: 5.0 overprices transport about twofold.  Deliberately: overpricing
 #: only delays parallelism until the compute genuinely dominates,
 #: while underpricing would certify dispatches that lose — and the two
 #: fixed costs below are not fitted to this kernel, whose batches are
-#: cheap enough for pool dispatch to lose (ROADMAP item 4(a)).
+#: cheap enough for pool dispatch to lose (ROADMAP item 5).
 #: ``BENCH_parallel.json`` records the fit next to this constant on
 #: every benchmark run.
 PARALLEL_IPC_ROW_COST = 5.0
@@ -87,10 +87,10 @@ PARALLEL_IPC_ROW_COST = 5.0
 #: Per-row surcharge when the backend is *attached* (shm/mmap): the
 #: scatter writes each distinct fragment once into a shared columnar
 #: buffer and ships only descriptors, so the parent's serial critical
-#: path is the columnar encode — 0.5–0.65× the unit row touch (encode
-#: + decode together 1.1–1.6×; see ``tools/calibrate_ipc.py``).
+#: path is the columnar encode — 0.89–0.93× the unit row touch (encode
+#: + decode together 2.1×; see ``tools/calibrate_ipc.py``).
 #: Overpriced like the constant above, for the same reason, and so
-#: that attached : pickled stays at the measured 1 : 2.5.
+#: that attached : pickled stays at 1 : 2.5.
 #: The worker-side decode overlaps the divided kernel work, and
 #: replicated sides (a θ-semijoin's right side, a division's divisor)
 #: are encoded once instead of re-pickled per task.

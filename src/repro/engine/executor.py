@@ -19,9 +19,10 @@ contents change under the same handle (a storage backend swapping data
 behind the executor's back), every cache is invalidated before the next
 query rather than served stale.
 
-Unary operators (project/filter/tag) stream over their input via
-generators; results are materialized once per distinct sub-plan, at the
-memo boundary.  :class:`ExecutionStats` records the cardinality of every
+Operators run as :mod:`repro.engine.kernels` pipelines; results are
+materialized once per distinct sub-plan, at the memo boundary — hashed
+only where a duplicate can arise (:data:`OPERATORS`), and once more for
+the final result.  :class:`ExecutionStats` records the cardinality of every
 operator's output — the physical analogue of the Definition 16 trace —
 plus index build/reuse counts, which the ENGINE experiment and the
 engine benchmarks assert against the classic plans' quadratic
@@ -33,9 +34,11 @@ tests and benchmarks assert against.
 
 from __future__ import annotations
 
+import operator
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Iterator
 
 from repro.algebra.ast import Expr
@@ -63,7 +66,11 @@ from repro.engine.plan import (
     UnionOp,
 )
 from repro.errors import ArityError, SchemaError
-from repro.setjoins.division import DIVISION_ALGORITHMS, DIVISION_EQ_ALGORITHMS
+from repro.setjoins.division import (
+    DIVISION_ALGORITHMS,
+    DIVISION_EQ_ALGORITHMS,
+    TypedPairs,
+)
 
 
 @dataclass
@@ -687,7 +694,7 @@ class Executor:
         threshold = getattr(options, "replan_threshold", None)
         self._replan_threshold = threshold
         try:
-            result = self._rows(plan)
+            result = frozenset(self._rows(plan))
         finally:
             self._replan_threshold = None
         self.stats.indexes_built = self.indexes.builds
@@ -792,62 +799,24 @@ class Executor:
         self.backend.close()
 
     # ------------------------------------------------------------------
-    # Node dispatch
+    # Node dispatch (the table is OPERATORS, below the class) and operators
     # ------------------------------------------------------------------
 
-    def _rows(self, node: PlanNode) -> Relation:
+    def _rows(self, node: PlanNode) -> "Relation | list[Row]":
+        """``node``'s rows, computed once per query: a ``frozenset``, or
+        a duplicate-free ``list`` where :data:`OPERATORS` says so."""
         cached = self._memo.get(node)
         if cached is not None:
             return cached
-        result = frozenset(self._compute(node))
-        self._memo[node] = result
+        try:
+            run, store = OPERATORS[type(node)]
+        except KeyError:
+            raise SchemaError(
+                f"executor: unknown plan node {type(node).__name__}"
+            ) from None
+        result = self._memo[node] = store(run(self, node))
         self.stats.node_rows[node] = len(result)
         return result
-
-    def _compute(self, node: PlanNode) -> Iterable[Row]:
-        if isinstance(node, ScanOp):
-            return self._scan(node)
-        if isinstance(node, UnionOp):
-            return self._rows(node.left) | self._rows(node.right)
-        if isinstance(node, DifferenceOp):
-            return self._rows(node.left) - self._rows(node.right)
-        if isinstance(node, ProjectOp):
-            return map(
-                kernels.key_getter(node.positions), self._rows(node.child)
-            )
-        if isinstance(node, FilterOp):
-            return (
-                row for row in self._rows(node.child) if node.holds(row)
-            )
-        if isinstance(node, TagOp):
-            return (
-                row + (node.value,) for row in self._rows(node.child)
-            )
-        if isinstance(node, HashJoinOp):
-            return self._hash_join(node)
-        if isinstance(node, NestedLoopJoinOp):
-            return self._nested_loop_join(node)
-        if isinstance(node, MultiwayJoinOp):
-            return self._multiway(node)
-        if isinstance(node, HashSemijoinOp):
-            return self._hash_semijoin(node)
-        if isinstance(node, NestedLoopSemijoinOp):
-            return self._nested_loop_semijoin(node)
-        if isinstance(node, DivisionOp):
-            return self._division(node)
-        if isinstance(node, (PartitionedOp, ParallelOp)):
-            return self._batched(node)
-        if isinstance(node, GroupByOp):
-            return self._group_by(node)
-        if isinstance(node, SortOp):
-            return self._rows(node.child)
-        raise SchemaError(
-            f"executor: unknown plan node {type(node).__name__}"
-        )
-
-    # ------------------------------------------------------------------
-    # Operators
-    # ------------------------------------------------------------------
 
     def _scan(self, node: ScanOp) -> Relation:
         name = node.expr.name
@@ -859,63 +828,82 @@ class Executor:
             )
         return stored
 
-    def _probe(self, node: PlanNode) -> tuple:
-        """A hash (semi)join's loop arguments, compiled once per run.
+    def _union(self, node: UnionOp) -> Relation:
+        return frozenset().union(
+            self._rows(node.left), self._rows(node.right)
+        )
 
-        The left rows, the right side's index (built or fetched), the
-        left key extractor for the equality atoms and the matcher for
-        the remaining ones.
-        """
+    def _difference(self, node: DifferenceOp) -> Relation:
+        return frozenset(self._rows(node.left)).difference(
+            self._rows(node.right)
+        )
+
+    def _project(self, node: ProjectOp) -> Iterator[Row]:
+        return kernels.keys_of(self._rows(node.child), node.positions)
+
+    def _filter(self, node: FilterOp) -> Iterator[Row]:
+        return filter(node.holds, self._rows(node.child))
+
+    def _tag(self, node: TagOp) -> Iterator[Row]:
+        return map(
+            operator.add, self._rows(node.child), repeat((node.value,))
+        )
+
+    def _sort(self, node: SortOp) -> "Relation | list[Row]":
+        return self._rows(node.child)  # the identity under set semantics
+
+    def _hash(self, node: HashJoinOp | HashSemijoinOp) -> Iterable[Row]:
+        """A hash join or semijoin: the kernel its type names, over the
+        left rows, the right side's index (built or fetched), the left
+        key positions of the equality atoms and the matcher compiled
+        from the remaining ones."""
+        loop = (
+            kernels.hash_join
+            if isinstance(node, HashJoinOp)
+            else kernels.hash_semijoin
+        )
         eq = node.cond.by_op("=")
         index = self.indexes.index_for(
             node.right.logical,
             self._rows(node.right),
             tuple(a.j for a in eq),
         )
-        return (
+        return loop(
             self._rows(node.left),
             index,
-            kernels.key_getter(tuple(a.i for a in eq)),
+            tuple(a.i for a in eq),
             kernels.matcher(a for a in node.cond if a.op != "="),
         )
 
-    def _hash_join(self, node: HashJoinOp) -> Iterator[Row]:
-        return kernels.hash_join(*self._probe(node))
-
-    def _nested_loop_join(self, node: NestedLoopJoinOp) -> Iterator[Row]:
-        right = self._rows(node.right)
-        return kernels.nested_loop_join(
-            self._rows(node.left), right, kernels.matcher(node.cond)
+    def _nested_loop(
+        self, node: NestedLoopJoinOp | NestedLoopSemijoinOp
+    ) -> Iterable[Row]:
+        """A nested-loop join or semijoin: the kernel its type names."""
+        loop = (
+            kernels.nested_loop_join
+            if isinstance(node, NestedLoopJoinOp)
+            else kernels.nested_loop_semijoin
         )
+        right = self._rows(node.right)
+        return loop(self._rows(node.left), right, kernels.matcher(node.cond))
 
-    def _multiway(self, node: MultiwayJoinOp) -> Iterable[Row]:
+    def _multiway(self, node: MultiwayJoinOp) -> list[Row]:
         from repro.engine.wcoj import run_multiway
 
         return run_multiway(self, node)
 
-    def _hash_semijoin(self, node: HashSemijoinOp) -> Iterator[Row]:
-        return kernels.hash_semijoin(*self._probe(node))
-
-    def _nested_loop_semijoin(
-        self, node: NestedLoopSemijoinOp
-    ) -> Iterator[Row]:
-        right = self._rows(node.right)
-        return kernels.nested_loop_semijoin(
-            self._rows(node.left), right, kernels.matcher(node.cond)
-        )
-
-    def _division(self, node: DivisionOp) -> Iterator[Row]:
+    def _division(self, node: DivisionOp) -> Iterable[Row]:
         dividend = self._rows(node.dividend)
         divisor_rows = self._rows(node.divisor)
         if not divisor_rows and node.empty_divisor == "none":
             # γ-plan semantics: the join with an empty divisor kills
             # every group, so the source expression returns ∅.
-            return iter(())
+            return ()
         divisor = [row[0] for row in divisor_rows]
         registry = DIVISION_EQ_ALGORITHMS if node.eq else DIVISION_ALGORITHMS
-        algorithm = registry[node.method]
-        quotient = algorithm(dividend, divisor)
-        return ((a,) for a in quotient)
+        # The plan typed the dividend (arity 2; rows tuple-coerced where
+        # they entered the database), so nothing is re-validated here.
+        return zip(registry[node.method](TypedPairs(dividend), divisor))
 
     def _batched(self, node: PartitionedOp | ParallelOp) -> Iterable[Row]:
         """Batched execution, serial or on the worker pool.
@@ -944,3 +932,31 @@ class Executor:
         from repro.extended.evaluator import _eval_group_by
 
         return _eval_group_by(node.expr, self._rows(node.child))
+
+
+#: How each operator runs and what holds its rows — the one place that
+#: says either.  ``list``: no duplicate can arise when the inputs hold
+#: none (a semijoin, filter or batch union keeps distinct left rows;
+#: ``l + r`` and ``row + (tag,)`` are injective at fixed arities; a
+#: generic join emits distinct bindings whole), so re-hashing every row
+#: buys nothing and ``len`` is the cardinality.  ``frozenset``:
+#: everything else.  Moving an operator to ``list`` takes that proof —
+#: ``test_engine_kernels.py::test_memoised_rows_hold_no_duplicate``.
+OPERATORS: dict[type, tuple] = {
+    ScanOp: (Executor._scan, frozenset),
+    UnionOp: (Executor._union, frozenset),
+    DifferenceOp: (Executor._difference, frozenset),
+    ProjectOp: (Executor._project, frozenset),
+    GroupByOp: (Executor._group_by, frozenset),
+    SortOp: (Executor._sort, frozenset),
+    DivisionOp: (Executor._division, frozenset),
+    FilterOp: (Executor._filter, list),
+    TagOp: (Executor._tag, list),
+    HashJoinOp: (Executor._hash, list),
+    NestedLoopJoinOp: (Executor._nested_loop, list),
+    MultiwayJoinOp: (Executor._multiway, list),
+    HashSemijoinOp: (Executor._hash, list),
+    NestedLoopSemijoinOp: (Executor._nested_loop, list),
+    PartitionedOp: (Executor._batched, list),
+    ParallelOp: (Executor._batched, list),
+}

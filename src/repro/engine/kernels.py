@@ -6,12 +6,14 @@ costs a generator, a method call and an operator-table lambda per atom
 per pair — on the engine's linear operators, most of the run time.
 Here the condition becomes closures over fixed 0-based offsets **once**,
 when an operator starts (one-shot, or inside a batch kernel in a pool
-worker): :func:`key_getter` for the equality keys (also the projection
-row mapper and the :class:`~repro.engine.executor.IndexCache` grouping
-key) and :func:`matcher` for the other atoms.  The four pair loops
-every join / semijoin operator runs are written once, over those
-closures, as generators: the executor feeds them straight into the
-memo's ``frozenset``, batch kernels into their result list.
+worker): :func:`key_getter` / :func:`keys_of` for the equality keys
+(also the projection row mapper and the
+:class:`~repro.engine.executor.IndexCache` grouping key) and
+:func:`matcher` for the other atoms.  The four pair loops every join /
+semijoin operator runs are written once, over those: with no atom left
+to check (:func:`always`), pipelines of C iterators with no Python
+frame per row.  Their output holds no duplicate when the inputs hold
+none, so the executor memoises it as a ``list`` (``docs/engine.md``).
 
 Closures never travel — a batch task carries atoms, and the kernel
 compiles them in the worker.  The structural evaluator and the
@@ -23,6 +25,7 @@ implementations (``tests/test_layering.py``).
 from __future__ import annotations
 
 import operator
+from itertools import compress, product, repeat, starmap
 from typing import (
     Callable,
     Collection,
@@ -61,6 +64,15 @@ def key_getter(positions: Sequence[int]) -> KeyGetter:
     return operator.itemgetter(*(p - 1 for p in positions))
 
 
+def keys_of(rows: Iterable[Row], positions: Sequence[int]) -> Iterator[tuple]:
+    """``key_getter(positions)`` over every row, with no frame per row:
+    the one position :func:`key_getter` needs a lambda for is ``zip``
+    over a C ``itemgetter``, which wraps each value in the same 1-tuple."""
+    if len(positions) == 1:
+        return zip(map(operator.itemgetter(positions[0] - 1), rows))
+    return map(key_getter(positions), rows)
+
+
 def always(left: Row, right: Row) -> bool:
     """The empty conjunction.  The pair loops test ``match is always``
     and skip the per-pair call altogether."""
@@ -91,13 +103,11 @@ def matcher(atoms: Iterable[Atom]) -> Matcher:
 
 
 def build_index(
-    rows: Iterable[Row], positions: Sequence[int]
+    rows: Collection[Row], positions: Sequence[int]
 ) -> dict[tuple, list[Row]]:
     """Group ``rows`` by their key on ``positions``: ``key → rows``."""
-    key = key_getter(positions)
     index: dict[tuple, list[Row]] = {}
-    for row in rows:
-        k = key(row)
+    for k, row in zip(keys_of(rows, positions), rows):
         group = index.get(k)
         if group is None:
             index[k] = [row]
@@ -106,72 +116,84 @@ def build_index(
     return index
 
 
-def hash_join(
-    lefts: Iterable[Row],
-    index: Mapping[tuple, Sequence[Row]],
-    key: KeyGetter,
-    match: Matcher,
-) -> Iterator[Row]:
-    """``l + r`` for every ``r`` indexed under ``key(l)`` that matches."""
-    get = index.get
-    if match is always:
-        for lrow in lefts:
-            for rrow in get(key(lrow), ()):
-                yield lrow + rrow
-        return
-    for lrow in lefts:
-        for rrow in get(key(lrow), ()):
-            if match(lrow, rrow):
-                yield lrow + rrow
+def _groups_of(lefts, index, positions) -> Iterator[Sequence[Row]]:
+    """Per left row, in order, the rows indexed under its key (or ``()``)."""
+    return map(index.get, keys_of(lefts, positions), repeat(()))
 
 
-def hash_semijoin(
-    lefts: Iterable[Row],
-    index: Mapping[tuple, Sequence[Row]],
-    key: KeyGetter,
-    match: Matcher,
-) -> Iterator[Row]:
-    """Every ``l`` with a witness under ``key(l)``; stops at the first.
-
-    No pair is evaluated after a row's first witness — the early exit
-    :func:`repro.engine.cost.parallel_work_bound` prices.
-    """
-    if match is always:
-        # Index groups are never empty, so key membership is a witness.
-        for lrow in lefts:
-            if key(lrow) in index:
-                yield lrow
-        return
-    get = index.get
-    for lrow in lefts:
-        for rrow in get(key(lrow), ()):
+def _first_witness(lefts, groups, match: Matcher) -> Iterator[Row]:
+    """Every ``l`` with a matching ``r`` in its group; stops at the first."""
+    for lrow, rrows in zip(lefts, groups):
+        for rrow in rrows:
             if match(lrow, rrow):
                 yield lrow
                 break
 
 
+def hash_join(
+    lefts: Collection[Row],
+    index: Mapping[tuple, Sequence[Row]],
+    positions: Sequence[int],
+    match: Matcher,
+) -> list[Row]:
+    """``l + r`` for every ``r`` indexed under ``l``'s key that matches.
+
+    Like every kernel taking ``positions`` it walks ``lefts`` twice in
+    step (rows, keys): an unmodified collection iterates in one order."""
+    pairs = zip(lefts, _groups_of(lefts, index, positions))
+    if match is always:
+        return [lrow + rrow for lrow, rrows in pairs for rrow in rrows]
+    return [
+        lrow + rrow
+        for lrow, rrows in pairs
+        for rrow in rrows
+        if match(lrow, rrow)
+    ]
+
+
+def hash_semijoin(
+    lefts: Collection[Row],
+    index: Mapping[tuple, Sequence[Row]],
+    positions: Sequence[int],
+    match: Matcher,
+) -> Iterator[Row]:
+    """Every ``l`` with a witness indexed under its key."""
+    if match is always:
+        # Index groups are never empty, so key membership is a witness.
+        return compress(
+            lefts, map(index.__contains__, keys_of(lefts, positions))
+        )
+    return _first_witness(lefts, _groups_of(lefts, index, positions), match)
+
+
 def nested_loop_join(
     lefts: Iterable[Row], rights: Collection[Row], match: Matcher
-) -> Iterator[Row]:
+) -> Iterable[Row]:
     """``l + r`` for every matching pair (:func:`always`: cross product)."""
     if match is always:
-        return (lrow + rrow for lrow in lefts for rrow in rights)
-    return (
+        return starmap(operator.add, product(lefts, rights))
+    return [
         lrow + rrow
         for lrow in lefts
         for rrow in rights
         if match(lrow, rrow)
-    )
+    ]
 
 
 def nested_loop_semijoin(
-    lefts: Iterable[Row], rights: Collection[Row], match: Matcher
-) -> Iterator[Row]:
-    """Every ``l`` with some matching ``r``; stops at the first."""
+    lefts: Collection[Row], rights: Collection[Row], match: Matcher
+) -> Iterable[Row]:
+    """Every ``l`` with some matching ``r``; stops at the first.
+
+    No pair is evaluated after a row's first witness — the early exit
+    :func:`repro.engine.cost.parallel_work_bound` prices.
+    """
     if match is always:
-        if rights:
-            yield from lefts
-        return
+        return lefts if rights else ()
+    return _scan_witness(lefts, rights, match)
+
+
+def _scan_witness(lefts, rights, match: Matcher) -> Iterator[Row]:
     for lrow in lefts:
         for rrow in rights:
             if match(lrow, rrow):

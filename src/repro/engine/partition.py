@@ -21,7 +21,7 @@ Two layers cooperate:
   ``ceil(upper / budget)``.
 * **Execution** (exact, weight-driven) — one pipeline, shared with
   :mod:`repro.engine.parallel`.  At run time the inputs are already
-  materialized frozensets, so per-key weights are *exact*: a
+  materialized (duplicate-free), so per-key weights are *exact*: a
   per-operator **scatter** (:func:`scatter_for`) groups each input by
   its partitioning key and bounds every key group's contribution
   (inputs **plus the worst-case output** that group can emit); the
@@ -107,7 +107,11 @@ from repro.engine.plan import (
     rewrite_plan,
 )
 from repro.errors import SchemaError, StaleDataError
-from repro.setjoins.division import DIVISION_ALGORITHMS, DIVISION_EQ_ALGORITHMS
+from repro.setjoins.division import (
+    DIVISION_ALGORITHMS,
+    DIVISION_EQ_ALGORITHMS,
+    TypedPairs,
+)
 
 #: Hard cap on the planner's predicted batch count (a backstop against
 #: absurd upper-bound/budget ratios; the executor packs exactly anyway).
@@ -433,10 +437,11 @@ def division_batch_kernel(
 
     The algorithm is looked up in the registries at call time (not
     bound at scatter time), so tests that monkeypatch an algorithm see
-    the patched version in every batch.
+    the patched version in every batch.  The fragment is rows of a
+    dividend the plan typed: nothing is validated per batch.
     """
     registry = DIVISION_EQ_ALGORITHMS if eq else DIVISION_ALGORITHMS
-    return [(a,) for a in registry[method](fragment, divisor)]
+    return list(zip(registry[method](TypedPairs(fragment), divisor)))
 
 
 # ----------------------------------------------------------------------

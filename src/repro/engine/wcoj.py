@@ -445,10 +445,11 @@ def run_multiway(executor, node) -> list[Row]:
     bindings = generic_join(tries, leaf_variables, node.order, counters)
     # Every output column is some variable: the row is one pick from
     # the binding, the same pick for every binding.
-    to_row = kernels.key_getter(
-        [v + 1 for attrs_k in node.attrs for v in attrs_k]
+    out = list(
+        kernels.keys_of(
+            bindings, [v + 1 for attrs_k in node.attrs for v in attrs_k]
+        )
     )
-    out = list(map(to_row, bindings))
     executor.stats.wcoj_runs[node] = WcojRun(
         variables=len(node.order),
         leaves=len(node.relations),

@@ -11,18 +11,45 @@ kernels receive atoms and compile inside the worker.
 """
 
 import pickle
+import sys
 from fractions import Fraction
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.algebra.conditions import OPS, Atom, Condition
+from repro.algebra.evaluator import evaluate
 from repro.algebra.parser import parse
 from repro.data.database import Database
 from repro.data.schema import Schema
-from repro.engine import Executor, kernels
+from repro.engine import Executor, PlannerOptions, kernels
+from repro.engine.executor import OPERATORS
 from repro.engine.partition import scatter_for
-from repro.engine.plan import HashSemijoinOp, NestedLoopSemijoinOp, ScanOp
+from repro.engine.plan import (
+    DivisionOp,
+    FilterOp,
+    HashJoinOp,
+    HashSemijoinOp,
+    MultiwayJoinOp,
+    NestedLoopJoinOp,
+    NestedLoopSemijoinOp,
+    ParallelOp,
+    PartitionedOp,
+    PlanNode,
+    ScanOp,
+    TagOp,
+    rewrite_plan,
+)
+from repro.errors import SchemaError
+from repro.setjoins import division
+from tests.strategies import (
+    cyclic_joins,
+    databases,
+    expressions,
+    skewed_databases,
+)
+from tests.test_engine_wcoj import collapsed
 
 ARITY = 3
 
@@ -122,7 +149,7 @@ def split(atoms):
     eq = [a for a in atoms if a.op == "="]
     return (
         tuple(a.j for a in eq),
-        kernels.key_getter(tuple(a.i for a in eq)),
+        tuple(a.i for a in eq),
         kernels.matcher(a for a in atoms if a.op != "="),
     )
 
@@ -170,7 +197,7 @@ def test_semijoins_evaluate_no_pair_after_the_first_witness():
         "hash": lambda: kernels.hash_semijoin(
             lefts,
             kernels.build_index(rights, ()),
-            kernels.key_getter(()),
+            (),
             match,
         ),
     }
@@ -205,3 +232,270 @@ def test_batch_task_arguments_carry_atoms_not_closures():
         kernel, args = pickle.loads(pickle.dumps((task.kernel, task.args)))
         assert args == task.args
         assert sorted(kernel(*args)) == sorted(executor.execute(inner))
+
+
+# ----------------------------------------------------------------------
+# Kernel edges: key positions, empty sides, bad values, iteration order
+# ----------------------------------------------------------------------
+
+EDGE_LEFTS = [(3, "c", 0), (1, "a", 1), (2, "b", 0), (1, "b", 1)]
+EDGE_RIGHTS = [(1, "a", 9), (2, "b", 9), (1, "b", 8)]
+
+
+@pytest.mark.parametrize("container", (list, frozenset))
+@pytest.mark.parametrize("positions", ((), (1,), (2, 1), (1, 2, 1)))
+@pytest.mark.parametrize(
+    "lefts,rights",
+    ((EDGE_LEFTS, EDGE_RIGHTS), ([], EDGE_RIGHTS), (EDGE_LEFTS, [])),
+    ids=("both", "empty-left", "empty-right"),
+)
+def test_equality_kernels_keep_left_order_on_every_key_shape(
+    container, positions, lefts, rights
+):
+    """Zero, one and several key positions; either side empty.  The
+    left operand is walked twice in step (rows, keys), so the output
+    must follow *its* iteration order, whichever container it is."""
+    lefts = container(lefts)
+    index = kernels.build_index(rights, positions)
+    key = kernels.key_getter(positions)
+    assert list(kernels.keys_of(lefts, positions)) == [key(l) for l in lefts]
+    assert list(
+        kernels.hash_semijoin(lefts, index, positions, kernels.always)
+    ) == [l for l in lefts if any(key(l) == key(r) for r in rights)]
+    assert kernels.hash_join(lefts, index, positions, kernels.always) == [
+        l + r for l in lefts for r in rights if key(l) == key(r)
+    ]
+    assert list(kernels.nested_loop_join(lefts, rights, kernels.always)) == [
+        l + r for l in lefts for r in rights
+    ]
+    assert list(
+        kernels.nested_loop_semijoin(lefts, rights, kernels.always)
+    ) == (list(lefts) if rights else [])
+
+
+def test_unhashable_and_incomparable_values_raise_type_error():
+    index = kernels.build_index([(1, 2)], (1,))
+    for loop in (kernels.hash_semijoin, kernels.hash_join):
+        assert outcome(
+            lambda: list(loop([([1], 2)], index, (1,), kernels.always))
+        ) == ("raised", TypeError)
+    assert outcome(lambda: kernels.build_index([([1], 2)], (1,))) == (
+        "raised",
+        TypeError,
+    )
+    order = kernels.matcher((Atom(1, "<", 1),))
+    for loop in (kernels.nested_loop_join, kernels.nested_loop_semijoin):
+        assert outcome(lambda: list(loop([(1,)], [("a",)], order))) == (
+            "raised",
+            TypeError,
+        )
+    index = kernels.build_index([("a", 2)], (2,))
+    for loop in (kernels.hash_semijoin, kernels.hash_join):
+        assert outcome(
+            lambda: list(loop([(1, 2)], index, (2,), order))
+        ) == ("raised", TypeError)
+
+
+# ----------------------------------------------------------------------
+# No Python frame per row on the equality-only path
+# ----------------------------------------------------------------------
+
+
+def python_calls(run) -> int:
+    """Python-level ``call`` events (generator resumptions included)
+    while ``run()`` executes; C calls are not counted."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def warm_execution_calls(text: str, n: int) -> int:
+    """Frames of one warm execution of ``text`` over ``n`` rows of ``L``."""
+    db = Database(
+        SCHEMA,
+        {"L": {(i, i % 7) for i in range(n)}, "M": {(0, 9), (3, 9), (5, 8)}},
+    )
+    executor = Executor(db)
+    plan = executor.plan(parse(text, SCHEMA))
+    executor.execute(plan)  # builds the index, prices the plan
+    executor.reset_query_state()
+    return python_calls(lambda: executor.execute(plan))
+
+
+@pytest.mark.parametrize(
+    "text", ("L semijoin[2=1] M", "project[2](L)", "L x M")
+)
+def test_no_python_frame_per_row_on_the_equality_only_path(text):
+    n = 150
+    small = warm_execution_calls(text, n)
+    large = warm_execution_calls(text, 4 * n)
+    # A per-row generator hop or key lambda would add ~3n frames.
+    assert abs(large - small) < 20, (small, large)
+
+
+# ----------------------------------------------------------------------
+# Hashed or listed: the executor's memo against OPERATORS
+# ----------------------------------------------------------------------
+
+#: The operators whose output provably holds no duplicate — stated
+#: here a second time on purpose: moving an operator to ``list`` in
+#: ``OPERATORS`` has to be repeated (and argued) in this file.
+LISTED = (
+    FilterOp,
+    TagOp,
+    HashJoinOp,
+    NestedLoopJoinOp,
+    MultiwayJoinOp,
+    HashSemijoinOp,
+    NestedLoopSemijoinOp,
+    PartitionedOp,
+    ParallelOp,
+)
+
+MEMO_PLANS = (
+    PlannerOptions(),
+    PlannerOptions(use_costs=False),
+    PlannerOptions(rewrite_divisions=False, introduce_semijoins=False),
+    PlannerOptions(partition_budget=3),
+    PlannerOptions(partition_budget=3, use_multiway=False),
+)
+
+
+def batches_through_the_parallel_driver(plan):
+    """``plan`` with every ``PartitionedOp`` as a one-worker ``ParallelOp``."""
+
+    def step(node, descend):
+        node = descend(node)
+        if isinstance(node, PartitionedOp):
+            return ParallelOp(node.inner, node.partitions, node.budget, 1)
+        return node
+
+    return rewrite_plan(plan, step)
+
+
+def check_memo(executor, plan, options, expr, db) -> None:
+    result = executor.execute(plan, options)
+    reference: dict = {}
+    assert result == evaluate(expr, db, reference)
+    assert plan in executor._memo
+    for node, rows in executor._memo.items():
+        assert len(rows) == len(set(rows)), node.label()
+        assert executor.stats.node_rows[node] == len(
+            evaluate(node.logical, db, reference)
+        ), node.label()
+        assert (type(rows) is list) == isinstance(node, LISTED), node.label()
+        assert type(rows) is OPERATORS[type(node)][1], node.label()
+
+
+MEMO = settings(
+    derandomize=True,
+    deadline=None,
+    max_examples=150,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+BACKENDS = st.sampled_from(("memory", "shm", "mmap"))
+
+
+@MEMO
+@given(
+    query=st.one_of(
+        st.tuples(expressions(max_depth=4), databases()),
+        st.tuples(cyclic_joins(), skewed_databases()),
+        st.tuples(st.just(division.classic_division_expr()), databases()),
+    ),
+    options=st.sampled_from(MEMO_PLANS),
+    backend=BACKENDS,
+    parallel=st.booleans(),
+)
+def test_memoised_rows_hold_no_duplicate(query, options, backend, parallel):
+    """Every memoised node: no duplicate, the structural evaluator's
+    cardinality, and a ``list`` exactly where ``OPERATORS`` declares
+    the operator duplicate-free (scans of all three backends included).
+    """
+    expr, db = query
+    executor = Executor(db, backend=backend)
+    try:
+        plan = executor.plan(expr, options)
+        if parallel:
+            plan = batches_through_the_parallel_driver(plan)
+        check_memo(executor, plan, options, expr, db)
+    finally:
+        executor.close()
+
+
+@MEMO
+@given(expr=cyclic_joins(), db=skewed_databases(), backend=BACKENDS)
+def test_generic_join_rows_hold_no_duplicate(expr, db, backend):
+    """The same, on the operator the planner's profitability gate
+    rarely lets tiny inputs reach."""
+    executor = Executor(db, backend=backend)
+    try:
+        check_memo(executor, collapsed(expr, db), None, expr, db)
+    finally:
+        executor.close()
+
+
+def test_every_operator_is_dispatched_exactly_one_way():
+    assert set(OPERATORS) == set(PlanNode.__subclasses__())
+    assert {
+        op: store for op, (_, store) in OPERATORS.items()
+    } == {op: list if op in LISTED else frozenset for op in OPERATORS}
+
+    class Mystery(PlanNode):
+        def __post_init__(self) -> None:
+            pass
+
+    with pytest.raises(SchemaError, match="unknown plan node Mystery"):
+        Executor(Database(SCHEMA, {"L": set(), "M": set()}))._rows(Mystery())
+
+
+# ----------------------------------------------------------------------
+# A dividend is validated where untyped rows enter, not per batch
+# ----------------------------------------------------------------------
+
+
+def test_partitioned_division_validates_no_row_but_public_calls_do():
+    n = 400
+    schema = Schema({"R": 2, "S": 1})
+    db = Database(
+        schema,
+        {"R": {(i // 4, i % 4) for i in range(n)}, "S": {(0,), (1,)}},
+    )
+    executor = Executor(db)
+    options = PlannerOptions(partition_budget=60)
+    plan = executor.plan(division.classic_division_expr(), options)
+    wrapped = [n for n in plan.nodes() if isinstance(n, PartitionedOp)]
+    assert wrapped and isinstance(wrapped[0].inner, DivisionOp)
+    seen = {"entries": 0, "row_checks": 0}
+
+    def profile(frame, event, arg):
+        if frame.f_code is division._pairs.__code__:
+            if event == "call":
+                seen["entries"] += 1
+            elif event == "c_call" and arg in (isinstance, len):
+                seen["row_checks"] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = executor.execute(plan, options)
+    finally:
+        sys.setprofile(None)
+    assert result == frozenset((a,) for a in range(n // 4))
+    batches = executor.stats.partition_runs[wrapped[0]].actual()
+    assert batches > 1 and seen["entries"] == batches
+    assert seen["row_checks"] == 0
+    # The same rows entering by the public door are still checked.
+    with pytest.raises(SchemaError, match="2-tuples"):
+        division.divide_hash([(1, 2, 3)], [7])
+    with pytest.raises(SchemaError, match="2-tuples"):
+        division.divide_hash(frozenset({(1, 2, 3)}), [7])
