@@ -1,4 +1,4 @@
-"""Suite-wide leak guard for shared-memory segments and spill files.
+"""Suite-wide leak guard: storage, serving workers, the reactor thread.
 
 Every segment and spill file this process creates is registered in
 ``repro.storage.shm`` / ``repro.storage.mmapio`` until its owner
@@ -9,9 +9,17 @@ drops an image without releasing it, would never fail anything.  This
 fixture makes the whole run fail instead.  (Storage orphaned by a
 killed or spawned *child* is invisible here; the CI ``backends`` job
 scans ``/dev/shm`` and the temp dir for that.)
+
+The same goes for the server's worker pool
+(:mod:`repro.serve.workers`): a pool nobody shut down leaves its
+named worker processes and reactor thread behind, and the run fails on
+those too.  (``tests/test_serve_workers.py`` adds the per-test check,
+pipe fds included.)
 """
 
+import multiprocessing
 import sys
+import threading
 
 import pytest
 
@@ -31,3 +39,9 @@ def no_leaked_storage():
         for name in getattr(sys.modules[module], probe)()
     ]
     assert not leaked, f"storage still alive at session end: {leaked}"
+    leaked = [
+        each.name
+        for each in (*multiprocessing.active_children(), *threading.enumerate())
+        if each.name.startswith("repro-serve-")
+    ]
+    assert not leaked, f"serving pool still alive at session end: {leaked}"

@@ -443,14 +443,15 @@ class Executor:
     — classification probes, bisimulation loops — plan many distinct
     small expressions against few databases, so unbounded memos would
     grow forever), and the shared cost model is recycled once its node
-    memo passes :data:`COST_MEMO_BOUND` (estimates are cheap to
-    recompute; rejected candidate plans would otherwise pin memory).
+    memo passes 16 nodes per memoised plan: it pins every candidate
+    ever priced — rejected nested-loop twins, each join-order trial —
+    with its logical expression, note and estimate, ≈ 1.6 KB a node,
+    where a kept plan has about 8 (estimates are cheap to recompute;
+    the other 8 are the two-leaf candidates later queries price again).
     """
 
     #: Max (expression, options) plans and per-plan estimate maps kept.
     PLAN_CACHE_SIZE = 512
-    #: Max nodes the shared cost model may memoize before recycling.
-    COST_MEMO_BOUND = 50_000
 
     def __init__(
         self,
@@ -611,7 +612,7 @@ class Executor:
             )
             self.feedback_replans += 1
             self.last_plan_replanned = True
-        if len(self.cost_model) > self.COST_MEMO_BOUND:
+        if len(self.cost_model) > 16 * self.PLAN_CACHE_SIZE:
             self.cost_model = CostModel(
                 self.catalog,
                 backend=self.backend.kind,

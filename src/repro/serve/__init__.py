@@ -2,8 +2,9 @@
 
 :mod:`repro.serve.server` is the core (snapshot-pinned reads,
 serialized writes, process-pool execution), :mod:`repro.serve.
-admission` the cost-model-priced concurrency gate, :mod:`repro.serve.
-metrics` the per-tenant counters, and :mod:`repro.serve.lab` the
+workers` that pool, :mod:`repro.serve.admission` the cost-model-priced
+concurrency gate, :mod:`repro.serve.metrics` the per-tenant counters,
+and :mod:`repro.serve.lab` the
 declarative workload harness behind ``repro serve`` and
 ``BENCH_serving.json``.  ``docs/serving.md`` is the narrative tour.
 """

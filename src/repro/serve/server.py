@@ -40,18 +40,19 @@ already lives:
   provably unservable reads are refused with
   :class:`~repro.errors.AdmissionError` up front.
 * **Execution** (:mod:`repro.session`, unchanged).  Reads run in a
-  spawn-context process pool — *spawn*, because the server process has
-  client and callback threads alive, and forking a threaded process
-  can clone held locks into the child.  Each worker process keeps a
-  small LRU of per-snapshot :class:`~repro.session.Session` objects
-  (memory backend, serial plans, result caching off — results are
-  cached once, at the door), so consecutive reads against the same
-  snapshot reuse indexes and statistics — and never look inside the
-  pin again: its image is decoded only by the first read of a
-  generation that reaches the process.  The pool is sized by
-  :func:`~repro.engine.parallel.available_cpus`; ``workers=0`` — or a
-  pool that breaks mid-run — degrades to running the identical task
-  function inline, serialized, with the same semantics.
+  spawn-context :class:`~repro.serve.workers.WorkerPool` (one pipe per
+  worker, written by the submitting thread, warmest worker first) —
+  *spawn*, because the server process has client and callback threads
+  alive, and forking a threaded process can clone held locks into the
+  child.  Each worker process keeps a small LRU of per-snapshot
+  :class:`~repro.session.Session` objects (memory backend, serial
+  plans, result caching off — results are cached once, at the door),
+  so consecutive reads against the same snapshot reuse indexes and
+  statistics — and never look inside the pin again: its image is
+  decoded only by the first read of a generation that reaches the
+  process.  The pool is sized by :func:`~repro.engine.parallel.
+  available_cpus`; ``workers=0`` — or a pool that breaks mid-run —
+  degrades to running the identical task function inline, serialized.
 * **Writes** (this module) are serialized under the scheduler lock:
   apply the delta, bump the content generation, append to the write
   log, refresh the backend.  The write log plus the base contents make
@@ -73,7 +74,6 @@ import multiprocessing
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
@@ -85,6 +85,7 @@ from repro.engine.planner import PlannerOptions
 from repro.errors import AdmissionError, SchemaError
 from repro.serve.admission import AdmissionController, price_plan
 from repro.serve.metrics import MetricsRegistry, ServerMetrics
+from repro.serve.workers import WorkerPool
 from repro.session import Session
 
 __all__ = ["ClientHandle", "Server", "Ticket"]
@@ -382,7 +383,7 @@ class Server:
         #: Serializes inline (pool-less) execution: worker sessions are
         #: engine objects and the engine is single-threaded per session.
         self._inline_lock = threading.Lock()
-        self._pool: ProcessPoolExecutor | None = None
+        self._pool: WorkerPool | None = None
         self._pool_broken = False
         self._closed = False
         #: Content history: base contents + ordered write deltas give
@@ -448,8 +449,7 @@ class Server:
                 ):
                     self._settle_unexecuted(rider, now, None, error)
                     orphaned.append(rider)
-            pool = self._pool
-            self._pool = None
+            pool, self._pool = self._pool, None
         for ticket in orphaned:
             ticket._finish()
         if pool is not None:
@@ -665,16 +665,16 @@ class Server:
         for ticket in batch:
             self._dispatch(ticket)
 
-    def _ensure_pool(self) -> ProcessPoolExecutor | None:
-        if self.workers <= 0 or self._pool_broken or self._closed:
-            return None
-        if self._pool is None:
-            # Spawn, not fork: this process has client/callback threads.
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=multiprocessing.get_context("spawn"),
-            )
-        return self._pool
+    def _ensure_pool(self) -> WorkerPool | None:
+        # Under the lock: two first reads must not both start workers.
+        with self._lock:
+            if self.workers <= 0 or self._pool_broken or self._closed:
+                return None
+            if self._pool is None:
+                # Spawn, not fork: this process has client/callback threads.
+                context = multiprocessing.get_context("spawn")
+                self._pool = WorkerPool(self.workers, context)
+            return self._pool
 
     def _dispatch(self, ticket: Ticket) -> None:
         """Hand an admitted, debited read to execution (lock NOT held)."""

@@ -286,6 +286,8 @@ class Session:
         self.options = options
         #: The report of the session's most recent run (any query).
         self.last_report: ExecutionReport | None = None
+        #: text → parsed expression (:meth:`parse`).
+        self._parsed: dict[str, Expr] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -339,10 +341,25 @@ class Session:
     # ------------------------------------------------------------------
 
     def parse(self, text: str) -> Expr:
-        """Parse query text against the session's schema."""
-        from repro.algebra.parser import parse
+        """Parse query text against the session's schema.
 
-        return parse(text, self.schema)
+        A repeated text is parsed once: an ``Expr`` is immutable and
+        the schema is fixed for the session's life, so the same text
+        returns the same object (a :class:`~repro.errors.ParseError`
+        is never stored).  The memo holds at most
+        ``Executor.PLAN_CACHE_SIZE`` texts and starts over when full —
+        single dict operations only, so server client threads may
+        share it without a lock.
+        """
+        expr = self._parsed.get(text)
+        if expr is None:
+            from repro.algebra.parser import parse
+
+            expr = parse(text, self.schema)
+            if len(self._parsed) >= Executor.PLAN_CACHE_SIZE:
+                self._parsed.clear()
+            self._parsed[text] = expr
+        return expr
 
     def query(
         self,

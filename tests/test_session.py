@@ -93,6 +93,47 @@ class TestPreparedQuery:
         assert default.run() == costed.run()
 
 
+class TestParseMemo:
+    def test_a_repeated_text_is_the_same_expression_parsed_once(
+        self, monkeypatch
+    ):
+        import repro.algebra.parser as parser_module
+
+        texts = []
+        real = parser_module.parse
+
+        def recording(text, schema):
+            texts.append(text)
+            return real(text, schema)
+
+        monkeypatch.setattr(parser_module, "parse", recording)
+        session = Session(join_db())
+        first = session.parse("R join[2=1] S")
+        assert session.parse("R join[2=1] S") is first
+        assert session.query("R join[2=1] S").expr is first
+        assert first == real("R join[2=1] S", SCHEMA)
+        assert session.parse("project[1](R)") is not first
+        assert texts == ["R join[2=1] S", "project[1](R)"]
+
+    def test_the_memo_is_bounded_and_a_parse_error_is_never_stored(
+        self, monkeypatch
+    ):
+        from repro.engine.executor import Executor
+        from repro.errors import ParseError
+
+        monkeypatch.setattr(Executor, "PLAN_CACHE_SIZE", 8)
+        session = Session(join_db())
+        for width in range(1, 30):
+            positions = ",".join("1" * width)
+            expr = session.parse(f"project[{positions}](R)")
+            assert len(expr.positions) == width
+            assert len(session._parsed) <= 8
+        for __ in range(2):  # raised afresh each time
+            with pytest.raises(ParseError):
+                session.parse("R join[2=1")
+        assert "R join[2=1" not in session._parsed
+
+
 class TestResultCache:
     def test_repeated_identical_query_hits_with_zero_operators(self):
         session = Session(join_db())

@@ -23,6 +23,13 @@ imports :func:`measure` and records the same figures next to the
 constants actually in use, so every ``BENCH_parallel.json`` carries
 its own calibration evidence.
 
+The direct run also prints ``effective_parallelism`` next to
+``available_cpus``: what two CPU-bound processes really get of the
+host (:func:`effective_parallelism`).  A "2-CPU" container whose two
+vCPUs share one core reads ≈ 1.0 — no dispatch cost, however small,
+buys a parallel speed-up there, so name the host before fitting a gate
+on it.
+
 The constants committed in ``engine/cost.py`` are these measurements
 rounded *up* generously: overpricing transport only delays parallelism
 until compute genuinely dominates, while underpricing would certify
@@ -33,6 +40,7 @@ dispatches that lose — and the refusal benchmarks
 from __future__ import annotations
 
 import json
+import multiprocessing
 import pickle
 import sys
 import time
@@ -102,13 +110,43 @@ def measure(
     }
 
 
+def _burn(iterations: int) -> float:
+    """Seconds this process takes for a fixed CPU-bound loop."""
+    start = time.perf_counter()
+    total = 0
+    for i in range(iterations):
+        total += i * i
+    return time.perf_counter() - start
+
+
+def effective_parallelism(
+    iterations: int = 2_000_000, repeats: int = 3
+) -> float:
+    """CPUs two CPU-bound processes get: 2 × solo wall ÷ concurrent wall.
+
+    2.0 on two real cores, 1.0 when the two loops only take turns.
+    """
+    with multiprocessing.get_context("spawn").Pool(2) as pool:
+        # Long enough for both workers to have started and taken part.
+        pool.map(_burn, [iterations // 8] * 8, chunksize=1)
+        solo = min(pool.apply(_burn, (iterations,)) for _ in range(repeats))
+        both = min(
+            max(pool.map(_burn, [iterations] * 2, chunksize=1))
+            for _ in range(repeats)
+        )
+    return round(2 * solo / both, 2)
+
+
 def main() -> None:
     from repro.engine.cost import (
         PARALLEL_ATTACHED_ROW_COST,
         PARALLEL_IPC_ROW_COST,
     )
+    from repro.engine.parallel import available_cpus
 
     fitted = measure()
+    fitted["available_cpus"] = available_cpus()
+    fitted["effective_parallelism"] = effective_parallelism()
     fitted["constants_in_use"] = {
         "PARALLEL_IPC_ROW_COST": PARALLEL_IPC_ROW_COST,
         "PARALLEL_ATTACHED_ROW_COST": PARALLEL_ATTACHED_ROW_COST,
