@@ -17,12 +17,7 @@ root:
   (mutations move the version token, dropping plans and statistics —
   only the ledger persists).  The acceptance bar: adaptive recovers
   **≥ 2× wall-clock** over frozen, with results identical to the
-  structural-evaluator oracle on every run of both arms;
-* **mid-query re-pack** — a partitioned join whose worst-case batch
-  pricing (``nL+nR+nL·nR``) is wildly pessimistic against its actual
-  output; between batches the executor re-packs the remaining groups
-  with observed-rate weights, collapsing hundreds of one-group batches
-  into a handful, differentially verified against the oracle.
+  structural-evaluator oracle on every run of both arms.
 """
 
 from repro.algebra.evaluator import evaluate
@@ -170,76 +165,3 @@ def test_adaptive_replanning_beats_frozen_plans():
         "results_match_oracle": True,
     }
 
-
-# ----------------------------------------------------------------------
-# Mid-query re-pack between partition batches
-# ----------------------------------------------------------------------
-
-#: 200 key groups of 8×8 rows: worst-case weight 8+8+64 = 80 fills one
-#: batch each under an 80-row budget, but the ``1>1`` rest-atom keeps
-#: nearly every pair out of the output, so observed-rate re-pricing
-#: packs several groups per batch.
-PARTITION_KEYS, GROUP = 200, 8
-PARTITION_BUDGET = 80
-PARTITION_QUERY = "L join[2=2,1>1] R"
-
-
-def partition_db() -> Database:
-    schema = Schema({"L": 2, "R": 2})
-    left = frozenset(
-        (i, k) for k in range(PARTITION_KEYS) for i in range(GROUP)
-    )
-    right = frozenset(
-        (0 if k == PARTITION_KEYS - 1 else 9 + i, k)
-        for k in range(PARTITION_KEYS)
-        for i in range(GROUP)
-    )
-    return Database(schema, {"L": left, "R": right})
-
-
-def run_partitioned(threshold):
-    db = partition_db()
-    expr = parse(PARTITION_QUERY, db.schema)
-    session = Session(
-        db,
-        options=PlannerOptions(
-            partition_budget=PARTITION_BUDGET,
-            replan_threshold=threshold,
-        ),
-        cache_results=False,
-    )
-    seconds, result = timed(lambda: session.run(expr))
-    runs = list(session.last_report.stats.partition_runs.values())
-    assert runs, "expected a partitioned operator"
-    assert result == evaluate(expr, db)
-    return seconds, result, runs[0]
-
-
-def test_mid_query_repack_collapses_batches():
-    frozen_s, frozen_result, frozen_run = run_partitioned(None)
-    adaptive_s, adaptive_result, adaptive_run = run_partitioned(
-        THRESHOLD
-    )
-
-    assert adaptive_result == frozen_result
-    assert frozen_run.replans == 0
-    assert adaptive_run.replans >= 1
-    assert any(b.adaptive for b in adaptive_run.batches)
-    assert adaptive_run.within_budget()
-    # Worst-case pricing made every key group its own batch; the
-    # re-pack collapses the remainder severalfold.
-    assert frozen_run.actual() == PARTITION_KEYS
-    assert adaptive_run.actual() <= frozen_run.actual() // 2
-
-    RESULTS["sections"]["mid_query_repack"] = {
-        "query": PARTITION_QUERY,
-        "key_groups": PARTITION_KEYS,
-        "group_rows": GROUP,
-        "budget_rows": PARTITION_BUDGET,
-        "frozen_batches": frozen_run.actual(),
-        "adaptive_batches": adaptive_run.actual(),
-        "mid_query_replans": adaptive_run.replans,
-        "frozen_seconds": round(frozen_s, 6),
-        "adaptive_seconds": round(adaptive_s, 6),
-        "results_match_oracle": True,
-    }

@@ -121,11 +121,11 @@ _SESSION_FLAGS = (
     ("--replan-threshold", "replan_threshold", dict(
         type=float,
         metavar="RATIO",
-        help="re-plan a memoized query when the feedback ledger's "
-        "observed estimator error for any of its operators drifts by "
-        "at least this ratio (> 1; needs cost-based planning), and "
-        "let partitioned operators re-pack remaining batches "
-        "mid-query when actuals beat their priced worst case",
+        help="feed each run's estimated-vs-actual rows into the "
+        "feedback ledger, correct estimates by it, and re-plan a "
+        "memoized query when the observed estimator error for any of "
+        "its operators drifts by at least this ratio (> 1; needs "
+        "cost-based planning; without it the ledger stays empty)",
     )),
     ("--no-costs", "use_costs", dict(
         action="store_true",
@@ -259,7 +259,7 @@ def _cmd_explain(args) -> int:
         if getattr(args, "feedback", False):
             # The stdout report above is the ledger *as it planned* —
             # empty in a one-shot process.  This one is what the run
-            # just recorded.
+            # just recorded (nothing without --replan-threshold).
             print(session.feedback.report(), file=sys.stderr)
         return 0
     if not args.schema:

@@ -503,9 +503,6 @@ class Executor:
         #: Whether the most recent :meth:`plan` call re-planned due to
         #: feedback drift (surfaced as ``ExecutionReport.replanned``).
         self.last_plan_replanned = False
-        #: The replan threshold active for the current :meth:`execute`
-        #: call — read by the partition layer's mid-query re-pack.
-        self._replan_threshold: float | None = None
         #: The cross-query result cache seam (None → no caching).  The
         #: :class:`~repro.session.Session` front door passes one in;
         #: it is invalidated with every other cache on version-token
@@ -513,7 +510,8 @@ class Executor:
         self.results = results
         self._memo: dict[PlanNode, Relation] = {}
         # Memoized plans: (plan, ledger revision at pricing, factor
-        # snapshot) — the latter two drive the feedback re-plan check.
+        # snapshot) — the latter two drive the feedback re-plan check;
+        # a plan made without a threshold snapshots nothing.
         self._plans: (
             "OrderedDict[tuple[Expr, object],"
             " tuple[PlanNode, int, dict[tuple, float]]]"
@@ -568,11 +566,12 @@ class Executor:
         Plans are memoized per ``(expression, options)`` and
         invalidated with the version token — a cost-chosen plan is only
         valid for the statistics it was priced against.  With a
-        ``replan_threshold`` set, a memoized plan is additionally
-        dropped and re-planned when the feedback ledger's correction
-        factor for any of its operators has drifted by at least the
-        threshold since the plan was priced — the adaptive
-        re-optimization loop (``docs/engine.md`` § Adaptive feedback).
+        ``replan_threshold`` set, the plan snapshots the ledger's
+        factors for its operators, and a memoized plan is additionally
+        dropped and re-planned when any of them has drifted by at least
+        the threshold since — the adaptive re-optimization loop
+        (``docs/engine.md`` § Adaptive feedback).  Without one, nothing
+        is snapshot and the ledger is never consulted.
         """
         from repro.engine.cost import CostModel
         from repro.engine.planner import DEFAULT_OPTIONS, Planner
@@ -622,7 +621,7 @@ class Executor:
         self._plans[key] = (
             planned,
             ledger.revision,
-            self._feedback_factors(planned),
+            {} if threshold is None else self._feedback_factors(planned),
         )
         while len(self._plans) > self.PLAN_CACHE_SIZE:
             self._plans.popitem(last=False)
@@ -664,10 +663,9 @@ class Executor:
 
         Corrections apply only when the caller planned with a
         ``replan_threshold`` — threshold-free planning stays
-        byte-identical to the pre-feedback behaviour (the ledger still
-        *records*, it just corrects nothing).  The model is recycled on
-        a mode switch so corrected and uncorrected estimates never mix
-        in one memo.
+        byte-identical to the pre-feedback behaviour.  The model is
+        recycled on a mode switch so corrected and uncorrected estimates
+        never mix in one memo.
         """
         from repro.engine.cost import CostModel
 
@@ -682,26 +680,20 @@ class Executor:
     def execute(self, plan: PlanNode, options=None) -> Relation:
         """Evaluate ``plan``; returns a ``frozenset`` of rows.
 
-        Every execution feeds the catalog's feedback ledger with the
-        run's estimated-vs-actual pairs (recording is unconditional and
-        cheap; nothing *reads* the ledger unless planning ran with a
-        ``replan_threshold``).  When ``options`` carry a threshold, it
-        is also exposed to partitioned operators for the duration of
-        the run so they may re-pack remaining batches mid-query.
+        When ``options`` carry a ``replan_threshold``, the run's
+        estimated-vs-actual pairs feed the catalog's feedback ledger —
+        only planning under a threshold reads it, so a threshold-free
+        run records nothing.
         """
         self.check_version()
         if options is not None:
             self._sync_feedback_mode(options)
-        threshold = getattr(options, "replan_threshold", None)
-        self._replan_threshold = threshold
-        try:
-            result = frozenset(self._rows(plan))
-        finally:
-            self._replan_threshold = None
+        result = frozenset(self._rows(plan))
         self.stats.indexes_built = self.indexes.builds
         self.stats.index_reuses = self.indexes.reuses
         self.stats.node_estimates.update(self._estimates_for(plan))
-        self._feed_feedback()
+        if getattr(options, "replan_threshold", None) is not None:
+            self._feed_feedback()
         return result
 
     def _feed_feedback(self) -> None:

@@ -173,8 +173,6 @@ class ParallelRun(PartitionRun):
             line += f" [one-shot fallback: {self.fallback}]"
         if self.pool_fallback:
             line += f" [ran inline: {self.pool_fallback}]"
-        if self.replans:
-            line += f" [mid-query re-packs: {self.replans}]"
         for worker in self.worker_slices():
             line += (
                 f"\n    worker {worker.pid}: {worker.batches} batch(es) "
@@ -241,9 +239,7 @@ def run_parallel(executor, node: ParallelOp) -> list[Row]:
     ladder — single batch, ``workers=1``, then whatever
     :func:`_run_on_pool` reports — ends in
     :func:`~repro.engine.partition.run_batches` over the same batches:
-    serial speed, not failure (and, like every serial run, a mid-query
-    re-pack under a budget and a ``replan_threshold``; batches out at
-    the pool never re-pack).
+    serial speed, not failure.
     """
     scatter = scatter_for(executor, node.inner, node.budget)
     run = ParallelRun(

@@ -32,6 +32,7 @@ Two layers cooperate:
   :class:`~repro.engine.plan.ParallelOp` differs only in *where*
   batches run — a worker pool, or this same loop when the pool is
   bypassed — so parallel and serial batches agree by construction.
+  Packing is final: no planner option changes a batch once packed.
   The resulting invariant, asserted by the property tests in
   ``tests/test_engine_partition.py``:
 
@@ -89,9 +90,7 @@ import bisect
 import math
 import os
 import time
-from collections import deque
 from dataclasses import dataclass, field, replace
-from itertools import chain
 
 from repro.data.database import Row
 from repro.engine import kernels
@@ -116,11 +115,6 @@ from repro.setjoins.division import (
 #: Hard cap on the planner's predicted batch count (a backstop against
 #: absurd upper-bound/budget ratios; the executor packs exactly anyway).
 MAX_PARTITIONS = 4096
-
-#: Mid-query re-packing prices remaining batches with the *observed*
-#: output rate times this headroom factor, so one lucky batch does not
-#: immediately re-pack the rest right up against the budget.
-ADAPTIVE_SAFETY = 2.0
 
 
 # ----------------------------------------------------------------------
@@ -232,26 +226,17 @@ class BatchRecord:
     output_rows: int  #: rows the batch emitted
     in_flight: int  #: input_rows + replicated rows + output_rows
     fallback: bool = False  #: deliberate one-shot batch (capacity ≤ 0)
-    adaptive: bool = False  #: packed with observed-rate (not worst-case) weights
 
     def within(self, budget: int) -> bool:
         """The packing invariant: under budget, or a lone atomic group.
 
-        A ``fallback`` batch is the deliberate one-shot degradation of
+        Every batch was packed with sound worst-case weights, so its
+        whole ``in_flight`` — output included — is bounded.  A
+        ``fallback`` batch is the deliberate one-shot degradation of
         :func:`packed_or_fallback` — the replicated side alone met the
         budget, so no packing could have helped — and counts as within.
-        An ``adaptive`` batch was packed with observed-rate output
-        weights instead of worst-case ones, so its *inputs* are still
-        budget-bounded by construction but its output (and hence
-        ``in_flight``) is only expected-bounded — the deliberate trade
-        of the mid-query re-plan (``docs/engine.md`` § Adaptive
-        feedback).
         """
-        if self.fallback:
-            return True
-        if self.adaptive:
-            return self.input_rows <= budget or self.groups <= 1
-        return self.in_flight <= budget or self.groups <= 1
+        return self.fallback or self.in_flight <= budget or self.groups <= 1
 
 
 @dataclass
@@ -269,8 +254,6 @@ class PartitionRun:
     batches: list[BatchRecord] = field(default_factory=list)
     #: why packing was abandoned for one-shot execution, if it was
     fallback: str | None = None
-    #: mid-query re-packs of the remaining batches (adaptive feedback)
-    replans: int = 0
 
     def record(
         self, task: "Task", output_rows: int, seconds: float, pid: int
@@ -290,7 +273,6 @@ class PartitionRun:
                 + self.replicated_rows
                 + output_rows,
                 fallback=self.fallback is not None,
-                adaptive=self.replans > 0,
             )
         )
 
@@ -314,8 +296,6 @@ class PartitionRun:
         )
         if self.fallback:
             line += f" [one-shot fallback: {self.fallback}]"
-        if self.replans:
-            line += f" [mid-query re-packs: {self.replans}]"
         return line
 
 
@@ -484,14 +464,11 @@ class Scatter:
     themselves (inline execution, pickled transport); with a
     :class:`~repro.storage.ship.ShipmentWriter` each distinct fragment
     is registered once and the arguments carry block references.
-    ``worst_output`` (keyed operators only) is each group's worst-case
-    output — the part of its weight the mid-query re-pack rescales.
     """
 
     weights: dict[object, int]
     replicated: int
     task: object
-    worst_output: dict[object, int] | None = None
 
 
 def scatter_for(executor, inner: PlanNode, budget: int | None) -> Scatter:
@@ -537,14 +514,12 @@ def _scatter_keyed(executor, inner, budget: int | None) -> Scatter:
         tuple(a.j for a in eq),
     )
     weights: dict[object, int] = {}
-    worst_output: dict[object, int] = {}
     for key in left_groups.keys() & right_groups.keys():
         n_left = len(left_groups[key])
         n_right = len(right_groups[key])
         pairs = n_left * n_right
-        worst_output[key] = pairs if join else n_left
         if budget is not None:
-            weights[key] = n_left + n_right + worst_output[key]
+            weights[key] = n_left + n_right + (pairs if join else n_left)
         else:
             weights[key] = n_left + n_right + (pairs if join or rest else 0)
 
@@ -557,7 +532,7 @@ def _scatter_keyed(executor, inner, budget: int | None) -> Scatter:
             len(keys), input_rows, keyed_batch_kernel, (pairs, rest, join)
         )
 
-    return Scatter(weights, 0, task, worst_output)
+    return Scatter(weights, 0, task)
 
 
 def _scatter_semijoin(executor, inner: NestedLoopSemijoinOp) -> Scatter:
@@ -669,48 +644,14 @@ def run_batches(
     The serial runner of a :class:`~repro.engine.plan.PartitionedOp`
     and the inline path of a :class:`~repro.engine.plan.ParallelOp`
     whose pool is bypassed.  The version token is checked before every
-    batch.  Batches start out packed with worst-case weights; under a
-    budget and a ``replan_threshold``, keyed operators re-pack the
-    *still-pending* batches with observed-rate weights when actuals
-    show the worst case priced them absurdly (adaptive feedback).
+    batch.  The batches run exactly as packed, so this loop and the
+    pool run the same ones.
     """
-    threshold = executor._replan_threshold
-    adaptive = (
-        threshold is not None
-        and node.budget is not None
-        and scatter.worst_output is not None
-    )
-    assumed_rate = 1.0
-    done_out = done_worst = 0
     out: list[Row] = []
-    pending = deque(batches)
-    while pending:
-        keys = pending.popleft()
+    for keys in batches:
         _check_version(executor, node)
         task = scatter.task(keys, None)
         rows, seconds, pid = run_task(task.kernel, task.args)
         out.extend(rows)
         run.record(task, len(rows), seconds, pid)
-        if not adaptive or not pending:
-            continue
-        # Between-batch checkpoint (same spot the StaleDataError check
-        # runs): if the batches executed so far produced far fewer rows
-        # than the worst-case bound they were priced at, re-pack the
-        # remaining groups with observed-rate weights — fewer, fuller
-        # batches instead of thousands of near-empty ones.
-        done_out += len(rows)
-        done_worst += sum(scatter.worst_output[key] for key in keys)
-        observed = max(done_out, 1) / done_worst
-        if assumed_rate / observed >= threshold:
-            assumed_rate = min(1.0, observed * ADAPTIVE_SAFETY)
-            weights = {}
-            for key in chain.from_iterable(pending):
-                worst = scatter.worst_output[key]
-                weights[key] = (
-                    scatter.weights[key]
-                    - worst
-                    + max(1, math.ceil(worst * assumed_rate))
-                )
-            pending = deque(pack_groups(weights, node.budget))
-            run.replans += 1
     return out

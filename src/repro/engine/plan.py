@@ -565,7 +565,7 @@ class PartitionedOp(PlanNode):
     backend would turn into bounded *memory* — see ``docs/engine.md``
     § Partitioned execution.)  ``partitions`` is the planner's
     *predicted* batch count (from the cost model's sound upper
-    bounds); the executor re-packs batches from exact per-key weights
+    bounds); the executor packs batches from exact per-key weights
     at run time, so the actual count can differ — both are recorded
     for estimated-vs-actual comparison.
     """
@@ -609,7 +609,7 @@ class ParallelOp(PlanNode):
     planner parallelized an unpartitioned operator purely for speed,
     in which case batches are sized to balance work across workers).
     ``partitions`` is the planner's batch-count estimate; as with
-    :class:`PartitionedOp` the executor re-packs from exact per-key
+    :class:`PartitionedOp` the executor packs from exact per-key
     weights, so the actual count can differ.
     """
 

@@ -162,13 +162,12 @@ class PlannerOptions:
     (a ratio strictly greater than 1), execution feeds each operator's
     estimated-vs-actual pair into the catalog's persistent
     :class:`~repro.engine.stats.FeedbackLedger`, the cost model
-    corrects point estimates by the learned factors, a memoized plan
-    is re-planned once any of its operators' correction factors has
-    drifted by at least the threshold since the plan was priced, and
-    partitioned operators re-pack their *remaining* batches mid-query
-    when observed batch output diverges from the priced worst case by
-    the same ratio.  ``None`` (the default) freezes plans: estimates
-    are never corrected and nothing re-plans.  Feedback requires
+    corrects point estimates by the learned factors, and a memoized
+    plan is re-planned once any of its operators' correction factors
+    has drifted by at least the threshold since the plan was priced.
+    ``None`` (the default) freezes plans and costs nothing: the run
+    feeds no ledger, estimates are never corrected and nothing
+    re-plans.  Feedback requires
     ``use_costs`` — the threshold measures the cost model's error, so
     there is nothing to measure (or re-plan with) structurally.
     """

@@ -210,14 +210,16 @@ class FeedbackEntry:
 class FeedbackLedger:
     """Persistent estimator error per (base relations, operator shape).
 
-    Fed by :meth:`repro.engine.executor.Executor.execute` from each
-    run's estimated-vs-actual pairs (cache hits execute zero operators
-    and feed nothing — an ``actual=0`` against a real estimate would
-    poison the ledger).  Read by the cost model to correct point
-    estimates (never the sound upper bounds — corrections are clamped
-    by :class:`~repro.engine.cost.Estimate`'s ``rows ≤ upper``
-    invariant) and by the executor's re-plan trigger, which compares
-    each memoized plan's snapshot of factors against the current ones.
+    Fed by :meth:`repro.engine.executor.Executor.execute` from the
+    estimated-vs-actual pairs of each run whose options carry a
+    ``replan_threshold`` — threshold-free runs feed nothing, and nor
+    do cache hits, which execute zero operators (an ``actual=0``
+    against a real estimate would poison the ledger).  Read by the
+    cost model to correct point estimates (never the sound upper
+    bounds — corrections are clamped by
+    :class:`~repro.engine.cost.Estimate`'s ``rows ≤ upper`` invariant)
+    and by the executor's re-plan trigger, which compares each memoized
+    plan's snapshot of factors against the current ones.
 
     Keys come from :func:`feedback_key`: the sorted base-relation names
     under the operator plus the operator's label (condition included),
@@ -279,7 +281,10 @@ class FeedbackLedger:
     def report(self) -> str:
         """Human-readable ledger dump (``explain --feedback`` output)."""
         if not self._entries:
-            return "feedback ledger  : empty (no executions recorded)"
+            return (
+                "feedback ledger  : empty (only runs with a "
+                "replan_threshold record into it)"
+            )
         lines = ["feedback ledger  :"]
         ordered = sorted(
             self._entries.items(),

@@ -4,17 +4,15 @@
 pack → runner → record; ``docs/engine.md`` § Partitioned execution)
 and differ only in *where* a batch runs.  The contract under test:
 
-* for each operator kind and budget, the serial loop, a ``workers=1``
-  ``ParallelOp``, a real two-worker pool and a pool that breaks mid-run
-  return the one-shot rows **and**, under a budget, record-for-record
-  identical batches;
+* for each operator kind, budget and ``replan_threshold``, the serial
+  loop, a ``workers=1`` ``ParallelOp``, a real two-worker pool and a
+  pool that breaks mid-run return the one-shot rows **and**, under a
+  budget, record-for-record the batches a threshold-free serial run
+  records — the options never change a batch;
 * the rungs of the degradation ladder that need a sick environment —
   a pool that cannot be created, shipment storage that cannot be
   allocated — end in the serial loop with the reason recorded and
-  nothing leaked;
-* the serial loop is the *only* inline path, so a degraded budgeted
-  ``ParallelOp`` re-packs mid-query under a ``replan_threshold`` just
-  as a ``PartitionedOp`` does.
+  nothing leaked.
 """
 
 import errno
@@ -38,7 +36,6 @@ from repro.engine import (
 from repro.extended.division_plan import division_plan
 from repro.setjoins.division import classic_division_expr
 from repro.storage.ship import ShipmentWriter
-from tests.test_feedback import selective_partition_db
 from tests.test_storage_backends import spill_files
 
 SCHEMA = Schema({"L": 2, "M": 2, "R": 2, "S": 1})
@@ -63,16 +60,38 @@ def mixed_db() -> Database:
     )
 
 
-#: kind → (expression, tight budget, degenerate budget).  The
+def selective_partition_db() -> Database:
+    """A join whose worst-case batch pricing is wildly pessimistic.
+
+    Every ``L`` row key-matches every ``R`` row on column 2, but the
+    ``1>1`` rest-atom keeps almost all pairs out of the output: each
+    4×4 key group is priced ``4+4+16 = 24`` rows in flight and emits
+    nothing (three rows, for the last key).
+    """
+    schema = Schema({"L": 2, "R": 2})
+    left = frozenset((i, k) for k in range(20) for i in range(4))
+    right = frozenset(
+        (0 if k == 19 else 9 + i, k) for k in range(20) for i in range(4)
+    )
+    return Database(schema, {"L": left, "R": right})
+
+
+#: kind → (database, expression, tight budget, degenerate budget).  The
 #: degenerate budget is the replicated side's row count where there is
 #: one (θ-semijoin's right side, the divisor: the one-shot fallback)
 #: and 1 for the keyed operators (every group an oversized singleton).
 KINDS = {
-    "hash-join": (parse("L join[2=2,1<1] M", SCHEMA), 40, 1),
-    "hash-semijoin": (parse("L semijoin[2=2] M", SCHEMA), 25, 1),
-    "theta-semijoin": (parse("L semijoin[1>1] M", SCHEMA), 36, 30),
-    "division-contains": (classic_division_expr(), 12, 3),
-    "division-eq": (division_plan(eq=True), 12, 3),
+    "hash-join": (mixed_db, parse("L join[2=2,1<1] M", SCHEMA), 40, 1),
+    "hash-semijoin": (mixed_db, parse("L semijoin[2=2] M", SCHEMA), 25, 1),
+    "theta-semijoin": (mixed_db, parse("L semijoin[1>1] M", SCHEMA), 36, 30),
+    "division-contains": (mixed_db, classic_division_expr(), 12, 3),
+    "division-eq": (mixed_db, division_plan(eq=True), 12, 3),
+    "selective-join": (
+        selective_partition_db,
+        parse("L join[2=2,1>1] R", SCHEMA),
+        24,
+        1,
+    ),
 }
 
 RUNNERS = ("partitioned", "workers=1", "pool", "broken-pool")
@@ -119,21 +138,22 @@ def shape(run):
 
 
 # ----------------------------------------------------------------------
-# (a) kind × budget × runner: same rows, same batches
+# (a) kind × budget × threshold × runner: same rows, same batches
 # ----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("runner", RUNNERS)
+@pytest.mark.parametrize("threshold", [None, 2.0])
 @pytest.mark.parametrize("budget_case", ["tight", "degenerate", None])
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_every_runner_runs_the_same_batches(
-    kind, budget_case, runner, monkeypatch
+    kind, budget_case, threshold, runner, monkeypatch
 ):
-    expr, tight, degenerate = KINDS[kind]
+    make_db, expr, tight, degenerate = KINDS[kind]
     budget = {"tight": tight, "degenerate": degenerate, None: None}[
         budget_case
     ]
-    db = mixed_db()
+    db = make_db()
     one_shot, _ = execute(db, expr, None, "partitioned")
     assert one_shot  # every kind's workload has a non-empty answer
     if runner == "broken-pool":
@@ -141,7 +161,8 @@ def test_every_runner_runs_the_same_batches(
             parallel_module, "_pool_for", lambda workers: BrokenPool()
         )
 
-    rows, run = execute(db, expr, budget, runner)
+    options = PlannerOptions(replan_threshold=threshold)
+    rows, run = execute(db, expr, budget, runner, options=options)
     assert rows == one_shot
 
     if runner != "partitioned":
@@ -164,7 +185,7 @@ def test_every_runner_runs_the_same_batches(
     assert run.replicated_rows == serial.replicated_rows
     if budget_case == "tight":
         assert run.actual() > 1 and run.fallback is None
-    elif kind in ("hash-join", "hash-semijoin"):
+    elif kind in ("hash-join", "hash-semijoin", "selective-join"):
         assert all(b.groups == 1 for b in run.batches)
     else:
         assert run.actual() == 1 and "one-shot" in run.render()
@@ -181,8 +202,8 @@ class UnusedPool:
 
 
 def assert_degraded(kind, monkeypatch, reason_prefix):
-    db = mixed_db()
-    expr, tight, _ = KINDS["theta-semijoin"]
+    make_db, expr, tight, _ = KINDS["theta-semijoin"]
+    db = make_db()
     segments = shm_module.live_segment_names()
     spills = spill_files()
     rows, run = execute(db, expr, tight, "pool", backend=kind)
@@ -217,46 +238,3 @@ def test_shipment_storage_failure_degrades_inline(kind, monkeypatch):
     monkeypatch.setattr(ShipmentWriter, "seal", full)
     assert_degraded(kind, monkeypatch, "shipment storage unavailable (")
 
-
-# ----------------------------------------------------------------------
-# (c) the inline path is the serial loop, re-pack included
-# ----------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("runner", ["workers=1", "broken-pool"])
-def test_degraded_parallel_op_repacks_like_the_serial_loop(
-    runner, monkeypatch
-):
-    """Pinned: a budgeted ``ParallelOp`` that runs inline re-packs."""
-    monkeypatch.setattr(
-        parallel_module, "_pool_for", lambda workers: BrokenPool()
-    )
-    db = selective_partition_db()
-    expr = parse("L join[2=2,1>1] R", db.schema)
-    adaptive = PlannerOptions(replan_threshold=2.0)
-
-    rows, run = execute(db, expr, 24, runner, options=adaptive)
-    _, serial = execute(db, expr, 24, "partitioned", options=adaptive)
-    _, frozen = execute(db, expr, 24, runner)
-
-    assert rows == evaluate_reference(expr, db)
-    assert serial.replans >= 1 and frozen.replans == 0
-    assert run.replans == serial.replans
-    assert shape(run) == shape(serial)
-    assert [b.adaptive for b in run.batches] == [
-        b.adaptive for b in serial.batches
-    ]
-    assert run.actual() < frozen.actual()
-    assert run.within_budget()
-    assert "mid-query re-packs" in run.render()
-
-
-def test_batches_out_at_a_pool_never_repack():
-    db = selective_partition_db()
-    expr = parse("L join[2=2,1>1] R", db.schema)
-    rows, run = execute(
-        db, expr, 24, "pool", options=PlannerOptions(replan_threshold=2.0)
-    )
-    assert rows == evaluate_reference(expr, db)
-    assert run.pool_fallback is None and run.replans == 0
-    assert run.actual() == 20

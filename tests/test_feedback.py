@@ -14,14 +14,14 @@ Covers the adaptive re-optimization machinery of
   shown with pre-mutation statistics;
 * the cache contract — result-cache hits execute zero operators and
   leave the ledger untouched;
+* the threshold gate — a threshold-free run never feeds the ledger;
 * threshold-driven re-planning — observed estimator error past
   ``replan_threshold`` drops the memoized plan, re-prices with
   corrected estimates, and then *stops* re-planning once the plan's
   snapshot reflects the learned factors;
-* Hypothesis properties — feedback-corrected runs (including
-  mid-query re-packs between partition batches) agree with the
-  structural-evaluator oracle, and corrected point estimates never
-  exceed the sound upper bound.
+* Hypothesis properties — feedback-corrected runs (partitioned ones
+  included) agree with the structural-evaluator oracle, and corrected
+  point estimates never exceed the sound upper bound.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -203,6 +203,39 @@ class TestCacheHitContract:
 
 
 # ----------------------------------------------------------------------
+# The threshold gate: only runs with a threshold feed the ledger
+# ----------------------------------------------------------------------
+
+
+class TestThresholdGate:
+    def test_threshold_free_run_never_touches_the_ledger(self, monkeypatch):
+        import repro.engine.stats as stats_module
+
+        keyed = []
+        real_key = stats_module.feedback_key
+
+        def counting_key(node):
+            keyed.append(node)
+            return real_key(node)
+
+        monkeypatch.setattr(stats_module, "feedback_key", counting_key)
+        frozen = Session(correlated_db(), cache_results=False)
+        frozen.run("A join[2=1] B")
+        assert frozen.feedback.revision == 0
+        assert keyed == []
+        assert "replan_threshold" in frozen.feedback.report()
+
+        adaptive = Session(
+            correlated_db(),
+            options=PlannerOptions(replan_threshold=2.0),
+            cache_results=False,
+        )
+        adaptive.run("A join[2=1] B")
+        assert adaptive.feedback.revision > 0
+        assert keyed
+
+
+# ----------------------------------------------------------------------
 # Threshold-driven re-planning
 # ----------------------------------------------------------------------
 
@@ -273,79 +306,6 @@ class TestReplanning:
 
 
 # ----------------------------------------------------------------------
-# Mid-query re-pack between partition batches
-# ----------------------------------------------------------------------
-
-
-def selective_partition_db() -> Database:
-    """A join whose worst-case batch pricing is wildly pessimistic.
-
-    Every ``L`` row key-matches every ``R`` row on column 2, but the
-    ``1>1`` rest-atom keeps almost all pairs out of the output — so
-    per-key worst-case weights (``nL+nR+nL·nR``) price huge batches
-    that actually emit almost nothing, which is exactly the slack the
-    mid-query re-pack reclaims.
-    """
-    schema = Schema({"L": 2, "R": 2})
-    left = frozenset((i, k) for k in range(20) for i in range(4))
-    right = frozenset(
-        (0 if k == 19 else 9 + i, k) for k in range(20) for i in range(4)
-    )
-    return Database(schema, {"L": left, "R": right})
-
-
-class TestMidQueryRepack:
-    QUERY = "L join[2=2,1>1] R"
-
-    def run_options(self, threshold):
-        # Each key group is 4×4: worst-case weight 4+4+16 = 24 fills a
-        # whole batch, while the observed output rate prices the same
-        # group at 4+4+max(1, ceil(16·rate)) — small enough to pack
-        # several groups per batch once the re-pack kicks in.
-        return PlannerOptions(
-            partition_budget=24, replan_threshold=threshold
-        )
-
-    def test_repack_triggers_and_matches_oracle(self):
-        db = selective_partition_db()
-        session = Session(
-            db, options=self.run_options(2.0), cache_results=False
-        )
-        result = session.run(self.QUERY)
-        assert result == session.oracle(self.QUERY)
-        runs = list(
-            session.last_report.stats.partition_runs.values()
-        )
-        assert runs, "expected a partitioned operator"
-        run = runs[0]
-        assert run.replans >= 1
-        assert any(b.adaptive for b in run.batches)
-        assert "mid-query re-packs" in run.render()
-        # Adaptive batches pack more groups per batch than worst-case
-        # pricing allowed.
-        frozen = Session(
-            db, options=self.run_options(None), cache_results=False
-        )
-        assert frozen.run(self.QUERY) == result
-        frozen_run = list(
-            frozen.last_report.stats.partition_runs.values()
-        )[0]
-        assert frozen_run.replans == 0
-        assert run.actual() < frozen_run.actual()
-
-    def test_budget_invariant_still_holds(self):
-        db = selective_partition_db()
-        session = Session(
-            db, options=self.run_options(2.0), cache_results=False
-        )
-        session.run(self.QUERY)
-        run = list(
-            session.last_report.stats.partition_runs.values()
-        )[0]
-        assert run.within_budget()
-
-
-# ----------------------------------------------------------------------
 # Hypothesis properties
 # ----------------------------------------------------------------------
 
@@ -377,8 +337,8 @@ def test_feedback_corrected_runs_match_oracle(expr, db):
 @FEEDBACK_PROPERTY
 @given(join_chains(), dense_databases())
 def test_partitioned_feedback_runs_match_oracle(expr, db):
-    """Mid-query re-packs never change results (tiny budget forces
-    partitioned execution; the threshold arms between-batch re-packs)."""
+    """Feedback-corrected plans under a tiny budget, which forces
+    partitioned execution, agree with the oracle on every re-run."""
     oracle = evaluate(expr, db)
     session = Session(
         db,
