@@ -6,11 +6,14 @@ writes the first machine-readable trajectory (``BENCH_parallel.json``
 at the repo root) for cross-version tracking:
 
 * the fig1-style shoot-out in its quadratic regime — eight hot
-  symptoms shared by thousands of patients, a rest atom that never
-  holds, so the semijoin scans every candidate pair — is exactly where
-  the cost model's pair bound certifies the dispatch; wall-clock at 1
-  vs N workers is recorded, and on a machine with ≥ 4 cores the 4-way
-  run must beat serial by ≥ 2×;
+  symptoms shared by thousands of patients, order atoms on two
+  ``Disease`` columns that never hold, so the semijoin scans every
+  candidate pair — is exactly where the cost model's pair bound
+  certifies the dispatch; wall-clock at 1 vs N workers is recorded, and
+  on a machine with ≥ 4 cores the 4-way run must beat serial by ≥ 2×.
+  Order atoms on *one* right column would not do: the semijoin kernel
+  decides those against one summary per group, in linear time
+  (``repro.engine.kernels.witness``);
 * the Proposition 26 division family is the opposite regime: the
   engine's direct division is *linear*, so shipping rows to workers
   costs more IPC than the divided work saves — the gate must refuse,
@@ -77,7 +80,7 @@ emit_results = results_writer("BENCH_parallel.json", RESULTS)
 # Workloads
 # ----------------------------------------------------------------------
 
-HOT_QUERY = "Person semijoin[2=2,1>1] Disease"
+HOT_QUERY = "Person semijoin[2=2,1>1,1>3] Disease"
 
 
 def hot_symptom_db(
@@ -86,15 +89,20 @@ def hot_symptom_db(
     """The fig1 shoot-out in its quadratic regime.
 
     Eight hot symptoms (within the MCV sketch size, so the pair bound
-    is exact) shared by every patient and disease; disease keys are
-    offset so the ``1>1`` rest atom never holds and the semijoin scans
-    all ``persons·diseases/groups`` candidate pairs for a small output.
+    is exact) shared by every patient and disease.  Disease keys and
+    onsets (columns 1 and 3) are offset above every person key, so the
+    ``1>1,1>3`` rest never holds.  It reads two right columns, so no
+    per-group summary decides it, and the semijoin scans all
+    ``persons·diseases/groups`` candidate pairs for a small output.
     """
     return Database(
-        Schema({"Person": 2, "Disease": 2}),
+        Schema({"Person": 2, "Disease": 3}),
         {
             "Person": {(i, i % groups) for i in range(persons)},
-            "Disease": {(10**6 + j, j % groups) for j in range(diseases)},
+            "Disease": {
+                (10**6 + j, j % groups, 2 * 10**6 + j)
+                for j in range(diseases)
+            },
         },
     )
 

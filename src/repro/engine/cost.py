@@ -947,7 +947,9 @@ def parallel_work_bound(model: CostModel, node: PlanNode) -> float:
     operator is repriced as the eq-only hash join it would degenerate
     to — that join's certified output bound (MCV sketch / AGM) *is* the
     candidate-pair count, and the real work can only be smaller because
-    ``any()`` stops at the first witness.  Infinite whenever the
+    the scan stops at the first witness (and overstates a semijoin
+    whose rest :func:`~repro.engine.kernels.witness` summarises, which
+    is linear — kept so plans stay unchanged).  Infinite whenever the
     estimates certify nothing (zero-stats planning never parallelizes).
     """
     estimate = model.estimate(node)

@@ -848,12 +848,12 @@ class Executor:
     def _hash(self, node: HashJoinOp | HashSemijoinOp) -> Iterable[Row]:
         """A hash join or semijoin: the kernel its type names, over the
         left rows, the right side's index (built or fetched), the left
-        key positions of the equality atoms and the matcher compiled
-        from the remaining ones."""
-        loop = (
-            kernels.hash_join
+        key positions of the equality atoms and the remaining atoms,
+        compiled (a semijoin's by :func:`~repro.engine.kernels.witness`)."""
+        loop, compile_rest = (
+            (kernels.hash_join, kernels.matcher)
             if isinstance(node, HashJoinOp)
-            else kernels.hash_semijoin
+            else (kernels.hash_semijoin, kernels.witness)
         )
         eq = node.cond.by_op("=")
         index = self.indexes.index_for(
@@ -865,20 +865,20 @@ class Executor:
             self._rows(node.left),
             index,
             tuple(a.i for a in eq),
-            kernels.matcher(a for a in node.cond if a.op != "="),
+            compile_rest(a for a in node.cond if a.op != "="),
         )
 
     def _nested_loop(
         self, node: NestedLoopJoinOp | NestedLoopSemijoinOp
     ) -> Iterable[Row]:
         """A nested-loop join or semijoin: the kernel its type names."""
-        loop = (
-            kernels.nested_loop_join
+        loop, compile_cond = (
+            (kernels.nested_loop_join, kernels.matcher)
             if isinstance(node, NestedLoopJoinOp)
-            else kernels.nested_loop_semijoin
+            else (kernels.nested_loop_semijoin, kernels.witness)
         )
         right = self._rows(node.right)
-        return loop(self._rows(node.left), right, kernels.matcher(node.cond))
+        return loop(self._rows(node.left), right, compile_cond(node.cond))
 
     def _multiway(self, node: MultiwayJoinOp) -> list[Row]:
         from repro.engine.wcoj import run_multiway

@@ -15,6 +15,11 @@ to check (:func:`always`), pipelines of C iterators with no Python
 frame per row.  Their output holds no duplicate when the inputs hold
 none, so the executor memoises it as a ``list`` (``docs/engine.md``).
 
+A semijoin compiles its other atoms with :func:`witness`: where one
+summary per group of right rows decides them, each left row is tested
+against its group's summary and the semijoin is linear; every other
+rest keeps the pairwise first-witness scan over :func:`matcher`.
+
 Closures never travel — a batch task carries atoms, and the kernel
 compiles them in the worker.  The structural evaluator and the
 reference semantics do not import this module; they keep their own
@@ -25,6 +30,8 @@ implementations (``tests/test_layering.py``).
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
+from functools import partial
 from itertools import compress, product, repeat, starmap
 from typing import (
     Callable,
@@ -32,6 +39,7 @@ from typing import (
     Iterable,
     Iterator,
     Mapping,
+    NamedTuple,
     Sequence,
 )
 
@@ -102,6 +110,81 @@ def matcher(atoms: Iterable[Atom]) -> Matcher:
     return holds
 
 
+class GroupTest(NamedTuple):
+    """A rest decided per group: a left row has a witness in a group iff
+    ``passes(reduce(map(column, group)), value(row))``.  With one atom
+    all four are C callables: no Python frame runs per row."""
+
+    column: Callable[[Row], object]
+    reduce: Callable[[Iterator], object]
+    value: Callable[[Row], object]
+    passes: Callable[[object, object], bool]
+
+
+def witness(atoms: Iterable[Atom]) -> "Matcher | GroupTest":
+    """A semijoin's check of ``atoms``: a :class:`GroupTest` for order
+    atoms that all read one right column ``j`` (against the group's
+    maximum ``r[j]``, its minimum, or — both directions — a ``bisect``
+    into its sorted distinct values) and for a lone ``!=``; else
+    :func:`matcher`.  Ties stay strict; an incomparable value raises
+    ``TypeError``, maybe at another pair than the scan would."""
+    atoms = tuple(atoms)
+    return _group_test(atoms) or matcher(atoms)
+
+
+def scans(atoms: Sequence[Atom]) -> bool:
+    """Whether a semijoin on ``atoms`` pairs left rows with their group."""
+    return bool(atoms) and _group_test(tuple(atoms)) is None
+
+
+def _group_test(atoms: tuple[Atom, ...]) -> GroupTest | None:
+    if not atoms or any(a.j != atoms[0].j for a in atoms):
+        return None
+    column = operator.itemgetter(atoms[0].j - 1)
+    ops = {a.op for a in atoms}
+    if ops == {"!="} and len(atoms) == 1:
+        value = operator.itemgetter(atoms[0].i - 1)
+        return GroupTest(column, _one_value, value, operator.ne)
+    if not ops <= {"<", ">"}:
+        return None
+    below = _bound([a.i for a in atoms if a.op == "<"], max)
+    above = _bound([a.i for a in atoms if a.op == ">"], min)
+    if above is None:  # r[j] > below: some r[j] is iff the maximum is
+        return GroupTest(column, max, below, operator.gt)
+    if below is None:  # r[j] < above: some r[j] is iff the minimum is
+        return GroupTest(column, min, above, operator.lt)
+
+    def bounds(row: Row) -> tuple:  # r[j] strictly between them
+        return below(row), above(row)
+
+    return GroupTest(column, lambda rs: sorted(set(rs)), bounds, _between)
+
+
+def _bound(positions: list[int], pick):
+    """``row -> pick(row[p - 1] for p in positions)``; ``None`` if none."""
+    if not positions:
+        return None
+    if len(positions) == 1:
+        return operator.itemgetter(positions[0] - 1)
+    getter = operator.itemgetter(*(p - 1 for p in positions))
+    return lambda row: pick(getter(row))
+
+
+def _between(values: list, bounds: tuple) -> bool:
+    """Some of the sorted ``values`` lies strictly between ``bounds``."""
+    low, high = bounds
+    k = bisect_right(values, low)
+    return k < len(values) and values[k] < high
+
+
+def _one_value(values: Iterator) -> object:
+    """The group's one value, or a fresh object no left value equals."""
+    first = next(values)
+    if any(map(partial(operator.ne, first), values)):
+        return object()
+    return first
+
+
 def build_index(
     rows: Collection[Row], positions: Sequence[int]
 ) -> dict[tuple, list[Row]]:
@@ -155,7 +238,7 @@ def hash_semijoin(
     lefts: Collection[Row],
     index: Mapping[tuple, Sequence[Row]],
     positions: Sequence[int],
-    match: Matcher,
+    match: "Matcher | GroupTest",
 ) -> Iterator[Row]:
     """Every ``l`` with a witness indexed under its key."""
     if match is always:
@@ -163,7 +246,20 @@ def hash_semijoin(
         return compress(
             lefts, map(index.__contains__, keys_of(lefts, positions))
         )
+    if isinstance(match, GroupTest):
+        return _summarised(lefts, index, positions, match)
     return _first_witness(lefts, _groups_of(lefts, index, positions), match)
+
+
+def _summarised(lefts, index, positions, test: GroupTest) -> Iterator[Row]:
+    """Rows with a group, each tested against one summary per group."""
+    probed = list(hash_semijoin(lefts, index, positions, always))
+    keys = list(keys_of(probed, positions))
+    summaries = {
+        key: test.reduce(map(test.column, index[key])) for key in set(keys)
+    }
+    per_row = map(summaries.__getitem__, keys)
+    return compress(probed, map(test.passes, per_row, map(test.value, probed)))
 
 
 def nested_loop_join(
@@ -181,21 +277,21 @@ def nested_loop_join(
 
 
 def nested_loop_semijoin(
-    lefts: Collection[Row], rights: Collection[Row], match: Matcher
+    lefts: Collection[Row],
+    rights: Collection[Row],
+    match: "Matcher | GroupTest",
 ) -> Iterable[Row]:
-    """Every ``l`` with some matching ``r``; stops at the first.
+    """Every ``l`` with some matching ``r``.
 
-    No pair is evaluated after a row's first witness — the early exit
-    :func:`repro.engine.cost.parallel_work_bound` prices.
+    A :class:`GroupTest` reads ``rights`` once; a matcher pairs each
+    row with ``rights`` and evaluates no pair after its first witness.
     """
+    if not rights:
+        return ()
     if match is always:
-        return lefts if rights else ()
-    return _scan_witness(lefts, rights, match)
-
-
-def _scan_witness(lefts, rights, match: Matcher) -> Iterator[Row]:
-    for lrow in lefts:
-        for rrow in rights:
-            if match(lrow, rrow):
-                yield lrow
-                break
+        return lefts
+    if isinstance(match, GroupTest):
+        summary = repeat(match.reduce(map(match.column, rights)))
+        values = map(match.value, lefts)
+        return compress(lefts, map(match.passes, summary, values))
+    return _first_witness(lefts, repeat(rights), match)

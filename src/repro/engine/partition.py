@@ -386,13 +386,13 @@ def keyed_batch_kernel(
 
     ``pairs`` holds the (left fragment, right fragment) for each key
     group packed into the batch; ``rest`` the non-equality atoms still
-    to check.  Joins emit concatenated rows, semijoins the left row on
-    first witness.  Module-level and argument-pure so a process-pool
+    to check.  Joins emit concatenated rows, semijoins the left rows
+    with a witness.  Module-level and argument-pure so a process-pool
     worker can run it on pickled fragments; the atoms travel, and
     :mod:`repro.engine.kernels` compiles them here, in the worker.
     """
     loop = kernels.nested_loop_join if join else kernels.nested_loop_semijoin
-    match = kernels.matcher(rest)
+    match = kernels.matcher(rest) if join else kernels.witness(rest)
     out: list[Row] = []
     for lefts, rights in pairs:
         out.extend(loop(lefts, rights, match))
@@ -405,7 +405,7 @@ def semijoin_batch_kernel(
     """One θ-semijoin batch: left fragment against the replicated right."""
     return list(
         kernels.nested_loop_semijoin(
-            left_rows, right_rows, kernels.matcher(cond)
+            left_rows, right_rows, kernels.witness(cond)
         )
     )
 
@@ -497,12 +497,13 @@ def _scatter_keyed(executor, inner, budget: int | None) -> Scatter:
     pruned at scatter time: with no partner rows they cannot produce
     output (``rest`` atoms only filter further), so they never consume
     batch capacity or rows in flight.  A group's worst-case output is
-    ``nL·nR`` (join) or ``nL`` (semijoin); its work is the pair count
-    it can generate.
+    ``nL·nR`` (join) or ``nL`` (semijoin); its work adds the pair count
+    where the kernel visits pairs (not a summarised semijoin rest).
     """
     eq = inner.cond.by_op("=")
     rest = tuple(a for a in inner.cond if a.op != "=")
     join = isinstance(inner, HashJoinOp)
+    paired = join or kernels.scans(rest)
     left_groups = executor.indexes.index_for(
         inner.left.logical,
         executor._rows(inner.left),
@@ -521,7 +522,7 @@ def _scatter_keyed(executor, inner, budget: int | None) -> Scatter:
         if budget is not None:
             weights[key] = n_left + n_right + (pairs if join else n_left)
         else:
-            weights[key] = n_left + n_right + (pairs if join or rest else 0)
+            weights[key] = n_left + n_right + (pairs if paired else 0)
 
     def task(keys, ship) -> Task:
         pairs = [(left_groups[key], right_groups[key]) for key in keys]

@@ -167,11 +167,82 @@ def test_pair_loops_are_the_brute_force_comprehension(atoms, relations):
     )
     match = kernels.matcher(atoms)
     assert sorted(kernels.nested_loop_join(lefts, rights, match)) == joined
-    assert sorted(kernels.nested_loop_semijoin(lefts, rights, match)) == kept
+    assert sorted(
+        kernels.nested_loop_semijoin(lefts, rights, kernels.witness(atoms))
+    ) == kept
     right_positions, key, rest = split(atoms)
     index = kernels.build_index(rights, right_positions)
     assert sorted(kernels.hash_join(lefts, index, key, rest)) == joined
-    assert sorted(kernels.hash_semijoin(lefts, index, key, rest)) == kept
+    semi = kernels.witness(a for a in atoms if a.op != "=")
+    assert sorted(kernels.hash_semijoin(lefts, index, key, semi)) == kept
+
+
+# ----------------------------------------------------------------------
+# Semijoin rests: one summary per group, or the first-witness scan
+# ----------------------------------------------------------------------
+
+
+def summarisable(rest) -> bool:
+    """The shapes a per-group summary decides, restated: order atoms on
+    one right column, or a lone ``!=``."""
+    ops = {a.op for a in rest}
+    return len({a.j for a in rest}) == 1 and (
+        ops <= {"<", ">"} or (len(rest) == 1 and ops == {"!="})
+    )
+
+
+def order_rests(j: int) -> st.SearchStrategy:
+    """Only ``<``, only ``>`` or both directions, all on right column j."""
+    atom = st.builds(Atom, POSITIONS, st.sampled_from(("<", ">")), st.just(j))
+    return st.lists(atom, min_size=1, max_size=3)
+
+
+RESTS = st.one_of(
+    POSITIONS.flatmap(order_rests),
+    st.builds(lambda i, j: [Atom(i, "!=", j)], POSITIONS, POSITIONS),
+    # Anything else: two right columns, or "!=" beside another atom.
+    st.lists(
+        st.builds(
+            Atom, POSITIONS, st.sampled_from(("<", ">", "!=")), POSITIONS
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+).map(tuple)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    rest=RESTS,
+    key=st.one_of(st.none(), st.tuples(POSITIONS, POSITIONS)),
+    relations=RELATIONS,
+)
+def test_witness_is_the_brute_force_semijoin(rest, key, relations):
+    """Every shape, all three sorts; small domains give ties at the
+    bound and repeated ``r[j]``, small relations empty and one-row
+    groups (and left keys with no group at all)."""
+    lefts, rights = relations
+    compiled = kernels.witness(rest)
+    assert isinstance(compiled, kernels.GroupTest) == summarisable(rest)
+    assert kernels.scans(rest) == (not summarisable(rest))
+    eq = () if key is None else (Atom(key[0], "=", key[1]),)
+    cond = Condition(eq + rest)
+    kept = sorted(
+        l for l in lefts if any(cond.holds(l, r) for r in rights)
+    )
+    index = kernels.build_index(rights, tuple(a.j for a in eq))
+    assert sorted(
+        kernels.hash_semijoin(lefts, index, tuple(a.i for a in eq), compiled)
+    ) == kept
+    # The nested loop, once per left group (one group when no key).
+    groups = kernels.build_index(lefts, tuple(a.i for a in eq))
+    assert sorted(
+        row
+        for k, group in groups.items()
+        for row in kernels.nested_loop_semijoin(
+            group, index.get(k, ()), compiled
+        )
+    ) == kept
 
 
 class Counted:
@@ -187,24 +258,58 @@ class Counted:
         return self.value < other.value
 
 
-def test_semijoins_evaluate_no_pair_after_the_first_witness():
-    lefts = [(Counted(0),), (Counted(1),)]
-    # Every right row is a witness for every left row.
-    rights = [(Counted(5 + k),) for k in range(7)]
-    match = kernels.matcher((Atom(1, "<", 1),))
-    loops = {
-        "nested": lambda: kernels.nested_loop_semijoin(lefts, rights, match),
+def semijoin_loops(lefts, rights, compiled, positions):
+    """The two semijoin loops, keyed on ``positions`` of both sides."""
+    return {
+        "nested": lambda: kernels.nested_loop_semijoin(
+            lefts, rights, compiled
+        ),
         "hash": lambda: kernels.hash_semijoin(
             lefts,
-            kernels.build_index(rights, ()),
-            (),
-            match,
+            kernels.build_index(rights, positions),
+            positions,
+            compiled,
         ),
     }
-    for name, loop in loops.items():
+
+
+@pytest.mark.parametrize("op", ("<", ">"))
+def test_a_summarised_rest_reads_each_row_once_per_group(op):
+    # Two groups on column 2 for the hash loop, one for the nested loop;
+    # some left rows have a witness, some do not.
+    lefts = [(Counted(k), k % 2) for k in range(0, 24, 3)]
+    rights = [(Counted(k), k % 2) for k in range(5, 15)]
+    rest = (Atom(1, op, 1),)
+    compiled = kernels.witness(rest)
+    assert isinstance(compiled, kernels.GroupTest)
+    loops = [
+        (name, Condition(rest), loop)
+        for name, loop in semijoin_loops(lefts, rights, compiled, ()).items()
+    ]
+    loops.append((
+        "hash, two groups",
+        Condition((Atom(2, "=", 2),) + rest),
+        semijoin_loops(lefts, rights, compiled, (2,))["hash"],
+    ))
+    for name, cond, loop in loops:
+        Counted.calls = 0
+        kept = list(loop())
+        assert Counted.calls <= len(rights) + len(lefts), name
+        assert kept == [
+            l for l in lefts if any(cond.holds(l, r) for r in rights)
+        ], name
+
+
+def test_a_two_column_rest_stops_at_the_first_witness():
+    lefts = [(Counted(0), Counted(0)), (Counted(1), Counted(1))]
+    # Every right row is a witness for every left row.
+    rights = [(Counted(5 + k), Counted(5 + k)) for k in range(7)]
+    compiled = kernels.witness((Atom(1, "<", 1), Atom(2, "<", 2)))
+    assert not isinstance(compiled, kernels.GroupTest)
+    for name, loop in semijoin_loops(lefts, rights, compiled, ()).items():
         Counted.calls = 0
         assert list(loop()) == lefts, name
-        assert Counted.calls == len(lefts), name
+        assert Counted.calls == 2 * len(lefts), name
 
 
 SCHEMA = Schema({"L": 2, "M": 2})
