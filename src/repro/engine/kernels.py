@@ -30,8 +30,6 @@ implementations (``tests/test_layering.py``).
 from __future__ import annotations
 
 import operator
-from bisect import bisect_right
-from functools import partial
 from itertools import compress, product, repeat, starmap
 from typing import (
     Callable,
@@ -121,11 +119,17 @@ class GroupTest(NamedTuple):
     passes: Callable[[object, object], bool]
 
 
+#: An order atom's summary of a group and its test: some ``r`` has
+#: ``l[i] < r[j]`` iff ``max r[j] > l[i]``, some has ``l[i] > r[j]`` iff
+#: ``min r[j] < l[i]``.  Several atoms of one direction on one ``j``
+#: bound ``r[j]`` by the largest (smallest) of their ``l[i]``.
+_SUMMARY = {"<": (max, operator.gt), ">": (min, operator.lt)}
+
+
 def witness(atoms: Iterable[Atom]) -> "Matcher | GroupTest":
-    """A semijoin's check of ``atoms``: a :class:`GroupTest` for order
-    atoms that all read one right column ``j`` (against the group's
-    maximum ``r[j]``, its minimum, or — both directions — a ``bisect``
-    into its sorted distinct values) and for a lone ``!=``; else
+    """A semijoin's check of ``atoms``: a :class:`GroupTest` against
+    the group's maximum (minimum) ``r[j]`` when every atom is ``<``
+    (every atom is ``>``) and all read one right column ``j``; else
     :func:`matcher`.  Ties stay strict; an incomparable value raises
     ``TypeError``, maybe at another pair than the scan would."""
     atoms = tuple(atoms)
@@ -138,51 +142,16 @@ def scans(atoms: Sequence[Atom]) -> bool:
 
 
 def _group_test(atoms: tuple[Atom, ...]) -> GroupTest | None:
-    if not atoms or any(a.j != atoms[0].j for a in atoms):
-        return None
-    column = operator.itemgetter(atoms[0].j - 1)
     ops = {a.op for a in atoms}
-    if ops == {"!="} and len(atoms) == 1:
-        value = operator.itemgetter(atoms[0].i - 1)
-        return GroupTest(column, _one_value, value, operator.ne)
-    if not ops <= {"<", ">"}:
+    if len(ops) != 1 or len({a.j for a in atoms}) != 1:
         return None
-    below = _bound([a.i for a in atoms if a.op == "<"], max)
-    above = _bound([a.i for a in atoms if a.op == ">"], min)
-    if above is None:  # r[j] > below: some r[j] is iff the maximum is
-        return GroupTest(column, max, below, operator.gt)
-    if below is None:  # r[j] < above: some r[j] is iff the minimum is
-        return GroupTest(column, min, above, operator.lt)
-
-    def bounds(row: Row) -> tuple:  # r[j] strictly between them
-        return below(row), above(row)
-
-    return GroupTest(column, lambda rs: sorted(set(rs)), bounds, _between)
-
-
-def _bound(positions: list[int], pick):
-    """``row -> pick(row[p - 1] for p in positions)``; ``None`` if none."""
-    if not positions:
+    summary = _SUMMARY.get(ops.pop())
+    if summary is None:
         return None
-    if len(positions) == 1:
-        return operator.itemgetter(positions[0] - 1)
-    getter = operator.itemgetter(*(p - 1 for p in positions))
-    return lambda row: pick(getter(row))
-
-
-def _between(values: list, bounds: tuple) -> bool:
-    """Some of the sorted ``values`` lies strictly between ``bounds``."""
-    low, high = bounds
-    k = bisect_right(values, low)
-    return k < len(values) and values[k] < high
-
-
-def _one_value(values: Iterator) -> object:
-    """The group's one value, or a fresh object no left value equals."""
-    first = next(values)
-    if any(map(partial(operator.ne, first), values)):
-        return object()
-    return first
+    pick, passes = summary
+    getter = operator.itemgetter(*(a.i - 1 for a in atoms))
+    value = getter if len(atoms) == 1 else (lambda row: pick(getter(row)))
+    return GroupTest(operator.itemgetter(atoms[0].j - 1), pick, value, passes)
 
 
 def build_index(
@@ -252,7 +221,10 @@ def hash_semijoin(
 
 
 def _summarised(lefts, index, positions, test: GroupTest) -> Iterator[Row]:
-    """Rows with a group, each tested against one summary per group."""
+    """Rows with a group, each tested against one summary per group.
+
+    The equality probe drops rows with no group first, in C; keying the
+    probed rows again is cheaper than any one-pass shape measured."""
     probed = list(hash_semijoin(lefts, index, positions, always))
     keys = list(keys_of(probed, positions))
     summaries = {

@@ -183,16 +183,15 @@ def test_pair_loops_are_the_brute_force_comprehension(atoms, relations):
 
 
 def summarisable(rest) -> bool:
-    """The shapes a per-group summary decides, restated: order atoms on
-    one right column, or a lone ``!=``."""
+    """The shapes a per-group summary decides, restated: order atoms of
+    one direction, all on one right column."""
     ops = {a.op for a in rest}
-    return len({a.j for a in rest}) == 1 and (
-        ops <= {"<", ">"} or (len(rest) == 1 and ops == {"!="})
-    )
+    return len({a.j for a in rest}) == 1 and ops in ({"<"}, {">"})
 
 
 def order_rests(j: int) -> st.SearchStrategy:
-    """Only ``<``, only ``>`` or both directions, all on right column j."""
+    """Only ``<``, only ``>`` or both directions (which scan), all on
+    right column j."""
     atom = st.builds(Atom, POSITIONS, st.sampled_from(("<", ">")), st.just(j))
     return st.lists(atom, min_size=1, max_size=3)
 
@@ -310,6 +309,26 @@ def test_a_two_column_rest_stops_at_the_first_witness():
         Counted.calls = 0
         assert list(loop()) == lefts, name
         assert Counted.calls == 2 * len(lefts), name
+
+
+@pytest.mark.parametrize(
+    "rest",
+    (
+        (Atom(1, "<", 1),),
+        (Atom(1, ">", 1),),
+        (Atom(1, "<", 1), Atom(2, ">", 1)),
+    ),
+    ids=("<", ">", "both directions"),
+)
+@pytest.mark.parametrize(
+    "rights", ([("a", 0)], [(0, 0), ("a", 0)]), ids=("str", "int and str")
+)
+def test_an_incomparable_rest_raises_type_error(rest, rights):
+    """An int left row against a right group holding a str: the summary
+    (or the scan) compares them and raises, in both semijoin loops."""
+    compiled = kernels.witness(rest)
+    for name, loop in semijoin_loops([(1, 0)], rights, compiled, (2,)).items():
+        assert outcome(lambda: list(loop())) == ("raised", TypeError), name
 
 
 SCHEMA = Schema({"L": 2, "M": 2})
