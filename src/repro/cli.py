@@ -7,22 +7,24 @@ Subcommands::
     repro explain  'R cartesian S' --schema 'R:2,S:1'       # physical plan
     repro explain  -d db.json --costs 'R join[2=1] S'       # + cost estimates
     repro eval     -d db.json --partition-budget 500 'R join[2=1] S'
-    repro eval     -d db.json --max-workers 4 'R join[2=1] S'
+    repro eval     -d db.json --backend shm --max-workers 4 'R join[2=1] S'
     repro trace    -d db.json 'project[1](R) cartesian S'
     repro classify -d db.json 'R cartesian S'           # db optional
     repro compile  'R join[2=1] S' --schema 'R:2,S:1'
+    repro optimize 'project[1](R join[2=1] S)' --schema 'R:2,S:1'
     repro divide   -d db.json --dividend R --divisor S [--algorithm hash]
     repro bisim    -a left.json -b right.json --left-tuple 1 --right-tuple 1
     repro bench    [EXPERIMENT_ID ...]
     repro serve    --scenario mixed_read_heavy --stats     # workload lab
     repro serve    --spec workload.json --budget 5000 --emit out.json
 
-``eval``, ``explain``, ``divide``, and ``optimize`` build one
-:class:`~repro.session.Session` from the shared session flags
-(``--partition-budget``, ``--max-workers``, ``--backend``,
-``--replan-threshold``, ``--no-costs``, ``--no-reorder-joins``,
-``--no-multiway``), applied uniformly; contradictory combinations
-are rejected up front.  Expressions use the textual syntax of
+``eval``, ``explain`` and ``divide`` build one
+:class:`~repro.session.Session` from the shared session flags: the
+planner flags (``--partition-budget``, ``--max-workers``,
+``--replan-threshold``, ``--no-costs``, ``--no-multiway``) become its
+``PlannerOptions``, which reject contradictory combinations up front,
+and ``--backend`` picks its storage.  ``optimize`` is pure rewriting
+and takes none of them.  Expressions use the textual syntax of
 :mod:`repro.algebra.parser`; the schema comes from the database file or
 from ``--schema 'R:2,S:1'``.
 """
@@ -95,6 +97,7 @@ def _schema_for(args) -> Schema:
 #: loop over this one table, so a flag added here is parsed everywhere,
 #: applied, *and* rejected under ``--no-engine`` — the lists cannot
 #: drift apart.  A ``store_true`` flag switches its field *off*.
+#: Which flags contradict ``--no-costs`` is ``PlannerOptions``' rule.
 _SESSION_FLAGS = (
     ("--partition-budget", "partition_budget", dict(
         type=int,
@@ -110,14 +113,6 @@ _SESSION_FLAGS = (
         "the cost model certifies the parallel cost beats serial "
         "(needs cost-based planning; 1 = exactly serial)",
     )),
-    ("--backend", "backend", dict(
-        choices=BACKEND_KINDS,
-        help="storage backend the session reads relations from: "
-        "'memory' (default) serves rows straight off the loaded "
-        "database, 'shm' encodes them columnar into shared memory "
-        "(parallel workers attach by segment name), 'mmap' spills the "
-        "same columnar layout to a memory-mapped temp file",
-    )),
     ("--replan-threshold", "replan_threshold", dict(
         type=float,
         metavar="RATIO",
@@ -132,10 +127,6 @@ _SESSION_FLAGS = (
         help="plan structurally: disable every cost-based decision "
         "(operator choice, join ordering, partition sizing)",
     )),
-    ("--no-reorder-joins", "reorder_joins", dict(
-        action="store_true",
-        help="keep >=3-way join chains in their written order",
-    )),
     ("--no-multiway", "use_multiway", dict(
         action="store_true",
         help="never collapse an equi-join chain into the worst-case-"
@@ -143,19 +134,9 @@ _SESSION_FLAGS = (
     )),
 )
 
-#: Why each of these flags cannot be combined with ``--no-costs``.
-_NEEDS_COSTS = {
-    "--replan-threshold": "the threshold measures the cost model's "
-    "estimation error, which --no-costs disables",
-    "--partition-budget": "partition sizing uses the cost model's "
-    "sound bounds",
-    "--max-workers": "the dispatch gate uses the cost model's sound "
-    "bounds",
-}
-
 
 def _session_flags_given(args) -> dict:
-    """``{flag: value}`` for every session flag present on ``args``."""
+    """``{flag: value}`` for every planner flag present on ``args``."""
     given = {}
     for flag, __, ___ in _SESSION_FLAGS:
         value = getattr(args, flag[2:].replace("-", "_"), None)
@@ -165,29 +146,16 @@ def _session_flags_given(args) -> dict:
 
 
 def _session_options(args):
-    """PlannerOptions from the shared session flags (None = defaults).
+    """PlannerOptions from the planner flags (None = defaults).
 
-    The planner flags (:data:`_SESSION_FLAGS`) are session-level: every
-    subcommand that builds a session applies them uniformly.
-    Contradictory combinations are rejected here, before any work.
+    ``PlannerOptions`` validates the values and rejects contradictory
+    combinations itself, before any work.
     """
     given = _session_flags_given(args)
-    if "--no-costs" in given:
-        for flag, reason in _NEEDS_COSTS.items():
-            # --max-workers 1 is exactly serial: nothing to gate.
-            if flag in given and (
-                flag != "--max-workers" or given[flag] > 1
-            ):
-                raise ReproError(
-                    f"{flag} needs cost-based planning ({reason}); "
-                    "drop --no-costs"
-                )
     if not given:
         return None
     from repro.engine import PlannerOptions
 
-    # PlannerOptions validates the budget, worker count, backend kind,
-    # and replan threshold itself.
     return PlannerOptions(
         **{
             field: False if given[flag] is True else given[flag]
@@ -202,12 +170,14 @@ def _session_from_flags(args):
     from repro.session import Session
 
     db = _load_database(args.database)
-    return Session(db, options=_session_options(args))
+    return Session(db, options=_session_options(args), backend=args.backend)
 
 
 def _engine_flags_given(args) -> tuple[str, ...]:
     """Engine-only flags present on ``args`` (for --no-engine checks)."""
     given = tuple(_session_flags_given(args))
+    if args.backend is not None:
+        given += ("--backend",)
     if getattr(args, "stats", False):
         given += ("--stats",)
     return given
@@ -336,9 +306,6 @@ def _cmd_divide(args) -> int:
 def _cmd_optimize(args) -> int:
     from repro.algebra.optimize import optimize
 
-    # Validate the shared session flags uniformly; pure rewriting then
-    # needs only the schema, not the engine machinery behind a session.
-    _session_options(args)
     expr = parse(args.expression, _schema_for(args))
     rewritten = optimize(expr)
     print(to_ascii(rewritten) if args.ascii else to_text(rewritten))
@@ -436,14 +403,23 @@ def _session_flags_parser() -> argparse.ArgumentParser:
     """The shared session flags, as an argparse parent parser.
 
     Attached to every subcommand that builds a :class:`~repro.session.
-    Session` (``eval``, ``explain``, ``divide``, ``optimize``), so the
-    planner knobs read identically everywhere and are applied
+    Session` (``eval``, ``explain``, ``divide``), so the planner knobs
+    and the storage choice read identically everywhere and are applied
     session-level rather than per call.
     """
     flags = argparse.ArgumentParser(add_help=False)
     group = flags.add_argument_group("session options")
     for flag, __, kwargs in _SESSION_FLAGS:
         group.add_argument(flag, **kwargs)
+    group.add_argument(
+        "--backend",
+        choices=BACKEND_KINDS,
+        help="storage backend the session reads relations from: "
+        "'memory' (default) serves rows straight off the loaded "
+        "database, 'shm' encodes them columnar into shared memory "
+        "(parallel workers attach by segment name), 'mmap' spills the "
+        "same columnar layout to a memory-mapped temp file",
+    )
     return flags
 
 
@@ -555,9 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_divide.set_defaults(fn=_cmd_divide)
 
     p_optimize = sub.add_parser(
-        "optimize",
-        help="push selections, introduce semijoins",
-        parents=[session_flags],
+        "optimize", help="push selections, introduce semijoins"
     )
     p_optimize.add_argument("expression")
     p_optimize.add_argument("-d", "--database")

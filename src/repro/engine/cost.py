@@ -504,13 +504,8 @@ class CostModel:
             # average; it passes when that fan-out reaches the divisor.
             fanout = dividend.rows / keys if keys else 0.0
             rows = keys * min(1.0, fanout / divisor.rows)
-        base = dividend.cost + divisor.cost
-        if node.method == "sort_merge":
-            cost = base + dividend.rows * math.log2(dividend.rows + 2)
-        elif node.method == "nested_loop":
-            cost = base + keys * divisor.rows + dividend.rows
-        else:  # hash / counting are single-pass
-            cost = base + dividend.rows + divisor.rows
+        # Hash division is one pass over each input.
+        cost = dividend.cost + divisor.cost + dividend.rows + divisor.rows
         return Estimate(
             rows,
             upper,

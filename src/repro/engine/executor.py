@@ -896,7 +896,7 @@ class Executor:
         registry = DIVISION_EQ_ALGORITHMS if node.eq else DIVISION_ALGORITHMS
         # The plan typed the dividend (arity 2; rows tuple-coerced where
         # they entered the database), so nothing is re-validated here.
-        return zip(registry[node.method](TypedPairs(dividend), divisor))
+        return zip(registry["hash"](TypedPairs(dividend), divisor))
 
     def _batched(self, node: PartitionedOp | ParallelOp) -> Iterable[Row]:
         """Batched execution, serial or on the worker pool.

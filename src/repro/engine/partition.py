@@ -411,17 +411,17 @@ def semijoin_batch_kernel(
 
 
 def division_batch_kernel(
-    fragment: list[Row], divisor: list, method: str, eq: bool
+    fragment: list[Row], divisor: list, eq: bool
 ) -> list[Row]:
-    """One division batch: the direct algorithm on a candidate fragment.
+    """One division batch: hash division on a candidate fragment.
 
     The algorithm is looked up in the registries at call time (not
-    bound at scatter time), so tests that monkeypatch an algorithm see
-    the patched version in every batch.  The fragment is rows of a
+    bound at scatter time), so tests that monkeypatch it see the
+    patched version in every batch.  The fragment is rows of a
     dividend the plan typed: nothing is validated per batch.
     """
     registry = DIVISION_EQ_ALGORITHMS if eq else DIVISION_ALGORITHMS
-    return list(zip(registry[method](TypedPairs(fragment), divisor)))
+    return list(zip(registry["hash"](TypedPairs(fragment), divisor)))
 
 
 # ----------------------------------------------------------------------
@@ -568,9 +568,9 @@ def _scatter_division(
     containment/equality test to be answerable there, so the atomic
     group is the candidate's dividend rows (weight ``n_a + 1``: the
     group plus at most one quotient row; as work, its rows plus one
-    divisor probe pass).  Each batch runs the same direct algorithm
-    the unpartitioned operator would (the ``method``/``eq`` registry
-    of :mod:`repro.setjoins.division`) on its fragment; quotients from
+    divisor probe pass).  Each batch runs the same hash division the
+    unpartitioned operator would (the ``eq`` registry of
+    :mod:`repro.setjoins.division`) on its fragment; quotients from
     disjoint candidate sets union exactly.  Like the keyed joins, the
     per-candidate grouping goes through the executor's
     :class:`~repro.engine.executor.IndexCache`, so re-executions
@@ -591,14 +591,9 @@ def _scatter_division(
     def task(keys, ship) -> Task:
         fragment = [row for key in keys for row in groups[key]]
         if ship is None:
-            args = (fragment, divisor, inner.method, inner.eq)
+            args = (fragment, divisor, inner.eq)
         else:
-            args = (
-                ship.rows(fragment),
-                ship.values(divisor),
-                inner.method,
-                inner.eq,
-            )
+            args = (ship.rows(fragment), ship.values(divisor), inner.eq)
         return Task(len(keys), len(fragment), division_batch_kernel, args)
 
     return Scatter(weights, len(divisor_rows), task)

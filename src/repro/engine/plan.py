@@ -31,10 +31,6 @@ from repro.algebra.conditions import Condition
 from repro.data.universe import Value
 from repro.errors import ArityError, SchemaError
 
-#: Division algorithms a :class:`DivisionOp` may name (the zoo of
-#: :mod:`repro.setjoins.division`; ``eq`` variants must exist too).
-DIVISION_METHODS = ("hash", "sort_merge", "counting", "nested_loop")
-
 #: Empty-divisor policies: the classic RA plan returns all candidates
 #: (``R ÷ ∅ = π_A(R)``) while the §5 γ plans return ∅ (the documented
 #: SQL-folklore caveat).  The planner records which semantics the
@@ -423,26 +419,20 @@ class DivisionOp(PlanNode):
     """Direct relational division ``dividend(A,B) ÷ divisor(B)``.
 
     Replaces a whole logical sub-tree (the classic quadratic RA plan or
-    a §5 γ plan) with one linear operator from the algorithm zoo.  The
-    ``method`` names the algorithm (:data:`DIVISION_METHODS`), ``eq``
-    selects equality-division, and ``empty_divisor`` records the source
-    expression's empty-divisor semantics so the rewrite is exact.
+    a §5 γ plan) with one linear operator: Graefe's hash division, the
+    ``"hash"`` entry of the :mod:`repro.setjoins.division` registries.
+    ``eq`` selects equality-division, and ``empty_divisor`` records the
+    source expression's empty-divisor semantics so the rewrite is exact.
     """
 
     dividend: PlanNode
     divisor: PlanNode
-    method: str
     eq: bool
     empty_divisor: str
     expr: Expr
     note: str = ""
 
     def __post_init__(self) -> None:
-        if self.method not in DIVISION_METHODS:
-            raise SchemaError(
-                f"unknown division method {self.method!r}; expected one "
-                f"of {DIVISION_METHODS}"
-            )
         if self.empty_divisor not in EMPTY_DIVISOR_POLICIES:
             raise SchemaError(
                 f"unknown empty-divisor policy {self.empty_divisor!r}"
@@ -459,7 +449,7 @@ class DivisionOp(PlanNode):
 
     def label(self) -> str:
         kind = "eq" if self.eq else "contains"
-        return f"Division[{self.method},{kind},empty={self.empty_divisor}]"
+        return f"Division[hash,{kind},empty={self.empty_divisor}]"
 
 
 @dataclass(frozen=True)

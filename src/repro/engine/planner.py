@@ -17,7 +17,7 @@ Routing rules (documented in ``docs/engine.md``):
    says *every* RA expression for division is quadratic) and the §5
    γ plans (containment and equality) are recognized structurally and
    replaced by a single linear :class:`~repro.engine.plan.DivisionOp`
-   running Graefe's hash division by default.  The empty-divisor
+   running Graefe's hash division.  The empty-divisor
    semantics of the source expression is preserved exactly.  Under the
    cost model the direct operator is kept only while its estimated
    cost does not exceed the RA plan's (it never does on the witness
@@ -113,16 +113,14 @@ _TRUE = Condition()
 
 @dataclass(frozen=True)
 class PlannerOptions:
-    """Knobs for the planner.
+    """Knobs for the planner; a benchmark reads each one.
 
-    ``division_method`` picks the direct algorithm DivisionOp runs
-    (``"hash"`` is O(n); ``"sort_merge"``/``"counting"``/
-    ``"nested_loop"`` exist for experiments and ablations).
-    ``rewrite_divisions`` / ``introduce_semijoins`` / ``push_selections``
-    gate the three rewrites so ablations can isolate each one.
-    ``use_costs`` gates every cost-based decision (it has no effect
-    unless the planner also has a statistics catalog) and
-    ``reorder_joins`` gates the ≥3-way join-order search specifically.
+    ``rewrite_divisions`` gates rule 1, so the quadratic RA plan it
+    replaces can still be planned and measured.  ``use_costs`` gates
+    every cost-based decision — operator choice, join ordering, the
+    multiway collapse — and has no effect unless the planner also has
+    a statistics catalog.  The other rewrites (semijoin introduction,
+    selection pushdown) always apply.
 
     ``use_multiway`` (default on) lets the planner collapse a pure
     equi-join chain over base relations into one worst-case-optimal
@@ -149,15 +147,6 @@ class PlannerOptions:
     process pool of that many workers.  The default ``1`` keeps
     planning and execution exactly serial.
 
-    ``backend`` selects the storage backend
-    (:data:`repro.storage.backend.BACKEND_KINDS`) a
-    :class:`~repro.session.Session` or CLI invocation opens for its
-    executor.  It is a *construction* knob: the executor's actual
-    backend is what the cost model prices (attached backends get the
-    cheaper descriptor transport rate in the parallel dispatch gate)
-    and what execution reads from; a per-query options override never
-    changes the storage mid-session.
-
     ``replan_threshold`` closes the estimator feedback loop: when set
     (a ratio strictly greater than 1), execution feeds each operator's
     estimated-vs-actual pair into the catalog's persistent
@@ -167,20 +156,18 @@ class PlannerOptions:
     has drifted by at least the threshold since the plan was priced.
     ``None`` (the default) freezes plans and costs nothing: the run
     feeds no ledger, estimates are never corrected and nothing
-    re-plans.  Feedback requires
-    ``use_costs`` — the threshold measures the cost model's error, so
-    there is nothing to measure (or re-plan with) structurally.
+    re-plans.
+
+    A budget, ``max_workers > 1`` and a threshold each need cost-based
+    planning, so each is rejected beside ``use_costs=False`` rather
+    than silently ignored.  Storage is not a planner option: it is
+    chosen where the executor is built (``Session(db, backend=)``).
     """
 
-    division_method: str = "hash"
     rewrite_divisions: bool = True
-    introduce_semijoins: bool = True
-    push_selections: bool = True
     use_costs: bool = True
-    reorder_joins: bool = True
     partition_budget: int | None = None
     max_workers: int = 1
-    backend: str = "memory"
     replan_threshold: float | None = None
     use_multiway: bool = True
 
@@ -197,25 +184,30 @@ class PlannerOptions:
             raise SchemaError(
                 f"max_workers must be >= 1, got {self.max_workers}"
             )
-        from repro.storage.backend import BACKEND_KINDS
-
-        if self.backend not in BACKEND_KINDS:
+        if (
+            self.replan_threshold is not None
+            and not self.replan_threshold > 1.0
+        ):
             raise SchemaError(
-                f"unknown storage backend {self.backend!r}; expected "
-                f"one of {', '.join(BACKEND_KINDS)}"
+                "replan_threshold is an error *ratio* and must be "
+                "> 1 (or None to freeze plans), got "
+                f"{self.replan_threshold}"
             )
-        if self.replan_threshold is not None:
-            if not self.replan_threshold > 1.0:
+        if self.use_costs:
+            return
+        for given, knob, reason in (
+            (self.partition_budget is not None, "partition_budget",
+             "partition sizing uses the cost model's sound bounds"),
+            (self.max_workers > 1, "max_workers > 1",
+             "the parallel dispatch gate uses the cost model's sound "
+             "bounds"),
+            (self.replan_threshold is not None, "replan_threshold",
+             "the threshold measures the cost model's estimation error"),
+        ):
+            if given:
                 raise SchemaError(
-                    "replan_threshold is an error *ratio* and must be "
-                    "> 1 (or None to freeze plans), got "
-                    f"{self.replan_threshold}"
-                )
-            if not self.use_costs:
-                raise SchemaError(
-                    "replan_threshold needs cost-based planning: the "
-                    "threshold measures the cost model's estimation "
-                    "error, which use_costs=False disables"
+                    f"{knob} needs cost-based planning ({reason}), "
+                    "which use_costs=False disables"
                 )
 
 
@@ -484,10 +476,8 @@ class Planner:
 
     def plan(self, expr: Expr) -> PlanNode:
         """Plan a logical expression (RA/SA, optionally with γ/Sort)."""
-        if (
-            self.options.push_selections
-            and _is_core(expr)
-            and _occurrences_within(expr, self.PUSHDOWN_SIZE_LIMIT)
+        if _is_core(expr) and _occurrences_within(
+            expr, self.PUSHDOWN_SIZE_LIMIT
         ):
             from repro.algebra.optimize import push_selections
 
@@ -552,22 +542,14 @@ class Planner:
     # -- operator choice ------------------------------------------------
 
     def _division(self, expr: Expr, match: DivisionMatch) -> PlanNode:
-        method = self.options.division_method
-        cost = {
-            "hash": "O(|R|+|S|)",
-            "counting": "O(|R|+|S|)",
-            "sort_merge": "O(|R| log |R|)",
-            "nested_loop": "O(|A|·|S|)",
-        }.get(method, "?")  # DivisionOp rejects unknown methods
         division = DivisionOp(
             dividend=self._plan(match.dividend),
             divisor=self._plan(match.divisor),
-            method=method,
             eq=match.eq,
             empty_divisor=match.empty_divisor,
             expr=expr,
-            note=f"rewritten from {match.origin}; direct {method} "
-            f"division is {cost}",
+            note=f"rewritten from {match.origin}; direct hash "
+            "division is O(|R|+|S|)",
         )
         if not self._costed():
             return division
@@ -592,7 +574,7 @@ class Planner:
 
     def _projection(self, expr: Projection) -> PlanNode:
         child = expr.child
-        if self.options.introduce_semijoins and isinstance(child, Join):
+        if isinstance(child, Join):
             semijoin = self._semijoin_projection(expr, child)
             if semijoin is not None:
                 if not self._costed():
@@ -644,15 +626,13 @@ class Planner:
         return FilterOp(self._plan(node), tuple(predicates), expr)
 
     def _join(self, expr: Join, left: PlanNode, right: PlanNode) -> PlanNode:
-        as_written = self._join_operator(expr, left, right, expr.cond)
-        best = as_written
-        if self._costed() and self.options.reorder_joins:
-            reordered = self._reorder_join(expr)
-            if reordered is not None and (
-                self._cost(reordered) < self._cost(best)
-            ):
-                best = reordered
-        if self._costed() and self.options.use_multiway:
+        best = self._join_operator(expr, left, right, expr.cond)
+        if not self._costed():
+            return best
+        reordered = self._reorder_join(expr)
+        if reordered is not None and self._cost(reordered) < self._cost(best):
+            best = reordered
+        if self.options.use_multiway:
             multiway = self._multiway_join(expr, best)
             if multiway is not None:
                 return multiway

@@ -525,18 +525,14 @@ class Server:
     ) -> tuple[PlannerOptions, PlannerOptions]:
         """``(pricing options, worker options)`` for one submit.
 
-        Pricing happens on the server's backend (cost constants match
-        where the shared bytes live); execution happens in a worker
-        whose snapshot is always a memory-backend session running
-        serial plans — one process per read is the parallelism here,
-        nesting pools inside workers would just oversubscribe.
+        Pricing uses the options as given, on the server's own session
+        (its backend is what the cost model prices); execution happens
+        in a worker running serial plans — one process per read is the
+        parallelism here, nesting pools inside workers would just
+        oversubscribe.
         """
         base = options or handle.options or self.options
-        pricing = base
-        if pricing.backend != self.options.backend:
-            pricing = replace(pricing, backend=self.options.backend)
-        worker = replace(base, backend="memory", max_workers=1)
-        return pricing, worker
+        return base, replace(base, max_workers=1)
 
     def _submit(
         self,

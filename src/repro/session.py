@@ -245,16 +245,15 @@ class Session:
         cached row tuples; see
         :class:`~repro.engine.executor.ResultCache`).
     backend:
-        Storage the session's executor reads relations from: a kind
-        name from :data:`~repro.storage.backend.BACKEND_KINDS`
-        (``"memory"``, ``"shm"``, ``"mmap"``), an already-open
+        Storage the session's executor reads relations from, for the
+        session's whole life: a kind name from
+        :data:`~repro.storage.backend.BACKEND_KINDS` (``"memory"``,
+        ``"shm"``, ``"mmap"``), an already-open
         :class:`~repro.storage.backend.Backend` over the same ``db``,
-        or ``None`` (default) to take ``options.backend``.  The
-        resolved kind is reflected back into :attr:`Session.options`
-        so prepared queries, cache keys, and the cost model's
-        transport pricing all agree on where the bytes live.  The shm
-        and mmap backends own real OS resources — close the session
-        (or use it as a context manager) to release them.
+        or ``None`` (default) for ``"memory"``.  An unknown kind
+        raises :class:`~repro.errors.SchemaError`.  The shm and mmap
+        backends own real OS resources — close the session (or use it
+        as a context manager) to release them.
     """
 
     def __init__(
@@ -265,25 +264,15 @@ class Session:
         cache_bytes: int = DEFAULT_CACHE_BYTES,
         backend=None,
     ) -> None:
-        from dataclasses import replace
-
         self.db = db
-        options = options if options is not None else DEFAULT_OPTIONS
         self._executor = Executor(
             db,
             results=ResultCache(
                 enabled=cache_results, byte_budget=cache_bytes
             ),
-            backend=backend if backend is not None else options.backend,
+            backend=backend,
         )
-        # One source of truth: whatever backend the executor actually
-        # opened is what session-level options advertise (an explicit
-        # ``backend=`` argument wins over ``options.backend``).
-        if options.backend != self._executor.backend.kind:
-            options = replace(
-                options, backend=self._executor.backend.kind
-            )
-        self.options = options
+        self.options = options if options is not None else DEFAULT_OPTIONS
         #: The report of the session's most recent run (any query).
         self.last_report: ExecutionReport | None = None
         #: text → parsed expression (:meth:`parse`).
@@ -371,20 +360,9 @@ class Session:
         ``query`` is either expression text (parsed against the
         session's schema) or an already-built logical
         :class:`~repro.algebra.ast.Expr`.  ``options`` overrides the
-        session-level options for this query only.  A per-query
-        ``options.backend`` that disagrees with the session's actual
-        backend is coerced to the session's kind: storage is a
-        session-construction decision, and cache keys must not claim
-        a transport the executor never used.
+        session-level options for this query only; storage is not
+        among them (it is fixed when the session is built).
         """
-        if options is not None and (
-            options.backend != self._executor.backend.kind
-        ):
-            from dataclasses import replace
-
-            options = replace(
-                options, backend=self._executor.backend.kind
-            )
         if isinstance(query, str):
             return PreparedQuery(self, self.parse(query), query, options)
         if not isinstance(query, Expr):

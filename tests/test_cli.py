@@ -64,7 +64,7 @@ class TestSessionFlags:
         assert "result cache" in err
         assert "ub=" in err  # estimated-vs-actual per operator
 
-    @pytest.mark.parametrize("flag", ["--no-costs", "--no-reorder-joins"])
+    @pytest.mark.parametrize("flag", ["--no-costs", "--no-multiway"])
     def test_planner_flags_accepted_uniformly(self, db_path, flag, capsys):
         for argv in (
             ["eval", "-d", db_path, flag, "R join[2=1] S"],
@@ -92,7 +92,7 @@ class TestSessionFlags:
             ]
         )
         assert code == 2
-        assert "--no-costs" in capsys.readouterr().err
+        assert "needs cost-based planning" in capsys.readouterr().err
 
     def test_contradictory_replan_threshold_and_no_costs(
         self, db_path, capsys
@@ -105,7 +105,7 @@ class TestSessionFlags:
             ]
         )
         assert code == 2
-        assert "--no-costs" in capsys.readouterr().err
+        assert "needs cost-based planning" in capsys.readouterr().err
 
     def test_replan_threshold_accepted_and_validated(
         self, db_path, capsys
@@ -153,6 +153,7 @@ class TestSessionFlags:
             ["--no-costs"],
             ["--partition-budget", "5"],
             ["--replan-threshold", "2"],
+            ["--backend", "shm"],
         ):
             code = main(
                 ["eval", "-d", db_path, "--no-engine", *extra,
@@ -161,23 +162,40 @@ class TestSessionFlags:
             assert code == 2, extra
             assert "--no-engine" in capsys.readouterr().err
 
-    def test_optimize_accepts_and_validates_session_flags(
-        self, db_path, capsys
+    def test_backend_flag_reaches_the_session(
+        self, db_path, monkeypatch, capsys
     ):
+        import repro.session
+
+        opened = []
+
+        class Recording(repro.session.Session):
+            def __init__(self, db, **kwargs):
+                super().__init__(db, **kwargs)
+                opened.append(self.executor.backend.kind)
+
+        monkeypatch.setattr(repro.session, "Session", Recording)
+        for kind in ("memory", "shm", "mmap"):
+            argv = ["eval", "-d", db_path, "--backend", kind, "R join[2=1] S"]
+            assert main(argv) == 0, kind
+        assert opened == ["memory", "shm", "mmap"]
+        capsys.readouterr()
+
+    def test_optimize_takes_no_session_flags(self, db_path, capsys):
         assert (
             main(
-                ["optimize", "-d", db_path, "--no-costs", "--ascii",
+                ["optimize", "-d", db_path, "--ascii",
                  "project[1,2](R join[2=1] S)"]
             )
             == 0
         )
         assert "semijoin" in capsys.readouterr().out
-        code = main(
-            ["optimize", "-d", db_path, "--partition-budget", "5",
-             "--no-costs", "project[1](R)"]
-        )
-        assert code == 2
-        assert "--no-costs" in capsys.readouterr().err
+        # optimize runs algebra.optimize, which reads no planner option.
+        for flag in ("--no-costs", "--backend", "--partition-budget"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["optimize", "-d", db_path, flag, "project[1](R)"])
+            assert exit_info.value.code == 2, flag
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestExplain:

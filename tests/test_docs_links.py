@@ -1,10 +1,11 @@
-"""Tier-1 wrapper around the docs link check.
+"""Tier-1 wrapper around the docs link and CLI-flag checks.
 
-``tools/check_docs.py`` is the CI docs step (links + example runs);
-examples are already executed in-process by ``test_examples.py``, so
-this file only re-runs the cheap link check — a broken intra-repo link
-in ``README.md`` or ``docs/`` fails the ordinary test suite, not just
-the CI docs job.
+``tools/check_docs.py`` is the CI docs step (links + CLI flags +
+example runs); examples are already executed in-process by
+``test_examples.py``, so this file only re-runs the cheap checks — a
+broken intra-repo link or a flag the CLI no longer accepts in
+``README.md`` or ``docs/`` fails the ordinary test suite, not just the
+CI docs job.
 """
 
 import importlib.util
@@ -45,3 +46,26 @@ def test_link_extraction_understands_the_syntax_variants():
         "../src/repro/engine/partition.py#L1",
         "assets/x.png",
     ]
+
+
+def test_documented_cli_flags_exist():
+    checker = load_checker()
+    assert checker.check_cli_flags() == []
+
+
+def test_a_stale_cli_flag_is_caught():
+    checker = load_checker()
+    options = checker.cli_options()
+    stale = checker.stale_flags(
+        "python -m repro eval -d db.json --no-costs --no-reorder-joins 'R'",
+        options,
+    )
+    assert stale == ["eval --no-reorder-joins"]
+    # A flag belongs to the nearest invocation before it, and stops at
+    # the end of its inline code span.
+    line = (
+        "`repro serve --oracle` and `repro optimize --ascii`, "
+        "unlike `--no-engine`; `repro optimize --no-costs`"
+    )
+    assert checker.stale_flags(line, options) == ["optimize --no-costs"]
+    assert checker.stale_flags("python -m repro.bench --list", options) == []

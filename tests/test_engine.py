@@ -56,7 +56,7 @@ class TestDivisionRouting:
     def test_classic_plan_routes_to_division_op(self):
         plan = plan_expression(classic_division_expr())
         assert isinstance(plan, DivisionOp)
-        assert plan.method == "hash"
+        assert plan.label().startswith("Division[hash,")
         assert not plan.eq
         assert plan.empty_divisor == "all"
 
@@ -98,21 +98,6 @@ class TestDivisionRouting:
             isinstance(node, DivisionOp) for node in plan.nodes()
         )
 
-    def test_division_methods_agree(self, db):
-        expected = evaluate(classic_division_expr(), db)
-        for method in ("hash", "sort_merge", "counting", "nested_loop"):
-            options = PlannerOptions(division_method=method)
-            assert (
-                engine_run(classic_division_expr(), db, options) == expected
-            )
-
-    def test_unknown_division_method_rejected(self):
-        with pytest.raises(SchemaError):
-            plan_expression(
-                classic_division_expr(),
-                PlannerOptions(division_method="quantum"),
-            )
-
 
 class TestOperatorChoice:
     def test_equijoin_uses_hash(self):
@@ -149,20 +134,11 @@ class TestOperatorChoice:
         assert plan.child.left.logical == Rel("S", 1)
         assert plan.positions == (1,)
 
-    def test_semijoin_introduction_can_be_disabled(self):
-        options = PlannerOptions(introduce_semijoins=False)
-        plan = plan_expression(
-            parse("project[1](R join[2=1] S)", SCHEMA), options
-        )
-        assert isinstance(plan.child, HashJoinOp)
-
     def test_stacked_selections_fuse(self):
         expr = parse(
             "select[1=2](select[2<3](T))", Schema({"T": 3})
         )
-        plan = plan_expression(
-            expr, PlannerOptions(push_selections=False)
-        )
+        plan = plan_expression(expr)
         assert isinstance(plan, FilterOp)
         assert len(plan.predicates) == 2
 

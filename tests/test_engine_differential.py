@@ -71,17 +71,9 @@ def test_rewrites_do_not_change_semantics(expr, db):
     baseline = evaluate_reference(expr, db)
     for options in (
         PlannerOptions(),
-        PlannerOptions(push_selections=False),
-        PlannerOptions(introduce_semijoins=False),
         PlannerOptions(rewrite_divisions=False),
         PlannerOptions(use_costs=False),
-        PlannerOptions(reorder_joins=False),
-        PlannerOptions(
-            push_selections=False,
-            introduce_semijoins=False,
-            rewrite_divisions=False,
-            use_costs=False,
-        ),
+        PlannerOptions(rewrite_divisions=False, use_costs=False),
     ):
         assert engine_run(expr, db, options) == baseline
 

@@ -60,10 +60,7 @@ def test_explain_output_lines_parse(expr):
 @ROUNDTRIP
 @given(expressions(max_depth=3))
 def test_roundtrip_survives_disabled_rewrites(expr):
-    options = PlannerOptions(
-        push_selections=False, introduce_semijoins=False
-    )
-    plan = plan_expression(expr, options)
+    plan = plan_expression(expr, PlannerOptions(rewrite_divisions=False))
     for node in plan.nodes():
         assert parse(to_ascii(node.logical), TEST_SCHEMA) == node.logical
 
@@ -80,7 +77,7 @@ def test_division_op_logical_roundtrips():
 def test_small_divisor_plan_roundtrips():
     schema = {"R": 2, "S": 1}
     expr = small_divisor_expr([7, 8, 9])
-    plan = plan_expression(expr, PlannerOptions(push_selections=False))
+    plan = plan_expression(expr, PlannerOptions(rewrite_divisions=False))
     for node in plan.nodes():
         assert parse(to_ascii(node.logical), schema) == node.logical
 

@@ -489,7 +489,7 @@ LISTED = (
 MEMO_PLANS = (
     PlannerOptions(),
     PlannerOptions(use_costs=False),
-    PlannerOptions(rewrite_divisions=False, introduce_semijoins=False),
+    PlannerOptions(rewrite_divisions=False),
     PlannerOptions(partition_budget=3),
     PlannerOptions(partition_budget=3, use_multiway=False),
 )

@@ -104,3 +104,36 @@ def test_only_the_engine_operators_use_the_kernels():
     assert not re.search(
         r"^\s*(?:from|import)\s.*\bexecutor\b", wcoj, re.MULTILINE
     )
+
+
+def test_every_planner_option_is_read_by_a_benchmark():
+    """A planner knob stays only while a measurement reads it.
+
+    Each field multiplies the option lattice the differential suites
+    must cover, so one that neither ``perfbench/`` nor a
+    ``benchmarks/`` claim names has no measured reason to exist.
+    """
+    from dataclasses import fields
+
+    from repro.engine.planner import PlannerOptions
+
+    root = SRC.parent
+    corpus = "\n".join(
+        path.read_text()
+        for folder in ("benchmarks", "perfbench")
+        for path in sorted((root / folder).rglob("*.py"))
+    )
+    unread = [
+        field.name
+        for field in fields(PlannerOptions)
+        if not re.search(rf"\b{field.name}\b", corpus)
+    ]
+    assert unread == []
+
+
+def test_the_planner_does_not_import_storage():
+    """Storage is chosen where the executor is built, not planned."""
+    planner = (SRC / "repro" / "engine" / "planner.py").read_text()
+    assert not re.search(
+        r"^\s*(?:from|import)\s+repro\.storage\b", planner, re.MULTILINE
+    )

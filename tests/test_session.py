@@ -92,6 +92,23 @@ class TestPreparedQuery:
         assert costed.options.use_costs is True
         assert default.run() == costed.run()
 
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            {"partition_budget": 5},
+            {"max_workers": 2},
+            {"replan_threshold": 2.0},
+        ],
+    )
+    def test_options_that_need_costs_are_refused_without_them(self, knob):
+        # A structural session would run every operator in one shot,
+        # past the budget; the contradiction is refused, not ignored.
+        with pytest.raises(SchemaError, match="needs cost-based planning"):
+            Session(
+                join_db(), options=PlannerOptions(use_costs=False, **knob)
+            )
+        assert PlannerOptions(use_costs=False, max_workers=1).max_workers == 1
+
 
 class TestParseMemo:
     def test_a_repeated_text_is_the_same_expression_parsed_once(

@@ -504,30 +504,15 @@ class TestSessionLifecycle:
     def test_session_backend_selection_and_close(self, kind):
         with Session(small_db(), backend=kind) as session:
             assert session.executor.backend.kind == kind
-            assert session.options.backend == kind
             assert session.run("R semijoin[2=1] S") == {(1, 2), (5, 2)}
         assert session.closed
         with pytest.raises(SchemaError, match="closed"):
             session.run("R semijoin[2=1] S")
         assert no_leaks()
 
-    def test_options_backend_opens_that_backend(self):
-        with Session(
-            small_db(), options=PlannerOptions(backend="mmap")
-        ) as session:
-            assert session.executor.backend.kind == "mmap"
-
-    def test_per_query_backend_mismatch_is_coerced(self):
-        with Session(small_db(), backend="shm") as session:
-            prepared = session.query(
-                "R semijoin[2=1] S", PlannerOptions(backend="memory")
-            )
-            assert prepared.options.backend == "shm"
-            assert prepared.run() == {(1, 2), (5, 2)}
-
-    def test_planner_options_reject_unknown_backend(self):
+    def test_session_rejects_unknown_backend(self):
         with pytest.raises(SchemaError, match="unknown storage backend"):
-            PlannerOptions(backend="tape")
+            Session(small_db(), backend="tape")
 
 
 # ----------------------------------------------------------------------

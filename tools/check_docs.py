@@ -1,6 +1,6 @@
-"""Docs health check: markdown links resolve, example scripts run.
+"""Docs health check: links resolve, CLI flags exist, examples run.
 
-Two checks, runnable together (the CI docs step) or separately:
+Three checks, runnable together (the CI docs step) or separately:
 
 * ``check_links()`` — every *intra-repo* link in the repository's
   markdown files (``README.md``, ``docs/*.md``, and the other
@@ -8,22 +8,29 @@ Two checks, runnable together (the CI docs step) or separately:
   External links (``http(s)://``, ``mailto:``) and pure anchors
   (``#section``) are skipped; an anchor suffix on a file link is
   stripped before the existence check.
+* ``check_cli_flags()`` — every ``--flag`` written after ``repro
+  <subcommand>`` (or ``python -m repro <subcommand>``) on one line of
+  ``README.md``, ``docs/*.md`` or the verify skill must be an option
+  that :func:`repro.cli.build_parser` accepts for that subcommand.  A
+  flag counts up to the end of its line or inline code span.
 * ``run_examples()`` — every ``examples/*.py`` script (the de-facto
   tutorials) must exit 0 when run with ``PYTHONPATH=src``.
 
 Usage::
 
-    python tools/check_docs.py             # both checks
-    python tools/check_docs.py --links     # links only
+    python tools/check_docs.py             # all three checks
+    python tools/check_docs.py --links     # links and CLI flags only
     python tools/check_docs.py --examples  # examples only
 
 Exit status 0 iff everything passes; failures are listed one per line.
-``tests/test_docs_links.py`` runs the link check in tier-1 as well, so
-a broken link fails fast locally, not only in the CI docs job.
+``tests/test_docs_links.py`` runs the link and flag checks in tier-1
+as well, so a broken link or a stale flag fails fast locally, not only
+in the CI docs job.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import re
 import subprocess
@@ -73,6 +80,65 @@ def check_links() -> list[str]:
     return broken
 
 
+#: ``repro <subcommand>``, also as ``python -m repro <subcommand>``;
+#: ``repro.bench`` and ``src/repro/...`` paths do not match.
+_INVOCATION = re.compile(r"(?<![\w./-])repro\s+([a-z]+)\b")
+_FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+
+
+def cli_doc_files() -> list[Path]:
+    """The documents whose command lines must match the CLI."""
+    files = [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]
+    files.append(REPO / ".claude" / "skills" / "verify" / "SKILL.md")
+    return [f for f in files if f.is_file()]
+
+
+def cli_options() -> dict[str, set[str]]:
+    """``{subcommand: its option strings}`` from the real parser."""
+    src = str(REPO / "src")
+    if src not in sys.path:
+        sys.path.insert(0, src)
+    from repro.cli import build_parser
+
+    subcommands = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return {
+        name: set(parser._option_string_actions)
+        for name, parser in subcommands.choices.items()
+    }
+
+
+def stale_flags(line: str, options: dict[str, set[str]]) -> list[str]:
+    """``subcommand --flag`` for every flag on ``line`` its subcommand
+    lacks; a flag belongs to the nearest invocation before it."""
+    invocations = [
+        m for m in _INVOCATION.finditer(line) if m.group(1) in options
+    ]
+    ends = [m.start() for m in invocations[1:]] + [len(line)]
+    return [
+        f"{match.group(1)} {flag}"
+        for match, end in zip(invocations, ends)
+        for flag in _FLAG.findall(line[match.end():end].partition("`")[0])
+        if flag not in options[match.group(1)]
+    ]
+
+
+def check_cli_flags() -> list[str]:
+    """Stale CLI flags in the docs, as ``file:line: sub --flag``."""
+    options = cli_options()
+    stale = []
+    for doc in cli_doc_files():
+        lines = doc.read_text(encoding="utf-8").splitlines()
+        for number, line in enumerate(lines, 1):
+            stale += [
+                f"{doc.relative_to(REPO)}:{number}: {flag}"
+                for flag in stale_flags(line, options)
+            ]
+    return stale
+
+
 def run_examples() -> tuple[int, list[str]]:
     """(scripts run, failures as ``script: exit N`` strings).
 
@@ -112,6 +178,10 @@ def main(argv: list[str] | None = None) -> int:
         problems += [f"broken link — {b}" for b in broken]
         print(f"links: {len(markdown_files())} markdown file(s), "
               f"{len(broken)} broken link(s)")
+        stale = check_cli_flags()
+        problems += [f"stale CLI flag — {s}" for s in stale]
+        print(f"cli flags: {len(cli_doc_files())} file(s), "
+              f"{len(stale)} stale flag(s)")
     if do_examples:
         ran, failed = run_examples()
         problems += [f"example failed — {f}" for f in failed]
