@@ -634,6 +634,11 @@ class CostModel:
         each join variable.  Cost is input production plus one trie
         build per input plus the emitted rows — the generic join does
         no other materialization.
+
+        A projected node's AGM bound is that of its free variables
+        (:func:`multiway_bound`), and like a projection its output is
+        also bounded by the product, over free variables, of the
+        fewest distinct values any column holding one has.
         """
         children = [self.estimate(child) for child in node.relations]
         sound = all(child.sound for child in children)
@@ -658,10 +663,26 @@ class CostModel:
             if len(positions) > 1:
                 d = max(max(flat_distinct[p] for p in positions), 1.0)
                 rows /= d ** (len(positions) - 1)
+        distinct = tuple(flat_distinct)
+        if node.positions is not None:
+            flat = [v for attrs_k in node.attrs for v in attrs_k]
+            combos = 1.0
+            for variable in node.order[: node.free]:
+                combos *= max(
+                    min(flat_distinct[p] for p in occurrences[variable]),
+                    1.0,
+                )
+            rows = min(rows, combos)
+            if sound:
+                upper = min(upper, combos)
+            distinct = tuple(
+                min(flat_distinct[p] for p in occurrences[flat[q - 1]])
+                for q in node.positions
+            )
         inputs = sum(child.rows for child in children)
         out = min(rows, upper)
         cost = sum(child.cost for child in children) + inputs + out
-        distinct = _cap_distinct(tuple(flat_distinct), upper)
+        distinct = _cap_distinct(distinct, upper)
         return Estimate(rows, upper, cost, distinct, sound)
 
     def _multiway_agm(self, node: MultiwayJoinOp) -> float | None:
@@ -676,14 +697,16 @@ class CostModel:
             isinstance(child, ScanOp) for child in node.relations
         ):
             return None
-        edges = [frozenset(row) for row in node.attrs]
-        if not all(edges):
+        if not all(node.attrs):
             return None
         cards = [
             float(self.catalog.relation(child.expr.name).rows)
             for child in node.relations
         ]
-        bound, __ = fractional_edge_cover(edges, cards)
+        free = None
+        if node.positions is not None:
+            free = node.order[: node.free]
+        bound, __ = multiway_bound(node.attrs, cards, free)
         return bound
 
 
@@ -857,6 +880,35 @@ def fractional_edge_cover(
         if bound < best_bound:
             best_bound, best_cover = bound, cover
     return best_bound, best_cover
+
+
+def multiway_bound(
+    attrs, cards, free=None
+) -> tuple[float, tuple[float, ...]]:
+    """AGM bound of a multiway join — or of its projection on ``free``.
+
+    ``attrs[k]`` lists the variables of input ``k`` and ``cards[k]``
+    is its exact cardinality.  Projected, each hyperedge keeps only its
+    free variables and edges left empty are dropped: ``π_free`` of the
+    join lies inside the join of the inputs' projections, each no
+    larger than its input, so the free variables' fractional edge cover
+    bounds it soundly — ``π_{a,b}`` of the triangle by ``|E|``, the
+    guarded side of Thm. 17.  No free variable leaves at most the one
+    empty row.  Returns ``(bound, cover)`` over the edges kept.
+    """
+    edges = [frozenset(row) for row in attrs]
+    if free is not None:
+        free = frozenset(free)
+        kept = [
+            (edge & free, card)
+            for edge, card in zip(edges, cards)
+            if edge & free
+        ]
+        if not kept:
+            return 1.0, ()
+        edges = [edge for edge, __ in kept]
+        cards = [card for __, card in kept]
+    return fractional_edge_cover(edges, cards)
 
 
 def _edge_cover_lp(edge_sets, variables, weights):

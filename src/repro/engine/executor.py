@@ -931,7 +931,8 @@ class Executor:
 #: says either.  ``list``: no duplicate can arise when the inputs hold
 #: none (a semijoin, filter or batch union keeps distinct left rows;
 #: ``l + r`` and ``row + (tag,)`` are injective at fixed arities; a
-#: generic join emits distinct bindings whole), so re-hashing every row
+#: generic join emits distinct bindings whole, or each distinct free
+#: prefix once when it absorbed a projection), so re-hashing every row
 #: buys nothing and ``len`` is the cardinality.  ``frozenset``:
 #: everything else.  Moving an operator to ``list`` takes that proof —
 #: ``test_engine_kernels.py::test_memoised_rows_hold_no_duplicate``.

@@ -60,6 +60,11 @@ class PlanNode:
         """The operator name with its arguments, e.g. ``HashJoin[2=1]``."""
         raise NotImplementedError
 
+    def digest(self) -> str:
+        """What :meth:`fingerprint` hashes for this node: its label,
+        unless the label leaves out a parameter the result depends on."""
+        return self.label()
+
     # ------------------------------------------------------------------
     # Traversal / rendering
     # ------------------------------------------------------------------
@@ -92,10 +97,11 @@ class PlanNode:
 
         Two plans with equal fingerprints produce equal results against
         the same relation contents: the digest covers each operator's
-        :meth:`label` — which renders every execution-relevant
-        parameter (scanned relation, key/condition atoms, projection
-        positions, division method and empty-divisor policy, grouping
-        spec) — and the child fingerprints, but deliberately *not* the
+        :meth:`digest` — its :meth:`label`, which renders every
+        execution-relevant parameter (scanned relation, key/condition
+        atoms, projection positions, division method and empty-divisor
+        policy, grouping spec), plus a multiway join's variable layout
+        — and the child fingerprints, but deliberately *not* the
         planner's ``note`` rationale or the ``logical`` source
         expression.  Distinct logical expressions that plan to the same
         physical shape (e.g. ``π₁(R ⋈ S)`` and ``π₁(R ⋉ S)`` after the
@@ -111,7 +117,7 @@ class PlanNode:
             import hashlib
 
             digest = hashlib.sha256()
-            digest.update(self.label().encode())
+            digest.update(self.digest().encode())
             for child in self.children():
                 digest.update(b"(")
                 digest.update(child.fingerprint().encode())
@@ -468,7 +474,14 @@ class MultiwayJoinOp(PlanNode):
 
     Output columns are the concatenation of the input columns in
     written order, exactly what the collapsed binary join tree would
-    emit, so the node is a drop-in replacement for the chain.
+    emit, so the node is a drop-in replacement for the chain.  With
+    ``positions`` set the node has absorbed the projection above it
+    (``expr`` is then that ``Projection``): it emits those 1-based
+    columns of the concatenation, and ``order`` must list the
+    variables they hold — the *free* ones — first, so the generic join
+    enumerates only that prefix and decides the existential rest by
+    its first witness.  ``agm`` is then the AGM bound of the free
+    variables alone.
 
     Deliberately **not** partitionable: the generic join never
     materializes an intermediate to batch — its working set is inputs
@@ -484,6 +497,7 @@ class MultiwayJoinOp(PlanNode):
     agm: float
     expr: Expr
     note: str = ""
+    positions: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if len(self.relations) < 2:
@@ -509,12 +523,40 @@ class MultiwayJoinOp(PlanNode):
             raise SchemaError(
                 f"MultiwayJoinOp needs an AGM bound >= 0, got {self.agm}"
             )
-        if self.expr.arity != sum(len(row) for row in self.attrs):
+        width = sum(len(row) for row in self.attrs)
+        if self.positions is not None:
+            object.__setattr__(self, "positions", tuple(self.positions))
+            for position in self.positions:
+                if position < 1 or position > width:
+                    raise SchemaError(
+                        f"projection position {position} out of range "
+                        f"1..{width}"
+                    )
+            free = self._free_variables()
+            if set(self.order[: len(free)]) != free:
+                raise SchemaError(
+                    "MultiwayJoinOp order must list the projected "
+                    f"variables first; got {self.order} for positions "
+                    f"{self.positions}"
+                )
+            width = len(self.positions)
+        if self.expr.arity != width:
             raise ArityError(
-                "MultiwayJoinOp logical arity must equal the total "
-                f"input arity {sum(len(row) for row in self.attrs)}, "
-                f"got {self.expr.arity}"
+                "MultiwayJoinOp logical arity must equal its output "
+                f"arity {width}, got {self.expr.arity}"
             )
+
+    def _free_variables(self) -> set[int]:
+        """The variables the output columns (``positions``) hold."""
+        flat = [v for row in self.attrs for v in row]
+        return {flat[p - 1] for p in self.positions}
+
+    @property
+    def free(self) -> int:
+        """How many leading variables of ``order`` are enumerated."""
+        if self.positions is None:
+            return len(self.order)
+        return len(self._free_variables())
 
     @property
     def logical(self) -> Expr:
@@ -525,7 +567,20 @@ class MultiwayJoinOp(PlanNode):
 
     def label(self) -> str:
         order = ">".join(str(v) for v in self.order)
-        return f"MultiwayJoin[vars={order},agm={self.agm:g}]"
+        if self.positions is None:
+            return f"MultiwayJoin[vars={order},agm={self.agm:g}]"
+        free = ">".join(str(v) for v in self.order[: self.free])
+        rest = ">".join(str(v) for v in self.order[self.free :])
+        if rest:
+            free = f"{free}|{rest}"
+        project = ",".join(str(p) for p in self.positions)
+        return f"MultiwayJoin[vars={free},agm={self.agm:g},project={project}]"
+
+    def digest(self) -> str:
+        # Two wirings of the same inputs can share an order and a bound
+        # (E(a,b) F(b,c) G(c,a) against G(a,c)), so the label alone
+        # would let one answer the other from the result cache.
+        return f"{self.label()}{self.attrs}"
 
 
 #: Operator types :class:`PartitionedOp` may wrap.  Hash (semi)joins

@@ -49,7 +49,11 @@ Routing rules (documented in ``docs/engine.md``):
    the whole chain collapses into one worst-case-optimal
    :class:`~repro.engine.plan.MultiwayJoinOp` (gated by
    ``PlannerOptions.use_multiway`` / CLI ``--no-multiway``;
-   zero-stats plans always keep the binary chain).
+   zero-stats plans always keep the binary chain).  A projection
+   directly above the collapsed chain is absorbed into it: the generic
+   join enumerates only the projected variables and decides the rest
+   at their first witness, under their own AGM bound — still priced
+   against rule 2's semijoin.
 5. **Selections are pushed toward the leaves** first (reusing
    :func:`repro.algebra.optimize.push_selections`), then fused into
    single :class:`~repro.engine.plan.FilterOp` nodes.
@@ -579,13 +583,48 @@ class Planner:
             if semijoin is not None:
                 if not self._costed():
                     return semijoin
-                direct = ProjectOp(
-                    self._plan(child), expr.positions, expr
-                )
+                direct = self._project(expr)
                 if self._cost(direct) < self._cost(semijoin):
                     return direct
                 return semijoin
-        return ProjectOp(self._plan(child), expr.positions, expr)
+        return self._project(expr)
+
+    def _project(self, expr: Projection) -> PlanNode:
+        """π over the planned child; a collapsed chain absorbs it.
+
+        The generic join then enumerates only the projected (free)
+        variables, ordered first, and decides the rest at their first
+        witness — no full binding, no dedup — under the AGM bound of
+        the free variables alone
+        (:func:`repro.engine.cost.multiway_bound`).  The collapse
+        itself was decided on the unprojected chain.
+        """
+        child = self._plan(expr.child)
+        if not (
+            isinstance(child, MultiwayJoinOp) and child.positions is None
+        ):
+            return ProjectOp(child, expr.positions, expr)
+        from repro.engine.cost import _fmt, multiway_bound
+        from repro.engine.wcoj import choose_order
+
+        flat = [v for row in child.attrs for v in row]
+        free = {flat[p - 1] for p in expr.positions}
+        cards = [
+            float(self.catalog.relation(plan.expr.name).rows)
+            for plan in child.relations
+        ]
+        agm, __ = multiway_bound(child.attrs, cards, free)
+        return MultiwayJoinOp(
+            child.relations,
+            child.attrs,
+            choose_order(child.attrs, cards, free),
+            agm,
+            expr,
+            note=f"{child.note}; projection absorbed: {len(free)} of "
+            f"{len(child.order)} variables enumerated, the rest decided "
+            f"at their first witness, projected AGM bound {_fmt(agm)}",
+            positions=expr.positions,
+        )
 
     def _semijoin_projection(
         self, expr: Projection, child: Join

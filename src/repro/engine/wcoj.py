@@ -30,10 +30,22 @@ variable elimination order.  Execution then
    concatenated output row, and no intermediate tuple is ever
    materialized.
 
+A node that absorbed the projection above it (``positions`` set) keeps
+only some variables — the *free* ones, which the planner orders first.
+The join enumerates just those depths; every deeper (*existential*)
+depth is a yes/no question, answered at its first witness: an
+early-return probe loop, and at the last depth a scan of the smaller
+key set that stops at the first value the other holds.  One row per
+surviving free prefix, duplicate-free because every free variable is
+some output column.  This is Cor. 19's guarded projection inside the
+generic join: ``π_{a,b}`` of the triangle emits at most ``|E|`` rows,
+and the node's stamped bound is the AGM bound of the free variables
+alone.
+
 The only materialized state is the inputs (tries) and the accumulated
-output, whose size the AGM bound certifies — the soundness property
-``tests/test_engine_wcoj.py`` asserts via the :class:`WcojRun` record
-each execution leaves in :class:`~repro.engine.executor.
+output, whose size the (projected) AGM bound certifies — the soundness
+property ``tests/test_engine_wcoj.py`` asserts via the :class:`WcojRun`
+record each execution leaves in :class:`~repro.engine.executor.
 ExecutionStats`.
 
 Correctness notes the implementation leans on:
@@ -45,7 +57,9 @@ Correctness notes the implementation leans on:
 * distinct rows of an input always differ on some variable (every
   column is a variable), so a complete binding matches at most one
   row per input and distinct bindings yield distinct output rows —
-  the enumeration is duplicate-free without a dedup pass;
+  the enumeration is duplicate-free without a dedup pass (projected:
+  distinct free prefixes, each emitted once, differ on some output
+  column);
 * each input's variables sorted by global order rank align its trie
   depth with the elimination order: when the recursion reaches a
   variable, every participating input's cursor is a dict keyed by
@@ -123,7 +137,9 @@ def variable_layout(
 
 
 def choose_order(
-    attrs: Sequence[Sequence[int]], cards: Sequence[float]
+    attrs: Sequence[Sequence[int]],
+    cards: Sequence[float],
+    free: Iterable[int] = (),
 ) -> tuple[int, ...]:
     """A deterministic variable elimination order for :func:`generic_join`.
 
@@ -131,8 +147,12 @@ def choose_order(
     variables first (they prune hardest), breaking ties toward the
     variable whose smallest containing input is smallest (cheap
     candidate sets), then by variable id.  Purely a heuristic — the
-    worst-case bound holds for every order.
+    worst-case bound holds for every order.  ``free`` variables (a
+    projection's output) go before all others, in that same order,
+    so the existential rest is a suffix; none given — or all — keeps
+    the unprojected order.
     """
+    free = frozenset(free)
     containing: dict[int, int] = {}
     smallest: dict[int, float] = {}
     for k, row in enumerate(attrs):
@@ -144,7 +164,7 @@ def choose_order(
     return tuple(
         sorted(
             containing,
-            key=lambda v: (-containing[v], smallest[v], v),
+            key=lambda v: (v not in free, -containing[v], smallest[v], v),
         )
     )
 
@@ -236,12 +256,14 @@ class WcojRun:
     The record the soundness property tests read: ``output_rows`` —
     the only rows the operator materializes beyond its inputs — must
     stay within ``agm``, the fractional-edge-cover bound the planner
-    certified.  ``probes``/``candidates`` count intersection work
+    certified (of the ``free`` variables only, when the node absorbed
+    a projection).  ``probes``/``candidates`` count intersection work
     (hash probes into non-pivot tries; values enumerated from pivot
     tries), the generic-join analogue of build/probe counters.
     """
 
     variables: int
+    free: int
     leaves: int
     agm: float
     output_rows: int
@@ -250,9 +272,10 @@ class WcojRun:
 
     def render(self) -> str:
         return (
-            f"[vars={self.variables} inputs={self.leaves} "
-            f"agm={self.agm:g} rows={self.output_rows} "
-            f"candidates={self.candidates} probes={self.probes}]"
+            f"[vars={self.variables} free={self.free} "
+            f"inputs={self.leaves} agm={self.agm:g} "
+            f"rows={self.output_rows} candidates={self.candidates} "
+            f"probes={self.probes}]"
         )
 
 
@@ -367,11 +390,129 @@ def _level(
     return step
 
 
+def _witness(
+    parts: tuple[int, ...],
+    cursors: list,
+    tally: list[int],
+    descend: Callable[[], bool] | None,
+) -> Callable[[], bool]:
+    """One existential depth of :func:`generic_join`: a yes/no step.
+
+    The step answers whether some value every input in ``parts``
+    supports extends to a witness of every deeper existential depth
+    (``descend``; None at the last depth, where the value itself is
+    the witness), and stops at the first one: nothing is bound, and the
+    free prefix above it is emitted once however many witnesses exist.
+    ``tally`` counts what :func:`_level` counts, but only up to the
+    first witness: one candidate per pivot value enumerated, one probe
+    per lookup into another participant.  The pivot is the smallest
+    participant, the first such on a tie.
+
+    The last depth scans the pivot's keys for a value the others hold;
+    an inner depth writes the descended cursors in place and puts its
+    own back before returning.  Two participants — every depth of a
+    cycle query — get their own form of each, as in :func:`_level`.
+    """
+    if len(parts) == 2:
+        i, j = parts
+        if descend is None:
+
+            def test() -> bool:
+                first, second = cursors[i], cursors[j]
+                if len(second) < len(first):
+                    first, second = second, first
+                seen = 0
+                found = False
+                for value in first:
+                    seen += 1
+                    if value in second:
+                        found = True
+                        break
+                tally[0] += seen
+                tally[1] += seen
+                return found
+
+            return test
+
+        def test() -> bool:
+            first, second = cursors[i], cursors[j]
+            if len(second) < len(first):
+                pivot, other, base, get = j, i, second, first.get
+            else:
+                pivot, other, base, get = i, j, first, second.get
+            seen = 0
+            found = False
+            for value, descended in base.items():
+                seen += 1
+                nxt = get(value)
+                if nxt is not None:
+                    cursors[pivot] = descended
+                    cursors[other] = nxt
+                    if descend():
+                        found = True
+                        break
+            cursors[i] = first
+            cursors[j] = second
+            tally[0] += seen
+            tally[1] += seen
+            return found
+
+        return test
+
+    def test() -> bool:
+        nodes = [cursors[k] for k in parts]
+        sizes = [len(node) for node in nodes]
+        at = sizes.index(min(sizes))
+        pivot, base = parts[at], nodes[at]
+        others = [
+            (k, node.get)
+            for k, node in zip(parts, nodes)
+            if k != pivot
+        ]
+        seen = probes = 0
+        found = False
+        for value, descended in base.items():
+            seen += 1
+            for k, get in others:
+                probes += 1
+                nxt = get(value)
+                if nxt is None:
+                    break
+                cursors[k] = nxt
+            else:
+                cursors[pivot] = descended
+                if descend is None or descend():
+                    found = True
+                    break
+        for k, node in zip(parts, nodes):
+            cursors[k] = node
+        tally[0] += seen
+        tally[1] += probes
+        return found
+
+    return test
+
+
+def _gate(
+    test: Callable[[], bool], binding: list, emit: Callable[[tuple], None]
+) -> Callable[[], None]:
+    """The descent below the last free depth: emit the free prefix
+    bound so far, once, iff the existential suffix ``test`` finds a
+    witness for it."""
+
+    def step() -> None:
+        if test():
+            emit(tuple(binding))
+
+    return step
+
+
 def generic_join(
     tries: Sequence[dict],
     leaf_variables: Sequence[frozenset[int]],
     order: Sequence[int],
     counters: dict[str, int] | None = None,
+    free: int | None = None,
 ) -> list[tuple]:
     """All complete bindings supported by every trie (NPRR generic join).
 
@@ -383,10 +524,16 @@ def generic_join(
     others, so the work per level is proportional to the smallest
     candidate set — the property the worst-case analysis needs.
 
+    With ``free`` set, only the first ``free`` depths of ``order`` are
+    enumerated: each of their bindings is returned once iff the
+    remaining depths have a witness (:func:`_witness`), with the
+    slots of those existential variables left ``None``.
+
     Who participates at which depth, which slot a value lands in and
     which depth is the last are fixed by the arguments, so they are
-    decided once: one :func:`_level` step per depth, built bottom-up,
-    and the join is a call to the first.  ``counters`` gains
+    decided once: one :func:`_level` step per free depth and one
+    :func:`_witness` step per existential depth, built bottom-up, and
+    the join is a call to the first.  ``counters`` gains
     ``candidates`` (values enumerated from pivots) and ``probes``
     (hash probes into the other participants).
     """
@@ -402,12 +549,21 @@ def generic_join(
         raise SchemaError(
             "generic join: a variable in the order occurs in no input"
         )
+    if free is None:
+        free = len(order)
     cursors = list(tries)
     binding = [None] * (max(order, default=-1) + 1)
     out: list[tuple] = []
     tally = [0, 0]
     step = None
-    for parts, variable in zip(reversed(participants), reversed(order)):
+    if free < len(order):
+        test = None
+        for parts in reversed(participants[free:]):
+            test = _witness(parts, cursors, tally, test)
+        step = _gate(test, binding, out.append)
+    for parts, variable in zip(
+        reversed(participants[:free]), reversed(order[:free])
+    ):
         step = _level(
             parts, variable, cursors, binding, tally, step, out.append
         )
@@ -430,7 +586,9 @@ def run_multiway(executor, node) -> list[Row]:
     IndexCache` (keyed by the input's *logical* expression plus the
     trie layout, so repeated runs against unchanged contents reuse the
     builds and a version-token move invalidates them with everything
-    else).  Leaves a :class:`WcojRun` in ``executor.stats.wcoj_runs``.
+    else).  A projected node enumerates only its free depths and picks
+    its ``positions`` from each surviving binding.  Leaves a
+    :class:`WcojRun` in ``executor.stats.wcoj_runs``.
     """
     inputs = [executor._rows(child) for child in node.relations]
     tries: list[dict] = []
@@ -442,16 +600,18 @@ def run_multiway(executor, node) -> list[Row]:
         )
         leaf_variables.append(frozenset(variables))
     counters: dict[str, int] = {}
-    bindings = generic_join(tries, leaf_variables, node.order, counters)
+    bindings = generic_join(
+        tries, leaf_variables, node.order, counters, node.free
+    )
     # Every output column is some variable: the row is one pick from
     # the binding, the same pick for every binding.
-    out = list(
-        kernels.keys_of(
-            bindings, [v + 1 for attrs_k in node.attrs for v in attrs_k]
-        )
-    )
+    columns = [v + 1 for attrs_k in node.attrs for v in attrs_k]
+    if node.positions is not None:
+        columns = [columns[p - 1] for p in node.positions]
+    out = list(kernels.keys_of(bindings, columns))
     executor.stats.wcoj_runs[node] = WcojRun(
         variables=len(node.order),
+        free=node.free,
         leaves=len(node.relations),
         agm=node.agm,
         output_rows=len(out),

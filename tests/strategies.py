@@ -325,6 +325,22 @@ def cyclic_joins(draw, schema: Schema = CYCLE_SCHEMA) -> Expr:
 
 
 @st.composite
+def projected_cyclic_joins(draw, schema: Schema = CYCLE_SCHEMA) -> Expr:
+    """Projections of :func:`cyclic_joins` — the absorbed-projection
+    workload: random position tuples, possibly empty, with repeated
+    positions and with two columns of one variable (the first and the
+    last column of every cycle and of the bowtie hold the same vertex,
+    ``π_{1,6}`` of the triangle is ``(a, a)``)."""
+    expr = draw(cyclic_joins(schema))
+    positions = draw(st.lists(st.integers(1, expr.arity), max_size=4))
+    if draw(st.booleans()):
+        positions += [1, expr.arity]
+    if positions and draw(st.booleans()):
+        positions.append(draw(st.sampled_from(positions)))
+    return Projection(expr, tuple(positions))
+
+
+@st.composite
 def skewed_databases(
     draw, schema: Schema = CYCLE_SCHEMA, max_rows: int = 12
 ) -> Database:

@@ -172,6 +172,7 @@ def _representative_plans() -> list:
     """
     from repro.data.database import Database, database
     from repro.engine.plan import ParallelOp
+    from repro.algebra.ast import Projection
     from repro.extended.ast import GroupBy, Sort
     from tests.strategies import CYCLE_SCHEMA, cycle_expr
 
@@ -203,6 +204,11 @@ def _representative_plans() -> list:
     )
     hub = Database(CYCLE_SCHEMA, {name: edge for name in CYCLE_SCHEMA})
     plans.append(Executor(hub).plan(cycle_expr(("E", "F", "G"))))
+    # A projection absorbed into the multiway node: its logical is the
+    # Projection itself.
+    plans.append(
+        Executor(hub).plan(Projection(cycle_expr(("E", "F", "G")), (2, 4)))
+    )
     join_db = database(
         {"R": 2, "S": 1},
         R=[(i, i % 7) for i in range(60)],
@@ -282,3 +288,22 @@ def test_multiway_label_fingerprint_and_note_render():
     assert "MultiwayJoin[vars=" in first
     assert "worst-case-optimal" in first
     parse(first.split(SEPARATOR, 1)[1], CYCLE_SCHEMA)  # must not raise
+
+
+def test_projected_multiway_line_parses_back_to_the_projection():
+    from repro.algebra.ast import Projection
+    from repro.engine import MultiwayJoinOp
+    from tests.strategies import CYCLE_SCHEMA, cycle_expr
+
+    plan = next(
+        node
+        for plan in _representative_plans()
+        for node in plan.nodes()
+        if isinstance(node, MultiwayJoinOp) and node.positions is not None
+    )
+    first = plan.explain().splitlines()[0]
+    assert first.startswith("MultiwayJoin[vars=1>2|0,")
+    assert ",project=2,4] /2" in first
+    logical = parse(first.split(SEPARATOR, 1)[1], CYCLE_SCHEMA)
+    assert logical == plan.logical
+    assert logical == Projection(cycle_expr(("E", "F", "G")), (2, 4))

@@ -19,7 +19,12 @@ optimal joins):
   token) invalidates them along with everything else;
 * a set partition budget keeps the collapse out whenever the one-shot
   working set could exceed it, and ``PartitionedOp`` refuses to wrap
-  the operator outright.
+  the operator outright;
+* a projection over a collapsed chain is absorbed: only its free
+  variables are enumerated, the rest decided at their first witness,
+  under the AGM bound of the free variables — same rows as the oracle,
+  output within that bound, counters equal to an interpretive
+  reference's.
 """
 
 import gc
@@ -29,7 +34,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.algebra.ast import Join, Rel
+from repro.algebra.ast import Join, Projection, Rel
 from repro.algebra.conditions import Atom, Condition
 from repro.algebra.evaluator import evaluate
 from repro.data.database import Database, database
@@ -42,6 +47,7 @@ from repro.engine import (
     StatsCatalog,
     fractional_edge_cover,
 )
+from repro.engine.cost import CostModel, multiway_bound
 from repro.engine.partition import apply_partitioning
 from repro.engine.plan import ScanOp
 from repro.engine.planner import _flatten_logical_join, explain
@@ -65,6 +71,7 @@ from tests.strategies import (
     bowtie_expr,
     cycle_expr,
     cyclic_joins,
+    projected_cyclic_joins,
     skewed_databases,
 )
 
@@ -109,6 +116,24 @@ def collapsed(expr, db: Database) -> MultiwayJoinOp:
     )
     return MultiwayJoinOp(
         plans, attrs, choose_order(attrs, cards), agm, expr
+    )
+
+
+def projected(expr: Projection, db: Database) -> MultiwayJoinOp:
+    """Hand-collapse a projected chain the way the planner absorbs it:
+    free variables first, stamped with their own AGM bound."""
+    join = collapsed(expr.child, db)
+    flat = [v for row in join.attrs for v in row]
+    free = {flat[p - 1] for p in expr.positions}
+    cards = [float(len(db[leaf.expr.name])) for leaf in join.relations]
+    agm, __ = multiway_bound(join.attrs, cards, free)
+    return MultiwayJoinOp(
+        join.relations,
+        join.attrs,
+        choose_order(join.attrs, cards, free),
+        agm,
+        expr,
+        positions=expr.positions,
     )
 
 
@@ -184,6 +209,121 @@ def test_estimates_stay_sound_upper_bounds(expr, db):
     for node, actual, estimate in pairs:
         assert estimate.sound, node.label()
         assert actual <= estimate.upper + 1e-9, node.label()
+
+
+# ----------------------------------------------------------------------
+# Absorbed projections: free prefix enumerated, the rest witnessed
+# ----------------------------------------------------------------------
+
+
+@PROPERTY
+@given(projected_cyclic_joins(), skewed_databases())
+def test_projected_operator_matches_oracle_within_its_bound(expr, db):
+    """Forced projected generic join ≡ the structural evaluator, and
+    its output stays within the free variables' AGM bound and the cost
+    model's sound upper bound."""
+    executor = Executor(db)
+    node = projected(expr, db)
+    result = executor.execute(node)
+    assert result == evaluate(expr, db)
+    run = executor.stats.wcoj_runs[node]
+    assert run.free == node.free
+    assert run.output_rows == len(result) <= run.agm + 1e-9
+    estimate = CostModel(StatsCatalog(db)).estimate(node)
+    assert estimate.sound and len(result) <= estimate.upper + 1e-9
+
+
+@PROPERTY
+@given(projected_cyclic_joins(), skewed_databases())
+def test_projected_plan_matches_binary_and_oracle(expr, db):
+    oracle = evaluate(expr, db)
+    multi = Executor(db)
+    assert multi.execute(multi.plan(expr)) == oracle
+    for run in multi.stats.wcoj_runs.values():
+        assert run.output_rows <= run.agm + 1e-9
+    for node, actual, estimate in multi.stats.estimation_pairs():
+        assert estimate.sound, node.label()
+        assert actual <= estimate.upper + 1e-9, node.label()
+    binary = Executor(db)
+    plan = binary.plan(expr, PlannerOptions(use_multiway=False))
+    assert not multiway_nodes(plan)
+    assert binary.execute(plan) == oracle
+
+
+class TestAbsorbedProjection:
+    def test_triangle_edge_projection_is_guarded_by_its_edge(self):
+        db = hub_db(40)
+        expr = Projection(cycle_expr(("E", "F", "G")), (1, 2))
+        executor = Executor(db)
+        plan = executor.plan(expr)
+        assert isinstance(plan, MultiwayJoinOp)
+        assert plan.positions == (1, 2) and plan.logical == expr
+        assert plan.label() == (
+            "MultiwayJoin[vars=0>1|2,agm=81,project=1,2]"
+        )
+        assert "projection absorbed: 2 of 3 variables" in plan.note
+        assert executor.execute(plan) == evaluate(expr, db)
+        run = executor.stats.wcoj_runs[plan]
+        assert (run.free, run.agm) == (2, 81.0)
+        assert run.output_rows == len(db["E"])
+        assert "free=2" in run.render()
+
+    def test_one_variable_twice_and_no_variable_at_all(self):
+        db = hub_db(6)
+        triangle = cycle_expr(("E", "F", "G"))
+        executor = Executor(db)
+        twice = executor.plan(Projection(triangle, (1, 6)))
+        assert twice.free == 1
+        rows = executor.execute(twice)
+        assert rows and all(a == b for a, b in rows)
+        assert rows == evaluate(Projection(triangle, (1, 6)), db)
+        nothing = executor.plan(Projection(triangle, ()))
+        assert (nothing.free, nothing.agm) == (0, 1.0)
+        assert executor.execute(nothing) == frozenset({()})
+
+    def test_unprojected_order_and_plans_are_unchanged(self):
+        attrs = ((0, 1), (1, 2), (2, 0))
+        assert choose_order(attrs, [5.0, 3.0, 4.0], (0, 1, 2)) == (
+            choose_order(attrs, [5.0, 3.0, 4.0])
+        )
+        assert choose_order(attrs, [5.0, 3.0, 4.0], (2,))[0] == 2
+        db = hub_db(40)
+        plan = Executor(db).plan(cycle_expr(("E", "F", "G")))
+        assert plan.positions is None and plan.free == 3
+        assert "|" not in plan.label() and "project=" not in plan.label()
+
+    def test_order_must_put_projected_variables_first(self):
+        node = projected(
+            Projection(cycle_expr(("E", "F", "G")), (3,)), hub_db(4)
+        )
+        assert node.order[0] == 1
+        with pytest.raises(SchemaError):
+            MultiwayJoinOp(
+                node.relations,
+                node.attrs,
+                (0, 1, 2),
+                node.agm,
+                node.expr,
+                positions=node.positions,
+            )
+
+    def test_two_wirings_of_one_chain_never_share_a_fingerprint(self):
+        # Same inputs, order and bound, different variable layout: the
+        # label alone would let the result cache serve one for the other.
+        db = hub_db(6)
+        db._relations = {**db._relations, "G": frozenset({(1, 0), (0, 5)})}
+        triangle = cycle_expr(("E", "F", "G"))
+        wired = Join(
+            triangle.left,
+            Rel("G", 2),
+            Condition((Atom(4, "=", 2), Atom(1, "=", 1))),
+        )
+        first, second = collapsed(triangle, db), collapsed(wired, db)
+        assert first.label() == second.label()
+        assert first.fingerprint() != second.fingerprint()
+        with Session(db) as session:
+            for expr in (triangle, wired):
+                assert session.run(expr) == evaluate(expr, db)
 
 
 # ----------------------------------------------------------------------
@@ -279,6 +419,16 @@ def test_explain_costs_renders_vars_and_agm():
     assert "MultiwayJoin[vars=" in rendered
     assert "agm=" in rendered
     assert "worst-case-optimal" in rendered
+    # Projected: the label marks where the existential suffix starts,
+    # and the stamped (and priced) bound is the free variables' own.
+    with Session(db) as session:
+        rendered = session.explain(
+            "project[1,2]((E join[2=1] F) join[4=1, 1=2] G)", costs=True
+        )
+    first = rendered.splitlines()[0]
+    assert first.startswith("MultiwayJoin[vars=0>1|2,agm=81,project=1,2]")
+    assert "ub=81 " in first
+    assert "projection absorbed" in first
 
 
 # ----------------------------------------------------------------------
@@ -415,12 +565,18 @@ class TestBuildingBlocks:
 # ----------------------------------------------------------------------
 
 
-def reference_generic_join(tries, leaf_variables, order, counters):
+def reference_generic_join(
+    tries, leaf_variables, order, counters, free=None
+):
     """The interpretive recursion ``generic_join`` ran before it was
     compiled per depth: one ``recurse`` for every level, per-value
     save/restore of the cursors, early break on the first miss.  Kept
-    here as the definition of the bindings *and* of both counters."""
+    here as the definition of the bindings *and* of both counters.
+    Depths from ``free`` on are existential: ``exists`` returns at the
+    first witness, and counts only what it did to find it."""
     depth_count = len(order)
+    if free is None:
+        free = depth_count
     counters.setdefault("candidates", 0)
     counters.setdefault("probes", 0)
     participants = [
@@ -435,9 +591,36 @@ def reference_generic_join(tries, leaf_variables, order, counters):
     binding = [None] * (max(order, default=-1) + 1)
     out = []
 
-    def recurse(d):
+    def exists(d):
         if d == depth_count:
-            out.append(tuple(binding))
+            return True
+        parts = participants[d]
+        pivot = min(parts, key=lambda k: len(cursors[k]))
+        others = tuple(k for k in parts if k != pivot)
+        for value, descended in cursors[pivot].items():
+            counters["candidates"] += 1
+            advanced = [(pivot, descended)]
+            for k in others:
+                counters["probes"] += 1
+                nxt = cursors[k].get(value)
+                if nxt is None:
+                    break
+                advanced.append((k, nxt))
+            else:
+                saved = tuple((k, cursors[k]) for k, __ in advanced)
+                for k, nxt in advanced:
+                    cursors[k] = nxt
+                found = exists(d + 1)
+                for k, previous in saved:
+                    cursors[k] = previous
+                if found:
+                    return True
+        return False
+
+    def recurse(d):
+        if d == free:
+            if exists(d):
+                out.append(tuple(binding))
             return
         parts = participants[d]
         pivot = min(parts, key=lambda k: len(cursors[k]))
@@ -589,6 +772,37 @@ class TestCompiledJoinMatchesTheLoopItReplaced:
         assert set(out) == set(expected)
         assert counters == expected_counters
 
+    @PROPERTY
+    @given(hypergraph_instances(), st.data())
+    def test_existential_suffix_matches_the_reference(self, instance, data):
+        attrs, order, relations = instance
+        free = data.draw(st.integers(0, len(order)))
+        tries, leaf_variables = tries_for(attrs, order, relations)
+        counters, expected_counters = {}, {}
+        out = generic_join(tries, leaf_variables, order, counters, free)
+        expected = reference_generic_join(
+            tries, leaf_variables, order, expected_counters, free
+        )
+        assert len(out) == len(set(out))
+        assert set(out) == set(expected)
+        assert counters == expected_counters
+        assert all(
+            binding[v] is None for binding in out for v in order[free:]
+        )
+
+    def test_a_witness_late_in_the_pivot_counts_every_miss_before_it(self):
+        # Free a; the closing depth's pivot {1, 2, 3} meets {3, 9, 8, 7}
+        # only at its third value: three candidates, three probes.
+        tries = [
+            {0: dict.fromkeys((1, 2, 3), True)},
+            {0: dict.fromkeys((3, 9, 8, 7), True)},
+        ]
+        leaf_variables = [frozenset({0, 1}), frozenset({0, 1})]
+        counters = {}
+        out = generic_join(tries, leaf_variables, (0, 1), counters, 1)
+        assert out == [(0, None)]
+        assert counters == {"candidates": 1 + 3, "probes": 1 + 3}
+
     def test_every_named_shape_joins_nonempty(self):
         # The property above must not pass on empty outputs alone.
         for attrs in SHAPES.values():
@@ -659,6 +873,7 @@ def test_a_multiway_run_leaves_no_cyclic_garbage():
     with Session(db, cache_results=False) as session:
         assert multiway_nodes(session.executor.plan(expr))
         session.run(expr)  # plan memo, statistics and tries are warm
+        session.run(Projection(expr, (1,)))
         gc.collect()
         gc.disable()
         try:
@@ -668,6 +883,10 @@ def test_a_multiway_run_leaves_no_cyclic_garbage():
             assert gc.collect() == 0
             rows = session.run(expr)
             assert len(rows) == 3 * 40 + 1
+            del rows
+            assert gc.collect() == 0
+            rows = session.run(Projection(expr, (1,)))
+            assert len(rows) == 40 + 1
             del rows
             assert gc.collect() == 0
         finally:

@@ -21,6 +21,7 @@ from repro.session import Session
 from repro.workloads.serving import (
     DIVISION_QUERY,
     MIXED_QUERIES,
+    TRIANGLE_QUERY,
     build_database,
 )
 
@@ -193,6 +194,21 @@ def test_price_bound_dominates_executed_actuals(query):
         # The admission debit is Σ per-node uppers: it must dominate
         # the total rows the operators really produced.
         assert actual <= price.bound
+
+
+def test_projected_triangle_prices_its_inputs_and_one_edge():
+    """``π_{a,b}`` of the triangle is guarded by ``E``: the absorbed
+    projection stamps and prices the free variables' AGM bound ``|E|``
+    instead of the whole triangle's ``n^{3/2}``."""
+    db = build_database("triangle")
+    inputs = sum(len(db[name]) for name in ("E", "F", "G"))
+    with Session(db) as session:
+        prepared = session.query(TRIANGLE_QUERY)
+        price = price_plan(session.executor, prepared.plan())
+        assert price.sound
+        assert price.bound <= inputs + len(db["E"])
+        prepared.run()
+        assert session.last_report.stats.total_rows() <= price.bound
 
 
 def test_price_unsound_without_statistics():
