@@ -38,8 +38,8 @@ import operator
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from itertools import repeat
-from typing import Iterable, Iterator
+from itertools import chain, compress, repeat
+from typing import Collection, Iterable, Iterator
 
 from repro.algebra.ast import Expr
 from repro.algebra.evaluator import Relation
@@ -66,11 +66,6 @@ from repro.engine.plan import (
     UnionOp,
 )
 from repro.errors import ArityError, SchemaError
-from repro.setjoins.division import (
-    DIVISION_ALGORITHMS,
-    DIVISION_EQ_ALGORITHMS,
-    TypedPairs,
-)
 
 
 @dataclass
@@ -174,7 +169,10 @@ class IndexCache:
 
     The logical expression identifies the input *value* (same database,
     same logical expression ⇒ same rows), so any operator needing the
-    same keys on the same input reuses the build.
+    same keys on the same input reuses the build: a join's right side,
+    a semijoin's stored left side (:meth:`second_sight`), the generic
+    join's tries — and a division's dividend, which is the same trie a
+    generic join over that binary relation reads (:meth:`trie_for`).
 
     Entries are LRU-evicted against ``row_budget`` (total rows across
     all cached indexes — the :class:`ResultCache` byte-budget
@@ -207,6 +205,8 @@ class IndexCache:
         )
         self._lock = threading.Lock()
         self.row_budget = row_budget
+        #: ``(key, positions)`` asked for once by :meth:`second_sight`.
+        self._sighted: set[tuple[object, tuple[int, ...]]] = set()
         self.builds = 0
         self.reuses = 0
         self.evictions = 0
@@ -230,6 +230,29 @@ class IndexCache:
             built = kernels.build_index(rows, positions)
             self._admit(cache_key, built, sum(map(len, built.values())))
             return built
+
+    def second_sight(
+        self,
+        key: object,
+        rows: Collection[Row],
+        positions: tuple[int, ...],
+    ) -> dict[tuple[Value, ...], list[Row]] | None:
+        """:meth:`index_for`, from the second request for ``(key,
+        positions)`` on: the first is only noted — neither a build nor a
+        reuse — and answers ``None``, so a query run once never pays for
+        an index it would read once.  A build that would push the cache
+        past ``row_budget`` answers ``None`` too: evicting the caller's
+        other index would have the two rebuild each other every run.
+        Sightings go with the cache."""
+        cache_key = (key, positions)
+        with self._lock:
+            if cache_key not in self._indexes:
+                if cache_key not in self._sighted:
+                    self._sighted.add(cache_key)
+                    return None
+                if self.rows_indexed + len(rows) > self.row_budget:
+                    return None
+        return self.index_for(key, rows, positions)
 
     def trie_for(
         self,
@@ -849,7 +872,14 @@ class Executor:
         """A hash join or semijoin: the kernel its type names, over the
         left rows, the right side's index (built or fetched), the left
         key positions of the equality atoms and the remaining atoms,
-        compiled (a semijoin's by :func:`~repro.engine.kernels.witness`)."""
+        compiled (a semijoin's by :func:`~repro.engine.kernels.witness`).
+
+        An equality semijoin over a stored left side with more rows than
+        the right has distinct keys reads the left's cached grouping
+        from the second request on (:meth:`IndexCache.second_sight`): it
+        gathers the left groups under the right's keys, which are
+        disjoint, instead of probing every left row — one lookup per
+        right key, not per left row."""
         loop, compile_rest = (
             (kernels.hash_join, kernels.matcher)
             if isinstance(node, HashJoinOp)
@@ -861,10 +891,25 @@ class Executor:
             self._rows(node.right),
             tuple(a.j for a in eq),
         )
+        left = self._rows(node.left)
+        positions = tuple(a.i for a in eq)
+        if (
+            loop is kernels.hash_semijoin
+            and node.cond.is_equi()
+            and isinstance(node.left, ScanOp)
+            and len(index) < len(left)
+        ):
+            groups = self.indexes.second_sight(
+                node.left.logical, left, positions
+            )
+            if groups is not None:
+                return chain.from_iterable(
+                    map(groups.get, index, repeat(()))
+                )
         return loop(
-            self._rows(node.left),
+            left,
             index,
-            tuple(a.i for a in eq),
+            positions,
             compile_rest(a for a in node.cond if a.op != "="),
         )
 
@@ -886,17 +931,26 @@ class Executor:
         return run_multiway(self, node)
 
     def _division(self, node: DivisionOp) -> Iterable[Row]:
+        """The generic join's ∀ level: a candidate ``a`` of the
+        dividend's cached trie — the one a generic join over that binary
+        relation reads — is kept when its child's keys contain (under
+        ``eq``: equal) the divisor's values, one C-level compare per
+        group.  Replaces Graefe's hash division over every dividend row
+        on every run; ``divide_hash`` still runs each partitioned batch.
+        """
         dividend = self._rows(node.dividend)
         divisor_rows = self._rows(node.divisor)
         if not divisor_rows and node.empty_divisor == "none":
             # γ-plan semantics: the join with an empty divisor kills
             # every group, so the source expression returns ∅.
             return ()
-        divisor = [row[0] for row in divisor_rows]
-        registry = DIVISION_EQ_ALGORITHMS if node.eq else DIVISION_ALGORITHMS
-        # The plan typed the dividend (arity 2; rows tuple-coerced where
-        # they entered the database), so nothing is re-validated here.
-        return zip(registry["hash"](TypedPairs(dividend), divisor))
+        trie = self.indexes.trie_for(
+            node.dividend.logical, dividend, ((0,), (1,))
+        )
+        children = map(dict.keys, trie.values())
+        holds = operator.eq if node.eq else operator.ge
+        divisor = set(map(operator.itemgetter(0), divisor_rows))
+        return zip(compress(trie, map(holds, children, repeat(divisor))))
 
     def _batched(self, node: PartitionedOp | ParallelOp) -> Iterable[Row]:
         """Batched execution, serial or on the worker pool.

@@ -5,8 +5,8 @@ a physical plan says *how*.  One logical node can map to several
 physical operators — a ``Join`` becomes a :class:`HashJoinOp` when its
 condition has equality atoms and a :class:`NestedLoopJoinOp` otherwise,
 and a whole logical sub-tree matching a division pattern collapses into
-a single :class:`DivisionOp` backed by the linear algorithms of
-:mod:`repro.setjoins.division` (Graefe's "four algorithms" framing).
+a single linear :class:`DivisionOp` (Graefe's "four algorithms"
+framing, :mod:`repro.setjoins.division`).
 
 Every node carries
 
@@ -425,10 +425,13 @@ class DivisionOp(PlanNode):
     """Direct relational division ``dividend(A,B) ÷ divisor(B)``.
 
     Replaces a whole logical sub-tree (the classic quadratic RA plan or
-    a §5 γ plan) with one linear operator: Graefe's hash division, the
-    ``"hash"`` entry of the :mod:`repro.setjoins.division` registries.
-    ``eq`` selects equality-division, and ``empty_divisor`` records the
-    source expression's empty-divisor semantics so the rewrite is exact.
+    a §5 γ plan) with one linear operator: the generic join's ∀ level,
+    which keeps a candidate when its child in the dividend's cached
+    trie holds every divisor value (``Executor._division``); a
+    partitioned batch runs the ``"hash"`` entry of the
+    :mod:`repro.setjoins.division` registries instead.  ``eq`` selects
+    equality-division, and ``empty_divisor`` records the source
+    expression's empty-divisor semantics so the rewrite is exact.
     """
 
     dividend: PlanNode

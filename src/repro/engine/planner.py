@@ -17,7 +17,7 @@ Routing rules (documented in ``docs/engine.md``):
    says *every* RA expression for division is quadratic) and the §5
    γ plans (containment and equality) are recognized structurally and
    replaced by a single linear :class:`~repro.engine.plan.DivisionOp`
-   running Graefe's hash division.  The empty-divisor
+   (a ∀ test per candidate of the dividend's trie).  The empty-divisor
    semantics of the source expression is preserved exactly.  Under the
    cost model the direct operator is kept only while its estimated
    cost does not exceed the RA plan's (it never does on the witness

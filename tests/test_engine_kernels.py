@@ -15,16 +15,17 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.algebra.ast import Rel
 from repro.algebra.conditions import OPS, Atom, Condition
 from repro.algebra.evaluator import evaluate
 from repro.algebra.parser import parse
 from repro.data.database import Database
 from repro.data.schema import Schema
 from repro.engine import Executor, PlannerOptions, kernels
-from repro.engine.executor import OPERATORS
+from repro.engine.executor import OPERATORS, IndexCache
 from repro.engine.partition import scatter_for
 from repro.engine.plan import (
     DivisionOp,
@@ -42,7 +43,9 @@ from repro.engine.plan import (
     rewrite_plan,
 )
 from repro.errors import SchemaError
+from repro.session import Session
 from repro.setjoins import division
+from repro.workloads.generators import division_database
 from tests.strategies import (
     cyclic_joins,
     databases,
@@ -623,3 +626,189 @@ def test_partitioned_division_validates_no_row_but_public_calls_do():
         division.divide_hash([(1, 2, 3)], [7])
     with pytest.raises(SchemaError, match="2-tuples"):
         division.divide_hash(frozenset({(1, 2, 3)}), [7])
+
+
+# ----------------------------------------------------------------------
+# A warm division or equality semijoin reads its stored input's grouping
+# ----------------------------------------------------------------------
+
+DIVISION_SCHEMA = Schema({"R": 2, "S": 1})
+
+
+@st.composite
+def division_databases(draw) -> Database:
+    """Dividends over candidates 0–5 and values 100–106; divisors may
+    hold 107 and 108, which no dividend row does."""
+    rows = st.tuples(st.integers(0, 5), st.integers(100, 106))
+    dividend = draw(st.frozensets(rows, max_size=25))
+    divisor = draw(st.frozensets(st.integers(100, 108), max_size=4))
+    return Database(
+        DIVISION_SCHEMA, {"R": dividend, "S": {(b,) for b in divisor}}
+    )
+
+
+def three_runs(session, plan) -> list:
+    """``plan`` run three times on one session: first sighting, second
+    sighting, warm — each with every node's cardinality recorded."""
+    executor = session.executor
+    results = []
+    for __ in range(3):
+        results.append(executor.execute(plan))
+        assert set(executor.stats.node_rows) == set(plan.nodes())
+        executor.reset_query_state()
+    return results
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    db=division_databases(),
+    eq=st.booleans(),
+    empty_divisor=st.sampled_from(("all", "none")),
+)
+def test_a_division_over_the_cached_trie_is_the_reference(
+    db, eq, empty_divisor
+):
+    reference = (
+        division.divide_reference_eq if eq else division.divide_reference
+    )
+    expected = reference(db["R"], db["S"])
+    if not db["S"] and empty_divisor == "none":
+        expected = frozenset()
+    plan = DivisionOp(
+        ScanOp(Rel("R", 2)),
+        ScanOp(Rel("S", 1)),
+        eq,
+        empty_divisor,
+        division.classic_division_expr(),
+    )
+    with Session(db, cache_results=False) as session:
+        for result in three_runs(session, plan):
+            assert result == {(a,) for a in expected}
+
+
+def two_column_atoms(ops, min_size: int, max_size: int):
+    atom = st.builds(
+        Atom, st.integers(1, 2), st.sampled_from(ops), st.integers(1, 2)
+    )
+    return st.lists(atom, min_size=min_size, max_size=max_size)
+
+
+#: Few values, so right keys repeat across distinct rows.
+PAIRS = st.frozensets(st.tuples(st.integers(0, 3), st.integers(0, 3)))
+
+
+#: A left of forty rows, five keys, under ``2=1``: right sides that are
+#: empty, smaller, larger with few keys (gathered) and larger with more
+#: keys than the left has rows (probed).
+FORTY = frozenset((i, i % 5) for i in range(40))
+FEW_KEYS = frozenset((i % 3, i) for i in range(50))
+MANY_KEYS = frozenset((i, 0) for i in range(50))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    eq=two_column_atoms(("=",), 1, 2),
+    rest=two_column_atoms(("<", ">", "!="), 0, 1),
+    lefts=PAIRS,
+    rights=PAIRS,
+)
+@example([Atom(2, "=", 1)], [], FORTY, frozenset())
+@example([Atom(2, "=", 1)], [], FORTY, frozenset({(0, 9), (3, 9), (0, 8)}))
+@example([Atom(2, "=", 1)], [], FORTY, FEW_KEYS)
+@example([Atom(2, "=", 1)], [], FORTY, MANY_KEYS)
+def test_a_gathered_semijoin_is_the_structural_semijoin(
+    eq, rest, lefts, rights
+):
+    db = Database(SCHEMA, {"L": lefts, "M": rights})
+    cond = ",".join(str(a) for a in eq + rest)
+    expr = parse(f"L semijoin[{cond}] M", SCHEMA)
+    with Session(db, cache_results=False) as session:
+        plan = session.query(expr).plan()
+        assert isinstance(plan, HashSemijoinOp)
+        for result in three_runs(session, plan):
+            assert result == evaluate(expr, db)
+        left_key = (Rel("L", 2), tuple(a.i for a in eq))
+        gathered = left_key in session.executor.indexes._indexes
+        keys = {tuple(row[a.j - 1] for a in eq) for row in rights}
+        assert gathered == (not rest and len(keys) < len(lefts))
+
+
+def test_a_left_index_is_built_at_second_sight_and_reused_after():
+    db = Database(
+        SCHEMA,
+        {"L": {(i, i % 5) for i in range(40)}, "M": {(0, 9), (3, 9)}},
+    )
+    with Session(db, cache_results=False) as session:
+        cache = session.executor.indexes
+        counts = []
+        for __ in range(3):
+            session.run("L semijoin[2=1] M")
+            counts.append((cache.builds, cache.reuses, len(cache)))
+    # M's index is built at once; L's is only noted the first time,
+    # built the second, and read from then on.
+    assert counts == [(1, 0, 1), (2, 1, 2), (2, 3, 2)]
+
+
+def test_a_left_grouping_over_the_row_budget_is_never_built():
+    db = Database(
+        SCHEMA,
+        {"L": {(i, i % 5) for i in range(40)}, "M": {(0, 9), (3, 9)}},
+    )
+    expr = parse("L semijoin[2=1] M", SCHEMA)
+    with Session(db, cache_results=False) as session:
+        # M's two rows fit beside L's forty only in a budget of 42:
+        # building L's grouping would evict M's index, and the next
+        # run would rebuild both, one evicting the other, every run.
+        cache = session.executor.indexes = IndexCache(row_budget=41)
+        for __ in range(4):
+            assert session.run(expr) == evaluate(expr, db)
+            assert (cache.builds, cache.evictions) == (1, 0)
+
+
+def test_a_containment_and_an_equality_division_share_one_trie():
+    db = division_database(
+        num_keys=40, divisor_size=5, extra_per_key=3, seed=3
+    )
+    with Session(db, cache_results=False) as session:
+        assert session.divide(algorithm="engine") == division.divide_hash(
+            db["R"], db["S"]
+        )
+        cache = session.executor.indexes
+        assert (cache.builds, cache.reuses) == (1, 0)
+        assert session.divide(
+            algorithm="engine", eq=True
+        ) == division.divide_reference_eq(db["R"], db["S"])
+        assert (cache.builds, cache.reuses) == (1, 1)
+
+
+def test_swapped_contents_are_never_read_from_a_stale_trie_or_index():
+    db = Database(
+        DIVISION_SCHEMA,
+        {
+            "R": {(a, b) for a in range(30) for b in range(a % 4 + 1)},
+            "S": {(0,), (1,)},
+        },
+    )
+    queries = (
+        division.classic_division_expr(),
+        parse("R semijoin[2=1] S", DIVISION_SCHEMA),
+    )
+    left_key = (Rel("R", 2), (2,))
+    with Session(db, cache_results=False) as session:
+        for __ in range(3):
+            before = [session.run(q) for q in queries]
+        assert left_key in session.executor.indexes._indexes
+        # New contents behind the same handle, as a storage backend
+        # swapping them would leave it.
+        db._relations = {
+            "R": frozenset(
+                (a, b) for a in range(30) for b in range(a % 5)
+            ),
+            "S": frozenset({(2,), (3,)}),
+        }
+        for run in range(3):
+            after = [session.run(q) for q in queries]
+            assert after == [evaluate(q, db) for q in queries]
+            sighted = left_key in session.executor.indexes._indexes
+            assert sighted == (run > 0)  # sightings went with the version
+    assert after != before

@@ -76,10 +76,17 @@ def test_index_cache_concurrent_build_and_evict():
             assert sum(len(v) for v in index.values()) == len(rows)
             trie = cache.trie_for(("rel", which), rows, ((0,), (1,)))
             assert trie
+            seen = cache.second_sight(("rel", which), rows, (2,))
+            if seen is not None:
+                assert sum(map(len, seen.values())) == len(rows)
 
     _hammer(worker)
     # The budget invariant must hold after the storm too.
     assert cache.rows_indexed <= cache.row_budget or len(cache._indexes) <= 1
+    # Every grouping is noted however the threads interleave.
+    assert cache._sighted == {
+        (("rel", which), (2,)) for which in range(len(relations))
+    }
 
 
 def test_result_cache_concurrent_get_put_invalidate():
