@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.algebra.ast import (
     Difference,
@@ -54,7 +53,14 @@ from repro.data.schema import Schema
 from repro.data.universe import Value
 from repro.errors import ParseError
 
-_KEYWORD_ALIASES = {
+#: Token texts that are keywords, mapped to their canonical spelling.
+#: No other token's text is a key, so the text alone decides.
+_KEYWORDS = {
+    **{
+        word: word
+        for word in ("project", "select", "tag", "union", "minus", "join",
+                     "semijoin", "cartesian")
+    },
     "π": "project",
     "σ": "select",
     "τ": "tag",
@@ -68,20 +74,25 @@ _KEYWORD_ALIASES = {
     "x": "cartesian",
 }
 
+#: One token per match, leading whitespace included; the named group
+#: that matched is the token's kind.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<string>'(?:\\.|[^'\\])*')
+    \s*(?:
+    (?P<string>'(?:\\.|[^'\\])*')
   | (?P<int>-?\d+)
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<op>!=|=|<|>)
   | (?P<sym>[()\[\],/πστ∪−⋈⨝⋉×-])
-    """,
+    )""",
     re.VERBOSE,
 )
+_SPACE_RE = re.compile(r"\s*")
 
 
-@dataclass(frozen=True)
+# Slotted, not frozen: a frozen ``__init__`` sets each field through
+# ``object.__setattr__``, which costs more than the rest of a token.
+@dataclass(slots=True)
 class _Token:
     kind: str  # 'string' | 'int' | 'name' | 'op' | 'sym' | 'keyword'
     text: str
@@ -90,41 +101,34 @@ class _Token:
 
 def _tokenize(source: str) -> list[_Token]:
     tokens: list[_Token] = []
-    index = 0
-    while index < len(source):
-        match = _TOKEN_RE.match(source, index)
-        if match is None:
-            raise ParseError(
-                f"unexpected character {source[index]!r}", position=index
-            )
-        index = match.end()
-        kind = match.lastgroup or ""
-        if kind == "ws":
-            continue
-        text = match.group()
-        if kind == "name" and text in (
-            "project",
-            "select",
-            "tag",
-            "union",
-            "minus",
-            "join",
-            "semijoin",
-            "cartesian",
-            "x",
-        ):
-            kind, text = "keyword", _KEYWORD_ALIASES.get(text, text)
-        elif kind == "sym" and text in _KEYWORD_ALIASES:
-            kind, text = "keyword", _KEYWORD_ALIASES[text]
-        tokens.append(_Token(kind, text, match.start()))
+    end = 0
+    for match in _TOKEN_RE.finditer(source):
+        if match.start() != end:
+            break  # a gap: the character after ``end``'s whitespace
+        kind = match.lastgroup
+        start = match.start(kind)
+        end = match.end()
+        text = source[start:end]
+        keyword = _KEYWORDS.get(text)
+        if keyword is not None:
+            kind, text = "keyword", keyword
+        tokens.append(_Token(kind, text, start))
+    index = _SPACE_RE.match(source, end).end()
+    if index < len(source):
+        raise ParseError(
+            f"unexpected character {source[index]!r}", position=index
+        )
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], schema: Schema | None) -> None:
+    def __init__(
+        self, tokens: list[_Token], schema: Schema | None, end: int
+    ) -> None:
         self._tokens = tokens
         self._index = 0
         self._schema = schema
+        self._end = end  #: where truncated input is reported
 
     # -- token plumbing ------------------------------------------------
 
@@ -136,7 +140,7 @@ class _Parser:
     def _next(self) -> _Token:
         token = self._peek()
         if token is None:
-            raise ParseError("unexpected end of input")
+            raise ParseError("unexpected end of input", position=self._end)
         self._index += 1
         return token
 
@@ -225,7 +229,7 @@ class _Parser:
             return child.tag(value)
         token = self._peek()
         if token is None:
-            raise ParseError("unexpected end of input")
+            raise ParseError("unexpected end of input", position=self._end)
         if token.kind == "sym" and token.text == "(":
             self._next()
             inner = self._expr()
@@ -287,10 +291,12 @@ class _Parser:
         op = self._expect("op").text
         token = self._peek()
         if token is None:
-            raise ParseError("unexpected end of selection condition")
-        if token.kind in ("string",) or (
-            token.kind == "int" and self._looks_like_literal()
-        ):
+            raise ParseError(
+                "unexpected end of selection condition", position=self._end
+            )
+        # An integer after the operator is a *position*; a constant
+        # comparison takes a quoted string (or is written via tag()).
+        if token.kind == "string":
             value = self._literal()
             builders = {
                 "=": lambda e: select_eq_const(e, i, value),
@@ -307,14 +313,6 @@ class _Parser:
             "!=": lambda e: select_neq(e, i, j),
         }
         return builders[op]
-
-    def _looks_like_literal(self) -> bool:
-        # Inside select[...] an integer literal is ambiguous with a
-        # position.  The syntax resolves it: positions are bare, constant
-        # comparisons use a quoted string or are written via tag().  We
-        # treat a bare integer after the operator as a *position*; the
-        # only string case is handled by the caller.
-        return False
 
     def _literal(self) -> Value:
         token = self._next()
@@ -342,13 +340,4 @@ def parse(source: str, schema: Schema | dict[str, int] | None = None) -> Expr:
     tokens = _tokenize(source)
     if not tokens:
         raise ParseError("empty input")
-    return _Parser(tokens, schema).parse()
-
-
-def iter_parse_errors(sources: list[str], schema: Schema | None = None) -> Iterator[tuple[str, ParseError]]:
-    """Try to parse each source, yielding the ones that fail (test aid)."""
-    for source in sources:
-        try:
-            parse(source, schema)
-        except ParseError as error:
-            yield source, error
+    return _Parser(tokens, schema, len(source)).parse()

@@ -465,12 +465,16 @@ class Executor:
     The plan and estimate memos are LRU-bounded (long-running processes
     — classification probes, bisimulation loops — plan many distinct
     small expressions against few databases, so unbounded memos would
-    grow forever), and the shared cost model is recycled once its node
-    memo passes 16 nodes per memoised plan: it pins every candidate
-    ever priced — rejected nested-loop twins, each join-order trial —
-    with its logical expression, note and estimate, ≈ 1.6 KB a node,
-    where a kept plan has about 8 (estimates are cheap to recompute;
-    the other 8 are the two-leaf candidates later queries price again).
+    grow forever).  The shared cost model lives with the planner's
+    sub-plan memos — one ``Expr → PlanNode`` dict per options value,
+    so a fresh query plans and prices only the subexpressions no
+    earlier query had — and both are recycled together
+    (:meth:`_fresh_cost_model`) once their entries pass 16 per memoised
+    plan: the model pins every candidate ever priced — rejected
+    nested-loop twins, each join-order trial — with its logical
+    expression, note and estimate, ≈ 1.6 KB a node, where a kept plan
+    has about 8 (estimates are cheap to recompute; the other 8 are the
+    two-leaf candidates later queries price again).
     """
 
     #: Max (expression, options) plans and per-plan estimate maps kept.
@@ -482,7 +486,6 @@ class Executor:
         results: ResultCache | None = None,
         backend=None,
     ) -> None:
-        from repro.engine.cost import CostModel
         from repro.engine.stats import StatsCatalog
         from repro.storage import Backend, open_backend
 
@@ -517,9 +520,10 @@ class Executor:
         # snapshot scans execute against — even on per-read-decode
         # backends (mmap) where every read is a fresh frozenset.
         self.catalog = StatsCatalog(db, backend=backend)
-        #: One cost model for planning *and* execution-time recording,
-        #: so estimates priced during planning are reused, not redone.
-        self.cost_model = CostModel(self.catalog, backend=backend.kind)
+        self._estimates: "OrderedDict[PlanNode, dict[PlanNode, object]]" = (
+            OrderedDict()
+        )
+        self._fresh_cost_model()
         #: Feedback-triggered re-plans performed (estimator error for a
         #: memoized plan drifted past its options' replan_threshold).
         self.feedback_replans = 0
@@ -539,9 +543,6 @@ class Executor:
             "OrderedDict[tuple[Expr, object],"
             " tuple[PlanNode, int, dict[tuple, float]]]"
         ) = OrderedDict()
-        self._estimates: "OrderedDict[PlanNode, dict[PlanNode, object]]" = (
-            OrderedDict()
-        )
         self._version = backend.version_token()
 
     @property
@@ -557,24 +558,17 @@ class Executor:
         mutated database — contents swapped behind the same handle —
         never gets stale indexes, statistics, plans, or results.
         """
-        from repro.engine.cost import CostModel
-
         current = self.backend.version_token()
         if current == self._version:
             return
         self._version = current
         self._memo.clear()
         self._plans.clear()
-        self._estimates.clear()
         self.indexes = IndexCache()
         # invalidate() drops statistics only; the feedback ledger is
         # workload knowledge and deliberately survives token movement.
         self.catalog.invalidate()
-        self.cost_model = CostModel(
-            self.catalog,
-            backend=self.backend.kind,
-            feedback=self.cost_model.feedback,
-        )
+        self._fresh_cost_model(self.cost_model.feedback)
         self.stats = ExecutionStats()
         if self.results is not None:
             self.results.invalidate()
@@ -596,7 +590,6 @@ class Executor:
         (``docs/engine.md`` § Adaptive feedback).  Without one, nothing
         is snapshot and the ledger is never consulted.
         """
-        from repro.engine.cost import CostModel
         from repro.engine.planner import DEFAULT_OPTIONS, Planner
 
         if options is None:
@@ -626,21 +619,16 @@ class Executor:
             # threshold: drop it and re-price with a fresh cost model
             # so the corrected estimates actually apply.
             del self._plans[key]
-            self._estimates.clear()
-            self.cost_model = CostModel(
-                self.catalog,
-                backend=self.backend.kind,
-                feedback=self.cost_model.feedback,
-            )
+            self._fresh_cost_model(self.cost_model.feedback)
             self.feedback_replans += 1
             self.last_plan_replanned = True
-        if len(self.cost_model) > 16 * self.PLAN_CACHE_SIZE:
-            self.cost_model = CostModel(
-                self.catalog,
-                backend=self.backend.kind,
-                feedback=self.cost_model.feedback,
-            )
-        planned = Planner(options, self.catalog, self.cost_model).plan(expr)
+        held = len(self.cost_model) + sum(map(len, self._subplans.values()))
+        if held > 16 * self.PLAN_CACHE_SIZE:
+            self._fresh_cost_model(self.cost_model.feedback)
+        memo = self._subplans.setdefault(options, {})
+        planned = Planner(options, self.catalog, self.cost_model, memo).plan(
+            expr
+        )
         self._plans[key] = (
             planned,
             ledger.revision,
@@ -690,15 +678,31 @@ class Executor:
         recycled on a mode switch so corrected and uncorrected estimates
         never mix in one memo.
         """
-        from repro.engine.cost import CostModel
-
         wants = getattr(options, "replan_threshold", None) is not None
         ledger = self.catalog.feedback if wants else None
         if (self.cost_model.feedback is None) != (ledger is None):
-            self.cost_model = CostModel(
-                self.catalog, backend=self.backend.kind, feedback=ledger
-            )
-            self._estimates.clear()
+            self._fresh_cost_model(ledger)
+
+    def _fresh_cost_model(self, feedback=None) -> None:
+        """Replace the cost model, dropping every plan it priced.
+
+        The one place a model is made: the planner's sub-plan memos
+        (one per options value — ``partition_budget`` and
+        ``use_multiway`` change what a subexpression plans to) and the
+        per-plan estimates go with it, because a plan choice is only as
+        valid as the estimates it was priced with.  Memoised root plans
+        (``_plans``) stay: their own invalidation is version- and
+        drift-driven.
+        """
+        from repro.engine.cost import CostModel
+
+        #: One cost model for planning *and* execution-time recording,
+        #: so estimates priced during planning are reused, not redone.
+        self.cost_model = CostModel(
+            self.catalog, backend=self.backend.kind, feedback=feedback
+        )
+        self._subplans: dict[object, dict[Expr, PlanNode]] = {}
+        self._estimates.clear()
 
     def execute(self, plan: PlanNode, options=None) -> Relation:
         """Evaluate ``plan``; returns a ``frozenset`` of rows.
@@ -857,8 +861,8 @@ class Executor:
     def _project(self, node: ProjectOp) -> Iterator[Row]:
         return kernels.keys_of(self._rows(node.child), node.positions)
 
-    def _filter(self, node: FilterOp) -> Iterator[Row]:
-        return filter(node.holds, self._rows(node.child))
+    def _filter(self, node: FilterOp) -> Iterable[Row]:
+        return kernels.filter_rows(self._rows(node.child), node.predicates)
 
     def _tag(self, node: TagOp) -> Iterator[Row]:
         return map(

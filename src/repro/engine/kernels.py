@@ -9,10 +9,11 @@ when an operator starts (one-shot, or inside a batch kernel in a pool
 worker): :func:`key_getter` / :func:`keys_of` for the equality keys
 (also the projection row mapper and the
 :class:`~repro.engine.executor.IndexCache` grouping key) and
-:func:`matcher` for the other atoms.  The four pair loops every join /
-semijoin operator runs are written once, over those: with no atom left
-to check (:func:`always`), pipelines of C iterators with no Python
-frame per row.  Their output holds no duplicate when the inputs hold
+:func:`matcher` for the other atoms.  A selection is one ``compress``
+pass per predicate (:func:`filter_rows`).  The four pair loops every
+join / semijoin operator runs are written once, over those: with no
+atom left to check (:func:`always`), pipelines of C iterators with no
+Python frame per row.  Their output holds no duplicate when the inputs hold
 none, so the executor memoises it as a ``list`` (``docs/engine.md``).
 
 A semijoin compiles its other atoms with :func:`witness`: where one
@@ -53,6 +54,21 @@ _COMPARE = {
     "<": operator.lt,
     ">": operator.gt,
 }
+
+
+def filter_rows(
+    rows: Collection[Row], predicates: Iterable[tuple[str, int, int]]
+) -> Collection[Row]:
+    """The rows satisfying every ``(op, i, j)``: ``row[i-1] op
+    row[j-1]``, one ``compress`` pass per predicate over the rows the
+    earlier ones kept — each row meets the comparisons, in order, that
+    a per-row check stopping at the first false one would make, so an
+    incomparable pair raises the same ``TypeError``."""
+    for op, i, j in predicates:
+        left = map(operator.itemgetter(i - 1), rows)
+        right = map(operator.itemgetter(j - 1), rows)
+        rows = list(compress(rows, map(_COMPARE[op], left, right)))
+    return rows
 
 
 def key_getter(positions: Sequence[int]) -> KeyGetter:
@@ -99,13 +115,13 @@ def matcher(atoms: Iterable[Atom]) -> Matcher:
         ((i, j, compare),) = triples
         return lambda left, right: compare(left[i], right[j])
 
-    def holds(left: Row, right: Row) -> bool:
+    def conjunction(left: Row, right: Row) -> bool:
         for i, j, compare in triples:
             if not compare(left[i], right[j]):
                 return False
         return True
 
-    return holds
+    return conjunction
 
 
 class GroupTest(NamedTuple):

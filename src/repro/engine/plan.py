@@ -288,13 +288,6 @@ class FilterOp(PlanNode):
         rendered = ",".join(f"{i}{op}{j}" for op, i, j in self.predicates)
         return f"Filter[{rendered}]"
 
-    def holds(self, row: tuple[Value, ...]) -> bool:
-        for op, i, j in self.predicates:
-            a, b = row[i - 1], row[j - 1]
-            if not (a == b if op == "=" else a < b):
-                return False
-        return True
-
 
 @dataclass(frozen=True)
 class TagOp(PlanNode):

@@ -279,10 +279,8 @@ def match_classic_division(expr: Expr) -> DivisionMatch | None:
 
 def _is_count_group(expr: Expr, positions: tuple[int, ...], over: int):
     """Whether ``expr`` is ``γ_{positions, count(over)}(child)``; → child."""
-    try:
-        from repro.extended.ast import GroupBy
-    except ImportError:  # pragma: no cover - extended always ships
-        return None
+    from repro.extended.ast import GroupBy
+
     if not isinstance(expr, GroupBy):
         return None
     if expr.group_positions != positions:
@@ -401,7 +399,8 @@ class Planner:
     level), so an occurrence-by-occurrence walk would be exponential
     while the distinct-node walk is linear — and shared logical
     subtrees come back as the *same* plan node, which the executor then
-    computes once.
+    computes once.  The executor passes a ``memo`` that outlives the
+    call, so later queries reuse the sub-plans earlier ones chose.
     """
 
     #: Occurrence budget for the global selection-pushdown rewrite,
@@ -417,19 +416,20 @@ class Planner:
         options: PlannerOptions = DEFAULT_OPTIONS,
         catalog=None,
         cost_model=None,
+        memo: dict[Expr, PlanNode] | None = None,
     ) -> None:
         from repro.engine.cost import CostModel
 
         self.options = options
         self.catalog = catalog
         #: One shared model per planning session (callers with a
-        #: longer-lived model — the executor — pass their own):
-        #: estimates of common subtrees are memoized across all
-        #: candidate comparisons.
+        #: longer-lived model — the executor — pass their own, with the
+        #: memo of plans it priced): estimates of common subtrees are
+        #: memoized across all candidate comparisons.
         self.cost_model = (
             cost_model if cost_model is not None else CostModel(catalog)
         )
-        self._memo: dict[Expr, PlanNode] = {}
+        self._memo = {} if memo is None else memo
         #: Set while pricing a division rewrite's alternative: the one
         #: node whose division match is suppressed (rewrites below it
         #: stay on, keeping the cost comparison symmetric).
@@ -533,10 +533,8 @@ class Planner:
         )
 
     def _plan_extended(self, expr: Expr) -> PlanNode | None:
-        try:
-            from repro.extended.ast import GroupBy, Sort
-        except ImportError:  # pragma: no cover - extended always ships
-            return None
+        from repro.extended.ast import GroupBy, Sort
+
         if isinstance(expr, GroupBy):
             return GroupByOp(self._plan(expr.child), expr)
         if isinstance(expr, Sort):
@@ -558,14 +556,13 @@ class Planner:
         if not self._costed():
             return division
         # Price the source RA/γ plan too, suppressing the division
-        # match at this node only: nested division patterns inside the
-        # alternative keep their rewrites (the comparison stays
-        # symmetric), and because the planning memo is shared — the
-        # suppression is a field on *this* planner, saved and restored
-        # around one direct ``_plan_node`` call — each distinct
-        # sub-expression is still planned at most twice, keeping
-        # planning linear even for nested division patterns.  Keep the
-        # direct operator on ties.
+        # match at this node only: nested patterns keep their rewrites
+        # (the comparison stays symmetric).  The suppression is a field
+        # on *this* planner around one direct ``_plan_node`` call, so
+        # the alternative is never memoized under ``expr`` — a memo
+        # shared across calls stays exact — and each distinct
+        # sub-expression is planned at most twice.  Keep the direct
+        # operator on ties.
         previous = self._no_division_root
         self._no_division_root = expr
         try:

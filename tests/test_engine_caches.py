@@ -10,14 +10,23 @@ Regression tests for two PR-6 bugfixes:
   while disabled as *misses*, poisoning hit-rate arithmetic — they are
   now tracked separately as ``disabled_lookups`` and rendered as an
   explicit off-state line in reports.
+
+It also pins the lifetime of the planner's sub-plan memo: it lives as
+long as the executor's cost model and goes wherever the model is
+replaced, so no plan priced by an old model outlives it.
 """
 
 import pytest
 
+from repro.algebra.ast import ConstantTag, Rel
+from repro.algebra.parser import parse
 from repro.data.database import database
-from repro.engine import IndexCache, ResultCache
+from repro.engine import Executor, IndexCache, PlannerOptions, ResultCache
+from repro.engine.plan import HashJoinOp, NestedLoopJoinOp
+from repro.engine.planner import DEFAULT_OPTIONS, Planner
 from repro.errors import SchemaError
 from repro.session import Session
+from tests.test_feedback import correlated_db
 
 
 def build(cache, name, rows):
@@ -122,3 +131,114 @@ class TestResultCacheDisabledCounters:
         # And the counters behind it stayed honest:
         assert session.result_cache.misses == 0
         assert session.result_cache.disabled_lookups >= 2
+
+
+# ----------------------------------------------------------------------
+# The sub-plan memo lives as long as the cost model
+# ----------------------------------------------------------------------
+
+
+def keyed_db(divisor_rows):
+    """``R ⋈_{2=1} S`` hashes over 60 ``S`` rows and loops over one."""
+    return database(
+        {"R": 2, "S": 2},
+        R=[(i, i % 7) for i in range(60)],
+        S=divisor_rows,
+    )
+
+
+BIG_S = [(i % 7, i) for i in range(60)]
+JOIN = parse("R join[2=1] S", {"R": 2, "S": 2})
+TAGGED = ConstantTag(JOIN, 5)  #: a later query holding ``JOIN``
+
+
+def private_plan(executor, expr, options=DEFAULT_OPTIONS):
+    """What a planner with its own memo plans on the executor's state."""
+    return Planner(options, executor.catalog, executor.cost_model).plan(expr)
+
+
+def shares_no_node(plan, other) -> bool:
+    return {id(node) for node in plan.nodes()}.isdisjoint(
+        id(node) for node in other.nodes()
+    )
+
+
+class TestSubPlanMemoLifetime:
+    def test_a_later_query_reuses_an_earlier_sub_plan(self):
+        executor = Executor(keyed_db(BIG_S))
+        first = executor.plan(JOIN)
+        tagged = executor.plan(TAGGED)
+        assert tagged.child is first
+        assert tagged == private_plan(executor, TAGGED)
+
+    def test_one_memo_per_options_value(self):
+        executor = Executor(keyed_db(BIG_S))
+        first = executor.plan(JOIN)
+        other = PlannerOptions(use_multiway=False)
+        tagged = executor.plan(TAGGED, other)
+        assert shares_no_node(tagged, first)
+        assert tagged == private_plan(executor, TAGGED, other)
+
+    def test_a_version_change_drops_it(self):
+        db = keyed_db(BIG_S)
+        executor = Executor(db)
+        first = executor.plan(JOIN)
+        assert isinstance(first, HashJoinOp)
+        # New contents behind the same handle: one S row, and the join
+        # is now cheaper as a nested loop.
+        db._relations = keyed_db([(1, 2)])._relations
+        tagged = executor.plan(TAGGED)
+        assert isinstance(tagged.child, NestedLoopJoinOp)
+        assert tagged == private_plan(executor, TAGGED)
+
+    def test_a_feedback_mode_switch_drops_it(self):
+        executor = Executor(keyed_db(BIG_S))
+        first = executor.plan(JOIN)
+        model = executor.cost_model
+        executor.plan(JOIN, PlannerOptions(replan_threshold=2.0))
+        assert executor.cost_model is not model
+        tagged = executor.plan(TAGGED)
+        assert shares_no_node(tagged, first)
+        assert tagged == private_plan(executor, TAGGED)
+
+    def test_a_drift_replan_drops_it(self):
+        options = PlannerOptions(replan_threshold=2.0)
+        query = parse("A join[2=1] B", {"A": 2, "B": 2})
+        executor = Executor(correlated_db())
+        first = executor.plan(query, options)
+        executor.execute(first, options)  # learns a > 2x join error
+        replanned = executor.plan(query, options)
+        assert executor.last_plan_replanned
+        assert shares_no_node(replanned, first)
+        assert replanned == private_plan(executor, query, options)
+
+    def test_a_size_recycle_drops_it(self, monkeypatch):
+        monkeypatch.setattr(Executor, "PLAN_CACHE_SIZE", 2)
+        executor = Executor(keyed_db(BIG_S))
+        first = executor.plan(JOIN)
+        model = executor.cost_model
+        value = 0
+        while executor.cost_model is model:
+            value += 1
+            executor.plan(ConstantTag(Rel("R", 2), value))
+        tagged = executor.plan(TAGGED)
+        assert shares_no_node(tagged, first)
+        assert tagged == private_plan(executor, TAGGED)
+
+    def test_a_use_costs_false_stream_stays_bounded(self):
+        """Planning without costs prices nothing, so only counting the
+        memo's entries beside the model's keeps the pair bounded."""
+        options = PlannerOptions(use_costs=False)
+        session = Session(keyed_db(BIG_S), options=options)
+        executor = session.executor
+        bound = 16 * Executor.PLAN_CACHE_SIZE
+        peak = 0
+        for value in range(20_000):
+            session.run(f"tag[{value}](R)")
+            held = len(executor.cost_model) + sum(
+                map(len, executor._subplans.values())
+            )
+            peak = max(peak, held)
+        # The check runs before planning; one text adds one sub-plan
+        # and one estimate.
+        assert bound < peak <= bound + 2

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.algebra.ast import Rel
+from repro.algebra.ast import Rel, Selection
 from repro.algebra.conditions import OPS, Atom, Condition
 from repro.algebra.evaluator import evaluate
 from repro.algebra.parser import parse
@@ -421,6 +421,59 @@ def test_unhashable_and_incomparable_values_raise_type_error():
         assert outcome(
             lambda: list(loop([(1, 2)], index, (2,), order))
         ) == ("raised", TypeError)
+
+
+# ----------------------------------------------------------------------
+# Stacked selections: one compress pass per predicate
+# ----------------------------------------------------------------------
+
+#: One to three ``(op, i, j)`` σ predicates, ``i == j`` included.
+PREDICATES = st.lists(
+    st.tuples(st.sampled_from(("=", "<")), POSITIONS, POSITIONS),
+    min_size=1,
+    max_size=3,
+)
+FILTER_SCHEMA = Schema({"L": ARITY})
+
+
+def stacked(predicates):
+    """``σ_pk(… σ_p1(L))``: the first predicate is the innermost."""
+    expr = Rel("L", ARITY)
+    for op, i, j in predicates:
+        expr = Selection(expr, op, i, j)
+    return expr
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    predicates=PREDICATES,
+    rows=st.one_of(
+        *(st.frozensets(rows_of(values), max_size=8) for values in SORTS[:2]),
+        st.frozensets(MIXED_ROWS, max_size=8),
+    ),
+)
+@example(predicates=[("<", 1, 1), ("=", 2, 2)], rows=frozenset({(1, 2, 3)}))
+@example(predicates=[("<", 1, 2)], rows=frozenset())
+@example(predicates=[("<", 1, 2)], rows=frozenset({(1, "a", 0)}))
+def test_a_filter_is_the_structural_selection(predicates, rows):
+    """Over a frozenset and a list child alike, :func:`kernels.
+    filter_rows` keeps what ``evaluate`` keeps — or raises the
+    ``TypeError`` it raises on an int-vs-str ``<``."""
+    db = Database(FILTER_SCHEMA, {"L": rows})
+    want = outcome(lambda: evaluate(stacked(predicates), db))
+    for child in (rows, list(rows)):
+        got = outcome(lambda: kernels.filter_rows(child, predicates))
+        if got[0] == "value":
+            assert len(set(got[1])) == len(got[1])
+            got = ("value", frozenset(got[1]))
+        assert got == want
+
+
+def test_a_mixed_type_order_predicate_raises_type_error():
+    with pytest.raises(TypeError):
+        kernels.filter_rows([(1, "a")], [("<", 1, 2)])
+    # A row an earlier predicate dropped is never compared again.
+    assert kernels.filter_rows([(1, "a")], [("=", 1, 2), ("<", 1, 2)]) == []
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Round-trip and error tests for the printer and parser."""
 
+import re
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algebra.ast import Projection, Rel, Selection, rel
-from repro.algebra.parser import parse
+from repro.algebra.parser import _tokenize, parse
 from repro.algebra.printer import to_ascii, to_text, to_tree
 from repro.data.schema import Schema
 from repro.errors import ParseError
@@ -162,3 +166,123 @@ def test_parse_ascii_roundtrip(expr):
 @given(expressions(max_depth=4))
 def test_parse_unicode_roundtrip(expr):
     assert parse(to_text(expr), TEST_SCHEMA) == expr
+
+
+# ----------------------------------------------------------------------
+# The tokenizer against the per-token reference it replaced
+# ----------------------------------------------------------------------
+
+_REFERENCE_ALIASES = {
+    "π": "project",
+    "σ": "select",
+    "τ": "tag",
+    "∪": "union",
+    "−": "minus",
+    "-": "minus",
+    "⋈": "join",
+    "⨝": "join",
+    "⋉": "semijoin",
+    "×": "cartesian",
+    "x": "cartesian",
+}
+
+_REFERENCE_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<string>'(?:\\.|[^'\\])*')
+  | (?P<int>-?\d+)
+  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<op>!=|=|<|>)
+  | (?P<sym>[()\[\],/πστ∪−⋈⨝⋉×-])
+    """,
+    re.VERBOSE,
+)
+
+
+@dataclass(frozen=True)
+class _ReferenceToken:
+    kind: str
+    text: str
+    pos: int
+
+
+def reference_tokenize(source: str) -> list[_ReferenceToken]:
+    """One ``re.match`` per token, as the parser tokenized before."""
+    tokens: list[_ReferenceToken] = []
+    index = 0
+    while index < len(source):
+        match = _REFERENCE_RE.match(source, index)
+        if match is None:
+            raise ParseError(
+                f"unexpected character {source[index]!r}", position=index
+            )
+        index = match.end()
+        kind = match.lastgroup or ""
+        if kind == "ws":
+            continue
+        text = match.group()
+        if kind == "name" and text in (
+            "project",
+            "select",
+            "tag",
+            "union",
+            "minus",
+            "join",
+            "semijoin",
+            "cartesian",
+            "x",
+        ):
+            kind, text = "keyword", _REFERENCE_ALIASES.get(text, text)
+        elif kind == "sym" and text in _REFERENCE_ALIASES:
+            kind, text = "keyword", _REFERENCE_ALIASES[text]
+        tokens.append(_ReferenceToken(kind, text, match.start()))
+    return tokens
+
+
+def tokens_or_error(tokenize, source: str):
+    try:
+        return [(t.kind, t.text, t.pos) for t in tokenize(source)]
+    except ParseError as error:
+        return str(error), error.position
+
+
+#: Characters a mutation inserts: token starts, quotes and escapes,
+#: Unicode aliases and whitespace, and characters no token takes.
+_MUTANTS = st.sampled_from(
+    list("R1-'\\ \t\n\u00a0x_=<>!,/()[]πσ⋈⋉∪−×@#$.;ä٣")
+)
+
+
+@st.composite
+def mutated_texts(draw) -> str:
+    """A printed expression with one character inserted, deleted or
+    swapped for another — often no longer a well-formed token stream."""
+    expr = draw(expressions(max_depth=3))
+    text = draw(st.sampled_from((to_ascii(expr), to_text(expr))))
+    text = draw(st.sampled_from((text, f"{text} tag['a\\'b'] -3")))
+    at = draw(st.integers(0, len(text)))
+    edit = draw(st.sampled_from(("insert", "delete", "swap")))
+    if edit == "insert":
+        return text[:at] + draw(_MUTANTS) + text[at:]
+    if edit == "delete":
+        return text[:at] + text[at + 1:]
+    return text[:at] + draw(_MUTANTS) + text[at + 1:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_texts())
+def test_tokenize_is_the_per_token_reference(source):
+    """The same tokens, or the same ``ParseError`` at the same offset."""
+    assert tokens_or_error(_tokenize, source) == tokens_or_error(
+        reference_tokenize, source
+    )
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["project[1](R/2", "R/2 join[2=1]", "select[1=", "R/2 join[2=1]  "],
+)
+def test_truncated_input_is_reported_at_its_end(text):
+    with pytest.raises(ParseError, match="unexpected end") as raised:
+        parse(text)
+    assert raised.value.position == len(text)

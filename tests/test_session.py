@@ -15,6 +15,9 @@ Covers the PR's acceptance contract:
 * ``SchemaError`` behavior is identical across every session division
   path (engine-planned and direct algorithms alike), including on
   empty relations where the old data-driven checks passed vacuously.
+* a session streaming many queries plans each one as a planner with a
+  memo of its own would, though sub-plans outlive the query that made
+  them (Hypothesis property over five option sets).
 """
 
 import pytest
@@ -22,17 +25,31 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.engine.partition as partition_module
+from repro.algebra.ast import (
+    Difference,
+    Join,
+    Projection,
+    Rel,
+    Semijoin,
+    Union,
+)
 from repro.algebra.evaluator import evaluate
 from repro.algebra.parser import parse
 from repro.data.database import Database, database
 from repro.data.schema import Schema
 from repro.engine import PlannerOptions
 from repro.engine.executor import ResultCache
+from repro.engine.planner import Planner
 from repro.errors import SchemaError, StaleDataError, UnknownRelationError
+from repro.extended.division_plan import (
+    containment_division_plan,
+    equality_division_plan,
+)
+from repro.extended.evaluator import evaluate_extended
 from repro.session import Session
 from repro.setjoins.division import classic_division_expr, divide_hash
 from repro.workloads.generators import division_database
-from tests.strategies import rows
+from tests.strategies import databases, expressions, rows
 
 SCHEMA = Schema({"R": 2, "S": 1})
 
@@ -488,3 +505,64 @@ def test_unchanged_contents_always_hit_after_warmup(r_rows, s_rows):
         assert prepared.last_report.cached
         assert prepared.last_report.operators_executed() == 0
     assert session.result_cache.hits == 3
+
+
+# ----------------------------------------------------------------------
+# Properties: a long-lived session plans what a fresh planner would
+# ----------------------------------------------------------------------
+
+#: One stream per value: the executor keeps one sub-plan memo for each.
+STREAMED_OPTIONS = (
+    PlannerOptions(),
+    PlannerOptions(partition_budget=3),
+    PlannerOptions(use_multiway=False),
+    PlannerOptions(use_costs=False),
+    PlannerOptions(replan_threshold=2.0),
+)
+
+
+def nested_divisions() -> tuple:
+    """The three division patterns, bare and inside larger expressions
+    that reach them by sharing subexpressions with their alternatives."""
+    r, s, t = Rel("R", 2), Rel("S", 1), Rel("T", 3)
+    found = []
+    for plan in (
+        classic_division_expr(r, s),
+        containment_division_plan(r, s),
+        equality_division_plan(r, s),
+    ):
+        found += [
+            plan,
+            Union(plan, Projection(r, (1,))),
+            Join(plan, s, "1=1"),
+            Semijoin(r, plan, "1=1"),
+            Difference(Projection(t, (1,)), plan),
+        ]
+    return tuple(found)
+
+
+@PROPERTY
+@given(
+    db=databases(),
+    exprs=st.lists(
+        st.one_of(
+            expressions(max_depth=4), st.sampled_from(nested_divisions())
+        ),
+        min_size=2,
+        max_size=6,
+    ),
+)
+def test_a_streaming_session_plans_what_a_private_planner_plans(db, exprs):
+    """The executor's sub-plan memo outlives each query; every plan it
+    builds still equals a planner's with a memo of its own, on the same
+    executor state, and runs to the structural rows."""
+    for options in STREAMED_OPTIONS:
+        with Session(db, options=options) as session:
+            executor = session.executor
+            for expr in exprs:
+                plan = session.query(expr).plan()
+                private = Planner(
+                    options, executor.catalog, executor.cost_model
+                ).plan(expr)
+                assert plan == private
+                assert session.run(expr) == evaluate_extended(expr, db)
