@@ -79,7 +79,7 @@ AGM_MAX_EDGES = 12
 #: only delays parallelism until the compute genuinely dominates,
 #: while underpricing would certify dispatches that lose — and the two
 #: fixed costs below are not fitted to this kernel, whose batches are
-#: cheap enough for pool dispatch to lose (ROADMAP item 5).
+#: cheap enough for pool dispatch to lose (ROADMAP item 2).
 #: ``BENCH_parallel.json`` records the fit next to this constant on
 #: every benchmark run.
 PARALLEL_IPC_ROW_COST = 5.0

@@ -38,7 +38,7 @@ import operator
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from typing import Collection, Iterable, Iterator
 
 from repro.algebra.ast import Expr
@@ -243,7 +243,9 @@ class IndexCache:
         an index it would read once.  A build that would push the cache
         past ``row_budget`` answers ``None`` too: evicting the caller's
         other index would have the two rebuild each other every run.
-        Sightings go with the cache."""
+        Sightings go with the cache.  The grouping's keys are what a
+        semijoin compares with its right index's keys to learn, without
+        reading a row, that it keeps its whole left input."""
         cache_key = (key, positions)
         with self._lock:
             if cache_key not in self._indexes:
@@ -705,7 +707,9 @@ class Executor:
         self._estimates.clear()
 
     def execute(self, plan: PlanNode, options=None) -> Relation:
-        """Evaluate ``plan``; returns a ``frozenset`` of rows.
+        """Evaluate ``plan``; returns a ``frozenset`` of rows — the
+        root's own when it holds one (a stored relation, passed through
+        by a semijoin that kept all of it, is returned uncopied).
 
         When ``options`` carry a ``replan_threshold``, the run's
         estimated-vs-actual pairs feed the catalog's feedback ledger —
@@ -877,13 +881,17 @@ class Executor:
         left rows, the right side's index (built or fetched), the left
         key positions of the equality atoms and the remaining atoms,
         compiled (a semijoin's by :func:`~repro.engine.kernels.witness`).
+        A semijoin that keeps every left row returns the left input
+        itself (:func:`_kept`).
 
         An equality semijoin over a stored left side with more rows than
         the right has distinct keys reads the left's cached grouping
-        from the second request on (:meth:`IndexCache.second_sight`): it
-        gathers the left groups under the right's keys, which are
-        disjoint, instead of probing every left row — one lookup per
-        right key, not per left row."""
+        from the second request on (:meth:`IndexCache.second_sight`):
+        when every left key is one of the right's, the answer is the
+        left input, decided on the two key sets without touching a row;
+        otherwise it gathers the left groups under the right's keys,
+        which are disjoint — one lookup per right key, not per left
+        row."""
         loop, compile_rest = (
             (kernels.hash_join, kernels.matcher)
             if isinstance(node, HashJoinOp)
@@ -907,15 +915,18 @@ class Executor:
                 node.left.logical, left, positions
             )
             if groups is not None:
+                if groups.keys() <= index.keys():
+                    return left
                 return chain.from_iterable(
                     map(groups.get, index, repeat(()))
                 )
-        return loop(
+        rows = loop(
             left,
             index,
             positions,
             compile_rest(a for a in node.cond if a.op != "="),
         )
+        return rows if loop is kernels.hash_join else _kept(left, rows)
 
     def _nested_loop(
         self, node: NestedLoopJoinOp | NestedLoopSemijoinOp
@@ -927,7 +938,9 @@ class Executor:
             else (kernels.nested_loop_semijoin, kernels.witness)
         )
         right = self._rows(node.right)
-        return loop(self._rows(node.left), right, compile_cond(node.cond))
+        left = self._rows(node.left)
+        rows = loop(left, right, compile_cond(node.cond))
+        return rows if loop is kernels.nested_loop_join else _kept(left, rows)
 
     def _multiway(self, node: MultiwayJoinOp) -> list[Row]:
         from repro.engine.wcoj import run_multiway
@@ -935,13 +948,10 @@ class Executor:
         return run_multiway(self, node)
 
     def _division(self, node: DivisionOp) -> Iterable[Row]:
-        """The generic join's ∀ level: a candidate ``a`` of the
-        dividend's cached trie — the one a generic join over that binary
-        relation reads — is kept when its child's keys contain (under
-        ``eq``: equal) the divisor's values, one C-level compare per
-        group.  Replaces Graefe's hash division over every dividend row
-        on every run; ``divide_hash`` still runs each partitioned batch.
-        """
+        """The generic join's ∀ level (:func:`~repro.engine.kernels.
+        quotient`) over the dividend's cached trie — the one a generic
+        join over that binary relation reads.  A partitioned batch runs
+        the same test over its fragment's trie."""
         dividend = self._rows(node.dividend)
         divisor_rows = self._rows(node.divisor)
         if not divisor_rows and node.empty_divisor == "none":
@@ -951,10 +961,8 @@ class Executor:
         trie = self.indexes.trie_for(
             node.dividend.logical, dividend, ((0,), (1,))
         )
-        children = map(dict.keys, trie.values())
-        holds = operator.eq if node.eq else operator.ge
-        divisor = set(map(operator.itemgetter(0), divisor_rows))
-        return zip(compress(trie, map(holds, children, repeat(divisor))))
+        divisor = map(operator.itemgetter(0), divisor_rows)
+        return kernels.quotient(trie, divisor, node.eq)
 
     def _batched(self, node: PartitionedOp | ParallelOp) -> Iterable[Row]:
         """Batched execution, serial or on the worker pool.
@@ -985,6 +993,20 @@ class Executor:
         return _eval_group_by(node.expr, self._rows(node.child))
 
 
+def _kept(
+    left: "Relation | list[Row]", rows: Iterable[Row]
+) -> "Relation | list[Row]":
+    """A semijoin's ``rows``, a subset of its duplicate-free ``left``:
+    ``left`` itself when they are as many, else listed."""
+    rows = list(rows)
+    return left if len(rows) == len(left) else rows
+
+
+def _listed(rows: Iterable[Row]) -> "Relation | list[Row]":
+    """A semijoin's store: its left input passes through, uncopied."""
+    return rows if isinstance(rows, (frozenset, list)) else list(rows)
+
+
 #: How each operator runs and what holds its rows — the one place that
 #: says either.  ``list``: no duplicate can arise when the inputs hold
 #: none (a semijoin, filter or batch union keeps distinct left rows;
@@ -992,7 +1014,9 @@ class Executor:
 #: generic join emits distinct bindings whole, or each distinct free
 #: prefix once when it absorbed a projection), so re-hashing every row
 #: buys nothing and ``len`` is the cardinality.  ``frozenset``:
-#: everything else.  Moving an operator to ``list`` takes that proof —
+#: everything else.  A semijoin that keeps every left row holds the
+#: left input itself, ``frozenset`` or ``list`` (:func:`_listed`).
+#: Moving an operator to ``list`` takes that proof —
 #: ``test_engine_kernels.py::test_memoised_rows_hold_no_duplicate``.
 OPERATORS: dict[type, tuple] = {
     ScanOp: (Executor._scan, frozenset),
@@ -1007,8 +1031,8 @@ OPERATORS: dict[type, tuple] = {
     HashJoinOp: (Executor._hash, list),
     NestedLoopJoinOp: (Executor._nested_loop, list),
     MultiwayJoinOp: (Executor._multiway, list),
-    HashSemijoinOp: (Executor._hash, list),
-    NestedLoopSemijoinOp: (Executor._nested_loop, list),
+    HashSemijoinOp: (Executor._hash, _listed),
+    NestedLoopSemijoinOp: (Executor._nested_loop, _listed),
     PartitionedOp: (Executor._batched, list),
     ParallelOp: (Executor._batched, list),
 }

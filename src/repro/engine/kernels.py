@@ -170,6 +170,17 @@ def _group_test(atoms: tuple[Atom, ...]) -> GroupTest | None:
     return GroupTest(operator.itemgetter(atoms[0].j - 1), pick, value, passes)
 
 
+def quotient(
+    trie: Mapping[object, dict], divisor: Iterable, eq: bool
+) -> Iterator[Row]:
+    """A division's ∀ level: each ``(a,)`` of a dividend trie ``a → {b:
+    …}`` whose children contain (under ``eq``: equal) the ``divisor``
+    values, one C-level set compare per group."""
+    holds = operator.eq if eq else operator.ge
+    children = map(dict.keys, trie.values())
+    return zip(compress(trie, map(holds, children, repeat(set(divisor)))))
+
+
 def build_index(
     rows: Collection[Row], positions: Sequence[int]
 ) -> dict[tuple, list[Row]]:

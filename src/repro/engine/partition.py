@@ -105,12 +105,8 @@ from repro.engine.plan import (
     PlanNode,
     rewrite_plan,
 )
+from repro.engine.wcoj import build_trie
 from repro.errors import SchemaError, StaleDataError
-from repro.setjoins.division import (
-    DIVISION_ALGORITHMS,
-    DIVISION_EQ_ALGORITHMS,
-    TypedPairs,
-)
 
 #: Hard cap on the planner's predicted batch count (a backstop against
 #: absurd upper-bound/budget ratios; the executor packs exactly anyway).
@@ -413,15 +409,12 @@ def semijoin_batch_kernel(
 def division_batch_kernel(
     fragment: list[Row], divisor: list, eq: bool
 ) -> list[Row]:
-    """One division batch: hash division on a candidate fragment.
-
-    The algorithm is looked up in the registries at call time (not
-    bound at scatter time), so tests that monkeypatch it see the
-    patched version in every batch.  The fragment is rows of a
-    dividend the plan typed: nothing is validated per batch.
-    """
-    registry = DIVISION_EQ_ALGORITHMS if eq else DIVISION_ALGORITHMS
-    return list(zip(registry["hash"](TypedPairs(fragment), divisor)))
+    """One division batch: the one-shot run's ∀ test
+    (:func:`~repro.engine.kernels.quotient`) over the fragment's trie.
+    The fragment is rows of a dividend the plan typed: nothing is
+    validated per batch."""
+    trie, __ = build_trie(fragment, ((0,), (1,)))
+    return list(kernels.quotient(trie, divisor, eq))
 
 
 # ----------------------------------------------------------------------
@@ -568,9 +561,8 @@ def _scatter_division(
     containment/equality test to be answerable there, so the atomic
     group is the candidate's dividend rows (weight ``n_a + 1``: the
     group plus at most one quotient row; as work, its rows plus one
-    divisor probe pass).  Each batch runs the same hash division the
-    unpartitioned operator would (the ``eq`` registry of
-    :mod:`repro.setjoins.division`) on its fragment; quotients from
+    divisor probe pass).  Each batch runs the unpartitioned
+    operator's ∀ test over its fragment's trie; quotients from
     disjoint candidate sets union exactly.  Like the keyed joins, the
     per-candidate grouping goes through the executor's
     :class:`~repro.engine.executor.IndexCache`, so re-executions

@@ -51,7 +51,7 @@ class TenantMetrics:
     #: Always 0 and written by nothing: a read executes on the snapshot
     #: it was pinned to or fails.  Kept only because its sole reader,
     #: ``perfbench/measure.py::_per_layer``, is frozen benchmark code;
-    #: ROADMAP item 4 drops both in the next ``benchmark`` PR.
+    #: ROADMAP item 1A(e) drops both in the next ``benchmark`` PR.
     retried: int = 0
     #: Reads that finished with rows.
     completed: int = 0

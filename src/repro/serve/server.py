@@ -154,7 +154,7 @@ def _result_key(expr: Expr, token: int) -> tuple:
 
     The one place the door cache's key is built.  ``token`` is the
     whole-database content hash today; per-relation tokens (ROADMAP
-    item 3) narrow it to the relations ``expr`` reads — here and in
+    item 6) narrow it to the relations ``expr`` reads — here and in
     :func:`_pinned_to`, nowhere else.
     """
     return (token, expr)

@@ -47,19 +47,6 @@ from repro.setjoins.setrel import SetRelation, divisor_values
 BinaryRelation = Iterable[Row]
 
 
-class TypedPairs:
-    """A dividend its maker vouches for — every row a 2-``tuple`` —
-    which :func:`_pairs` unwraps unchecked.  The engine wraps what a plan
-    already typed (a binary expression over rows the database coerced
-    and arity-checked on entry); all other rows enter through the checks.
-    """
-
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs: BinaryRelation) -> None:
-        self.pairs = frozenset(pairs)  # a frozenset is kept, not copied
-
-
 def _pairs(r: BinaryRelation) -> frozenset[tuple[Value, Value]]:
     """Validate and normalize a dividend: a set of 2-tuples.
 
@@ -71,15 +58,12 @@ def _pairs(r: BinaryRelation) -> frozenset[tuple[Value, Value]]:
     and non-sequences used to surface as ``TypeError`` from deep inside
     an algorithm instead of a schema complaint at the boundary.
 
-    A :class:`TypedPairs` was validated where its rows entered.  A
-    ``frozenset`` whose rows are all exactly ``tuple`` s of length 2 is
+    A ``frozenset`` whose rows are all exactly ``tuple`` s of length 2 is
     already normal: two C-speed passes check that, and it is returned
     uncopied.  Anything else — lists, tuple subclasses, strings, wrong
     lengths — takes the row-by-row path below and fails or normalizes
     there.
     """
-    if type(r) is TypedPairs:
-        return r.pairs
     if (
         isinstance(r, frozenset)
         and set(map(type, r)) <= {tuple}

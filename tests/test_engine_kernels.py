@@ -542,6 +542,11 @@ LISTED = (
     ParallelOp,
 )
 
+#: The listed operators that may instead hold their left input itself,
+#: when they keep every one of its rows: a semijoin's answer is a
+#: subset of its left input, so the whole input is the answer.
+SEMIJOINS = (HashSemijoinOp, NestedLoopSemijoinOp)
+
 MEMO_PLANS = (
     PlannerOptions(),
     PlannerOptions(use_costs=False),
@@ -573,6 +578,13 @@ def check_memo(executor, plan, options, expr, db) -> None:
         assert executor.stats.node_rows[node] == len(
             evaluate(node.logical, db, reference)
         ), node.label()
+        if isinstance(node, SEMIJOINS):
+            # A list, or exactly the memoised left input — never a
+            # fresh frozenset.
+            left = executor._memo[node.left]
+            assert type(rows) is list or rows is left, node.label()
+            assert (rows is left) == (len(rows) == len(left)), node.label()
+            continue
         assert (type(rows) is list) == isinstance(node, LISTED), node.label()
         assert type(rows) is OPERATORS[type(node)][1], node.label()
 
@@ -627,9 +639,14 @@ def test_generic_join_rows_hold_no_duplicate(expr, db, backend):
 
 def test_every_operator_is_dispatched_exactly_one_way():
     assert set(OPERATORS) == set(PlanNode.__subclasses__())
-    assert {
-        op: store for op, (_, store) in OPERATORS.items()
-    } == {op: list if op in LISTED else frozenset for op in OPERATORS}
+    for op, (_, store) in OPERATORS.items():
+        if op not in SEMIJOINS:
+            assert store is (list if op in LISTED else frozenset), op
+            continue
+        for rows in (frozenset({(1,)}), [(1,)]):
+            # A held input passes through; anything else is listed.
+            assert store(rows) is rows
+            assert store(iter(rows)) == [(1,)]
 
     class Mystery(PlanNode):
         def __post_init__(self) -> None:
@@ -656,9 +673,11 @@ def test_partitioned_division_validates_no_row_but_public_calls_do():
     plan = executor.plan(division.classic_division_expr(), options)
     wrapped = [n for n in plan.nodes() if isinstance(n, PartitionedOp)]
     assert wrapped and isinstance(wrapped[0].inner, DivisionOp)
-    seen = {"entries": 0, "row_checks": 0}
+    seen = {"entries": 0, "row_checks": 0, "quotients": 0}
 
     def profile(frame, event, arg):
+        if frame.f_code is kernels.quotient.__code__ and event == "call":
+            seen["quotients"] += 1
         if frame.f_code is division._pairs.__code__:
             if event == "call":
                 seen["entries"] += 1
@@ -672,7 +691,10 @@ def test_partitioned_division_validates_no_row_but_public_calls_do():
         sys.setprofile(None)
     assert result == frozenset((a,) for a in range(n // 4))
     batches = executor.stats.partition_runs[wrapped[0]].actual()
-    assert batches > 1 and seen["entries"] == batches
+    # Each batch runs the one-shot ∀ test over its fragment's trie: no
+    # batch enters the direct algorithms' validation at all.
+    assert batches > 1 and seen["entries"] == 0
+    assert seen["quotients"] == batches
     assert seen["row_checks"] == 0
     # The same rows entering by the public door are still checked.
     with pytest.raises(SchemaError, match="2-tuples"):
@@ -865,3 +887,112 @@ def test_swapped_contents_are_never_read_from_a_stale_trie_or_index():
             sighted = left_key in session.executor.indexes._indexes
             assert sighted == (run > 0)  # sightings went with the version
     assert after != before
+
+
+# ----------------------------------------------------------------------
+# A semijoin that keeps every left row is its left input
+# ----------------------------------------------------------------------
+
+#: ``L semijoin[cond] M`` per semijoin shape: an equality semijoin (on
+#: a stored left it gathers from the second run when the right has
+#: fewer keys than the left has rows, else probes), a summarised rest,
+#: a scanned θ rest, two nested loops, and a computed (listed) left.
+SEMIJOIN_SHAPES = (
+    "L semijoin[2=1] M",
+    "L semijoin[2=1,1<2] M",
+    "L semijoin[2=1,1!=2] M",
+    "L semijoin[1<2] M",
+    "L semijoin[1!=2] M",
+    "select[1<2](L) semijoin[2=1] M",
+)
+
+
+@st.composite
+def semijoin_sides(draw) -> Database:
+    """A left over keys 0–5 and a right whose keys cover all of the
+    left's, some, none or — empty — nothing, plus up to forty keys no
+    left row has (so the right may have more keys than the left rows)."""
+    lefts = draw(
+        st.frozensets(
+            st.tuples(st.integers(0, 9), st.integers(0, 5)), max_size=30
+        )
+    )
+    keys = sorted({row[1] for row in lefts})
+    side = draw(st.sampled_from(("covered", "partial", "disjoint", "empty")))
+    if side == "covered":
+        chosen = keys
+    elif side == "partial":
+        chosen = draw(st.lists(st.sampled_from(keys or [0]), unique=True))
+    else:
+        chosen = []
+    if side != "empty":
+        chosen += range(100, 100 + draw(st.integers(0, 40)))
+    rights = {
+        (key, value)
+        for key in chosen
+        for value in draw(st.frozensets(st.integers(0, 9), min_size=1))
+    }
+    return Database(SCHEMA, {"L": lefts, "M": rights})
+
+
+@settings(
+    derandomize=True,
+    deadline=None,
+    max_examples=150,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    text=st.sampled_from(SEMIJOIN_SHAPES),
+    db=semijoin_sides(),
+    backend=BACKENDS,
+)
+@example(SEMIJOIN_SHAPES[0], Database(SCHEMA, {"L": FORTY, "M": FEW_KEYS}),
+         "memory")
+def test_a_semijoin_keeping_every_left_row_returns_its_left_input(
+    text, db, backend
+):
+    expr = parse(text, SCHEMA)
+    expected = evaluate(expr, db)
+    with Session(db, backend=backend, cache_results=False) as session:
+        executor = session.executor
+        plan = session.query(expr).plan()
+        assert isinstance(plan, (HashSemijoinOp, NestedLoopSemijoinOp))
+        for __ in range(3):  # first sighting, second, warm
+            result = executor.execute(plan)
+            assert result == expected
+            left = executor._memo[plan.left]
+            assert (executor._memo[plan] is left) == (
+                len(result) == len(left)
+            )
+            if type(left) is frozenset:
+                assert (result is left) == (len(result) == len(left))
+            assert set(executor.stats.node_rows) == set(plan.nodes())
+            executor.reset_query_state()
+
+
+@pytest.mark.parametrize("backend", ("memory", "shm", "mmap"))
+def test_a_covered_gather_returns_the_stored_relation(backend):
+    db = division_database(
+        600, 12, extra_per_key=3, hit_fraction=0.4, seed=7
+    )
+    expr = parse("R semijoin[1=1] (R semijoin[2=1] S)", db.schema)
+    with Session(db, backend=backend, cache_results=False) as session:
+        executor = session.executor
+        plan = session.query(expr).plan()
+        scan = plan.left
+        assert isinstance(plan, HashSemijoinOp) and isinstance(scan, ScanOp)
+        grouping = (scan.logical, (1,))
+        for run in range(3):
+            result = executor.execute(plan)
+            assert result == db["R"]
+            # Probed at the first sighting, which counts its kept rows;
+            # from the second run on, decided on R's and the right's
+            # key sets.  Either way the answer is R itself, unhashed.
+            assert result is executor._memo[scan]
+            assert (grouping in executor.indexes._indexes) == (run > 0)
+            if backend != "mmap":  # mmap decodes per scan
+                assert result is executor.backend.rows("R")
+            assert executor.stats.node_rows == {
+                node: len(evaluate(node.logical, db)) for node in plan.nodes()
+            }
+            executor.reset_query_state()

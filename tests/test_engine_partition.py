@@ -48,7 +48,6 @@ from repro.engine.planner import explain
 from repro.errors import SchemaError, StaleDataError
 from repro.setjoins.division import (
     classic_division_expr,
-    divide_hash,
     divide_reference,
 )
 from repro.workloads.generators import (
@@ -483,18 +482,18 @@ class TestBudgetEdgeCases:
         assert partitioned_nodes(plan)
 
         calls = {"count": 0}
-        original = divide_hash
+        original = partition_module.kernels.quotient
 
-        def mutating_divide(rows, divisor):
+        def mutating_quotient(trie, divisor, eq):
             calls["count"] += 1
             if calls["count"] == 1:
                 # A storage backend swapping contents mid-run: same
                 # handle, new relation value — the version token moves.
                 db._relations = {**db._relations, "S": frozenset({(999,)})}
-            return original(rows, divisor)
+            return original(trie, divisor, eq)
 
-        monkeypatch.setitem(
-            partition_module.DIVISION_ALGORITHMS, "hash", mutating_divide
+        monkeypatch.setattr(
+            partition_module.kernels, "quotient", mutating_quotient
         )
         with pytest.raises(StaleDataError):
             executor.execute(plan)

@@ -47,7 +47,7 @@ from repro.extended.division_plan import (
 )
 from repro.extended.evaluator import evaluate_extended
 from repro.session import Session
-from repro.setjoins.division import classic_division_expr, divide_hash
+from repro.setjoins.division import classic_division_expr
 from repro.workloads.generators import division_database
 from tests.strategies import databases, expressions, rows
 
@@ -375,12 +375,14 @@ class TestDifferentialThroughSession:
         prepared = session.query(classic_division_expr())
         assert "Partitioned[" in prepared.explain()
 
-        def mutating_divide(rows_, divisor):
-            db._relations = {**db._relations, "S": frozenset({(999,)})}
-            return divide_hash(rows_, divisor)
+        quotient = partition_module.kernels.quotient
 
-        monkeypatch.setitem(
-            partition_module.DIVISION_ALGORITHMS, "hash", mutating_divide
+        def mutating_quotient(trie, divisor, eq):
+            db._relations = {**db._relations, "S": frozenset({(999,)})}
+            return quotient(trie, divisor, eq)
+
+        monkeypatch.setattr(
+            partition_module.kernels, "quotient", mutating_quotient
         )
         with pytest.raises(StaleDataError):
             prepared.run()

@@ -44,7 +44,7 @@ from repro.engine.executor import Executor
 from repro.engine.planner import PlannerOptions
 from repro.errors import SchemaError, StaleDataError
 from repro.session import Session
-from repro.setjoins.division import classic_division_expr, divide_hash
+from repro.setjoins.division import classic_division_expr
 from repro.storage import (
     BACKEND_KINDS,
     Backend,
@@ -319,17 +319,18 @@ class TestExecutorIntegration:
             classic_division_expr(), PlannerOptions(partition_budget=60)
         )
         calls = {"count": 0}
+        quotient = partition_module.kernels.quotient
 
-        def mutating_divide(rows, divisor):
+        def mutating_quotient(trie, divisor, eq):
             calls["count"] += 1
             if calls["count"] == 1:
                 db._relations = {
                     **db._relations, "S": frozenset({(999,)})
                 }
-            return divide_hash(rows, divisor)
+            return quotient(trie, divisor, eq)
 
-        monkeypatch.setitem(
-            partition_module.DIVISION_ALGORITHMS, "hash", mutating_divide
+        monkeypatch.setattr(
+            partition_module.kernels, "quotient", mutating_quotient
         )
         with pytest.raises(StaleDataError):
             executor.execute(plan)
