@@ -1,65 +1,38 @@
-"""ADAPTIVE — feedback-driven re-optimization under drifting stats.
+"""ADAPTIVE — a skewed join is priced right on the first plan.
 
-The estimator feedback loop exists for workloads the static cost model
-keeps getting wrong: mutation-heavy traffic where the profile that
-planned a query no longer describes the data, and correlated joins
-where the uniformity assumption (``1/max(d)`` selectivity) is off by
-orders of magnitude *every* run, no matter how fresh the statistics.
-This suite pins both and writes ``BENCH_adaptive.json`` at the repo
-root:
+A correlated join defeats the uniformity assumption (``1/max(d)``
+selectivity) by orders of magnitude, no matter how fresh the
+statistics: both join columns put hundreds of rows on one shared value.
+The cost model reads that value off the most-common-value sketches its
+sound bound already reads (``docs/engine.md`` § Skew-aware join
+estimate), so the join reorderer steers around the skewed pair on the
+first plan, with no run-time feedback.  This suite pins that choice on
+a drifting workload:
 
-* **drifting correlated join** — a three-way join whose greedy
-  reordering seeds the catastrophically mis-estimated pair
-  (estimated ~3.8k rows, actual ~360k) run after run when plans are
-  frozen (``replan_threshold=None``), while the adaptive arm eats the
-  bad plan once, learns the ~100× error into the ledger, re-plans,
-  and stays on the cheap order across every subsequent mutation
-  (mutations move the version token, dropping plans and statistics —
-  only the ledger persists).  The acceptance bar: adaptive recovers
-  **≥ 2× wall-clock** over frozen, with results identical to the
-  structural-evaluator oracle on every run of both arms.
+* **drifting correlated join** — a three-way join written in the trap
+  order.  The first plan does not join ``B ⋈ C`` first, and the same
+  plan serves every run while ``A``'s contents drift under it
+  (mutations move the version token, dropping plans and statistics);
+  every run's rows equal the structural evaluator's.
 """
 
 from repro.algebra.evaluator import evaluate
 from repro.algebra.parser import parse
 from repro.data.database import Database
 from repro.data.schema import Schema
-from repro.engine import PlannerOptions
+from repro.engine.plan import ScanOp
 from repro.session import Session
 
-from benchmarks.conftest import results_writer, timed
-
-#: Re-plan when any operator's observed estimator error drifts 2×.
-THRESHOLD = 2.0
-
-#: Runs per arm in the drifting workload: the first two run against
-#: the same contents (run 2 is where the threshold re-plan fires),
-#: the rest each mutate ``A`` first — the drift.
+#: Runs in the drifting workload: every run after the first mutates
+#: ``A`` first — the drift.
 DRIFT_RUNS = 8
-
-RESULTS: dict = {
-    "benchmark": "adaptive-replanning",
-    "replan_threshold": THRESHOLD,
-    "sections": {},
-}
-
-
-emit_results = results_writer("BENCH_adaptive.json", RESULTS)
-
-
-# ----------------------------------------------------------------------
-# Drifting correlated-join workload
-# ----------------------------------------------------------------------
 
 #: ``B ⋈ C`` is the trap pair: both join columns put 601 rows on value
 #: 0, so the uniformity estimate (9M/2400 ≈ 3.8k rows) is ~100× under
-#: the true 601² + 2399 ≈ 364k — while ``A ⋈ B`` estimates 6k and
-#: produces exactly 6k.  The query is *written* in the trap order, so
-#: the join reorderer is the only way out — and with uncorrected
-#: estimates it prices the written order as already cheapest (the
-#: underestimate hides the 364k-row intermediate).  Once the ledger
-#: carries the ~100× factor for the trap pair, the written order's
-#: corrected cost explodes and the reorderer flips to ``A ⋈ B`` first.
+#: the true 601² + 2399 ≈ 364k — while ``A ⋈ B`` produces exactly 6k.
+#: The query is *written* in the trap order, so the join reorderer is
+#: the only way out, and it finds it only if value 0 is priced as the
+#: product of its two counts.
 N_A, A_KEYS = 6_000, 2_400
 N_BC, SKEW = 3_000, 600
 
@@ -86,8 +59,8 @@ def mutate(db: Database, round_no: int) -> None:
     """Shift ``A``'s join keys: same statistics, different contents.
 
     The swap happens behind the same handle, so the version token
-    moves — plans, statistics, indexes, and cached results all drop on
-    next use.  Only the feedback ledger survives, which is the point.
+    moves — plans, statistics, indexes and cached results all drop on
+    next use, and the query is planned again from fresh statistics.
     """
     db._relations = {
         **db._relations,
@@ -97,71 +70,28 @@ def mutate(db: Database, round_no: int) -> None:
     }
 
 
-def run_arm(threshold):
-    """One arm of the drifting workload; returns its measurements."""
+def scan_pairs(plan) -> set[frozenset[str]]:
+    """The relation pairs ``plan`` joins directly, scan to scan."""
+    return {
+        frozenset(child.expr.name for child in node.children())
+        for node in plan.nodes()
+        if len(node.children()) == 2
+        and all(isinstance(child, ScanOp) for child in node.children())
+    }
+
+
+def test_the_first_plan_avoids_the_trap_under_drift():
     db = drifting_db()
     expr = parse(DRIFT_QUERY, db.schema)
-    session = Session(
-        db,
-        options=PlannerOptions(replan_threshold=threshold),
-        cache_results=False,
-    )
-    seconds = 0.0
-    fingerprints = []
+    session = Session(db, cache_results=False)
+    first = session.query(expr).plan()
+    assert scan_pairs(first)
+    assert frozenset("BC") not in scan_pairs(first)
+
+    fingerprints = set()
     for round_no in range(DRIFT_RUNS):
-        if round_no >= 2:
+        if round_no:
             mutate(db, round_no)
-        elapsed, result = timed(lambda: session.run(expr))
-        seconds += elapsed
-        assert result == evaluate(expr, db)
-        fingerprints.append(session.last_report.fingerprint)
-    return {
-        "seconds": seconds,
-        "fingerprints": fingerprints,
-        "feedback_replans": session.executor.feedback_replans,
-        "ledger": session.feedback.report(),
-    }
-
-
-def test_adaptive_replanning_beats_frozen_plans():
-    frozen = run_arm(None)
-    adaptive = run_arm(THRESHOLD)
-
-    # Frozen planning re-seeds the mis-estimated pair every round.
-    assert len(set(frozen["fingerprints"])) == 1
-    assert frozen["feedback_replans"] == 0
-    # The adaptive arm pays for the bad plan once: round 2's drift
-    # check fires the threshold re-plan, and every later round's fresh
-    # plan prices the trap pair with the learned ~100× factor.
-    assert adaptive["feedback_replans"] >= 1
-    assert adaptive["fingerprints"][0] == frozen["fingerprints"][0]
-    assert adaptive["fingerprints"][-1] != frozen["fingerprints"][-1]
-    # After the ledger converges the plan stabilizes: the last rounds
-    # all run the same (reordered) plan, never the written trap.
-    assert len(set(adaptive["fingerprints"][3:])) == 1
-    assert frozen["fingerprints"][0] not in adaptive["fingerprints"][1:]
-
-    speedup = frozen["seconds"] / adaptive["seconds"]
-    # The acceptance bar: ≥ 2× wall-clock recovered.
-    assert speedup >= 2.0, (
-        f"adaptive re-planning recovered only {speedup:.2f}x "
-        f"(frozen {frozen['seconds']:.3f}s, "
-        f"adaptive {adaptive['seconds']:.3f}s)"
-    )
-
-    RESULTS["sections"]["drifting_correlated_join"] = {
-        "query": DRIFT_QUERY,
-        "rows": {"A": N_A, "B": N_BC, "C": N_BC},
-        "skewed_rows": SKEW,
-        "runs_per_arm": DRIFT_RUNS,
-        "frozen_seconds": round(frozen["seconds"], 6),
-        "adaptive_seconds": round(adaptive["seconds"], 6),
-        "speedup": round(speedup, 3),
-        "feedback_replans": adaptive["feedback_replans"],
-        "distinct_plans": {
-            "frozen": len(set(frozen["fingerprints"])),
-            "adaptive": len(set(adaptive["fingerprints"])),
-        },
-        "results_match_oracle": True,
-    }
-
+        assert session.run(expr) == evaluate(expr, db)
+        fingerprints.add(session.last_report.fingerprint)
+    assert fingerprints == {first.fingerprint()}

@@ -21,9 +21,9 @@ Subcommands::
 ``eval``, ``explain`` and ``divide`` build one
 :class:`~repro.session.Session` from the shared session flags: the
 planner flags (``--partition-budget``, ``--max-workers``,
-``--replan-threshold``, ``--no-costs``, ``--no-multiway``) become its
-``PlannerOptions``, which reject contradictory combinations up front,
-and ``--backend`` picks its storage.  ``optimize`` is pure rewriting
+``--no-costs``, ``--no-multiway``) become its ``PlannerOptions``,
+which reject contradictory combinations up front, and ``--backend``
+picks its storage.  ``optimize`` is pure rewriting
 and takes none of them.  Expressions use the textual syntax of
 :mod:`repro.algebra.parser`; the schema comes from the database file or
 from ``--schema 'R:2,S:1'``.
@@ -112,15 +112,6 @@ _SESSION_FLAGS = (
         help="shard batched operators across N worker processes when "
         "the cost model certifies the parallel cost beats serial "
         "(needs cost-based planning; 1 = exactly serial)",
-    )),
-    ("--replan-threshold", "replan_threshold", dict(
-        type=float,
-        metavar="RATIO",
-        help="feed each run's estimated-vs-actual rows into the "
-        "feedback ledger, correct estimates by it, and re-plan a "
-        "memoized query when the observed estimator error for any of "
-        "its operators drifts by at least this ratio (> 1; needs "
-        "cost-based planning; without it the ledger stays empty)",
     )),
     ("--no-costs", "use_costs", dict(
         action="store_true",
@@ -216,30 +207,13 @@ def _cmd_explain(args) -> int:
         # measured below (EXPLAIN ANALYZE-style).
         with _session_from_flags(args) as session:
             prepared = session.query(args.expression)
-            print(
-                prepared.explain(
-                    costs=args.costs,
-                    analyze=args.analyze,
-                    feedback=getattr(args, "feedback", False),
-                )
-            )
+            print(prepared.explain(costs=args.costs, analyze=args.analyze))
             result = prepared.run()
         print(f"-- {len(result)} row(s)", file=sys.stderr)
         print(session.last_report.render(), file=sys.stderr)
-        if getattr(args, "feedback", False):
-            # The stdout report above is the ledger *as it planned* —
-            # empty in a one-shot process.  This one is what the run
-            # just recorded (nothing without --replan-threshold).
-            print(session.feedback.report(), file=sys.stderr)
         return 0
     if not args.schema:
         raise ReproError("provide --database or --schema")
-    if getattr(args, "feedback", False):
-        raise ReproError(
-            "explain --feedback reads the estimator-error ledger, "
-            "which only exists for a database-backed session; provide "
-            "--database"
-        )
     from repro.engine import DEFAULT_OPTIONS, plan_expression
     from repro.engine.planner import explain as explain_plan
 
@@ -476,12 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="annotate each operator with the cost model's estimated "
         "rows, sound upper bound, and cost (statistics come from -d; "
         "schema-only estimates use default assumptions)",
-    )
-    p_explain.add_argument(
-        "--feedback",
-        action="store_true",
-        help="append the estimator-error feedback ledger report "
-        "(needs -d: the ledger lives on the session's catalog)",
     )
     p_explain.set_defaults(fn=_cmd_explain)
 

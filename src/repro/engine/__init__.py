@@ -90,7 +90,7 @@ from repro.engine.planner import (
     match_division,
     plan_expression,
 )
-from repro.engine.stats import FeedbackLedger, StatsCatalog, feedback_key
+from repro.engine.stats import StatsCatalog
 from repro.engine.wcoj import WcojRun
 
 __all__ = [
@@ -101,7 +101,6 @@ __all__ = [
     "Estimate",
     "ExecutionStats",
     "Executor",
-    "FeedbackLedger",
     "IndexCache",
     "MultiwayJoinOp",
     "ParallelOp",
@@ -119,7 +118,6 @@ __all__ = [
     "apply_partitioning",
     "available_cpus",
     "explain",
-    "feedback_key",
     "fractional_edge_cover",
     "in_flight_upper",
     "match_division",

@@ -5,7 +5,10 @@
 
 * ``rows`` — the point estimate, built from textbook selectivities
   (equality ``1/max(d_i, d_j)`` over distinct counts, ``1/3`` for
-  order comparisons) and used for cost comparisons;
+  order comparisons) and used for cost comparisons.  A join of two
+  base relations reads its first equality atom off the same
+  most-common-value sketches its bound reads, so one skewed shared
+  value is priced as the product of its two counts;
 * ``upper`` — a **sound upper bound** on the actual output
   cardinality.  When the model has exact statistics
   (:class:`~repro.engine.stats.StatsCatalog` profiles frozensets, so
@@ -115,11 +118,6 @@ class Estimate:
     cost: float
     distinct: tuple[float, ...]
     sound: bool
-    #: The uncorrected point estimate when feedback adjusted ``rows``
-    #: (None otherwise).  The executor feeds the ledger with *raw*
-    #: estimates so correction factors converge to the true ratio
-    #: instead of compounding their own corrections.
-    raw_rows: float | None = None
 
     def __post_init__(self) -> None:
         # Keep the point estimate inside the certified bound.
@@ -169,7 +167,6 @@ class CostModel:
         self,
         catalog: StatsCatalog | None = None,
         backend: str = "memory",
-        feedback=None,
     ) -> None:
         self.catalog = catalog
         #: The storage-backend kind (:data:`repro.storage.backend.
@@ -177,15 +174,6 @@ class CostModel:
         #: per-row transport price in :func:`parallel_cost_split`
         #: (attached backends ship descriptors, not pickles).
         self.backend = backend
-        #: Optional :class:`~repro.engine.stats.FeedbackLedger` whose
-        #: correction factors adjust *point* estimates (never the
-        #: sound upper bounds — ``Estimate.__post_init__`` clamps the
-        #: corrected rows back under ``upper``, so soundness survives
-        #: any correction).  None keeps the model purely analytic —
-        #: the executor attaches the ledger only when planning with a
-        #: ``replan_threshold``, so default planning is byte-identical
-        #: to the pre-feedback behaviour.
-        self.feedback = feedback
         self._memo: dict[PlanNode, Estimate] = {}
 
     # ------------------------------------------------------------------
@@ -197,44 +185,8 @@ class CostModel:
         if cached is not None:
             return cached
         computed = self._estimate(node)
-        if self.feedback is not None and len(self.feedback):
-            computed = self._corrected(node, computed)
         self._memo[node] = computed
         return computed
-
-    def _corrected(self, node: PlanNode, estimate: Estimate) -> Estimate:
-        """Apply the ledger's correction factor to one point estimate.
-
-        Partition/parallel wrappers are skipped: their rows come from
-        the inner operator's (already corrected) estimate, and
-        :func:`~repro.engine.stats.feedback_key` would unwrap to the
-        same key — correcting here again would compound the factor.
-        The cost moves by the row delta (each estimated output row is
-        one unit of emit work in every operator formula), floored at
-        the children's cumulative cost so a strong downward correction
-        cannot price an operator below the work of producing its
-        inputs.
-        """
-        from dataclasses import replace
-
-        from repro.engine.stats import feedback_key
-
-        if isinstance(node, (PartitionedOp, ParallelOp)):
-            return estimate
-        key = feedback_key(node)
-        if key is None:
-            return estimate
-        factor = self.feedback.factor(key)
-        if factor is None or factor == 1.0:
-            return estimate
-        corrected = min(estimate.rows * factor, estimate.upper)
-        floor = sum(
-            self.estimate(child).cost for child in node.children()
-        )
-        cost = max(estimate.cost + (corrected - estimate.rows), floor)
-        return replace(
-            estimate, rows=corrected, cost=cost, raw_rows=estimate.rows
-        )
 
     def estimates(self, plan: PlanNode) -> dict[PlanNode, Estimate]:
         """Estimates for every node of ``plan`` (post-order keys)."""
@@ -408,22 +360,22 @@ class CostModel:
         left, right = self.estimate(node.left), self.estimate(node.right)
         sound = left.sound and right.sound
         upper = _mul(left.upper, right.upper)
+        left_stats = (
+            self.catalog.relation(node.left.expr.name)
+            if sound and isinstance(node.left, ScanOp)
+            else None
+        )
+        right_stats = (
+            self.catalog.relation(node.right.expr.name)
+            if sound and isinstance(node.right, ScanOp)
+            else None
+        )
         if sound:
             # MCV refinement: joining into a base relation emits at most
             # max_freq matches per probe (per equality atom; exact
             # sketch counts make this a theorem, not a guess) — and for
             # scan⋈scan the per-value sketches give the tighter
             # Σ f_L(v)·f_R(v) style bound.
-            left_stats = (
-                self.catalog.relation(node.left.expr.name)
-                if isinstance(node.left, ScanOp)
-                else None
-            )
-            right_stats = (
-                self.catalog.relation(node.right.expr.name)
-                if isinstance(node.right, ScanOp)
-                else None
-            )
             for atom in node.cond.by_op("="):
                 if right_stats is not None and atom.j <= right_stats.arity:
                     upper = min(
@@ -447,9 +399,28 @@ class CostModel:
             agm = self._agm_bound(node)
             if agm is not None:
                 upper = min(upper, agm)
-        rows = left.rows * right.rows * self._join_selectivity(
-            node.cond, left, right
+        atoms = node.cond.atoms
+        first = next(
+            (k for k, atom in enumerate(atoms) if atom.op == "="), None
         )
+        if (
+            left_stats is not None
+            and right_stats is not None
+            and first is not None
+            and atoms[first].i <= left_stats.arity
+            and atoms[first].j <= right_stats.arity
+        ):
+            # Scan ⋈ scan: the first equality atom is read off both
+            # sketches; the other atoms keep their selectivities.
+            rows = _sketch_join_estimate(
+                left_stats, atoms[first].i, right_stats, atoms[first].j
+            ) * self._join_selectivity(
+                atoms[:first] + atoms[first + 1 :], left, right
+            )
+        else:
+            rows = left.rows * right.rows * self._join_selectivity(
+                node.cond, left, right
+            )
         distinct = _cap_distinct(left.distinct + right.distinct, upper)
         out = min(rows, upper)
         if isinstance(node, HashJoinOp):
@@ -736,6 +707,30 @@ def _sketch_join_bound(probe, i: int, build, j: int) -> float:
         total += count * (matched if matched is not None else tail)
         covered += count
     return total + (probe.rows - covered) * build_col.max_freq
+
+
+def _sketch_join_estimate(left, i: int, right, j: int) -> float:
+    """Point estimate of ``|L ⋈_{i=j} R|`` from the MCV sketches.
+
+    A value both sketches retained joins exactly, ``f_L(v)·f_R(v)``;
+    the rows outside the sketches join uniformly over the values
+    outside them, ``(|L| − Σ mcv_L)·(|R| − Σ mcv_R) / max(d_L − k_L,
+    d_R − k_R, 1)`` for ``k`` retained entries.  With both sketches
+    complete the second term is 0 and the estimate is the join size.
+    """
+    left_col, right_col = left.columns[i - 1], right.columns[j - 1]
+    right_counts = dict(right_col.mcv)
+    shared = sum(
+        count * right_counts.get(value, 0) for value, count in left_col.mcv
+    )
+    rest = (left.rows - sum(count for __, count in left_col.mcv)) * (
+        right.rows - sum(count for __, count in right_col.mcv)
+    )
+    return shared + rest / max(
+        left_col.distinct - len(left_col.mcv),
+        right_col.distinct - len(right_col.mcv),
+        1,
+    )
 
 
 class NotFlattenable(Exception):

@@ -526,25 +526,15 @@ class Executor:
             OrderedDict()
         )
         self._fresh_cost_model()
-        #: Feedback-triggered re-plans performed (estimator error for a
-        #: memoized plan drifted past its options' replan_threshold).
-        self.feedback_replans = 0
-        #: Whether the most recent :meth:`plan` call re-planned due to
-        #: feedback drift (surfaced as ``ExecutionReport.replanned``).
-        self.last_plan_replanned = False
         #: The cross-query result cache seam (None → no caching).  The
         #: :class:`~repro.session.Session` front door passes one in;
         #: it is invalidated with every other cache on version-token
         #: movement, so a mutated database is never served stale rows.
         self.results = results
         self._memo: dict[PlanNode, Relation] = {}
-        # Memoized plans: (plan, ledger revision at pricing, factor
-        # snapshot) — the latter two drive the feedback re-plan check;
-        # a plan made without a threshold snapshots nothing.
-        self._plans: (
-            "OrderedDict[tuple[Expr, object],"
-            " tuple[PlanNode, int, dict[tuple, float]]]"
-        ) = OrderedDict()
+        self._plans: "OrderedDict[tuple[Expr, object], PlanNode]" = (
+            OrderedDict()
+        )
         self._version = backend.version_token()
 
     @property
@@ -567,10 +557,8 @@ class Executor:
         self._memo.clear()
         self._plans.clear()
         self.indexes = IndexCache()
-        # invalidate() drops statistics only; the feedback ledger is
-        # workload knowledge and deliberately survives token movement.
         self.catalog.invalidate()
-        self._fresh_cost_model(self.cost_model.feedback)
+        self._fresh_cost_model()
         self.stats = ExecutionStats()
         if self.results is not None:
             self.results.invalidate()
@@ -584,108 +572,31 @@ class Executor:
 
         Plans are memoized per ``(expression, options)`` and
         invalidated with the version token — a cost-chosen plan is only
-        valid for the statistics it was priced against.  With a
-        ``replan_threshold`` set, the plan snapshots the ledger's
-        factors for its operators, and a memoized plan is additionally
-        dropped and re-planned when any of them has drifted by at least
-        the threshold since — the adaptive re-optimization loop
-        (``docs/engine.md`` § Adaptive feedback).  Without one, nothing
-        is snapshot and the ledger is never consulted.
+        valid for the statistics it was priced against.
         """
         from repro.engine.planner import DEFAULT_OPTIONS, Planner
 
         if options is None:
             options = DEFAULT_OPTIONS
         self.check_version()
-        self._sync_feedback_mode(options)
-        self.last_plan_replanned = False
-        threshold = getattr(options, "replan_threshold", None)
-        ledger = self.catalog.feedback
         key = (expr, options)
-        cached = self._plans.get(key)
-        if cached is not None:
-            planned, revision, factors = cached
-            if (
-                threshold is None
-                or revision == ledger.revision
-                or self._feedback_drift(factors) < threshold
-            ):
-                if revision != ledger.revision:
-                    # Drift below the threshold: keep the plan, but
-                    # remember the revision checked so unchanged
-                    # ledgers skip the drift walk next time.
-                    self._plans[key] = (planned, ledger.revision, factors)
-                self._plans.move_to_end(key)
-                return planned
-            # Observed estimator error for this plan crossed the
-            # threshold: drop it and re-price with a fresh cost model
-            # so the corrected estimates actually apply.
-            del self._plans[key]
-            self._fresh_cost_model(self.cost_model.feedback)
-            self.feedback_replans += 1
-            self.last_plan_replanned = True
+        planned = self._plans.get(key)
+        if planned is not None:
+            self._plans.move_to_end(key)
+            return planned
         held = len(self.cost_model) + sum(map(len, self._subplans.values()))
         if held > 16 * self.PLAN_CACHE_SIZE:
-            self._fresh_cost_model(self.cost_model.feedback)
+            self._fresh_cost_model()
         memo = self._subplans.setdefault(options, {})
         planned = Planner(options, self.catalog, self.cost_model, memo).plan(
             expr
         )
-        self._plans[key] = (
-            planned,
-            ledger.revision,
-            {} if threshold is None else self._feedback_factors(planned),
-        )
+        self._plans[key] = planned
         while len(self._plans) > self.PLAN_CACHE_SIZE:
             self._plans.popitem(last=False)
         return planned
 
-    def _feedback_factors(self, plan: PlanNode) -> dict[tuple, float]:
-        """Snapshot of ledger factors for every fed operator in ``plan``.
-
-        Unknown keys snapshot as 1.0 (the implicit "estimate is right"
-        factor), so learning a large error for an operator the plan
-        was priced without registers as drift.
-        """
-        from repro.engine.stats import feedback_key
-
-        ledger = self.catalog.feedback
-        factors: dict[tuple, float] = {}
-        for node in plan.nodes():
-            key = feedback_key(node)
-            if key is None:
-                continue
-            current = ledger.factor(key)
-            factors[key] = 1.0 if current is None else current
-        return factors
-
-    def _feedback_drift(self, factors: dict[tuple, float]) -> float:
-        """Worst factor movement since ``factors`` was snapshot (≥ 1)."""
-        ledger = self.catalog.feedback
-        worst = 1.0
-        for key, snapshot in factors.items():
-            current = ledger.factor(key)
-            current = 1.0 if current is None else current
-            if current <= 0.0 or snapshot <= 0.0:
-                continue
-            worst = max(worst, current / snapshot, snapshot / current)
-        return worst
-
-    def _sync_feedback_mode(self, options) -> None:
-        """Attach/detach the ledger from the cost model per options.
-
-        Corrections apply only when the caller planned with a
-        ``replan_threshold`` — threshold-free planning stays
-        byte-identical to the pre-feedback behaviour.  The model is
-        recycled on a mode switch so corrected and uncorrected estimates
-        never mix in one memo.
-        """
-        wants = getattr(options, "replan_threshold", None) is not None
-        ledger = self.catalog.feedback if wants else None
-        if (self.cost_model.feedback is None) != (ledger is None):
-            self._fresh_cost_model(ledger)
-
-    def _fresh_cost_model(self, feedback=None) -> None:
+    def _fresh_cost_model(self) -> None:
         """Replace the cost model, dropping every plan it priced.
 
         The one place a model is made: the planner's sub-plan memos
@@ -693,62 +604,27 @@ class Executor:
         ``use_multiway`` change what a subexpression plans to) and the
         per-plan estimates go with it, because a plan choice is only as
         valid as the estimates it was priced with.  Memoised root plans
-        (``_plans``) stay: their own invalidation is version- and
-        drift-driven.
+        (``_plans``) stay: their own invalidation is version-driven.
         """
         from repro.engine.cost import CostModel
 
         #: One cost model for planning *and* execution-time recording,
         #: so estimates priced during planning are reused, not redone.
-        self.cost_model = CostModel(
-            self.catalog, backend=self.backend.kind, feedback=feedback
-        )
+        self.cost_model = CostModel(self.catalog, backend=self.backend.kind)
         self._subplans: dict[object, dict[Expr, PlanNode]] = {}
         self._estimates.clear()
 
-    def execute(self, plan: PlanNode, options=None) -> Relation:
+    def execute(self, plan: PlanNode) -> Relation:
         """Evaluate ``plan``; returns a ``frozenset`` of rows — the
         root's own when it holds one (a stored relation, passed through
         by a semijoin that kept all of it, is returned uncopied).
-
-        When ``options`` carry a ``replan_threshold``, the run's
-        estimated-vs-actual pairs feed the catalog's feedback ledger —
-        only planning under a threshold reads it, so a threshold-free
-        run records nothing.
         """
         self.check_version()
-        if options is not None:
-            self._sync_feedback_mode(options)
         result = frozenset(self._rows(plan))
         self.stats.indexes_built = self.indexes.builds
         self.stats.index_reuses = self.indexes.reuses
         self.stats.node_estimates.update(self._estimates_for(plan))
-        if getattr(options, "replan_threshold", None) is not None:
-            self._feed_feedback()
         return result
-
-    def _feed_feedback(self) -> None:
-        """Fold this run's estimated-vs-actual pairs into the ledger.
-
-        Called only from :meth:`execute` — result-cache hits execute
-        zero operators, never reach here, and so cannot poison the
-        ledger with ``actual=0`` against a real estimate.  Raw
-        (uncorrected) estimates are recorded so stored factors converge
-        to the true model error instead of compounding corrections.
-        """
-        from repro.engine.stats import feedback_key
-
-        ledger = self.catalog.feedback
-        for node, actual, estimate in self.stats.estimation_pairs():
-            key = feedback_key(node)
-            if key is None:
-                continue
-            raw = (
-                estimate.raw_rows
-                if estimate.raw_rows is not None
-                else estimate.rows
-            )
-            ledger.record(key, raw, actual)
 
     def cache_key(self, plan: PlanNode, options) -> tuple:
         """The result-cache key for ``plan`` under ``options`` *now*.
@@ -772,12 +648,12 @@ class Executor:
         """
         self.check_version()
         if self.results is None:
-            return self.execute(plan, options), False
+            return self.execute(plan), False
         key = self.cache_key(plan, options)
         cached = self.results.get(key)
         if cached is not None:
             return cached, True
-        result = self.execute(plan, options)
+        result = self.execute(plan)
         self.results.put(key, result)
         return result, False
 

@@ -151,28 +151,16 @@ class PlannerOptions:
     process pool of that many workers.  The default ``1`` keeps
     planning and execution exactly serial.
 
-    ``replan_threshold`` closes the estimator feedback loop: when set
-    (a ratio strictly greater than 1), execution feeds each operator's
-    estimated-vs-actual pair into the catalog's persistent
-    :class:`~repro.engine.stats.FeedbackLedger`, the cost model
-    corrects point estimates by the learned factors, and a memoized
-    plan is re-planned once any of its operators' correction factors
-    has drifted by at least the threshold since the plan was priced.
-    ``None`` (the default) freezes plans and costs nothing: the run
-    feeds no ledger, estimates are never corrected and nothing
-    re-plans.
-
-    A budget, ``max_workers > 1`` and a threshold each need cost-based
-    planning, so each is rejected beside ``use_costs=False`` rather
-    than silently ignored.  Storage is not a planner option: it is
-    chosen where the executor is built (``Session(db, backend=)``).
+    A budget and ``max_workers > 1`` each need cost-based planning, so
+    each is rejected beside ``use_costs=False`` rather than silently
+    ignored.  Storage is not a planner option: it is chosen where the
+    executor is built (``Session(db, backend=)``).
     """
 
     rewrite_divisions: bool = True
     use_costs: bool = True
     partition_budget: int | None = None
     max_workers: int = 1
-    replan_threshold: float | None = None
     use_multiway: bool = True
 
     def __post_init__(self) -> None:
@@ -188,15 +176,6 @@ class PlannerOptions:
             raise SchemaError(
                 f"max_workers must be >= 1, got {self.max_workers}"
             )
-        if (
-            self.replan_threshold is not None
-            and not self.replan_threshold > 1.0
-        ):
-            raise SchemaError(
-                "replan_threshold is an error *ratio* and must be "
-                "> 1 (or None to freeze plans), got "
-                f"{self.replan_threshold}"
-            )
         if self.use_costs:
             return
         for given, knob, reason in (
@@ -205,8 +184,6 @@ class PlannerOptions:
             (self.max_workers > 1, "max_workers > 1",
              "the parallel dispatch gate uses the cost model's sound "
              "bounds"),
-            (self.replan_threshold is not None, "replan_threshold",
-             "the threshold measures the cost model's estimation error"),
         ):
             if given:
                 raise SchemaError(

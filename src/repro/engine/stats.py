@@ -21,20 +21,10 @@ same change signal the executor's other caches key on.  Per-read-decode
 backends (mmap spills decode a fresh frozenset on every read) are why
 the token, not object identity, must be the key: a fresh-but-equal
 frozenset per read would otherwise re-profile O(n) on every access.
-
-The catalog also carries the :class:`FeedbackLedger` — the persistent
-estimator-error record closing the loop from execution back into
-planning (``docs/engine.md`` § Adaptive feedback).  The ledger is keyed
-by *(base relations, operator shape)*, not by plan-node identity, so it
-deliberately **survives** :meth:`StatsCatalog.invalidate`: statistics
-describe contents and go stale with them, but estimator *model* error
-(e.g. correlation the ``1/max(d)`` join selectivity cannot see) is a
-property of the workload and stays informative across mutations.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sized
@@ -44,13 +34,6 @@ from repro.data.universe import Value
 
 #: How many most-common values each column sketch retains.
 MCV_SIZE = 8
-
-#: Geometric smoothing weight for ledger updates: each new observation
-#: moves the stored correction factor this fraction of the way (in log
-#: space) toward the observed actual/estimated ratio.  1.0 would adopt
-#: each observation outright (fast but jumpy on noisy operators); 0.5
-#: converges geometrically while one outlier run cannot flip a plan.
-FEEDBACK_SMOOTHING = 0.5
 
 
 @dataclass(frozen=True)
@@ -133,8 +116,7 @@ class StatsCatalog:
     When a ``backend`` is given, rows are read through it, so the
     profile describes exactly the snapshot scans will execute against.
     :meth:`invalidate` drops the statistics — the executor calls it
-    when the version token changes — but **not** :attr:`feedback`: the
-    estimator-error ledger describes the workload, not the contents.
+    when the version token changes.
     """
 
     def __init__(self, db: Database, backend=None) -> None:
@@ -143,11 +125,9 @@ class StatsCatalog:
         #: tokens are read through (None → the database handle itself).
         self.backend = backend
         self._cache: dict[str, tuple[int, RelationStats]] = {}
-        #: Profiling passes actually run (the mmap regression test in
-        #: ``tests/test_feedback.py`` counts these across reads).
+        #: Profiling passes actually run (the mmap regression tests in
+        #: ``tests/test_engine_caches.py`` count these across reads).
         self.profiles = 0
-        #: The persistent estimator-error ledger (survives invalidate).
-        self.feedback = FeedbackLedger()
 
     def _token(self) -> int:
         if self.backend is not None:
@@ -178,179 +158,3 @@ class StatsCatalog:
 
     def __len__(self) -> int:
         return len(self._cache)
-
-
-# ----------------------------------------------------------------------
-# The estimator-error feedback ledger
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class FeedbackEntry:
-    """Accumulated estimator error for one (relations, shape) key.
-
-    ``factor`` is the smoothed multiplicative correction — multiply the
-    model's raw point estimate by it to land near observed actuals.
-    ``last_estimated``/``last_actual`` keep the most recent raw pair
-    for reports; ``observations`` counts how many runs fed the entry.
-    """
-
-    factor: float
-    observations: int
-    last_estimated: float
-    last_actual: int
-
-    def error(self) -> float:
-        """Symmetric error ratio: how far off the raw estimate is, ≥ 1."""
-        if self.factor <= 0.0:
-            return math.inf
-        return max(self.factor, 1.0 / self.factor)
-
-
-class FeedbackLedger:
-    """Persistent estimator error per (base relations, operator shape).
-
-    Fed by :meth:`repro.engine.executor.Executor.execute` from the
-    estimated-vs-actual pairs of each run whose options carry a
-    ``replan_threshold`` — threshold-free runs feed nothing, and nor
-    do cache hits, which execute zero operators (an ``actual=0``
-    against a real estimate would poison the ledger).  Read by the
-    cost model to correct point estimates (never the sound upper
-    bounds — corrections are clamped by
-    :class:`~repro.engine.cost.Estimate`'s ``rows ≤ upper`` invariant)
-    and by the executor's re-plan trigger, which compares each memoized
-    plan's snapshot of factors against the current ones.
-
-    Keys come from :func:`feedback_key`: the sorted base-relation names
-    under the operator plus the operator's label (condition included),
-    so structurally identical operators over the same relations share
-    one entry across distinct plans, sessions of the same catalog, and
-    version-token movements.
-
-    ``revision`` increments on every record — a cheap "has anything new
-    been learned" signal for plan-staleness checks.
-    """
-
-    def __init__(self) -> None:
-        self._entries: dict[tuple, FeedbackEntry] = {}
-        self.revision = 0
-
-    def record(self, key: tuple, estimated: float, actual: int) -> None:
-        """Fold one estimated-vs-actual observation into the ledger.
-
-        ``estimated`` must be the model's *raw* (uncorrected) point
-        estimate, so the stored factor converges to the true ratio
-        rather than compounding its own corrections.  The ``+1``
-        Laplace shift keeps zero rows on either side finite.
-        """
-        target = (actual + 1.0) / (max(estimated, 0.0) + 1.0)
-        entry = self._entries.get(key)
-        if entry is None:
-            self._entries[key] = FeedbackEntry(
-                factor=target,
-                observations=1,
-                last_estimated=estimated,
-                last_actual=actual,
-            )
-        else:
-            smoothing = FEEDBACK_SMOOTHING
-            entry.factor = (
-                entry.factor ** (1.0 - smoothing) * target**smoothing
-            )
-            entry.observations += 1
-            entry.last_estimated = estimated
-            entry.last_actual = actual
-        self.revision += 1
-
-    def factor(self, key: tuple) -> float | None:
-        """The correction factor for ``key``, or None if never fed."""
-        entry = self._entries.get(key)
-        return entry.factor if entry is not None else None
-
-    def error(self, key: tuple) -> float:
-        """Symmetric observed error for ``key`` (1.0 when unknown)."""
-        entry = self._entries.get(key)
-        return entry.error() if entry is not None else 1.0
-
-    def entries(self) -> dict[tuple, FeedbackEntry]:
-        return dict(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def report(self) -> str:
-        """Human-readable ledger dump (``explain --feedback`` output)."""
-        if not self._entries:
-            return (
-                "feedback ledger  : empty (only runs with a "
-                "replan_threshold record into it)"
-            )
-        lines = ["feedback ledger  :"]
-        ordered = sorted(
-            self._entries.items(),
-            key=lambda kv: -kv[1].error(),
-        )
-        for (relations, shape), entry in ordered:
-            lines.append(
-                f"  {','.join(relations)} {shape}: "
-                f"factor={entry.factor:.3g} "
-                f"error={entry.error():.3g} "
-                f"n={entry.observations} "
-                f"(last est={entry.last_estimated:.3g} "
-                f"actual={entry.last_actual})"
-            )
-        return "\n".join(lines)
-
-
-def feedback_key(node) -> tuple | None:
-    """The ledger key for a plan node, or None if the node is not fed.
-
-    ``(sorted base-relation names in the subtree, operator label)`` for
-    the estimated operators whose errors drive plan choice — joins,
-    semijoins, and division.  Partition/parallel wrappers are unwrapped
-    to their inner operator, so a partitioned run feeds the same entry
-    the one-shot operator would.  Scans are excluded (their statistics
-    are exact; estimate==actual pairs would only dilute the ledger) and
-    so are the cheap structural operators whose estimates never flip a
-    plan on their own.  Multiway joins are deliberately excluded too:
-    their gate compares *sound* AGM bounds (which feedback corrections
-    never alter), and their label embeds the data-dependent AGM figure,
-    so a ledger entry would never generalize across contents versions.
-    """
-    from repro.engine.plan import (
-        DivisionOp,
-        HashJoinOp,
-        HashSemijoinOp,
-        NestedLoopJoinOp,
-        NestedLoopSemijoinOp,
-        ParallelOp,
-        PartitionedOp,
-        ScanOp,
-    )
-
-    while isinstance(node, (PartitionedOp, ParallelOp)):
-        node = node.inner
-    if not isinstance(
-        node,
-        (
-            HashJoinOp,
-            NestedLoopJoinOp,
-            HashSemijoinOp,
-            NestedLoopSemijoinOp,
-            DivisionOp,
-        ),
-    ):
-        return None
-    names: set[str] = set()
-    seen: set[int] = set()
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        if id(current) in seen:
-            continue
-        seen.add(id(current))
-        if isinstance(current, ScanOp):
-            names.add(current.expr.name)
-        else:
-            stack.extend(current.children())
-    return (tuple(sorted(names)), node.label())

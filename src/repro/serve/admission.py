@@ -2,11 +2,11 @@
 
 The estimator's ``upper`` field (:mod:`repro.engine.cost`) is a
 *certified* bound — on a catalog-backed database the real output of
-every operator is provably at or below it.  PR 3 used that to rank
-plans and PR 8 to trigger replanning; here it prices *concurrency*: a
-server holds an **in-flight row budget**, and every admitted read
-debits the sum of its plan's per-node upper bounds (the most rows the
-whole operator tree can have materialized at once) until it completes.
+every operator is provably at or below it.  The planner uses it to
+rank and size plans; here it prices *concurrency*: a server holds an
+**in-flight row budget**, and every admitted read debits the sum of
+its plan's per-node upper bounds (the most rows the whole operator
+tree can have materialized at once) until it completes.
 The budget is therefore itself sound — no mix of admitted queries can
 exceed it in certified rows, which is the property the serving
 benchmark asserts.

@@ -100,10 +100,6 @@ class ExecutionReport:
     #: disabled caches report bypassed lookups, not misses.
     cache_enabled: bool = True
     cache_disabled_lookups: int = 0
-    #: Whether planning this run discarded a memoized plan because the
-    #: feedback ledger's observed estimator error crossed the query's
-    #: ``replan_threshold`` (always False without a threshold).
-    replanned: bool = False
 
     def operators_executed(self) -> int:
         """How many physical operators ran (0 for a cache hit)."""
@@ -118,8 +114,6 @@ class ExecutionReport:
         wall-clock seconds.
         """
         source = "result cache (hit)" if self.cached else "executed"
-        if self.replanned:
-            source += " [re-planned: estimator error crossed threshold]"
         if self.cache_enabled:
             cache_line = (
                 f"result cache     : {self.cache_hits} hit(s), "
@@ -180,27 +174,21 @@ class PreparedQuery:
         """Execute (or serve from the result cache); returns the rows."""
         return self.session._run(self)
 
-    def explain(
-        self,
-        costs: bool = False,
-        analyze: bool = False,
-        feedback: bool = False,
-    ) -> str:
+    def explain(self, costs: bool = False, analyze: bool = False) -> str:
         """Render the current plan (the one :meth:`run` would execute).
 
-        ``feedback=True`` appends the catalog's estimator-error ledger
-        report.  The plan is fetched *first*, on its own statement:
+        The plan is fetched *first*, on its own statement:
         :meth:`plan` runs the executor's version check, which may
         replace the cost model — reading ``executor.cost_model`` before
         that check would render costs priced against pre-mutation
         statistics (the stale-explain bug this ordering guards against;
-        regression-tested in ``tests/test_feedback.py``).
+        regression-tested in ``tests/test_engine_caches.py``).
         """
         from repro.engine.planner import explain as explain_plan
 
         plan = self.plan()  # runs check_version; may swap the cost model
         executor = self.session.executor
-        rendered = explain_plan(
+        return explain_plan(
             self.expr,
             options=self.options,
             schema=self.session.schema,
@@ -210,9 +198,6 @@ class PreparedQuery:
             catalog=executor.catalog,
             cost_model=executor.cost_model,
         )
-        if feedback:
-            rendered += "\n" + executor.catalog.feedback.report()
-        return rendered
 
     def stats(self) -> ExecutionStats | None:
         """The last run's :class:`ExecutionStats` (None before any run).
@@ -320,11 +305,6 @@ class Session:
         """The session's cross-query result cache (counters included)."""
         return self._executor.results
 
-    @property
-    def feedback(self):
-        """The catalog's estimator-error ledger (survives mutations)."""
-        return self._executor.catalog.feedback
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -385,13 +365,10 @@ class Session:
         query: "str | Expr",
         costs: bool = False,
         analyze: bool = False,
-        feedback: bool = False,
         options: PlannerOptions | None = None,
     ) -> str:
         """Render the plan the session would execute for ``query``."""
-        return self.query(query, options).explain(
-            costs=costs, analyze=analyze, feedback=feedback
-        )
+        return self.query(query, options).explain(costs=costs, analyze=analyze)
 
     def oracle(self, query: "str | Expr") -> Relation:
         """Evaluate *as written* with the structural evaluator.
@@ -492,7 +469,6 @@ class Session:
         # *here* — the subsequent cold run computes against the new
         # contents instead of raising StaleDataError mid-flight.
         plan = executor.plan(prepared.expr, prepared.options)
-        replanned = executor.last_plan_replanned
         result, cached = executor.execute_cached(plan, prepared.options)
         if cached:
             stats = ExecutionStats()
@@ -514,7 +490,6 @@ class Session:
             cache_bytes=cache.total_bytes,
             cache_enabled=cache.enabled,
             cache_disabled_lookups=cache.disabled_lookups,
-            replanned=replanned,
         )
         prepared.last_report = report
         self.last_report = report

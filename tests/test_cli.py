@@ -94,65 +94,11 @@ class TestSessionFlags:
         assert code == 2
         assert "needs cost-based planning" in capsys.readouterr().err
 
-    def test_contradictory_replan_threshold_and_no_costs(
-        self, db_path, capsys
-    ):
-        code = main(
-            [
-                "eval", "-d", db_path,
-                "--replan-threshold", "2", "--no-costs",
-                "R join[2=1] S",
-            ]
-        )
-        assert code == 2
-        assert "needs cost-based planning" in capsys.readouterr().err
-
-    def test_replan_threshold_accepted_and_validated(
-        self, db_path, capsys
-    ):
-        assert (
-            main(
-                ["eval", "-d", db_path, "--replan-threshold", "2",
-                 "R join[2=1] S"]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        # PlannerOptions rejects ratios ≤ 1 (it is an error *ratio*).
-        code = main(
-            ["eval", "-d", db_path, "--replan-threshold", "0.5",
-             "R join[2=1] S"]
-        )
-        assert code == 2
-        assert "ratio" in capsys.readouterr().err
-
-    def test_explain_feedback_needs_database(self, db_path, capsys):
-        assert (
-            main(
-                ["explain", "-d", db_path, "--replan-threshold", "2",
-                 "--feedback", "R join[2=1] S"]
-            )
-            == 0
-        )
-        captured = capsys.readouterr()
-        # Plan-time ledger on stdout (empty in a one-shot process),
-        # post-run ledger with the run's recorded pair on stderr.
-        assert "feedback ledger" in captured.out
-        assert "empty" in captured.out
-        assert "HashJoin[2=1]: factor=" in captured.err
-        code = main(
-            ["explain", "--schema", "R:2,S:1", "--feedback",
-             "R join[2=1] S"]
-        )
-        assert code == 2
-        assert "--database" in capsys.readouterr().err
-
     def test_engine_flags_rejected_with_no_engine(self, db_path, capsys):
         for extra in (
             ["--stats"],
             ["--no-costs"],
             ["--partition-budget", "5"],
-            ["--replan-threshold", "2"],
             ["--backend", "shm"],
         ):
             code = main(

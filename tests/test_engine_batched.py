@@ -4,11 +4,12 @@
 pack → runner → record; ``docs/engine.md`` § Partitioned execution)
 and differ only in *where* a batch runs.  The contract under test:
 
-* for each operator kind, budget and ``replan_threshold``, the serial
+* for each operator kind, budget and storage backend, the serial
   loop, a ``workers=1`` ``ParallelOp``, a real two-worker pool and a
   pool that breaks mid-run return the one-shot rows **and**, under a
-  budget, record-for-record the batches a threshold-free serial run
-  records — the options never change a batch;
+  budget, record-for-record the batches a serial run on the memory
+  backend records — neither the runner nor the transport that ships
+  fragments to the pool changes a batch, and nothing is leaked;
 * the rungs of the degradation ladder that need a sick environment —
   a pool that cannot be created, shipment storage that cannot be
   allocated — end in the serial loop with the reason recorded and
@@ -31,7 +32,6 @@ from repro.engine import (
     ParallelOp,
     ParallelRun,
     PartitionedOp,
-    PlannerOptions,
 )
 from repro.extended.division_plan import division_plan
 from repro.setjoins.division import classic_division_expr
@@ -96,6 +96,9 @@ KINDS = {
 
 RUNNERS = ("partitioned", "workers=1", "pool", "broken-pool")
 
+#: backend → how a healthy pool run ships its fragments
+TRANSPORTS = {"memory": None, "shm": "shm", "mmap": "file"}
+
 
 class BrokenFuture:
     def result(self):
@@ -120,11 +123,11 @@ def wrap(inner, budget, runner):
     return ParallelOp(inner, 1, budget, 1 if runner == "workers=1" else 2)
 
 
-def execute(db, expr, budget, runner, backend="memory", options=None):
+def execute(db, expr, budget, runner, backend="memory"):
     executor = Executor(db, backend=backend)
     try:
         plan = wrap(executor.plan(expr), budget, runner)
-        rows = executor.execute(plan, options)
+        rows = executor.execute(plan)
         return rows, executor.stats.partition_runs.get(plan)
     finally:
         executor.close()
@@ -138,16 +141,16 @@ def shape(run):
 
 
 # ----------------------------------------------------------------------
-# (a) kind × budget × threshold × runner: same rows, same batches
+# (a) kind × budget × backend × runner: same rows, same batches
 # ----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("runner", RUNNERS)
-@pytest.mark.parametrize("threshold", [None, 2.0])
+@pytest.mark.parametrize("backend", sorted(TRANSPORTS))
 @pytest.mark.parametrize("budget_case", ["tight", "degenerate", None])
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_every_runner_runs_the_same_batches(
-    kind, budget_case, threshold, runner, monkeypatch
+    kind, budget_case, backend, runner, monkeypatch
 ):
     make_db, expr, tight, degenerate = KINDS[kind]
     budget = {"tight": tight, "degenerate": degenerate, None: None}[
@@ -161,9 +164,12 @@ def test_every_runner_runs_the_same_batches(
             parallel_module, "_pool_for", lambda workers: BrokenPool()
         )
 
-    options = PlannerOptions(replan_threshold=threshold)
-    rows, run = execute(db, expr, budget, runner, options=options)
+    segments = shm_module.live_segment_names()
+    spills = spill_files()
+    rows, run = execute(db, expr, budget, runner, backend=backend)
     assert rows == one_shot
+    assert shm_module.live_segment_names() == segments
+    assert spill_files() == spills
 
     if runner != "partitioned":
         assert isinstance(run, ParallelRun)
@@ -175,6 +181,10 @@ def test_every_runner_runs_the_same_batches(
                 "broken-pool": "worker pool broke (worker died)",
             }[runner]
             assert run.pool_fallback == expected
+            shipped = runner == "pool" and run.pool_fallback is None
+            assert run.transport == (
+                TRANSPORTS[backend] if shipped else None
+            )
     if budget is None:
         return
     assert run.within_budget()

@@ -13,20 +13,49 @@ Regression tests for two PR-6 bugfixes:
 
 It also pins the lifetime of the planner's sub-plan memo: it lives as
 long as the executor's cost model and goes wherever the model is
-replaced, so no plan priced by an old model outlives it.
+replaced, so no plan priced by an old model outlives it; and the
+freshness of the catalog and of ``explain``:
+
+* :class:`~repro.engine.stats.StatsCatalog` keys its cache by *version
+  token*, so per-read-decode backends (mmap returns a fresh frozenset
+  per read) profile once, not once per access;
+* every explain entry point re-checks the version token before
+  rendering costs, so a mutation is never shown with pre-mutation
+  statistics;
+* a result-cache hit executes zero operators.
 """
 
 import pytest
 
 from repro.algebra.ast import ConstantTag, Rel
 from repro.algebra.parser import parse
-from repro.data.database import database
+from repro.data.database import Database, database
+from repro.data.schema import Schema
 from repro.engine import Executor, IndexCache, PlannerOptions, ResultCache
 from repro.engine.plan import HashJoinOp, NestedLoopJoinOp
 from repro.engine.planner import DEFAULT_OPTIONS, Planner
+from repro.engine.stats import StatsCatalog
 from repro.errors import SchemaError
 from repro.session import Session
-from tests.test_feedback import correlated_db
+from repro.storage.backend import open_backend
+
+
+def correlated_db() -> Database:
+    """A two-relation database whose join defeats ``1/max(d)``.
+
+    ``A``'s second column and ``B``'s first column both put value 0 on
+    11 of 20 rows (and values 1–9 on one row each), so the uniformity
+    assumption underestimates the equijoin: ``20·20/10 = 40`` rows
+    against ``11·11 + 9 = 130`` actual.
+    """
+    schema = Schema({"A": 2, "B": 2})
+    a = frozenset((i, 0) for i in range(10)) | frozenset(
+        (10 + i, i) for i in range(10)
+    )
+    b = frozenset((0, i) for i in range(10)) | frozenset(
+        (i, 10 + i) for i in range(10)
+    )
+    return Database(schema, {"A": a, "B": b})
 
 
 def build(cache, name, rows):
@@ -191,27 +220,6 @@ class TestSubPlanMemoLifetime:
         assert isinstance(tagged.child, NestedLoopJoinOp)
         assert tagged == private_plan(executor, TAGGED)
 
-    def test_a_feedback_mode_switch_drops_it(self):
-        executor = Executor(keyed_db(BIG_S))
-        first = executor.plan(JOIN)
-        model = executor.cost_model
-        executor.plan(JOIN, PlannerOptions(replan_threshold=2.0))
-        assert executor.cost_model is not model
-        tagged = executor.plan(TAGGED)
-        assert shares_no_node(tagged, first)
-        assert tagged == private_plan(executor, TAGGED)
-
-    def test_a_drift_replan_drops_it(self):
-        options = PlannerOptions(replan_threshold=2.0)
-        query = parse("A join[2=1] B", {"A": 2, "B": 2})
-        executor = Executor(correlated_db())
-        first = executor.plan(query, options)
-        executor.execute(first, options)  # learns a > 2x join error
-        replanned = executor.plan(query, options)
-        assert executor.last_plan_replanned
-        assert shares_no_node(replanned, first)
-        assert replanned == private_plan(executor, query, options)
-
     def test_a_size_recycle_drops_it(self, monkeypatch):
         monkeypatch.setattr(Executor, "PLAN_CACHE_SIZE", 2)
         executor = Executor(keyed_db(BIG_S))
@@ -242,3 +250,57 @@ class TestSubPlanMemoLifetime:
         # The check runs before planning; one text adds one sub-plan
         # and one estimate.
         assert bound < peak <= bound + 2
+
+
+class TestStatsFreshness:
+    def test_mmap_reads_decode_fresh_objects(self):
+        db = correlated_db()
+        with open_backend(db, "mmap") as backend:
+            first, second = backend.rows("A"), backend.rows("A")
+            assert first == second
+            # The premise of the token key: identity-keyed caching
+            # cannot work when every read decodes a fresh (equal)
+            # frozenset.
+            assert first is not second
+
+    def test_mmap_catalog_profiles_once_across_reads(self):
+        db = correlated_db()
+        with open_backend(db, "mmap") as backend:
+            catalog = StatsCatalog(db, backend=backend)
+            stats = catalog.relation("A")
+            assert catalog.relation("A") is stats
+            assert catalog.relation("A") is stats
+            assert catalog.profiles == 1
+
+    def test_mmap_session_profiles_once_across_queries(self):
+        db = correlated_db()
+        with Session(db, backend="mmap") as session:
+            session.run("A join[2=1] B")
+            session.run("A join[2=1] B")
+            session.run("project[1](A)")
+            assert session.executor.catalog.profiles == len(db.schema)
+
+
+def test_explain_reprices_after_mutation():
+    db = correlated_db()
+    session = Session(db)
+    prepared = session.query("A join[2=1] B")
+    prepared.run()
+    before = prepared.explain(costs=True)
+    # Contents swap behind the same handle: shrink A to one row, whose
+    # one value B holds 11 times.
+    db._relations = {**db._relations, "A": frozenset({(0, 0)})}
+    after = prepared.explain(costs=True)
+    assert "~rows=11 ub=11 " not in before
+    assert "~rows=11 ub=11 " in after
+    assert prepared.run() == session.oracle("A join[2=1] B")
+
+
+def test_a_cache_hit_executes_no_operator():
+    session = Session(correlated_db())
+    prepared = session.query("A join[2=1] B")
+    prepared.run()
+    assert not prepared.last_report.cached
+    prepared.run()
+    assert prepared.last_report.cached
+    assert prepared.last_report.operators_executed() == 0

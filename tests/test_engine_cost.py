@@ -44,7 +44,7 @@ from repro.engine.plan import (
     ProjectOp,
     ScanOp,
 )
-from repro.engine.stats import relation_stats
+from repro.engine.stats import MCV_SIZE, relation_stats
 from repro.errors import SchemaError
 from repro.setjoins.division import classic_division_expr
 from repro.workloads.generators import (
@@ -59,6 +59,7 @@ from tests.strategies import (
     expressions,
     join_chains,
 )
+from tests.test_engine_caches import correlated_db
 
 SETTINGS = settings(
     max_examples=120,
@@ -289,6 +290,50 @@ class TestAGMBound:
             parse("select[1=2](R) join[2=1] R", TEST_SCHEMA)
         )
         assert CostModel(catalog)._agm_bound(filtered) is None
+
+
+# ----------------------------------------------------------------------
+# Skew-aware point estimate
+# ----------------------------------------------------------------------
+
+
+def _scan_join(db: Database, left: str, right: str, cond: str) -> HashJoinOp:
+    return HashJoinOp(
+        _scan(left, db),
+        _scan(right, db),
+        Condition.of(cond),
+        Join(Rel(left, db.schema[left]), Rel(right, db.schema[right]), cond),
+    )
+
+
+@SMALLER
+@given(databases(), st.data())
+def test_complete_sketches_estimate_a_scan_join_exactly(db, data):
+    """Both join columns fit their sketches (≤ 6 rows each), so the
+    first equality atom is read off exact counts: no uniform rest."""
+    left, right = (data.draw(st.sampled_from(sorted(db.schema))) for _ in "lr")
+    i = data.draw(st.integers(1, db.schema[left]))
+    j = data.draw(st.integers(1, db.schema[right]))
+    catalog = StatsCatalog(db)
+    assert catalog.relation(left).columns[i - 1].distinct <= MCV_SIZE
+    assert catalog.relation(right).columns[j - 1].distinct <= MCV_SIZE
+    join = _scan_join(db, left, right, f"{i}={j}")
+    actual = sum(
+        1 for l in db[left] for r in db[right] if l[i - 1] == r[j - 1]
+    )
+    assert CostModel(catalog).estimate(join).rows == actual
+
+
+def test_a_shared_skewed_value_is_priced_as_its_counts():
+    """Value 0 holds 11 of 20 rows on both sides: ``1/max(d)`` says
+    40 rows, the sketches say 11·11 plus a uniform rest."""
+    db = correlated_db()
+    join = _scan_join(db, "A", "B", "2=1")
+    estimate = CostModel(StatsCatalog(db)).estimate(join)
+    actual = len(Executor(db).execute(join))
+    assert actual == 130
+    assert abs(estimate.rows - actual) <= 0.1 * actual
+    assert estimate.rows <= estimate.upper
 
 
 # ----------------------------------------------------------------------

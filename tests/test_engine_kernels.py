@@ -568,8 +568,8 @@ def batches_through_the_parallel_driver(plan):
     return rewrite_plan(plan, step)
 
 
-def check_memo(executor, plan, options, expr, db) -> None:
-    result = executor.execute(plan, options)
+def check_memo(executor, plan, expr, db) -> None:
+    result = executor.execute(plan)
     reference: dict = {}
     assert result == evaluate(expr, db, reference)
     assert plan in executor._memo
@@ -620,7 +620,7 @@ def test_memoised_rows_hold_no_duplicate(query, options, backend, parallel):
         plan = executor.plan(expr, options)
         if parallel:
             plan = batches_through_the_parallel_driver(plan)
-        check_memo(executor, plan, options, expr, db)
+        check_memo(executor, plan, expr, db)
     finally:
         executor.close()
 
@@ -632,7 +632,7 @@ def test_generic_join_rows_hold_no_duplicate(expr, db, backend):
     rarely lets tiny inputs reach."""
     executor = Executor(db, backend=backend)
     try:
-        check_memo(executor, collapsed(expr, db), None, expr, db)
+        check_memo(executor, collapsed(expr, db), expr, db)
     finally:
         executor.close()
 
@@ -686,7 +686,7 @@ def test_partitioned_division_validates_no_row_but_public_calls_do():
 
     sys.setprofile(profile)
     try:
-        result = executor.execute(plan, options)
+        result = executor.execute(plan)
     finally:
         sys.setprofile(None)
     assert result == frozenset((a,) for a in range(n // 4))

@@ -114,7 +114,6 @@ class TestPreparedQuery:
         [
             {"partition_budget": 5},
             {"max_workers": 2},
-            {"replan_threshold": 2.0},
         ],
     )
     def test_options_that_need_costs_are_refused_without_them(self, knob):
@@ -519,7 +518,6 @@ STREAMED_OPTIONS = (
     PlannerOptions(partition_budget=3),
     PlannerOptions(use_multiway=False),
     PlannerOptions(use_costs=False),
-    PlannerOptions(replan_threshold=2.0),
 )
 
 
