@@ -1,7 +1,9 @@
 """Shared workloads for the benchmark suite.
 
-Sizes are chosen so the full suite runs in a couple of minutes while the
-quadratic-vs-linear separations stay clearly visible in the timings.
+Sizes are chosen so the full suite runs in well under a minute while
+the quadratic-vs-linear separations stay clearly visible in the
+asserted work and intermediate sizes; ``best_of`` and
+``results_writer`` serve the ``BENCH_*.json`` emitters.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.data.database import Database, database
 from repro.workloads.generators import (
     containment_biased_pair,
     division_workload,
@@ -59,6 +62,13 @@ def best_of(fn, repeats: int = TIMING_REPEATS):
         seconds, result = timed(fn)
         best = min(best, seconds)
     return best, result
+
+
+def linear_family(n: int) -> Database:
+    """R ⋈[2=1] S grows linearly along it: |R| = n, |S| = n/2."""
+    rows = [(i, 10**6 + i % max(1, n // 2)) for i in range(n)]
+    divisor = [(10**6 + i,) for i in range(max(1, n // 2))]
+    return database({"R": 2, "S": 1}, R=rows, S=divisor)
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,4 @@
-"""Ablation: PSJ partition count vs replication and runtime.
+"""Ablation: PSJ partition count vs replication.
 
 More partitions mean smaller per-partition nested loops but more
 replication of provider sets (each goes to one partition per element);
@@ -7,7 +7,7 @@ the sweet spot depends on set sizes.
 
 import pytest
 
-from repro.bench.metrics import containment_work
+from benchmarks.work import containment_work
 from repro.setjoins.containment import scj_nested_loop, scj_partition
 from repro.workloads.generators import containment_biased_pair
 
@@ -21,10 +21,9 @@ def workload():
 
 
 @pytest.mark.parametrize("partitions", [2, 8, 32])
-def test_partition_count_runtime(benchmark, partitions, workload):
+def test_partition_count(partitions, workload):
     left, right = workload
-    benchmark.group = "ablation-partitions"
-    result = benchmark(scj_partition, left, right, partitions)
+    result = scj_partition(left, right, partitions)
     assert result == scj_nested_loop(left, right)
 
 

@@ -1,39 +1,63 @@
 """FIG1 — set-containment join and division on the medical example.
 
-Regenerates Fig. 1's two result tables and times the operators both on
-the paper's 8-row instance and on a scaled medical-style workload.
+Paper claim: Person ⋈_{⊇} Disease = {(An,flu),(Bob,flu),(Bob,Lyme)};
+Person ÷ Symptoms = {An, Bob}.
+
+Every algorithm of the zoo and the classic RA plan reproduce Fig. 1's
+two result tables; the scaled medical-style workload checks the same
+query shape at realistic sizes.
 """
 
 import pytest
 
-from repro.bench.figures import (
+from repro.algebra.ast import Rel
+from repro.algebra.evaluator import evaluate
+from repro.setjoins.containment import (
+    CONTAINMENT_ALGORITHMS,
+    scj_nested_loop,
+    scj_signature,
+)
+from repro.setjoins.division import (
+    DIVISION_ALGORITHMS,
+    classic_division_expr,
+    divide_reference,
+)
+from repro.setjoins.setrel import SetRelation
+from repro.workloads.figures import (
     FIG1_CONTAINMENT_JOIN,
     FIG1_DIVISION,
     fig1_database,
 )
-from repro.setjoins.containment import scj_nested_loop, scj_signature
-from repro.setjoins.division import divide_hash, divide_reference
-from repro.setjoins.setrel import SetRelation
 from repro.workloads.generators import zipf_set_relation
 
 
-def test_fig1_containment_join_benchmark(benchmark):
+@pytest.mark.parametrize("name", sorted(CONTAINMENT_ALGORITHMS))
+def test_fig1_containment_join(name):
     db = fig1_database()
     person = SetRelation.from_binary(db["Person"])
     disease = SetRelation.from_binary(db["Disease"])
-    result = benchmark(scj_nested_loop, person, disease)
+    result = CONTAINMENT_ALGORITHMS[name](person, disease)
     assert result == FIG1_CONTAINMENT_JOIN
 
 
-def test_fig1_division_benchmark(benchmark):
+@pytest.mark.parametrize(
+    "name, algorithm",
+    sorted({**DIVISION_ALGORITHMS, "reference": divide_reference}.items()),
+)
+def test_fig1_division(name, algorithm):
     db = fig1_database()
     symptoms = [b for (b,) in db["Symptoms"]]
-    result = benchmark(divide_hash, db["Person"], symptoms)
-    assert result == FIG1_DIVISION
+    assert algorithm(db["Person"], symptoms) == FIG1_DIVISION
+
+
+def test_fig1_division_via_the_classic_ra_plan():
+    db = fig1_database()
+    plan = classic_division_expr(Rel("Person", 2), Rel("Symptoms", 1))
+    assert evaluate(plan, db) == {(a,) for a in FIG1_DIVISION}
 
 
 @pytest.mark.parametrize("patients", [50, 200])
-def test_fig1_scaled_medical_workload(benchmark, patients):
+def test_fig1_scaled_medical_workload(patients):
     """The same query shape at realistic sizes (Zipf symptom sets)."""
     persons = zipf_set_relation(
         num_sets=patients, min_size=2, max_size=8, universe_size=30,
@@ -43,13 +67,6 @@ def test_fig1_scaled_medical_workload(benchmark, patients):
         num_sets=20, min_size=2, max_size=5, universe_size=30,
         seed=patients + 1, key_offset=10**6,
     )
-    benchmark.group = f"fig1-scaled-{patients}"
-    result = benchmark(scj_signature, persons, diseases)
-    assert result == scj_nested_loop(persons, diseases)
-
-
-def test_fig1_division_reference_agreement(benchmark):
-    db = fig1_database()
-    symptoms = [b for (b,) in db["Symptoms"]]
-    result = benchmark(divide_reference, db["Person"], symptoms)
-    assert result == FIG1_DIVISION
+    assert scj_signature(persons, diseases) == scj_nested_loop(
+        persons, diseases
+    )

@@ -1,116 +1,84 @@
-"""FIG5 — the division-inexpressibility witness pair.
+"""FIG5 — division inexpressibility witness (A, B with A,1 ∼ B,1).
 
-Also home to the engine-vs-classic-plan shoot-out on this workload
-family: the scaled witness databases and the Prop. 26 cross-product
-family are exactly where the classic RA division plan goes quadratic,
-and the engine's rewrite to direct hash division must beat it by ≥5×
-at the largest seeded size (asserted deterministically on peak
-intermediate sizes; wall-clock measured by the benchmarks).
+Paper claim: R÷S = {1,2} on A and ∅ on B, yet A,1 ∼C_g B,1 — so no SA=
+expression computes division (Proposition 26's engine).
+
+The engine's answer on this workload family is the ENGINE module's
+(``test_engine_division.py``).
 """
 
 import pytest
 
 from repro.algebra.evaluator import evaluate
-from repro.algebra.trace import trace
-from repro.bench.figures import fig5_bisimulation, fig5_databases
+from repro.algebra.parser import parse
 from repro.bisim.bisimulation import (
     are_bisimilar,
     is_guarded_bisimulation,
 )
-from repro.engine import Executor, plan_expression
-from repro.session import Session
-from repro.setjoins.division import classic_division_expr, divide_reference
-from repro.workloads.generators import (
-    crossproduct_division_family,
-    fig5_scaled_pair,
+from repro.setjoins.containment import scj_nested_loop
+from repro.setjoins.division import divide_reference, divide_reference_eq
+from repro.setjoins.setrel import SetRelation
+from repro.workloads.figures import (
+    fig5_bisimulation,
+    fig5_databases,
+    fig5_setjoin_bisimulation,
+    fig5_setjoin_databases,
 )
+from repro.workloads.generators import fig5_scaled_pair
 
 
-def test_fig5_division_differs(benchmark):
+def test_fig5_division_differs():
     a, b = fig5_databases()
-
-    def both():
-        return (
-            divide_reference(a["R"], a["S"]),
-            divide_reference(b["R"], b["S"]),
-        )
-
-    quotient_a, quotient_b = benchmark(both)
-    assert quotient_a == {1, 2}
-    assert quotient_b == frozenset()
+    assert divide_reference(a["R"], a["S"]) == {1, 2}
+    assert divide_reference(b["R"], b["S"]) == frozenset()
+    assert divide_reference_eq(a["R"], a["S"]) == {1, 2}
+    assert divide_reference_eq(b["R"], b["S"]) == frozenset()
 
 
-def test_fig5_verify_paper_bisimulation(benchmark):
+def test_fig5_verify_paper_bisimulation():
     a, b = fig5_databases()
-    assert benchmark(is_guarded_bisimulation, fig5_bisimulation(), a, b)
+    assert is_guarded_bisimulation(fig5_bisimulation(), a, b)
 
 
-def test_fig5_bisimilarity_decision(benchmark):
+def test_fig5_bisimilarity_decision():
     a, b = fig5_databases()
-    verdict = benchmark(are_bisimilar, a, (1,), b, (1,))
-    assert verdict.bisimilar
+    assert are_bisimilar(a, (1,), b, (1,)).bisimilar
 
 
-@pytest.mark.parametrize("width", [3, 6])
-def test_fig5_scaled_bisimilarity(benchmark, width):
+@pytest.mark.parametrize(
+    "text",
+    [
+        "project[1](R semijoin[2=1] S)",
+        "project[1](R) minus project[1](R semijoin[2=1] S)",
+        "project[1](R semijoin[2=1] (S minus project[2](R)))",
+    ],
+)
+def test_fig5_sa_probes_agree_on_the_bisimilar_pair(text):
+    """Corollary 14 in action: an SA= expression cannot tell A,1 from B,1."""
+    a, b = fig5_databases()
+    probe = parse(text, a.schema)
+    assert ((1,) in evaluate(probe, a)) == ((1,) in evaluate(probe, b))
+
+
+@pytest.mark.parametrize("width", [3, 5, 6, 8])
+def test_fig5_scaled_bisimilarity(width):
     a, b = fig5_scaled_pair(width)
-    benchmark.group = f"fig5-scaled-{width}"
-    verdict = benchmark(are_bisimilar, a, (100,), b, (100,))
-    assert verdict.bisimilar
+    assert are_bisimilar(a, (100,), b, (100,)).bisimilar
     assert divide_reference(a["R"], a["S"])
     assert not divide_reference(b["R"], b["S"])
 
 
-#: The seeded sizes of the quadratic division witness family.
-WITNESS_SIZES = (16, 64, 128)
+def test_fig5_setjoin_version():
+    """S widened with the constant first column 4 (the paper's final
+    remark in §4): R ⋈_{B⊇D} S' is nonempty on A, empty on B, and the
+    lifted I is still a bisimulation."""
+    a, b = fig5_setjoin_databases()
 
+    def join(db):
+        return scj_nested_loop(
+            SetRelation.from_binary(db["R"]), SetRelation.from_binary(db["S"])
+        )
 
-@pytest.mark.parametrize("n", WITNESS_SIZES)
-def test_fig5_witness_classic_plan(benchmark, n):
-    """Baseline: the classic quadratic RA plan, structurally evaluated."""
-    db = crossproduct_division_family(n)
-    expr = classic_division_expr()
-    benchmark.group = f"fig5-witness-division-{n}"
-    result = benchmark(evaluate, expr, db)
-    assert result == evaluate(expr, db)
-
-
-@pytest.mark.parametrize("n", WITNESS_SIZES)
-def test_fig5_witness_engine_plan(benchmark, n):
-    """The engine-selected plan (hash division) on the same workload."""
-    db = crossproduct_division_family(n)
-    expr = classic_division_expr()
-    plan = plan_expression(expr)
-
-    def engine_run():
-        return Executor(db).execute(plan)
-
-    benchmark.group = f"fig5-witness-division-{n}"
-    result = benchmark(engine_run)
-    assert result == evaluate(expr, db)
-
-
-def test_fig5_witness_engine_beats_classic_5x():
-    """Acceptance: ≥5× at the largest seeded size, deterministically.
-
-    Peak intermediate cardinality is the dichotomy's own work measure
-    (Definition 16); wall-clock for the same pair of plans is recorded
-    by the two benchmarks above.
-    """
-    n = WITNESS_SIZES[-1]
-    db = crossproduct_division_family(n)
-    expr = classic_division_expr()
-    classic_peak = trace(expr, db).max_intermediate()
-    executor = Executor(db)
-    engine_result = executor.execute(plan_expression(expr))
-    assert engine_result == evaluate(expr, db)
-    assert classic_peak >= 5 * executor.stats.max_intermediate()
-
-
-def test_fig5_scaled_pair_division_via_engine():
-    """The engine answers division on the scaled witness pair itself."""
-    a, b = fig5_scaled_pair(16)
-    expr = classic_division_expr()
-    quotient_a = {key for (key,) in Session(a).run(expr)}
-    assert quotient_a == divide_reference(a["R"], a["S"])
-    assert Session(b).run(expr) == frozenset()
+    assert join(a) == frozenset({(1, 4), (2, 4)})
+    assert join(b) == frozenset()
+    assert is_guarded_bisimulation(fig5_setjoin_bisimulation(), a, b)

@@ -277,20 +277,6 @@ def test_ipc_calibration_is_recorded():
     assert fitted["fitted_ipc_row_cost"] > 0
 
 
-def test_fig1_parallel_execution_rate(benchmark, shootout_db, shootout_oracle):
-    """pytest-benchmark row for the parallel configuration itself."""
-    expr = parse(HOT_QUERY, shootout_db.schema)
-    options = PlannerOptions(max_workers=WORKERS)
-
-    def parallel():
-        executor = Executor(shootout_db)
-        return executor.execute(executor.plan(expr, options))
-
-    benchmark.group = f"parallel-fig1-semijoin-w{WORKERS}"
-    result = benchmark.pedantic(parallel, rounds=3, iterations=1)
-    assert result == shootout_oracle
-
-
 # ----------------------------------------------------------------------
 # Prop. 26 family: the regime the gate must refuse
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ materializes; partitioned execution is the engine's answer when even
 the *linear* operators' working sets outgrow memory.  On the fig1-style
 set-join shoot-out (a scaled Zipf medical workload: patients' symptom
 sets joined against diseases' symptom sets) and on the Proposition 26
-division witness family, these benchmarks measure that
+division witness family, these tests check that
 
 * the partitioned engine's peak rows-in-flight stays within the
   configured ``partition_budget`` (asserted per batch), while the
@@ -14,6 +14,9 @@ division witness family, these benchmarks measure that
   the structural oracle (``evaluate`` or ``divide_reference``);
 * the planner's predicted batch count and the executor's exact packing
   are both recorded (estimated vs actual per partition).
+
+Each partitioned query runs twice, on two fresh executors, and both runs
+are checked.
 
 Sizes follow the suite convention: large enough that the bounded-vs-
 growing separation is unambiguous, small enough for CI.
@@ -72,68 +75,56 @@ def partition_run(executor: Executor):
     return runs[0]
 
 
+def partitioned(db: Database, expr, budget: int):
+    """``(rows, executor)`` of one fresh executor's budgeted run."""
+    executor = Executor(db)
+    options = PlannerOptions(partition_budget=budget)
+    return executor.execute(executor.plan(expr, options)), executor
+
+
 @pytest.mark.parametrize("budget", [800, 1200])
-def test_fig1_shootout_join_bounded(benchmark, budget):
+def test_fig1_shootout_join_bounded(budget):
     """Symptom equi-join of the shoot-out, peak bounded by the budget."""
     db = medical_database()
     expr = parse("Person join[2=2] Disease", db.schema)
-    options = PlannerOptions(partition_budget=budget)
-
-    def partitioned():
-        executor = Executor(db)
-        result = executor.execute(executor.plan(expr, options))
-        return result, executor.stats
-
-    benchmark.group = f"partition-fig1-join-{budget}"
-    result, stats = benchmark(partitioned)
-
     baseline = Executor(db)
     unpartitioned = baseline.execute(baseline.plan(expr))
-    oracle = evaluate(expr, db)
-    assert result == unpartitioned == oracle
-
-    run = [r for r in stats.partition_runs.values()][0]
-    assert run.within_budget()
-    assert run.peak_in_flight() <= budget
+    assert unpartitioned == evaluate(expr, db)
     # The unpartitioned engine's peak working set spikes well past the
     # budget on the same query — the figure partitioning bounds (3812
     # rows on this instance, vs budgets of 800/1200).
     assert baseline.stats.max_in_flight() > 2 * budget
-    assert stats.max_in_flight() <= budget
+
+    for __ in range(2):
+        result, executor = partitioned(db, expr, budget)
+        assert result == unpartitioned
+        run = partition_run(executor)
+        assert run.within_budget()
+        assert run.peak_in_flight() <= budget
+        assert executor.stats.max_in_flight() <= budget
 
 
-def test_fig1_division_bounded(benchmark):
+def test_fig1_division_bounded():
     """Person ÷ Symptoms at shoot-out scale, dividend batched."""
     db = medical_database()
     expr = classic_division_expr(Rel("Person", 2), Rel("Symptoms", 1))
     budget = 120
-    options = PlannerOptions(partition_budget=budget)
-
-    def partitioned():
-        executor = Executor(db)
-        result = executor.execute(executor.plan(expr, options))
-        return result, executor.stats
-
-    benchmark.group = "partition-fig1-division"
-    result, stats = benchmark(partitioned)
-
-    quotient = {a for (a,) in result}
-    assert quotient == divide_reference(
-        db["Person"], [s for (s,) in db["Symptoms"]]
-    )
-    assert quotient  # the hot symptoms make a non-trivial quotient
-
-    run = [r for r in stats.partition_runs.values()][0]
-    assert run.peak_in_flight() <= budget
-    assert run.within_budget()
-
+    expected = divide_reference(db["Person"], [s for (s,) in db["Symptoms"]])
+    assert expected  # the hot symptoms make a non-trivial quotient
     baseline = Executor(db)
-    assert baseline.execute(baseline.plan(expr)) == result
+    assert {a for (a,) in baseline.execute(baseline.plan(expr))} == expected
     assert baseline.stats.max_in_flight() > 5 * budget
+
+    for __ in range(2):
+        result, executor = partitioned(db, expr, budget)
+        assert {a for (a,) in result} == expected
+        run = partition_run(executor)
+        assert run.peak_in_flight() <= budget
+        assert run.within_budget()
 
 
 @pytest.mark.parametrize("n", [128, 256])
-def test_prop26_witness_bounded(benchmark, n):
+def test_prop26_witness_bounded(n):
     """The division witness family: budget-bounded at growing n.
 
     The budget must cover the replicated divisor (|S| = n/2) plus one
@@ -144,27 +135,20 @@ def test_prop26_witness_bounded(benchmark, n):
     db = crossproduct_division_family(n)
     expr = classic_division_expr()
     budget = n // 2 + 40
-    options = PlannerOptions(partition_budget=budget)
-
-    def partitioned():
-        executor = Executor(db)
-        result = executor.execute(executor.plan(expr, options))
-        return result, executor.stats
-
-    benchmark.group = f"partition-prop26-n{n}"
-    result, stats = benchmark(partitioned)
-
-    assert {a for (a,) in result} == divide_reference(db["R"], db["S"])
-    run = [r for r in stats.partition_runs.values()][0]
-    assert run.peak_in_flight() <= budget
-    assert run.within_budget()
-    assert run.planned >= 2 and run.actual() >= 2  # estimated vs actual
-
     baseline = Executor(db)
-    assert baseline.execute(baseline.plan(expr)) == result
+    one_shot = baseline.execute(baseline.plan(expr))
+    assert {a for (a,) in one_shot} == divide_reference(db["R"], db["S"])
     # n-ish one-shot working set (|R| + |S|) vs the n/2 + 40 budget.
     assert baseline.stats.max_in_flight() >= n - 2
     assert baseline.stats.max_in_flight() > budget
+
+    for __ in range(2):
+        result, executor = partitioned(db, expr, budget)
+        assert result == one_shot
+        run = partition_run(executor)
+        assert run.peak_in_flight() <= budget
+        assert run.within_budget()
+        assert run.planned >= 2 and run.actual() >= 2  # estimated vs actual
 
 
 def test_prop26_partitioned_vs_quadratic_plan_intermediates():
@@ -185,11 +169,7 @@ def test_prop26_partitioned_vs_quadratic_plan_intermediates():
 
     one_shot = Executor(db)
     one_shot_result = one_shot.execute(one_shot.plan(expr))
-
-    batched = Executor(db)
-    batched_result = batched.execute(
-        batched.plan(expr, PlannerOptions(partition_budget=budget))
-    )
+    batched_result, batched = partitioned(db, expr, budget)
 
     assert one_shot_result == batched_result
     assert {a for (a,) in batched_result} == divide_reference(

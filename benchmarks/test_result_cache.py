@@ -3,11 +3,8 @@
 The Session front door's headline claim: a repeated identical query
 against unchanged contents is served from the cross-query result cache
 with **zero** physical operator executions, and the hit is at least an
-order of magnitude faster than the cold run.  The deterministic shape
-claims (zero operators, hit counters, result equality, the ≥10×
-speedup measured with ``perf_counter`` over a batch of hits) are
-asserted on every run — including CI's ``--benchmark-disable`` smoke
-pass — while the timing columns show the cold/warm comparison.
+order of magnitude faster than the cold run (measured with
+``perf_counter`` over a batch of hits).
 """
 
 import time
@@ -33,21 +30,12 @@ def workload() -> Database:
     )
 
 
-def test_cold_run(benchmark, workload):
-    def cold():
-        session = Session(workload)  # fresh session: nothing cached
-        return session.run(QUERY)
-
-    result = benchmark(cold)
-    assert result
-
-
-def test_cached_run(benchmark, workload):
+def test_cached_run(workload):
     session = Session(workload)
     expected = session.run(QUERY)  # warm the cache once
-    result = benchmark(session.run, QUERY)
-    assert result == expected
-    assert session.last_report.cached
+    for __ in range(2):
+        assert session.run(QUERY) == expected
+        assert session.last_report.cached
 
 
 def test_cache_hit_executes_zero_operators(workload):

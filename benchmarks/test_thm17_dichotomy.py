@@ -1,75 +1,74 @@
-"""THM17 — the dichotomy measured: linear vs quadratic evaluation cost.
+"""THM17 — dichotomy: every RA expression is linear or quadratic.
 
-Times the evaluation of one certified-linear and one certified-quadratic
-expression along the same database family; the quadratic one's
-intermediate results dominate its runtime.
+Paper claim: fitted growth exponents cluster at ≤1 and ≥2 — nothing in
+between (no n·log n expressions exist).
+
+The classifier's verdict and the measured growth exponent agree on a
+portfolio of both classes, and the evaluation of one certified-linear
+and one certified-quadratic expression along the same database family
+shows the quadratic one's intermediates.
 """
 
 import pytest
 
+from benchmarks.conftest import linear_family
 from repro.algebra.evaluator import evaluate
 from repro.algebra.parser import parse
 from repro.algebra.trace import trace
 from repro.core.classify import Verdict, classify
-from repro.data.database import database
+from repro.core.growth import blowup_family, measure_growth
 from repro.data.schema import Schema
 from repro.data.universe import RATIONALS
 
 SCHEMA = Schema({"R": 2, "S": 1})
 
-
-def family(n: int):
-    rows = [(i, 10**6 + i % max(1, n // 2)) for i in range(n)]
-    divisor = [(10**6 + i,) for i in range(max(1, n // 2))]
-    return database({"R": 2, "S": 1}, R=rows, S=divisor)
-
-
 LINEAR = "R join[2=1] S"
 QUADRATIC = "project[1](R) cartesian S"
+
+PORTFOLIO = [
+    ("R semijoin[2=1] S", Verdict.LINEAR),
+    ("project[1](R) union project[2](R)", Verdict.LINEAR),
+    (LINEAR, Verdict.LINEAR),
+    ("project[1](R semijoin[2=1] (S minus project[2](R)))", Verdict.LINEAR),
+    ("R cartesian S", Verdict.QUADRATIC),
+    ("R join[1=1] R", Verdict.QUADRATIC),
+    ("S join[1<1] S", Verdict.QUADRATIC),
+    (
+        "project[1](R) minus project[1]((project[1](R) cartesian S) minus R)",
+        Verdict.QUADRATIC,
+    ),
+]
+
+
+def test_classifier_and_measured_growth_agree_with_a_gap_between():
+    linear, quadratic = [], []
+    for text, expected in PORTFOLIO:
+        expr = parse(text, SCHEMA)
+        classification = classify(expr, SCHEMA, RATIONALS)
+        assert classification.verdict is expected, text
+        if expected is Verdict.QUADRATIC:
+            grow = blowup_family(classification.evidence.witness)
+        else:
+            grow = linear_family
+        exponent = measure_growth(expr, grow, (8, 16, 32, 64)).max_exponent()
+        (quadratic if exponent >= 1.5 else linear).append(exponent)
+        assert (exponent >= 1.5) == (expected is Verdict.QUADRATIC), text
+    assert max(linear) < 1.3 and min(quadratic) > 1.7
 
 
 @pytest.mark.parametrize("n", [64, 256])
 @pytest.mark.parametrize("text", [LINEAR, QUADRATIC])
-def test_evaluation_cost_by_class(benchmark, text, n):
-    expr = parse(text, SCHEMA)
-    db = family(n)
-    kind = "linear" if text == LINEAR else "quadratic"
-    benchmark.group = f"thm17-{kind}-n{n}"
+def test_evaluation_cost_by_class(text, n):
     # evaluate() runs the expression *as written* (Definition 16):
     # the claim is about that cost, not an engine-rewritten plan's.
-    rows = benchmark(evaluate, expr, db)
+    db = linear_family(n)
+    rows = evaluate(parse(text, SCHEMA), db)
     if text == QUADRATIC:
         assert len(rows) >= (n // 2) ** 2 // 2
     else:
         assert len(rows) <= db.size()
 
 
-def test_classifier_cost_benchmark(benchmark):
-    suite = [
-        parse("R semijoin[2=1] S", SCHEMA),
-        parse("R join[2=1] S", SCHEMA),
-        parse("R cartesian S", SCHEMA),
-        parse(
-            "project[1](R) minus project[1]((project[1](R) cartesian S)"
-            " minus R)",
-            SCHEMA,
-        ),
-    ]
-
-    def classify_all():
-        return [classify(expr, SCHEMA, RATIONALS).verdict for expr in suite]
-
-    verdicts = benchmark(classify_all)
-    assert verdicts == [
-        Verdict.LINEAR,
-        Verdict.LINEAR,
-        Verdict.QUADRATIC,
-        Verdict.QUADRATIC,
-    ]
-
-
-def test_trace_instrumentation_overhead(benchmark):
-    expr = parse(QUADRATIC, SCHEMA)
-    db = family(64)
-    t = benchmark(trace, expr, db)
+def test_trace_shows_the_quadratic_intermediate():
+    t = trace(parse(QUADRATIC, SCHEMA), linear_family(64))
     assert t.max_intermediate() >= 32 * 32

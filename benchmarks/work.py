@@ -1,15 +1,20 @@
 """Deterministic work metrics for the set-join algorithm comparisons.
 
-Wall-clock comparisons are noisy, so the harness's "who wins" claims
-count *work*: how many candidate pairs each strategy must verify, how
-many postings it scans — quantities fully determined by the input.
-The pytest-benchmark files measure actual time on top of these.
+Wall-clock comparisons are noisy, so the claims modules' "who wins"
+asserts count *work*: how many candidate pairs each strategy must
+verify, how many postings it scans — quantities fully determined by
+the input.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+from repro.algebra.trace import trace
+from repro.data.database import Database
+from repro.data.schema import Schema
+from repro.setjoins.division import classic_division_expr
 from repro.setjoins.setrel import SetRelation
 from repro.setjoins.signatures import DEFAULT_BITS, make_signature, maybe_superset
 
@@ -22,14 +27,6 @@ class ContainmentWork:
     signature_survivors: int
     partition_pairs: int
     inverted_postings: int
-
-    def rows(self) -> list[list[object]]:
-        return [
-            ["nested_loop", self.nested_loop_pairs],
-            ["signature", self.signature_survivors],
-            ["partition", self.partition_pairs],
-            ["inverted", self.inverted_postings],
-        ]
 
 
 def containment_work(
@@ -92,19 +89,11 @@ class DivisionWork:
     nested_loop_probes: int       # |π_A(R)| · |S|
     sort_merge_comparisons: int   # ~ |R| log |R| (sorting dominated)
     hash_operations: int          # |R| + |S|
-    counting_operations: int      # |R| + |S|
     ra_plan_max_intermediate: int  # the quadratic cross product
 
 
 def division_work(rows, divisor) -> DivisionWork:
     """Work metrics for the division strategies (deterministic)."""
-    import math
-
-    from repro.algebra.trace import trace
-    from repro.data.database import Database
-    from repro.data.schema import Schema
-    from repro.setjoins.division import classic_division_expr
-
     pairs = frozenset(rows)
     divisor = frozenset(divisor)
     candidates = {a for a, __ in pairs}
@@ -118,6 +107,5 @@ def division_work(rows, divisor) -> DivisionWork:
         nested_loop_probes=len(candidates) * len(divisor),
         sort_merge_comparisons=int(size * max(1, math.log2(max(size, 2)))),
         hash_operations=size + len(divisor),
-        counting_operations=size + len(divisor),
         ra_plan_max_intermediate=ra_trace.max_intermediate(),
     )

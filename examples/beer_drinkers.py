@@ -11,7 +11,6 @@ Run with::
 """
 
 from repro.algebra import evaluate, is_sa_eq, parse, to_text
-from repro.bench.figures import BEER_SCHEMA, fig6_databases
 from repro.bisim import are_bisimilar
 from repro.core import analyze
 from repro.data import database
@@ -25,6 +24,7 @@ from repro.logic import (
     gf_to_sa,
     sa_to_gf,
 )
+from repro.workloads.figures import BEER_SCHEMA, fig6_databases
 
 # ----------------------------------------------------------------------
 # Example 3: lousy bars in SA=.

@@ -11,13 +11,13 @@ Run with::
 """
 
 from repro.algebra import evaluate, to_text
-from repro.bench.figures import fig5_databases
 from repro.bisim import (
     GuardedBisimulationGame,
     find_distinguishing_expression,
     spoiler_strategy,
 )
 from repro.data import database
+from repro.workloads.figures import fig5_databases
 
 # ----------------------------------------------------------------------
 # A losing position: paths of different lengths.

@@ -10,9 +10,13 @@ Run with::
 """
 
 from repro.algebra import evaluate, to_text
-from repro.bench.figures import fig4_database, fig4_expression, fig4_witness
-from repro.bench.harness import format_table
 from repro.core import blow_up
+from repro.workloads.figures import (
+    fig4_database,
+    fig4_expression,
+    fig4_witness,
+    format_table,
+)
 
 witness = fig4_witness()
 expr = fig4_expression()

@@ -18,11 +18,11 @@ e.g.::
 import sys
 
 from repro.algebra import parse, to_text
-from repro.bench.harness import format_table
 from repro.core import Verdict, classify, compile_to_sa, measure_growth
 from repro.core.growth import blowup_family
 from repro.data import Schema, database
 from repro.data.universe import RATIONALS
+from repro.workloads.figures import format_table
 
 SCHEMA = Schema({"R": 2, "S": 1})
 

@@ -19,7 +19,6 @@ Run with::
 import time
 
 from repro.algebra import evaluate, trace
-from repro.bench.harness import format_table
 from repro.extended import (
     containment_division_plan,
     evaluate_extended,
@@ -34,6 +33,7 @@ from repro.setjoins import (
     divide_reference,
     divide_sort_merge,
 )
+from repro.workloads.figures import format_table
 from repro.workloads.generators import crossproduct_division_family
 
 

@@ -10,16 +10,16 @@ Run with::
 
 import time
 
-from repro.bench.figures import (
-    FIG1_CONTAINMENT_JOIN,
-    FIG1_DIVISION,
-    fig1_database,
-)
-from repro.bench.harness import format_table
 from repro.setjoins import (
     CONTAINMENT_ALGORITHMS,
     DIVISION_ALGORITHMS,
     SetRelation,
+)
+from repro.workloads.figures import (
+    FIG1_CONTAINMENT_JOIN,
+    FIG1_DIVISION,
+    fig1_database,
+    format_table,
 )
 from repro.workloads.generators import zipf_set_relation
 

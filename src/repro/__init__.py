@@ -16,8 +16,11 @@ tested code:
   paper's introduction surveys;
 * :mod:`repro.extended` — RA + grouping/aggregation and the linear division
   plan of Section 5;
-* :mod:`repro.workloads`, :mod:`repro.bench` — generators and the experiment
-  harness regenerating every figure and theorem-level claim.
+* :mod:`repro.workloads` — seeded generators and the paper's figures as
+  data.
+
+The paper's figure- and theorem-level claims are checked by the
+``benchmarks/`` suite beside the package, one module per claim.
 """
 
 __version__ = "1.0.0"

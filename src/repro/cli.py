@@ -14,7 +14,6 @@ Subcommands::
     repro optimize 'project[1](R join[2=1] S)' --schema 'R:2,S:1'
     repro divide   -d db.json --dividend R --divisor S [--algorithm hash]
     repro bisim    -a left.json -b right.json --left-tuple 1 --right-tuple 1
-    repro bench    [EXPERIMENT_ID ...]
     repro serve    --scenario mixed_read_heavy --stats     # workload lab
     repro serve    --spec workload.json --budget 5000 --emit out.json
 
@@ -317,12 +316,6 @@ def _cmd_bisim(args) -> int:
     return 0 if verdict.bisimilar else 1
 
 
-def _cmd_bench(args) -> int:
-    from repro.bench.__main__ import main as bench_main
-
-    return bench_main(args.ids)
-
-
 def _cmd_serve(args) -> int:
     from repro.serve.lab import load_spec, run_scenario
     from repro.workloads.serving import SERVING_SCENARIOS, scenario
@@ -530,10 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bisim.add_argument("--right-tuple", nargs="+", required=True)
     p_bisim.add_argument("--constants", nargs="*")
     p_bisim.set_defaults(fn=_cmd_bisim)
-
-    p_bench = sub.add_parser("bench", help="run paper experiments")
-    p_bench.add_argument("ids", nargs="*")
-    p_bench.set_defaults(fn=_cmd_bench)
 
     p_serve = sub.add_parser(
         "serve",

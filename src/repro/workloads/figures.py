@@ -1,7 +1,8 @@
 """The paper's six figures as constructible data.
 
 Single source of truth for the figure instances, shared by the
-experiments, the test suite and the examples.
+paper-claims suite under ``benchmarks/``, the test suite and the
+examples, plus :func:`format_table`, which the examples print with.
 """
 
 from __future__ import annotations
@@ -214,3 +215,22 @@ def fig6_bisimulation() -> list[PartialIso]:
                 if iso is not None:
                     pool.append(iso)
     return pool
+
+
+def format_table(headers: list[str], rows: list[list[object]]) -> str:
+    """A minimal aligned ASCII table."""
+    cells = [[str(h) for h in headers]] + [
+        [str(value) for value in row] for row in rows
+    ]
+    widths = [
+        max(len(row[col]) for row in cells)
+        for col in range(len(headers))
+    ]
+    lines = []
+    for index, row in enumerate(cells):
+        lines.append(
+            "  ".join(value.ljust(width) for value, width in zip(row, widths))
+        )
+        if index == 0:
+            lines.append("  ".join("-" * width for width in widths))
+    return "\n".join(lines)

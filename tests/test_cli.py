@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.bench.figures import fig5_databases
 from repro.cli import main
 from repro.data.database import database
 from repro.io.json_io import save_database
+from repro.workloads.figures import fig5_databases
 
 
 @pytest.fixture
@@ -366,9 +366,3 @@ class TestGf:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "y\tx"
         assert "7\t1" in lines
-
-
-class TestBench:
-    def test_bench_subcommand(self, capsys):
-        assert main(["bench", "FIG2"]) == 0
-        assert "FIG2" in capsys.readouterr().out

@@ -4,17 +4,17 @@ import pytest
 
 from repro.algebra.ast import is_sa_eq
 from repro.algebra.evaluator import evaluate
-from repro.bench.figures import (
-    fig3_databases,
-    fig5_databases,
-    fig6_databases,
-)
 from repro.bisim.distinguish import (
     find_distinguishing_expression,
     probe_expressions,
 )
 from repro.data.database import database
 from repro.data.schema import Schema
+from repro.workloads.figures import (
+    fig3_databases,
+    fig5_databases,
+    fig6_databases,
+)
 
 
 class TestProbeExpressions:

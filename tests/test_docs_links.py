@@ -68,4 +68,19 @@ def test_a_stale_cli_flag_is_caught():
         "unlike `--no-engine`; `repro optimize --no-costs`"
     )
     assert checker.stale_flags(line, options) == ["optimize --no-costs"]
-    assert checker.stale_flags("python -m repro.bench --list", options) == []
+    assert checker.stale_flags("python -m repro.cli --list", options) == []
+
+
+def test_an_invocation_of_a_missing_subcommand_is_caught():
+    checker = load_checker()
+    options = checker.cli_options()
+    missing = ["frobnicate: no such subcommand"]
+    assert checker.stale_flags(
+        "PYTHONPATH=src python -m repro frobnicate FIG5", options
+    ) == missing
+    assert checker.stale_flags("  repro frobnicate --all", options) == missing
+    # Prose that merely names the package is not an invocation.
+    assert checker.stale_flags("from repro import Session", options) == []
+    assert checker.stale_flags("`from repro import Session`", options) == []
+    serve = "python -m repro serve --list-scenarios"
+    assert checker.stale_flags(serve, options) == []

@@ -2,11 +2,6 @@
 
 import pytest
 
-from repro.bench.figures import (
-    fig3_databases,
-    fig5_databases,
-    fig6_databases,
-)
 from repro.bisim.bisimulation import bisimilar
 from repro.bisim.game import (
     GuardedBisimulationGame,
@@ -15,6 +10,11 @@ from repro.bisim.game import (
 )
 from repro.data.database import database
 from repro.errors import AnalysisError
+from repro.workloads.figures import (
+    fig3_databases,
+    fig5_databases,
+    fig6_databases,
+)
 
 
 def chain(length: int, start: int = 1):

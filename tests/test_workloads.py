@@ -6,6 +6,7 @@ from repro.bisim.bisimulation import bisimilar
 from repro.data.schema import Schema
 from repro.errors import SchemaError
 from repro.setjoins.division import divide_reference
+from repro.workloads.figures import format_table
 from repro.workloads.generators import (
     containment_biased_pair,
     crossproduct_division_family,
@@ -145,3 +146,11 @@ class TestFig5ScaledPair:
     def test_minimum_width(self):
         with pytest.raises(SchemaError):
             fig5_scaled_pair(2)
+
+
+def test_format_table_alignment():
+    table = format_table(["col", "n"], [["a", 1], ["long", 22]])
+    lines = table.splitlines()
+    assert len(lines) == 4
+    assert lines[0].startswith("col")
+    assert set(lines[1]) <= {"-", " "}

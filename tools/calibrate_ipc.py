@@ -153,7 +153,7 @@ def main() -> None:
     }
     fitted["note"] = (
         "constants_in_use predate the current unit and are deliberately "
-        "not refitted here: ROADMAP item 5 owns the PARALLEL_* constants"
+        "not refitted here: ROADMAP item 2 owns the PARALLEL_* constants"
     )
     print(json.dumps(fitted, indent=2, sort_keys=True))
 

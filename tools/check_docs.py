@@ -12,7 +12,9 @@ Three checks, runnable together (the CI docs step) or separately:
   <subcommand>`` (or ``python -m repro <subcommand>``) on one line of
   ``README.md``, ``docs/*.md`` or the verify skill must be an option
   that :func:`repro.cli.build_parser` accepts for that subcommand.  A
-  flag counts up to the end of its line or inline code span.
+  flag counts up to the end of its line or inline code span.  The
+  subcommand itself must exist wherever the line certainly runs the
+  CLI: after ``python -m repro`` or a line-leading ``repro``.
 * ``run_examples()`` — every ``examples/*.py`` script (the de-facto
   tutorials) must exit 0 when run with ``PYTHONPATH=src``.
 
@@ -81,8 +83,13 @@ def check_links() -> list[str]:
 
 
 #: ``repro <subcommand>``, also as ``python -m repro <subcommand>``;
-#: ``repro.bench`` and ``src/repro/...`` paths do not match.
+#: dotted ``repro.cli`` and ``src/repro/...`` paths do not match.
 _INVOCATION = re.compile(r"(?<![\w./-])repro\s+([a-z]+)\b")
+#: The invocations that run the CLI for certain, unlike the prose
+#: ``from repro import ...``: their word must be a subcommand.
+_COMMAND = re.compile(
+    r"python3?\s+-m\s+repro\s+([a-z]+)\b|^\s*repro\s+([a-z]+)\b"
+)
 _FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 
 
@@ -112,12 +119,20 @@ def cli_options() -> dict[str, set[str]]:
 
 def stale_flags(line: str, options: dict[str, set[str]]) -> list[str]:
     """``subcommand --flag`` for every flag on ``line`` its subcommand
-    lacks; a flag belongs to the nearest invocation before it."""
+    lacks (a flag belongs to the nearest invocation before it), and
+    ``word: no such subcommand`` for every command that runs a word
+    the CLI lacks."""
+    unknown = [
+        f"{word}: no such subcommand"
+        for match in _COMMAND.finditer(line)
+        for word in filter(None, match.groups())
+        if word not in options
+    ]
     invocations = [
         m for m in _INVOCATION.finditer(line) if m.group(1) in options
     ]
     ends = [m.start() for m in invocations[1:]] + [len(line)]
-    return [
+    return unknown + [
         f"{match.group(1)} {flag}"
         for match, end in zip(invocations, ends)
         for flag in _FLAG.findall(line[match.end():end].partition("`")[0])
@@ -179,7 +194,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"links: {len(markdown_files())} markdown file(s), "
               f"{len(broken)} broken link(s)")
         stale = check_cli_flags()
-        problems += [f"stale CLI flag — {s}" for s in stale]
+        problems += [f"stale CLI usage — {s}" for s in stale]
         print(f"cli flags: {len(cli_doc_files())} file(s), "
               f"{len(stale)} stale flag(s)")
     if do_examples:
