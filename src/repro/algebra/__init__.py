@@ -37,7 +37,7 @@ from repro.algebra.evaluator import (
     semijoin_relations,
 )
 from repro.algebra.optimize import (
-    introduce_semijoins,
+    filter_joins,
     optimize,
     prune_projections,
     push_selections,
@@ -88,7 +88,7 @@ __all__ = [
     "evaluate",
     "join_relations",
     "semijoin_relations",
-    "introduce_semijoins",
+    "filter_joins",
     "optimize",
     "prune_projections",
     "push_selections",

@@ -1,19 +1,19 @@
-"""Plan optimization: semijoin introduction and operator pushdown.
+"""Plan optimization: filter joins become semijoins; σ moves down.
 
 The paper's Corollary 19 says the queries computable with linear
 intermediate results are exactly the SA= queries — so a practical
 optimizer should *recognize* joins that the query only uses as filters
-and rewrite them into semijoins.  :func:`introduce_semijoins` does
-exactly that:
-
-    π_p̄(E1 ⋈_θ E2)   →   π_p̄(E1 ⋉_θ E2)      when p̄ only uses E1's
-                                                 columns (and mirrored
-                                                 when only E2's)
-
-turning, e.g., the quadratic plan ``π[1,2](R ⋈[1=1] R)`` into the
-linear ``π[1,2](R ⋉[1=1] R)``.  The rewrite is semantics-preserving for
-**every** θ (set semantics collapses the duplicate left rows the join
-would produce).
+and rewrite them into semijoins, wherever they sit.
+:func:`filter_joins` walks top-down with the output positions some
+ancestor reads (π its positions; σ adds ``i`` and ``j``; a semijoin's
+left side what its parent reads plus θ's left columns, its right side
+θ's right columns; ∪ and − every column; τ its child's).  A join whose
+one side supplies none of them becomes ``E1 ⋉_θ E2`` (``E2 ⋉_θ' E1``,
+mirrored, when E1 is unread), and ``(L ⋈ R) ⋉_φ X → L ⋈ (R ⋉_φ' X)``
+when φ reads only R (likewise L) reaches left-deep chains — turning,
+e.g., the quadratic ``π[1,2](R ⋈[1=1] R)`` into the linear
+``π[1,2](R ⋉[1=1] R)``.  Each step is exact for **every** θ under set
+semantics and adds no rows (``|E1 ⋉_θ E2| ≤ |E1 ⋈_θ E2|``).
 
 Also provided: selection pushdown through join/semijoin/union/difference
 and projection-pruning, composing into :func:`optimize`.  All rewrites
@@ -29,7 +29,6 @@ from repro.algebra.ast import (
     Expr,
     Join,
     Projection,
-    Rel,
     Selection,
     Semijoin,
     Union,
@@ -38,33 +37,112 @@ from repro.algebra.conditions import Atom, Condition
 from repro.algebra.rewrites import map_expression, simplify
 
 
-def introduce_semijoins(expr: Expr) -> Expr:
-    """Rewrite projected joins into semijoins wherever sound.
+def filter_joins(
+    expr: Expr, keep_cycles: bool = False, notes: dict | None = None
+) -> Expr:
+    """Make every join read through one side only a semijoin.
 
-    Bottom-up; fires when a projection over a join only references one
-    operand's columns.  The mirrored (right-only) case swaps the
-    operands and mirrors θ.
+    Walks until one changes nothing; an unchanged expression comes back
+    as the same object.  ``keep_cycles`` keeps a join whose equality
+    atoms read two leaves of the join chain on one side: that filter
+    closes a cycle, the multiway join's case.  ``notes``, if given,
+    maps each semijoin made from a join to whether it was mirrored.
     """
-    expr = map_expression(expr, introduce_semijoins)
-    if not isinstance(expr, Projection):
-        return expr
-    child = expr.child
-    if not isinstance(child, Join):
-        return expr
-    left_arity = child.left.arity
-    if all(position <= left_arity for position in expr.positions):
-        return Projection(
-            Semijoin(child.left, child.right, child.cond), expr.positions
-        )
-    if all(position > left_arity for position in expr.positions):
-        remapped = tuple(
-            position - left_arity for position in expr.positions
-        )
-        return Projection(
-            Semijoin(child.right, child.left, child.cond.mirrored()),
-            remapped,
-        )
-    return expr
+    done = _walk(expr, set(range(1, expr.arity + 1)), keep_cycles, notes)[0]
+    return expr if done is expr else filter_joins(done, keep_cycles, notes)
+
+
+def _walk(expr: Expr, need: set, cycles: bool, notes):
+    """``expr`` for readers of ``need``; each old position's new one."""
+    kind, same = type(expr), tuple(range(1, expr.arity + 1))
+    if kind is Projection:
+        child, at = _walk(expr.child, set(expr.positions), cycles, notes)
+        if child is not expr.child:
+            expr = Projection(child, tuple(at[p - 1] for p in expr.positions))
+        return expr, same
+    if kind is Selection:
+        child, at = _walk(expr.child, need | {expr.i, expr.j}, cycles, notes)
+        if child is not expr.child:
+            expr = Selection(child, expr.op, at[expr.i - 1], at[expr.j - 1])
+        return expr, at
+    if kind is ConstantTag:  # the tag column follows a shrinking child
+        child, at = _walk(expr.child, need - {expr.arity}, cycles, notes)
+        if child is not expr.child:
+            expr = ConstantTag(child, expr.value)
+        return expr, at + (expr.arity,)
+    if kind is Union or kind is Difference:
+        left = _walk(expr.left, set(same), cycles, notes)[0]
+        right = _walk(expr.right, set(same), cycles, notes)[0]
+        if left is not expr.left or right is not expr.right:
+            expr = kind(left, right)
+        return expr, same
+    if kind is not Join and kind is not Semijoin:
+        return expr, same
+    cond, inner, right = expr.cond, expr.left, expr.right
+    lefts, rights = {a.i for a in cond}, {a.j for a in cond}
+    width = inner.arity
+    mirrored = notes.get(expr) if notes and kind is Semijoin else None
+    if kind is Join:
+        read = {p - width for p in need if p > width}
+        need = {p for p in need if p <= width}
+        if (not read or not need) and not (
+            cycles and cond.is_equi()
+            and (_closes_cycle(inner, lefts) or _closes_cycle(right, rights))
+        ):  # one side is a filter; mirror when it is the left one
+            if read:
+                node = Semijoin(right, inner, cond.mirrored())
+            else:
+                node = Semijoin(inner, right, cond)
+            if notes is not None:
+                notes[node] = bool(read)
+            node, at = _walk(node, read or need, cycles, notes)
+            if read:
+                return node, (0,) * width + at
+            return node, at + (0,) * right.arity
+        rights |= read
+    elif type(inner) is Join and cond:  # (L ⋈ R) ⋉ X: filter L or R
+        cut, side = inner.left.arity, None
+        if max(lefts) <= cut:
+            side = Semijoin(inner.left, right, cond)
+            joined = Join(side, inner.right, inner.cond)
+        elif min(lefts) > cut:
+            shift = Condition(tuple(Atom(a.i - cut, a.op, a.j) for a in cond))
+            side = Semijoin(inner.right, right, shift)
+            joined = Join(inner.left, side, inner.cond)
+        if side is not None:
+            if mirrored is not None:
+                notes[side] = mirrored
+            return _walk(joined, need, cycles, notes)
+    left, left_at = _walk(inner, need | lefts, cycles, notes)
+    right, right_at = _walk(expr.right, rights, cycles, notes)
+    if left is inner and right is expr.right:
+        return expr, same
+    cond = Condition(
+        tuple(Atom(left_at[a.i - 1], a.op, right_at[a.j - 1]) for a in cond)
+    )
+    if kind is Semijoin:
+        expr = Semijoin(left, right, cond)
+        if mirrored is not None:
+            notes[expr] = mirrored
+        return expr, left_at
+    return Join(left, right, cond), left_at + tuple(
+        p and p + left.arity for p in right_at
+    )
+
+
+def _closes_cycle(chain: Expr, columns) -> bool:
+    """Whether ``columns`` of a join chain lie in two of its leaves."""
+    starts = set()
+    for column in columns:
+        node, start = chain, 0
+        while type(node) is Join:
+            if column - start > node.left.arity:
+                start += node.left.arity
+                node = node.right
+            else:
+                node = node.left
+        starts.add(start)
+    return len(starts) > 1
 
 
 def push_selections(expr: Expr) -> Expr:
@@ -79,57 +157,28 @@ def push_selections(expr: Expr) -> Expr:
     if not isinstance(expr, Selection):
         return expr
     child = expr.child
-    if isinstance(child, Union):
-        return Union(
-            push_selections(Selection(child.left, expr.op, expr.i, expr.j)),
-            push_selections(Selection(child.right, expr.op, expr.i, expr.j)),
-        )
-    if isinstance(child, Difference):
-        # σ(A − B) = σ(A) − B (filtering the subtrahend is optional).
-        return Difference(
-            push_selections(Selection(child.left, expr.op, expr.i, expr.j)),
-            child.right,
-        )
+    if isinstance(child, (Union, Difference)):
+        left = push_selections(Selection(child.left, expr.op, expr.i, expr.j))
+        if isinstance(child, Difference):
+            # σ(A − B) = σ(A) − B (filtering the subtrahend is optional).
+            return Difference(left, child.right)
+        right = Selection(child.right, expr.op, expr.i, expr.j)
+        return Union(left, push_selections(right))
     if isinstance(child, (Join, Semijoin)):
-        left_arity = child.left.arity
-        node = type(child)
-        if expr.i <= left_arity and expr.j <= left_arity:
-            return node(
-                push_selections(
-                    Selection(child.left, expr.op, expr.i, expr.j)
-                ),
-                child.right,
-                child.cond,
-            )
-        if (
-            isinstance(child, Join)
-            and expr.i > left_arity
-            and expr.j > left_arity
-        ):
-            return Join(
-                child.left,
-                push_selections(
-                    Selection(
-                        child.right,
-                        expr.op,
-                        expr.i - left_arity,
-                        expr.j - left_arity,
-                    )
-                ),
-                child.cond,
-            )
-        if isinstance(child, Join):
-            # One column on each side: absorb into θ.
-            if expr.i <= left_arity:
-                atom = Atom(expr.i, expr.op, expr.j - left_arity)
+        op, i, j, width = expr.op, expr.i, expr.j, child.left.arity
+        if i <= width and j <= width:
+            left = push_selections(Selection(child.left, op, i, j))
+            return type(child)(left, child.right, child.cond)
+        if isinstance(child, Join) and i > width and j > width:
+            right = Selection(child.right, op, i - width, j - width)
+            return Join(child.left, push_selections(right), child.cond)
+        if isinstance(child, Join):  # one column on each side: a θ-atom
+            if i <= width:
+                atom = Atom(i, op, j - width)
             else:
-                mirrored_op = {"=": "=", "<": ">"}[expr.op]
-                atom = Atom(expr.j, mirrored_op, expr.i - left_arity)
-            return Join(
-                child.left,
-                child.right,
-                Condition(child.cond.atoms + (atom,)),
-            )
+                atom = Atom(j, {"=": "=", "<": ">"}[op], i - width)
+            cond = Condition(child.cond.atoms + (atom,))
+            return Join(child.left, child.right, cond)
     return expr
 
 
@@ -139,11 +188,12 @@ def prune_projections(expr: Expr) -> Expr:
 
 
 def optimize(expr: Expr) -> Expr:
-    """The composed pipeline: push σ, introduce ⋉, prune π.
+    """The composed pipeline, to a fixpoint: push σ, make filter joins
+    semijoins, prune π.
 
-    Idempotent on its own output (property-tested); never changes the
-    result relation on any database.
+    Pruning a projection can hand a join a narrower reader, so the
+    three repeat until a round changes nothing; the result is
+    idempotent by construction and never changes the result relation.
     """
-    expr = push_selections(expr)
-    expr = introduce_semijoins(expr)
-    return prune_projections(expr)
+    rewritten = prune_projections(filter_joins(push_selections(expr)))
+    return expr if rewritten == expr else optimize(rewritten)

@@ -492,7 +492,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_divide.set_defaults(fn=_cmd_divide)
 
     p_optimize = sub.add_parser(
-        "optimize", help="push selections, introduce semijoins"
+        "optimize",
+        help="push selections, turn every join read through one side "
+        "into a semijoin",
     )
     p_optimize.add_argument("expression")
     p_optimize.add_argument("-d", "--database")

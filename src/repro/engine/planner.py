@@ -23,11 +23,11 @@ Routing rules (documented in ``docs/engine.md``):
    cost does not exceed the RA plan's (it never does on the witness
    families — the regression tests pin that no re-quadratification
    sneaks in).
-2. **Projected joins become semijoins.**  ``π_p̄(E1 ⋈_θ E2)`` with p̄ on
-   one side routes through a semijoin operator — the Corollary 19
-   move: the join was only a filter, so the quadratic intermediate is
-   never materialized.  Costed mode prices both shapes and keeps the
-   semijoin on ties.
+2. **A join read only as a filter is a semijoin, wherever it sits.**
+   Before planning, :func:`repro.algebra.optimize.filter_joins` turns
+   every join whose one side supplies no column an ancestor reads into
+   a semijoin — the Corollary 19 move: the quadratic intermediate is
+   never materialized.  Such a semijoin's ``note`` says so.
 3. **Equality atoms select hash operators.**  Joins/semijoins with at
    least one ``=`` atom run as hash joins (index on the right, probe
    from the left); pure θ/cartesian joins fall back to nested loops
@@ -52,8 +52,9 @@ Routing rules (documented in ``docs/engine.md``):
    zero-stats plans always keep the binary chain).  A projection
    directly above the collapsed chain is absorbed into it: the generic
    join enumerates only the projected variables and decides the rest
-   at their first witness, under their own AGM bound — still priced
-   against rule 2's semijoin.
+   at their first witness, under their own AGM bound.  Where the
+   collapse can fire, rule 2 keeps a join whose equality atoms read two
+   leaves of the chain beneath it: that filter closes a cycle.
 5. **Selections are pushed toward the leaves** first (reusing
    :func:`repro.algebra.optimize.push_selections`), then fused into
    single :class:`~repro.engine.plan.FilterOp` nodes.
@@ -114,6 +115,13 @@ from repro.errors import SchemaError
 #: The empty condition, used to recognize cartesian products.
 _TRUE = Condition()
 
+#: The note of a semijoin a written join became, by whether mirrored.
+_FILTER_NOTES = {
+    False: "join used only as a filter (Cor. 19): semijoin avoids the "
+    "join's intermediate",
+    True: "join used only as a right-side filter (Cor. 19): mirrored semijoin",
+}
+
 
 @dataclass(frozen=True)
 class PlannerOptions:
@@ -123,8 +131,8 @@ class PlannerOptions:
     replaces can still be planned and measured.  ``use_costs`` gates
     every cost-based decision — operator choice, join ordering, the
     multiway collapse — and has no effect unless the planner also has
-    a statistics catalog.  The other rewrites (semijoin introduction,
-    selection pushdown) always apply.
+    a statistics catalog.  The other rewrites (filter joins become
+    semijoins, selection pushdown) always apply.
 
     ``use_multiway`` (default on) lets the planner collapse a pure
     equi-join chain over base relations into one worst-case-optimal
@@ -380,8 +388,8 @@ class Planner:
     call, so later queries reuse the sub-plans earlier ones chose.
     """
 
-    #: Occurrence budget for the global selection-pushdown rewrite,
-    #: which (unlike planning) walks occurrences, not distinct nodes.
+    #: Occurrence budget for the logical pre-passes (σ pushdown, filter
+    #: joins), which walk occurrences, not distinct nodes.
     PUSHDOWN_SIZE_LIMIT = 512
 
     #: Join chains with more leaves than this keep their written order
@@ -411,6 +419,8 @@ class Planner:
         #: node whose division match is suppressed (rewrites below it
         #: stay on, keeping the cost comparison symmetric).
         self._no_division_root: Expr | None = None
+        #: The semijoins this text's joins became → whether mirrored.
+        self._filters: dict[Expr, bool] = {}
 
     def _costed(self) -> bool:
         """Whether cost-based decisions are in force (stats present)."""
@@ -419,62 +429,57 @@ class Planner:
     def _cost(self, node: PlanNode) -> float:
         return self.cost_model.estimate(node).cost
 
-    def _apply_partition_budget(self, plan: PlanNode) -> PlanNode:
-        """Wrap oversized operators once the whole plan is chosen.
+    def _post_passes(self, plan: PlanNode) -> PlanNode:
+        """Partition, then shard, the plan once it is wholly chosen.
 
-        Partitioning is a *post-pass* (:func:`repro.engine.partition.
-        apply_partitioning`), deliberately not part of operator choice:
-        wrapping adds the scatter pass to an operator's cost, and
-        pricing candidates with that surcharge could flip a comparison
-        toward an unpartitionable — hence budget-unbounded —
-        alternative.  Sizing needs *sound* in-flight bounds, so without
-        statistics (or without a budget) plans are returned untouched.
+        Post-passes, deliberately not part of operator choice: wrapping
+        adds the scatter pass (:func:`repro.engine.partition.
+        apply_partitioning`) or the parallel repricing
+        (:func:`repro.engine.cost.parallel_cost_split`) to an
+        operator's cost, and pricing candidates with either could flip
+        a comparison toward an unpartitionable — hence budget-unbounded
+        — alternative.  Both need *sound* bounds, so without statistics,
+        a budget or ``max_workers > 1`` plans come back untouched and
+        serial planning stays byte-identical.
         """
+        if not self._costed():
+            return plan
         budget = self.options.partition_budget
-        if budget is None or not self._costed():
-            return plan
-        from repro.engine.partition import apply_partitioning
+        workers = self.options.max_workers
+        if budget is not None:
+            from repro.engine.partition import apply_partitioning
 
-        return apply_partitioning(plan, self.cost_model, budget)
+            plan = apply_partitioning(plan, self.cost_model, budget)
+        if workers > 1:
+            from repro.engine.parallel import apply_parallelism
 
-    def _apply_parallelism(self, plan: PlanNode) -> PlanNode:
-        """Shard certified-profitable operators once the plan is chosen.
-
-        Like partitioning, a post-pass so the parallel repricing never
-        flips an operator choice.  The dispatch gate
-        (:func:`repro.engine.cost.parallel_cost_split`) needs sound
-        bounds, so without statistics — or with the default
-        ``max_workers=1`` — plans are returned untouched and serial
-        planning stays byte-identical.
-        """
-        if self.options.max_workers <= 1 or not self._costed():
-            return plan
-        from repro.engine.parallel import apply_parallelism
-
-        return apply_parallelism(
-            plan, self.cost_model, self.options.max_workers
-        )
+            plan = apply_parallelism(plan, self.cost_model, workers)
+        return plan
 
     def plan(self, expr: Expr) -> PlanNode:
         """Plan a logical expression (RA/SA, optionally with γ/Sort)."""
-        if _is_core(expr) and _occurrences_within(
-            expr, self.PUSHDOWN_SIZE_LIMIT
-        ):
-            from repro.algebra.optimize import push_selections
+        self._filters = {}
+        if _rewritable(expr, self.PUSHDOWN_SIZE_LIMIT):
+            from repro.algebra.optimize import filter_joins, push_selections
 
-            expr = push_selections(expr)
-        return self._apply_parallelism(
-            self._apply_partition_budget(self._plan(expr))
-        )
+            expr = filter_joins(
+                push_selections(expr),
+                keep_cycles=self._costed() and self.options.use_multiway,
+                notes=self._filters,
+            )
+        return self._post_passes(self._plan(expr))
 
     # -- recursive translation -----------------------------------------
 
     def _plan(self, expr: Expr) -> PlanNode:
-        cached = self._memo.get(expr)
+        # A semijoin made from a join is keyed apart: its note says so.
+        mirrored = self._filters.get(expr) if self._filters else None
+        key = expr if mirrored is None else (expr, mirrored)
+        cached = self._memo.get(key)
         if cached is not None:
             return cached
         planned = self._plan_node(expr)
-        self._memo[expr] = planned
+        self._memo[key] = planned
         return planned
 
     def _plan_node(self, expr: Expr) -> PlanNode:
@@ -499,8 +504,13 @@ class Planner:
         if isinstance(expr, Join):
             return self._join(expr, self._plan(expr.left), self._plan(expr.right))
         if isinstance(expr, Semijoin):
+            mirrored = self._filters.get(expr) if self._filters else None
             return self._semijoin(
-                expr, self._plan(expr.left), self._plan(expr.right), expr.cond
+                expr,
+                self._plan(expr.left),
+                self._plan(expr.right),
+                expr.cond,
+                note=_FILTER_NOTES.get(mirrored, ""),
             )
         extended = self._plan_extended(expr)
         if extended is not None:
@@ -551,19 +561,6 @@ class Planner:
         return division
 
     def _projection(self, expr: Projection) -> PlanNode:
-        child = expr.child
-        if isinstance(child, Join):
-            semijoin = self._semijoin_projection(expr, child)
-            if semijoin is not None:
-                if not self._costed():
-                    return semijoin
-                direct = self._project(expr)
-                if self._cost(direct) < self._cost(semijoin):
-                    return direct
-                return semijoin
-        return self._project(expr)
-
-    def _project(self, expr: Projection) -> PlanNode:
         """π over the planned child; a collapsed chain absorbs it.
 
         The generic join then enumerates only the projected (free)
@@ -599,35 +596,6 @@ class Planner:
             f"at their first witness, projected AGM bound {_fmt(agm)}",
             positions=expr.positions,
         )
-
-    def _semijoin_projection(
-        self, expr: Projection, child: Join
-    ) -> PlanNode | None:
-        """The Corollary 19 candidate: π over a join on one side only."""
-        left_arity = child.left.arity
-        if all(p <= left_arity for p in expr.positions):
-            semijoin = self._semijoin(
-                Semijoin(child.left, child.right, child.cond),
-                self._plan(child.left),
-                self._plan(child.right),
-                child.cond,
-                note="join used only as a filter (Cor. 19): "
-                "semijoin avoids the join's intermediate",
-            )
-            return ProjectOp(semijoin, expr.positions, expr)
-        if all(p > left_arity for p in expr.positions):
-            mirrored = child.cond.mirrored()
-            semijoin = self._semijoin(
-                Semijoin(child.right, child.left, mirrored),
-                self._plan(child.right),
-                self._plan(child.left),
-                mirrored,
-                note="join used only as a right-side filter "
-                "(Cor. 19): mirrored semijoin",
-            )
-            remapped = tuple(p - left_arity for p in expr.positions)
-            return ProjectOp(semijoin, remapped, expr)
-        return None
 
     def _selection(self, expr: Selection) -> PlanNode:
         # Fuse stacked selections into one FilterOp.
@@ -946,40 +914,20 @@ _CORE_NODES = (
 )
 
 
-def _is_core(expr: Expr) -> bool:
-    """Whether the expression uses only core RA/SA nodes.
-
-    Walks *distinct* sub-expressions (repeated subtrees are visited
-    once), so it stays linear on expressions with heavy sharing.
-    """
-    seen: set[Expr] = set()
+def _rewritable(expr: Expr, limit: int) -> bool:
+    """Whether the logical pre-passes apply: only core RA/SA nodes, and
+    at most ``limit`` node occurrences (the passes walk occurrences, not
+    distinct nodes; a shared tree past the budget is refused in
+    O(limit) instead of being enumerated)."""
     stack = [expr]
-    while stack:
+    for __ in range(limit):
+        if not stack:
+            return True
         node = stack.pop()
-        if node in seen:
-            continue
-        seen.add(node)
         if type(node) not in _CORE_NODES:
             return False
         stack.extend(node.children())
-    return True
-
-
-def _occurrences_within(expr: Expr, limit: int) -> bool:
-    """Whether the tree has at most ``limit`` node occurrences.
-
-    Aborts as soon as the budget is exceeded, so exponentially shared
-    trees are rejected in O(limit) instead of being enumerated.
-    """
-    count = 0
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        count += 1
-        if count > limit:
-            return False
-        stack.extend(node.children())
-    return True
+    return not stack
 
 
 def plan_expression(

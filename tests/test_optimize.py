@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from repro.algebra.ast import Join, Projection, Semijoin, is_sa, rel
 from repro.algebra.evaluator import evaluate
 from repro.algebra.optimize import (
-    introduce_semijoins,
+    filter_joins,
     optimize,
     prune_projections,
     push_selections,
@@ -30,16 +30,16 @@ def db():
     )
 
 
-class TestIntroduceSemijoins:
+class TestFilterJoins:
     def test_left_projection_becomes_semijoin(self):
         expr = parse("project[1,2](R join[2=1] S)", SCHEMA)
-        rewritten = introduce_semijoins(expr)
+        rewritten = filter_joins(expr)
         assert isinstance(rewritten, Projection)
         assert isinstance(rewritten.child, Semijoin)
 
     def test_right_projection_swaps_operands(self):
         expr = parse("project[3](R join[2=1] S)", SCHEMA)
-        rewritten = introduce_semijoins(expr)
+        rewritten = filter_joins(expr)
         semijoin = rewritten.child
         assert isinstance(semijoin, Semijoin)
         assert semijoin.left == rel("S", 1)
@@ -47,11 +47,11 @@ class TestIntroduceSemijoins:
 
     def test_mixed_projection_untouched(self):
         expr = parse("project[1,3](R join[2=1] S)", SCHEMA)
-        assert introduce_semijoins(expr) == expr
+        assert filter_joins(expr) == expr
 
     def test_non_equi_condition_supported(self, db):
         expr = parse("project[1,2](R join[2<1] S)", SCHEMA)
-        rewritten = introduce_semijoins(expr)
+        rewritten = filter_joins(expr)
         assert isinstance(rewritten.child, Semijoin)
         assert evaluate(rewritten, db) == evaluate(expr, db)
 
@@ -59,7 +59,7 @@ class TestIntroduceSemijoins:
         """The headline effect: π[1,2](R ⋈[1=1] R) has a quadratic
         intermediate; the rewritten semijoin plan is linear."""
         expr = parse("project[1,2](R join[1=1] R)", SCHEMA)
-        rewritten = introduce_semijoins(expr)
+        rewritten = filter_joins(expr)
         big = database(
             SCHEMA, R=[(1, i) for i in range(30)]
         )
@@ -70,8 +70,29 @@ class TestIntroduceSemijoins:
     def test_rewrites_nested_occurrences(self):
         inner = parse("project[1,2](R join[2=1] S)", SCHEMA)
         expr = inner.union(inner)
-        rewritten = introduce_semijoins(expr)
+        rewritten = filter_joins(expr)
         assert is_sa(rewritten)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "project[1,2](R join[2=1] (R join[2=1] R))",
+            "project[1,2]((R join[2=1] R) join[4=1] R)",
+        ],
+    )
+    def test_chains_become_semijoins_only(self, text, db):
+        """A join under a semijoin's right side, and the inner join of
+        a left-deep chain whose outer join feeds the projection."""
+        expr = parse(text, SCHEMA)
+        rewritten = filter_joins(expr)
+        assert rewritten == parse(
+            "project[1,2](R semijoin[2=1] (R semijoin[2=1] R))", SCHEMA
+        )
+        assert evaluate(rewritten, db) == evaluate(expr, db)
+
+    def test_unchanged_expression_is_the_same_object(self):
+        expr = parse("project[1,3](R join[2=1] S)", SCHEMA)
+        assert filter_joins(expr) is expr
 
 
 class TestPushSelections:
