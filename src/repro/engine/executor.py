@@ -38,7 +38,7 @@ import operator
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, filterfalse, repeat
 from typing import Collection, Iterable, Iterator
 
 from repro.algebra.ast import Expr
@@ -72,9 +72,13 @@ from repro.errors import ArityError, SchemaError
 class ExecutionStats:
     """Observable work done by one executor.
 
-    ``node_rows`` maps each executed plan node to its output
+    ``node_rows`` maps each plan node that *ran* to its output
     cardinality; :meth:`max_intermediate` is the physical counterpart
-    of :meth:`repro.algebra.trace.EvalTrace.max_intermediate`.
+    of :meth:`repro.algebra.trace.EvalTrace.max_intermediate`.  A node
+    whose rows a cached grouping stood in for is in ``from_index``
+    instead, and the nodes under it did not run either: every plan node
+    is in ``node_rows`` or at or under a node in ``from_index`` (a
+    result-cache hit, which runs nothing, records neither).
     ``node_estimates`` holds the cost model's per-operator
     :class:`~repro.engine.cost.Estimate` for the same nodes, so
     estimated and actual cardinalities can be compared after the fact
@@ -92,6 +96,10 @@ class ExecutionStats:
     #: output, intersection work) — see
     #: :class:`repro.engine.wcoj.WcojRun`.
     wcoj_runs: dict[PlanNode, object] = field(default_factory=dict)
+    #: Plan nodes whose rows a cached grouping stood in for: a π's
+    #: child read as its grouping's keys, a hash operator's right side
+    #: read as its cached index (``Executor._grouping``).
+    from_index: set[PlanNode] = field(default_factory=set)
     indexes_built: int = 0
     index_reuses: int = 0
 
@@ -142,6 +150,8 @@ class ExecutionStats:
             f"max in flight    : {self.max_in_flight()}",
             f"indexes built    : {self.indexes_built}"
             f" (reused {self.index_reuses}x)",
+            f"from index       : {len(self.from_index)} node(s) read as a"
+            " cached grouping",
         ]
         for node, run in self.partition_runs.items():
             lines.append(f"{node.label()}: {run.render()}")
@@ -173,6 +183,9 @@ class IndexCache:
     a semijoin's stored left side (:meth:`second_sight`), the generic
     join's tries — and a division's dividend, which is the same trie a
     generic join over that binary relation reads (:meth:`trie_for`).
+    A held grouping also answers for its input (:meth:`cached`): a
+    hash operator whose right index is here reads it without computing
+    the right side, and π on the same positions is the grouping's keys.
 
     Entries are LRU-evicted against ``row_budget`` (total rows across
     all cached indexes — the :class:`ResultCache` byte-budget
@@ -222,11 +235,9 @@ class IndexCache:
     ) -> dict[tuple[Value, ...], list[Row]]:
         cache_key = (key, positions)
         with self._lock:
-            cached = self._indexes.get(cache_key)
+            cached = self._hit(cache_key)
             if cached is not None:
-                self._indexes.move_to_end(cache_key)
-                self.reuses += 1
-                return cached[0]
+                return cached
             built = kernels.build_index(rows, positions)
             self._admit(cache_key, built, sum(map(len, built.values())))
             return built
@@ -271,16 +282,34 @@ class IndexCache:
         """
         cache_key = (key, ("trie",) + columns_by_variable)
         with self._lock:
-            cached = self._indexes.get(cache_key)
+            cached = self._hit(cache_key)
             if cached is not None:
-                self._indexes.move_to_end(cache_key)
-                self.reuses += 1
-                return cached[0]
+                return cached
             from repro.engine.wcoj import build_trie
 
             built, count = build_trie(rows, columns_by_variable)
             self._admit(cache_key, built, count)
             return built
+
+    def cached(
+        self, key: object, positions: tuple[int, ...]
+    ) -> dict[tuple[Value, ...], list[Row]] | None:
+        """The grouping :meth:`index_for` holds for ``(key, positions)``
+        (a reuse), or ``None``: it builds nothing and notes no sighting.
+        Its keys are the input's projection on ``positions``, so a caller
+        holding a hit need not compute the input at all."""
+        with self._lock:
+            return self._hit((key, positions))
+
+    def _hit(self, cache_key):
+        """The cached payload, marked most recent and counted as a
+        reuse, or ``None`` (lock held)."""
+        cached = self._indexes.get(cache_key)
+        if cached is None:
+            return None
+        self._indexes.move_to_end(cache_key)
+        self.reuses += 1
+        return cached[0]
 
     def _admit(self, cache_key, built, count: int) -> None:
         """Record a fresh build and rebalance the LRU (lock held)."""
@@ -733,13 +762,31 @@ class Executor:
             self._rows(node.left), self._rows(node.right)
         )
 
-    def _difference(self, node: DifferenceOp) -> Relation:
-        return frozenset(self._rows(node.left)).difference(
-            self._rows(node.right)
-        )
+    def _difference(self, node: DifferenceOp) -> "Relation | list[Row]":
+        """A listed left is filtered, not hashed again: its kept rows
+        are as duplicate-free as it is."""
+        left, right = self._rows(node.left), self._rows(node.right)
+        if isinstance(left, frozenset):
+            return left.difference(right)
+        return list(filterfalse(frozenset(right).__contains__, left))
 
-    def _project(self, node: ProjectOp) -> Iterator[Row]:
+    def _project(self, node: ProjectOp) -> Iterable[Row]:
+        """The keys of the child's cached grouping on the projected
+        positions when there is one — the child does not run — else the
+        child's rows' keys."""
+        groups = self._grouping(node.child, node.positions)
+        if groups is not None:
+            return groups.keys()
         return kernels.keys_of(self._rows(node.child), node.positions)
+
+    def _grouping(self, node: PlanNode, positions: tuple[int, ...]):
+        """``node``'s cached grouping on ``positions``, recorded as
+        standing in for its rows (:attr:`ExecutionStats.from_index`),
+        or ``None``."""
+        groups = self.indexes.cached(node.logical, positions)
+        if groups is not None:
+            self.stats.from_index.add(node)
+        return groups
 
     def _filter(self, node: FilterOp) -> Iterable[Row]:
         return kernels.filter_rows(self._rows(node.child), node.predicates)
@@ -758,7 +805,8 @@ class Executor:
         key positions of the equality atoms and the remaining atoms,
         compiled (a semijoin's by :func:`~repro.engine.kernels.witness`).
         A semijoin that keeps every left row returns the left input
-        itself (:func:`_kept`).
+        itself (:func:`_kept`).  A cached right index stands in for the
+        right side, which then does not run (:meth:`_grouping`).
 
         An equality semijoin over a stored left side with more rows than
         the right has distinct keys reads the left's cached grouping
@@ -774,11 +822,12 @@ class Executor:
             else (kernels.hash_semijoin, kernels.witness)
         )
         eq = node.cond.by_op("=")
-        index = self.indexes.index_for(
-            node.right.logical,
-            self._rows(node.right),
-            tuple(a.j for a in eq),
-        )
+        right_positions = tuple(a.j for a in eq)
+        index = self._grouping(node.right, right_positions)
+        if index is None:
+            index = self.indexes.index_for(
+                node.right.logical, self._rows(node.right), right_positions
+            )
         left = self._rows(node.left)
         positions = tuple(a.i for a in eq)
         if (
@@ -879,7 +928,9 @@ def _kept(
 
 
 def _listed(rows: Iterable[Row]) -> "Relation | list[Row]":
-    """A semijoin's store: its left input passes through, uncopied."""
+    """A semijoin's or difference's store: a held ``frozenset`` or
+    ``list`` (its left input, or what it kept of it) passes through,
+    uncopied; anything else is listed."""
     return rows if isinstance(rows, (frozenset, list)) else list(rows)
 
 
@@ -891,13 +942,15 @@ def _listed(rows: Iterable[Row]) -> "Relation | list[Row]":
 #: prefix once when it absorbed a projection), so re-hashing every row
 #: buys nothing and ``len`` is the cardinality.  ``frozenset``:
 #: everything else.  A semijoin that keeps every left row holds the
-#: left input itself, ``frozenset`` or ``list`` (:func:`_listed`).
+#: left input itself, ``frozenset`` or ``list``; a difference holds a
+#: ``list`` when its left is listed (a filter of distinct rows), else a
+#: ``frozenset`` (both :func:`_listed`).
 #: Moving an operator to ``list`` takes that proof —
 #: ``test_engine_kernels.py::test_memoised_rows_hold_no_duplicate``.
 OPERATORS: dict[type, tuple] = {
     ScanOp: (Executor._scan, frozenset),
     UnionOp: (Executor._union, frozenset),
-    DifferenceOp: (Executor._difference, frozenset),
+    DifferenceOp: (Executor._difference, _listed),
     ProjectOp: (Executor._project, frozenset),
     GroupByOp: (Executor._group_by, frozenset),
     SortOp: (Executor._sort, frozenset),
