@@ -25,8 +25,8 @@ variable elimination order.  Execution then
    the variable, enumerated from the smallest candidate set and
    hash-probed into the others (the "min-set iteration" that makes
    the generic-join runtime bound go through);
-3. reconstructs output rows from complete bindings — every column of
-   every input is some variable, so a full binding *is* the
+3. picks each output row from a binding as it completes — every
+   column of every input is some variable, so a full binding *is* the
    concatenated output row, and no intermediate tuple is ever
    materialized.
 
@@ -34,8 +34,9 @@ A node that absorbed the projection above it (``positions`` set) keeps
 only some variables — the *free* ones, which the planner orders first.
 The join enumerates just those depths; every deeper (*existential*)
 depth is a yes/no question, answered at its first witness: an
-early-return probe loop, and at the last depth a scan of the smaller
-key set that stops at the first value the other holds.  One row per
+early-return probe loop, and for the last depth, inside the step above
+it, a scan of the smaller key set that stops at the first value the
+other holds.  One row per
 surviving free prefix, duplicate-free because every free variable is
 some output column.  This is Cor. 19's guarded projection inside the
 generic join: ``π_{a,b}`` of the triangle emits at most ``|E|`` rows,
@@ -69,6 +70,7 @@ Correctness notes the implementation leans on:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, Sized
 
@@ -285,32 +287,68 @@ def _level(
     cursors: list,
     binding: list,
     tally: list[int],
-    descend: Callable[[], None] | None,
+    descend: Callable[[], bool | None] | None,
     emit: Callable[[tuple], None],
+    pick: Callable[[list], tuple],
+    closing: tuple[int, int] | None = None,
 ) -> Callable[[], None]:
     """One depth of :func:`generic_join`, compiled for its plan.
 
     ``parts`` are the inputs holding ``variable``; whenever the step
     runs, ``cursors[k]`` of each is a dict keyed by this variable's
     values.  The step binds every value all of them support and calls
-    ``descend`` (the next depth's step) under it, or — ``descend`` is
-    None, the last depth — hands ``emit`` the completed binding.  The
-    pivot is the participant with the fewest candidates, the first
-    such on a tie.  ``tally`` is ``[candidates, probes]``: the pivot's
-    size, and for each further participant in ``parts`` order the
-    number of values the ones before it left standing (one probe per
-    survivor, none after a value's first miss).
+    ``descend`` under it: the next depth's step, or the existential
+    suffix's test, whose true answer hands ``emit`` ``pick(binding)``,
+    as does every value when ``descend`` is None.  The pivot is the
+    participant with the fewest candidates, the first such on a tie.
+    ``tally`` is ``[candidates, probes]``: the pivot's size, and for
+    each further participant in ``parts`` order the number of values
+    the ones before it left standing (one probe per survivor, none
+    after a value's first miss).
 
     An inner step writes the descended cursors in place and puts its
     own back once, after the loop: a deeper step reads only its own
     participants' cursors, all written before each ``descend``.  The
     last step has nowhere to descend, so it intersects whole key sets,
     ``keys() & keys()``, in C.  Two participants — every level of a
-    cycle query — get their own form of each.  No step refers to
-    itself, so a finished join is freed by reference count.
+    cycle query — get their own form of each, and a third that runs a
+    one-depth suffix's ``closing`` pair inside its loop, as
+    :func:`_witness` does.  No step refers to itself, so a finished
+    join is freed by reference count.
     """
     if len(parts) == 2:
         i, j = parts
+        if closing is not None:
+            p, q = closing
+
+            def step() -> None:
+                first, second = cursors[i], cursors[j]
+                if len(second) < len(first):
+                    pivot, other, base, get = j, i, second, first.get
+                else:
+                    pivot, other, base, get = i, j, first, second.get
+                seen = len(base)
+                for value, descended in base.items():
+                    nxt = get(value)
+                    if nxt is not None:
+                        cursors[pivot] = descended
+                        cursors[other] = nxt
+                        small, large = cursors[p], cursors[q]
+                        if len(large) < len(small):
+                            small, large = large, small
+                        for key in small:
+                            seen += 1
+                            if key in large:
+                                binding[variable] = value
+                                emit(pick(binding))
+                                break
+                cursors[i] = first
+                cursors[j] = second
+                tally[0] += seen
+                tally[1] += seen
+
+            return step
+
         if descend is None:
 
             def step() -> None:
@@ -320,7 +358,7 @@ def _level(
                 tally[1] += smaller
                 for value in first.keys() & second.keys():
                     binding[variable] = value
-                    emit(tuple(binding))
+                    emit(pick(binding))
 
             return step
 
@@ -336,7 +374,8 @@ def _level(
                     cursors[pivot] = descended
                     cursors[other] = nxt
                     binding[variable] = value
-                    descend()
+                    if descend():
+                        emit(pick(binding))
             cursors[i] = first
             cursors[j] = second
             tally[0] += len(base)
@@ -356,7 +395,7 @@ def _level(
                 survivors = survivors & node.keys()
             for value in survivors:
                 binding[variable] = value
-                emit(tuple(binding))
+                emit(pick(binding))
 
         return step
 
@@ -381,7 +420,8 @@ def _level(
             else:
                 cursors[pivot] = descended
                 binding[variable] = value
-                descend()
+                if descend():
+                    emit(pick(binding))
         for k, node in zip(parts, nodes):
             cursors[k] = node
         tally[0] += len(base)
@@ -395,6 +435,7 @@ def _witness(
     cursors: list,
     tally: list[int],
     descend: Callable[[], bool] | None,
+    closing: tuple[int, int] | None = None,
 ) -> Callable[[], bool]:
     """One existential depth of :func:`generic_join`: a yes/no step.
 
@@ -411,10 +452,49 @@ def _witness(
     The last depth scans the pivot's keys for a value the others hold;
     an inner depth writes the descended cursors in place and puts its
     own back before returning.  Two participants — every depth of a
-    cycle query — get their own form of each, as in :func:`_level`.
+    cycle query — get their own form of each, as in :func:`_level`,
+    and a third that runs the ``closing`` depth below it (a pair of
+    inputs) in its own loop: under each value both support it scans the
+    smaller closing cursor, the first on a tie, for a key the other
+    holds, counting what the closing depth's own step would.
     """
     if len(parts) == 2:
         i, j = parts
+        if closing is not None:
+            p, q = closing
+
+            def test() -> bool:
+                first, second = cursors[i], cursors[j]
+                if len(second) < len(first):
+                    pivot, other, base, get = j, i, second, first.get
+                else:
+                    pivot, other, base, get = i, j, first, second.get
+                seen = 0
+                found = False
+                for value, descended in base.items():
+                    seen += 1
+                    nxt = get(value)
+                    if nxt is not None:
+                        cursors[pivot] = descended
+                        cursors[other] = nxt
+                        small, large = cursors[p], cursors[q]
+                        if len(large) < len(small):
+                            small, large = large, small
+                        for key in small:
+                            seen += 1
+                            if key in large:
+                                found = True
+                                break
+                        if found:
+                            break
+                cursors[i] = first
+                cursors[j] = second
+                tally[0] += seen
+                tally[1] += seen
+                return found
+
+            return test
+
         if descend is None:
 
             def test() -> bool:
@@ -493,35 +573,23 @@ def _witness(
     return test
 
 
-def _gate(
-    test: Callable[[], bool], binding: list, emit: Callable[[tuple], None]
-) -> Callable[[], None]:
-    """The descent below the last free depth: emit the free prefix
-    bound so far, once, iff the existential suffix ``test`` finds a
-    witness for it."""
-
-    def step() -> None:
-        if test():
-            emit(tuple(binding))
-
-    return step
-
-
 def generic_join(
     tries: Sequence[dict],
     leaf_variables: Sequence[frozenset[int]],
     order: Sequence[int],
     counters: dict[str, int] | None = None,
     free: int | None = None,
+    pick: Callable[[list], tuple] = tuple,
 ) -> list[tuple]:
     """All complete bindings supported by every trie (NPRR generic join).
 
     ``tries[k]`` must be keyed by ``leaf_variables[k]`` sorted in
-    ``order`` (see :func:`leaf_trie_layout`).  Returns bindings as
-    tuples indexed by variable id, in no particular order.  At each
-    depth the pivot is the participating input with the fewest
-    candidates; its values are enumerated and hash-probed into the
-    others, so the work per level is proportional to the smallest
+    ``order`` (see :func:`leaf_trie_layout`).  Returns one
+    ``pick(binding)`` per binding, the binding a list indexed by
+    variable id (the default returns it as a tuple), in no particular
+    order.  At each depth the pivot is the participating input with the
+    fewest candidates; its values are enumerated and hash-probed into
+    the others, so the work per level is proportional to the smallest
     candidate set — the property the worst-case analysis needs.
 
     With ``free`` set, only the first ``free`` depths of ``order`` are
@@ -533,9 +601,12 @@ def generic_join(
     which depth is the last are fixed by the arguments, so they are
     decided once: one :func:`_level` step per free depth and one
     :func:`_witness` step per existential depth, built bottom-up, and
-    the join is a call to the first.  ``counters`` gains
-    ``candidates`` (values enumerated from pivots) and ``probes``
-    (hash probes into the other participants).
+    the join is a call to the first.  The last existential depth (the
+    *closing* depth) gets no step of its own when it and the depth
+    above it have two participants each: the step above runs it inside
+    its loop.  ``counters`` gains ``candidates`` (values enumerated
+    from pivots) and ``probes`` (hash probes into the other
+    participants).
     """
     participants = [
         tuple(
@@ -549,28 +620,35 @@ def generic_join(
         raise SchemaError(
             "generic join: a variable in the order occurs in no input"
         )
+    depths = len(order)
     if free is None:
-        free = len(order)
+        free = depths
     cursors = list(tries)
     binding = [None] * (max(order, default=-1) + 1)
     out: list[tuple] = []
     tally = [0, 0]
+    closing = None
+    if free < depths and depths >= 2 and (
+        len(participants[-1]) == len(participants[-2]) == 2
+    ):
+        closing = participants[-1]
+        depths -= 1
     step = None
-    if free < len(order):
-        test = None
-        for parts in reversed(participants[free:]):
-            test = _witness(parts, cursors, tally, test)
-        step = _gate(test, binding, out.append)
+    for parts in reversed(participants[free:depths]):
+        step = _witness(parts, cursors, tally, step, closing)
+        closing = None
     for parts, variable in zip(
         reversed(participants[:free]), reversed(order[:free])
     ):
         step = _level(
-            parts, variable, cursors, binding, tally, step, out.append
+            parts, variable, cursors, binding, tally, step, out.append,
+            pick, closing,
         )
-    if step is None:
-        out.append(())
-    else:
+        closing = None
+    if free:
         step()
+    elif step is None or step():
+        out.append(pick(binding))
     if counters is not None:
         candidates, probes = tally
         counters["candidates"] = counters.get("candidates", 0) + candidates
@@ -599,16 +677,18 @@ def run_multiway(executor, node) -> list[Row]:
             executor.indexes.trie_for(child.logical, rows, columns)
         )
         leaf_variables.append(frozenset(variables))
-    counters: dict[str, int] = {}
-    bindings = generic_join(
-        tries, leaf_variables, node.order, counters, node.free
-    )
-    # Every output column is some variable: the row is one pick from
-    # the binding, the same pick for every binding.
-    columns = [v + 1 for attrs_k in node.attrs for v in attrs_k]
+    # Every output column is some variable: a row is one pick from the
+    # binding.  ``itemgetter`` returns a tuple from two slots on.
+    slots = [v for attrs_k in node.attrs for v in attrs_k]
     if node.positions is not None:
-        columns = [columns[p - 1] for p in node.positions]
-    out = list(kernels.keys_of(bindings, columns))
+        slots = [slots[p - 1] for p in node.positions]
+    pick = operator.itemgetter(*slots) if len(slots) > 1 else tuple
+    counters: dict[str, int] = {}
+    out = generic_join(
+        tries, leaf_variables, node.order, counters, node.free, pick
+    )
+    if len(slots) < 2:
+        out = list(kernels.keys_of(out, [v + 1 for v in slots]))
     executor.stats.wcoj_runs[node] = WcojRun(
         variables=len(node.order),
         free=node.free,

@@ -24,10 +24,12 @@ optimal joins):
   variables are enumerated, the rest decided at their first witness,
   under the AGM bound of the free variables — same rows as the oracle,
   output within that bound, counters equal to an interpretive
-  reference's.
+  reference's — also where a two-participant closing depth runs inside
+  the step above it, as it does for every projected triangle.
 """
 
 import gc
+import operator
 from collections import Counter
 
 import pytest
@@ -46,6 +48,7 @@ from repro.engine import (
     PlannerOptions,
     StatsCatalog,
     fractional_edge_cover,
+    wcoj,
 )
 from repro.engine.cost import CostModel, multiway_bound
 from repro.engine.partition import apply_partitioning
@@ -66,6 +69,7 @@ from repro.engine.wcoj import (
 )
 from repro.errors import SchemaError
 from repro.session import Session
+from repro.workloads.generators import zipf_triangle_db
 from tests.strategies import (
     CYCLE_SCHEMA,
     bowtie_expr,
@@ -752,6 +756,20 @@ def tries_for(attrs, order, relations):
     return tries, leaf_variables
 
 
+def matches_reference(tries, leaf_variables, free, order=(0, 1)):
+    """Run ``generic_join`` and the reference on the same tries: the
+    same bindings, and the counters, which are returned."""
+    counters, expected_counters = {}, {}
+    out = generic_join(tries, leaf_variables, order, counters, free)
+    expected = reference_generic_join(
+        tries, leaf_variables, order, expected_counters, free
+    )
+    assert len(out) == len(set(out))
+    assert set(out) == set(expected)
+    assert counters == expected_counters
+    return counters
+
+
 class TestCompiledJoinMatchesTheLoopItReplaced:
     @PROPERTY
     @given(hypergraph_instances())
@@ -790,6 +808,26 @@ class TestCompiledJoinMatchesTheLoopItReplaced:
             binding[v] is None for binding in out for v in order[free:]
         )
 
+    @PROPERTY
+    @given(hypergraph_instances(), st.data())
+    def test_rows_are_picked_from_each_binding_as_it_is_emitted(
+        self, instance, data
+    ):
+        attrs, order, relations = instance
+        tries, leaf_variables = tries_for(attrs, order, relations)
+        slots = data.draw(
+            st.lists(st.integers(0, max(order)), min_size=1, max_size=4)
+        )
+        pick = operator.itemgetter(*slots)
+        for free in range(len(order) + 1):
+            rows = generic_join(
+                tries, leaf_variables, order, free=free, pick=pick
+            )
+            bindings = reference_generic_join(
+                tries, leaf_variables, order, {}, free
+            )
+            assert Counter(rows) == Counter(map(pick, bindings))
+
     def test_a_witness_late_in_the_pivot_counts_every_miss_before_it(self):
         # Free a; the closing depth's pivot {1, 2, 3} meets {3, 9, 8, 7}
         # only at its third value: three candidates, three probes.
@@ -802,6 +840,79 @@ class TestCompiledJoinMatchesTheLoopItReplaced:
         out = generic_join(tries, leaf_variables, (0, 1), counters, 1)
         assert out == [(0, None)]
         assert counters == {"candidates": 1 + 3, "probes": 1 + 3}
+
+    @pytest.mark.parametrize("free", [1, 0])
+    def test_equal_closing_cursors_scan_the_first_participant(self, free):
+        # The closing cursors {1, 2, 3, 4} and {4, 5, 6, 7} have the same
+        # size and share only 4: last in one, first in the other.  The
+        # tie goes to the first participant in plan order, so the scan
+        # finds 4 at its fourth key, run inside the last free depth
+        # (free=1) or inside an existential one (free=0).
+        tries = [
+            {0: dict.fromkeys((1, 2, 3, 4), True)},
+            {0: dict.fromkeys((4, 5, 6, 7), True)},
+        ]
+        counters = matches_reference(tries, [frozenset({0, 1})] * 2, free)
+        assert counters == {"candidates": 1 + 4, "probes": 1 + 4}
+
+    @pytest.mark.parametrize("free", [1, 0])
+    def test_a_closing_depth_without_a_witness_counts_every_value(
+        self, free
+    ):
+        # Under a = 0 the smaller closing cursor {1, 2} meets nothing in
+        # {7, 8, 9}: both its values count.  a = 5 finds 3 at once.
+        tries = [
+            {0: dict.fromkeys((1, 2), True), 5: {3: True}},
+            {0: dict.fromkeys((7, 8, 9), True), 5: {3: True}},
+        ]
+        counters = matches_reference(tries, [frozenset({0, 1})] * 2, free)
+        assert counters == {"candidates": 2 + 2 + 1, "probes": 2 + 2 + 1}
+
+    def test_no_free_variable_decides_the_whole_cycle(self):
+        # project[] of the triangle: a yes/no step per depth, the closing
+        # one run inside the step above it.  a = 1 reaches the closing
+        # depth twice and misses both times before a = 4 closes a
+        # triangle.
+        attrs = SHAPES["triangle"]
+        order = (0, 1, 2)
+        relations = [
+            [(1, 2), (1, 3), (4, 5)],
+            [(2, 7), (3, 8), (5, 6)],
+            [(9, 1), (6, 4)],
+        ]
+        tries, leaf_variables = tries_for(attrs, order, relations)
+        matches_reference(tries, leaf_variables, 0, order)
+        assert generic_join(tries, leaf_variables, order, free=0) == [
+            (None, None, None)
+        ]
+        nothing = Projection(cycle_expr(("E", "F", "G")), ())
+        open_wedges = [*relations[:2], [(9, 1)]]
+        for rows, expected in ((relations, {()}), (open_wedges, set())):
+            db = Database(
+                CYCLE_SCHEMA,
+                {
+                    name: frozenset(edges)
+                    for name, edges in zip("EFGH", [*rows, []])
+                },
+            )
+            result = Executor(db).execute(projected(nothing, db))
+            assert result == evaluate(nothing, db) == expected
+
+    @pytest.mark.parametrize("free", [1, 0])
+    def test_a_three_participant_closing_depth_keeps_the_general_step(
+        self, free
+    ):
+        # The closing depth's cursors hold 1 2 3 4, 9 2 and 2 5, in that
+        # order: the pivot is the first of the two smallest, so 9 misses
+        # the first input (one probe) before 2 is held by both others.
+        tries = [
+            {0: dict.fromkeys((1, 2, 3, 4), True)},
+            {0: dict.fromkeys((9, 2), True)},
+            dict.fromkeys((2, 5), True),
+        ]
+        leaf_variables = [frozenset({0, 1})] * 2 + [frozenset({1})]
+        counters = matches_reference(tries, leaf_variables, free)
+        assert counters == {"candidates": 1 + 2, "probes": 1 + 3}
 
     def test_every_named_shape_joins_nonempty(self):
         # The property above must not pass on empty outputs alone.
@@ -854,6 +965,44 @@ class TestCompiledJoinMatchesTheLoopItReplaced:
         assert relation_stats(rows, arity, 2) == (
             reference_relation_stats(rows, arity, 2)
         )
+
+
+# ----------------------------------------------------------------------
+# A projected cycle closes inside the step above its closing depth
+# ----------------------------------------------------------------------
+
+#: The texts ``perfbench``'s ``triangle_wcoj`` workload rotates.
+TRIANGLE_TEXTS = (
+    "project[1,2]((E join[2=1] F) join[4=1,1=2] G)",
+    "project[1]((E join[2=1] F) join[4=1,1=2] G)",
+    "project[2,4]((E join[2=1] F) join[4=1,1=2] G)",
+)
+
+
+def test_the_triangle_texts_build_no_closing_step_of_their_own(
+    monkeypatch,
+):
+    """Every depth of a triangle has two participants, so its closing
+    depth runs inside the step above it.  Building ``_witness``'s
+    standalone last-depth form — one Python call per candidate — fails
+    the run instead of slowing it down."""
+    standalone = wcoj._witness
+
+    def refuse_a_closing_step(parts, cursors, tally, descend, closing=None):
+        closes = descend is None and closing is None
+        assert not (len(parts) == 2 and closes), (
+            "a two-participant closing depth got a step of its own"
+        )
+        return standalone(parts, cursors, tally, descend, closing)
+
+    monkeypatch.setattr(wcoj, "_witness", refuse_a_closing_step)
+    db = zipf_triangle_db(24, tail=48, skew=1.1, seed=5)
+    with Session(db, cache_results=False) as session:
+        for text in TRIANGLE_TEXTS:
+            expr = session.parse(text)
+            (node,) = multiway_nodes(session.executor.plan(expr))
+            assert node.free < len(node.order)
+            assert session.run(expr) == evaluate(expr, db)
 
 
 # ----------------------------------------------------------------------
