@@ -2,8 +2,9 @@
 
 Sizes are chosen so the full suite runs in well under a minute while
 the quadratic-vs-linear separations stay clearly visible in the
-asserted work and intermediate sizes; ``best_of`` and
-``results_writer`` serve the ``BENCH_*.json`` emitters.
+asserted work and intermediate sizes; ``results_writer`` serves the
+``BENCH_parallel.json`` and ``BENCH_out_of_core.json`` emitters, and
+``best_of`` the timed arms.
 """
 
 from __future__ import annotations

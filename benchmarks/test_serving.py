@@ -5,7 +5,7 @@ shared engine *pays*: a process-pool server clears a mixed read-heavy
 workload at a multiple of serialized single-session throughput, while
 admission control keeps every in-flight read inside a certified row
 budget and snapshot pinning keeps every answer exact.  This suite
-measures all three and writes ``BENCH_serving.json`` at the repo root:
+checks all three:
 
 * **mixed read-heavy scaling** — four tenants issuing structurally
   distinct reads (no result-cache escape hatch) against a pool server
@@ -20,10 +20,9 @@ measures all three and writes ``BENCH_serving.json`` at the repo root:
   from a real priced bound: a workable budget queues without
   rejecting; a budget below the cheapest bound rejects everything,
   typed, with the server still standing.
-* **scenario sweep** — every named lab scenario (division-heavy,
-  guarded-fragment, cyclic/WCOJ, cache-hostile, mutation-heavy) run
-  small with the oracle audit on, reporting throughput, p50/p99
-  latency, and rejection rate per scenario.
+* **scenario sweep** — every named scenario of ``tests/serving_lab.py``
+  (division-heavy, guarded-fragment, cyclic/WCOJ, cache-hostile,
+  mutation-heavy) run small through a real pool and oracle-audited.
 
 Environment: ``REPRO_BENCH_WORKERS`` caps the pool (CI sets 2),
 ``REPRO_BENCH_BACKEND`` picks the shared storage backend the snapshot
@@ -38,18 +37,20 @@ import pytest
 from repro.algebra.evaluator import evaluate
 from repro.data.database import Database
 from repro.engine.parallel import available_cpus
-from repro.serve import Server, price_plan, run_scenario
-from repro.serve.lab import ScenarioSpec, StreamSpec
+from repro.serve import Server, price_plan
 from repro.session import Session
 from repro.workloads.serving import (
     DIVISION_QUERY,
-    SERVING_SCENARIOS,
     _cache_hostile_queries,
     build_database,
-    scenario,
 )
-
-from benchmarks.conftest import results_writer
+from tests.serving_lab import (
+    SCENARIOS,
+    ScenarioSpec,
+    StreamSpec,
+    audit_oracle,
+    run_scenario,
+)
 
 
 WORKERS = max(2, int(os.environ.get("REPRO_BENCH_WORKERS", "4")))
@@ -59,18 +60,6 @@ BACKEND = os.environ.get("REPRO_BENCH_BACKEND", "memory")
 #: distinct-shape pool so no read is ever a repeat.
 TENANTS = 4
 READS_PER_TENANT = 20
-
-RESULTS: dict = {
-    "benchmark": "serving",
-    "workers": WORKERS,
-    "backend": BACKEND,
-    "available_cpus": available_cpus(),
-    "sections": {},
-}
-
-
-emit_results = results_writer("BENCH_serving.json", RESULTS)
-
 
 def _scaling_queries() -> list[tuple[str, str]]:
     """``(tenant, query)`` pairs: disjoint distinct shapes per tenant."""
@@ -166,19 +155,6 @@ def test_mixed_read_heavy_scaling():
     baseline_throughput = reads / baseline_elapsed
     server_throughput = reads / server_elapsed
     speedup = server_throughput / baseline_throughput
-    RESULTS["sections"]["mixed_read_heavy_scaling"] = {
-        "reads": reads,
-        "tenants": TENANTS,
-        "budget": budget,
-        "baseline_seconds": round(baseline_elapsed, 4),
-        "server_seconds": round(server_elapsed, 4),
-        "baseline_throughput": round(baseline_throughput, 2),
-        "server_throughput": round(server_throughput, 2),
-        "speedup": round(speedup, 3),
-        "in_flight_peak": metrics.in_flight_peak,
-        "queue_depth_end": metrics.queue_depth,
-        "speedup_asserted": available_cpus() >= 4 and WORKERS >= 4,
-    }
     if available_cpus() >= 4 and WORKERS >= 4:
         assert speedup >= 2.0, (
             f"server at {server_throughput:.1f} reads/s vs serialized "
@@ -195,7 +171,6 @@ def test_admission_pressure_queues_then_rejects():
         bound = price_plan(session.executor, prepared.plan()).bound
 
     spec = ScenarioSpec(
-        name="admission_pressure",
         database="division",
         streams=tuple(
             StreamSpec(
@@ -207,55 +182,27 @@ def test_admission_pressure_queues_then_rejects():
     # 1.5× one bound: one read runs, concurrent ones queue, nothing
     # is rejected — and the peak stays under the budget.
     queueing = run_scenario(
-        spec, db=Database(db.schema, db.relations()),
-        workers=0, budget=bound * 1.5,
+        spec, db=Database(db.schema, db.relations()), budget=bound * 1.5
     )
     assert queueing.rejected == 0
-    assert queueing.completed == 18
-    assert queueing.in_flight_peak <= bound * 1.5
+    assert audit_oracle(queueing) == queueing.completed == 18
+    assert queueing.metrics.in_flight_peak <= bound * 1.5
     # Below one bound: every read is provably unservable, typed reject.
     rejecting = run_scenario(
-        spec, db=Database(db.schema, db.relations()),
-        workers=0, budget=max(1.0, bound * 0.5),
+        spec,
+        db=Database(db.schema, db.relations()),
+        budget=max(1.0, bound * 0.5),
     )
     assert rejecting.completed == 0
     assert rejecting.rejection_rate == 1.0
-    RESULTS["sections"]["admission_pressure"] = {
-        "certified_bound": round(bound, 1),
-        "queueing": {
-            "budget": round(bound * 1.5, 1),
-            "completed": queueing.completed,
-            "rejected": queueing.rejected,
-            "queue_seconds_total": round(
-                queueing.queue_seconds_total, 4
-            ),
-            "in_flight_peak": queueing.in_flight_peak,
-        },
-        "rejecting": {
-            "budget": round(bound * 0.5, 1),
-            "rejection_rate": rejecting.rejection_rate,
-        },
-    }
 
 
-@pytest.mark.parametrize("name", sorted(SERVING_SCENARIOS))
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_scenario_sweep_oracle_audited(name):
     result = run_scenario(
-        scenario(name, reads=6, oracle=True),
+        SCENARIOS[name](reads=6),
         workers=min(WORKERS, 2),
         backend=BACKEND,
     )
     assert result.failed == 0
-    assert result.oracle_mismatches == 0
-    assert result.oracle_checked == result.completed > 0
-    RESULTS["sections"].setdefault("scenarios", {})[name] = {
-        "backend": result.backend,
-        "workers": result.workers,
-        "throughput": round(result.throughput, 2),
-        "latency_p50_ms": round(result.latency_p50 * 1000, 3),
-        "latency_p99_ms": round(result.latency_p99 * 1000, 3),
-        "rejection_rate": result.rejection_rate,
-        "writes": result.writes,
-        "utilization": result.utilization,
-        "oracle_checked": result.oracle_checked,
-    }
+    assert audit_oracle(result) == result.completed > 0

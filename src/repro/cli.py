@@ -14,8 +14,6 @@ Subcommands::
     repro optimize 'project[1](R join[2=1] S)' --schema 'R:2,S:1'
     repro divide   -d db.json --dividend R --divisor S [--algorithm hash]
     repro bisim    -a left.json -b right.json --left-tuple 1 --right-tuple 1
-    repro serve    --scenario mixed_read_heavy --stats     # workload lab
-    repro serve    --spec workload.json --budget 5000 --emit out.json
 
 ``eval``, ``explain`` and ``divide`` build one
 :class:`~repro.session.Session` from the shared session flags: the
@@ -316,56 +314,6 @@ def _cmd_bisim(args) -> int:
     return 0 if verdict.bisimilar else 1
 
 
-def _cmd_serve(args) -> int:
-    from repro.serve.lab import load_spec, run_scenario
-    from repro.workloads.serving import SERVING_SCENARIOS, scenario
-
-    if args.list_scenarios:
-        for name in sorted(SERVING_SCENARIOS):
-            print(name)
-        return 0
-    if bool(args.scenario) == bool(args.spec):
-        raise ReproError(
-            "provide exactly one of --scenario or --spec "
-            "(or --list-scenarios)"
-        )
-    if args.spec:
-        spec = load_spec(args.spec)
-        if args.oracle:
-            from dataclasses import replace
-
-            spec = replace(spec, oracle=True)
-    else:
-        kwargs = {}
-        if args.reads is not None:
-            kwargs["reads"] = args.reads
-        if args.oracle:
-            kwargs["oracle"] = True
-        spec = scenario(args.scenario, **kwargs)
-    db = _load_database(args.database) if args.database else None
-    result = run_scenario(
-        spec,
-        db=db,
-        workers=args.workers,
-        backend=args.backend,
-        budget=args.budget,
-    )
-    print(result.render())
-    if args.stats:
-        print(result.metrics_text, file=sys.stderr)
-    if args.emit:
-        import json
-
-        with open(args.emit, "w", encoding="utf-8") as handle:
-            json.dump(result.as_dict(), handle, indent=2, sort_keys=True)
-        print(f"-- wrote {args.emit}", file=sys.stderr)
-    if result.oracle_mismatches or result.failed:
-        # A lab run that saw wrong rows (or errored reads) is a
-        # failure, not a statistic — CI smoke rides on this.
-        return 1
-    return 0
-
-
 def _session_flags_parser() -> argparse.ArgumentParser:
     """The shared session flags, as an argparse parent parser.
 
@@ -525,76 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bisim.add_argument("--right-tuple", nargs="+", required=True)
     p_bisim.add_argument("--constants", nargs="*")
     p_bisim.set_defaults(fn=_cmd_bisim)
-
-    p_serve = sub.add_parser(
-        "serve",
-        help="run a serving-lab workload scenario against a live "
-        "multi-tenant server",
-    )
-    p_serve.add_argument(
-        "--scenario",
-        help="a named scenario (see --list-scenarios)",
-    )
-    p_serve.add_argument(
-        "--spec",
-        metavar="FILE.json",
-        help="a JSON workload spec (see docs/serving.md for the format)",
-    )
-    p_serve.add_argument(
-        "--list-scenarios",
-        action="store_true",
-        help="print the named scenarios and exit",
-    )
-    p_serve.add_argument(
-        "-d",
-        "--database",
-        help="serve this database file instead of the scenario's "
-        "built-in recipe",
-    )
-    p_serve.add_argument(
-        "--workers",
-        type=int,
-        metavar="N",
-        help="read-execution worker processes (default: the scenario's, "
-        "else available CPUs; 0 = inline, serialized)",
-    )
-    p_serve.add_argument(
-        "--budget",
-        type=float,
-        metavar="ROWS",
-        help="in-flight certified-row admission budget (default: the "
-        "scenario's; unset = no admission gating)",
-    )
-    p_serve.add_argument(
-        "--backend",
-        choices=BACKEND_KINDS,
-        help="shared storage backend snapshots are exported from "
-        "(default: the scenario's)",
-    )
-    p_serve.add_argument(
-        "--reads",
-        type=int,
-        metavar="N",
-        help="operations per client stream (named scenarios only)",
-    )
-    p_serve.add_argument(
-        "--oracle",
-        action="store_true",
-        help="replay every admitted read against the serial oracle at "
-        "its pinned snapshot (exact but slow); mismatches exit 1",
-    )
-    p_serve.add_argument(
-        "--stats",
-        action="store_true",
-        help="print the per-tenant admission/latency/utilization "
-        "table to stderr",
-    )
-    p_serve.add_argument(
-        "--emit",
-        metavar="FILE.json",
-        help="write the scenario result as JSON",
-    )
-    p_serve.set_defaults(fn=_cmd_serve)
 
     return parser
 

@@ -20,9 +20,9 @@ one moment, not a smear.
 ``bound_rows`` accumulates each *executed* read's certified upper bound
 and ``actual_rows`` the rows its operators really produced, so
 ``actual/bound`` (:meth:`TenantMetrics.utilization`) measures how
-pessimistic admission pricing was for this tenant's workload — the
-figure ``BENCH_serving.json`` tracks across PRs.  Door hits and riders
-reserve nothing and execute nothing, so they add to neither.
+pessimistic admission pricing was for this tenant's workload.  Door
+hits and riders reserve nothing and execute nothing, so they add to
+neither.
 """
 
 from __future__ import annotations

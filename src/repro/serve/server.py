@@ -57,7 +57,7 @@ already lives:
   apply the delta, bump the content generation, append to the write
   log, refresh the backend.  The write log plus the base contents make
   :meth:`Server.database_at` exact — the serial oracle the stress
-  tests and the workload lab replay admitted reads against.
+  tests and the serving scenarios replay admitted reads against.
 
 Locking discipline: one scheduler lock guards the door cache and the
 in-flight map, pricing, admission, generation/snapshot state, and
@@ -174,9 +174,9 @@ class Ticket:
     """One submitted read: a waitable handle plus its audit trail.
 
     Clients call :meth:`result`; everything else is written exactly
-    once by the server and read by tests, metrics, and the lab's
-    oracle replay (``pinned_generation`` names the write-log state the
-    rows must match).  A read that executed nothing — ``cached``: a
+    once by the server and read by tests, metrics, and the oracle
+    replay (``pinned_generation`` names the write-log state the rows
+    must match).  A read that executed nothing — ``cached``: a
     door hit, or a rider on an identical read in flight — was never
     priced, debited, pinned or dispatched: its ``bound`` stays 0.0,
     ``sound`` False, ``actual_rows`` / ``max_in_flight`` /
@@ -493,8 +493,8 @@ class Server:
         """The exact contents a read pinned at ``generation`` saw.
 
         Replays the write log over the base contents — the serial
-        oracle the stress tests and the lab compare admitted reads
-        against.
+        oracle the stress tests and the serving scenarios compare
+        admitted reads against.
         """
         with self._lock:
             if not 0 <= generation <= self._generation:

@@ -1,8 +1,8 @@
 """Seeded workload generators for experiments and tests.
 
-:mod:`repro.workloads.serving` adds the serving lab's named traffic
-scenarios (imported lazily where needed — it pulls in
-:mod:`repro.serve`).
+:mod:`repro.workloads.serving` adds the serving traffic: database
+recipes, query mixes and write deltas.  Like the paper layers, this
+package imports nothing from the engine, sessions, storage or server.
 """
 
 from repro.workloads.generators import (

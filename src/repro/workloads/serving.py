@@ -1,38 +1,10 @@
-"""Named serving scenarios: the workload lab's standard traffic mixes.
+"""Serving traffic: database recipes, query mixes and write deltas.
 
-Each scenario is a plain :class:`~repro.serve.lab.ScenarioSpec` —
-data, no behaviour — chosen to stress one serving-layer property the
-paper's operator work made interesting:
-
-* ``mixed_read_heavy`` — the throughput headline: four tenants cycling
-  division, semijoin, and join/project reads with no writes, so every
-  read is independently parallelizable across worker processes.  The
-  serving benchmark compares this against serialized single-session
-  execution.
-* ``division_heavy`` — classic-division expressions the planner
-  collapses to the linear §5 operator; admission prices their
-  quotient bounds.
-* ``semijoin_only`` — strictly guarded-fragment traffic (semijoins and
-  projections only): the paper's dichotomy says these never blow up,
-  and their small certified bounds should make admission effectively
-  invisible.
-* ``cyclic`` — triangle queries on the Zipf-hub database where binary
-  join plans go quadratic; the multiway (WCOJ) path keeps actuals near
-  the AGM bound while admission sees the *binary* bound — the
-  utilization gap is the point.
-* ``cache_hostile`` — every read is a structurally distinct
-  expression, so the server's front-door result cache never answers
-  one (no hit, no twin in flight to ride on) and throughput measures
-  raw execution.
-* ``mutation_heavy`` — one writer tenant flip-flopping rows between
-  readers: exercises write serialization, snapshot pinning (on
-  by-reference backends a replaced generation's image stays alive
-  exactly while a read pins it), and the door cache across writes — it
-  keeps the two contents the writer alternates between, so repeats hit
-  on both sides of a flip.
-
-All scenarios are seeded and deterministic in their inputs; only
-thread interleaving varies between runs.
+The data that perfbench's ``serve_*`` workloads and the serving tests
+and benchmarks (``tests/serving_lab.py``, ``benchmarks/test_serving.py``)
+share — three seeded database recipes behind :func:`build_database`,
+the query texts each traffic mix cycles through, and the writer's
+flip-flop deltas.  It describes traffic only; nothing here runs it.
 """
 
 from __future__ import annotations
@@ -40,7 +12,6 @@ from __future__ import annotations
 from repro.data.database import Database
 from repro.data.schema import Schema
 from repro.errors import SchemaError
-from repro.serve.lab import ScenarioSpec, StreamSpec
 from repro.workloads.generators import (
     division_database,
     random_database,
@@ -49,14 +20,18 @@ from repro.workloads.generators import (
 
 __all__ = [
     "DATABASE_BUILDERS",
-    "SERVING_SCENARIOS",
+    "DIVISION_QUERY",
+    "JOIN_QUERIES",
+    "MIXED_QUERIES",
+    "MUTATION_WRITES",
+    "SEMIJOIN_QUERIES",
+    "TRIANGLE_QUERY",
     "build_database",
-    "scenario",
 ]
 
 
 # ----------------------------------------------------------------------
-# Database recipes (what ScenarioSpec.database names resolve to)
+# Database recipes
 # ----------------------------------------------------------------------
 
 
@@ -105,7 +80,7 @@ DATABASE_BUILDERS = {
 
 
 def build_database(name: str, **args) -> Database:
-    """Resolve a :class:`ScenarioSpec.database` recipe name."""
+    """Build the database recipe ``name`` (a :data:`DATABASE_BUILDERS` key)."""
     try:
         builder = DATABASE_BUILDERS[name]
     except KeyError:
@@ -173,124 +148,3 @@ MUTATION_WRITES = (
     ({"R": _WRITE_ROWS}, {}),
     ({}, {"R": _WRITE_ROWS}),
 )
-
-
-# ----------------------------------------------------------------------
-# Scenarios
-# ----------------------------------------------------------------------
-
-
-def _streams(
-    queries, tenants: int, reads: int, **kwargs
-) -> tuple[StreamSpec, ...]:
-    return tuple(
-        StreamSpec(
-            tenant=f"t{i}", queries=tuple(queries), count=reads, **kwargs
-        )
-        for i in range(tenants)
-    )
-
-
-def mixed_read_heavy(
-    reads: int = 24, tenants: int = 4, oracle: bool = False
-) -> ScenarioSpec:
-    return ScenarioSpec(
-        name="mixed_read_heavy",
-        database="mixed",
-        streams=_streams(MIXED_QUERIES, tenants, reads),
-        oracle=oracle,
-    )
-
-
-def division_heavy(
-    reads: int = 16, tenants: int = 3, oracle: bool = False
-) -> ScenarioSpec:
-    return ScenarioSpec(
-        name="division_heavy",
-        database="division",
-        streams=_streams((DIVISION_QUERY,), tenants, reads),
-        oracle=oracle,
-    )
-
-
-def semijoin_only(
-    reads: int = 24, tenants: int = 3, oracle: bool = False
-) -> ScenarioSpec:
-    return ScenarioSpec(
-        name="semijoin_only",
-        database="division",
-        streams=_streams(SEMIJOIN_QUERIES, tenants, reads),
-        oracle=oracle,
-    )
-
-
-def cyclic(
-    reads: int = 12, tenants: int = 2, oracle: bool = False
-) -> ScenarioSpec:
-    return ScenarioSpec(
-        name="cyclic",
-        database="triangle",
-        streams=_streams((TRIANGLE_QUERY,), tenants, reads),
-        oracle=oracle,
-    )
-
-
-def cache_hostile(
-    reads: int = 24, tenants: int = 3, oracle: bool = False
-) -> ScenarioSpec:
-    # Disjoint query slices per tenant: the door cache is shared by all
-    # tenants, so overlapping slices would hit (or ride) across them.
-    pool = _cache_hostile_queries(reads * tenants)
-    streams = tuple(
-        StreamSpec(
-            tenant=f"t{i}",
-            queries=pool[i * reads : (i + 1) * reads],
-            count=reads,
-        )
-        for i in range(tenants)
-    )
-    return ScenarioSpec(
-        name="cache_hostile", database="mixed", streams=streams,
-        oracle=oracle,
-    )
-
-
-def mutation_heavy(
-    reads: int = 20, tenants: int = 3, oracle: bool = False
-) -> ScenarioSpec:
-    readers = _streams(MIXED_QUERIES, tenants - 1, reads)
-    writer = StreamSpec(
-        tenant="writer",
-        queries=SEMIJOIN_QUERIES,
-        count=reads,
-        write_every=2,
-        writes=MUTATION_WRITES,
-    )
-    return ScenarioSpec(
-        name="mutation_heavy",
-        database="mixed",
-        streams=(*readers, writer),
-        oracle=oracle,
-    )
-
-
-SERVING_SCENARIOS = {
-    "mixed_read_heavy": mixed_read_heavy,
-    "division_heavy": division_heavy,
-    "semijoin_only": semijoin_only,
-    "cyclic": cyclic,
-    "cache_hostile": cache_hostile,
-    "mutation_heavy": mutation_heavy,
-}
-
-
-def scenario(name: str, **kwargs) -> ScenarioSpec:
-    """Build a named scenario (``repro serve --scenario``)."""
-    try:
-        builder = SERVING_SCENARIOS[name]
-    except KeyError:
-        raise SchemaError(
-            f"unknown serving scenario {name!r}; expected one of "
-            f"{sorted(SERVING_SCENARIOS)}"
-        ) from None
-    return builder(**kwargs)

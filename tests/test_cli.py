@@ -366,3 +366,14 @@ class TestGf:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "y\tx"
         assert "7\t1" in lines
+
+
+class TestSubcommands:
+    def test_serve_is_not_a_subcommand(self, capsys):
+        # The serving scenarios live test-side (tests/serving_lab.py);
+        # the CLI has no load generator.
+        for argv in (["serve"], ["serve", "--list-scenarios"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2, argv
+            assert "invalid choice: 'serve'" in capsys.readouterr().err

@@ -64,7 +64,7 @@ def test_a_stale_cli_flag_is_caught():
     # A flag belongs to the nearest invocation before it, and stops at
     # the end of its inline code span.
     line = (
-        "`repro serve --oracle` and `repro optimize --ascii`, "
+        "`repro eval --stats` and `repro optimize --ascii`, "
         "unlike `--no-engine`; `repro optimize --no-costs`"
     )
     assert checker.stale_flags(line, options) == ["optimize --no-costs"]
@@ -82,5 +82,9 @@ def test_an_invocation_of_a_missing_subcommand_is_caught():
     # Prose that merely names the package is not an invocation.
     assert checker.stale_flags("from repro import Session", options) == []
     assert checker.stale_flags("`from repro import Session`", options) == []
-    serve = "python -m repro serve --list-scenarios"
-    assert checker.stale_flags(serve, options) == []
+    explain = "python -m repro explain --costs --schema 'R:2'"
+    assert checker.stale_flags(explain, options) == []
+    # The serving lab left the CLI: its old command lines are stale.
+    assert checker.stale_flags(
+        "python -m repro serve --scenario mutation_heavy", options
+    ) == ["serve: no such subcommand"]

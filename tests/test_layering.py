@@ -1,12 +1,13 @@
 """The package graph is a DAG:
 
-    data / algebra / logic / core / bisim / setjoins / extended
+    data / algebra / logic / core / bisim / setjoins / extended / workloads
         ←  engine  ←  session  ←  serve
 
 The paper layers state and check the paper's results on expressions *as
 written*; nothing in them may import the planner, a ``Session``, the
 storage backends or the server — not even lazily on the ``evaluate``
-path.
+path.  ``workloads`` sits with them: its generators and serving
+traffic are data that every layer above may read.
 """
 
 import os
@@ -25,14 +26,16 @@ PAPER_LAYERS = (
     "setjoins",
     "extended",
     "data",
+    "workloads",
 )
 
-#: Imports every paper layer, answers one division with each of the
-#: three oracles, and prints each loaded module that belongs to a layer
-#: above them.
+#: Imports every paper layer and the serving traffic, answers one
+#: division with each of the three oracles, and prints each loaded
+#: module that belongs to a layer above them.
 PROBE = """
 import sys
 from repro import %s
+import repro.workloads.serving
 from repro.algebra.evaluator import evaluate
 from repro.algebra.reference import evaluate_reference
 from repro.data.database import database

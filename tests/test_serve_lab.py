@@ -1,26 +1,30 @@
-"""Tests for the workload lab and the ``repro serve`` CLI.
+"""Tests for the closed-loop serving scenarios of ``tests/serving_lab.py``.
 
 Scenarios run tiny (a few reads per stream) and inline (``workers=0``)
-so the suite stays fast and deterministic; every run here audits the
-oracle, which is the lab's strongest claim — admitted reads match the
-serial replay at their pinned generation even under the
+so the suite stays fast and deterministic; every run here ends in the
+oracle audit, the scenarios' strongest claim — admitted reads match
+the serial replay at their pinned generation even under the
 mutation-heavy mix.
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 import repro.serve.server as serve_server
-from repro.cli import main
+from repro.algebra.parser import parse
 from repro.errors import SchemaError
-from repro.serve.lab import ScenarioSpec, StreamSpec, load_spec, run_scenario
 from repro.workloads.serving import (
-    SERVING_SCENARIOS,
+    DATABASE_BUILDERS,
+    MUTATION_WRITES,
     build_database,
-    scenario,
+)
+from tests.serving_lab import (
+    SCENARIOS,
+    ScenarioSpec,
+    StreamSpec,
+    audit_oracle,
+    run_scenario,
 )
 
 
@@ -32,187 +36,107 @@ def fresh_snapshot_cache():
     serve_server._SNAPSHOT_SESSIONS.clear()
 
 
-# ----------------------------------------------------------------------
-# Specs
-# ----------------------------------------------------------------------
-
-
 def test_stream_spec_validation():
     with pytest.raises(SchemaError):
         StreamSpec(tenant="t", queries=())
     with pytest.raises(SchemaError):
         StreamSpec(tenant="t", queries=("R",), write_every=2)
     with pytest.raises(SchemaError):
-        ScenarioSpec(name="x", database="division", streams=())
+        ScenarioSpec(database="division", streams=())
 
 
-def test_load_spec_round_trips_json(tmp_path):
-    raw = {
-        "name": "handwritten",
-        "database": "division",
-        "budget": 5000,
-        "backend": "memory",
-        "oracle": True,
-        "streams": [
-            {
-                "tenant": "a",
-                "queries": ["R semijoin[2=1] S"],
-                "count": 3,
-                "weight": 2.0,
-            },
-            {
-                "tenant": "b",
-                "queries": ["project[1](R)"],
-                "count": 4,
-                "write_every": 2,
-                "writes": [[{"R": [[500, 0]]}, {}], [{}, {"R": [[500, 0]]}]],
-            },
-        ],
-    }
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps(raw))
-    spec = load_spec(str(path))
-    assert spec.name == "handwritten"
-    assert spec.budget == 5000
-    assert spec.oracle
-    assert spec.streams[0].weight == 2.0
-    assert spec.streams[1].write_every == 2
-    assert spec.streams[1].writes[0][0] == {"R": [[500, 0]]}
-    # Dict input works too (the CLI's --spec path re-uses this).
-    assert load_spec(raw).name == "handwritten"
-
-
-def test_load_spec_reports_missing_keys():
-    with pytest.raises(SchemaError, match="missing required key"):
-        load_spec({"name": "x"})
-
-
-def test_unknown_database_and_scenario_names():
+def test_unknown_database_name():
     with pytest.raises(SchemaError, match="unknown scenario database"):
         build_database("nope")
-    with pytest.raises(SchemaError, match="unknown serving scenario"):
-        scenario("nope")
 
 
-# ----------------------------------------------------------------------
-# Scenario runs (inline, oracle-audited)
-# ----------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("name", sorted(SERVING_SCENARIOS))
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_named_scenarios_run_clean_with_oracle(name):
-    spec = scenario(name, reads=4, oracle=True)
-    result = run_scenario(spec, workers=0)
-    assert result.scenario == name
+    result = run_scenario(SCENARIOS[name](reads=4))
     assert result.failed == 0
-    assert result.oracle_checked == result.completed > 0
-    assert result.oracle_mismatches == 0
+    assert audit_oracle(result) == result.completed > 0
     assert result.throughput > 0
     assert result.latency_p99 >= result.latency_p50 >= 0
-    assert result.metrics_text
-    # JSON-ready payload with the headline figures present.
-    payload = result.as_dict()
-    for key in (
-        "throughput",
-        "latency_p50",
-        "latency_p99",
-        "rejection_rate",
-        "in_flight_peak",
-    ):
-        assert key in payload
 
 
 def test_mutation_heavy_applies_writes_and_stays_oracle_clean():
-    result = run_scenario(
-        scenario("mutation_heavy", reads=6, oracle=True), workers=0
-    )
+    result = run_scenario(SCENARIOS["mutation_heavy"](reads=6))
     assert result.writes > 0
-    assert result.oracle_mismatches == 0
+    assert audit_oracle(result) == result.completed > 0
     assert result.failed == 0
 
 
 @pytest.mark.parametrize("backend", ["memory", "shm", "mmap"])
 def test_scenario_runs_on_every_backend(backend):
-    result = run_scenario(
-        scenario("semijoin_only", reads=3, oracle=True),
-        workers=0,
-        backend=backend,
-    )
-    assert result.backend == backend
-    assert result.oracle_mismatches == 0
+    result = run_scenario(SCENARIOS["semijoin_only"](reads=3), backend=backend)
+    assert result.metrics.backend == backend
+    assert audit_oracle(result) == result.completed > 0
     assert result.failed == 0
 
 
 def test_budget_pressure_rejects_and_reports():
     # A budget below the mix's cheapest certified bound rejects
-    # everything; the lab must survive and report the rate.
-    result = run_scenario(
-        scenario("division_heavy", reads=3), workers=0, budget=3.0
-    )
+    # everything; the run must survive and report the rate.
+    result = run_scenario(SCENARIOS["division_heavy"](reads=3), budget=3.0)
     assert result.completed == 0
     assert result.rejected > 0
     assert result.rejection_rate == 1.0
+    assert audit_oracle(result) == 0
 
 
-# ----------------------------------------------------------------------
-# CLI
-# ----------------------------------------------------------------------
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_scenario_queries_type_check_against_their_database(name):
+    spec = SCENARIOS[name](reads=4)
+    assert spec.database in DATABASE_BUILDERS
+    schema = build_database(spec.database).schema
+    for stream in spec.streams:
+        for text in stream.queries:
+            parse(text, schema)
+        for additions, removals in stream.writes:
+            for relation, rows in (*additions.items(), *removals.items()):
+                assert all(len(row) == schema[relation] for row in rows)
+    tenants = [stream.tenant for stream in spec.streams]
+    assert len(set(tenants)) == len(tenants)
 
 
-def test_cli_list_scenarios(capsys):
-    assert main(["serve", "--list-scenarios"]) == 0
-    out = capsys.readouterr().out
-    for name in SERVING_SCENARIOS:
-        assert name in out
+def test_cache_hostile_streams_never_repeat_a_query():
+    spec = SCENARIOS["cache_hostile"](reads=5, tenants=3)
+    texts = [text for stream in spec.streams for text in stream.queries]
+    assert len(texts) == 15
+    assert len(set(texts)) == len(texts)
 
 
-def test_cli_runs_named_scenario_with_stats_and_emit(capsys, tmp_path):
-    emit = tmp_path / "result.json"
-    code = main(
-        [
-            "serve",
-            "--scenario",
-            "semijoin_only",
-            "--reads",
-            "3",
-            "--workers",
-            "0",
-            "--oracle",
-            "--stats",
-            "--emit",
-            str(emit),
-        ]
+def test_audit_oracle_catches_a_diverged_read():
+    result = run_scenario(SCENARIOS["semijoin_only"](reads=2))
+    assert audit_oracle(result) == result.completed > 0
+    ticket = result.tickets[0]
+    ticket.rows = ticket.rows | {(-1,) * ticket.expr.arity}
+    with pytest.raises(AssertionError, match="diverged from generation 0"):
+        audit_oracle(result)
+
+
+def test_one_stream_reads_between_its_writes_at_each_generation():
+    # read, write, read, write, read, write: each read is pinned to the
+    # generation the previous write left, and the writes flip-flop R.
+    stream = StreamSpec(
+        tenant="w",
+        queries=("R",),
+        count=6,
+        write_every=2,
+        writes=MUTATION_WRITES,
     )
-    captured = capsys.readouterr()
-    assert code == 0
-    assert "throughput" in captured.out
-    assert "oracle" in captured.out
-    assert "sub=" in captured.err  # the --stats tenant table
-    payload = json.loads(emit.read_text())
-    assert payload["oracle_mismatches"] == 0
-    assert payload["scenario"] == "semijoin_only"
+    result = run_scenario(ScenarioSpec(database="mixed", streams=(stream,)))
+    assert result.writes == 3
+    assert [t.pinned_generation for t in result.tickets] == [0, 1, 2]
+    assert audit_oracle(result) == 3
+    base, grown, shrunk = (t.rows for t in result.tickets)
+    assert grown == base | {(900_001, 1_000_000), (900_002, 1_000_001)}
+    assert shrunk == base
 
 
-def test_cli_runs_spec_file(capsys, tmp_path):
-    spec = {
-        "name": "cli-spec",
-        "database": "division",
-        "db_args": {"num_keys": 30},
-        "oracle": True,
-        "streams": [
-            {"tenant": "a", "queries": ["R semijoin[2=1] S"], "count": 2}
-        ],
-    }
-    path = tmp_path / "w.json"
-    path.write_text(json.dumps(spec))
-    assert main(["serve", "--spec", str(path), "--workers", "0"]) == 0
-    assert "cli-spec" in capsys.readouterr().out
-
-
-def test_cli_rejects_ambiguous_invocations(capsys):
-    assert main(["serve"]) == 2
-    assert (
-        main(["serve", "--scenario", "cyclic", "--spec", "x.json"]) == 2
-    )
-    err = capsys.readouterr().err
-    assert "exactly one" in err
+def test_run_scenario_serves_the_given_database():
+    db = build_database("division", num_keys=30)
+    result = run_scenario(SCENARIOS["semijoin_only"](reads=2), db=db)
+    assert result.server.database_at(0) == db
+    assert audit_oracle(result) == result.completed > 0
+    assert result.failed == 0
