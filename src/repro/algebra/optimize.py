@@ -12,7 +12,13 @@ one side supplies none of them becomes ``E1 ⋉_θ E2`` (``E2 ⋉_θ' E1``,
 mirrored, when E1 is unread), and ``(L ⋈ R) ⋉_φ X → L ⋈ (R ⋉_φ' X)``
 when φ reads only R (likewise L) reaches left-deep chains — turning,
 e.g., the quadratic ``π[1,2](R ⋈[1=1] R)`` into the linear
-``π[1,2](R ⋉[1=1] R)``.  Each step is exact for **every** θ under set
+``π[1,2](R ⋉[1=1] R)``.  A side read only through columns an ``=``
+atom binds is a filter too: the reader takes each such column from its
+partner on the other side, so ``π[4,1](U ⋈[1=1] T)`` becomes
+``π[2,1](T ⋉[1=1] U)``.  That needs a reader that remaps positions —
+π, or a σ / τ / semijoin-left / join-child chain ending in one, or a
+semijoin's right side — so at the root and under ∪ and − every column
+keeps its side.  Each step is exact for **every** θ under set
 semantics and adds no rows (``|E1 ⋉_θ E2| ≤ |E1 ⋈_θ E2|``).
 
 Also provided: selection pushdown through join/semijoin/union/difference
@@ -42,37 +48,48 @@ def filter_joins(
 ) -> Expr:
     """Make every join read through one side only a semijoin.
 
-    Walks until one changes nothing; an unchanged expression comes back
-    as the same object.  ``keep_cycles`` keeps a join whose equality
-    atoms read two leaves of the join chain on one side: that filter
-    closes a cycle, the multiway join's case.  ``notes``, if given,
-    maps each semijoin made from a join to whether it was mirrored.
+    A side counts as unread, too, when a reader that remaps positions
+    reads it only through columns an ``=`` atom binds: those come from
+    their partners.  Walks until one changes nothing; an unchanged
+    expression comes back as the same object.  ``keep_cycles`` keeps a
+    join whose equality atoms read two leaves of the join chain on one
+    side: that filter closes a cycle, the multiway join's case.
+    ``notes``, if given, maps each semijoin made from a join to whether
+    it was mirrored.
     """
-    done = _walk(expr, set(range(1, expr.arity + 1)), keep_cycles, notes)[0]
+    everything = set(range(1, expr.arity + 1))
+    done = _walk(expr, everything, keep_cycles, notes, False)[0]
     return expr if done is expr else filter_joins(done, keep_cycles, notes)
 
 
-def _walk(expr: Expr, need: set, cycles: bool, notes):
-    """``expr`` for readers of ``need``; each old position's new one."""
+def _walk(expr: Expr, need: set, cycles: bool, notes, remap: bool):
+    """``expr`` for readers of ``need``; each old position's new one.
+
+    ``remap``: the reader maps positions through the returned ``at``,
+    so a read position may move to a column equal to it."""
     kind, same = type(expr), tuple(range(1, expr.arity + 1))
     if kind is Projection:
-        child, at = _walk(expr.child, set(expr.positions), cycles, notes)
+        child, at = _walk(expr.child, set(expr.positions), cycles, notes, True)
         if child is not expr.child:
             expr = Projection(child, tuple(at[p - 1] for p in expr.positions))
         return expr, same
     if kind is Selection:
-        child, at = _walk(expr.child, need | {expr.i, expr.j}, cycles, notes)
+        child, at = _walk(
+            expr.child, need | {expr.i, expr.j}, cycles, notes, remap
+        )
         if child is not expr.child:
             expr = Selection(child, expr.op, at[expr.i - 1], at[expr.j - 1])
         return expr, at
     if kind is ConstantTag:  # the tag column follows a shrinking child
-        child, at = _walk(expr.child, need - {expr.arity}, cycles, notes)
+        child, at = _walk(
+            expr.child, need - {expr.arity}, cycles, notes, remap
+        )
         if child is not expr.child:
             expr = ConstantTag(child, expr.value)
         return expr, at + (expr.arity,)
     if kind is Union or kind is Difference:
-        left = _walk(expr.left, set(same), cycles, notes)[0]
-        right = _walk(expr.right, set(same), cycles, notes)[0]
+        left = _walk(expr.left, set(same), cycles, notes, False)[0]
+        right = _walk(expr.right, set(same), cycles, notes, False)[0]
         if left is not expr.left or right is not expr.right:
             expr = kind(left, right)
         return expr, same
@@ -85,20 +102,26 @@ def _walk(expr: Expr, need: set, cycles: bool, notes):
     if kind is Join:
         read = {p - width for p in need if p > width}
         need = {p for p in need if p <= width}
-        if (not read or not need) and not (
+        side = _filter_side(cond, need, read, remap)
+        if side is not None and not (
             cycles and cond.is_equi()
             and (_closes_cycle(inner, lefts) or _closes_cycle(right, rights))
         ):  # one side is a filter; mirror when it is the left one
-            if read:
-                node = Semijoin(right, inner, cond.mirrored())
+            mirror, partner = side
+            if mirror:
+                node, kept = Semijoin(right, inner, cond.mirrored()), read
             else:
-                node = Semijoin(inner, right, cond)
+                node, kept = Semijoin(inner, right, cond), need
             if notes is not None:
-                notes[node] = bool(read)
-            node, at = _walk(node, read or need, cycles, notes)
-            if read:
-                return node, (0,) * width + at
-            return node, at + (0,) * right.arity
+                notes[node] = mirror
+            node, at = _walk(
+                node, kept | set(partner.values()), cycles, notes, remap
+            )
+            moved = tuple(  # a redirected column reads its partner
+                at[partner[p] - 1] if p in partner else 0
+                for p in range(1, (width if mirror else right.arity) + 1)
+            )
+            return node, moved + at if mirror else at + moved
         rights |= read
     elif type(inner) is Join and cond:  # (L ⋈ R) ⋉ X: filter L or R
         cut, side = inner.left.arity, None
@@ -112,9 +135,11 @@ def _walk(expr: Expr, need: set, cycles: bool, notes):
         if side is not None:
             if mirrored is not None:
                 notes[side] = mirrored
-            return _walk(joined, need, cycles, notes)
-    left, left_at = _walk(inner, need | lefts, cycles, notes)
-    right, right_at = _walk(expr.right, rights, cycles, notes)
+            return _walk(joined, need, cycles, notes, remap)
+    left, left_at = _walk(inner, need | lefts, cycles, notes, remap)
+    right, right_at = _walk(
+        expr.right, rights, cycles, notes, remap or kind is Semijoin
+    )
     if left is inner and right is expr.right:
         return expr, same
     cond = Condition(
@@ -128,6 +153,24 @@ def _walk(expr: Expr, need: set, cycles: bool, notes):
     return Join(left, right, cond), left_at + tuple(
         p and p + left.arity for p in right_at
     )
+
+
+def _filter_side(cond: Condition, need: set, read: set, remap: bool):
+    """``(mirror, partner)`` when one side of a join is a filter: the
+    left one if ``mirror``; ``partner`` sends each of its read columns
+    to the other side's column an ``=`` atom equates it with.  ``None``
+    when both sides supply a column."""
+    if not read or not need:
+        return bool(read), {}
+    if not remap:
+        return None
+    partner = {a.j: a.i for a in cond if a.op == "="}
+    if read <= partner.keys():
+        return False, {p: partner[p] for p in read}
+    partner = {a.i: a.j for a in cond if a.op == "="}
+    if need <= partner.keys():
+        return True, {p: partner[p] for p in need}
+    return None
 
 
 def _closes_cycle(chain: Expr, columns) -> bool:

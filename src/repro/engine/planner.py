@@ -27,7 +27,12 @@ Routing rules (documented in ``docs/engine.md``):
    Before planning, :func:`repro.algebra.optimize.filter_joins` turns
    every join whose one side supplies no column an ancestor reads into
    a semijoin — the Corollary 19 move: the quadratic intermediate is
-   never materialized.  Such a semijoin's ``note`` says so.
+   never materialized.  A side read only through columns an ``=`` atom
+   binds counts as unread when its reader remaps positions (π or a
+   semijoin's right side, through σ, τ and joins):
+   ``π[4,1](U ⋈[1=1] T)`` plans as ``π[2,1](T ⋉[1=1] U)``.  At the
+   root and under ∪ / − every column keeps its side.  Such a
+   semijoin's ``note`` says so.
 3. **Equality atoms select hash operators.**  Joins/semijoins with at
    least one ``=`` atom run as hash joins (index on the right, probe
    from the left); pure θ/cartesian joins fall back to nested loops

@@ -4,7 +4,11 @@
 one needed-columns pass: every ``Join`` whose one side supplies no
 column an ancestor reads becomes a semijoin (mirrored when the unread
 side is the left one), and a semijoin over a join moves into the join
-side its condition reads.  The planner runs it before planning.
+side its condition reads.  A side read only through columns an ``=``
+atom binds is a filter too, under a reader that remaps positions: the
+reader takes those columns from their partners, so
+``project[4,1](U join[1=1] T)`` is ``project[2,1](T semijoin[1=1] U)``.
+The planner runs the pass before planning.
 
 Pinned here:
 
@@ -12,6 +16,10 @@ Pinned here:
   on random expressions, projected join chains and projected cycles —
   keeps the arity, and is idempotent;
 * ROADMAP 16's two three-relation chains plan to semijoins only;
+* a side read through its ``=``-bound columns is redirected under π,
+  σ, τ and a semijoin's right side, plans without a join, and keeps
+  its θ atoms in the condition; a ``<`` or ``!=`` atom redirects
+  nothing, and at the root and under ∪ / − the written join stays;
 * a filter that closes a cycle stays a join, so the triangle texts
   still collapse into one worst-case-optimal ``MultiwayJoinOp``;
 * ``explain`` says why a written join runs as a semijoin.
@@ -35,9 +43,11 @@ from repro.engine.plan import (
 )
 from repro.engine.planner import explain
 from repro.workloads.generators import zipf_triangle_db
+from repro.workloads.serving import build_database
 from tests.strategies import (
     CYCLE_SCHEMA,
     TEST_CONSTANTS,
+    TEST_SCHEMA,
     databases,
     expressions,
     join_chains,
@@ -124,6 +134,81 @@ def test_chains_plan_to_semijoins_only(text):
     assert HashSemijoinOp in kinds
     assert not kinds & {HashJoinOp, NestedLoopJoinOp, MultiwayJoinOp}
     assert executor.execute(plan) == evaluate(expr, db)
+
+
+#: The ``adhoc_tiny`` benchmark workload's database: R, T, U binary.
+MIXED = build_database("mixed", num_keys=24, extra_rows=48, seed=5)
+
+#: Written text → the pass's output: each filter side is read only
+#: through a column an ``=`` atom binds, so its reader takes the
+#: partner column instead.
+REDIRECTS = {
+    # U is the filter: mirrored.
+    "project[4,1](U join[1=1] T)": "project[2,1](T semijoin[1=1] U)",
+    # U is the filter on the right: not mirrored.
+    "project[2,3](T join[1=1] U)": "project[2,1](T semijoin[1=1] U)",
+    "project[4](select[1<4](U join[1=1] T))":
+        "project[2](select[1<2](T semijoin[1=1] U))",
+    "project[5,4,1](tag[7](U join[1=1] T))":
+        "project[3,2,1](tag[7](T semijoin[1=1] U))",
+    # A semijoin's right side is read only by its condition.
+    "T semijoin[1=1,2=4] (U join[1=1] T)":
+        "T semijoin[1=1,2=2] (T semijoin[1=1] U)",
+    # Three inputs: U is unread, then T is read through its join column.
+    "project[1,3]((R join[2=1] T) join[4=1] U)":
+        "project[1,2](R semijoin[2=1] (T semijoin[2=1] U))",
+    # A θ atom stays in the semijoin's condition, mirrored with it.
+    "project[4,1](U join[1=1,2<2] T)": "project[2,1](T semijoin[1=1,2>2] U)",
+}
+
+
+@pytest.mark.parametrize("text", REDIRECTS)
+def test_a_side_read_through_its_join_columns_is_a_filter(text):
+    expr = parse(text, MIXED.schema)
+    rewritten = filter_joins(expr)
+    assert rewritten == parse(REDIRECTS[text], MIXED.schema)
+    assert evaluate(rewritten, MIXED) == evaluate(expr, MIXED)
+    executor = Executor(MIXED)
+    plan = executor.plan(expr)
+    kinds = {type(node) for node in plan.nodes()}
+    assert not kinds & {HashJoinOp, NestedLoopJoinOp, MultiwayJoinOp}
+    assert "Cor. 19" in plan.explain()
+    assert executor.execute(plan) == evaluate(expr, MIXED)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "project[4,1](U join[1<1] T)",
+        "project[4,1](U join[1!=1] T)",
+        # U's column 2 is bound only by a θ atom.
+        "project[4,2](U join[1=1,2<1] T)",
+        "project[4,1](U join[2=1,1!=2] T)",
+    ],
+)
+def test_an_order_or_inequality_atom_redirects_nothing(text):
+    expr = parse(text, MIXED.schema)
+    assert filter_joins(expr) is expr
+
+
+#: ``benchmarks/test_cost_model.py``'s written-order chain: S is read
+#: only through its join column, but nothing above remaps positions.
+WRITTEN_CHAIN = "(T join[1=1] R) join[5=1] S"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        WRITTEN_CHAIN,
+        f"{WRITTEN_CHAIN} union {WRITTEN_CHAIN}",
+        f"{WRITTEN_CHAIN} minus {WRITTEN_CHAIN}",
+        "R join[1=1] S",
+    ],
+)
+def test_at_the_root_and_under_union_or_difference_a_join_stays(text):
+    expr = parse(text, TEST_SCHEMA)
+    assert filter_joins(expr) is expr
+    assert filter_joins(expr, keep_cycles=True) is expr
 
 
 @pytest.mark.parametrize("text", TRIANGLES)

@@ -46,8 +46,15 @@ class TestFilterJoins:
         assert rewritten.positions == (1,)
 
     def test_mixed_projection_untouched(self):
-        expr = parse("project[1,3](R join[2=1] S)", SCHEMA)
+        expr = parse("project[1,4](R join[2=1] T)", SCHEMA)
         assert filter_joins(expr) == expr
+
+    def test_a_side_read_through_its_join_column_is_a_filter(self, db):
+        """S's column equals R's column 2 on every joined pair."""
+        expr = parse("project[1,3](R join[2=1] S)", SCHEMA)
+        rewritten = filter_joins(expr)
+        assert rewritten == parse("project[1,2](R semijoin[2=1] S)", SCHEMA)
+        assert evaluate(rewritten, db) == evaluate(expr, db)
 
     def test_non_equi_condition_supported(self, db):
         expr = parse("project[1,2](R join[2<1] S)", SCHEMA)
@@ -91,7 +98,7 @@ class TestFilterJoins:
         assert evaluate(rewritten, db) == evaluate(expr, db)
 
     def test_unchanged_expression_is_the_same_object(self):
-        expr = parse("project[1,3](R join[2=1] S)", SCHEMA)
+        expr = parse("project[1,4](R join[2=1] T)", SCHEMA)
         assert filter_joins(expr) is expr
 
 
