@@ -22,7 +22,8 @@ eagerly, so an :class:`Expr` that exists is well-formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Callable, Iterator
 
 from repro.algebra.conditions import Condition, condition
@@ -130,6 +131,36 @@ class Expr:
         from repro.algebra.printer import to_text
 
         return to_text(self)
+
+    def __getstate__(self) -> dict:
+        """The fields without the cached hash: a string's hash differs
+        between processes, so an unpickled node hashes afresh."""
+        state = self.__dict__.copy()
+        state.pop("_hash_value", None)
+        return state
+
+
+def cached_hash(self) -> int:
+    """Hash of the dataclass field tuple, computed once per node.
+
+    The generated frozen-dataclass ``__hash__`` re-hashes the whole
+    subtree on every call, which makes memo-dict lookups on deep
+    shared trees quadratic-to-exponential; caching keeps them O(1)
+    after the first hash (child hashes are themselves cached, so even
+    the first full hash is linear in distinct nodes).  Equality stays
+    the generated structural one.
+    """
+    value = self.__dict__.get("_hash_value")
+    if value is None:
+        value = self.__dict__["_hash_value"] = hash(self._hash_fields(self))
+    return value
+
+
+def cache_hashes(*classes: type) -> None:
+    """Give each frozen dataclass in ``classes`` :func:`cached_hash`."""
+    for cls in classes:
+        cls._hash_fields = attrgetter(*(f.name for f in fields(cls)))
+        cls.__hash__ = cached_hash
 
 
 def _check_position(position: int, arity: int, context: str) -> None:
@@ -321,6 +352,11 @@ class Semijoin(Expr):
 
     def children(self) -> tuple[Expr, ...]:
         return (self.left, self.right)
+
+
+cache_hashes(
+    Rel, Union, Difference, Projection, Selection, ConstantTag, Join, Semijoin
+)
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 
-from repro.algebra.ast import Expr
+from repro.algebra.ast import Expr, cache_hashes
 from repro.algebra.conditions import Condition
 from repro.data.universe import Value
 from repro.errors import ArityError, SchemaError
@@ -781,26 +781,7 @@ def rewrite_plan(plan: PlanNode, step) -> PlanNode:
     return rewrite(plan)
 
 
-def _cached_hash(self) -> int:
-    """Hash of the dataclass field tuple, computed once per node.
-
-    The generated frozen-dataclass ``__hash__`` re-hashes the whole
-    subtree on every call, which makes memo-dict lookups on deep
-    shared plans quadratic-to-exponential; caching keeps them O(1)
-    after the first hash (child hashes are themselves cached, so even
-    the first full-plan hash is linear in distinct nodes).  Equality
-    stays the generated structural one.
-    """
-    cached = self.__dict__.get("_hash_value")
-    if cached is None:
-        cached = hash(
-            tuple(getattr(self, f.name) for f in fields(self))
-        )
-        object.__setattr__(self, "_hash_value", cached)
-    return cached
-
-
-for _op in (
+cache_hashes(
     ScanOp,
     UnionOp,
     DifferenceOp,
@@ -817,5 +798,4 @@ for _op in (
     ParallelOp,
     GroupByOp,
     SortOp,
-):
-    _op.__hash__ = _cached_hash
+)

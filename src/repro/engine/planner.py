@@ -24,15 +24,12 @@ Routing rules (documented in ``docs/engine.md``):
    families — the regression tests pin that no re-quadratification
    sneaks in).
 2. **A join read only as a filter is a semijoin, wherever it sits.**
-   Before planning, :func:`repro.algebra.optimize.filter_joins` turns
-   every join whose one side supplies no column an ancestor reads into
-   a semijoin — the Corollary 19 move: the quadratic intermediate is
-   never materialized.  A side read only through columns an ``=`` atom
-   binds counts as unread when its reader remaps positions (π or a
-   semijoin's right side, through σ, τ and joins):
-   ``π[4,1](U ⋈[1=1] T)`` plans as ``π[2,1](T ⋉[1=1] U)``.  At the
-   root and under ∪ / − every column keeps its side.  Such a
-   semijoin's ``note`` says so.
+   Before planning, one walk (:func:`repro.algebra.optimize.rewrite`)
+   pushes σ and turns every join whose one side supplies no column an
+   ancestor reads — or, under a reader that remaps positions, only
+   ``=``-bound columns — into a semijoin (Corollary 19): the quadratic
+   intermediate is never materialized.  Such a semijoin's ``note``
+   says so; the sub-plan memo keys a node over it on the notes beneath.
 3. **Equality atoms select hash operators.**  Joins/semijoins with at
    least one ``=`` atom run as hash joins (index on the right, probe
    from the left); pure θ/cartesian joins fall back to nested loops
@@ -60,9 +57,9 @@ Routing rules (documented in ``docs/engine.md``):
    at their first witness, under their own AGM bound.  Where the
    collapse can fire, rule 2 keeps a join whose equality atoms read two
    leaves of the chain beneath it: that filter closes a cycle.
-5. **Selections are pushed toward the leaves** first (reusing
-   :func:`repro.algebra.optimize.push_selections`), then fused into
-   single :class:`~repro.engine.plan.FilterOp` nodes.
+5. **Selections are pushed toward the leaves** first (by rule 2's
+   walk), then fused into single :class:`~repro.engine.plan.FilterOp`
+   nodes.
 6. **Oversized operators are partitioned** (costed mode with a
    ``partition_budget`` only): in a final post-pass over the chosen
    plan — after every cost comparison, so the scatter surcharge never
@@ -96,6 +93,7 @@ from repro.algebra.ast import (
     Union,
 )
 from repro.algebra.conditions import Atom, Condition
+from repro.algebra.optimize import rewrite
 from repro.core.classify import join_is_safe
 from repro.data.schema import Schema
 from repro.engine.plan import (
@@ -393,8 +391,8 @@ class Planner:
     call, so later queries reuse the sub-plans earlier ones chose.
     """
 
-    #: Occurrence budget for the logical pre-passes (σ pushdown, filter
-    #: joins), which walk occurrences, not distinct nodes.
+    #: Occurrence budget for the logical rewrite (σ pushdown, filter
+    #: joins), which walks occurrences, not distinct nodes.
     PUSHDOWN_SIZE_LIMIT = 512
 
     #: Join chains with more leaves than this keep their written order
@@ -424,8 +422,9 @@ class Planner:
         #: node whose division match is suppressed (rewrites below it
         #: stay on, keeping the cost comparison symmetric).
         self._no_division_root: Expr | None = None
-        #: The semijoins this text's joins became → whether mirrored.
-        self._filters: dict[Expr, bool] = {}
+        #: The nodes of this text over a semijoin made from a join →
+        #: their notes (:func:`repro.algebra.optimize.rewrite`).
+        self._filters: dict[Expr, tuple] = {}
 
     def _costed(self) -> bool:
         """Whether cost-based decisions are in force (stats present)."""
@@ -464,22 +463,21 @@ class Planner:
     def plan(self, expr: Expr) -> PlanNode:
         """Plan a logical expression (RA/SA, optionally with γ/Sort)."""
         self._filters = {}
-        if _rewritable(expr, self.PUSHDOWN_SIZE_LIMIT):
-            from repro.algebra.optimize import filter_joins, push_selections
-
-            expr = filter_joins(
-                push_selections(expr),
-                keep_cycles=self._costed() and self.options.use_multiway,
-                notes=self._filters,
-            )
+        expr = rewrite(
+            expr,
+            keep_cycles=self._costed() and self.options.use_multiway,
+            notes=self._filters,
+            limit=self.PUSHDOWN_SIZE_LIMIT,
+        )
         return self._post_passes(self._plan(expr))
 
     # -- recursive translation -----------------------------------------
 
     def _plan(self, expr: Expr) -> PlanNode:
-        # A semijoin made from a join is keyed apart: its note says so.
-        mirrored = self._filters.get(expr) if self._filters else None
-        key = expr if mirrored is None else (expr, mirrored)
+        # A node over a semijoin made from a join is keyed with the
+        # notes beneath it, so no text reads another's notes.
+        noted = self._filters.get(expr) if self._filters else None
+        key = expr if noted is None else (expr, noted)
         cached = self._memo.get(key)
         if cached is not None:
             return cached
@@ -509,13 +507,13 @@ class Planner:
         if isinstance(expr, Join):
             return self._join(expr, self._plan(expr.left), self._plan(expr.right))
         if isinstance(expr, Semijoin):
-            mirrored = self._filters.get(expr) if self._filters else None
+            noted = self._filters.get(expr) if self._filters else None
             return self._semijoin(
                 expr,
                 self._plan(expr.left),
                 self._plan(expr.right),
                 expr.cond,
-                note=_FILTER_NOTES.get(mirrored, ""),
+                note=_FILTER_NOTES.get(noted and noted[0], ""),
             )
         extended = self._plan_extended(expr)
         if extended is not None:
@@ -905,34 +903,6 @@ def _leaf_of(spans: list[tuple[int, int]], column: int) -> int:
         if start <= column < start + arity:
             return index
     raise SchemaError(f"global column {column} outside all leaf spans")
-
-
-_CORE_NODES = (
-    Rel,
-    Union,
-    Difference,
-    Projection,
-    Selection,
-    ConstantTag,
-    Join,
-    Semijoin,
-)
-
-
-def _rewritable(expr: Expr, limit: int) -> bool:
-    """Whether the logical pre-passes apply: only core RA/SA nodes, and
-    at most ``limit`` node occurrences (the passes walk occurrences, not
-    distinct nodes; a shared tree past the budget is refused in
-    O(limit) instead of being enumerated)."""
-    stack = [expr]
-    for __ in range(limit):
-        if not stack:
-            return True
-        node = stack.pop()
-        if type(node) not in _CORE_NODES:
-            return False
-        stack.extend(node.children())
-    return not stack
 
 
 def plan_expression(

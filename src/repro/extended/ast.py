@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.algebra.ast import Expr
+from repro.algebra.ast import Expr, cache_hashes
 from repro.errors import PositionError, SchemaError
 
 #: The supported aggregate functions.
@@ -110,6 +110,9 @@ class Sort(Expr):
 
     def children(self) -> tuple[Expr, ...]:
         return (self.child,)
+
+
+cache_hashes(GroupBy, Sort)
 
 
 def group_by(

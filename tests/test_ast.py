@@ -1,5 +1,11 @@
 """Tests for the expression AST (:mod:`repro.algebra.ast`)."""
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 
@@ -203,3 +209,57 @@ def test_random_expressions_are_well_formed(expr):
     assert count == expr.size()
     assert expr.depth() <= expr.size()
     assert expr.arity >= 0
+
+
+@given(expressions(max_depth=4))
+def test_a_cached_hash_is_the_structural_one(expr):
+    """A node hashes once; an equal node built apart hashes the same,
+    and a pickled copy carries no hash of its own."""
+    first = hash(expr)
+    assert hash(expr) == first
+    assert "_hash_value" in expr.__dict__
+    copy = pickle.loads(pickle.dumps(expr))
+    assert "_hash_value" not in copy.__dict__
+    assert copy == expr and hash(copy) == first
+
+
+#: Pickles a parsed expression after hashing it (the cache is filled).
+_DUMP = """
+import pickle, sys
+from repro.algebra.parser import parse
+from repro.data.schema import Schema
+expr = parse(sys.argv[1], Schema({"Rel": 2, "Other": 1}))
+hash(expr)
+sys.stdout.buffer.write(pickle.dumps(expr))
+"""
+
+#: Loads that pickle and uses it beside a freshly parsed equal text.
+_LOAD = """
+import pickle, sys
+from repro.algebra.parser import parse
+from repro.data.schema import Schema
+loaded = pickle.loads(sys.stdin.buffer.read())
+fresh = parse(sys.argv[1], Schema({"Rel": 2, "Other": 1}))
+assert loaded == fresh, "unequal"
+assert hash(loaded) == hash(fresh), "stale hash"
+assert {fresh: 1}.get(loaded) == 1 and {loaded: 1}.get(fresh) == 1
+"""
+
+
+def test_a_pickled_expression_hashes_afresh_under_another_hash_seed():
+    """A server ships an expression to a worker process, whose string
+    hashes differ: there it must key the worker's memos like its own."""
+    text = "project[1](Rel join[2=1] Other)"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+
+    def python(code, seed, data=None):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+        return subprocess.run(
+            [sys.executable, "-c", code, text], input=data, env=env,
+            capture_output=True, check=False,
+        )
+
+    dumped = python(_DUMP, 1)
+    assert dumped.returncode == 0, dumped.stderr.decode()
+    loaded = python(_LOAD, 2, dumped.stdout)
+    assert loaded.returncode == 0, loaded.stderr.decode()

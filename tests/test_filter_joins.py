@@ -8,7 +8,8 @@ side its condition reads.  A side read only through columns an ``=``
 atom binds is a filter too, under a reader that remaps positions: the
 reader takes those columns from their partners, so
 ``project[4,1](U join[1=1] T)`` is ``project[2,1](T semijoin[1=1] U)``.
-The planner runs the pass before planning.
+The planner runs it, with σ pushdown, as one walk before planning
+(:func:`repro.algebra.optimize.rewrite`).
 
 Pinned here:
 
@@ -22,16 +23,25 @@ Pinned here:
   nothing, and at the root and under ∪ / − the written join stays;
 * a filter that closes a cycle stays a join, so the triangle texts
   still collapse into one worst-case-optimal ``MultiwayJoinOp``;
-* ``explain`` says why a written join runs as a semijoin.
+* one call of the walk settles: on random expressions and on both
+  fresh-query streams its output keeps the rows and the arity, and
+  rewriting it again returns the same object;
+* the planner's walk leaves a shared tree past its occurrence budget,
+  and a text with a γ node, as it is;
+* ``explain`` says why a written join runs as a semijoin, and the note
+  is the same whatever an earlier text of the same ``Session`` was.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algebra.ast import ConstantTag, Projection
+from perfbench.workloads import adhoc_query
+from repro.algebra.ast import ConstantTag, Join, Projection, Rel, Union
 from repro.algebra.evaluator import evaluate
-from repro.algebra.optimize import filter_joins
+from repro.algebra.optimize import filter_joins, rewrite
 from repro.algebra.parser import parse
 from repro.data.database import database
 from repro.data.schema import Schema
@@ -41,7 +51,9 @@ from repro.engine.plan import (
     HashSemijoinOp,
     NestedLoopJoinOp,
 )
-from repro.engine.planner import explain
+from repro.engine.planner import Planner, explain
+from repro.extended.ast import group_by
+from repro.session import Session
 from repro.workloads.generators import zipf_triangle_db
 from repro.workloads.serving import build_database
 from tests.strategies import (
@@ -241,6 +253,23 @@ class TestExplainNotes:
         rendered = explain(parse(text, CHAIN_SCHEMA))
         assert rendered.count("join used only as a filter") == 2
 
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_a_note_does_not_depend_on_the_text_before(self, first):
+        """A π over a made semijoin and the same π written as one plan
+        apart: each prints what a fresh ``Session`` prints, whichever
+        came first."""
+        db = build_database("mixed", num_keys=24, extra_rows=48, seed=7)
+        texts = [
+            "project[1,2](R join[2=1] S)",
+            "project[1,2](R semijoin[2=1] S)",
+        ]
+        session = Session(db, cache_results=False)
+        for text in (texts[first], texts[1 - first]):
+            fresh = Session(db, cache_results=False).explain(text, costs=True)
+            assert session.explain(text, costs=True) == fresh
+        assert "Cor. 19" in session.explain(texts[0])
+        assert "Cor. 19" not in session.explain(texts[1])
+
     def test_a_written_semijoin_carries_no_note_after_a_made_one(self):
         """The sub-plan memo outlives a text; the note does not leak
         to the same semijoin written as one."""
@@ -251,3 +280,71 @@ class TestExplainNotes:
         written = executor.plan(parse("R semijoin[2=1] S", CHAIN_SCHEMA))
         assert "Cor. 19" in made.explain()
         assert "Cor. 19" not in written.explain()
+
+
+def check_settled(expr, db, keep_cycles):
+    rewritten = rewrite(expr, keep_cycles)
+    assert rewritten.arity == expr.arity
+    assert evaluate(rewritten, db) == evaluate(expr, db)
+    assert rewrite(rewritten, keep_cycles) is rewritten
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(expressions(max_depth=5), databases(), st.booleans())
+def test_one_walk_settles_random_expressions(expr, db, keep_cycles):
+    check_settled(expr, db, keep_cycles)
+
+
+#: ``adhoc_query``'s arguments after ``rng`` for the two fresh-query
+#: streams: ``adhoc_tiny``'s and the serving workloads'.
+STREAMS = {
+    "adhoc_tiny": (("R", "T", "U"), 3, True, "R"),
+    "serving": (("T", "U"), 2, False),
+}
+
+
+@pytest.mark.parametrize("seed", [7, 31])
+@pytest.mark.parametrize("stream", STREAMS)
+def test_one_walk_settles_the_fresh_query_streams(stream, seed):
+    """A join a child's rewrite made a filter — two read columns that
+    became one — is a semijoin after the one call."""
+    rng, texts = random.Random(seed), {}
+    while len(texts) < 1500:
+        texts.setdefault(adhoc_query(rng, *STREAMS[stream]), None)
+    for text in texts:
+        check_settled(parse(text, MIXED.schema), MIXED, keep_cycles=False)
+
+
+def test_a_semijoin_over_a_chain_made_below_it_moves_into_the_chain():
+    """The inner semijoin moves into the cartesian product first; then
+    the outer one's left side is a join chain, and it moves too."""
+    expr = parse("((R join[] T) semijoin[1=1] U) semijoin[1=2] U", MIXED.schema)
+    rewritten = rewrite(expr)
+    assert rewritten == parse(
+        "((R semijoin[1=1] U) semijoin[1=2] U) join[] T", MIXED.schema
+    )
+    assert evaluate(rewritten, MIXED) == evaluate(expr, MIXED)
+
+
+class TestPlannerGuards:
+    LIMIT = Planner.PUSHDOWN_SIZE_LIMIT
+
+    @staticmethod
+    def doubled(expr, times):
+        for __ in range(times):
+            expr = Union(expr, expr)
+        return expr
+
+    def test_a_shared_tree_past_the_budget_comes_back_as_it_is(self):
+        filter_text = parse("project[1,2](R join[2=1] S)", CHAIN_SCHEMA)
+        within = self.doubled(filter_text, 6)  # 64 · 4 + 63 occurrences
+        assert rewrite(within, limit=self.LIMIT) is not within
+        past = self.doubled(filter_text, 7)  # 128 · 4 + 127 occurrences
+        assert rewrite(past) is not past
+        assert rewrite(past, limit=self.LIMIT) is past
+
+    def test_a_text_with_a_grouping_comes_back_as_it_is(self):
+        grouped = group_by(Rel("R", 2), [1], "count(2)")
+        expr = Projection(Join(Rel("R", 2), grouped, "2=1"), (1, 2))
+        assert rewrite(expr) is not expr
+        assert rewrite(expr, limit=self.LIMIT) is expr
