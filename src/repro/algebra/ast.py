@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.algebra.conditions import Condition, condition
 from repro.data.universe import Value
@@ -33,15 +33,19 @@ from repro.errors import ArityError, PositionError, SchemaError
 
 @dataclass(frozen=True)
 class Expr:
-    """Base class of all algebra expressions."""
+    """Base class of all algebra expressions.
+
+    Each node's ``__post_init__`` stores its ``arity`` (the number of
+    output columns) in the instance, read off its children's: an
+    attribute, not a dataclass field, so equality, hashing and ``repr``
+    never see it, and a pickled node carries it.
+    """
+
+    if TYPE_CHECKING:
+        arity: int
 
     def __post_init__(self) -> None:  # pragma: no cover - abstract
         raise SchemaError("Expr is abstract; use a concrete node type")
-
-    @property
-    def arity(self) -> int:
-        """The number of output columns."""
-        raise NotImplementedError
 
     def children(self) -> tuple["Expr", ...]:
         """Direct sub-expressions, left to right."""
@@ -185,10 +189,7 @@ class Rel(Expr):
                 f"relation {self.name!r} must have arity >= 1, "
                 f"got {self._arity}"
             )
-
-    @property
-    def arity(self) -> int:
-        return self._arity
+        self.__dict__["arity"] = self._arity
 
     def children(self) -> tuple[Expr, ...]:
         return ()
@@ -202,14 +203,12 @@ class Union(Expr):
     right: Expr
 
     def __post_init__(self) -> None:
-        if self.left.arity != self.right.arity:
+        arity = self.left.arity
+        if arity != self.right.arity:
             raise ArityError(
-                f"union of arities {self.left.arity} and {self.right.arity}"
+                f"union of arities {arity} and {self.right.arity}"
             )
-
-    @property
-    def arity(self) -> int:
-        return self.left.arity
+        self.__dict__["arity"] = arity
 
     def children(self) -> tuple[Expr, ...]:
         return (self.left, self.right)
@@ -223,15 +222,12 @@ class Difference(Expr):
     right: Expr
 
     def __post_init__(self) -> None:
-        if self.left.arity != self.right.arity:
+        arity = self.left.arity
+        if arity != self.right.arity:
             raise ArityError(
-                f"difference of arities {self.left.arity} "
-                f"and {self.right.arity}"
+                f"difference of arities {arity} and {self.right.arity}"
             )
-
-    @property
-    def arity(self) -> int:
-        return self.left.arity
+        self.__dict__["arity"] = arity
 
     def children(self) -> tuple[Expr, ...]:
         return (self.left, self.right)
@@ -245,13 +241,11 @@ class Projection(Expr):
     positions: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "positions", tuple(self.positions))
-        for position in self.positions:
-            _check_position(position, self.child.arity, "projection")
-
-    @property
-    def arity(self) -> int:
-        return len(self.positions)
+        positions = self.__dict__["positions"] = tuple(self.positions)
+        arity = self.child.arity
+        for position in positions:
+            _check_position(position, arity, "projection")
+        self.__dict__["arity"] = len(positions)
 
     def children(self) -> tuple[Expr, ...]:
         return (self.child,)
@@ -272,12 +266,10 @@ class Selection(Expr):
                 f"selection comparison must be '=' or '<', got {self.op!r}; "
                 "use the select_* helper functions for derived comparisons"
             )
-        _check_position(self.i, self.child.arity, "selection")
-        _check_position(self.j, self.child.arity, "selection")
-
-    @property
-    def arity(self) -> int:
-        return self.child.arity
+        arity = self.child.arity
+        _check_position(self.i, arity, "selection")
+        _check_position(self.j, arity, "selection")
+        self.__dict__["arity"] = arity
 
     def children(self) -> tuple[Expr, ...]:
         return (self.child,)
@@ -305,10 +297,7 @@ class ConstantTag(Expr):
             raise SchemaError(
                 f"constant must be int, Fraction or str, got {self.value!r}"
             )
-
-    @property
-    def arity(self) -> int:
-        return self.child.arity + 1
+        self.__dict__["arity"] = self.child.arity + 1
 
     def children(self) -> tuple[Expr, ...]:
         return (self.child,)
@@ -323,12 +312,10 @@ class Join(Expr):
     cond: Condition = field(default_factory=Condition)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cond", condition(self.cond))
-        self.cond.validate(self.left.arity, self.right.arity)
-
-    @property
-    def arity(self) -> int:
-        return self.left.arity + self.right.arity
+        cond = self.__dict__["cond"] = condition(self.cond)
+        left, right = self.left.arity, self.right.arity
+        cond.validate(left, right)
+        self.__dict__["arity"] = left + right
 
     def children(self) -> tuple[Expr, ...]:
         return (self.left, self.right)
@@ -343,12 +330,10 @@ class Semijoin(Expr):
     cond: Condition = field(default_factory=Condition)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cond", condition(self.cond))
-        self.cond.validate(self.left.arity, self.right.arity)
-
-    @property
-    def arity(self) -> int:
-        return self.left.arity
+        cond = self.__dict__["cond"] = condition(self.cond)
+        left = self.left.arity
+        cond.validate(left, self.right.arity)
+        self.__dict__["arity"] = left
 
     def children(self) -> tuple[Expr, ...]:
         return (self.left, self.right)

@@ -25,11 +25,22 @@ from the ``schema`` argument.  Binary operators associate to the left;
 Constant selections like ``select[2='flu'](E)`` and derived comparisons
 (``!=``, ``>``) are *desugared* into the core algebra exactly as the
 paper prescribes (τ + σ + π, difference, argument swap).
+
+A well-formed text parses in one scan: one ``findall`` reads the token
+texts, keyword aliases map to their canonical spelling, and a recursive
+descent pops them off the reversed list, with no token objects and no
+offsets.  Any failure — a grammar miss, or an ``ArityError`` /
+``PositionError`` from building a node — is worked out again before it
+is raised: ``_tokenize`` reports a stray character at its offset first,
+wherever the descent stopped, and otherwise gives the offset of the
+token the miss names.  So an error's class, message and position are
+those of a descent over positioned tokens.
 """
 
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass
 
 from repro.algebra.ast import (
@@ -38,7 +49,6 @@ from repro.algebra.ast import (
     Join,
     Projection,
     Rel,
-    Selection,
     Semijoin,
     Union,
     select_eq_const,
@@ -89,6 +99,26 @@ _TOKEN_RE = re.compile(
 )
 _SPACE_RE = re.compile(r"\s*")
 
+#: Every token's text, in one ``findall``: ``_TOKEN_RE``'s alternatives
+#: in its order, then any other non-space character alone.  No grammar
+#: rule accepts such a character, so a text with one fails the descent,
+#: and the error path's ``_tokenize`` reports it.
+_SCAN_RE = re.compile(r"'(?:\\.|[^'\\])*'|-?\d+|[A-Za-z_][A-Za-z0-9_]*|!=|\S")
+_NAME_START = frozenset(string.ascii_letters + "_")
+_OPS = frozenset(("=", "!=", "<", ">"))
+_SELECTIONS = {
+    "=": Expr.select_eq,
+    "<": Expr.select_lt,
+    ">": select_gt,
+    "!=": select_neq,
+}
+_CONSTANT_SELECTIONS = {
+    "=": select_eq_const,
+    "!=": select_neq_const,
+    "<": select_lt_const,
+    ">": select_gt_const,
+}
+
 
 # Slotted, not frozen: a frozen ``__init__`` sets each field through
 # ``object.__setattr__``, which costs more than the rest of a token.
@@ -100,6 +130,7 @@ class _Token:
 
 
 def _tokenize(source: str) -> list[_Token]:
+    """The positioned tokens, which only an error needs."""
     tokens: list[_Token] = []
     end = 0
     for match in _TOKEN_RE.finditer(source):
@@ -121,209 +152,146 @@ def _tokenize(source: str) -> list[_Token]:
     return tokens
 
 
-class _Parser:
-    def __init__(
-        self, tokens: list[_Token], schema: Schema | None, end: int
-    ) -> None:
-        self._tokens = tokens
-        self._index = 0
-        self._schema = schema
-        self._end = end  #: where truncated input is reported
+class _Miss(Exception):
+    """A grammar miss on the fast path.  Its ``args`` are the message and
+    how many tokens are left from the one it names on (0: the end)."""
 
-    # -- token plumbing ------------------------------------------------
 
-    def _peek(self) -> _Token | None:
-        if self._index < len(self._tokens):
-            return self._tokens[self._index]
-        return None
+def _expect(toks: list[str], text: str) -> None:
+    found = toks.pop()
+    if found != text:
+        raise _Miss(f"expected {text!r}, found {found!r}", len(toks) + 1)
 
-    def _next(self) -> _Token:
-        token = self._peek()
-        if token is None:
-            raise ParseError("unexpected end of input", position=self._end)
-        self._index += 1
-        return token
 
-    def _expect(self, kind: str, text: str | None = None) -> _Token:
-        token = self._next()
-        if token.kind != kind or (text is not None and token.text != text):
-            wanted = text or kind
-            raise ParseError(
-                f"expected {wanted!r}, found {token.text!r}",
-                position=token.pos,
-            )
-        return token
+def _int(toks: list[str], wanted: str = "'int'") -> int:
+    text = toks.pop()
+    try:
+        return int(text)
+    except ValueError:
+        if text[-1].isdecimal() and text[0] not in _NAME_START:
+            raise  # an int token past ``int``'s digit limit
+        raise _Miss(f"expected {wanted}, found {text!r}", len(toks) + 1)
 
-    def _match_keyword(self, *names: str) -> str | None:
-        token = self._peek()
-        if token is not None and token.kind == "keyword" and token.text in names:
-            self._index += 1
-            return token.text
-        return None
 
-    # -- grammar --------------------------------------------------------
+def _op(toks: list[str]) -> str:
+    op = toks.pop()
+    if op not in _OPS:
+        raise _Miss(f"expected 'op', found {op!r}", len(toks) + 1)
+    return op
 
-    def parse(self) -> Expr:
-        expr = self._expr()
-        trailing = self._peek()
-        if trailing is not None:
-            raise ParseError(
-                f"unexpected trailing input {trailing.text!r}",
-                position=trailing.pos,
-            )
-        return expr
 
-    def _expr(self) -> Expr:
-        left = self._joinexpr()
-        while True:
-            keyword = self._match_keyword("union", "minus")
-            if keyword is None:
-                return left
-            right = self._joinexpr()
-            left = Union(left, right) if keyword == "union" else Difference(
-                left, right
-            )
+def _literal(toks: list[str]) -> Value:
+    text = toks[-1]
+    if text[0] != "'" or len(text) == 1:
+        return _int(toks, "a literal")
+    toks.pop()
+    return text[1:-1].replace("\\'", "'").replace("\\\\", "\\")
 
-    def _joinexpr(self) -> Expr:
-        left = self._atom()
-        while True:
-            keyword = self._match_keyword("join", "semijoin", "cartesian")
-            if keyword is None:
-                return left
-            if keyword == "cartesian":
-                right = self._atom()
-                left = Join(left, right, Condition())
-                continue
-            self._expect("sym", "[")
-            cond = self._conditions()
-            self._expect("sym", "]")
-            right = self._atom()
-            node = Join if keyword == "join" else Semijoin
-            left = node(left, right, cond)
 
-    def _atom(self) -> Expr:
-        keyword = self._match_keyword("project", "select", "tag")
-        if keyword == "project":
-            self._expect("sym", "[")
-            positions = self._positions()
-            self._expect("sym", "]")
-            self._expect("sym", "(")
-            child = self._expr()
-            self._expect("sym", ")")
-            return Projection(child, positions)
-        if keyword == "select":
-            self._expect("sym", "[")
-            build = self._selection_condition()
-            self._expect("sym", "]")
-            self._expect("sym", "(")
-            child = self._expr()
-            self._expect("sym", ")")
-            return build(child)
-        if keyword == "tag":
-            self._expect("sym", "[")
-            value = self._literal()
-            self._expect("sym", "]")
-            self._expect("sym", "(")
-            child = self._expr()
-            self._expect("sym", ")")
-            return child.tag(value)
-        token = self._peek()
-        if token is None:
-            raise ParseError("unexpected end of input", position=self._end)
-        if token.kind == "sym" and token.text == "(":
-            self._next()
-            inner = self._expr()
-            self._expect("sym", ")")
-            return inner
-        if token.kind == "name":
-            self._next()
-            return self._relation(token)
-        raise ParseError(
-            f"expected an expression, found {token.text!r}",
-            position=token.pos,
-        )
+def _expr(toks: list[str], schema: Schema | None) -> Expr:
+    left = _joinexpr(toks, schema)
+    while toks:
+        keyword = toks[-1]
+        if keyword == "union":
+            toks.pop()
+            left = Union(left, _joinexpr(toks, schema))
+        elif keyword == "minus":
+            toks.pop()
+            left = Difference(left, _joinexpr(toks, schema))
+        else:
+            break
+    return left
 
-    def _relation(self, token: _Token) -> Rel:
-        nxt = self._peek()
-        if nxt is not None and nxt.kind == "sym" and nxt.text == "/":
-            self._next()
-            arity_token = self._expect("int")
-            return Rel(token.text, int(arity_token.text))
-        if self._schema is not None and token.text in self._schema:
-            return Rel(token.text, self._schema[token.text])
-        raise ParseError(
-            f"unknown arity for relation {token.text!r}: "
-            "write NAME/arity or pass a schema",
-            position=token.pos,
-        )
 
-    def _positions(self) -> tuple[int, ...]:
-        positions: list[int] = []
-        token = self._peek()
-        if token is not None and token.kind == "sym" and token.text == "]":
-            return ()
-        while True:
-            positions.append(int(self._expect("int").text))
-            token = self._peek()
-            if token is not None and token.kind == "sym" and token.text == ",":
-                self._next()
-                continue
-            return tuple(positions)
+def _joinexpr(toks: list[str], schema: Schema | None) -> Expr:
+    left = _atom(toks, schema)
+    while toks:
+        keyword = toks[-1]
+        if keyword == "cartesian":
+            toks.pop()
+            left = Join(left, _atom(toks, schema), Condition())
+        elif keyword == "join" or keyword == "semijoin":
+            toks.pop()
+            _expect(toks, "[")
+            cond = _conditions(toks)
+            _expect(toks, "]")
+            right = _atom(toks, schema)
+            left = (Join if keyword == "join" else Semijoin)(left, right, cond)
+        else:
+            break
+    return left
 
-    def _conditions(self) -> Condition:
-        token = self._peek()
-        if token is not None and token.kind == "sym" and token.text == "]":
-            return Condition()
-        atoms: list[Atom] = []
-        while True:
-            i = int(self._expect("int").text)
-            op = self._expect("op").text
-            j = int(self._expect("int").text)
-            atoms.append(Atom(i, op, j))
-            token = self._peek()
-            if token is not None and token.kind == "sym" and token.text == ",":
-                self._next()
-                continue
+
+def _conditions(toks: list[str]) -> Condition:
+    if toks[-1] == "]":
+        return Condition()
+    atoms: list[Atom] = []
+    while True:
+        i = _int(toks)
+        atoms.append(Atom(i, _op(toks), _int(toks)))
+        if toks[-1] != ",":
             return Condition(tuple(atoms))
+        toks.pop()
 
-    def _selection_condition(self):
-        i = int(self._expect("int").text)
-        op = self._expect("op").text
-        token = self._peek()
-        if token is None:
-            raise ParseError(
-                "unexpected end of selection condition", position=self._end
-            )
+
+def _atom(toks: list[str], schema: Schema | None) -> Expr:
+    text = toks.pop()
+    if text == "project":
+        _expect(toks, "[")
+        positions: list[int] = []
+        if toks[-1] != "]":
+            positions.append(_int(toks))
+            while toks[-1] == ",":
+                toks.pop()
+                positions.append(_int(toks))
+        _expect(toks, "]")
+        _expect(toks, "(")
+        child = _expr(toks, schema)
+        _expect(toks, ")")
+        return Projection(child, tuple(positions))
+    if text == "select":
+        _expect(toks, "[")
+        i = _int(toks)
+        op = _op(toks)
+        if not toks:
+            raise _Miss("unexpected end of selection condition", 0)
         # An integer after the operator is a *position*; a constant
         # comparison takes a quoted string (or is written via tag()).
-        if token.kind == "string":
-            value = self._literal()
-            builders = {
-                "=": lambda e: select_eq_const(e, i, value),
-                "!=": lambda e: select_neq_const(e, i, value),
-                "<": lambda e: select_lt_const(e, i, value),
-                ">": lambda e: select_gt_const(e, i, value),
-            }
-            return builders[op]
-        j = int(self._expect("int").text)
-        builders = {
-            "=": lambda e: Selection(e, "=", i, j),
-            "<": lambda e: Selection(e, "<", i, j),
-            ">": lambda e: select_gt(e, i, j),
-            "!=": lambda e: select_neq(e, i, j),
-        }
-        return builders[op]
-
-    def _literal(self) -> Value:
-        token = self._next()
-        if token.kind == "int":
-            return int(token.text)
-        if token.kind == "string":
-            raw = token.text[1:-1]
-            return raw.replace("\\'", "'").replace("\\\\", "\\")
-        raise ParseError(
-            f"expected a literal, found {token.text!r}", position=token.pos
+        quoted = toks[-1][0] == "'"
+        other = _literal(toks) if quoted else _int(toks)
+        _expect(toks, "]")
+        _expect(toks, "(")
+        child = _expr(toks, schema)
+        _expect(toks, ")")
+        return (_CONSTANT_SELECTIONS if quoted else _SELECTIONS)[op](
+            child, i, other
         )
+    if text == "tag":
+        _expect(toks, "[")
+        value = _literal(toks)
+        _expect(toks, "]")
+        _expect(toks, "(")
+        child = _expr(toks, schema)
+        _expect(toks, ")")
+        return child.tag(value)
+    if text == "(":
+        inner = _expr(toks, schema)
+        _expect(toks, ")")
+        return inner
+    if text[0] not in _NAME_START or text in _KEYWORDS:
+        raise _Miss(
+            f"expected an expression, found {text!r}", len(toks) + 1
+        )
+    if toks and toks[-1] == "/":
+        toks.pop()
+        return Rel(text, _int(toks))
+    if schema is not None and text in schema:
+        return Rel(text, schema[text])
+    raise _Miss(
+        f"unknown arity for relation {text!r}: "
+        "write NAME/arity or pass a schema",
+        len(toks) + 1,
+    )
 
 
 def parse(source: str, schema: Schema | dict[str, int] | None = None) -> Expr:
@@ -337,7 +305,24 @@ def parse(source: str, schema: Schema | dict[str, int] | None = None) -> Expr:
     """
     if schema is not None and not isinstance(schema, Schema):
         schema = Schema(schema)
-    tokens = _tokenize(source)
-    if not tokens:
+    texts = _SCAN_RE.findall(source)
+    if not texts:
         raise ParseError("empty input")
-    return _Parser(tokens, schema, len(source)).parse()
+    toks = list(map(_KEYWORDS.get, texts, texts))
+    toks.reverse()
+    try:
+        expr = _expr(toks, schema)
+        if toks:
+            raise _Miss(f"unexpected trailing input {toks[-1]!r}", len(toks))
+        return expr
+    except Exception as error:  # whatever stopped the descent: re-raised
+        tokens = _tokenize(source)  # a stray character is reported first
+        if isinstance(error, _Miss):
+            message, left = error.args
+            position = tokens[-left].pos if left else len(source)
+            raise ParseError(message, position=position) from None
+        if isinstance(error, IndexError):
+            raise ParseError(
+                "unexpected end of input", position=len(source)
+            ) from None
+        raise

@@ -65,22 +65,18 @@ class GroupBy(Expr):
             self, "group_positions", tuple(self.group_positions)
         )
         object.__setattr__(self, "aggregates", tuple(self.aggregates))
+        arity = self.child.arity
         for position in self.group_positions:
-            if position < 1 or position > self.child.arity:
-                raise PositionError(
-                    position, self.child.arity, "grouping"
-                )
+            if position < 1 or position > arity:
+                raise PositionError(position, arity, "grouping")
         for aggregate in self.aggregates:
-            if aggregate.position > self.child.arity:
-                raise PositionError(
-                    aggregate.position, self.child.arity, str(aggregate)
-                )
+            if aggregate.position > arity:
+                raise PositionError(aggregate.position, arity, str(aggregate))
         if not self.aggregates and not self.group_positions:
             raise SchemaError("γ needs grouping positions or aggregates")
-
-    @property
-    def arity(self) -> int:
-        return len(self.group_positions) + len(self.aggregates)
+        self.__dict__["arity"] = (
+            len(self.group_positions) + len(self.aggregates)
+        )
 
     def children(self) -> tuple[Expr, ...]:
         return (self.child,)
@@ -100,13 +96,11 @@ class Sort(Expr):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "positions", tuple(self.positions))
+        arity = self.child.arity
         for position in self.positions:
-            if position < 1 or position > self.child.arity:
-                raise PositionError(position, self.child.arity, "sort")
-
-    @property
-    def arity(self) -> int:
-        return self.child.arity
+            if position < 1 or position > arity:
+                raise PositionError(position, arity, "sort")
+        self.__dict__["arity"] = arity
 
     def children(self) -> tuple[Expr, ...]:
         return (self.child,)

@@ -1,7 +1,9 @@
 """Tests for the expression AST (:mod:`repro.algebra.ast`)."""
 
+import dataclasses
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +34,7 @@ from repro.algebra.ast import (
 )
 from repro.algebra.conditions import Condition
 from repro.errors import ArityError, PositionError, SchemaError
+from repro.extended.ast import Aggregate, GroupBy, Sort
 from tests.strategies import expressions
 
 R = rel("R", 2)
@@ -221,6 +224,36 @@ def test_a_cached_hash_is_the_structural_one(expr):
     copy = pickle.loads(pickle.dumps(expr))
     assert "_hash_value" not in copy.__dict__
     assert copy == expr and hash(copy) == first
+
+
+def recount(node) -> int:
+    """A node's arity worked out from the tree's structure alone."""
+    if isinstance(node, Rel):
+        return node._arity
+    if isinstance(node, Projection):
+        return len(node.positions)
+    if isinstance(node, GroupBy):
+        return len(node.group_positions) + len(node.aggregates)
+    if isinstance(node, ConstantTag):
+        return recount(node.child) + 1
+    if isinstance(node, Join):
+        return recount(node.left) + recount(node.right)
+    return recount(node.children()[0])
+
+
+@given(expressions(max_depth=4))
+def test_arity_is_stored_once_at_construction(expr):
+    """Every node holds its arity in its own ``__dict__``, not as a
+    field; a pickled or replaced copy holds the same."""
+    nodes = [*expr.subexpressions(), Sort(expr, tuple(range(expr.arity, 0, -1)))]
+    if expr.arity:
+        nodes.append(GroupBy(expr, (1,), (Aggregate("count", expr.arity),)))
+    for node in nodes:
+        assert vars(node)["arity"] == node.arity == recount(node)
+        assert "arity" not in {f.name for f in dataclasses.fields(node)}
+        assert not re.search(r"\barity=", repr(node))
+        for copy in (pickle.loads(pickle.dumps(node)), dataclasses.replace(node)):
+            assert copy == node and vars(copy)["arity"] == recount(node)
 
 
 #: Pickles a parsed expression after hashing it (the cache is filled).
