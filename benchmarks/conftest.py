@@ -3,8 +3,7 @@
 Sizes are chosen so the full suite runs in well under a minute while
 the quadratic-vs-linear separations stay clearly visible in the
 asserted work and intermediate sizes; ``results_writer`` serves the
-``BENCH_parallel.json`` and ``BENCH_out_of_core.json`` emitters, and
-``best_of`` the timed arms.
+``BENCH_parallel.json`` emitter, and ``best_of`` the timed arms.
 """
 
 from __future__ import annotations

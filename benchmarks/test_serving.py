@@ -26,7 +26,7 @@ checks all three:
 
 Environment: ``REPRO_BENCH_WORKERS`` caps the pool (CI sets 2),
 ``REPRO_BENCH_BACKEND`` picks the shared storage backend the snapshot
-descriptors export from (memory/shm/mmap).
+descriptors export from (memory/shm).
 """
 
 import os

@@ -1,10 +1,9 @@
 """Suite-wide leak guard: storage, serving workers, the reactor thread.
 
-Every segment and spill file this process creates is registered in
-``repro.storage.shm`` / ``repro.storage.mmapio`` until its owner
-releases it.  Only a handful of tests read those registries, and the
-modules' ``atexit`` drains would quietly clean up after everything
-else — so a test that forgets to close a session, or a code path that
+Every segment this process creates is registered in
+``repro.storage.shm`` until its owner releases it.  Only a handful of
+tests read that registry, and the module's ``atexit`` drain would
+quietly clean up after everything else — so a test that forgets to close a session, or a code path that
 drops an image without releasing it, would never fail anything.  This
 fixture makes the whole run fail instead.  (Storage orphaned by a
 killed or spawned *child* is invisible here; the CI ``backends`` job
@@ -23,10 +22,7 @@ import threading
 
 import pytest
 
-_REGISTRIES = (
-    ("repro.storage.shm", "live_segment_names"),
-    ("repro.storage.mmapio", "live_spill_paths"),
-)
+_REGISTRIES = (("repro.storage.shm", "live_segment_names"),)
 
 
 @pytest.fixture(scope="session", autouse=True)

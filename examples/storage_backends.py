@@ -1,4 +1,4 @@
-"""Storage backends tour: one query, three places the bytes can live.
+"""Storage backends tour: one query, two places the bytes can live.
 
 Run with::
 
@@ -6,9 +6,8 @@ Run with::
 
 ``src/repro/storage/`` gives the executor a pluggable answer to
 "where do relation contents come from?" (see ``docs/storage.md``):
-the default in-memory dict, a columnar shared-memory segment parallel
-workers attach by name, or the same columnar layout spilled to a
-memory-mapped temp file.  This script shows the parts you can observe
+the default in-memory dict, or a columnar shared-memory segment
+parallel workers attach by name.  This script shows the parts you can observe
 from the outside: identical results on every backend, the staleness
 contract, per-backend transport pricing in the parallel dispatch
 gate, and deterministic cleanup.
@@ -18,7 +17,6 @@ from repro import Session, database
 from repro.engine import Executor, PlannerOptions
 from repro.errors import SchemaError, StaleDataError
 from repro.storage import BACKEND_KINDS, open_backend
-from repro.storage.mmapio import live_spill_paths
 from repro.storage.shm import live_segment_names
 
 db = database(
@@ -31,11 +29,11 @@ QUERY = "Likes semijoin[2=2] Serves"
 
 # ----------------------------------------------------------------------
 # 1. Every backend serves exactly the same relations — and therefore
-#    exactly the same query results.  The shm/mmap backends report the
-#    bytes of real storage they own.
+#    exactly the same query results.  The shm backend reports the
+#    bytes of real storage it owns.
 # ----------------------------------------------------------------------
 
-print("== one query, three backends ==")
+print("== one query, two backends ==")
 results = {}
 for kind in BACKEND_KINDS:
     with Session(db, backend=kind) as session:
@@ -43,10 +41,10 @@ for kind in BACKEND_KINDS:
         stored = session.executor.backend.storage_bytes()
         print(f"{kind:>6}: {len(results[kind])} row(s), "
               f"{stored} byte(s) of backing storage")
-assert results["memory"] == results["shm"] == results["mmap"]
+assert results["memory"] == results["shm"]
 
 # ----------------------------------------------------------------------
-# 2. The staleness contract.  Columnar backends snapshot contents at
+# 2. The staleness contract.  The shm backend snapshots contents at
 #    encode time; mutating the database under the same handle makes a
 #    direct snapshot read raise StaleDataError rather than silently
 #    time-travel.  refresh() re-encodes.  (The executor drives this
@@ -68,7 +66,7 @@ backend.close()
 # ----------------------------------------------------------------------
 # 3. What the planner sees.  The cost model prices the parallel
 #    scatter per backend: pickled transport on the memory backend,
-#    the cheaper descriptor rate on attached (shm/mmap) storage.
+#    the cheaper descriptor rate on attached (shm) storage.
 # ----------------------------------------------------------------------
 
 print("\n== per-backend transport pricing ==")
@@ -79,16 +77,15 @@ for kind in ("memory", "shm"):
     executor.close()
 
 # ----------------------------------------------------------------------
-# 4. Cleanup is deterministic.  Segments and spill files die with
-#    close(); a closed session refuses further queries.
+# 4. Cleanup is deterministic.  Segments die with close(); a closed
+#    session refuses further queries.
 # ----------------------------------------------------------------------
 
 print("\n== lifecycle ==")
-session = Session(db, backend="mmap")
-print(f"open:   {len(live_spill_paths())} spill file(s)")
+session = Session(db, backend="shm")
+print(f"open:   {len(live_segment_names())} shm segment(s)")
 session.close()
-print(f"closed: {len(live_spill_paths())} spill file(s), "
-      f"{len(live_segment_names())} shm segment(s)")
+print(f"closed: {len(live_segment_names())} shm segment(s)")
 try:
     session.run(QUERY)
 except SchemaError as error:

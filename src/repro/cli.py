@@ -332,8 +332,7 @@ def _session_flags_parser() -> argparse.ArgumentParser:
         help="storage backend the session reads relations from: "
         "'memory' (default) serves rows straight off the loaded "
         "database, 'shm' encodes them columnar into shared memory "
-        "(parallel workers attach by segment name), 'mmap' spills the "
-        "same columnar layout to a memory-mapped temp file",
+        "(parallel workers attach by segment name)",
     )
     return flags
 

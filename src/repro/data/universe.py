@@ -90,11 +90,6 @@ class Universe:
             )
         return value
 
-    def validate_all(self, values: Iterable[Value]) -> None:
-        """Validate every value of ``values``."""
-        for value in values:
-            self.validate(value)
-
     # ------------------------------------------------------------------
     # Interval structure (needed by Definition 22, free values).
     # ------------------------------------------------------------------

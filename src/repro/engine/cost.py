@@ -87,7 +87,7 @@ AGM_MAX_EDGES = 12
 #: every benchmark run.
 PARALLEL_IPC_ROW_COST = 5.0
 
-#: Per-row surcharge when the backend is *attached* (shm/mmap): the
+#: Per-row surcharge when the backend is *attached* (shm): the
 #: scatter writes each distinct fragment once into a shared columnar
 #: buffer and ships only descriptors, so the parent's serial critical
 #: path is the columnar encode — 0.89–0.93× the unit row touch (encode

@@ -548,8 +548,7 @@ class Executor:
         self.stats = ExecutionStats()
         # Statistics read rows through the backend and key their cache
         # by its version token, so the profile describes exactly the
-        # snapshot scans execute against — even on per-read-decode
-        # backends (mmap) where every read is a fresh frozenset.
+        # snapshot scans execute against.
         self.catalog = StatsCatalog(db, backend=backend)
         self._estimates: "OrderedDict[PlanNode, dict[PlanNode, object]]" = (
             OrderedDict()
@@ -591,7 +590,7 @@ class Executor:
         self.stats = ExecutionStats()
         if self.results is not None:
             self.results.invalidate()
-        # Columnar backends snapshot contents at encode time; re-encode
+        # The shm backend snapshots contents at encode time; re-encode
         # so the next scan reads the new contents instead of raising
         # StaleDataError on the stale snapshot.
         self.backend.refresh()
@@ -718,12 +717,11 @@ class Executor:
     def close(self) -> None:
         """Release the backend's storage (idempotent).
 
-        Shared-memory segments and spill files are owned by the
-        backend; :meth:`~repro.session.Session.close` routes here so a
-        session's storage never outlives it.  A memory backend has
-        nothing to release but is still marked closed, keeping the
-        "closed sessions don't serve queries" contract uniform across
-        backends.
+        Shared-memory segments are owned by the backend;
+        :meth:`~repro.session.Session.close` routes here so a session's
+        storage never outlives it.  A memory backend has nothing to
+        release but is still marked closed, keeping the "closed
+        sessions don't serve queries" contract uniform across backends.
         """
         self.backend.close()
 

@@ -16,7 +16,7 @@ Three properties the implementation is organized around:
   one hot key cannot serialize the run.  How fragments *reach* the
   kernels depends on the executor's storage backend
   (:func:`_run_on_pool`): pickled through the pool on the memory
-  backend; on an attached backend (shm/mmap) written once into a
+  backend; on the attached shm backend written once into a
   shared columnar shipment, the tasks carrying only block descriptors
   (:mod:`repro.storage.ship`) — which is what makes the dispatch pay
   off on multi-core machines.
@@ -132,8 +132,8 @@ class ParallelRun(PartitionRun):
     timings: list[tuple[int, float]] = field(default_factory=list)
     #: why batches ran inline instead of on the pool, if they did
     pool_fallback: str | None = None
-    #: how fragments crossed the process boundary: ``"shm"``/``"file"``
-    #: when a sealed shipment carried them (attached backends),
+    #: how fragments crossed the process boundary: ``"shm"`` when a
+    #: sealed shipment carried them (the attached shm backend),
     #: ``None`` for pickled transport or inline execution
     transport: str | None = None
 
@@ -276,7 +276,7 @@ def _run_on_pool(
 ) -> str | None:
     """Run ``batches`` on the pool; the reason if they must run inline.
 
-    On an *attached* backend (shm/mmap) the tasks register their
+    On an *attached* backend (shm) the tasks register their
     fragments with a :class:`~repro.storage.ship.ShipmentWriter`,
     sealed into the one shipment workers attach to; on the memory
     backend the fragments are pickled through the pool.  A pool that
@@ -333,8 +333,7 @@ def _gather_pool(
     With a sealed ``shipment``, tasks are dispatched through
     :func:`~repro.storage.ship.run_shipped_task`: the pickled payload
     per task is the locator + block table + argument skeleton, and the
-    fragment bytes travel through the shared segment/spill file
-    instead.
+    fragment bytes travel through the shared segment instead.
     """
     _check_version(executor, node)
     body = (run_task,)

@@ -278,9 +278,6 @@ class PartitionRun:
     def peak_in_flight(self) -> int:
         return max((b.in_flight for b in self.batches), default=0)
 
-    def total_output(self) -> int:
-        return sum(b.output_rows for b in self.batches)
-
     def within_budget(self) -> bool:
         return all(b.within(self.budget) for b in self.batches)
 

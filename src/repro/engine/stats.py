@@ -17,10 +17,10 @@ which lives alongside the hash-index cache on each
 :class:`~repro.engine.executor.Executor`.  A catalog entry remembers the
 **version token** current when it was profiled; if the token has moved
 (contents changed under the same handle) the entry is recomputed — the
-same change signal the executor's other caches key on.  Per-read-decode
-backends (mmap spills decode a fresh frozenset on every read) are why
-the token, not object identity, must be the key: a fresh-but-equal
-frozenset per read would otherwise re-profile O(n) on every access.
+same change signal the executor's other caches key on.  The token, not
+object identity, is the key: an ``id()`` can be reused by a new
+frozenset once the old one is freed, so an identity key could serve a
+dead relation's profile.
 """
 
 from __future__ import annotations
@@ -110,11 +110,9 @@ class StatsCatalog:
     ``relation(name)`` profiles a relation on first use and caches the
     result keyed by the **version token** current at profile time, so a
     swapped relation (same name, different contents) is re-profiled
-    instead of served stale — and an *unchanged* relation is never
-    re-profiled just because the backend decoded a fresh-but-equal
-    frozenset for the read (the mmap backend does, on every read).
-    When a ``backend`` is given, rows are read through it, so the
-    profile describes exactly the snapshot scans will execute against.
+    instead of served stale.  When a ``backend`` is given, rows are
+    read through it, so the profile describes exactly the snapshot
+    scans will execute against.
     :meth:`invalidate` drops the statistics — the executor calls it
     when the version token changes.
     """
@@ -125,7 +123,7 @@ class StatsCatalog:
         #: tokens are read through (None → the database handle itself).
         self.backend = backend
         self._cache: dict[str, tuple[int, RelationStats]] = {}
-        #: Profiling passes actually run (the mmap regression tests in
+        #: Profiling passes actually run (the regression tests in
         #: ``tests/test_engine_caches.py`` count these across reads).
         self.profiles = 0
 

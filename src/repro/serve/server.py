@@ -12,7 +12,7 @@ already lives:
   runs.  Memory-backend pins carry the database by value — one
   columnar image, **encoded once per generation, decoded once per
   worker process, shared by every ticket of that generation**;
-  shm/mmap pins are by-reference to that generation's immutable image,
+  shm pins are by-reference to that generation's immutable image,
   which the backend keeps until the last ticket pinned to it has
   finished (:meth:`~repro.storage.backend.Backend.pin`).  Either way a
   read executes on the generation it was priced and pinned on,
@@ -350,8 +350,8 @@ class Server:
     backend:
         Storage kind for the shared backend — ``"memory"`` pins travel
         by value (one columnar image per generation);
-        ``"shm"``/``"mmap"`` pins travel by reference to that
-        generation's immutable image.
+        ``"shm"`` pins travel by reference to that generation's
+        immutable image.
 
     There is one result cache, the server's own, and no switch for it:
     a repeated read is answered inside ``submit`` (see the module

@@ -233,12 +233,12 @@ class Session:
         Storage the session's executor reads relations from, for the
         session's whole life: a kind name from
         :data:`~repro.storage.backend.BACKEND_KINDS` (``"memory"``,
-        ``"shm"``, ``"mmap"``), an already-open
+        ``"shm"``), an already-open
         :class:`~repro.storage.backend.Backend` over the same ``db``,
         or ``None`` (default) for ``"memory"``.  An unknown kind
-        raises :class:`~repro.errors.SchemaError`.  The shm and mmap
-        backends own real OS resources — close the session (or use it
-        as a context manager) to release them.
+        raises :class:`~repro.errors.SchemaError`.  The shm backend
+        owns real OS resources — close the session (or use it as a
+        context manager) to release them.
     """
 
     def __init__(
@@ -275,9 +275,9 @@ class Session:
     def close(self) -> None:
         """Release the storage backend (idempotent).
 
-        The shm backend's segments and the mmap backend's spill files
-        are real OS resources; this gives them back.  Queries on a
-        closed session raise :class:`~repro.errors.SchemaError`.
+        The shm backend's segments are real OS resources; this gives
+        them back.  Queries on a closed session raise
+        :class:`~repro.errors.SchemaError`.
         """
         self._executor.close()
 

@@ -58,10 +58,6 @@ class SetRelation:
             grouped.setdefault(row[0], set()).add(row[1])
         return SetRelation.from_mapping(grouped)
 
-    @staticmethod
-    def from_pairs(pairs: Iterable[tuple[Value, Value]]) -> "SetRelation":
-        return SetRelation.from_binary(tuple(pairs))
-
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------

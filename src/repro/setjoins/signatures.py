@@ -44,8 +44,3 @@ def maybe_superset(big_sig: int, small_sig: int) -> bool:
 def maybe_equal(sig_a: int, sig_b: int) -> bool:
     """Necessary condition for set equality on signatures."""
     return sig_a == sig_b
-
-
-def false_positive_possible(bits: int, set_size: int) -> bool:
-    """Whether collisions are possible at all (|set| vs width heuristic)."""
-    return set_size > 0 and bits < 4 * set_size

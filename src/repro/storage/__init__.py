@@ -1,12 +1,11 @@
 """Storage backends: where the engine's relation bytes live.
 
-See :mod:`repro.storage.backend` for the protocol, the three
+See :mod:`repro.storage.backend` for the protocol, the two
 implementations and the design rationale, :mod:`repro.storage.image`
-for where encoded bytes live and who frees them (over the segment and
-spill-file primitives in :mod:`repro.storage.shm` /
-:mod:`repro.storage.mmapio`), and :mod:`repro.storage.ship` for the
-descriptor-based batch transport the parallel path uses over attached
-backends.  ``docs/storage.md`` is the narrative tour.
+for where encoded bytes live and who frees them (over the segment
+primitives in :mod:`repro.storage.shm`), and :mod:`repro.storage.ship`
+for the descriptor-based batch transport the parallel path uses over
+the attached backend.  ``docs/storage.md`` is the narrative tour.
 """
 
 from repro.storage.backend import (
@@ -14,7 +13,6 @@ from repro.storage.backend import (
     Backend,
     ColumnarBackend,
     MemoryBackend,
-    MmapBackend,
     SharedMemoryBackend,
     open_backend,
 )
@@ -27,7 +25,6 @@ __all__ = [
     "BlockRef",
     "ColumnarBackend",
     "MemoryBackend",
-    "MmapBackend",
     "SharedMemoryBackend",
     "Shipment",
     "ShipmentWriter",

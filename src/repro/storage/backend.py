@@ -11,7 +11,7 @@ kept:
   the partition/parallel layers' between-batch staleness checks behave
   identically no matter where the bytes live.
 * :class:`~repro.errors.StaleDataError` is the mid-query failure mode.
-  Columnar backends snapshot relation contents at encode time; if the
+  The shm backend snapshots relation contents at encode time; if the
   source database mutates under the same handle, serving the snapshot
   would silently time-travel — :meth:`Backend.rows` raises instead,
   and :meth:`Backend.refresh` (called by the executor whenever it
@@ -22,7 +22,7 @@ Where encoded bytes live and who frees them is
 :mod:`repro.storage.image`'s business: a backend holds one ``Image``
 per content version (:class:`ColumnarBackend` says for how long).
 
-Three implementations ship, all in this module:
+Two implementations ship, both in this module:
 
 * :class:`MemoryBackend` (here) — the original in-memory dict path,
   extracted from the executor's direct ``db[name]`` reads.  Zero copy,
@@ -33,10 +33,6 @@ Three implementations ship, all in this module:
   columnar into a :mod:`multiprocessing.shared_memory` segment.  Its
   ``attached`` flag tells the parallel layer workers can attach batch
   fragments by segment name instead of receiving pickled rows.
-* :class:`MmapBackend` — the same columnar
-  layout spilled to a memory-mapped temp file, for databases whose
-  working set should not live in anonymous memory; workers attach by
-  file path.
 
 ``attached`` is also what :mod:`repro.engine.cost` prices: shipping a
 row to a worker on an attached backend costs a descriptor share, not a
@@ -57,12 +53,12 @@ from repro.storage.columnar import decode_rows, encode_rows
 from repro.storage.image import PLACEMENT_OF_KIND, Image
 
 #: The selectable backend kinds, in CLI/option spelling.
-BACKEND_KINDS = ("memory", "shm", "mmap")
+BACKEND_KINDS = ("memory", "shm")
 
-#: The kinds whose storage parallel workers attach by name/path —
+#: The kinds whose storage parallel workers attach by name —
 #: what :mod:`repro.engine.cost` prices at the descriptor (not pickle)
 #: transport rate.
-ATTACHED_KINDS = frozenset({"shm", "mmap"})
+ATTACHED_KINDS = frozenset({"shm"})
 
 #: relation name → ``(base offset, BlockMeta)`` into one columnar image.
 Layout = dict[str, tuple[int, tuple]]
@@ -74,7 +70,7 @@ def encode_relations(db: Database) -> tuple[Layout, list[bytes], int]:
     Returns ``(layout, parts, nbytes)``: the parts concatenate to one
     ``nbytes``-long image that ``layout`` indexes.  The one encoding
     behind every backend's image — only where the bytes are placed (a
-    segment, a spill file, inline in a snapshot descriptor) differs.
+    segment, or inline in a snapshot descriptor) differs.
     """
     layout: Layout = {}
     parts: list[bytes] = []
@@ -93,7 +89,7 @@ class Backend(abc.ABC):
     #: The :data:`BACKEND_KINDS` spelling of this implementation.
     kind: str = "abstract"
     #: True when parallel workers can attach this backend's storage by
-    #: name/path instead of receiving pickled row fragments.
+    #: name instead of receiving pickled row fragments.
     attached: bool = False
 
     def __init__(self, db: Database) -> None:
@@ -154,9 +150,9 @@ class Backend(abc.ABC):
 
         Idempotent and thread-safe.  :meth:`~repro.session.Session.
         close` (and the session context manager) call this so
-        shared-memory segments and spill files never outlive the
-        session that created them; only the first closer runs
-        :meth:`_close_once`, every later (or racing) call is a no-op.
+        shared-memory segments never outlive the session that created
+        them; only the first closer runs :meth:`_close_once`, every
+        later (or racing) call is a no-op.
         """
         with self._close_lock:
             if self._closed:
@@ -177,10 +173,10 @@ class Backend(abc.ABC):
         image (:func:`encode_relations`); the kinds differ only in
         where the image lives.  This default is the by-value form: the
         locator *is* the image, one immutable ``bytes``, so the
-        snapshot stays attachable forever.  The columnar backends
-        export by reference instead — a segment name / spill path that
-        many workers decode in place — and keep the image for as long
-        as a reader has it pinned (:meth:`pin`).
+        snapshot stays attachable forever.  The shm backend exports
+        by reference instead — a segment name that many workers decode
+        in place — and keeps the image for as long as a reader has it
+        pinned (:meth:`pin`).
         """
         self._ensure_open()
         layout, parts, nbytes = encode_relations(self._db)
@@ -258,13 +254,13 @@ class MemoryBackend(Backend):
 
 
 class ColumnarBackend(Backend):
-    """Shared machinery for the encoded (shm / mmap) backends.
+    """The encoded-snapshot machinery behind the shm backend.
 
     A content version is one immutable :class:`~repro.storage.image.
     Image` plus the layout table that indexes it; the subclass's
     ``kind`` picks the placement.  The per-relation layout, the
-    snapshot token, staleness checks and re-encode on refresh all live
-    here so the two implementations cannot drift.
+    snapshot token, staleness checks, re-encode on refresh and the
+    decoded relations (memoised per content version) all live here.
 
     **How long an old version lives.**  :meth:`refresh` makes a new
     version current; the old one is released on the spot unless readers
@@ -275,11 +271,6 @@ class ColumnarBackend(Backend):
     synchronised here; the server calls all three under its scheduler
     lock.
     """
-
-    #: Whether decoded relations are memoized (the shm backend keeps
-    #: them — decode once per content version; the mmap backend decodes
-    #: per read so large relations stay resident only while in use).
-    _cache_decoded = True
 
     def __init__(self, db: Database) -> None:
         super().__init__(db)
@@ -319,8 +310,7 @@ class ColumnarBackend(Backend):
                 f"unknown relation {name!r} in {self.kind} backend"
             ) from None
         relation = frozenset(decode_rows(image.buffer, base, meta))
-        if self._cache_decoded:
-            self._decoded[name] = relation
+        self._decoded[name] = relation
         return relation
 
     def refresh(self) -> None:
@@ -360,8 +350,8 @@ class ColumnarBackend(Backend):
     def export_snapshot(self) -> tuple:
         """Descriptor naming the encoded image (see base docstring).
 
-        ``(kind, locator, layout)`` — the attach side maps/attaches
-        ``locator`` (segment name or spill path) and decodes each
+        ``(kind, locator, layout)`` — the attach side attaches
+        ``locator`` (a segment name) and decodes each
         relation from ``layout`` in place, so N workers share one
         encoded copy.  Attachable while this version is current or
         pinned, and until :meth:`close`; attaching after that raises
@@ -387,32 +377,10 @@ class SharedMemoryBackend(ColumnarBackend):
     kind = "shm"
     attached = True
 
-    def segment_name(self) -> str:
-        """The attachable segment name (diagnostics and tests)."""
-        self._ensure_open()
-        return self._image.locator
-
-
-class MmapBackend(ColumnarBackend):
-    """Relations spilled to a memory-mapped temp file.
-
-    Decodes per read and ships parallel fragments through spill files
-    too — see :mod:`repro.storage.mmapio` for why.
-    """
-
-    kind = "mmap"
-    attached = True
-    _cache_decoded = False
-
-    def spill_path(self) -> str:
-        """The backing file's path (diagnostics and tests)."""
-        self._ensure_open()
-        return self._image.locator
-
 
 def open_backend(db: Database, kind: str = "memory") -> Backend:
     """Construct the backend implementation named ``kind`` over ``db``."""
-    for backend in (MemoryBackend, SharedMemoryBackend, MmapBackend):
+    for backend in (MemoryBackend, SharedMemoryBackend):
         if backend.kind == kind:
             return backend(db)
     raise SchemaError(

@@ -1,4 +1,4 @@
-"""Columnar row-block encoding shared by the shm and mmap backends.
+"""Columnar row-block encoding behind every storage image.
 
 One *block* is a list of rows (or a list of scalar values) laid out
 column-by-column in a flat byte buffer.  Each column is encoded in one
@@ -63,10 +63,11 @@ def encode_rows(rows: list[Row]) -> tuple[BlockMeta, list[bytes]]:
     """Encode ``rows`` column-wise; returns ``(meta, byte parts)``.
 
     The parts concatenate to the block's buffer contents; the caller
-    owns placement (a shared-memory segment, a spill file) and records
-    the base offset next to the returned meta.  Column extraction is a
-    C-level ``map(itemgetter, ...)`` pass per column, keeping the
-    per-row Python overhead at the pickle fast path it replaces.
+    owns placement (a shared-memory segment, an inline ``bytes``) and
+    records the base offset next to the returned meta.  Column
+    extraction is a C-level ``map(itemgetter, ...)`` pass per column,
+    keeping the per-row Python overhead at the pickle fast path it
+    replaces.
     """
     n = len(rows)
     arity = len(rows[0]) if rows else 0

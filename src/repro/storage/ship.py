@@ -14,13 +14,10 @@ descriptors:
   right side, a division's divisor) is encoded exactly once no matter
   how many tasks reference it;
 * :meth:`ShipmentWriter.seal` encodes all referenced fragments
-  (:mod:`repro.storage.columnar`) into one
-  :class:`~repro.storage.image.Image` — a shared-memory segment
-  (``"shm"`` transport) or a spill file (``"file"`` transport — the
-  mmap backend's placement, so its parallel runs spill rather than
-  grow anonymous memory) — and returns the :class:`Shipment`
-  descriptor: locator plus per-block ``(kind, base offset, block
-  meta)`` table;
+  (:mod:`repro.storage.columnar`) into one shared-memory
+  :class:`~repro.storage.image.Image` (the ``"shm"`` transport) and
+  returns the :class:`Shipment` descriptor: locator plus per-block
+  ``(kind, base offset, block meta)`` table;
 * :func:`run_shipped_task` is the worker body: attach the image,
   decode exactly the blocks this task references into plain row
   tuples (decodes are cached per task; int64 columns are read straight
@@ -32,8 +29,8 @@ The parallel layer's fallbacks stay cheap: nothing is encoded before
 mid-run the batches are rebuilt from the original fragments and run
 inline (:func:`repro.engine.partition.run_batches`), no shipment
 involved.  The creator closes the shipment after the gather; POSIX
-keeps the unlinked segment/file readable for any worker still holding
-it open.
+keeps the unlinked segment readable for any worker still holding it
+open.
 """
 
 from __future__ import annotations
@@ -93,8 +90,8 @@ class Shipment:
 
     def __init__(self, image: Image, blocks: tuple) -> None:
         self._image = image
-        #: ``("shm", segment name)`` or ``("file", spill path)`` — what
-        #: a worker hands to :func:`~repro.storage.image.attached`.
+        #: ``("shm", segment name)`` — what a worker hands to
+        #: :func:`~repro.storage.image.attached`.
         self.locator = (image.placement, image.locator)
         #: Per-block ``(kind, base, meta)``; kind is "rows"/"values".
         self.blocks = blocks
@@ -109,7 +106,7 @@ class ShipmentWriter:
 
     def __init__(self, backend_kind: str) -> None:
         #: Where the sealed image goes — the placement the backend of
-        #: that kind stores its own image at (``"shm"`` / ``"file"``).
+        #: that kind stores its own image at (``"shm"``).
         self.transport = PLACEMENT_OF_KIND[backend_kind]
         self._payloads: list[tuple[str, list]] = []
         self._by_id: dict[int, BlockRef] = {}

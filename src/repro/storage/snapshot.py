@@ -16,11 +16,11 @@ routine; the kinds differ only in where the image lives:
   shared by every read pinned to it.  It rides inside the descriptor,
   so the snapshot stays servable forever, and pickling it for a worker
   is one buffer copy.
-* ``'shm'`` / ``'mmap'`` — the columnar backends' by-reference forms:
-  the locator is a segment name / spill path.  The worker attaches the
-  one encoded image (untracked segment attach / read-only mmap) and
-  decodes every relation in place, so N workers share one copy — the
-  PR 7 zero-copy transport, reused for whole-database snapshots.
+* ``'shm'`` — the shm backend's by-reference form: the locator is a
+  segment name.  The worker attaches the one encoded image (untracked
+  segment attach) and decodes every relation in place, so N workers
+  share one copy — the zero-copy batch transport, reused for
+  whole-database snapshots.
 
 Decoding is the expensive half (a tuple per row), so callers keep the
 result: the serving workers decode once per (process, version token)
@@ -91,7 +91,7 @@ def attach_snapshot(descriptor: tuple) -> dict[str, frozenset[Row]]:
     if kind not in tuple(PLACEMENT_OF_KIND):  # tuple: kind may not hash
         raise SchemaError(
             f"unknown snapshot descriptor kind {kind!r}; expected "
-            "'rows', 'shm', or 'mmap'"
+            "'rows' or 'shm'"
         )
     try:
         with attached(PLACEMENT_OF_KIND[kind], locator) as buffer:

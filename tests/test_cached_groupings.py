@@ -34,7 +34,7 @@ from repro.engine.plan import ProjectOp
 from repro.session import Session
 from tests.strategies import TEST_SCHEMA, databases, expressions
 
-BACKENDS = ("memory", "shm", "mmap")
+BACKENDS = ("memory", "shm")
 
 #: ``R ⋉ S``, reused below as a hash right side and as a π child, on
 #: one, two and permuted positions.

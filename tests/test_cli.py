@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -121,11 +123,21 @@ class TestSessionFlags:
                 opened.append(self.executor.backend.kind)
 
         monkeypatch.setattr(repro.session, "Session", Recording)
-        for kind in ("memory", "shm", "mmap"):
+        for kind in ("memory", "shm"):
             argv = ["eval", "-d", db_path, "--backend", kind, "R join[2=1] S"]
             assert main(argv) == 0, kind
-        assert opened == ["memory", "shm", "mmap"]
+        assert opened == ["memory", "shm"]
         capsys.readouterr()
+
+    def test_backend_mmap_is_an_invalid_choice(self, db_path, capsys):
+        argv = ["eval", "-d", db_path, "--backend", "mmap", "R join[2=1] S"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --backend: invalid choice: 'mmap'" in err
+        # Quoting of the choices differs across Python versions.
+        assert re.search(r"choose from '?memory'?, '?shm'?\)", err)
 
     def test_optimize_takes_no_session_flags(self, db_path, capsys):
         assert (

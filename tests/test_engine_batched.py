@@ -5,11 +5,13 @@ pack → runner → record; ``docs/engine.md`` § Partitioned execution)
 and differ only in *where* a batch runs.  The contract under test:
 
 * for each operator kind, budget and storage backend, the serial
-  loop, a ``workers=1`` ``ParallelOp``, a real two-worker pool and a
-  pool that breaks mid-run return the one-shot rows **and**, under a
-  budget, record-for-record the batches a serial run on the memory
-  backend records — neither the runner nor the transport that ships
-  fragments to the pool changes a batch, and nothing is leaked;
+  loop, a ``workers=1`` ``ParallelOp``, real two- and three-worker
+  pools and a pool that breaks mid-run return the one-shot rows
+  **and**, under a budget, record-for-record the batches a serial run
+  on the memory backend records — neither the runner, the pool's width
+  nor the transport that ships fragments to the pool changes a batch,
+  a budget that holds the whole input runs one batch that never
+  reaches the pool, and nothing is leaked;
 * the rungs of the degradation ladder that need a sick environment —
   a pool that cannot be created, shipment storage that cannot be
   allocated — end in the serial loop with the reason recorded and
@@ -36,7 +38,6 @@ from repro.engine import (
 from repro.extended.division_plan import division_plan
 from repro.setjoins.division import classic_division_expr
 from repro.storage.ship import ShipmentWriter
-from tests.test_storage_backends import spill_files
 
 SCHEMA = Schema({"L": 2, "M": 2, "R": 2, "S": 1})
 
@@ -94,10 +95,16 @@ KINDS = {
     ),
 }
 
-RUNNERS = ("partitioned", "workers=1", "pool", "broken-pool")
+RUNNERS = ("partitioned", "workers=1", "pool", "pool-3", "broken-pool")
+
+#: runner → the ``workers`` of its ``ParallelOp`` (``partitioned`` has none)
+WORKERS = {"workers=1": 1, "pool": 2, "pool-3": 3, "broken-pool": 2}
+
+#: a budget no kind's input comes near: every kind packs one batch
+AMPLE = 10**6
 
 #: backend → how a healthy pool run ships its fragments
-TRANSPORTS = {"memory": None, "shm": "shm", "mmap": "file"}
+TRANSPORTS = {"memory": None, "shm": "shm"}
 
 
 class BrokenFuture:
@@ -120,7 +127,7 @@ def wrap(inner, budget, runner):
     """``inner`` under the wrapper ``runner`` names (bare if it can't)."""
     if runner == "partitioned":
         return inner if budget is None else PartitionedOp(inner, 1, budget)
-    return ParallelOp(inner, 1, budget, 1 if runner == "workers=1" else 2)
+    return ParallelOp(inner, 1, budget, WORKERS[runner])
 
 
 def execute(db, expr, budget, runner, backend="memory"):
@@ -147,15 +154,20 @@ def shape(run):
 
 @pytest.mark.parametrize("runner", RUNNERS)
 @pytest.mark.parametrize("backend", sorted(TRANSPORTS))
-@pytest.mark.parametrize("budget_case", ["tight", "degenerate", None])
+@pytest.mark.parametrize(
+    "budget_case", ["tight", "degenerate", "ample", None]
+)
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_every_runner_runs_the_same_batches(
     kind, budget_case, backend, runner, monkeypatch
 ):
     make_db, expr, tight, degenerate = KINDS[kind]
-    budget = {"tight": tight, "degenerate": degenerate, None: None}[
-        budget_case
-    ]
+    budget = {
+        "tight": tight,
+        "degenerate": degenerate,
+        "ample": AMPLE,
+        None: None,
+    }[budget_case]
     db = make_db()
     one_shot, _ = execute(db, expr, None, "partitioned")
     assert one_shot  # every kind's workload has a non-empty answer
@@ -165,11 +177,9 @@ def test_every_runner_runs_the_same_batches(
         )
 
     segments = shm_module.live_segment_names()
-    spills = spill_files()
     rows, run = execute(db, expr, budget, runner, backend=backend)
     assert rows == one_shot
     assert shm_module.live_segment_names() == segments
-    assert spill_files() == spills
 
     if runner != "partitioned":
         assert isinstance(run, ParallelRun)
@@ -178,13 +188,20 @@ def test_every_runner_runs_the_same_batches(
             expected = {
                 "workers=1": None,
                 "pool": None,
+                "pool-3": None,
                 "broken-pool": "worker pool broke (worker died)",
             }[runner]
             assert run.pool_fallback == expected
-            shipped = runner == "pool" and run.pool_fallback is None
+            shipped = runner.startswith("pool") and run.pool_fallback is None
             assert run.transport == (
                 TRANSPORTS[backend] if shipped else None
             )
+        else:
+            # One batch never reaches the pool, healthy or broken.
+            assert run.pool_fallback == (
+                "single batch" if WORKERS[runner] > 1 else None
+            )
+            assert run.transport is None
     if budget is None:
         return
     assert run.within_budget()
@@ -195,6 +212,8 @@ def test_every_runner_runs_the_same_batches(
     assert run.replicated_rows == serial.replicated_rows
     if budget_case == "tight":
         assert run.actual() > 1 and run.fallback is None
+    elif budget_case == "ample":
+        assert run.actual() == 1 and run.fallback is None
     elif kind in ("hash-join", "hash-semijoin", "selective-join"):
         assert all(b.groups == 1 for b in run.batches)
     else:
@@ -215,7 +234,6 @@ def assert_degraded(kind, monkeypatch, reason_prefix):
     make_db, expr, tight, _ = KINDS["theta-semijoin"]
     db = make_db()
     segments = shm_module.live_segment_names()
-    spills = spill_files()
     rows, run = execute(db, expr, tight, "pool", backend=kind)
     assert rows == evaluate_reference(expr, db)
     assert run.pool_fallback.startswith(reason_prefix)
@@ -225,10 +243,9 @@ def assert_degraded(kind, monkeypatch, reason_prefix):
     _, serial = execute(db, expr, tight, "partitioned")
     assert shape(run) == shape(serial)
     assert shm_module.live_segment_names() == segments
-    assert spill_files() == spills
 
 
-@pytest.mark.parametrize("kind", ["memory", "shm", "mmap"])
+@pytest.mark.parametrize("kind", ["memory", "shm"])
 def test_pool_that_cannot_be_created_degrades_inline(kind, monkeypatch):
     def no_pool(workers):
         raise OSError(errno.ENOSPC, "no semaphores left")
@@ -237,7 +254,7 @@ def test_pool_that_cannot_be_created_degrades_inline(kind, monkeypatch):
     assert_degraded(kind, monkeypatch, "pool unavailable (")
 
 
-@pytest.mark.parametrize("kind", ["shm", "mmap"])
+@pytest.mark.parametrize("kind", ["shm"])
 def test_shipment_storage_failure_degrades_inline(kind, monkeypatch):
     def full(self):
         raise OSError(errno.ENOSPC, "No space left on device")

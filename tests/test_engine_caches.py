@@ -17,8 +17,8 @@ replaced, so no plan priced by an old model outlives it; and the
 freshness of the catalog and of ``explain``:
 
 * :class:`~repro.engine.stats.StatsCatalog` keys its cache by *version
-  token*, so per-read-decode backends (mmap returns a fresh frozenset
-  per read) profile once, not once per access;
+  token*, so reads through a backend profile once, not once per
+  access;
 * every explain entry point re-checks the version token before
   rendering costs, so a mutation is never shown with pre-mutation
   statistics;
@@ -253,28 +253,18 @@ class TestSubPlanMemoLifetime:
 
 
 class TestStatsFreshness:
-    def test_mmap_reads_decode_fresh_objects(self):
+    def test_shm_catalog_profiles_once_across_reads(self):
         db = correlated_db()
-        with open_backend(db, "mmap") as backend:
-            first, second = backend.rows("A"), backend.rows("A")
-            assert first == second
-            # The premise of the token key: identity-keyed caching
-            # cannot work when every read decodes a fresh (equal)
-            # frozenset.
-            assert first is not second
-
-    def test_mmap_catalog_profiles_once_across_reads(self):
-        db = correlated_db()
-        with open_backend(db, "mmap") as backend:
+        with open_backend(db, "shm") as backend:
             catalog = StatsCatalog(db, backend=backend)
             stats = catalog.relation("A")
             assert catalog.relation("A") is stats
             assert catalog.relation("A") is stats
             assert catalog.profiles == 1
 
-    def test_mmap_session_profiles_once_across_queries(self):
+    def test_shm_session_profiles_once_across_queries(self):
         db = correlated_db()
-        with Session(db, backend="mmap") as session:
+        with Session(db, backend="shm") as session:
             session.run("A join[2=1] B")
             session.run("A join[2=1] B")
             session.run("project[1](A)")

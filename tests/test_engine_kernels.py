@@ -607,7 +607,7 @@ MEMO = settings(
     max_examples=150,
     suppress_health_check=[HealthCheck.too_slow],
 )
-BACKENDS = st.sampled_from(("memory", "shm", "mmap"))
+BACKENDS = st.sampled_from(("memory", "shm"))
 
 
 @MEMO
@@ -624,7 +624,7 @@ BACKENDS = st.sampled_from(("memory", "shm", "mmap"))
 def test_memoised_rows_hold_no_duplicate(query, options, backend, parallel):
     """Every memoised node: no duplicate, the structural evaluator's
     cardinality, and a ``list`` exactly where ``OPERATORS`` declares
-    the operator duplicate-free (scans of all three backends included).
+    the operator duplicate-free (scans of both backends included).
     """
     expr, db = query
     executor = Executor(db, backend=backend)
@@ -986,7 +986,7 @@ def test_a_semijoin_keeping_every_left_row_returns_its_left_input(
             executor.reset_query_state()
 
 
-@pytest.mark.parametrize("backend", ("memory", "shm", "mmap"))
+@pytest.mark.parametrize("backend", ("memory", "shm"))
 def test_a_covered_gather_returns_the_stored_relation(backend):
     db = division_database(
         600, 12, extra_per_key=3, hit_fraction=0.4, seed=7
@@ -1006,8 +1006,7 @@ def test_a_covered_gather_returns_the_stored_relation(backend):
             # key sets.  Either way the answer is R itself, unhashed.
             assert result is executor._memo[scan]
             assert (grouping in executor.indexes._indexes) == (run > 0)
-            if backend != "mmap":  # mmap decodes per scan
-                assert result is executor.backend.rows("R")
+            assert result is executor.backend.rows("R")
             # The right side's index on column 1, built at the first
             # run, stands in for it from the second on: it does not run.
             ran = {plan, scan} if run else set(plan.nodes())

@@ -32,7 +32,7 @@ LANDMARKS = {
     "bisimulation_game.py": ["spoiler wins in 2 move(s)", "duplicator wins? True"],
     "storage_backends.py": [
         "stale read raised: StaleDataError",
-        "closed: 0 spill file(s), 0 shm segment(s)",
+        "closed: 0 shm segment(s)",
         "query after close raised: SchemaError",
     ],
 }

@@ -139,3 +139,24 @@ def test_the_planner_does_not_import_storage():
     assert not re.search(
         r"^\s*(?:from|import)\s+repro\.storage\b", planner, re.MULTILINE
     )
+
+
+def test_nothing_in_src_maps_files():
+    """Storage has two placements, inline bytes and a shm segment.
+
+    ``repro.storage.mmapio`` survives only as an empty module that
+    ``perfbench`` imports by name; no module under ``src/repro`` may
+    import it, or ``mmap`` itself.
+    """
+    mapping = re.compile(
+        r"^\s*(?:import\s+mmap\b|from\s+mmap\s+import\b"
+        r"|(?:from|import)\s+repro\.storage\.mmapio\b"
+        r"|from\s+repro\.storage\s+import\s[^\n]*\bmmapio\b)",
+        re.MULTILINE,
+    )
+    importers = sorted(
+        str(path.relative_to(SRC / "repro"))
+        for path in (SRC / "repro").rglob("*.py")
+        if mapping.search(path.read_text())
+    )
+    assert importers == []

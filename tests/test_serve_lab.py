@@ -66,7 +66,7 @@ def test_mutation_heavy_applies_writes_and_stays_oracle_clean():
     assert result.failed == 0
 
 
-@pytest.mark.parametrize("backend", ["memory", "shm", "mmap"])
+@pytest.mark.parametrize("backend", ["memory", "shm"])
 def test_scenario_runs_on_every_backend(backend):
     result = run_scenario(SCENARIOS["semijoin_only"](reads=3), backend=backend)
     assert result.metrics.backend == backend

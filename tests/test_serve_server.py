@@ -35,7 +35,6 @@ from hypothesis import strategies as st
 import repro.serve.server as serve_server
 import repro.storage.backend as storage_backend
 import repro.storage.snapshot as storage_snapshot
-from repro.storage.mmapio import live_spill_paths
 from repro.algebra.ast import Rel
 from repro.algebra.evaluator import evaluate
 from repro.data.database import Database
@@ -207,7 +206,7 @@ def _bound_of(db, text) -> float:
 
 
 #: Images this process has alive, per by-reference backend kind.
-LIVE_IMAGES = {"shm": live_segment_names, "mmap": live_spill_paths}
+LIVE_IMAGES = {"shm": live_segment_names}
 
 
 def _count_calls(monkeypatch, module, name) -> list:
@@ -384,7 +383,7 @@ def test_pinned_read_ignores_concurrent_write(db):
 
 
 @pytest.mark.parametrize("workers", [0, 1])
-@pytest.mark.parametrize("backend", ["shm", "mmap"])
+@pytest.mark.parametrize("backend", ["shm"])
 def test_pinned_read_runs_on_its_own_image_after_writes(backend, workers):
     # By-reference pins no longer evaporate: the generation-0 image is
     # kept while the held read pins it — through three writes — and is
@@ -418,7 +417,7 @@ def test_refused_read_leaves_no_pin():
     assert live_segment_names() == ()
 
 
-@pytest.mark.parametrize("backend", ["shm", "mmap"])
+@pytest.mark.parametrize("backend", ["shm"])
 def test_vanished_pinned_image_fails_the_ticket(backend):
     # An image that is gone although a ticket pins it is an outside
     # fault: the read fails, typed, and nothing else is disturbed.
@@ -441,7 +440,7 @@ def test_vanished_pinned_image_fails_the_ticket(backend):
     assert live() == ()
 
 
-@pytest.mark.parametrize("backend", ["shm", "mmap"])
+@pytest.mark.parametrize("backend", ["shm"])
 def test_close_fails_reads_queued_on_retired_generations(backend):
     live = LIVE_IMAGES[backend]
     db = _division_db()
@@ -730,7 +729,7 @@ def test_leader_failure_fails_its_riders_and_stores_nothing():
     assert live_segment_names() == ()
 
 
-@pytest.mark.parametrize("backend", ["memory", "shm", "mmap"])
+@pytest.mark.parametrize("backend", ["memory", "shm"])
 def test_close_fails_a_queued_leader_and_its_riders(backend):
     db = _division_db()
     budget = 1.5 * _bound_of(db, QUERIES[1])
@@ -757,7 +756,7 @@ def test_close_fails_a_queued_leader_and_its_riders(backend):
         assert on_running.exception(30) is held.exception(30)
     tenant = server.metrics().tenants["t"]
     assert tenant.submitted == 5 == tenant.failed + tenant.completed
-    assert live_segment_names() == () and live_spill_paths() == ()
+    assert live_segment_names() == ()
     _assert_drained(server)
 
 
@@ -850,7 +849,7 @@ def test_same_text_across_a_write_and_back(db):
         assert (tenant.admitted, tenant.cache_hits) == (4, 2)
 
 
-@pytest.mark.parametrize("backend", ["shm", "mmap"])
+@pytest.mark.parametrize("backend", ["shm"])
 def test_restored_contents_execute_on_their_new_image(backend):
     # A token names contents, not an image: after B → A → B the
     # by-reference image for B is a new one (nothing pinned the first).
@@ -1053,7 +1052,6 @@ def _replay_against_oracle(backend, workers, reader_ops, writer_ops):
             for tenant in metrics.tenants.values()
         ) == sum(1 for ticket, __ in tickets if ticket.cached)
     assert live_segment_names() == ()
-    assert live_spill_paths() == ()
     return metrics
 
 
@@ -1087,7 +1085,7 @@ def test_admitted_reads_equal_serial_oracle_replay(
     _replay_against_oracle(backend, 0, reader_ops, writer_ops)
 
 
-@pytest.mark.parametrize("backend", ["memory", "shm", "mmap"])
+@pytest.mark.parametrize("backend", ["memory", "shm"])
 def test_oracle_replay_through_a_real_pool_with_riders(backend):
     # The same traffic shape, fixed, through two pool workers: a pool
     # read stays in flight across many submits (the first one across

@@ -15,7 +15,7 @@ state those objects carry must survive concurrent use:
   that never finishes, a wrong answer, or a counter that does not add
   up;
 * :meth:`~repro.session.Session.close` — double-close from racing
-  threads must release shm segments / spill files exactly once (a
+  threads must release shm segments exactly once (a
   second unlink of a recreated name would yank live storage).
 """
 
@@ -185,7 +185,7 @@ def test_server_door_under_concurrent_identical_reads_and_writes():
         sys.setswitchinterval(interval)
 
 
-@pytest.mark.parametrize("backend", ["memory", "shm", "mmap"])
+@pytest.mark.parametrize("backend", ["memory", "shm"])
 def test_session_double_close_is_idempotent(backend):
     db = Database({"R": 2}, {"R": [(1, 2), (3, 4)]})
     session = Session(db, backend=backend)
@@ -197,7 +197,7 @@ def test_session_double_close_is_idempotent(backend):
         session.run("R")
 
 
-@pytest.mark.parametrize("backend", ["memory", "shm", "mmap"])
+@pytest.mark.parametrize("backend", ["memory", "shm"])
 def test_session_concurrent_close_races(backend):
     # Many threads racing close() on one session: the backend's
     # release hook must run exactly once (shm: no stray segments, no

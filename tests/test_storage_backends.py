@@ -12,20 +12,18 @@ The contract under test (see ``docs/storage.md``):
   the executor reads from, and :meth:`~repro.storage.backend.Backend.
   refresh` (driven by the executor's version-token check) re-encodes;
 * the parallel layer ships attached-backend fragments as descriptors
-  into one shared segment / spill file per run, results stay equal,
-  and broken pools degrade to inline with locally resolved blocks;
+  into one shared segment per run, results stay equal, and broken
+  pools degrade to inline with locally resolved blocks;
 * closing a backend (or the owning :class:`~repro.session.Session`)
-  releases every shared-memory segment and spill file this process
-  created — the leak check reads the live registries directly;
+  releases every shared-memory segment this process created — the
+  leak check reads the live registry directly;
 * a snapshot descriptor of any kind attaches back to exactly the source
   relations; the memory backend's by-value image is encoded once per
   content version, survives later writes, and a damaged image is a
   :class:`~repro.errors.SchemaError`, never a silently short relation.
 """
 
-import os
 import pickle
-import tempfile
 from fractions import Fraction
 
 import pytest
@@ -34,7 +32,6 @@ from hypothesis import strategies as st
 
 import repro.engine.partition as partition_module
 import repro.storage.backend as backend_module
-import repro.storage.mmapio as mmapio_module
 import repro.storage.shm as shm_module
 from repro.algebra.parser import parse
 from repro.algebra.reference import evaluate_reference
@@ -49,7 +46,6 @@ from repro.storage import (
     BACKEND_KINDS,
     Backend,
     MemoryBackend,
-    MmapBackend,
     SharedMemoryBackend,
     attach_snapshot,
     open_backend,
@@ -60,7 +56,7 @@ from tests.test_engine_parallel import force_parallel, parallel_runs
 
 SCHEMA = Schema({"R": 2, "S": 1})
 
-SNAPSHOT_KINDS = ("shm", "mmap")
+SNAPSHOT_KINDS = ("shm",)
 
 PROPERTY = settings(
     max_examples=40,
@@ -93,19 +89,7 @@ def mixed_db():
 
 
 def no_leaks():
-    return (
-        not shm_module.live_segment_names()
-        and not mmapio_module.live_spill_paths()
-    )
-
-
-def spill_files():
-    """This process's spill files actually present on disk."""
-    return sorted(
-        name
-        for name in os.listdir(tempfile.gettempdir())
-        if name.startswith(mmapio_module.SPILL_PREFIX)
-    )
+    return not shm_module.live_segment_names()
 
 
 # ----------------------------------------------------------------------
@@ -119,7 +103,6 @@ class TestBackendProtocol:
         expected = {
             "memory": MemoryBackend,
             "shm": SharedMemoryBackend,
-            "mmap": MmapBackend,
         }[kind]
         with open_backend(small_db(), kind) as backend:
             assert type(backend) is expected
@@ -130,6 +113,17 @@ class TestBackendProtocol:
     def test_open_backend_rejects_unknown_kind(self):
         with pytest.raises(SchemaError, match="unknown storage backend"):
             open_backend(small_db(), "tape")
+
+    def test_there_are_two_backend_kinds(self):
+        assert BACKEND_KINDS == ("memory", "shm")
+
+    def test_open_backend_rejects_mmap(self):
+        with pytest.raises(SchemaError, match="expected one of memory, shm$"):
+            open_backend(small_db(), "mmap")
+
+    def test_session_rejects_mmap(self):
+        with pytest.raises(SchemaError, match="expected one of memory, shm$"):
+            Session(small_db(), backend="mmap")
 
     @pytest.mark.parametrize("kind", BACKEND_KINDS)
     def test_rows_match_source(self, kind):
@@ -181,6 +175,21 @@ class TestBackendProtocol:
                 backend.rows("S")
             backend.refresh()
             assert backend.rows("S") == {(7,)}
+
+    @pytest.mark.parametrize("kind", BACKEND_KINDS)
+    def test_reads_are_memoised_per_content_version(self, kind):
+        db = small_db()
+        with open_backend(db, kind) as backend:
+            first = backend.rows("R")
+            assert backend.rows("R") is first
+            backend.refresh()  # no write: the version stands
+            assert backend.rows("R") is first
+            db._relations = {**db._relations, "S": frozenset({(7,)})}
+            backend.refresh()
+            assert backend.rows("R") == first
+            fresh = backend.rows("S")
+            assert fresh == {(7,)}
+            assert backend.rows("S") is fresh
 
 
 # ----------------------------------------------------------------------
@@ -275,7 +284,7 @@ class TestExecutorIntegration:
         executor = Executor(db, backend="shm")
         assert executor.backend.kind == "shm"
         executor.close()
-        with open_backend(db, "mmap") as backend:
+        with open_backend(db, "shm") as backend:
             assert Executor(db, backend=backend).backend is backend
         assert no_leaks()
 
@@ -369,10 +378,7 @@ class TestParallelShipment:
         assert result == evaluate_reference(expr, db)
         (run,) = runs
         assert run.pool_fallback is None
-        if kind == "memory":
-            assert run.transport is None
-        else:
-            assert run.transport == ("file" if kind == "mmap" else "shm")
+        assert run.transport == (None if kind == "memory" else "shm")
         assert no_leaks()
 
     @pytest.mark.parametrize("kind", SNAPSHOT_KINDS)
@@ -439,60 +445,6 @@ class TestParallelShipment:
         assert run.transport is None
         executor.close()
         assert no_leaks()
-
-
-# ----------------------------------------------------------------------
-# Spill files: ``os.write`` may accept fewer bytes than it is offered
-# ----------------------------------------------------------------------
-
-
-class TestSpillFileShortWrites:
-    def test_short_writes_are_completed(self, monkeypatch):
-        real_write = os.write
-        offered = []
-
-        def at_most_five(fd, data):
-            offered.append(len(data))
-            return real_write(fd, bytes(data[:5]))
-
-        monkeypatch.setattr(mmapio_module.os, "write", at_most_five)
-        db = mixed_db()
-        with open_backend(db, "mmap") as backend:
-            assert backend.rows("M") == db["M"]
-            assert backend.rows("E") == frozenset()
-        assert max(offered) > 5  # some part really needed several calls
-        assert no_leaks()
-
-    def test_shipped_fragments_survive_short_writes(self, monkeypatch):
-        real_write = os.write
-        monkeypatch.setattr(
-            mmapio_module.os,
-            "write",
-            lambda fd, data: real_write(fd, bytes(data[:64])),
-        )
-        db = division_database(
-            num_keys=30, divisor_size=4, extra_per_key=2, seed=5
-        )
-        expr = classic_division_expr()
-        executor = Executor(db, backend="mmap")
-        plan = force_parallel(
-            executor.plan(expr, PlannerOptions(partition_budget=40)), 2
-        )
-        assert executor.execute(plan) == evaluate_reference(expr, db)
-        (run,) = parallel_runs(executor)
-        assert run.transport == "file" and run.pool_fallback is None
-        executor.close()
-        assert no_leaks()
-
-    def test_a_write_that_accepts_nothing_raises_and_leaves_nothing(
-        self, monkeypatch
-    ):
-        files, live = spill_files(), dict(mmapio_module._live)
-        monkeypatch.setattr(mmapio_module.os, "write", lambda fd, data: 0)
-        with pytest.raises(OSError, match="short write"):
-            mmapio_module.create_spill_file([b"abc", b"defgh"])
-        assert mmapio_module._live == live
-        assert spill_files() == files
 
 
 # ----------------------------------------------------------------------

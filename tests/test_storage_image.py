@@ -24,11 +24,9 @@ from repro.data.schema import Schema
 from repro.errors import SchemaError, StaleDataError
 from repro.storage import attach_snapshot, open_backend
 from repro.storage.image import Image, attached
-from repro.storage.mmapio import live_spill_paths
 from repro.storage.shm import SEGMENT_PREFIX, live_segment_names
 
 PARTS = [b"abc", b"", b"defgh"]
-LIVE = {"shm": live_segment_names, "mmap": live_spill_paths}
 
 
 def small_db():
@@ -42,7 +40,7 @@ def swap(db, rows):
     db._relations = {**db._relations, "S": frozenset(rows)}
 
 
-@pytest.mark.parametrize("placement", ["inline", "shm", "file"])
+@pytest.mark.parametrize("placement", ["inline", "shm"])
 def test_image_roundtrip_release_and_loud_late_attach(placement):
     image = Image(placement, PARTS, 8)
     assert image.nbytes == 8
@@ -52,7 +50,7 @@ def test_image_roundtrip_release_and_loud_late_attach(placement):
         image.release()  # late-reader guarantee: the view stays valid
         assert bytes(view[:8]) == b"abcdefgh"
     image.release()
-    assert live_segment_names() == () and live_spill_paths() == ()
+    assert live_segment_names() == ()
     if placement != "inline":
         with pytest.raises(StaleDataError, match="is gone"):
             with attached(placement, image.locator):
@@ -62,11 +60,15 @@ def test_image_roundtrip_release_and_loud_late_attach(placement):
 def test_unknown_placement_is_a_schema_error():
     with pytest.raises(SchemaError, match="placement"):
         Image("tape", PARTS, 8)
+    # The spill-file placement is gone with the mmap backend.
+    with pytest.raises(SchemaError, match="expected 'inline' or 'shm'"):
+        Image("file", PARTS, 8)
+    assert live_segment_names() == ()
 
 
-@pytest.mark.parametrize("kind", ["shm", "mmap"])
+@pytest.mark.parametrize("kind", ["shm"])
 def test_backend_keeps_a_replaced_image_exactly_while_pinned(kind):
-    live, db = LIVE[kind], small_db()
+    live, db = live_segment_names, small_db()
     before = db.relations()
     with open_backend(db, kind) as backend:
         token = backend.version_token()
