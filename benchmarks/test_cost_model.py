@@ -7,23 +7,19 @@ work: the chosen order keeps the peak intermediate small, and both
 orders give the same rows.
 """
 
+import math
+
 import pytest
 
 from repro.algebra.parser import parse
 from repro.data.database import Database, database
 from repro.data.schema import Schema
-from repro.engine import Executor, PlannerOptions, plan_expression
+from repro.engine import Executor, plan_expression
 from repro.session import Session
 
 SCHEMA = Schema({"R": 2, "S": 1, "T": 3})
 
 CHAIN = "(T join[1=1] R) join[5=1] S"
-
-#: ``use_costs=False`` pins the structural planner: the comparison is
-#: cost-based ordering vs the same engine without it, not vs another
-#: evaluator.
-STRUCTURAL = PlannerOptions(use_costs=False)
-
 
 def _chain_db(n: int, keys: int = 24) -> Database:
     """|T| = |R| = n with an n/keys fan-out on the shared join key."""
@@ -43,7 +39,10 @@ def chain_db() -> Database:
 def test_cost_ordered_chain(chain_db):
     expr = parse(CHAIN, SCHEMA)
     session = Session(chain_db, cache_results=False)
-    expected = Session(chain_db, STRUCTURAL).run(expr)
+    # The structural plan (no statistics) on the same executor: the
+    # comparison is cost-based ordering vs the same engine without it,
+    # not vs another evaluator.
+    expected = session.executor.execute(plan_expression(expr))
     assert session.run(expr) == expected
     assert session.run(expr) == expected
 
@@ -71,5 +70,5 @@ def test_cost_estimates_recorded_on_benchmark_workload(chain_db):
     pairs = executor.stats.estimation_pairs()
     assert pairs
     for __, actual, estimate in pairs:
-        assert estimate.sound
+        assert math.isfinite(estimate.upper)
         assert actual <= estimate.upper

@@ -29,6 +29,7 @@ Environment: ``REPRO_BENCH_WORKERS`` caps the pool (CI sets 2),
 descriptors export from (memory/shm).
 """
 
+import math
 import os
 import time
 
@@ -138,7 +139,7 @@ def test_mixed_read_heavy_scaling():
             assert rows == evaluate(
                 ticket.expr, oracle_cache[generation]
             ), f"read {ticket.text!r} diverged from its pinned snapshot"
-            assert ticket.sound
+            assert math.isfinite(ticket.bound)
             assert ticket.actual_rows <= ticket.bound, (
                 f"read {ticket.text!r} produced {ticket.actual_rows} "
                 f"rows against a certified bound of {ticket.bound}"

@@ -18,10 +18,9 @@ Subcommands::
 ``eval``, ``explain`` and ``divide`` build one
 :class:`~repro.session.Session` from the shared session flags: the
 planner flags (``--partition-budget``, ``--max-workers``,
-``--no-costs``, ``--no-multiway``) become its ``PlannerOptions``,
-which reject contradictory combinations up front, and ``--backend``
-picks its storage.  ``optimize`` is pure rewriting
-and takes none of them.  Expressions use the textual syntax of
+``--no-multiway``) become its ``PlannerOptions``, which reject bad
+values up front, and ``--backend`` picks its storage.  ``optimize`` is
+pure rewriting and takes none of them.  Expressions use the textual syntax of
 :mod:`repro.algebra.parser`; the schema comes from the database file or
 from ``--schema 'R:2,S:1'``.
 """
@@ -94,26 +93,20 @@ def _schema_for(args) -> Schema:
 #: loop over this one table, so a flag added here is parsed everywhere,
 #: applied, *and* rejected under ``--no-engine`` — the lists cannot
 #: drift apart.  A ``store_true`` flag switches its field *off*.
-#: Which flags contradict ``--no-costs`` is ``PlannerOptions``' rule.
 _SESSION_FLAGS = (
     ("--partition-budget", "partition_budget", dict(
         type=int,
         metavar="ROWS",
         help="rows-in-flight cap for partitioned execution: operators "
         "whose estimated in-flight bound exceeds it run in batches "
-        "(needs cost-based planning and a database's statistics)",
+        "(needs a database's statistics)",
     )),
     ("--max-workers", "max_workers", dict(
         type=int,
         metavar="N",
         help="shard batched operators across N worker processes when "
         "the cost model certifies the parallel cost beats serial "
-        "(needs cost-based planning; 1 = exactly serial)",
-    )),
-    ("--no-costs", "use_costs", dict(
-        action="store_true",
-        help="plan structurally: disable every cost-based decision "
-        "(operator choice, join ordering, partition sizing)",
+        "(needs a database's statistics; 1 = exactly serial)",
     )),
     ("--no-multiway", "use_multiway", dict(
         action="store_true",
@@ -136,8 +129,7 @@ def _session_flags_given(args) -> dict:
 def _session_options(args):
     """PlannerOptions from the planner flags (None = defaults).
 
-    ``PlannerOptions`` validates the values and rejects contradictory
-    combinations itself, before any work.
+    ``PlannerOptions`` validates the values itself, before any work.
     """
     given = _session_flags_given(args)
     if not given:
@@ -211,24 +203,24 @@ def _cmd_explain(args) -> int:
         return 0
     if not args.schema:
         raise ReproError("provide --database or --schema")
-    from repro.engine import DEFAULT_OPTIONS, plan_expression
+    from repro.engine import DEFAULT_OPTIONS
     from repro.engine.planner import explain as explain_plan
 
     schema = _parse_schema(args.schema)
     expr = parse(args.expression, schema)
     # Schema-only planning has no statistics: the structural rules
-    # apply, --costs annotates from the zero-stats default assumptions,
-    # and a partition budget cannot be sized (nothing sound to size
-    # against) — the plan is printed unpartitioned, matching what the
-    # engine would run.
+    # apply, --costs annotates from the zero-stats default assumptions
+    # (every ``ub`` that needs statistics prints ``?``), and a partition
+    # budget cannot be sized (nothing is certified to size against) —
+    # the plan is printed unpartitioned, matching what the engine
+    # would run.
     options = _session_options(args) or DEFAULT_OPTIONS
-    plan = plan_expression(expr, options)
     print(
         explain_plan(
             expr,
+            options,
             schema=schema,
             analyze=args.analyze,
-            plan=plan,
             costs=args.costs,
         )
     )

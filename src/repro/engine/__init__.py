@@ -13,13 +13,16 @@ algorithm one level down.  This package is the layer that acts on that:
   collected lazily per database;
 * :mod:`repro.engine.cost` — the cardinality/cost estimator: point
   estimates, sound upper bounds (AGM-style on equi-join chains), and
-  cumulative operator costs;
+  cumulative operator costs.  Its bounds are certified exactly when
+  the model has statistics, and every cost-based decision below asks
+  the model that one fact;
 * :mod:`repro.engine.wcoj` — the worst-case-optimal generic join:
   variable-at-a-time execution of cyclic equi-join chains within the
   AGM fractional-edge-cover bound (``PlannerOptions.use_multiway``);
 * :mod:`repro.engine.planner` — structural recognition of division
   patterns plus cost-based operator choice and join ordering, with
-  the structural rules as the zero-stats fallback;
+  the structural rules as the zero-stats fallback
+  (:func:`~repro.engine.planner.plan_expression`);
 * :mod:`repro.engine.executor` — memoizing streaming execution with a
   per-database hash-index cache, the statistics catalog, and a
   version token guarding both against content changes;

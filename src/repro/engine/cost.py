@@ -24,11 +24,14 @@
 
 Each estimate also carries per-column **sound upper bounds on distinct
 counts** (``distinct``), which is what lets equality selectivities
-propagate through the tree, and a ``sound`` flag: without a catalog the
-model falls back to fixed default assumptions (``DEFAULT_ROWS`` per
-relation) that still rank plans but certify nothing — ``upper`` is then
-infinite and ``sound`` is False.  The planner treats that zero-stats
-mode as "keep the structural rules".
+propagate through the tree.  Whether the bounds are certified is one
+fact, and the model owns it: they are exactly when the model has a
+catalog.  Without one the model falls back to fixed default assumptions
+(``DEFAULT_ROWS`` per relation, ``sqrt`` of that distinct values per
+column) that still rank plans but certify nothing — ``upper`` is then
+infinite (``?`` in EXPLAIN) unless the plan itself proves a bound, as
+an unsatisfiable ``σ_{i<i}`` proves 0.  The planner treats that
+zero-stats mode as "keep the structural rules".
 """
 
 from __future__ import annotations
@@ -117,7 +120,6 @@ class Estimate:
     upper: float
     cost: float
     distinct: tuple[float, ...]
-    sound: bool
 
     def __post_init__(self) -> None:
         # Keep the point estimate inside the certified bound.
@@ -160,7 +162,8 @@ class CostModel:
     One model per (catalog, moment): estimates are memoized per node,
     so a planner comparing many candidate sub-plans shares the work for
     common subtrees.  The catalog's statistics must describe the
-    database the plan will run against, or the ``sound`` flags lie.
+    database the plan will run against, or the certified ``upper``
+    bounds lie; without a catalog nothing is certified.
     """
 
     def __init__(
@@ -232,7 +235,6 @@ class CostModel:
                 child.upper,
                 child.cost + child.rows,
                 child.distinct,
-                child.sound,
             )
         raise SchemaError(
             f"cost model: unknown plan node {type(node).__name__}"
@@ -245,7 +247,7 @@ class CostModel:
     def _scan(self, node: ScanOp) -> Estimate:
         if self.catalog is None:
             distinct = (math.sqrt(DEFAULT_ROWS),) * node.arity
-            return Estimate(DEFAULT_ROWS, _INF, DEFAULT_ROWS, distinct, False)
+            return Estimate(DEFAULT_ROWS, _INF, DEFAULT_ROWS, distinct)
         stats = self.catalog.relation(node.expr.name)
         rows = float(stats.rows)
         distinct = tuple(float(c.distinct) for c in stats.columns)
@@ -254,7 +256,7 @@ class CostModel:
             # clean ArityError at run time; keep estimation total so
             # planning never crashes first.
             distinct = (distinct + (rows,) * node.arity)[: node.arity]
-        return Estimate(rows, rows, rows, distinct, True)
+        return Estimate(rows, rows, rows, distinct)
 
     # ------------------------------------------------------------------
     # Unary operators
@@ -272,7 +274,6 @@ class CostModel:
             upper,
             left.cost + right.cost + left.rows + right.rows,
             distinct,
-            left.sound and right.sound,
         )
 
     def _difference(self, node: DifferenceOp) -> Estimate:
@@ -282,18 +283,19 @@ class CostModel:
             left.upper,
             left.cost + right.cost + left.rows + right.rows,
             left.distinct,
-            left.sound and right.sound,
         )
 
     def _project(self, node: ProjectOp) -> Estimate:
         child = self.estimate(node.child)
         # Output rows are determined by the values at the *distinct*
         # source positions, so the product of their distinct counts
-        # bounds the output (sound: each factor is a sound bound).
+        # bounds the output (certified when each factor is).
         combos = 1.0
         for position in sorted(set(node.positions)):
             combos *= max(child.distinct[position - 1], 1.0)
-        upper = min(child.upper, combos) if child.sound else child.upper
+        upper = child.upper
+        if self.catalog is not None:
+            upper = min(upper, combos)
         distinct = _cap_distinct(
             tuple(child.distinct[p - 1] for p in node.positions), upper
         )
@@ -302,7 +304,6 @@ class CostModel:
             upper,
             child.cost + child.rows,
             distinct,
-            child.sound,
         )
 
     def _filter(self, node: FilterOp) -> Estimate:
@@ -324,7 +325,6 @@ class CostModel:
             upper,
             child.cost + child.rows,
             distinct,
-            child.sound,
         )
 
     def _tag(self, node: TagOp) -> Estimate:
@@ -334,7 +334,6 @@ class CostModel:
             child.upper,
             child.cost + child.rows,
             child.distinct + (1.0,),
-            child.sound,
         )
 
     # ------------------------------------------------------------------
@@ -358,19 +357,19 @@ class CostModel:
 
     def _join(self, node: HashJoinOp | NestedLoopJoinOp) -> Estimate:
         left, right = self.estimate(node.left), self.estimate(node.right)
-        sound = left.sound and right.sound
+        catalog = self.catalog
         upper = _mul(left.upper, right.upper)
         left_stats = (
-            self.catalog.relation(node.left.expr.name)
-            if sound and isinstance(node.left, ScanOp)
+            catalog.relation(node.left.expr.name)
+            if catalog is not None and isinstance(node.left, ScanOp)
             else None
         )
         right_stats = (
-            self.catalog.relation(node.right.expr.name)
-            if sound and isinstance(node.right, ScanOp)
+            catalog.relation(node.right.expr.name)
+            if catalog is not None and isinstance(node.right, ScanOp)
             else None
         )
-        if sound:
+        if catalog is not None:
             # MCV refinement: joining into a base relation emits at most
             # max_freq matches per probe (per equality atom; exact
             # sketch counts make this a theorem, not a guess) — and for
@@ -427,7 +426,7 @@ class CostModel:
             cost = left.cost + right.cost + right.rows + left.rows + out
         else:
             cost = left.cost + right.cost + left.rows * right.rows + out
-        return Estimate(rows, upper, cost, distinct, sound)
+        return Estimate(rows, upper, cost, distinct)
 
     def _semijoin(
         self, node: HashSemijoinOp | NestedLoopSemijoinOp
@@ -456,7 +455,6 @@ class CostModel:
             left.upper,
             cost,
             distinct,
-            left.sound and right.sound,
         )
 
     # ------------------------------------------------------------------
@@ -467,7 +465,10 @@ class CostModel:
         dividend = self.estimate(node.dividend)
         divisor = self.estimate(node.divisor)
         keys = max(dividend.distinct[0], 0.0)
-        upper = min(keys, dividend.upper)
+        # At most one output row per key; the key count certifies
+        # nothing without statistics.
+        bound = min(keys, dividend.upper)
+        upper = bound if self.catalog is not None else dividend.upper
         if divisor.rows <= 0:
             rows = keys if node.empty_divisor == "all" else 0.0
         else:
@@ -477,13 +478,7 @@ class CostModel:
             rows = keys * min(1.0, fanout / divisor.rows)
         # Hash division is one pass over each input.
         cost = dividend.cost + divisor.cost + dividend.rows + divisor.rows
-        return Estimate(
-            rows,
-            upper,
-            cost,
-            (upper,),
-            dividend.sound and divisor.sound,
-        )
+        return Estimate(rows, upper, cost, (bound,))
 
     def _batched(self, node: PartitionedOp | ParallelOp) -> Estimate:
         """Batched execution: same output, plus the scatter pass.
@@ -500,9 +495,9 @@ class CostModel:
 
         A :class:`ParallelOp` is repriced for the pool instead, at the
         certified parallel cost of :func:`parallel_cost_split`, when
-        the bounds allow one; a hand-built node over unsound estimates
-        pays the scatter surcharge — the planner itself never emits an
-        uncertified :class:`ParallelOp`.
+        the bounds allow one; a hand-built node priced without
+        statistics pays the scatter surcharge — the planner itself
+        never emits an uncertified :class:`ParallelOp`.
         """
         inner = self.estimate(node.inner)
         split = None
@@ -516,33 +511,33 @@ class CostModel:
             cost = inner.cost + scatter + node.partitions
         else:
             cost = split[1]
-        return Estimate(
-            inner.rows, inner.upper, cost, inner.distinct, inner.sound
-        )
+        return Estimate(inner.rows, inner.upper, cost, inner.distinct)
 
     def _group_by(self, node: GroupByOp) -> Estimate:
         child = self.estimate(node.child)
         positions = node.expr.group_positions
+        certified = self.catalog is not None
         if not positions:
             # A single group — and γ_count emits its one row even on
             # empty input (the SQL convention), so 1 is the bound.
-            upper = 1.0 if child.sound else _INF
+            upper = bound = 1.0 if certified else _INF
             rows = 1.0
         else:
             groups = 1.0
             for position in sorted(set(positions)):
                 groups *= max(child.distinct[position - 1], 1.0)
-            upper = min(child.upper, groups)
+            # The group count certifies nothing without statistics.
+            bound = min(child.upper, groups)
+            upper = bound if certified else child.upper
             rows = min(child.rows, groups)
         distinct = tuple(child.distinct[p - 1] for p in positions) + (
-            upper,
+            bound,
         ) * len(node.expr.aggregates)
         return Estimate(
             rows,
             upper,
             child.cost + child.rows,
-            _cap_distinct(distinct, upper),
-            child.sound,
+            _cap_distinct(distinct, bound),
         )
 
     # ------------------------------------------------------------------
@@ -612,11 +607,11 @@ class CostModel:
         fewest distinct values any column holding one has.
         """
         children = [self.estimate(child) for child in node.relations]
-        sound = all(child.sound for child in children)
+        certified = self.catalog is not None
         upper = 1.0
         for child in children:
             upper = _mul(upper, child.upper)
-        if sound:
+        if certified:
             agm = self._multiway_agm(node)
             if agm is not None:
                 upper = min(upper, agm)
@@ -644,7 +639,7 @@ class CostModel:
                     1.0,
                 )
             rows = min(rows, combos)
-            if sound:
+            if certified:
                 upper = min(upper, combos)
             distinct = tuple(
                 min(flat_distinct[p] for p in occurrences[flat[q - 1]])
@@ -654,7 +649,7 @@ class CostModel:
         out = min(rows, upper)
         cost = sum(child.cost for child in children) + inputs + out
         distinct = _cap_distinct(distinct, upper)
-        return Estimate(rows, upper, cost, distinct, sound)
+        return Estimate(rows, upper, cost, distinct)
 
     def _multiway_agm(self, node: MultiwayJoinOp) -> float | None:
         """The node's AGM bound against *current* statistics, or None.
@@ -992,11 +987,11 @@ def parallel_work_bound(model: CostModel, node: PlanNode) -> float:
     the scan stops at the first witness (and overstates a semijoin
     whose rest :func:`~repro.engine.kernels.witness` summarises, which
     is linear — kept so plans stay unchanged).  Infinite whenever the
-    estimates certify nothing (zero-stats planning never parallelizes).
+    model certifies nothing (zero-stats planning never parallelizes).
     """
-    estimate = model.estimate(node)
-    if not estimate.sound:
+    if model.catalog is None:
         return _INF
+    estimate = model.estimate(node)
     own = estimate.cost - sum(
         model.estimate(child).cost for child in node.children()
     )
@@ -1036,17 +1031,17 @@ def parallel_cost_split(
     the pool's pickled return path on every backend, so they stay at
     the IPC price.
 
-    ``None`` when any bound involved is unsound or infinite — nothing
-    can then certify that scatter + transport is paid back, so the
-    planner keeps the serial plan (mirroring the partition gate's
-    refusal to partition uncertified plans).
+    ``None`` when the model has no statistics or any bound involved is
+    infinite — nothing can then certify that scatter + transport is
+    paid back, so the planner keeps the serial plan (mirroring the
+    partition gate's refusal to partition uncertified plans).
     """
     from repro.storage.backend import ATTACHED_KINDS
 
-    inner = model.estimate(node.inner)
     work = parallel_work_bound(model, node.inner)
-    if not inner.sound or not math.isfinite(work):
+    if not math.isfinite(work):
         return None
+    inner = model.estimate(node.inner)
     if not math.isfinite(inner.upper):
         return None
     children = [

@@ -616,9 +616,7 @@ class Executor:
         if held > 16 * self.PLAN_CACHE_SIZE:
             self._fresh_cost_model()
         memo = self._subplans.setdefault(options, {})
-        planned = Planner(options, self.catalog, self.cost_model, memo).plan(
-            expr
-        )
+        planned = Planner(options, self.cost_model, memo).plan(expr)
         self._plans[key] = planned
         while len(self._plans) > self.PLAN_CACHE_SIZE:
             self._plans.popitem(last=False)

@@ -123,13 +123,12 @@ def in_flight_upper(cost_model, node: PlanNode) -> float:
 
     One-shot execution materializes the operator's inputs and its
     output simultaneously, so the bound is the sum of the children's
-    ``upper`` estimates plus the operator's own.  Infinite whenever any
-    estimate is unsound (zero-stats planning certifies nothing).
+    ``upper`` estimates plus the operator's own.  Infinite whenever the
+    model has no statistics (zero-stats planning certifies nothing).
     """
-    estimate = cost_model.estimate(node)
-    if not estimate.sound:
+    if cost_model.catalog is None:
         return math.inf
-    total = estimate.upper
+    total = cost_model.estimate(node).upper
     for child in node.children():
         total += cost_model.estimate(child).upper
     return total
@@ -176,13 +175,14 @@ def apply_partitioning(plan: PlanNode, cost_model, budget: int) -> PlanNode:
                     replicated = rebuilt.right
                 elif isinstance(rebuilt, DivisionOp):
                     replicated = rebuilt.divisor
-                if replicated is not None:
-                    rep = cost_model.estimate(replicated)
-                    if rep.sound and rep.upper >= budget:
-                        note += (
-                            "; replicated side may meet the budget "
-                            "alone — one-shot fallback possible"
-                        )
+                if (
+                    replicated is not None
+                    and cost_model.estimate(replicated).upper >= budget
+                ):
+                    note += (
+                        "; replicated side may meet the budget alone — "
+                        "one-shot fallback possible"
+                    )
                 rebuilt = PartitionedOp(
                     rebuilt, partitions, budget, note=note
                 )

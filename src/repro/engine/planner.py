@@ -1,14 +1,15 @@
 """The cost-aware planner: logical expressions → physical plans.
 
-The planner runs in one of two modes.  Given a
-:class:`~repro.engine.stats.StatsCatalog` (how
-:meth:`repro.engine.executor.Executor.plan` calls it), operator choice
-is **cost-based**: candidate operators are priced by the
-:class:`~repro.engine.cost.CostModel` and the cheapest wins, with the
-structural choice as the tie-break.  Without statistics (the zero-stats
-fallback — :func:`plan_expression`, or ``use_costs=False``) the
-decisions below fall back to their purely structural forms, which is
-exactly the pre-cost-model behaviour.
+The planner runs in one of two modes, and its
+:class:`~repro.engine.cost.CostModel` decides which.  When the model
+has a :class:`~repro.engine.stats.StatsCatalog` (how
+:meth:`repro.engine.executor.Executor.plan` calls it), its bounds are
+certified and operator choice is **cost-based**: candidate operators
+are priced by the model and the cheapest wins, with the structural
+choice as the tie-break.  Without statistics (the zero-stats fallback —
+:func:`plan_expression`, or a model with no catalog) the decisions
+below fall back to their purely structural forms, which is exactly the
+pre-cost-model behaviour.
 
 Routing rules (documented in ``docs/engine.md``):
 
@@ -131,11 +132,12 @@ class PlannerOptions:
     """Knobs for the planner; a benchmark reads each one.
 
     ``rewrite_divisions`` gates rule 1, so the quadratic RA plan it
-    replaces can still be planned and measured.  ``use_costs`` gates
-    every cost-based decision — operator choice, join ordering, the
-    multiway collapse — and has no effect unless the planner also has
-    a statistics catalog.  The other rewrites (filter joins become
-    semijoins, selection pushdown) always apply.
+    replaces can still be planned and measured.  The other rewrites
+    (filter joins become semijoins, selection pushdown) always apply.
+    Whether the cost-based decisions — operator choice, join ordering,
+    the multiway collapse, partitioning, parallelism — apply is not an
+    option: they do exactly when the planner's cost model has
+    statistics (:func:`plan_expression` plans without).
 
     ``use_multiway`` (default on) lets the planner collapse a pure
     equi-join chain over base relations into one worst-case-optimal
@@ -162,14 +164,11 @@ class PlannerOptions:
     process pool of that many workers.  The default ``1`` keeps
     planning and execution exactly serial.
 
-    A budget and ``max_workers > 1`` each need cost-based planning, so
-    each is rejected beside ``use_costs=False`` rather than silently
-    ignored.  Storage is not a planner option: it is chosen where the
-    executor is built (``Session(db, backend=)``).
+    Storage is not a planner option: it is chosen where the executor
+    is built (``Session(db, backend=)``).
     """
 
     rewrite_divisions: bool = True
-    use_costs: bool = True
     partition_budget: int | None = None
     max_workers: int = 1
     use_multiway: bool = True
@@ -187,20 +186,6 @@ class PlannerOptions:
             raise SchemaError(
                 f"max_workers must be >= 1, got {self.max_workers}"
             )
-        if self.use_costs:
-            return
-        for given, knob, reason in (
-            (self.partition_budget is not None, "partition_budget",
-             "partition sizing uses the cost model's sound bounds"),
-            (self.max_workers > 1, "max_workers > 1",
-             "the parallel dispatch gate uses the cost model's sound "
-             "bounds"),
-        ):
-            if given:
-                raise SchemaError(
-                    f"{knob} needs cost-based planning ({reason}), "
-                    "which use_costs=False disables"
-                )
 
 
 DEFAULT_OPTIONS = PlannerOptions()
@@ -402,20 +387,19 @@ class Planner:
     def __init__(
         self,
         options: PlannerOptions = DEFAULT_OPTIONS,
-        catalog=None,
         cost_model=None,
         memo: dict[Expr, PlanNode] | None = None,
     ) -> None:
         from repro.engine.cost import CostModel
 
         self.options = options
-        self.catalog = catalog
         #: One shared model per planning session (callers with a
         #: longer-lived model — the executor — pass their own, with the
         #: memo of plans it priced): estimates of common subtrees are
-        #: memoized across all candidate comparisons.
+        #: memoized across all candidate comparisons.  Its catalog is
+        #: the planner's statistics; without one it plans structurally.
         self.cost_model = (
-            cost_model if cost_model is not None else CostModel(catalog)
+            cost_model if cost_model is not None else CostModel()
         )
         self._memo = {} if memo is None else memo
         #: Set while pricing a division rewrite's alternative: the one
@@ -428,7 +412,7 @@ class Planner:
 
     def _costed(self) -> bool:
         """Whether cost-based decisions are in force (stats present)."""
-        return self.catalog is not None and self.options.use_costs
+        return self.cost_model.catalog is not None
 
     def _cost(self, node: PlanNode) -> float:
         return self.cost_model.estimate(node).cost
@@ -442,9 +426,9 @@ class Planner:
         (:func:`repro.engine.cost.parallel_cost_split`) to an
         operator's cost, and pricing candidates with either could flip
         a comparison toward an unpartitionable — hence budget-unbounded
-        — alternative.  Both need *sound* bounds, so without statistics,
-        a budget or ``max_workers > 1`` plans come back untouched and
-        serial planning stays byte-identical.
+        — alternative.  Both need certified bounds, so without
+        statistics, a budget or ``max_workers > 1`` plans come back
+        untouched and serial planning stays byte-identical.
         """
         if not self._costed():
             return plan
@@ -584,7 +568,7 @@ class Planner:
         flat = [v for row in child.attrs for v in row]
         free = {flat[p - 1] for p in expr.positions}
         cards = [
-            float(self.catalog.relation(plan.expr.name).rows)
+            float(self.cost_model.catalog.relation(plan.expr.name).rows)
             for plan in child.relations
         ]
         agm, __ = multiway_bound(child.attrs, cards, free)
@@ -812,7 +796,7 @@ class Planner:
         if not all(edges):  # an arity-0 leaf carries no hyperedge
             return None
         cards = [
-            float(self.catalog.relation(plan.expr.name).rows)
+            float(self.cost_model.catalog.relation(plan.expr.name).rows)
             for plan in plans
         ]
         agm, cover = fractional_edge_cover(edges, cards)
@@ -849,8 +833,9 @@ class Planner:
         The multiway gate's comparison target: the largest certified
         ``upper`` any join node in ``plan`` may materialize.  Returns
         None — the gate then keeps the binary plan — when any join
-        node's bound is unsound or infinite, because "AGM beats an
-        uncertified guess" is not a certificate.
+        node's bound is infinite, because "AGM beats an uncertified
+        guess" is not a certificate.  Only costed planning asks, so
+        the model has statistics here.
         """
         peak = None
         stack = [plan]
@@ -858,11 +843,11 @@ class Planner:
             node = stack.pop()
             stack.extend(node.children())
             if isinstance(node, (HashJoinOp, NestedLoopJoinOp)):
-                estimate = self.cost_model.estimate(node)
-                if not estimate.sound or not math.isfinite(estimate.upper):
+                upper = self.cost_model.estimate(node).upper
+                if not math.isfinite(upper):
                     return None
-                if peak is None or estimate.upper > peak:
-                    peak = estimate.upper
+                if peak is None or upper > peak:
+                    peak = upper
         return peak
 
     def _semijoin(
@@ -930,7 +915,6 @@ def explain(
     analyze: bool = False,
     plan: PlanNode | None = None,
     costs: bool = False,
-    catalog=None,
     cost_model=None,
 ) -> str:
     """Render the physical plan for ``expr``.
@@ -941,30 +925,31 @@ def explain(
     routing claims.  Pass a pre-built ``plan`` to render exactly the
     plan some caller is about to execute.
 
-    With ``costs=True`` every operator line carries the cost model's
+    ``cost_model`` both plans (when no ``plan`` is given) and
+    annotates: pass the model that priced the plan (e.g.
+    ``executor.cost_model``, how the CLI's ``explain --costs -d
+    db.json`` calls it) to reuse its statistics and memoized
+    estimates.  Without one, planning is structural.
+
+    With ``costs=True`` every operator line carries the model's
     estimate — ``{~rows=<point> ub=<sound upper bound> cost=<work>}``
-    — computed from ``catalog`` statistics when given (how the CLI's
-    ``explain --costs -d db.json`` calls it) and from the zero-stats
-    default assumptions otherwise (``ub`` renders as ``?`` then:
-    nothing is certified without statistics).  Pass the ``cost_model``
-    that priced the plan (e.g. ``executor.cost_model``) to reuse its
-    memoized estimates instead of re-estimating.
+    — from the model's statistics, or from the zero-stats default
+    assumptions when it has none (``ub`` renders as ``?`` then:
+    nothing is certified without statistics).
     """
     lines: list[str] = []
     if analyze:
         if schema is None:
             raise SchemaError("explain(analyze=True) needs a schema")
         lines.append(dichotomy_line(expr, schema))
-    if plan is None:
-        if catalog is not None:
-            plan = Planner(options, catalog, cost_model).plan(expr)
-        else:
-            plan = plan_expression(expr, options)
-    annotate = None
-    if costs:
+    if cost_model is None:
         from repro.engine.cost import CostModel
 
-        model = cost_model if cost_model is not None else CostModel(catalog)
-        annotate = lambda node: model.estimate(node).render()  # noqa: E731
+        cost_model = CostModel()
+    if plan is None:
+        plan = Planner(options, cost_model).plan(expr)
+    annotate = None
+    if costs:
+        annotate = lambda node: cost_model.estimate(node).render()  # noqa: E731
     lines.append(plan.explain(annotate=annotate))
     return "\n".join(lines)

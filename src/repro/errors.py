@@ -71,10 +71,9 @@ class AdmissionError(ReproError):
     Raised by :class:`repro.serve.admission.AdmissionController` when a
     query's certified upper bound on rows in flight exceeds the
     server's *total* budget (no amount of queueing could ever make it
-    fit), or when the bound is not certified at all (infinite/unsound)
-    while a budget is in force.  Queries that fit the budget but not
-    the *current* headroom are queued, not rejected — only provably
-    unservable work gets this error.
+    fit) — an uncertified bound, which is infinite, included.  Queries
+    that fit the budget but not the *current* headroom are queued, not
+    rejected — only provably unservable work gets this error.
     """
 
     def __init__(

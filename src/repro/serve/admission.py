@@ -18,10 +18,13 @@ Three outcomes, in order of severity:
   headroom: the read waits in per-tenant weighted-fair order and is
   dispatched when completions free enough rows.
 * **Reject** — the bound alone exceeds the total budget (or is
-  unbounded: a zero-stats database prices every plan at ``inf`` with
-  ``sound=False``): no completion can ever make it fit, so the server
-  refuses it *now* with a typed :class:`~repro.errors.AdmissionError`
-  instead of letting it starve at the head of a queue.
+  unbounded: without statistics every scan's bound is ``inf``, so
+  every plan's price is): no completion can ever make it fit, so the
+  server refuses it *now* with a typed
+  :class:`~repro.errors.AdmissionError` instead of letting it starve
+  at the head of a queue.  Whether a price is certified is the cost
+  model's one fact (it has a catalog); a ``Server``'s executor always
+  has one, and an uncertified price is never finite.
 
 Fairness is virtual-time stride scheduling (the classic WFQ
 approximation): each tenant carries a virtual finish time, dispatching
@@ -56,10 +59,9 @@ __all__ = ["AdmissionController", "FairQueue", "Price", "price_plan"]
 class Price:
     """What admission knows about one read before running it."""
 
-    #: Σ per-node certified upper bounds — the debit in budget rows.
+    #: Σ per-node certified upper bounds — the debit in budget rows
+    #: (``inf`` when nothing certifies it).
     bound: float
-    #: True when every node's bound is certified (catalog-backed).
-    sound: bool
     #: The root estimate's expected rows (diagnostics only).
     expected_rows: float
 
@@ -75,17 +77,8 @@ def price_plan(executor, plan) -> Price:
     dict walk, not a re-estimation.
     """
     estimates = executor._estimates_for(plan)
-    bound = 0.0
-    sound = True
-    for estimate in estimates.values():
-        bound += estimate.upper
-        sound = sound and estimate.sound
-    root = estimates[plan]
-    return Price(
-        bound=bound,
-        sound=sound and math.isfinite(bound),
-        expected_rows=root.rows,
-    )
+    bound = sum(estimate.upper for estimate in estimates.values())
+    return Price(bound=bound, expected_rows=estimates[plan].rows)
 
 
 @dataclass
@@ -183,7 +176,7 @@ class AdmissionController:
         self.peak = max(self.peak, self.in_flight)
 
     def submit(
-        self, tenant: str, bound: float, sound: bool, item
+        self, tenant: str, bound: float, item
     ) -> list[tuple[str, float, object]]:
         """Admit, queue, or reject one priced read.
 
@@ -193,26 +186,16 @@ class AdmissionController:
         tenants with smaller virtual time, but an over-headroom queue
         head does not block it either).  Raises
         :class:`~repro.errors.AdmissionError` when no amount of
-        completed work can ever make the read fit.
+        completed work can ever make the read fit — an uncertified
+        (infinite) bound included.
         """
         if self.budget is None:
             debit = bound if math.isfinite(bound) else 0.0
             self._debit(debit)
             return [(tenant, debit, item)]
-        if not sound:
-            raise AdmissionError(
-                f"tenant {tenant!r}: query has no certified bound (the "
-                "database has no catalog statistics, so its cost "
-                "estimates certify nothing) — an admission budget "
-                "cannot price it; serve it on a budget-less server or "
-                "build catalog statistics",
-                tenant=tenant,
-                bound=bound,
-                budget=self.budget,
-            )
         if bound > self.budget:
             raise AdmissionError(
-                f"tenant {tenant!r}: certified bound of {bound:g} rows "
+                f"tenant {tenant!r}: bound of {bound:g} rows "
                 f"exceeds the server's whole budget of {self.budget:g} "
                 "rows — the query can never be admitted; raise the "
                 "budget or split the query",

@@ -179,9 +179,9 @@ class Ticket:
     must match).  A read that executed nothing — ``cached``: a
     door hit, or a rider on an identical read in flight — was never
     priced, debited, pinned or dispatched: its ``bound`` stays 0.0,
-    ``sound`` False, ``actual_rows`` / ``max_in_flight`` /
-    ``run_seconds`` 0 and ``_task`` None, and ``rows`` is the very
-    frozenset the executing read produced.
+    ``actual_rows`` / ``max_in_flight`` / ``run_seconds`` 0 and
+    ``_task`` None, and ``rows`` is the very frozenset the executing
+    read produced.
     """
 
     def __init__(
@@ -197,7 +197,6 @@ class Ticket:
         self.options = options
         #: Admission price (of a read that executes).
         self.bound = 0.0
-        self.sound = False
         self.expected_rows = 0.0
         #: The contents this read is pinned to — executes on, or was
         #: answered for.
@@ -583,11 +582,10 @@ class Server:
                 tenant.failed += 1
                 raise
             ticket.bound = price.bound
-            ticket.sound = price.sound
             ticket.expected_rows = price.expected_rows
             try:
                 ready = self._admission.submit(
-                    handle.tenant, ticket.bound, ticket.sound, ticket
+                    handle.tenant, price.bound, ticket
                 )
             except AdmissionError:
                 tenant.rejected += 1

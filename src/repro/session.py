@@ -195,7 +195,6 @@ class PreparedQuery:
             analyze=analyze,
             plan=plan,
             costs=costs,
-            catalog=executor.catalog,
             cost_model=executor.cost_model,
         )
 

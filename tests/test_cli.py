@@ -66,7 +66,9 @@ class TestSessionFlags:
         assert "result cache" in err
         assert "ub=" in err  # estimated-vs-actual per operator
 
-    @pytest.mark.parametrize("flag", ["--no-costs", "--no-multiway"])
+    @pytest.mark.parametrize(
+        "flag", ["--partition-budget=1000", "--no-multiway"]
+    )
     def test_planner_flags_accepted_uniformly(self, db_path, flag, capsys):
         for argv in (
             ["eval", "-d", db_path, flag, "R join[2=1] S"],
@@ -76,30 +78,35 @@ class TestSessionFlags:
             assert main(argv) == 0, argv
         capsys.readouterr()
 
-    def test_no_costs_plans_structurally(self, db_path, capsys):
-        # Against this tiny database the cost model prefers a nested
-        # loop; --no-costs must force the structural hash choice.
-        assert (
-            main(["explain", "-d", db_path, "--no-costs", "R join[2=1] S"])
-            == 0
+    def test_without_statistics_explain_plans_structurally(
+        self, tmp_path, capsys
+    ):
+        # Against a one-row S the cost model prefers a nested loop;
+        # schema-only planning has no statistics and keeps the
+        # structural hash choice.
+        path = str(tmp_path / "tiny.json")
+        save_database(
+            database({"R": 2, "S": 1}, R=[(1, 7), (2, 8)], S=[(7,)]), path
         )
-        assert "HashJoin" in capsys.readouterr().out
+        assert main(["explain", "-d", path, "R join[2=1] S"]) == 0
+        assert capsys.readouterr().out.startswith("NestedLoopJoin")
+        argv = ["explain", "--schema", "R:2,S:1", "R join[2=1] S"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("HashJoin")
 
-    def test_contradictory_budget_and_no_costs(self, db_path, capsys):
-        code = main(
-            [
-                "explain", "-d", db_path,
-                "--partition-budget", "5", "--no-costs",
-                "R join[2=1] S",
-            ]
+    def test_no_costs_is_not_a_flag(self, db_path, capsys):
+        # Statistics decide cost-based planning; no flag switches it.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["explain", "-d", db_path, "--no-costs", "R join[2=1] S"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --no-costs" in (
+            capsys.readouterr().err
         )
-        assert code == 2
-        assert "needs cost-based planning" in capsys.readouterr().err
 
     def test_engine_flags_rejected_with_no_engine(self, db_path, capsys):
         for extra in (
             ["--stats"],
-            ["--no-costs"],
+            ["--no-multiway"],
             ["--partition-budget", "5"],
             ["--backend", "shm"],
         ):
@@ -149,7 +156,7 @@ class TestSessionFlags:
         )
         assert "semijoin" in capsys.readouterr().out
         # optimize runs algebra.optimize, which reads no planner option.
-        for flag in ("--no-costs", "--backend", "--partition-budget"):
+        for flag in ("--no-multiway", "--backend", "--partition-budget"):
             with pytest.raises(SystemExit) as exit_info:
                 main(["optimize", "-d", db_path, flag, "project[1](R)"])
             assert exit_info.value.code == 2, flag

@@ -57,7 +57,8 @@ def test_a_stale_cli_flag_is_caught():
     checker = load_checker()
     options = checker.cli_options()
     stale = checker.stale_flags(
-        "python -m repro eval -d db.json --no-costs --no-reorder-joins 'R'",
+        "python -m repro eval -d db.json --no-multiway --no-reorder-joins "
+        "'R'",
         options,
     )
     assert stale == ["eval --no-reorder-joins"]
@@ -65,9 +66,9 @@ def test_a_stale_cli_flag_is_caught():
     # the end of its inline code span.
     line = (
         "`repro eval --stats` and `repro optimize --ascii`, "
-        "unlike `--no-engine`; `repro optimize --no-costs`"
+        "unlike `--no-engine`; `repro optimize --no-multiway`"
     )
-    assert checker.stale_flags(line, options) == ["optimize --no-costs"]
+    assert checker.stale_flags(line, options) == ["optimize --no-multiway"]
     assert checker.stale_flags("python -m repro.cli --list", options) == []
 
 

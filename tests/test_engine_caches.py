@@ -183,7 +183,7 @@ TAGGED = ConstantTag(JOIN, 5)  #: a later query holding ``JOIN``
 
 def private_plan(executor, expr, options=DEFAULT_OPTIONS):
     """What a planner with its own memo plans on the executor's state."""
-    return Planner(options, executor.catalog, executor.cost_model).plan(expr)
+    return Planner(options, executor.cost_model).plan(expr)
 
 
 def shares_no_node(plan, other) -> bool:
@@ -233,11 +233,10 @@ class TestSubPlanMemoLifetime:
         assert shares_no_node(tagged, first)
         assert tagged == private_plan(executor, TAGGED)
 
-    def test_a_use_costs_false_stream_stays_bounded(self):
-        """Planning without costs prices nothing, so only counting the
-        memo's entries beside the model's keeps the pair bounded."""
-        options = PlannerOptions(use_costs=False)
-        session = Session(keyed_db(BIG_S), options=options)
+    def test_a_text_stream_stays_bounded(self):
+        """Every fresh text adds sub-plans to the memo and estimates to
+        the model; counting both keeps the pair bounded."""
+        session = Session(keyed_db(BIG_S))
         executor = session.executor
         bound = 16 * Executor.PLAN_CACHE_SIZE
         peak = 0

@@ -2,10 +2,12 @@
 
 Three claims are held here:
 
-1. **Soundness** — for every operator whose estimate carries
-   ``sound=True``, the estimated ``upper`` really bounds the actual
-   output cardinality, on seeded random databases (the estimator's
-   central contract; everything else is heuristics).
+1. **Soundness** — for every operator priced by a model with
+   statistics, the estimated ``upper`` is finite and really bounds the
+   actual output cardinality, on seeded random databases (the
+   estimator's central contract; everything else is heuristics).
+   Without statistics the model certifies nothing: a finite ``upper``
+   is then only ever a theorem about the plan (an unsatisfiable σ's 0).
 2. **Equivalence** — cost-based plans (reordered joins included)
    compute exactly what the structural evaluator and the brute-force
    oracle compute.
@@ -30,14 +32,13 @@ from repro.data.schema import Schema
 from repro.engine import (
     CostModel,
     Executor,
-    Planner,
-    PlannerOptions,
     StatsCatalog,
     fractional_edge_cover,
     plan_expression,
 )
 from repro.engine.plan import (
     DivisionOp,
+    GroupByOp,
     HashJoinOp,
     HashSemijoinOp,
     NestedLoopJoinOp,
@@ -118,8 +119,9 @@ def _assert_upper_bounds_hold(expr, db: Database) -> None:
     executor.execute(plan)
     pairs = executor.stats.estimation_pairs()
     assert pairs, "execution should record estimates next to actuals"
+    assert executor.cost_model.catalog is not None
     for node, actual, estimate in pairs:
-        assert estimate.sound, node.label()
+        assert math.isfinite(estimate.upper), node.label()
         assert actual <= estimate.upper + 1e-9, (
             f"{node.label()}: actual {actual} exceeds claimed sound "
             f"upper bound {estimate.upper}"
@@ -148,13 +150,13 @@ def test_estimates_sound_on_division_workload():
 @SMALLER
 @given(expressions(max_depth=3), databases())
 def test_zero_stats_estimates_certify_nothing(expr, db):
-    """Without a catalog every estimate is flagged unsound, and scans
-    claim no finite bound: default assumptions rank plans, they do not
-    bound anything.  (Derived bounds like σ_{i<i} = 0 may still be
-    finite — those are theorems about the operator, not the data.)"""
+    """Without a catalog no estimate claims a bound from the default
+    assumptions: they rank plans, they do not bound anything.  The only
+    finite bound is 0, derived from σ_{i<i} — a theorem about the
+    operator, not the data."""
     model = CostModel(None)
     for node, estimate in model.estimates(plan_expression(expr)).items():
-        assert not estimate.sound, node.label()
+        assert estimate.upper in (0.0, math.inf), node.label()
         assert not math.isnan(estimate.upper), node.label()
         estimate.render()  # never raises, even on ∞ bounds
         if isinstance(node, ScanOp):
@@ -171,6 +173,27 @@ def test_zero_stats_join_over_unsatisfiable_filter_is_not_nan():
     assert "ub=0" in estimate.render()
 
 
+def test_zero_stats_division_and_grouping_claim_no_bound():
+    """A division's key count and a grouping's group count are read
+    off distinct counts, which without statistics are the default
+    ``sqrt(DEFAULT_ROWS)``: a guess, so neither may print as a bound
+    (both printed ``ub=31.6``).  With statistics both are exact."""
+    from repro.extended.ast import Aggregate, GroupBy
+
+    division = classic_division_expr()
+    grouped = GroupBy(Rel("R", 2), (1,), (Aggregate("count", 2),))
+    for expr, root in ((division, DivisionOp), (grouped, GroupByOp)):
+        plan = plan_expression(expr)
+        assert isinstance(plan, root)
+        estimate = CostModel(None).estimate(plan)
+        assert estimate.upper == math.inf
+        assert "ub=?" in estimate.render()
+    db = database({"R": 2, "S": 1}, R=[(1, 7), (1, 8), (2, 7)], S=[(7,)])
+    model = CostModel(StatsCatalog(db))
+    assert model.estimate(plan_expression(division)).upper == 2.0
+    assert model.estimate(plan_expression(grouped)).upper == 2.0
+
+
 # ----------------------------------------------------------------------
 # Equivalence: cost-based plans compute the same relations
 # ----------------------------------------------------------------------
@@ -180,18 +203,6 @@ def test_zero_stats_join_over_unsatisfiable_filter_is_not_nan():
 @given(join_chains(), dense_databases(max_rows=12))
 def test_reordered_join_chains_preserve_semantics(expr, db):
     assert engine_run(expr, db) == evaluate_reference(expr, db)
-
-
-@SMALLER
-@given(expressions(max_depth=3), databases())
-def test_use_costs_false_reproduces_structural_plans(expr, db):
-    """``use_costs=False`` is the exact zero-stats fallback: even with
-    a catalog in hand the planner must emit the structural plan."""
-    catalog = StatsCatalog(db)
-    options = PlannerOptions(use_costs=False)
-    costed_off = Planner(options, catalog).plan(expr)
-    structural = plan_expression(expr, options)
-    assert costed_off == structural
 
 
 # ----------------------------------------------------------------------
@@ -278,7 +289,6 @@ class TestAGMBound:
             Join(Rel("S", 1), Rel("R", 2), "1=1"),
         )
         estimate = CostModel(catalog).estimate(join)
-        assert estimate.sound
         assert estimate.upper == pytest.approx(1.0)
         actual = Executor(db).execute(join)
         assert len(actual) == 1
@@ -415,7 +425,7 @@ class TestCostBasedChoice:
         db = _ordering_db()
         expr = parse(ORDERING_EXPR, TEST_SCHEMA)
         executor = Executor(db)
-        plan = executor.plan(expr, PlannerOptions(use_costs=False))
+        plan = plan_expression(expr)
         assert not isinstance(plan, ProjectOp)
         assert executor.execute(plan) == evaluate_reference(expr, db)
 
@@ -503,8 +513,9 @@ class TestEstimateRecording:
         executor = Executor(db)
         plan = executor.plan(classic_division_expr())
         executor.execute(plan)
+        assert executor.cost_model.catalog is not None
         for node, actual, estimate in executor.stats.estimation_pairs():
-            assert estimate.sound
+            assert math.isfinite(estimate.upper)
             assert actual <= estimate.upper
 
 

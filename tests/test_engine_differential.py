@@ -67,15 +67,17 @@ def test_agreement_on_sa_eq_fragment(expr, db):
 @SMALLER
 @given(expressions(max_depth=3), databases())
 def test_rewrites_do_not_change_semantics(expr, db):
-    """Each planner rewrite, toggled off, yields the same relation."""
+    """Each planner rewrite, toggled off, yields the same relation —
+    costed, and planned structurally (no statistics) on the same
+    executor."""
     baseline = evaluate_reference(expr, db)
+    executor = Executor(db)
     for options in (
         PlannerOptions(),
         PlannerOptions(rewrite_divisions=False),
-        PlannerOptions(use_costs=False),
-        PlannerOptions(rewrite_divisions=False, use_costs=False),
     ):
         assert engine_run(expr, db, options) == baseline
+        assert executor.execute(plan_expression(expr, options)) == baseline
 
 
 @SMALLER

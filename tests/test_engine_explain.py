@@ -114,7 +114,7 @@ def test_cost_annotated_explain_still_parses(expr, db):
     logical tail relies on."""
     executor = Executor(db)
     plan = executor.plan(expr)
-    text = explain(expr, plan=plan, costs=True, catalog=executor.catalog)
+    text = explain(expr, plan=plan, costs=True, cost_model=executor.cost_model)
     for line in text.splitlines():
         assert SEPARATOR in line, line
         assert "~rows=" in line and "ub=" in line and "cost=" in line
@@ -129,7 +129,7 @@ def test_prop26_witness_family_keeps_linear_division_under_costs():
     executor = Executor(db)
     expr = classic_division_expr()
     plan = executor.plan(expr)
-    text = explain(expr, plan=plan, costs=True, catalog=executor.catalog)
+    text = explain(expr, plan=plan, costs=True, cost_model=executor.cost_model)
     first = text.splitlines()[0]
     assert first.startswith("Division[hash")
     assert "rewritten from classic RA division plan" in first
@@ -141,6 +141,25 @@ def test_prop26_witness_family_keeps_linear_division_under_costs():
     keys = len({a for a, __ in db["R"]})
     root_annotation = first.split("{", 1)[1].split("}", 1)[0]
     assert f"ub={keys}" in root_annotation
+
+
+def test_explain_plans_with_the_cost_model_it_annotates_from():
+    """One model both plans and annotates: given the executor's model
+    and no plan, ``explain`` prints the executor's cost-based plan (a
+    nested loop against a one-row side), not the structural hash join
+    that planning without statistics keeps."""
+    from repro.data.database import database
+
+    db = database({"R": 2, "S": 1}, R=[(1, 7), (2, 8)], S=[(7,)])
+    executor = Executor(db)
+    expr = parse("R join[2=1] S", TEST_SCHEMA)
+    text = explain(expr, costs=True, cost_model=executor.cost_model)
+    assert text.startswith("NestedLoopJoin")
+    assert text == explain(
+        expr, plan=executor.plan(expr), costs=True,
+        cost_model=executor.cost_model,
+    )
+    assert explain(expr).startswith("HashJoin")
 
 
 # ----------------------------------------------------------------------
@@ -283,7 +302,7 @@ def test_multiway_label_fingerprint_and_note_render():
     assert f"agm={node.agm:g}" in node.label()
     assert SEPARATOR not in node.label()
     assert node.fingerprint() == plan.fingerprint()
-    text = explain(expr, plan=plan, costs=True, catalog=executor.catalog)
+    text = explain(expr, plan=plan, costs=True, cost_model=executor.cost_model)
     first = text.splitlines()[0]
     assert "MultiwayJoin[vars=" in first
     assert "worst-case-optimal" in first

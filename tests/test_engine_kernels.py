@@ -24,7 +24,7 @@ from repro.algebra.evaluator import evaluate
 from repro.algebra.parser import parse
 from repro.data.database import Database
 from repro.data.schema import Schema
-from repro.engine import Executor, PlannerOptions, kernels
+from repro.engine import Executor, PlannerOptions, kernels, plan_expression
 from repro.engine.executor import OPERATORS, IndexCache
 from repro.engine.partition import scatter_for
 from repro.engine.plan import (
@@ -554,9 +554,10 @@ SEMIJOINS = (HashSemijoinOp, NestedLoopSemijoinOp)
 #: left and keeps a ``frozenset`` one.
 PASS_THROUGH = SEMIJOINS + (DifferenceOp,)
 
+#: ``None`` plans structurally (:func:`plan_expression`, no statistics).
 MEMO_PLANS = (
     PlannerOptions(),
-    PlannerOptions(use_costs=False),
+    None,
     PlannerOptions(rewrite_divisions=False),
     PlannerOptions(partition_budget=3),
     PlannerOptions(partition_budget=3, use_multiway=False),
@@ -629,7 +630,10 @@ def test_memoised_rows_hold_no_duplicate(query, options, backend, parallel):
     expr, db = query
     executor = Executor(db, backend=backend)
     try:
-        plan = executor.plan(expr, options)
+        if options is None:
+            plan = plan_expression(expr)
+        else:
+            plan = executor.plan(expr, options)
         if parallel:
             plan = batches_through_the_parallel_driver(plan)
         check_memo(executor, plan, expr, db)

@@ -406,7 +406,6 @@ class TestPartitionedExecution:
             options,
             plan=plan,
             costs=True,
-            catalog=executor.catalog,
             cost_model=executor.cost_model,
         )
         assert "Partitioned[k=" in rendered

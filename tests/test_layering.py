@@ -115,7 +115,7 @@ def test_every_planner_option_is_read_by_a_benchmark():
     Each field multiplies the option lattice the differential suites
     must cover, so one that neither ``perfbench/`` nor a
     ``benchmarks/`` claim names has no measured reason to exist; and
-    the five there are stay five.
+    the four there are stay four.
     """
     from dataclasses import fields
 
@@ -128,7 +128,7 @@ def test_every_planner_option_is_read_by_a_benchmark():
         for path in sorted((root / folder).rglob("*.py"))
     )
     names = [field.name for field in fields(PlannerOptions)]
-    assert len(names) == 5
+    assert len(names) == 4
     unread = [n for n in names if not re.search(rf"\b{n}\b", corpus)]
     assert unread == []
 

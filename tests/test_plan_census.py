@@ -94,18 +94,18 @@ def test_the_report_counts_joins_leaks_and_wrong_rows(capsys):
     parent = [
         record("t1", joins=1, in_flight=10),
         record("t2", streamed="Scan R"),
-        record("t2", options="no_costs", streamed="Scan R"),
+        record("t2", options="no_stats", streamed="Scan R"),
     ]
     change = [
         record("t1", explain="Semijoin", in_flight=4),
         record("t2", streamed="Scan R  -- a note from an earlier text"),
-        record("t2", options="no_costs", rows="b", correct=False,
+        record("t2", options="no_stats", rows="b", correct=False,
                streamed="Scan R"),
     ]
     assert tool.report(change, parent) == 1
     out = capsys.readouterr().out
     assert table(out) == {("adhoc_tiny", 7): [2, 1, 13, 0, 7]}
-    assert "- wrong rows: ('adhoc_tiny', 7, 'no_costs', 't2')" in out
+    assert "- wrong rows: ('adhoc_tiny', 7, 'no_stats', 't2')" in out
     assert "change: 1 streamed explains differ from the fresh one." in out
     assert "parent: 0 streamed explains differ" in out
     assert "1 texts return other rows than the parent's." in out

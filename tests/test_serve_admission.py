@@ -11,12 +11,15 @@ the rows every operator of the executed plan actually produced.
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
+from perfbench.workloads import adhoc_query
 from repro.data.database import Database
 from repro.errors import AdmissionError
 from repro.serve.admission import AdmissionController, FairQueue, price_plan
+from repro.serve.server import Server
 from repro.session import Session
 from repro.workloads.serving import (
     DIVISION_QUERY,
@@ -104,20 +107,20 @@ def test_fair_queue_rejects_bad_weight():
 
 def test_no_budget_admits_everything_immediately():
     controller = AdmissionController(None)
-    ready = controller.submit("t", 1e9, True, "x")
+    ready = controller.submit("t", 1e9, "x")
     assert _tickets(ready) == ["x"]
     # Unbounded prices debit nothing (they would pin in_flight at inf).
-    ready = controller.submit("t", math.inf, False, "y")
+    ready = controller.submit("t", math.inf, "y")
     assert _tickets(ready) == ["y"]
     assert math.isfinite(controller.in_flight)
 
 
 def test_budget_debits_and_queues_over_headroom():
     controller = AdmissionController(100.0)
-    assert _tickets(controller.submit("t", 60.0, True, "a")) == ["a"]
+    assert _tickets(controller.submit("t", 60.0, "a")) == ["a"]
     assert controller.in_flight == 60.0
     # 60 + 50 > 100: "b" waits.
-    assert controller.submit("t", 50.0, True, "b") == []
+    assert controller.submit("t", 50.0, "b") == []
     assert len(controller.queue) == 1
     # Completion credits and drains the queue.
     ready = controller.release(60.0)
@@ -129,7 +132,7 @@ def test_budget_debits_and_queues_over_headroom():
 def test_over_budget_bound_is_rejected_typed():
     controller = AdmissionController(100.0)
     with pytest.raises(AdmissionError) as caught:
-        controller.submit("t", 101.0, True, "x")
+        controller.submit("t", 101.0, "x")
     error = caught.value
     assert error.tenant == "t"
     assert error.bound == 101.0
@@ -139,20 +142,23 @@ def test_over_budget_bound_is_rejected_typed():
     assert len(controller.queue) == 0
 
 
-def test_unsound_bound_is_rejected_when_budget_set():
+def test_an_unbounded_price_is_rejected_when_budget_set():
+    # Without statistics every price is inf: no budget can ever fit it.
     controller = AdmissionController(100.0)
     with pytest.raises(AdmissionError) as caught:
-        controller.submit("t", 5.0, False, "x")
-    assert "certified" in str(caught.value)
+        controller.submit("t", math.inf, "x")
+    assert caught.value.bound == math.inf
+    assert controller.in_flight == 0.0
+    assert len(controller.queue) == 0
 
 
 def test_submit_drains_around_oversized_queue_head():
     controller = AdmissionController(100.0)
-    controller.submit("big", 90.0, True, "running")
-    assert controller.submit("big", 80.0, True, "blocked") == []
+    controller.submit("big", 90.0, "running")
+    assert controller.submit("big", 80.0, "blocked") == []
     # A small read from another tenant is not stuck behind the
     # oversized head: submit itself drains what fits.
-    ready = controller.submit("small", 5.0, True, "nimble")
+    ready = controller.submit("small", 5.0, "nimble")
     assert _tickets(ready) == ["nimble"]
     # And the big one dispatches once enough rows free up.
     assert _tickets(controller.release(90.0)) == ["blocked"]
@@ -160,9 +166,9 @@ def test_submit_drains_around_oversized_queue_head():
 
 def test_release_drains_multiple_fitting_reads():
     controller = AdmissionController(100.0)
-    controller.submit("t", 100.0, True, "a")
+    controller.submit("t", 100.0, "a")
     for name in ("b", "c", "d"):
-        assert controller.submit("t", 30.0, True, name) == []
+        assert controller.submit("t", 30.0, name) == []
     ready = controller.release(100.0)
     assert _tickets(ready) == ["b", "c", "d"]
     assert controller.in_flight == 90.0
@@ -181,19 +187,39 @@ def test_controller_rejects_bad_budget():
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("query", [DIVISION_QUERY, *MIXED_QUERIES])
-def test_price_bound_dominates_executed_actuals(query):
-    db = build_database("mixed", num_keys=60, extra_rows=120)
-    with Session(db) as session:
-        prepared = session.query(query)
-        plan = prepared.plan()
-        price = price_plan(session.executor, plan)
-        assert price.sound, "catalog-backed estimates must certify"
-        prepared.run()
-        actual = session.last_report.stats.total_rows()
-        # The admission debit is Σ per-node uppers: it must dominate
-        # the total rows the operators really produced.
-        assert actual <= price.bound
+def _reads(name: str) -> tuple[Database, list[str]]:
+    """A database and the texts read on it: the fixed mix, or 300 of
+    the serving workloads' never-repeated reads (seed 31)."""
+    if name == "mixed":
+        db = build_database("mixed", num_keys=60, extra_rows=120)
+        return db, [DIVISION_QUERY, *MIXED_QUERIES]
+    rng, texts = random.Random(31), {}
+    while len(texts) < 300:
+        texts.setdefault(adhoc_query(rng, ("T", "U"), 2, False), None)
+    db = build_database("mixed", num_keys=300, extra_rows=1200, seed=31)
+    return db, list(texts)
+
+
+@pytest.mark.parametrize("reads", ["mixed", "fresh"])
+def test_price_bound_dominates_executed_actuals(reads):
+    """A Server's executor always has statistics, so every read it
+    executes is priced finite — no read reaches admission uncertified —
+    and the price dominates the rows its operators produced."""
+    db, texts = _reads(reads)
+    executed = 0
+    with Server(db, workers=0) as server:
+        with server.connect("t") as handle:
+            for text in texts:
+                ticket = handle.submit(text)
+                ticket.result()
+                if ticket.cached:
+                    continue
+                executed += 1
+                assert math.isfinite(ticket.bound), text
+                # The admission debit is Σ per-node uppers: it must
+                # dominate the total rows the operators really produced.
+                assert ticket.actual_rows <= ticket.bound, text
+    assert executed >= 0.9 * len(texts)
 
 
 def test_projected_triangle_prices_its_inputs_and_one_edge():
@@ -205,15 +231,14 @@ def test_projected_triangle_prices_its_inputs_and_one_edge():
     with Session(db) as session:
         prepared = session.query(TRIANGLE_QUERY)
         price = price_plan(session.executor, prepared.plan())
-        assert price.sound
         assert price.bound <= inputs + len(db["E"])
         prepared.run()
         assert session.last_report.stats.total_rows() <= price.bound
 
 
-def test_price_unsound_without_statistics():
-    # A schema-only plan (no catalog) prices to an unbounded, unsound
-    # estimate — exactly what a budgeted controller must refuse.
+def test_price_unbounded_without_statistics():
+    # A schema-only plan (no catalog) prices to an unbounded estimate —
+    # exactly what a budgeted controller must refuse.
     from repro.engine import plan_expression
     from repro.engine.cost import CostModel
     from repro.algebra.parser import parse
@@ -229,4 +254,6 @@ def test_price_unsound_without_statistics():
             return self.cost_model.estimates(plan)
 
     price = price_plan(_Stub(), plan_expression(expr))
-    assert not price.sound
+    assert price.bound == math.inf
+    with pytest.raises(AdmissionError):
+        AdmissionController(1e12).submit("t", price.bound, "x")

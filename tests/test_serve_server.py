@@ -24,6 +24,7 @@ checked, once the test is over, by :func:`_assert_drained`.
 from __future__ import annotations
 
 import gc
+import math
 import pickle
 import threading
 import weakref
@@ -274,7 +275,7 @@ def test_ticket_audit_trail(db):
         assert ticket.done()
         assert ticket.exception() is None
         assert ticket.rows == rows
-        assert ticket.sound and ticket.bound > 0
+        assert math.isfinite(ticket.bound) and ticket.bound > 0
         assert ticket.actual_rows <= ticket.bound
         assert ticket.pinned_generation == 0
         assert ticket.queue_seconds >= 0
@@ -662,7 +663,7 @@ def test_hit_is_answered_at_the_door_while_the_budget_is_held(
         assert hit.done() and hit.cached
         assert hit.rows is stored.rows
         assert calls == [[], [], [], []]
-        assert hit.bound == 0.0 and not hit.sound
+        assert hit.bound == 0.0
         assert hit.actual_rows == 0 and hit.run_seconds == 0.0
         assert hit._task is None and hit.dispatched_at is None
         assert hit.pinned_generation == 0

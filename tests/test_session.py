@@ -17,8 +17,11 @@ Covers the PR's acceptance contract:
   empty relations where the old data-driven checks passed vacuously.
 * a session streaming many queries plans each one as a planner with a
   memo of its own would, though sub-plans outlive the query that made
-  them (Hypothesis property over five option sets).
+  them (Hypothesis property over three option sets), and the
+  structural plan run on the same executor gives the same rows.
 """
+
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -39,7 +42,7 @@ from repro.data.database import Database, database
 from repro.data.schema import Schema
 from repro.engine import PlannerOptions
 from repro.engine.executor import ResultCache
-from repro.engine.planner import Planner
+from repro.engine.planner import Planner, plan_expression
 from repro.errors import SchemaError, StaleDataError, UnknownRelationError
 from repro.extended.division_plan import (
     containment_division_plan,
@@ -100,30 +103,16 @@ class TestPreparedQuery:
         assert analyzed.startswith("-- dichotomy:")
 
     def test_per_query_options_override_session_options(self):
-        session = Session(join_db(), options=PlannerOptions(use_costs=False))
+        session = Session(
+            join_db(), options=PlannerOptions(use_multiway=False)
+        )
         default = session.query("R join[2=1] S")
-        assert default.options.use_costs is False
+        assert default.options.use_multiway is False
         costed = session.query(
             "R join[2=1] S", options=PlannerOptions()
         )
-        assert costed.options.use_costs is True
+        assert costed.options.use_multiway is True
         assert default.run() == costed.run()
-
-    @pytest.mark.parametrize(
-        "knob",
-        [
-            {"partition_budget": 5},
-            {"max_workers": 2},
-        ],
-    )
-    def test_options_that_need_costs_are_refused_without_them(self, knob):
-        # A structural session would run every operator in one shot,
-        # past the budget; the contradiction is refused, not ignored.
-        with pytest.raises(SchemaError, match="needs cost-based planning"):
-            Session(
-                join_db(), options=PlannerOptions(use_costs=False, **knob)
-            )
-        assert PlannerOptions(use_costs=False, max_workers=1).max_workers == 1
 
 
 class TestParseMemo:
@@ -277,9 +266,9 @@ class TestResultCache:
         # Same fingerprint never crosses options: an ablation run must
         # not be served a default-options result.
         session = Session(join_db())
-        structural = PlannerOptions(use_costs=False)
+        ablation = PlannerOptions(rewrite_divisions=False)
         session.run("project[1](R)")
-        session.run("project[1](R)", options=structural)
+        session.run("project[1](R)", options=ablation)
         assert session.result_cache.hits == 0
         assert session.result_cache.misses == 2
 
@@ -294,7 +283,8 @@ class TestExecutionReport:
         pairs = report.stats.estimation_pairs()
         assert pairs
         for __, actual, estimate in pairs:
-            assert estimate.sound and actual <= estimate.upper
+            assert math.isfinite(estimate.upper)
+            assert actual <= estimate.upper
 
     def test_render_reports_cache_and_in_flight(self):
         session = Session(join_db())
@@ -517,7 +507,6 @@ STREAMED_OPTIONS = (
     PlannerOptions(),
     PlannerOptions(partition_budget=3),
     PlannerOptions(use_multiway=False),
-    PlannerOptions(use_costs=False),
 )
 
 
@@ -555,14 +544,15 @@ def nested_divisions() -> tuple:
 def test_a_streaming_session_plans_what_a_private_planner_plans(db, exprs):
     """The executor's sub-plan memo outlives each query; every plan it
     builds still equals a planner's with a memo of its own, on the same
-    executor state, and runs to the structural rows."""
+    executor state, and runs to the structural rows — as does the
+    structural plan (no statistics) on that executor."""
     for options in STREAMED_OPTIONS:
         with Session(db, options=options) as session:
             executor = session.executor
             for expr in exprs:
                 plan = session.query(expr).plan()
-                private = Planner(
-                    options, executor.catalog, executor.cost_model
-                ).plan(expr)
+                private = Planner(options, executor.cost_model).plan(expr)
                 assert plan == private
                 assert session.run(expr) == evaluate_extended(expr, db)
+                structural = plan_expression(expr, options)
+                assert executor.execute(structural) == session.run(expr)

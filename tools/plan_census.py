@@ -17,16 +17,18 @@ renders one fixed corpus through a checkout's engine:
   on ``division_warm``'s database, ``HOT_QUERY`` on
   ``hot_symptom_db(1)`` and the seven ``MIXED_QUERIES`` on the serving
   database (seed 1);
-* under four option sets: the defaults, ``use_costs=False``,
+* under four option sets: the defaults, ``no_stats``,
   ``use_multiway=False`` and ``partition_budget=50``.
 
 Each text is planned by a fresh ``Session(db, cache_results=False)``:
 ``explain(costs=True)``, then the run, whose rows must equal the
-structural evaluator's (``evaluate``).  ``--streamed`` renders every
-text again through one long-lived ``Session`` per stream, seed and
-option set, and counts the texts whose streamed ``explain`` differs
-from the fresh one: a cache that outlives a text must not show in its
-plan.
+structural evaluator's (``evaluate``).  ``no_stats`` plans the text
+without statistics (``plan_expression``, the structural plan) and
+explains (with the session's statistics) and runs that plan on the
+session's executor.  ``--streamed`` renders every text again through
+one long-lived ``Session`` per stream, seed and option set, and counts
+the texts whose streamed ``explain`` differs from the fresh one: a
+cache that outlives a text must not show in its plan.
 
 With ``--parent <checkout>`` both trees are rendered and the Markdown
 report lists the texts whose ``explain`` moved, the texts that plan a
@@ -54,10 +56,11 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 
-#: ``PlannerOptions`` overrides by name.
+#: ``PlannerOptions`` overrides by name; ``no_stats`` plans with
+#: ``plan_expression`` (no statistics) instead of the session.
 OPTION_SETS = {
     "default": {},
-    "no_costs": {"use_costs": False},
+    "no_stats": {},
     "no_multiway": {"use_multiway": False},
     "budget_50": {"partition_budget": 50},
 }
@@ -108,24 +111,44 @@ def digest(rows) -> str:
     return hashlib.sha1("\n".join(sorted(map(repr, rows))).encode()).hexdigest()
 
 
-def render(texts: int, seeds, fixed: bool, streamed: bool) -> list[dict]:
-    """Every text of the corpus under every option set, in this process."""
+def run_text(session, text: str, name: str) -> tuple:
+    """``(explain, plan, rows, max_in_flight)`` of one text on ``session``."""
     from dataclasses import replace
 
+    options = replace(session.options, **OPTION_SETS[name])
+    if name == "no_stats":
+        from repro.engine.planner import explain, plan_expression
+
+        expr = session.parse(text)
+        plan = plan_expression(expr, options)
+        executor = session.executor
+        rows = executor.execute(plan)
+        in_flight = executor.stats.max_in_flight()
+        executor.reset_query_state()
+        shown = explain(
+            expr, options, plan=plan, costs=True,
+            cost_model=executor.cost_model,
+        )
+        return shown, plan, rows, in_flight
+    query = session.query(text, options)
+    shown = query.explain(costs=True)
+    plan, rows = query.plan(), query.run()
+    return shown, plan, rows, query.stats().max_in_flight()
+
+
+def render(texts: int, seeds, fixed: bool, streamed: bool) -> list[dict]:
+    """Every text of the corpus under every option set, in this process."""
     from repro.algebra.evaluator import evaluate
     from repro.session import Session
 
     records = []
     for stream, seed, db, group in corpus(texts, seeds, fixed):
         truth = {}
-        for name, overrides in OPTION_SETS.items():
+        for name in OPTION_SETS:
             long_lived = Session(db, cache_results=False) if streamed else None
             for text in group:
                 session = Session(db, cache_results=False)
-                options = replace(session.options, **overrides)
-                query = session.query(text, options)
-                explain = query.explain(costs=True)
-                plan, rows = query.plan(), query.run()
+                explain, plan, rows, in_flight = run_text(session, text, name)
                 if text not in truth:
                     truth[text] = digest(evaluate(session.parse(text), db))
                 record = {
@@ -135,14 +158,16 @@ def render(texts: int, seeds, fixed: bool, streamed: bool) -> list[dict]:
                         type(node).__name__ in JOIN_OPERATORS
                         for node in plan.nodes()
                     ),
-                    "in_flight": query.stats().max_in_flight(),
+                    "in_flight": in_flight,
                 }
                 record["correct"] = record["rows"] == truth[text]
                 session.close()
                 if long_lived is not None:
-                    query = long_lived.query(text, options)
-                    record["streamed"] = query.explain(costs=True)
-                    record["correct"] &= digest(query.run()) == truth[text]
+                    streamed_explain, __, rows, __ = run_text(
+                        long_lived, text, name
+                    )
+                    record["streamed"] = streamed_explain
+                    record["correct"] &= digest(rows) == truth[text]
                 records.append(record)
             if long_lived is not None:
                 long_lived.close()
