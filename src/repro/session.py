@@ -53,6 +53,7 @@ engine results against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.algebra.ast import Expr, Rel
 from repro.algebra.evaluator import Relation
@@ -206,6 +207,24 @@ class PreparedQuery:
         """
         report = self.last_report
         return report.stats if report is not None else None
+
+
+@lru_cache(maxsize=64)
+def _division_expr(dividend: str, divisor: str, eq: bool) -> Expr:
+    """The expression ``Session.divide(algorithm="engine")`` plans: the
+    classic RA plan, or the §5 γ plan for ``eq``.
+
+    Built once per operand pair: an ``Expr`` is immutable, and handing
+    the executor the same object each time lets its plan memo find the
+    plan by identity instead of hashing and comparing a fresh tree.
+    """
+    if eq:
+        from repro.extended.division_plan import equality_division_plan
+
+        return equality_division_plan(Rel(dividend, 2), Rel(divisor, 1))
+    from repro.setjoins.division import classic_division_expr
+
+    return classic_division_expr(Rel(dividend, 2), Rel(divisor, 1))
 
 
 class Session:
@@ -414,7 +433,6 @@ class Session:
         from repro.setjoins.division import (
             DIVISION_ALGORITHMS,
             DIVISION_EQ_ALGORITHMS,
-            classic_division_expr,
             divide_reference,
             divide_reference_eq,
         )
@@ -428,18 +446,7 @@ class Session:
                 f"{divisor!r}/{divisor_arity}"
             )
         if algorithm == "engine":
-            if eq:
-                from repro.extended.division_plan import (
-                    equality_division_plan,
-                )
-
-                expr = equality_division_plan(
-                    Rel(dividend, 2), Rel(divisor, 1)
-                )
-            else:
-                expr = classic_division_expr(
-                    Rel(dividend, 2), Rel(divisor, 1)
-                )
+            expr = _division_expr(dividend, divisor, eq)
             return frozenset(a for (a,) in self.run(expr))
         if algorithm == "reference":
             fn = divide_reference_eq if eq else divide_reference

@@ -188,11 +188,11 @@ def test_controller_rejects_bad_budget():
 
 
 def _reads(name: str) -> tuple[Database, list[str]]:
-    """A database and the texts read on it: the fixed mix, or 300 of
-    the serving workloads' never-repeated reads (seed 31)."""
-    if name == "mixed":
+    """A database and the texts read on it: one text of the fixed mix,
+    or 300 of the serving workloads' never-repeated reads (seed 31)."""
+    if name != "fresh":
         db = build_database("mixed", num_keys=60, extra_rows=120)
-        return db, [DIVISION_QUERY, *MIXED_QUERIES]
+        return db, [name]
     rng, texts = random.Random(31), {}
     while len(texts) < 300:
         texts.setdefault(adhoc_query(rng, ("T", "U"), 2, False), None)
@@ -200,7 +200,16 @@ def _reads(name: str) -> tuple[Database, list[str]]:
     return db, list(texts)
 
 
-@pytest.mark.parametrize("reads", ["mixed", "fresh"])
+@pytest.mark.parametrize(
+    "reads",
+    [
+        *(
+            pytest.param(text, id=f"query{index}")
+            for index, text in enumerate([DIVISION_QUERY, *MIXED_QUERIES])
+        ),
+        pytest.param("fresh", id="fresh"),
+    ],
+)
 def test_price_bound_dominates_executed_actuals(reads):
     """A Server's executor always has statistics, so every read it
     executes is priced finite — no read reaches admission uncertified —

@@ -447,6 +447,34 @@ class TestDivideUniformity:
                 == expected
             )
 
+    @pytest.mark.parametrize("eq", [False, True])
+    def test_a_repeated_engine_division_plans_one_expression(self, eq):
+        # The expression is built once per operand pair, so the plan
+        # memo finds a repeated division by identity.
+        db = database(
+            {"R": 2, "Q": 2, "S": 1},
+            R=[(1, 7), (1, 8), (2, 7)],
+            Q=[(3, 7), (3, 8)],
+            S=[(7,), (8,)],
+        )
+        session = Session(db)
+        planned = []
+        real = session.executor.plan
+
+        def recording(expr, options=None):
+            planned.append(expr)
+            return real(expr, options)
+
+        session.executor.plan = recording
+        for dividend in ("R", "R", "Q"):
+            assert session.divide(
+                dividend, "S", algorithm="engine", eq=eq
+            ) == session.divide(dividend, "S", algorithm="reference", eq=eq)
+        build = equality_division_plan if eq else classic_division_expr
+        assert planned[0] is planned[1]
+        assert planned[0] == build(Rel("R", 2), Rel("S", 1))
+        assert planned[2] == build(Rel("Q", 2), Rel("S", 1))
+
 
 def test_session_module_has_no_one_shot_door_or_registry():
     import repro.session as session_module
