@@ -181,8 +181,8 @@ class IndexCache:
     same logical expression ⇒ same rows), so any operator needing the
     same keys on the same input reuses the build: a join's right side,
     a semijoin's stored left side (:meth:`second_sight`), the generic
-    join's tries — and a division's dividend, which is the same trie a
-    generic join over that binary relation reads (:meth:`trie_for`).
+    join's tries (:meth:`trie_for`) and a division's dividend, grouped
+    as ``a → frozenset(b)`` (:meth:`sets_for`).
     A held grouping also answers for its input (:meth:`cached`): a
     hash operator whose right index is here reads it without computing
     the right side, and π on the same positions is the grouping's keys.
@@ -289,6 +289,20 @@ class IndexCache:
 
             built, count = build_trie(rows, columns_by_variable)
             self._admit(cache_key, built, count)
+            return built
+
+    def sets_for(self, key: object, rows: Collection[Row]) -> dict:
+        """Build/fetch a binary input's set grouping (:func:`repro.
+        engine.kernels.set_groups`), the index a division reads, under
+        the ``("sets",)`` sentinel; it counts ``len(rows)`` against the
+        row budget."""
+        cache_key = (key, ("sets",))
+        with self._lock:
+            cached = self._hit(cache_key)
+            if cached is not None:
+                return cached
+            built = kernels.set_groups(rows)
+            self._admit(cache_key, built, len(rows))
             return built
 
     def cached(
@@ -869,21 +883,19 @@ class Executor:
         return run_multiway(self, node)
 
     def _division(self, node: DivisionOp) -> Iterable[Row]:
-        """The generic join's ∀ level (:func:`~repro.engine.kernels.
-        quotient`) over the dividend's cached trie — the one a generic
-        join over that binary relation reads.  A partitioned batch runs
-        the same test over its fragment's trie."""
+        """The ∀ level (:func:`~repro.engine.kernels.quotient`) over
+        the dividend's cached set grouping (:meth:`IndexCache.sets_for`),
+        one C frozenset compare per group.  A partitioned batch runs the
+        same test over its fragment's grouping."""
         dividend = self._rows(node.dividend)
         divisor_rows = self._rows(node.divisor)
         if not divisor_rows and node.empty_divisor == "none":
             # γ-plan semantics: the join with an empty divisor kills
             # every group, so the source expression returns ∅.
             return ()
-        trie = self.indexes.trie_for(
-            node.dividend.logical, dividend, ((0,), (1,))
-        )
+        groups = self.indexes.sets_for(node.dividend.logical, dividend)
         divisor = map(operator.itemgetter(0), divisor_rows)
-        return kernels.quotient(trie, divisor, node.eq)
+        return kernels.quotient(groups, divisor, node.eq)
 
     def _batched(self, node: PartitionedOp | ParallelOp) -> Iterable[Row]:
         """Batched execution, serial or on the worker pool.

@@ -31,6 +31,7 @@ implementations (``tests/test_layering.py``).
 from __future__ import annotations
 
 import operator
+from collections import defaultdict
 from itertools import compress, product, repeat, starmap
 from typing import (
     Callable,
@@ -170,15 +171,24 @@ def _group_test(atoms: tuple[Atom, ...]) -> GroupTest | None:
     return GroupTest(operator.itemgetter(atoms[0].j - 1), pick, value, passes)
 
 
+def set_groups(rows: Iterable[Row]) -> dict[object, frozenset]:
+    """A binary relation's set grouping ``a → frozenset({b, …})``: the
+    index a division's ∀ level reads (:func:`quotient`)."""
+    groups: defaultdict[object, list] = defaultdict(list)
+    for a, b in rows:
+        groups[a].append(b)
+    return dict(zip(groups, map(frozenset, groups.values())))
+
+
 def quotient(
-    trie: Mapping[object, dict], divisor: Iterable, eq: bool
+    groups: Mapping[object, frozenset], divisor: Iterable, eq: bool
 ) -> Iterator[Row]:
-    """A division's ∀ level: each ``(a,)`` of a dividend trie ``a → {b:
-    …}`` whose children contain (under ``eq``: equal) the ``divisor``
-    values, one C-level set compare per group."""
+    """A division's ∀ level: each ``(a,)`` of a dividend's set grouping
+    (:func:`set_groups`) whose set contains (under ``eq``: equals) the
+    ``divisor`` values, one C frozenset compare per group."""
     holds = operator.eq if eq else operator.ge
-    children = map(dict.keys, trie.values())
-    return zip(compress(trie, map(holds, children, repeat(set(divisor)))))
+    tests = map(holds, groups.values(), repeat(frozenset(divisor)))
+    return zip(compress(groups, tests))
 
 
 def build_index(

@@ -105,7 +105,6 @@ from repro.engine.plan import (
     PlanNode,
     rewrite_plan,
 )
-from repro.engine.wcoj import build_trie
 from repro.errors import SchemaError, StaleDataError
 
 #: Hard cap on the planner's predicted batch count (a backstop against
@@ -407,11 +406,11 @@ def division_batch_kernel(
     fragment: list[Row], divisor: list, eq: bool
 ) -> list[Row]:
     """One division batch: the one-shot run's ∀ test
-    (:func:`~repro.engine.kernels.quotient`) over the fragment's trie.
-    The fragment is rows of a dividend the plan typed: nothing is
-    validated per batch."""
-    trie, __ = build_trie(fragment, ((0,), (1,)))
-    return list(kernels.quotient(trie, divisor, eq))
+    (:func:`~repro.engine.kernels.quotient`) over the fragment's set
+    grouping.  The fragment is rows of a dividend the plan typed:
+    nothing is validated per batch."""
+    groups = kernels.set_groups(fragment)
+    return list(kernels.quotient(groups, divisor, eq))
 
 
 # ----------------------------------------------------------------------
@@ -559,7 +558,7 @@ def _scatter_division(
     group is the candidate's dividend rows (weight ``n_a + 1``: the
     group plus at most one quotient row; as work, its rows plus one
     divisor probe pass).  Each batch runs the unpartitioned
-    operator's ∀ test over its fragment's trie; quotients from
+    operator's ∀ test over its fragment's set grouping; quotients from
     disjoint candidate sets union exactly.  Like the keyed joins, the
     per-candidate grouping goes through the executor's
     :class:`~repro.engine.executor.IndexCache`, so re-executions

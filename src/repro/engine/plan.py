@@ -418,11 +418,11 @@ class DivisionOp(PlanNode):
     """Direct relational division ``dividend(A,B) ÷ divisor(B)``.
 
     Replaces a whole logical sub-tree (the classic quadratic RA plan or
-    a §5 γ plan) with one linear operator: the generic join's ∀ level,
-    which keeps a candidate when its child in the dividend's cached
-    trie holds every divisor value (``Executor._division``); a
-    partitioned batch runs the ``"hash"`` entry of the
-    :mod:`repro.setjoins.division` registries instead.  ``eq`` selects
+    a §5 γ plan) with one linear operator: a ∀ test that keeps a
+    candidate when its set in the dividend's cached set grouping
+    holds every divisor value (``Executor._division``); a
+    partitioned batch runs the same test over its fragment's
+    grouping (``partition.division_batch_kernel``).  ``eq`` selects
     equality-division, and ``empty_divisor`` records the source
     expression's empty-divisor semantics so the rewrite is exact.
     """

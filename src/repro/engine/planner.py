@@ -18,12 +18,12 @@ Routing rules (documented in ``docs/engine.md``):
    says *every* RA expression for division is quadratic) and the §5
    γ plans (containment and equality) are recognized structurally and
    replaced by a single linear :class:`~repro.engine.plan.DivisionOp`
-   (a ∀ test per candidate of the dividend's trie).  The empty-divisor
-   semantics of the source expression is preserved exactly.  Under the
-   cost model the direct operator is kept only while its estimated
-   cost does not exceed the RA plan's (it never does on the witness
-   families — the regression tests pin that no re-quadratification
-   sneaks in).
+   (a ∀ test per candidate of the dividend's set grouping).  The
+   empty-divisor semantics of the source expression is preserved
+   exactly.  Under the cost model the direct operator is kept only
+   while its estimated cost does not exceed the RA plan's (it never
+   does on the witness families — the regression tests pin that no
+   re-quadratification sneaks in).
 2. **A join read only as a filter is a semijoin, wherever it sits.**
    Before planning, one walk (:func:`repro.algebra.optimize.rewrite`)
    pushes σ and turns every join whose one side supplies no column an

@@ -26,7 +26,7 @@ from repro.data.database import Database
 from repro.data.schema import Schema
 from repro.engine import Executor, PlannerOptions, kernels, plan_expression
 from repro.engine.executor import OPERATORS, IndexCache
-from repro.engine.partition import scatter_for
+from repro.engine.partition import division_batch_kernel, scatter_for
 from repro.engine.plan import (
     DifferenceOp,
     DivisionOp,
@@ -707,8 +707,8 @@ def test_partitioned_division_validates_no_row_but_public_calls_do():
         sys.setprofile(None)
     assert result == frozenset((a,) for a in range(n // 4))
     batches = executor.stats.partition_runs[wrapped[0]].actual()
-    # Each batch runs the one-shot ∀ test over its fragment's trie: no
-    # batch enters the direct algorithms' validation at all.
+    # Each batch runs the one-shot ∀ test over its fragment's set
+    # grouping: no batch enters the direct algorithms' validation at all.
     assert batches > 1 and seen["entries"] == 0
     assert seen["quotients"] == batches
     assert seen["row_checks"] == 0
@@ -758,7 +758,7 @@ def three_runs(session, plan, counted: bool = True) -> list:
     eq=st.booleans(),
     empty_divisor=st.sampled_from(("all", "none")),
 )
-def test_a_division_over_the_cached_trie_is_the_reference(
+def test_a_division_over_the_cached_set_grouping_is_the_reference(
     db, eq, empty_divisor
 ):
     reference = (
@@ -779,6 +779,35 @@ def test_a_division_over_the_cached_trie_is_the_reference(
         # division's, whatever its ``eq`` and ``empty_divisor``.
         for result in three_runs(session, plan, counted=False):
             assert result == {(a,) for a in expected}
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    dividend=st.frozensets(
+        st.tuples(st.integers(0, 5), st.integers(100, 106)), max_size=25
+    ),
+    divisor=st.frozensets(st.integers(100, 108), max_size=4),
+    eq=st.booleans(),
+)
+# A group equal to the divisor: in a containment quotient, not a
+# strict-superset one, and kept whole by the grouping.
+@example(frozenset({(0, 100), (1, 101)}), frozenset({100}), False)
+# A strict superset: in a containment quotient, not an equality one.
+@example(frozenset({(0, 100), (0, 101)}), frozenset({100}), True)
+@example(frozenset({(0, 100)}), frozenset(), False)
+@example(frozenset({(0, 100)}), frozenset(), True)
+@example(frozenset({(0, 100)}), frozenset({100, 107}), False)
+def test_a_quotient_over_a_set_grouping_is_the_reference(
+    dividend, divisor, eq
+):
+    reference = (
+        division.divide_reference_eq if eq else division.divide_reference
+    )
+    expected = {(a,) for a in reference(dividend, divisor)}
+    one_shot = kernels.quotient(kernels.set_groups(dividend), divisor, eq)
+    assert set(one_shot) == expected
+    batch = division_batch_kernel(list(dividend), list(divisor), eq)
+    assert sorted(batch) == sorted(expected)
 
 
 def two_column_atoms(ops, min_size: int, max_size: int):
@@ -860,7 +889,7 @@ def test_a_left_grouping_over_the_row_budget_is_never_built():
             assert (cache.builds, cache.evictions) == (1, 0)
 
 
-def test_a_containment_and_an_equality_division_share_one_trie():
+def test_a_containment_and_an_equality_division_share_one_set_grouping():
     db = division_database(
         num_keys=40, divisor_size=5, extra_per_key=3, seed=3
     )
@@ -874,6 +903,52 @@ def test_a_containment_and_an_equality_division_share_one_trie():
             algorithm="engine", eq=True
         ) == division.divide_reference_eq(db["R"], db["S"])
         assert (cache.builds, cache.reuses) == (1, 1)
+
+
+def count_trie_requests(monkeypatch) -> list:
+    """Patch a counter onto :meth:`IndexCache.trie_for`: one entry per
+    request."""
+    calls = []
+    trie_for = IndexCache.trie_for
+
+    def counted(self, *args):
+        calls.append(args[0])
+        return trie_for(self, *args)
+
+    monkeypatch.setattr(IndexCache, "trie_for", counted)
+    return calls
+
+
+DIVIDEND = frozenset((a, b) for a in range(20) for b in range(a % 4 + 1))
+
+
+def test_a_division_reads_a_set_grouping_and_no_trie(monkeypatch):
+    calls = count_trie_requests(monkeypatch)
+    db = Database(DIVISION_SCHEMA, {"R": DIVIDEND, "S": {(0,), (1,)}})
+    with Session(db, cache_results=False) as session:
+        for __ in range(3):
+            assert session.divide(algorithm="engine") == (
+                division.divide_reference(db["R"], db["S"])
+            )
+        assert list(session.executor.indexes._indexes) == [
+            (Rel("R", 2), ("sets",))
+        ]
+    assert calls == []
+
+
+def test_a_multiway_join_over_a_dividend_still_builds_its_trie(
+    monkeypatch,
+):
+    calls = count_trie_requests(monkeypatch)
+    db = Database(DIVISION_SCHEMA, {"R": DIVIDEND, "S": {(0,), (1,)}})
+    triangle = parse("(R join[2=1] R) join[4=1,1=2] R", DIVISION_SCHEMA)
+    with Session(db, cache_results=False) as session:
+        session.divide(algorithm="engine")
+        rows = session.executor.execute(collapsed(triangle, db))
+        assert rows == evaluate(triangle, db)
+        kinds = {kind[0] for __, kind in session.executor.indexes._indexes}
+    assert kinds == {"sets", "trie"}
+    assert calls and set(calls) == {Rel("R", 2)}
 
 
 def test_swapped_contents_are_never_read_from_a_stale_trie_or_index():
