@@ -1,7 +1,9 @@
-"""PARALLEL — shard-per-worker execution, measured where the gate fires.
+"""PARALLEL — the pool runner of batched execution, measured where the
+gate fires.
 
-The partition layer already makes batches key-disjoint; this suite
-measures what dispatching those batches across a process pool buys and
+The partition layer makes batches key-disjoint under a rows-in-flight
+budget; this suite measures what running those batches across a
+process pool (a ``PartitionedOp`` with ``workers > 1``) buys and
 writes the first machine-readable trajectory (``BENCH_parallel.json``
 at the repo root) for cross-version tracking:
 
@@ -9,8 +11,9 @@ at the repo root) for cross-version tracking:
   symptoms shared by thousands of patients, order atoms on two
   ``Disease`` columns that never hold, so the semijoin scans every
   candidate pair — is exactly where the cost model's pair bound
-  certifies the dispatch; wall-clock at 1 vs N workers is recorded, and
-  on a machine with ≥ 4 cores the 4-way run must beat serial by ≥ 2×.
+  certifies the dispatch; wall-clock at 1 vs N workers over the same
+  batches is recorded, and on a machine with ≥ 4 cores the 4-way run
+  must beat serial by ≥ 2×.
   Order atoms on *one* right column would not do: the semijoin kernel
   decides those against one summary per group, in linear time
   (``repro.engine.kernels.witness``);
@@ -36,7 +39,7 @@ audited against the machine it was taken on.
 """
 
 import os
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import pytest
 
@@ -46,13 +49,12 @@ from repro.data.database import Database
 from repro.data.schema import Schema
 from repro.engine import (
     Executor,
-    ParallelOp,
     ParallelRun,
     PartitionedOp,
     PlannerOptions,
     available_cpus,
 )
-from repro.engine.plan import PARTITIONABLE_OPS
+from repro.engine.plan import rewrite_plan
 from repro.setjoins.division import classic_division_expr, divide_reference
 from repro.workloads.generators import crossproduct_division_family
 
@@ -81,6 +83,10 @@ emit_results = results_writer("BENCH_parallel.json", RESULTS)
 # ----------------------------------------------------------------------
 
 HOT_QUERY = "Person semijoin[2=2,1>1,1>3] Disease"
+
+#: Rows in flight per batch: two of the eight symptom groups (each
+#: priced 300 + 100 + 300), so four batches.
+FIG1_BUDGET = 1400
 
 
 def hot_symptom_db(
@@ -118,34 +124,24 @@ def shootout_oracle(shootout_db):
     return evaluate(expr, shootout_db)
 
 
-def force_parallel(node, workers):
-    """Wrap partitionable operators in ParallelOps, bypassing the gate."""
-    if isinstance(node, PartitionedOp):
-        return ParallelOp(
-            _force_children(node.inner, workers),
-            node.partitions,
-            node.budget,
-            workers,
-        )
-    rebuilt = _force_children(node, workers)
-    if isinstance(rebuilt, PARTITIONABLE_OPS):
-        return ParallelOp(rebuilt, 1, None, workers)
-    return rebuilt
+def force_parallel(plan, workers):
+    """Run every batched operator on ``workers``, bypassing the gate."""
 
+    def step(node, descend):
+        node = descend(node)
+        if isinstance(node, PartitionedOp):
+            return replace(node, workers=workers)
+        return node
 
-def _force_children(node, workers):
-    changes = {}
-    for f in fields(node):
-        value = getattr(node, f.name)
-        if hasattr(value, "children") and hasattr(value, "label"):
-            new = force_parallel(value, workers)
-            if new is not value:
-                changes[f.name] = new
-    return replace(node, **changes) if changes else node
+    return rewrite_plan(plan, step)
 
 
 def parallel_nodes(plan):
-    return [n for n in plan.nodes() if isinstance(n, ParallelOp)]
+    return [
+        n
+        for n in plan.nodes()
+        if isinstance(n, PartitionedOp) and n.workers > 1
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -157,28 +153,39 @@ def test_fig1_gate_certifies_the_quadratic_regime(shootout_db):
     """The dispatch is cost-based: certified here, byte-identical serial."""
     expr = parse(HOT_QUERY, shootout_db.schema)
     executor = Executor(shootout_db)
-    plan = executor.plan(expr, PlannerOptions(max_workers=WORKERS))
+    options = PlannerOptions(
+        partition_budget=FIG1_BUDGET, max_workers=WORKERS
+    )
+    plan = executor.plan(expr, options)
     (node,) = parallel_nodes(plan)
     assert node.workers == WORKERS
     assert "beats serial" in node.note
-    serial = executor.plan(expr, PlannerOptions(max_workers=1))
-    assert serial == executor.plan(expr)  # the option alone changes nothing
+    serial = executor.plan(expr, replace(options, max_workers=1))
+    # The option alone changes nothing but the node's workers.
+    assert serial == executor.plan(
+        expr, PlannerOptions(partition_budget=FIG1_BUDGET)
+    )
+    assert replace(node, workers=1, note=serial.note) == serial
     RESULTS["sections"]["fig1_gate"] = {
         "query": HOT_QUERY,
+        "budget": FIG1_BUDGET,
         "partitions": node.partitions,
         "note": node.note,
     }
 
 
 def _fig1_speedup(shootout_db, shootout_oracle, backend):
-    """1 vs N workers on the certified workload, on one backend."""
+    """1 vs N workers over the same batches, on one backend."""
     expr = parse(HOT_QUERY, shootout_db.schema)
 
     def run_with(workers):
         executor = Executor(shootout_db, backend=backend)
         try:
             plan = executor.plan(
-                expr, PlannerOptions(max_workers=workers)
+                expr,
+                PlannerOptions(
+                    partition_budget=FIG1_BUDGET, max_workers=workers
+                ),
             )
             result = executor.execute(plan)
             runs = [
@@ -208,6 +215,7 @@ def _fig1_speedup(shootout_db, shootout_oracle, backend):
         "backend": backend,
         "transport": run.transport,
         "rows": {"Person": 2400, "Disease": 800},
+        "budget": FIG1_BUDGET,
         "serial_seconds": round(serial_s, 6),
         "parallel_seconds": round(parallel_s, 6),
         "speedup": round(speedup, 3),
@@ -292,8 +300,10 @@ def test_prop26_gate_refuses_ipc_dominated_division(n):
     db = crossproduct_division_family(n)
     executor = Executor(db)
     plan = executor.plan(
-        classic_division_expr(), PlannerOptions(max_workers=WORKERS)
+        classic_division_expr(),
+        PlannerOptions(partition_budget=n // 2 + 40, max_workers=WORKERS),
     )
+    assert any(isinstance(node, PartitionedOp) for node in plan.nodes())
     assert not parallel_nodes(plan)
     RESULTS["sections"].setdefault("prop26_gate", {})[str(n)] = {
         "parallelized": False,

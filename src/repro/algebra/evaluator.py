@@ -68,7 +68,7 @@ def evaluate(
     extension:
         Optional hook handling extra node types (see :data:`Extension`);
         :func:`repro.extended.evaluator.evaluate_extended` passes the
-        γ / Sort hook.
+        γ hook.
     """
     if memo is None:
         memo = {}

@@ -56,7 +56,7 @@ def rewrite(
     its chain on one side (it closes a cycle: the multiway join's case).
     ``notes`` gets each node built over a semijoin made from a join →
     ``(mirrored, *children's notes)``, ``mirrored`` ``None`` unless the
-    node is one.  Past ``limit`` occurrences, or with a γ / Sort node,
+    node is one.  Past ``limit`` occurrences, or with a γ node,
     a limited walk returns ``expr``."""
     return _Walk(True, True, keep_cycles, notes, limit).run(expr)
 
@@ -74,7 +74,7 @@ def push_selections(expr: Expr) -> Expr:
 
 
 class _Refused(Exception):
-    """A limited walk met a γ / Sort node or ran out of occurrences."""
+    """A limited walk met a γ node or ran out of occurrences."""
 
 
 def _same(expr: Expr) -> tuple:

@@ -112,13 +112,13 @@ def _render(expr: Expr, sym: dict[str, str], top: bool) -> str:
 
 
 def _render_extended(expr: Expr, sym: dict[str, str]) -> str | None:
-    """Render extended-algebra nodes (γ, Sort) when present.
+    """Render extended-algebra (γ) nodes when present.
 
     Imported lazily so the core printer has no dependency on
     :mod:`repro.extended`.
     """
     try:
-        from repro.extended.ast import GroupBy, Sort
+        from repro.extended.ast import GroupBy
     except ImportError:  # pragma: no cover - extended always ships
         return None
     if isinstance(expr, GroupBy):
@@ -128,10 +128,6 @@ def _render_extended(expr: Expr, sym: dict[str, str]) -> str | None:
         spec = ";".join(part for part in (positions, aggregates) if part)
         symbol = "γ" if sym is _UNICODE else "groupby"
         return f"{symbol}[{spec}]({inner})"
-    if isinstance(expr, Sort):
-        inner = _render(expr.child, sym, top=True)
-        positions = ",".join(str(p) for p in expr.positions)
-        return f"sort[{positions}]({inner})"
     return None
 
 

@@ -7,7 +7,7 @@ Subcommands::
     repro explain  'R cartesian S' --schema 'R:2,S:1'       # physical plan
     repro explain  -d db.json --costs 'R join[2=1] S'       # + cost estimates
     repro eval     -d db.json --partition-budget 500 'R join[2=1] S'
-    repro eval     -d db.json --backend shm --max-workers 4 'R join[2=1] S'
+    repro eval     -d db.json --partition-budget 500 --max-workers 4 'R join[2=1] S'
     repro trace    -d db.json 'project[1](R) cartesian S'
     repro classify -d db.json 'R cartesian S'           # db optional
     repro compile  'R join[2=1] S' --schema 'R:2,S:1'
@@ -104,9 +104,10 @@ _SESSION_FLAGS = (
     ("--max-workers", "max_workers", dict(
         type=int,
         metavar="N",
-        help="shard batched operators across N worker processes when "
-        "the cost model certifies the parallel cost beats serial "
-        "(needs a database's statistics; 1 = exactly serial)",
+        help="run the batches --partition-budget cuts on N worker "
+        "processes when the cost model certifies the parallel cost "
+        "beats serial (needs --partition-budget and a database's "
+        "statistics; 1 = exactly serial)",
     )),
     ("--no-multiway", "use_multiway", dict(
         action="store_true",

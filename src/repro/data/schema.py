@@ -38,7 +38,7 @@ class Schema(Mapping[str, int]):
                     f"arity of {name!r} must be a positive integer, got {arity!r}"
                 )
             validated[name] = arity
-        # Sort for deterministic iteration order everywhere downstream.
+        # Sorted, for deterministic iteration order everywhere downstream.
         self._arities: dict[str, int] = dict(sorted(validated.items()))
 
     # -- Mapping interface -------------------------------------------------

@@ -30,10 +30,9 @@ algorithm one level down.  This package is the layer that acts on that:
   joins, semijoins, and division under a rows-in-flight budget, sized
   from the cost model's sound upper bounds
   (``PlannerOptions.partition_budget``);
-* :mod:`repro.engine.parallel` — shard-per-worker execution of those
-  key-disjoint batches on a process pool, dispatched only when the
-  cost model certifies that scatter + IPC is paid back
-  (``PlannerOptions.max_workers``).
+* :mod:`repro.engine.parallel` — the pool runner of those key-disjoint
+  batches, chosen only when the cost model certifies that scatter +
+  IPC is paid back (``PlannerOptions.max_workers``).
 
 Typical use goes through the :class:`~repro.session.Session` front
 door (``docs/session.md``)::
@@ -81,7 +80,6 @@ from repro.engine.partition import (
 from repro.engine.plan import (
     DivisionOp,
     MultiwayJoinOp,
-    ParallelOp,
     PartitionedOp,
     PlanNode,
 )
@@ -106,7 +104,6 @@ __all__ = [
     "Executor",
     "IndexCache",
     "MultiwayJoinOp",
-    "ParallelOp",
     "ParallelRun",
     "PartitionRun",
     "PartitionedOp",

@@ -49,12 +49,10 @@ from repro.engine.plan import (
     MultiwayJoinOp,
     NestedLoopJoinOp,
     NestedLoopSemijoinOp,
-    ParallelOp,
     PartitionedOp,
     PlanNode,
     ProjectOp,
     ScanOp,
-    SortOp,
     TagOp,
     UnionOp,
 )
@@ -224,18 +222,10 @@ class CostModel:
             return self._semijoin(node)
         if isinstance(node, DivisionOp):
             return self._division(node)
-        if isinstance(node, (PartitionedOp, ParallelOp)):
+        if isinstance(node, PartitionedOp):
             return self._batched(node)
         if isinstance(node, GroupByOp):
             return self._group_by(node)
-        if isinstance(node, SortOp):
-            child = self.estimate(node.child)
-            return Estimate(
-                child.rows,
-                child.upper,
-                child.cost + child.rows,
-                child.distinct,
-            )
         raise SchemaError(
             f"cost model: unknown plan node {type(node).__name__}"
         )
@@ -480,10 +470,10 @@ class CostModel:
         cost = dividend.cost + divisor.cost + dividend.rows + divisor.rows
         return Estimate(rows, upper, cost, (bound,))
 
-    def _batched(self, node: PartitionedOp | ParallelOp) -> Estimate:
+    def _batched(self, node: PartitionedOp) -> Estimate:
         """Batched execution: same output, plus the scatter pass.
 
-        Neither wrapper changes what is computed — rows, the sound
+        Batching does not change what is computed — rows, the sound
         upper bound, and distinct counts are the inner operator's.  The
         extra cost is one grouping pass over each input (the scatter)
         plus per-batch bookkeeping.  A wrapped plan therefore always
@@ -493,15 +483,15 @@ class CostModel:
         the scatter at all (only those whose in-flight bound exceeds
         the budget; see :func:`repro.engine.partition.in_flight_upper`).
 
-        A :class:`ParallelOp` is repriced for the pool instead, at the
-        certified parallel cost of :func:`parallel_cost_split`, when
+        A node with ``workers > 1`` is repriced for the pool instead, at
+        the certified parallel cost of :func:`parallel_cost_split`, when
         the bounds allow one; a hand-built node priced without
         statistics pays the scatter surcharge — the planner itself
-        never emits an uncertified :class:`ParallelOp`.
+        never gives workers to an uncertified node.
         """
         inner = self.estimate(node.inner)
         split = None
-        if isinstance(node, ParallelOp):
+        if node.workers > 1:
             split = parallel_cost_split(self, node)
         if split is None:
             scatter = sum(
@@ -1012,9 +1002,10 @@ def parallel_work_bound(model: CostModel, node: PlanNode) -> float:
 
 
 def parallel_cost_split(
-    model: CostModel, node: ParallelOp
+    model: CostModel, node: PartitionedOp
 ) -> tuple[float, float] | None:
-    """Certified ``(serial, parallel)`` costs for ``node``, or ``None``.
+    """Certified ``(serial, parallel)`` costs for ``node``'s batches run
+    on ``node.workers`` workers, or ``None``.
 
     ``serial`` is what running the inner operator in one process costs;
     ``parallel`` adds the scatter pass, prices every potentially

@@ -56,12 +56,10 @@ from repro.engine.plan import (
     MultiwayJoinOp,
     NestedLoopJoinOp,
     NestedLoopSemijoinOp,
-    ParallelOp,
     PartitionedOp,
     PlanNode,
     ProjectOp,
     ScanOp,
-    SortOp,
     TagOp,
     UnionOp,
 )
@@ -233,14 +231,7 @@ class IndexCache:
         rows: Iterable[Row],
         positions: tuple[int, ...],
     ) -> dict[tuple[Value, ...], list[Row]]:
-        cache_key = (key, positions)
-        with self._lock:
-            cached = self._hit(cache_key)
-            if cached is not None:
-                return cached
-            built = kernels.build_index(rows, positions)
-            self._admit(cache_key, built, sum(map(len, built.values())))
-            return built
+        return self._fetch((key, positions), _indexed, rows, positions)
 
     def second_sight(
         self,
@@ -280,30 +271,17 @@ class IndexCache:
         sentinel, so a trie and a flat index over the same logical
         input and columns never collide — their payload shapes differ.
         """
-        cache_key = (key, ("trie",) + columns_by_variable)
-        with self._lock:
-            cached = self._hit(cache_key)
-            if cached is not None:
-                return cached
-            from repro.engine.wcoj import build_trie
+        from repro.engine.wcoj import build_trie
 
-            built, count = build_trie(rows, columns_by_variable)
-            self._admit(cache_key, built, count)
-            return built
+        cache_key = (key, ("trie",) + columns_by_variable)
+        return self._fetch(cache_key, build_trie, rows, columns_by_variable)
 
     def sets_for(self, key: object, rows: Collection[Row]) -> dict:
         """Build/fetch a binary input's set grouping (:func:`repro.
         engine.kernels.set_groups`), the index a division reads, under
         the ``("sets",)`` sentinel; it counts ``len(rows)`` against the
         row budget."""
-        cache_key = (key, ("sets",))
-        with self._lock:
-            cached = self._hit(cache_key)
-            if cached is not None:
-                return cached
-            built = kernels.set_groups(rows)
-            self._admit(cache_key, built, len(rows))
-            return built
+        return self._fetch((key, ("sets",)), _set_grouped, rows)
 
     def cached(
         self, key: object, positions: tuple[int, ...]
@@ -314,6 +292,16 @@ class IndexCache:
         holding a hit need not compute the input at all."""
         with self._lock:
             return self._hit((key, positions))
+
+    def _fetch(self, cache_key, build, *args):
+        """The payload under ``cache_key`` (a reuse), or ``build(*args)``'s
+        ``(payload, rows counted)``, admitted (a build)."""
+        with self._lock:
+            payload = self._hit(cache_key)
+            if payload is None:
+                payload, count = build(*args)
+                self._admit(cache_key, payload, count)
+            return payload
 
     def _hit(self, cache_key):
         """The cached payload, marked most recent and counted as a
@@ -339,6 +327,17 @@ class IndexCache:
 
     def __len__(self) -> int:
         return len(self._indexes)
+
+
+def _indexed(rows, positions):
+    """:func:`~repro.engine.kernels.build_index` and its row count."""
+    built = kernels.build_index(rows, positions)
+    return built, sum(map(len, built.values()))
+
+
+def _set_grouped(rows):
+    """:func:`~repro.engine.kernels.set_groups` and its row count."""
+    return kernels.set_groups(rows), len(rows)
 
 
 #: Default byte budget for a :class:`ResultCache` (estimated bytes of
@@ -806,9 +805,6 @@ class Executor:
             operator.add, self._rows(node.child), repeat((node.value,))
         )
 
-    def _sort(self, node: SortOp) -> "Relation | list[Row]":
-        return self._rows(node.child)  # the identity under set semantics
-
     def _hash(self, node: HashJoinOp | HashSemijoinOp) -> Iterable[Row]:
         """A hash join or semijoin: the kernel its type names, over the
         left rows, the right side's index (built or fetched), the left
@@ -897,8 +893,8 @@ class Executor:
         divisor = map(operator.itemgetter(0), divisor_rows)
         return kernels.quotient(groups, divisor, node.eq)
 
-    def _batched(self, node: PartitionedOp | ParallelOp) -> Iterable[Row]:
-        """Batched execution, serial or on the worker pool.
+    def _batched(self, node: PartitionedOp) -> Iterable[Row]:
+        """Batched execution: in-process at one worker, else on the pool.
 
         See :mod:`repro.engine.partition` (the shared scatter → pack →
         run → record pipeline) and :mod:`repro.engine.parallel` (pool
@@ -912,7 +908,7 @@ class Executor:
         builds; re-executions against unchanged contents regroup
         nothing).
         """
-        if isinstance(node, ParallelOp):
+        if node.workers > 1:
             from repro.engine.parallel import run_parallel
 
             return run_parallel(self, node)
@@ -961,7 +957,6 @@ OPERATORS: dict[type, tuple] = {
     DifferenceOp: (Executor._difference, _listed),
     ProjectOp: (Executor._project, frozenset),
     GroupByOp: (Executor._group_by, frozenset),
-    SortOp: (Executor._sort, frozenset),
     DivisionOp: (Executor._division, frozenset),
     FilterOp: (Executor._filter, list),
     TagOp: (Executor._tag, list),
@@ -971,5 +966,4 @@ OPERATORS: dict[type, tuple] = {
     HashSemijoinOp: (Executor._hash, _listed),
     NestedLoopSemijoinOp: (Executor._nested_loop, _listed),
     PartitionedOp: (Executor._batched, list),
-    ParallelOp: (Executor._batched, list),
 }

@@ -1,19 +1,17 @@
-"""Shard-per-worker parallel execution of key-disjoint batches.
+"""The pool runner of batched execution: a budget's batches on workers.
 
 The batched-execution pipeline of :mod:`repro.engine.partition`
 (scatter → pack → run → record) cuts the big operators into
-key-disjoint batches whose union is exactly the one-shot result.  This
-module is the raw-speed lever that design was built for: the same
-scatter, packing, kernels and records, with the batches dispatched
+key-disjoint batches whose union is exactly the one-shot result.  A
+:class:`~repro.engine.plan.PartitionedOp` with ``workers > 1`` runs
+those same batches — the same scatter, packing, kernels and records —
 across a :class:`concurrent.futures.ProcessPoolExecutor` instead of
-run by the serial loop.
+the in-process loop.
 
 Three properties the implementation is organized around:
 
-* **Parallel ≡ serial by construction.**  Under a budget the batches
-  are exactly the serial ones; without one they are sized to balance
-  *work* (not memory) across ``workers × OVERSUBSCRIPTION`` batches so
-  one hot key cannot serialize the run.  How fragments *reach* the
+* **Pooled ≡ in-process by construction.**  The batches are the ones
+  the budget cuts, whatever runs them.  How fragments *reach* the
   kernels depends on the executor's storage backend
   (:func:`_run_on_pool`): pickled through the pool on the memory
   backend; on the attached shm backend written once into a
@@ -21,10 +19,11 @@ Three properties the implementation is organized around:
   (:mod:`repro.storage.ship`) — which is what makes the dispatch pay
   off on multi-core machines.
 * **Certified dispatch only.**  The planner post-pass
-  (:func:`apply_parallelism`) shards an operator only when
-  :func:`~repro.engine.cost.parallel_cost_split` certifies, from sound
-  bounds, that scatter + IPC + divided work beats the serial cost —
-  zero-stats plans never parallelize, mirroring the partition gate.
+  (:func:`apply_parallelism`) gives a batched operator workers only
+  when :func:`~repro.engine.cost.parallel_cost_split` certifies, from
+  sound bounds, that scatter + IPC + divided work beats the serial
+  cost — zero-stats plans never parallelize, mirroring the partition
+  gate.
 * **Staleness over wrong answers.**  The database version token is
   checked before anything is submitted and again as each worker's
   result is gathered (:func:`_gather_pool`): a mutation mid-query
@@ -41,7 +40,6 @@ in the serial loop over the same batches, with the reason on the
 from __future__ import annotations
 
 import atexit
-import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -53,27 +51,13 @@ from repro.engine.partition import (
     PartitionRun,
     Task,
     _check_version,
-    in_flight_upper,
-    pack_groups,
     packed_or_fallback,
-    planned_partitions,
     run_batches,
     run_task,
     scatter_for,
 )
-from repro.engine.plan import (
-    PARTITIONABLE_OPS,
-    ParallelOp,
-    PartitionedOp,
-    PlanNode,
-    rewrite_plan,
-)
+from repro.engine.plan import PartitionedOp, PlanNode, rewrite_plan
 from repro.storage.ship import ShipmentWriter, run_shipped_task
-
-#: Batches per worker when no memory budget shapes them: enough slack
-#: that a skewed batch does not serialize the tail, few enough that the
-#: fixed per-batch dispatch cost stays negligible.
-OVERSUBSCRIPTION = 4
 
 
 def available_cpus() -> int:
@@ -114,18 +98,16 @@ class WorkerSlice:
 
 @dataclass
 class ParallelRun(PartitionRun):
-    """Everything one :class:`ParallelOp` execution observed.
+    """Everything one pooled :class:`~repro.engine.plan.PartitionedOp`
+    execution observed.
 
     Extends :class:`~repro.engine.partition.PartitionRun` (and is
     stored in the same ``stats.partition_runs`` slot, so reports and
     ``max_in_flight()`` need no second bookkeeping path) with the
     worker count, per-batch ``(pid, seconds)`` timings aligned with
     ``batches``, and — when the pool was bypassed — the reason.
-    ``budget`` may be ``None``: speed-motivated sharding of an operator
-    that needed no memory partitioning has no per-batch row bound.
     """
 
-    budget: int | None = None
     workers: int = 1
     #: per-batch ``(worker pid, in-worker seconds)``; index-aligned
     #: with ``batches``
@@ -143,11 +125,6 @@ class ParallelRun(PartitionRun):
         super().record(task, output_rows, seconds, pid)
         self.timings.append((pid, seconds))
 
-    def within_budget(self) -> bool:
-        if self.budget is None:
-            return True
-        return super().within_budget()
-
     def worker_slices(self) -> tuple[WorkerSlice, ...]:
         """Per-worker batch counts and wall-clock, sorted by pid."""
         counts: dict[int, int] = {}
@@ -164,8 +141,7 @@ class ParallelRun(PartitionRun):
         line = (
             f"batches={self.actual()} (planned {self.planned}) "
             f"peak-in-flight={self.peak_in_flight()} "
-            f"budget={'none' if self.budget is None else self.budget} "
-            f"workers={self.workers}"
+            f"budget={self.budget} workers={self.workers}"
         )
         if self.transport:
             line += f" transport={self.transport}"
@@ -217,62 +193,47 @@ def shutdown_worker_pools() -> None:
 atexit.register(shutdown_worker_pools)
 
 
-def _work_capacity(weights: dict[object, int], workers: int) -> int:
-    """Per-batch work target for budget-free (speed-only) sharding."""
-    batches = workers * OVERSUBSCRIPTION  # ParallelOp: workers >= 1
-    return max(math.ceil(sum(weights.values()) / batches), 1)
-
-
 # ----------------------------------------------------------------------
 # Dispatch: the pool, or the serial loop when it is bypassed
 # ----------------------------------------------------------------------
 
 
-def run_parallel(executor, node: ParallelOp) -> list[Row]:
+def run_parallel(executor, node: PartitionedOp) -> list[Row]:
     """Execute ``node.inner``'s batches across the worker pool.
 
-    Called by :meth:`repro.engine.executor.Executor._batched`; returns
-    the full result (key-disjoint batches union exactly) and records a
-    :class:`ParallelRun` in the executor's stats.  Scatter and packing
-    are the serial ones; only a budget-free node packs differently, by
-    work, into ``workers × OVERSUBSCRIPTION`` batches.  The degradation
-    ladder — single batch, ``workers=1``, then whatever
+    Called by :meth:`repro.engine.executor.Executor._batched` for a
+    node with ``workers > 1``; returns the full result (key-disjoint
+    batches union exactly) and records a :class:`ParallelRun` in the
+    executor's stats.  Scatter and packing are the in-process ones.
+    The degradation ladder — single batch, then whatever
     :func:`_run_on_pool` reports — ends in
     :func:`~repro.engine.partition.run_batches` over the same batches:
     serial speed, not failure.
     """
-    scatter = scatter_for(executor, node.inner, node.budget)
+    scatter = scatter_for(executor, node.inner)
     run = ParallelRun(
-        planned=node.partitions,
-        budget=node.budget,
-        replicated_rows=scatter.replicated,
+        node.partitions,
+        node.budget,
+        scatter.replicated,
         workers=node.workers,
     )
-    if node.budget is None:
-        batches = pack_groups(
-            scatter.weights, _work_capacity(scatter.weights, node.workers)
-        )
-    else:
-        batches, run.fallback = packed_or_fallback(
-            scatter.weights, node.budget, scatter.replicated
-        )
+    batches, run.fallback = packed_or_fallback(
+        scatter.weights, node.budget, scatter.replicated
+    )
     out: list[Row] = []
     if len(batches) <= 1:
         reason = "single batch"
-    elif node.workers <= 1:
-        reason = "workers=1"
     else:
         reason = _run_on_pool(executor, node, run, scatter, batches, out)
     if reason is not None:
-        if node.workers > 1:
-            run.pool_fallback = reason
+        run.pool_fallback = reason
         out = run_batches(executor, node, run, scatter, batches)
     executor.stats.partition_runs[node] = run
     return out
 
 
 def _run_on_pool(
-    executor, node: ParallelOp, run: ParallelRun, scatter, batches, out
+    executor, node: PartitionedOp, run: ParallelRun, scatter, batches, out
 ) -> str | None:
     """Run ``batches`` on the pool; the reason if they must run inline.
 
@@ -362,22 +323,15 @@ def _gather_pool(
 def apply_parallelism(
     plan: PlanNode, cost_model, workers: int
 ) -> PlanNode:
-    """Post-pass: shard operators whose bounds certify a parallel win.
+    """Post-pass: give ``workers`` to batched operators that certify.
 
     Runs after :func:`~repro.engine.partition.apply_partitioning` (and,
     like it, after every operator-choice cost comparison, so the
-    parallel repricing can never flip one).  Two shapes are sharded:
-
-    * a :class:`~repro.engine.plan.PartitionedOp` becomes a
-      :class:`~repro.engine.plan.ParallelOp` carrying the same budget —
-      the batches the budget forces anyway are simply dispatched to
-      workers;
-    * a bare partitionable operator gets a budget-free ``ParallelOp``
-      with work-balanced batches.
-
-    Either way the conversion happens only when
-    :func:`~repro.engine.cost.parallel_cost_split` certifies that the
-    parallel cost (scatter + IPC + divided work + fixed overheads)
+    parallel repricing can never flip one).  A one-worker
+    :class:`~repro.engine.plan.PartitionedOp` gets ``workers`` — the
+    batches its budget cuts anyway are simply run on the pool — only
+    when :func:`~repro.engine.cost.parallel_cost_split` certifies that
+    the parallel cost (scatter + IPC + divided work + fixed overheads)
     beats the serial cost from the same sound bounds.  Unsound or
     infinite bounds — zero-stats planning — certify nothing and leave
     the plan untouched.
@@ -387,41 +341,20 @@ def apply_parallelism(
     if workers <= 1:
         return plan
 
-    def gate(candidate: ParallelOp, original: PlanNode) -> PlanNode:
-        split = parallel_cost_split(cost_model, candidate)
-        if split is None:
-            return original
-        serial, parallel = split
-        if parallel >= serial:
-            return original
-        note = (
-            f"parallel bound {parallel:.0f} beats serial "
-            f"{serial:.0f} on {candidate.workers} worker(s)"
-        )
-        if candidate.note:
-            note = f"{candidate.note}; {note}"
-        return replace(candidate, note=note)
-
     def step(node: PlanNode, descend) -> PlanNode:
-        if isinstance(node, ParallelOp):
-            return node  # already sharded (re-applying to a planned plan)
-        if isinstance(node, PartitionedOp):
-            inner = descend(node.inner)
-            candidate = ParallelOp(
-                inner, node.partitions, node.budget, workers,
-                note=node.note,
-            )
-            if inner is not node.inner:
-                node = replace(node, inner=inner)
-            return gate(candidate, node)
-        rebuilt = descend(node)
-        if isinstance(rebuilt, PARTITIONABLE_OPS):
-            upper = in_flight_upper(cost_model, rebuilt)
-            partitions = min(
-                planned_partitions(upper, 1), workers * OVERSUBSCRIPTION
-            )
-            candidate = ParallelOp(rebuilt, partitions, None, workers)
-            rebuilt = gate(candidate, rebuilt)
-        return rebuilt
+        node = descend(node)
+        if not isinstance(node, PartitionedOp) or node.workers > 1:
+            return node  # not batched, or already on a pool
+        candidate = replace(node, workers=workers)
+        split = parallel_cost_split(cost_model, candidate)
+        if split is None or split[1] >= split[0]:
+            return node
+        note = (
+            f"parallel bound {split[1]:.0f} beats serial "
+            f"{split[0]:.0f} on {workers} worker(s)"
+        )
+        if node.note:
+            note = f"{node.note}; {note}"
+        return replace(candidate, note=note)
 
     return rewrite_plan(plan, step)

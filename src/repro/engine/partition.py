@@ -28,11 +28,12 @@ Two layers cooperate:
   groups are packed into batches by best-fit-decreasing
   (:func:`pack_groups`) with capacity ``budget − replicated rows``;
   :func:`run_batches` runs the batches one after another and
-  :meth:`PartitionRun.record` writes each :class:`BatchRecord`.  A
-  :class:`~repro.engine.plan.ParallelOp` differs only in *where*
-  batches run — a worker pool, or this same loop when the pool is
-  bypassed — so parallel and serial batches agree by construction.
-  Packing is final: no planner option changes a batch once packed.
+  :meth:`PartitionRun.record` writes each :class:`BatchRecord`.  The
+  node's ``workers`` field says only *where* batches run: this loop
+  at 1, else a worker pool (:func:`~repro.engine.parallel.
+  run_parallel`, which falls back to this same loop), so pooled and
+  in-process batches agree by construction.  Packing is final: no
+  planner option changes a batch once packed.
   The resulting invariant, asserted by the property tests in
   ``tests/test_engine_partition.py``:
 
@@ -58,9 +59,10 @@ operator                    strategy
 ``NestedLoopSemijoinOp``    left rows batched individually (weight 2:
                             the row + at most one output row); the
                             right side is replicated to every batch
-``DivisionOp``              dividend grouped by candidate (column 1);
-                            weight ``n_a + 1`` (group + at most one
-                            quotient row); the divisor is replicated
+``DivisionOp``              the dividend's cached set grouping
+                            (candidate → its B-set); weight ``n_a + 1``
+                            (group + at most one quotient row); the
+                            divisor is replicated
 ==========================  ===========================================
 
 Replicated sides count toward every batch's rows in flight, which is
@@ -75,13 +77,13 @@ by its own fragment, so no per-batch budget could be certified.
 
 The per-batch bodies are module-level **kernels**
 (:func:`keyed_batch_kernel`, :func:`semijoin_batch_kernel`,
-:func:`division_batch_kernel`) over plain picklable data, which is
-what lets a pool worker run them.
+:func:`quotient_batch_kernel`, :func:`division_batch_kernel`) over
+plain picklable data, which is what lets a pool worker run them.
 
 Between batches the executor's database version token is re-checked;
 a mutation mid-run raises :class:`~repro.errors.StaleDataError` rather
 than silently mixing two content versions into one result (see
-``docs/engine.md`` § Partitioned execution).
+``docs/engine.md`` § Batched execution).
 """
 
 from __future__ import annotations
@@ -402,15 +404,22 @@ def semijoin_batch_kernel(
     )
 
 
+def quotient_batch_kernel(
+    groups: dict, divisor: list, eq: bool
+) -> list[Row]:
+    """One division batch: the one-shot run's ∀ test
+    (:func:`~repro.engine.kernels.quotient`) over its slice of the
+    dividend's set grouping."""
+    return list(kernels.quotient(groups, divisor, eq))
+
+
 def division_batch_kernel(
     fragment: list[Row], divisor: list, eq: bool
 ) -> list[Row]:
-    """One division batch: the one-shot run's ∀ test
-    (:func:`~repro.engine.kernels.quotient`) over the fragment's set
-    grouping.  The fragment is rows of a dividend the plan typed:
-    nothing is validated per batch."""
-    groups = kernels.set_groups(fragment)
-    return list(kernels.quotient(groups, divisor, eq))
+    """:func:`quotient_batch_kernel` over shipped dividend rows, grouped
+    here: a pool worker holds no cache.  The fragment is rows of a
+    dividend the plan typed: nothing is validated per batch."""
+    return quotient_batch_kernel(kernels.set_groups(fragment), divisor, eq)
 
 
 # ----------------------------------------------------------------------
@@ -444,10 +453,9 @@ def run_task(kernel, args) -> tuple[list[Row], float, int]:
 class Scatter:
     """One operator's inputs cut into atomic groups — what packing sees.
 
-    ``weights`` prices each group: under a budget, its worst-case rows
-    in flight (fragments **plus the worst-case output**); without one
-    (speed-only sharding) its *work*, so batches even out worker load.
-    ``replicated`` is the side every batch holds in full.
+    ``weights`` prices each group's worst-case rows in flight
+    (fragments **plus the worst-case output**).  ``replicated`` is the
+    side every batch holds in full.
     ``task(keys, ship)`` builds the :class:`Task` running the groups
     ``keys``: with ``ship=None`` the arguments are the fragments
     themselves (inline execution, pickled transport); with a
@@ -460,21 +468,21 @@ class Scatter:
     task: object
 
 
-def scatter_for(executor, inner: PlanNode, budget: int | None) -> Scatter:
+def scatter_for(executor, inner: PlanNode) -> Scatter:
     """The scatter of partitionable operator ``inner``."""
     if isinstance(inner, (HashJoinOp, HashSemijoinOp)):
-        return _scatter_keyed(executor, inner, budget)
+        return _scatter_keyed(executor, inner)
     if isinstance(inner, NestedLoopSemijoinOp):
         return _scatter_semijoin(executor, inner)
     if isinstance(inner, DivisionOp):
-        return _scatter_division(executor, inner, budget)
-    # The wrappers' __post_init__ rejects everything else.
+        return _scatter_division(executor, inner)
+    # PartitionedOp's __post_init__ rejects everything else.
     raise SchemaError(  # pragma: no cover
         f"cannot partition {type(inner).__name__}"
     )
 
 
-def _scatter_keyed(executor, inner, budget: int | None) -> Scatter:
+def _scatter_keyed(executor, inner) -> Scatter:
     """Hash join / hash semijoin: both sides grouped on equality keys.
 
     Both groupings go through the executor's
@@ -486,13 +494,11 @@ def _scatter_keyed(executor, inner, budget: int | None) -> Scatter:
     pruned at scatter time: with no partner rows they cannot produce
     output (``rest`` atoms only filter further), so they never consume
     batch capacity or rows in flight.  A group's worst-case output is
-    ``nL·nR`` (join) or ``nL`` (semijoin); its work adds the pair count
-    where the kernel visits pairs (not a summarised semijoin rest).
+    ``nL·nR`` (join) or ``nL`` (semijoin).
     """
     eq = inner.cond.by_op("=")
     rest = tuple(a for a in inner.cond if a.op != "=")
     join = isinstance(inner, HashJoinOp)
-    paired = join or kernels.scans(rest)
     left_groups = executor.indexes.index_for(
         inner.left.logical,
         executor._rows(inner.left),
@@ -507,11 +513,8 @@ def _scatter_keyed(executor, inner, budget: int | None) -> Scatter:
     for key in left_groups.keys() & right_groups.keys():
         n_left = len(left_groups[key])
         n_right = len(right_groups[key])
-        pairs = n_left * n_right
-        if budget is not None:
-            weights[key] = n_left + n_right + (pairs if join else n_left)
-        else:
-            weights[key] = n_left + n_right + (pairs if paired else 0)
+        output = n_left * n_right if join else n_left
+        weights[key] = n_left + n_right + output
 
     def task(keys, ship) -> Task:
         pairs = [(left_groups[key], right_groups[key]) for key in keys]
@@ -529,10 +532,9 @@ def _scatter_semijoin(executor, inner: NestedLoopSemijoinOp) -> Scatter:
     """θ-semijoin: batch left rows; the right side goes to every batch.
 
     Each left row is its own atomic group (no key to group by) of
-    weight 2 — the row plus the at-most-one output row it can emit —
-    in rows in flight and in work alike.  The right side is one list
-    object, so a shipment's identity dedup encodes it once however
-    many tasks reference it.
+    weight 2 — the row plus the at-most-one output row it can emit.
+    The right side is one list object, so a shipment's identity dedup
+    encodes it once however many tasks reference it.
     """
     right_rows = list(executor._rows(inner.right))
 
@@ -548,41 +550,39 @@ def _scatter_semijoin(executor, inner: NestedLoopSemijoinOp) -> Scatter:
     return Scatter(weights, len(right_rows), task)
 
 
-def _scatter_division(
-    executor, inner: DivisionOp, budget: int | None
-) -> Scatter:
+def _scatter_division(executor, inner: DivisionOp) -> Scatter:
     """Division: partition the dividend by candidate; replicate the divisor.
 
     A candidate's *entire* B-set must sit in one batch for the
     containment/equality test to be answerable there, so the atomic
-    group is the candidate's dividend rows (weight ``n_a + 1``: the
-    group plus at most one quotient row; as work, its rows plus one
-    divisor probe pass).  Each batch runs the unpartitioned
-    operator's ∀ test over its fragment's set grouping; quotients from
-    disjoint candidate sets union exactly.  Like the keyed joins, the
-    per-candidate grouping goes through the executor's
-    :class:`~repro.engine.executor.IndexCache`, so re-executions
-    against unchanged contents regroup nothing.  The divisor ships
-    once, as a scalar value block.
+    group is the candidate (weight ``n_a + 1``: its B-set plus at most
+    one quotient row).  Groups and weights come from the dividend's
+    cached set grouping (:meth:`~repro.engine.executor.IndexCache.
+    sets_for`), the one the one-shot operator reads, so a re-execution
+    against unchanged contents groups nothing.  An in-process batch
+    runs the ∀ test over its slice of that grouping; quotients from
+    disjoint candidate sets union exactly.  A shipped batch carries its
+    rows and the divisor once, as a scalar value block, and is grouped
+    in the worker.
     """
     divisor_rows = executor._rows(inner.divisor)
     if not divisor_rows and inner.empty_divisor == "none":
         # γ-plan semantics: empty divisor ⇒ empty result, no batches.
         return Scatter({}, 0, None)
     divisor = [row[0] for row in divisor_rows]
-    groups = executor.indexes.index_for(
-        inner.dividend.logical, executor._rows(inner.dividend), (1,)
+    groups = executor.indexes.sets_for(
+        inner.dividend.logical, executor._rows(inner.dividend)
     )
-    extra = 1 if budget is not None else max(len(divisor), 1)
-    weights = {key: len(rows) + extra for key, rows in groups.items()}
+    weights = {key: len(values) + 1 for key, values in groups.items()}
 
     def task(keys, ship) -> Task:
-        fragment = [row for key in keys for row in groups[key]]
+        rows = sum(len(groups[key]) for key in keys)
         if ship is None:
-            args = (fragment, divisor, inner.eq)
-        else:
-            args = (ship.rows(fragment), ship.values(divisor), inner.eq)
-        return Task(len(keys), len(fragment), division_batch_kernel, args)
+            args = ({key: groups[key] for key in keys}, divisor, inner.eq)
+            return Task(len(keys), rows, quotient_batch_kernel, args)
+        fragment = [(key, b) for key in keys for b in groups[key]]
+        args = (ship.rows(fragment), ship.values(divisor), inner.eq)
+        return Task(len(keys), rows, division_batch_kernel, args)
 
     return Scatter(weights, len(divisor_rows), task)
 
@@ -593,14 +593,15 @@ def _scatter_division(
 
 
 def run_partitioned(executor, node: PartitionedOp) -> list[Row]:
-    """Execute ``node.inner`` in budget-bounded batches.
+    """Execute ``node.inner`` in budget-bounded batches, in-process.
 
-    Called by :meth:`repro.engine.executor.Executor._batched`; returns
-    the full result (the union over batches — key-disjoint fragments
-    make it exact) and records a :class:`PartitionRun` in the
-    executor's :class:`~repro.engine.executor.ExecutionStats`.
+    Called by :meth:`repro.engine.executor.Executor._batched` for a
+    one-worker node; returns the full result (the union over batches —
+    key-disjoint fragments make it exact) and records a
+    :class:`PartitionRun` in the executor's
+    :class:`~repro.engine.executor.ExecutionStats`.
     """
-    scatter = scatter_for(executor, node.inner, node.budget)
+    scatter = scatter_for(executor, node.inner)
     run = PartitionRun(node.partitions, node.budget, scatter.replicated)
     batches, run.fallback = packed_or_fallback(
         scatter.weights, node.budget, scatter.replicated
@@ -625,11 +626,10 @@ def run_batches(
 ) -> list[Row]:
     """Run ``batches`` in-process, one after another; their rows.
 
-    The serial runner of a :class:`~repro.engine.plan.PartitionedOp`
-    and the inline path of a :class:`~repro.engine.plan.ParallelOp`
-    whose pool is bypassed.  The version token is checked before every
-    batch.  The batches run exactly as packed, so this loop and the
-    pool run the same ones.
+    The runner of a one-worker :class:`~repro.engine.plan.PartitionedOp`
+    and the inline path of a pooled one whose pool is bypassed.  The
+    version token is checked before every batch.  The batches run
+    exactly as packed, so this loop and the pool run the same ones.
     """
     out: list[Row] = []
     for keys in batches:

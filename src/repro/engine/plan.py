@@ -135,7 +135,7 @@ class PlanNode:
 
         The text after ``' :: '`` is the parseable ASCII syntax of the
         node's logical expression (when the logical algebra can print
-        it; extended γ/sort nodes render but do not parse).  Pass
+        it; extended γ nodes render but do not parse).  Pass
         ``annotate``, a callable mapping a node to extra text (e.g. the
         cost model's per-operator estimates), to enrich each line; the
         text is inserted before the note and must not contain
@@ -604,17 +604,20 @@ class PartitionedOp(PlanNode):
     reside in the process for the whole run; the bounded working-set
     accounting is the contract a spill-to-disk or shard-per-worker
     backend would turn into bounded *memory* — see ``docs/engine.md``
-    § Partitioned execution.)  ``partitions`` is the planner's
+    § Batched execution.)  ``partitions`` is the planner's
     *predicted* batch count (from the cost model's sound upper
     bounds); the executor packs batches from exact per-key weights
     at run time, so the actual count can differ — both are recorded
-    for estimated-vs-actual comparison.
+    for estimated-vs-actual comparison.  ``workers`` says where the
+    batches run: in-process at 1, else on a pool of that many worker
+    processes (:mod:`repro.engine.parallel`) — the same batches.
     """
 
     inner: PlanNode
     partitions: int
     budget: int
     note: str = ""
+    workers: int = 1
 
     def __post_init__(self) -> None:
         if not isinstance(self.inner, PARTITIONABLE_OPS):
@@ -627,54 +630,8 @@ class PartitionedOp(PlanNode):
             raise SchemaError("PartitionedOp needs partitions >= 1")
         if self.budget < 1:
             raise SchemaError("PartitionedOp needs a budget >= 1 row")
-
-    @property
-    def logical(self) -> Expr:
-        return self.inner.logical
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.inner,)
-
-    def label(self) -> str:
-        return f"Partitioned[k={self.partitions},budget={self.budget}]"
-
-
-@dataclass(frozen=True)
-class ParallelOp(PlanNode):
-    """Shard-per-worker execution of one partitionable operator.
-
-    The same key-disjoint batches a :class:`PartitionedOp` would run
-    one after another are instead dispatched across a process pool of
-    ``workers`` workers.  ``budget`` is the per-batch in-flight bound
-    when the operator was partitioned for memory (``None`` when the
-    planner parallelized an unpartitioned operator purely for speed,
-    in which case batches are sized to balance work across workers).
-    ``partitions`` is the planner's batch-count estimate; as with
-    :class:`PartitionedOp` the executor packs from exact per-key
-    weights, so the actual count can differ.
-    """
-
-    inner: PlanNode
-    partitions: int
-    budget: int | None
-    workers: int
-    note: str = ""
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.inner, PARTITIONABLE_OPS):
-            raise SchemaError(
-                f"ParallelOp cannot wrap {type(self.inner).__name__}; "
-                "partitionable operators are "
-                f"{tuple(t.__name__ for t in PARTITIONABLE_OPS)}"
-            )
-        if self.partitions < 1:
-            raise SchemaError("ParallelOp needs partitions >= 1")
-        if self.budget is not None and self.budget < 1:
-            raise SchemaError(
-                "ParallelOp needs a budget >= 1 row (or None)"
-            )
         if self.workers < 1:
-            raise SchemaError("ParallelOp needs workers >= 1")
+            raise SchemaError("PartitionedOp needs workers >= 1")
 
     @property
     def logical(self) -> Expr:
@@ -684,11 +641,10 @@ class ParallelOp(PlanNode):
         return (self.inner,)
 
     def label(self) -> str:
-        budget = "none" if self.budget is None else str(self.budget)
-        return (
-            f"Parallel[k={self.partitions},budget={budget},"
-            f"workers={self.workers}]"
-        )
+        label = f"Partitioned[k={self.partitions},budget={self.budget}"
+        if self.workers > 1:
+            label += f",workers={self.workers}"
+        return label + "]"
 
 
 @dataclass(frozen=True)
@@ -716,28 +672,6 @@ class GroupByOp(PlanNode):
         positions = ",".join(str(p) for p in self.expr.group_positions)
         aggregates = ",".join(str(a) for a in self.expr.aggregates)
         return f"GroupBy[{positions};{aggregates}]"
-
-
-@dataclass(frozen=True)
-class SortOp(PlanNode):
-    """Order-by marker: the identity under set semantics."""
-
-    child: PlanNode
-    expr: Expr
-    note: str = ""
-
-    def __post_init__(self) -> None:
-        pass  # the base raises; any constructed SortOp is well-formed
-
-    @property
-    def logical(self) -> Expr:
-        return self.expr
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
-
-    def label(self) -> str:
-        return "Sort"
 
 
 PARTITIONABLE_OPS = (
@@ -795,7 +729,5 @@ cache_hashes(
     DivisionOp,
     MultiwayJoinOp,
     PartitionedOp,
-    ParallelOp,
     GroupByOp,
-    SortOp,
 )

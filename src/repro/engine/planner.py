@@ -69,7 +69,9 @@ Routing rules (documented in ``docs/engine.md``):
    :class:`~repro.engine.plan.PartitionedOp` sized by
    :func:`repro.engine.partition.planned_partitions`; the executor
    then runs it in budget-bounded batches
-   (:mod:`repro.engine.partition`).
+   (:mod:`repro.engine.partition`).  With ``max_workers > 1`` a
+   batched operator whose certified parallel cost beats serial runs
+   its batches on that many workers (:mod:`repro.engine.parallel`).
 
 :func:`plan_expression` is the entry point; :func:`explain` renders the
 chosen plan, optionally with the full Theorem 17 dichotomy verdict from
@@ -110,7 +112,6 @@ from repro.engine.plan import (
     PlanNode,
     ProjectOp,
     ScanOp,
-    SortOp,
     TagOp,
     UnionOp,
 )
@@ -156,13 +157,13 @@ class PlannerOptions:
     in budget-bounded batches.  ``None`` (the default) disables
     partitioning entirely.
 
-    ``max_workers`` enables shard-per-worker parallel execution: when
-    > 1 (and statistics are present — the dispatch gate needs *sound*
-    bounds), partitionable operators whose certified parallel cost
-    beats their serial cost are wrapped in a
-    :class:`~repro.engine.plan.ParallelOp` and their batches run on a
-    process pool of that many workers.  The default ``1`` keeps
-    planning and execution exactly serial.
+    ``max_workers`` runs the batches a budget cuts on a process pool:
+    when > 1 (and statistics are present — the dispatch gate needs
+    *sound* bounds), each :class:`~repro.engine.plan.PartitionedOp`
+    whose certified parallel cost beats its serial cost gets that many
+    ``workers``.  It needs a ``partition_budget`` (the pool runs no
+    other batches).  The default ``1`` keeps planning and execution
+    exactly serial.
 
     Storage is not a planner option: it is chosen where the executor
     is built (``Session(db, backend=)``).
@@ -185,6 +186,11 @@ class PlannerOptions:
         if self.max_workers < 1:
             raise SchemaError(
                 f"max_workers must be >= 1, got {self.max_workers}"
+            )
+        if self.max_workers > 1 and self.partition_budget is None:
+            raise SchemaError(
+                f"max_workers={self.max_workers} needs a partition_budget: "
+                "the pool runs only the batches a budget cuts"
             )
 
 
@@ -418,7 +424,8 @@ class Planner:
         return self.cost_model.estimate(node).cost
 
     def _post_passes(self, plan: PlanNode) -> PlanNode:
-        """Partition, then shard, the plan once it is wholly chosen.
+        """Partition the plan once it is wholly chosen, then give its
+        batched operators workers.
 
         Post-passes, deliberately not part of operator choice: wrapping
         adds the scatter pass (:func:`repro.engine.partition.
@@ -430,22 +437,22 @@ class Planner:
         statistics, a budget or ``max_workers > 1`` plans come back
         untouched and serial planning stays byte-identical.
         """
-        if not self._costed():
-            return plan
         budget = self.options.partition_budget
-        workers = self.options.max_workers
-        if budget is not None:
-            from repro.engine.partition import apply_partitioning
+        if not self._costed() or budget is None:
+            return plan
+        from repro.engine.partition import apply_partitioning
 
-            plan = apply_partitioning(plan, self.cost_model, budget)
-        if workers > 1:
+        plan = apply_partitioning(plan, self.cost_model, budget)
+        if self.options.max_workers > 1:
             from repro.engine.parallel import apply_parallelism
 
-            plan = apply_parallelism(plan, self.cost_model, workers)
+            plan = apply_parallelism(
+                plan, self.cost_model, self.options.max_workers
+            )
         return plan
 
     def plan(self, expr: Expr) -> PlanNode:
-        """Plan a logical expression (RA/SA, optionally with γ/Sort)."""
+        """Plan a logical expression (RA/SA, optionally with γ)."""
         self._filters = {}
         expr = rewrite(
             expr,
@@ -507,12 +514,10 @@ class Planner:
         )
 
     def _plan_extended(self, expr: Expr) -> PlanNode | None:
-        from repro.extended.ast import GroupBy, Sort
+        from repro.extended.ast import GroupBy
 
         if isinstance(expr, GroupBy):
             return GroupByOp(self._plan(expr.child), expr)
-        if isinstance(expr, Sort):
-            return SortOp(self._plan(expr.child), expr)
         return None
 
     # -- operator choice ------------------------------------------------

@@ -1,6 +1,6 @@
 """Extended RA (grouping/aggregation) and the Section 5 linear plans."""
 
-from repro.extended.ast import AGG_FUNCS, Aggregate, GroupBy, Sort, group_by
+from repro.extended.ast import AGG_FUNCS, Aggregate, GroupBy, group_by
 from repro.extended.division_plan import (
     containment_division_plan,
     equality_division_plan,
@@ -16,7 +16,6 @@ __all__ = [
     "AGG_FUNCS",
     "Aggregate",
     "GroupBy",
-    "Sort",
     "group_by",
     "containment_division_plan",
     "equality_division_plan",

@@ -4,8 +4,8 @@
 including grouping, sorting, and aggregation operators" — the paper
 closes by noting that in this richer algebra, containment- and
 equality-division become *linear*.  This package adds the γ operator
-(and a semantically transparent Sort marker) on top of the core AST so
-the Section 5 plans can be built, traced and measured.
+on top of the core AST so the Section 5 plans can be built, traced and
+measured.
 
 Set semantics carries over: a group's ``count`` over a position counts
 *distinct* values (rows are deduplicated), matching the paper's use
@@ -82,31 +82,7 @@ class GroupBy(Expr):
         return (self.child,)
 
 
-@dataclass(frozen=True)
-class Sort(Expr):
-    """An order-by marker: semantically the identity under set semantics.
-
-    Present because the paper names sorting among the practical
-    operators; plans built with it trace identically to their unsorted
-    forms, and the evaluator treats it as a no-op.
-    """
-
-    child: Expr
-    positions: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "positions", tuple(self.positions))
-        arity = self.child.arity
-        for position in self.positions:
-            if position < 1 or position > arity:
-                raise PositionError(position, arity, "sort")
-        self.__dict__["arity"] = arity
-
-    def children(self) -> tuple[Expr, ...]:
-        return (self.child,)
-
-
-cache_hashes(GroupBy, Sort)
+cache_hashes(GroupBy)
 
 
 def group_by(

@@ -1,4 +1,4 @@
-"""Evaluation of the extended algebra (γ and Sort nodes).
+"""Evaluation of the extended algebra (γ nodes).
 
 Implements the :data:`repro.algebra.evaluator.Extension` hook, so the
 core evaluator, memoization and tracing all work unchanged on extended
@@ -13,7 +13,7 @@ from repro.algebra.evaluator import Relation, evaluate
 from repro.algebra.trace import EvalTrace, trace
 from repro.data.database import Database, Row
 from repro.errors import SchemaError
-from repro.extended.ast import Aggregate, GroupBy, Sort
+from repro.extended.ast import Aggregate, GroupBy
 
 
 def _aggregate_value(aggregate: Aggregate, rows: list[Row]):
@@ -63,15 +63,13 @@ def extension(expr: Expr, db: Database, recurse) -> Relation | None:
     """The extended-algebra evaluation hook."""
     if isinstance(expr, GroupBy):
         return _eval_group_by(expr, recurse(expr.child))
-    if isinstance(expr, Sort):
-        return recurse(expr.child)  # identity under set semantics
     return None
 
 
 def evaluate_extended(
     expr: Expr, db: Database, memo: dict[Expr, Relation] | None = None
 ) -> Relation:
-    """Evaluate an expression that may contain γ / Sort nodes."""
+    """Evaluate an expression that may contain γ nodes."""
     return evaluate(expr, db, memo, extension)
 
 

@@ -109,7 +109,7 @@ class ExecutionReport:
     def render(self) -> str:
         """Human-readable report: cache outcome + the stats report.
 
-        Parallel operators show up through the stats report: each
+        Pooled batches show up through the stats report: each
         :class:`~repro.engine.parallel.ParallelRun` renders its batch
         counts plus per-worker batch assignments and in-worker
         wall-clock seconds.

@@ -143,12 +143,12 @@ def divide_nested_loop_eq(r: BinaryRelation, s: Iterable) -> frozenset[Value]:
 
 
 # ----------------------------------------------------------------------
-# Sort-merge division
+# Division by sort-merge
 # ----------------------------------------------------------------------
 
 
 def divide_sort_merge(r: BinaryRelation, s: Iterable) -> frozenset[Value]:
-    """Sort the dividend by (A, B) and merge each group with sorted S.
+    """Order the dividend by (A, B) and merge each group with sorted S.
 
     The ``O(n log n)`` strategy the paper's footnote 1 alludes to.
     """
@@ -333,7 +333,7 @@ def small_divisor_expr(divisor: Iterable, r: Expr | None = None) -> Expr:
 
 
 def divide_merge_count(r: BinaryRelation, s: Iterable) -> frozenset[Value]:
-    """Sort-based *aggregate* division (Graefe's merge-count variant).
+    """*Aggregate* division by sorting (Graefe's merge-count variant).
 
     Sorts the dividend by A only and counts divisor matches per group
     during a single scan — the sort-based sibling of

@@ -35,7 +35,7 @@ def sej_nested_loop(left: SetRelation, right: SetRelation) -> Pairs:
 
 
 def sej_sort(left: SetRelation, right: SetRelation) -> Pairs:
-    """Sort-based: canonicalize each set, sort, merge equal groups.
+    """By sorting: canonicalize each set, sort, merge equal groups.
 
     ``O(n log n + output)`` — the footnote-1 bound via sorting.
     """

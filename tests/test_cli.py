@@ -78,6 +78,14 @@ class TestSessionFlags:
             assert main(argv) == 0, argv
         capsys.readouterr()
 
+    def test_max_workers_needs_a_partition_budget(self, db_path, capsys):
+        # The pool runs only the batches a budget cuts.
+        argv = ["eval", "-d", db_path, "--max-workers", "2", "R join[2=1] S"]
+        assert main(argv) == 2
+        assert "needs a partition_budget" in capsys.readouterr().err
+        assert main([*argv[:3], "--partition-budget", "1000", *argv[3:]]) == 0
+        capsys.readouterr()
+
     def test_without_statistics_explain_plans_structurally(
         self, tmp_path, capsys
     ):

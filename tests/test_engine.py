@@ -358,7 +358,7 @@ class TestTwoEvaluators:
 
     def test_evaluate_needs_the_extension_hook_for_gamma(self, db):
         # evaluate() knows RA/SA nodes only; evaluate_extended is the
-        # documented form for γ / Sort expressions.
+        # documented form for γ expressions.
         gamma = containment_division_plan()
         with pytest.raises(SchemaError):
             evaluate(gamma, db)

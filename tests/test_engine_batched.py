@@ -1,16 +1,16 @@
 """One batched-execution driver: every runner runs the same batches.
 
-``PartitionedOp`` and ``ParallelOp`` share one pipeline (scatter →
-pack → runner → record; ``docs/engine.md`` § Partitioned execution)
-and differ only in *where* a batch runs.  The contract under test:
+A ``PartitionedOp`` runs one pipeline (scatter → pack → runner →
+record; ``docs/engine.md`` § Batched execution), and its ``workers``
+field says only *where* a batch runs.  The contract under test:
 
-* for each operator kind, budget and storage backend, the serial
-  loop, a ``workers=1`` ``ParallelOp``, real two- and three-worker
-  pools and a pool that breaks mid-run return the one-shot rows
-  **and**, under a budget, record-for-record the batches a serial run
-  on the memory backend records — neither the runner, the pool's width
-  nor the transport that ships fragments to the pool changes a batch,
-  a budget that holds the whole input runs one batch that never
+* for each operator kind, budget and storage backend, the in-process
+  loop (``workers=1``, built implicitly and explicitly), real two- and
+  three-worker pools and a pool that breaks mid-run return the
+  one-shot rows **and** record-for-record the batches an in-process
+  run on the memory backend records — neither the runner, the pool's
+  width nor the transport that ships fragments to the pool changes a
+  batch, a budget that holds the whole input runs one batch that never
   reaches the pool, and nothing is leaked;
 * the rungs of the degradation ladder that need a sick environment —
   a pool that cannot be created, shipment storage that cannot be
@@ -31,9 +31,9 @@ from repro.data.database import Database
 from repro.data.schema import Schema
 from repro.engine import (
     Executor,
-    ParallelOp,
     ParallelRun,
     PartitionedOp,
+    PartitionRun,
 )
 from repro.extended.division_plan import division_plan
 from repro.setjoins.division import classic_division_expr
@@ -97,7 +97,8 @@ KINDS = {
 
 RUNNERS = ("partitioned", "workers=1", "pool", "pool-3", "broken-pool")
 
-#: runner → the ``workers`` of its ``ParallelOp`` (``partitioned`` has none)
+#: runner → the ``workers`` of its ``PartitionedOp`` (``partitioned``
+#: leaves the field at its default)
 WORKERS = {"workers=1": 1, "pool": 2, "pool-3": 3, "broken-pool": 2}
 
 #: a budget no kind's input comes near: every kind packs one batch
@@ -124,10 +125,13 @@ class BrokenPool:
 
 
 def wrap(inner, budget, runner):
-    """``inner`` under the wrapper ``runner`` names (bare if it can't)."""
+    """``inner`` batched under ``budget`` by the runner ``runner`` names
+    (bare, one-shot, without a budget)."""
+    if budget is None:
+        return inner
     if runner == "partitioned":
-        return inner if budget is None else PartitionedOp(inner, 1, budget)
-    return ParallelOp(inner, 1, budget, WORKERS[runner])
+        return PartitionedOp(inner, 1, budget)
+    return PartitionedOp(inner, 1, budget, workers=WORKERS[runner])
 
 
 def execute(db, expr, budget, runner, backend="memory"):
@@ -155,7 +159,7 @@ def shape(run):
 @pytest.mark.parametrize("runner", RUNNERS)
 @pytest.mark.parametrize("backend", sorted(TRANSPORTS))
 @pytest.mark.parametrize(
-    "budget_case", ["tight", "degenerate", "ample", None]
+    "budget_case", ["tight", "degenerate", "ample", "loose"]
 )
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_every_runner_runs_the_same_batches(
@@ -166,7 +170,7 @@ def test_every_runner_runs_the_same_batches(
         "tight": tight,
         "degenerate": degenerate,
         "ample": AMPLE,
-        None: None,
+        "loose": 2 * tight,
     }[budget_case]
     db = make_db()
     one_shot, _ = execute(db, expr, None, "partitioned")
@@ -181,12 +185,13 @@ def test_every_runner_runs_the_same_batches(
     assert rows == one_shot
     assert shm_module.live_segment_names() == segments
 
-    if runner != "partitioned":
+    if WORKERS.get(runner, 1) == 1:
+        assert type(run) is PartitionRun  # in-process: no pool record
+    else:
         assert isinstance(run, ParallelRun)
         assert len(run.timings) == run.actual()
         if run.actual() > 1:
             expected = {
-                "workers=1": None,
                 "pool": None,
                 "pool-3": None,
                 "broken-pool": "worker pool broke (worker died)",
@@ -198,19 +203,15 @@ def test_every_runner_runs_the_same_batches(
             )
         else:
             # One batch never reaches the pool, healthy or broken.
-            assert run.pool_fallback == (
-                "single batch" if WORKERS[runner] > 1 else None
-            )
+            assert run.pool_fallback == "single batch"
             assert run.transport is None
-    if budget is None:
-        return
     assert run.within_budget()
     _, serial = execute(db, expr, budget, "partitioned")
     assert not hasattr(serial, "timings")
     assert shape(run) == shape(serial)
     assert run.fallback == serial.fallback
     assert run.replicated_rows == serial.replicated_rows
-    if budget_case == "tight":
+    if budget_case in ("tight", "loose"):
         assert run.actual() > 1 and run.fallback is None
     elif budget_case == "ample":
         assert run.actual() == 1 and run.fallback is None

@@ -184,15 +184,15 @@ def _plan_node_kinds() -> set:
 def _representative_plans() -> list:
     """One planned (or hand-wrapped) example per operator kind.
 
-    ``ParallelOp``/``PartitionedOp``/``MultiwayJoinOp`` were added
+    ``PartitionedOp``/``MultiwayJoinOp`` were added
     without printer coverage — this sweep pins every current *and*
     future node kind to the rendering contract (the exhaustiveness
     guard below fails when a new operator ships without an example).
     """
     from repro.data.database import Database, database
-    from repro.engine.plan import ParallelOp
+    from repro.engine.plan import PartitionedOp
     from repro.algebra.ast import Projection
-    from repro.extended.ast import GroupBy, Sort
+    from repro.extended.ast import GroupBy
     from tests.strategies import CYCLE_SCHEMA, cycle_expr
 
     core = [
@@ -214,7 +214,6 @@ def _representative_plans() -> list:
     plans.append(plan_expression(ConstantTag(Rel("R", 2), 5)))
     plans.append(plan_expression(classic_division_expr()))
     plans.append(plan_expression(GroupBy(Rel("R", 2), (1,), ())))
-    plans.append(plan_expression(Sort(Rel("R", 2), (1,))))
     # Cost-gated operators need databases that actually trigger them.
     edge = frozenset(
         {(i, 0) for i in range(1, 21)}
@@ -240,11 +239,11 @@ def _representative_plans() -> list:
     plans.append(partitioned)
     inner = partitioned.nodes()
     plans.append(
-        ParallelOp(
+        PartitionedOp(
             next(n for n in inner if type(n).__name__ == "HashJoinOp"),
             1,
-            None,
-            2,
+            16,
+            workers=2,
         )
     )
     return plans
@@ -266,7 +265,7 @@ def test_every_plan_node_kind_has_a_rendering_example():
 
 
 def test_every_node_kind_explains_and_core_logicals_roundtrip():
-    from repro.extended.ast import GroupBy, Sort
+    from repro.extended.ast import GroupBy
 
     for plan in _representative_plans():
         text = plan.explain()
@@ -275,8 +274,8 @@ def test_every_node_kind_explains_and_core_logicals_roundtrip():
         for node in plan.nodes():
             logical = node.logical
             rendered = to_ascii(logical)
-            assert rendered  # extended γ/sort render but do not parse
-            if not isinstance(logical, (GroupBy, Sort)):
+            assert rendered  # extended γ renders but does not parse
+            if not isinstance(logical, GroupBy):
                 schema = {"R": 2, "S": 1, "E": 2, "F": 2, "G": 2, "H": 2}
                 assert parse(rendered, schema) == logical
 

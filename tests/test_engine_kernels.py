@@ -12,6 +12,7 @@ kernels receive atoms and compile inside the worker.
 
 import pickle
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -36,7 +37,6 @@ from repro.engine.plan import (
     MultiwayJoinOp,
     NestedLoopJoinOp,
     NestedLoopSemijoinOp,
-    ParallelOp,
     PartitionedOp,
     PlanNode,
     ScanOp,
@@ -356,7 +356,7 @@ def test_batch_task_arguments_carry_atoms_not_closures():
     )
     executor = Executor(db)
     for inner in inners:
-        scatter = scatter_for(executor, inner, 1000)
+        scatter = scatter_for(executor, inner)
         task = scatter.task(tuple(scatter.weights), None)
         kernel, args = pickle.loads(pickle.dumps((task.kernel, task.args)))
         assert args == task.args
@@ -541,7 +541,6 @@ LISTED = (
     HashSemijoinOp,
     NestedLoopSemijoinOp,
     PartitionedOp,
-    ParallelOp,
 )
 
 #: The listed operators that may instead hold their left input itself,
@@ -565,12 +564,12 @@ MEMO_PLANS = (
 
 
 def batches_through_the_parallel_driver(plan):
-    """``plan`` with every ``PartitionedOp`` as a one-worker ``ParallelOp``."""
+    """``plan`` with every ``PartitionedOp`` on two pool workers."""
 
     def step(node, descend):
         node = descend(node)
         if isinstance(node, PartitionedOp):
-            return ParallelOp(node.inner, node.partitions, node.budget, 1)
+            return replace(node, workers=2)
         return node
 
     return rewrite_plan(plan, step)
@@ -707,8 +706,9 @@ def test_partitioned_division_validates_no_row_but_public_calls_do():
         sys.setprofile(None)
     assert result == frozenset((a,) for a in range(n // 4))
     batches = executor.stats.partition_runs[wrapped[0]].actual()
-    # Each batch runs the one-shot ∀ test over its fragment's set
-    # grouping: no batch enters the direct algorithms' validation at all.
+    # Each batch runs the one-shot ∀ test over its slice of the
+    # dividend's cached set grouping: no batch enters the direct
+    # algorithms' validation at all.
     assert batches > 1 and seen["entries"] == 0
     assert seen["quotients"] == batches
     assert seen["row_checks"] == 0
@@ -949,6 +949,39 @@ def test_a_multiway_join_over_a_dividend_still_builds_its_trie(
         kinds = {kind[0] for __, kind in session.executor.indexes._indexes}
     assert kinds == {"sets", "trie"}
     assert calls and set(calls) == {Rel("R", 2)}
+
+
+def test_a_warm_batched_division_groups_its_dividend_once(monkeypatch):
+    """A batched division reads the set grouping a one-shot division
+    caches: beside a one-shot run, three warm runs under a budget group
+    the dividend once, and it is cached under one key."""
+    grouped = []
+    set_groups = kernels.set_groups
+
+    def counted(rows):
+        grouped.append(len(rows))
+        return set_groups(rows)
+
+    monkeypatch.setattr(kernels, "set_groups", counted)
+    db = division_database(
+        num_keys=100, divisor_size=4, extra_per_key=2, seed=7
+    )
+    expr = division.classic_division_expr()
+    oracle = evaluate(expr, db)
+    batched = PlannerOptions(partition_budget=60)
+    with Session(db, cache_results=False) as session:
+        assert session.run(expr) == oracle
+        for __ in range(3):
+            assert session.run(expr, batched) == oracle
+            (run,) = session.last_report.stats.partition_runs.values()
+            assert run.actual() > 1
+        keys = [
+            key
+            for key in session.executor.indexes._indexes
+            if key[0] == Rel("R", 2)
+        ]
+    assert grouped == [len(db["R"])]
+    assert keys == [(Rel("R", 2), ("sets",))]
 
 
 def test_swapped_contents_are_never_read_from_a_stale_trie_or_index():

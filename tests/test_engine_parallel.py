@@ -1,15 +1,17 @@
-"""Shard-per-worker parallel execution: gate, equivalence, staleness.
+"""The pool runner of batched execution: gate, equivalence, staleness.
 
-The contract under test (see ``docs/engine.md`` § Parallel execution):
+The contract under test (see ``docs/engine.md`` § Batched execution):
 
-* the planner emits a :class:`~repro.engine.plan.ParallelOp` iff
-  ``max_workers > 1``, statistics are present, and the cost model's
-  *sound* bounds certify that the parallel cost (scatter + IPC +
-  divided work + fixed overheads) beats serial — zero-stats plans
-  never parallelize, and serial (``max_workers=1``) planning is
-  byte-identical to planning without the option;
-* parallel execution computes exactly the serial partitioned, serial
-  unpartitioned, and brute-force-oracle relation, across worker
+* the planner gives a :class:`~repro.engine.plan.PartitionedOp`
+  ``workers > 1`` iff ``max_workers > 1``, statistics are present, and
+  the cost model's *sound* bounds certify that the parallel cost
+  (scatter + IPC + divided work + fixed overheads) beats serial —
+  zero-stats plans never parallelize, ``max_workers > 1`` without a
+  ``partition_budget`` is refused, and serial (``max_workers=1``)
+  planning is byte-identical to planning without the option;
+* the pool runs the batches the budget cuts: its batch records equal
+  the in-process run's, and its rows equal the serial partitioned,
+  serial unpartitioned and brute-force-oracle relation, across worker
   counts (differential property on random plans and databases);
 * a mutation while batches are out at the pool raises
   :class:`~repro.errors.StaleDataError` when results are gathered,
@@ -21,7 +23,7 @@ The contract under test (see ``docs/engine.md`` § Parallel execution):
 import math
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -35,15 +37,15 @@ from repro.data.schema import Schema
 from repro.engine import (
     CostModel,
     Executor,
-    ParallelOp,
     ParallelRun,
     PartitionedOp,
+    PartitionRun,
     PlannerOptions,
     apply_parallelism,
     plan_expression,
 )
 from repro.engine.cost import parallel_cost_split, parallel_work_bound
-from repro.engine.plan import PARTITIONABLE_OPS, PlanNode, ScanOp
+from repro.engine.plan import PlanNode, ScanOp, rewrite_plan
 from repro.errors import SchemaError, StaleDataError
 from repro.session import Session
 from repro.setjoins.division import classic_division_expr
@@ -82,42 +84,34 @@ def hot_symptom_db(groups=8, persons=2400, diseases=800):
 
 HOT_QUERY = "Person semijoin[2=2,1>1] Disease"
 
+#: A budget that batches the hot semijoin, and a pool it certifies.
+HOT_OPTIONS = PlannerOptions(partition_budget=800, max_workers=4)
 
-def force_parallel(node: PlanNode, workers: int) -> PlanNode:
-    """Wrap every partitionable operator in a ParallelOp, gate bypassed.
 
-    The differential tests need parallel execution on databases far too
-    small for the cost gate to ever choose it; this mirrors the
-    planner's conversion (PartitionedOp keeps its budget and batch
-    count, bare operators go budget-free) without the profitability
-    check.
+def force_parallel(plan: PlanNode, workers: int) -> PlanNode:
+    """``plan`` with every batched operator on ``workers``, gate bypassed.
+
+    The differential tests need pooled execution on databases far too
+    small for the cost gate to ever choose it; this is the planner's
+    conversion — the budget and batch count kept, ``workers`` set —
+    without the profitability check.
     """
-    if isinstance(node, PartitionedOp):
-        return ParallelOp(
-            force_parallel_children(node.inner, workers),
-            node.partitions,
-            node.budget,
-            workers,
-        )
-    rebuilt = force_parallel_children(node, workers)
-    if isinstance(rebuilt, PARTITIONABLE_OPS):
-        return ParallelOp(rebuilt, 1, None, workers)
-    return rebuilt
 
+    def step(node: PlanNode, descend) -> PlanNode:
+        node = descend(node)
+        if isinstance(node, PartitionedOp):
+            return replace(node, workers=workers)
+        return node
 
-def force_parallel_children(node: PlanNode, workers: int) -> PlanNode:
-    changes = {}
-    for f in fields(node):
-        value = getattr(node, f.name)
-        if isinstance(value, PlanNode):
-            new = force_parallel(value, workers)
-            if new is not value:
-                changes[f.name] = new
-    return replace(node, **changes) if changes else node
+    return rewrite_plan(plan, step)
 
 
 def parallel_nodes(plan: PlanNode):
-    return [n for n in plan.nodes() if isinstance(n, ParallelOp)]
+    return [
+        n
+        for n in plan.nodes()
+        if isinstance(n, PartitionedOp) and n.workers > 1
+    ]
 
 
 def parallel_runs(executor):
@@ -133,35 +127,45 @@ def parallel_runs(executor):
 # ----------------------------------------------------------------------
 
 
-class TestParallelOp:
+class TestWorkers:
     def test_rejects_unpartitionable_inner(self):
         scan = ScanOp(parse("R", SCHEMA))
         with pytest.raises(SchemaError):
-            ParallelOp(scan, 1, None, 2)
+            PartitionedOp(scan, 1, 10, workers=2)
 
     def test_rejects_bad_counts(self):
         plan = plan_expression(parse("R join[2=1] S", SCHEMA))
         (join,) = [n for n in plan.nodes() if not isinstance(n, ScanOp)]
         with pytest.raises(SchemaError):
-            ParallelOp(join, 0, None, 2)
+            PartitionedOp(join, 0, 10, workers=2)
         with pytest.raises(SchemaError):
-            ParallelOp(join, 1, 0, 2)
+            PartitionedOp(join, 1, 0, workers=2)
         with pytest.raises(SchemaError):
-            ParallelOp(join, 1, None, 0)
+            PartitionedOp(join, 1, 10, workers=0)
 
     def test_label_and_logical(self):
         plan = plan_expression(parse("R join[2=1] S", SCHEMA))
         (join,) = [n for n in plan.nodes() if not isinstance(n, ScanOp)]
-        node = ParallelOp(join, 3, 50, 4)
-        assert node.label() == "Parallel[k=3,budget=50,workers=4]"
+        node = PartitionedOp(join, 3, 50, workers=4)
+        assert node.label() == "Partitioned[k=3,budget=50,workers=4]"
         assert node.logical is join.logical
-        free = ParallelOp(join, 3, None, 4)
-        assert free.label() == "Parallel[k=3,budget=none,workers=4]"
+        serial = PartitionedOp(join, 3, 50)
+        assert serial.workers == 1
+        assert serial.label() == "Partitioned[k=3,budget=50]"
+        assert node != serial
+        assert node.fingerprint() != serial.fingerprint()
 
     def test_options_validate_workers(self):
         with pytest.raises(SchemaError):
             PlannerOptions(max_workers=0)
         assert PlannerOptions(max_workers=1).max_workers == 1
+
+    def test_workers_need_a_partition_budget(self):
+        # The pool runs only the batches a budget cuts.
+        with pytest.raises(SchemaError, match="partition_budget"):
+            PlannerOptions(max_workers=2)
+        options = PlannerOptions(partition_budget=10, max_workers=2)
+        assert options.max_workers == 2
 
 
 # ----------------------------------------------------------------------
@@ -173,11 +177,10 @@ class TestDispatchGate:
     def test_quadratic_workload_is_sharded(self):
         db = hot_symptom_db()
         executor = Executor(db)
-        plan = executor.plan(
-            parse(HOT_QUERY, db.schema), PlannerOptions(max_workers=4)
-        )
+        plan = executor.plan(parse(HOT_QUERY, db.schema), HOT_OPTIONS)
         (node,) = parallel_nodes(plan)
         assert node.workers == 4
+        assert node.budget == 800
         assert "beats serial" in node.note
 
     def test_small_workload_stays_serial(self):
@@ -190,15 +193,17 @@ class TestDispatchGate:
         )
         executor = Executor(db)
         plan = executor.plan(
-            parse("R join[2=1] S", SCHEMA), PlannerOptions(max_workers=4)
+            parse("R join[2=1] S", SCHEMA),
+            PlannerOptions(partition_budget=20, max_workers=4),
         )
+        assert any(isinstance(n, PartitionedOp) for n in plan.nodes())
         assert not parallel_nodes(plan)
 
     def test_zero_stats_plans_never_parallelize(self):
         # No catalog ⇒ unsound bounds ⇒ nothing certifies the dispatch.
         plan = plan_expression(
             parse(HOT_QUERY, hot_symptom_db().schema),
-            options=PlannerOptions(max_workers=8),
+            options=PlannerOptions(partition_budget=800, max_workers=8),
         )
         assert not parallel_nodes(plan)
 
@@ -216,24 +221,28 @@ class TestDispatchGate:
             expr, PlannerOptions(max_workers=1)
         ) == Executor(db).plan(expr)
 
-    def test_partitioned_wrapper_keeps_its_budget_when_sharded(self):
+    def test_workers_keep_the_serial_batching(self):
         db = hot_symptom_db(groups=8, persons=1600, diseases=600)
         executor = Executor(db)
         options = PlannerOptions(partition_budget=400, max_workers=4)
-        plan = executor.plan(parse(HOT_QUERY, db.schema), options)
-        nodes = parallel_nodes(plan)
-        if nodes:  # the gate certified: budget must survive conversion
-            assert all(n.budget == 400 for n in nodes)
-            assert not any(
-                isinstance(n, PartitionedOp) for n in plan.nodes()
-            )
+        expr = parse(HOT_QUERY, db.schema)
+        nodes = parallel_nodes(executor.plan(expr, options))
+        serial = [
+            n
+            for n in executor.plan(expr, replace(options, max_workers=1))
+            .nodes()
+            if isinstance(n, PartitionedOp)
+        ]
+        assert nodes and [n.workers for n in serial] == [1]
+        # The gate set one field: inner, batch count and budget stay.
+        assert [(n.inner, n.partitions, n.budget) for n in nodes] == [
+            (n.inner, n.partitions, n.budget) for n in serial
+        ]
 
     def test_apply_parallelism_is_idempotent(self):
         db = hot_symptom_db()
         executor = Executor(db)
-        plan = executor.plan(
-            parse(HOT_QUERY, db.schema), PlannerOptions(max_workers=4)
-        )
+        plan = executor.plan(parse(HOT_QUERY, db.schema), HOT_OPTIONS)
         assert parallel_nodes(plan)
         again = apply_parallelism(plan, executor.cost_model, 4)
         assert again == plan
@@ -254,15 +263,13 @@ class TestDispatchGate:
     def test_split_is_none_without_stats(self):
         plan = plan_expression(parse("R join[2=1] S", SCHEMA))
         (join,) = [n for n in plan.nodes() if not isinstance(n, ScanOp)]
-        node = ParallelOp(join, 1, None, 4)
+        node = PartitionedOp(join, 1, 10, workers=4)
         assert parallel_cost_split(CostModel(), node) is None
 
     def test_cost_model_prices_parallel_like_inner_output(self):
         db = hot_symptom_db()
         executor = Executor(db)
-        plan = executor.plan(
-            parse(HOT_QUERY, db.schema), PlannerOptions(max_workers=4)
-        )
+        plan = executor.plan(parse(HOT_QUERY, db.schema), HOT_OPTIONS)
         (node,) = parallel_nodes(plan)
         outer = executor.cost_model.estimate(node)
         inner = executor.cost_model.estimate(node.inner)
@@ -276,12 +283,9 @@ class TestDispatchGate:
         assert outer.cost == parallel_cost
 
     def test_explain_costs_renders_the_parallel_node(self):
-        session = Session(
-            hot_symptom_db(), options=PlannerOptions(max_workers=4)
-        )
+        session = Session(hot_symptom_db(), options=HOT_OPTIONS)
         text = session.explain(HOT_QUERY, costs=True)
-        assert "Parallel[" in text
-        assert "workers=4" in text
+        assert "Partitioned[k=7,budget=800,workers=4]" in text
 
 
 # ----------------------------------------------------------------------
@@ -294,12 +298,14 @@ class TestParallelExecution:
         db = hot_symptom_db(groups=6, persons=300, diseases=120)
         expr = parse("Person join[2=2] Disease", db.schema)
         executor = Executor(db)
-        plan = force_parallel(executor.plan(expr), 2)
+        options = PlannerOptions(partition_budget=2000)
+        plan = force_parallel(executor.plan(expr, options), 2)
         assert parallel_nodes(plan)
         result = executor.execute(plan)
         assert result == evaluate_reference(expr, db)
         (run,) = parallel_runs(executor)
-        assert run.workers == 2
+        assert run.workers == 2 and run.budget == 2000
+        assert run.actual() > 1 and run.pool_fallback is None
         assert run.actual() == len(run.timings)
         slices = run.worker_slices()
         assert sum(s.batches for s in slices) == run.actual()
@@ -313,8 +319,11 @@ class TestParallelExecution:
         )
         expr = parse("R join[2=1] S", SCHEMA)
         executor = Executor(db)
-        plan = force_parallel(plan_expression(expr), 4)
-        assert parallel_nodes(plan)
+        (join,) = [
+            n for n in plan_expression(expr).nodes()
+            if not isinstance(n, ScanOp)
+        ]
+        plan = PartitionedOp(join, 1, 10**6, workers=4)
         result = executor.execute(plan)
         assert result == evaluate_reference(expr, db)
         (run,) = parallel_runs(executor)
@@ -342,7 +351,8 @@ class TestParallelExecution:
         db = hot_symptom_db(groups=6, persons=200, diseases=80)
         expr = parse(HOT_QUERY, db.schema)
         executor = Executor(db)
-        plan = force_parallel(executor.plan(expr), 3)
+        options = PlannerOptions(partition_budget=100)
+        plan = force_parallel(executor.plan(expr, options), 3)
         result = executor.execute(plan)
         assert result == evaluate_reference(expr, db)
         (run,) = parallel_runs(executor)
@@ -356,13 +366,13 @@ class TestParallelExecution:
         )
         expr = classic_division_expr()
         executor = Executor(db)
-        plan = force_parallel(executor.plan(expr), 2)
+        options = PlannerOptions(partition_budget=5)
+        plan = force_parallel(executor.plan(expr, options), 2)
+        assert parallel_nodes(plan)
         assert executor.execute(plan) == evaluate_reference(expr, db)
 
     def test_session_report_surfaces_worker_timings(self):
-        session = Session(
-            hot_symptom_db(), options=PlannerOptions(max_workers=4)
-        )
+        session = Session(hot_symptom_db(), options=HOT_OPTIONS)
         session.run(HOT_QUERY)
         text = session.last_report.render()
         assert "workers=4" in text
@@ -448,15 +458,62 @@ def test_parallel_matches_serial_and_oracle(expr, db, workers):
     assert partitioned == oracle
 
     par = Executor(db)
-    plan = force_parallel(par.plan(expr), workers)
+    plan = force_parallel(
+        par.plan(expr, PlannerOptions(partition_budget=5)), workers
+    )
     assert par.execute(plan) == oracle
 
 
 @PROPERTY
 @given(expressions(max_depth=3), databases(), st.sampled_from([2, 4]))
 def test_parallel_over_budgeted_plans_matches_oracle(expr, db, workers):
-    """Budget-carrying ParallelOps reproduce the serial batches exactly."""
+    """Pooled batched operators reproduce the serial rows exactly."""
     executor = Executor(db)
     serial = executor.plan(expr, PlannerOptions(partition_budget=3))
     plan = force_parallel(serial, workers)
     assert executor.execute(plan) == evaluate_reference(expr, db)
+
+
+# ----------------------------------------------------------------------
+# The pool runs the batches the budget cuts
+# ----------------------------------------------------------------------
+
+
+def batch_shape(run):
+    return [
+        (b.groups, b.input_rows, b.output_rows, b.in_flight, b.fallback)
+        for b in run.batches
+    ]
+
+
+@pytest.mark.parametrize("backend", ["memory", "shm"])
+def test_pooled_batches_are_the_serial_ones_on_the_fig1_semijoin(backend):
+    """The Fig. 1 semijoin under a budget: one plan node, whose
+    ``workers`` moves its batches to the pool and changes none."""
+    db = hot_symptom_db(groups=8, persons=1200, diseases=400)
+    options = PlannerOptions(partition_budget=800, max_workers=2)
+    oracle = evaluate_reference(parse(HOT_QUERY, db.schema), db)
+    seen = []
+    with Session(
+        db, options=options, cache_results=False, backend=backend
+    ) as session:
+        for workers in (2, 1):
+            query = session.query(
+                HOT_QUERY, replace(options, max_workers=workers)
+            )
+            assert query.run() == oracle
+            (run,) = query.last_report.stats.partition_runs.values()
+            seen.append((query.plan().label(), run))
+    (pooled_label, pooled), (serial_label, serial) = seen
+    assert pooled_label == "Partitioned[k=4,budget=800,workers=2]"
+    assert serial_label == "Partitioned[k=4,budget=800]"
+    assert isinstance(pooled, ParallelRun) and pooled.pool_fallback is None
+    assert type(serial) is PartitionRun
+    assert pooled.actual() > 1
+    assert batch_shape(pooled) == batch_shape(serial)
+    assert (pooled.planned, pooled.budget, pooled.fallback) == (
+        serial.planned,
+        serial.budget,
+        serial.fallback,
+    )
+    assert pooled.within_budget() and serial.within_budget()

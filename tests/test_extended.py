@@ -7,7 +7,7 @@ from repro.algebra.ast import Rel, rel
 from repro.data.database import database
 from repro.data.schema import Schema
 from repro.errors import PositionError, SchemaError
-from repro.extended.ast import Aggregate, GroupBy, Sort, group_by
+from repro.extended.ast import Aggregate, GroupBy, group_by
 from repro.extended.division_plan import (
     containment_division_plan,
     equality_division_plan,
@@ -45,14 +45,6 @@ class TestGroupByNode:
     def test_unknown_aggregate(self):
         with pytest.raises(SchemaError):
             Aggregate("avg", 1)
-
-    def test_sort_is_identity(self, db):
-        node = Sort(rel("R", 2), (2, 1))
-        assert evaluate_extended(node, db) == db["R"]
-
-    def test_sort_positions_validated(self):
-        with pytest.raises(PositionError):
-            Sort(rel("R", 2), (3,))
 
 
 class TestGroupByEvaluation:

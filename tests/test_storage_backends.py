@@ -354,9 +354,10 @@ class TestExecutorIntegration:
 
 
 class TestParallelShipment:
-    def run_forced(self, db, expr, kind, workers=3):
+    def run_forced(self, db, expr, kind, budget, workers=3):
         executor = Executor(db, backend=kind)
-        plan = force_parallel(executor.plan(expr), workers)
+        options = PlannerOptions(partition_budget=budget)
+        plan = force_parallel(executor.plan(expr, options), workers)
         result = executor.execute(plan)
         runs = parallel_runs(executor)
         executor.close()
@@ -374,7 +375,7 @@ class TestParallelShipment:
             },
         )
         expr = parse("Person semijoin[2=2,1>1] Disease", db.schema)
-        result, runs = self.run_forced(db, expr, kind)
+        result, runs = self.run_forced(db, expr, kind, budget=200)
         assert result == evaluate_reference(expr, db)
         (run,) = runs
         assert run.pool_fallback is None
