@@ -17,7 +17,7 @@ e.g.::
 
 import sys
 
-from repro.algebra import parse, to_text
+from repro.algebra import parse
 from repro.core import Verdict, classify, compile_to_sa, measure_growth
 from repro.core.growth import blowup_family
 from repro.data import Schema, database

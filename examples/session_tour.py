@@ -46,9 +46,9 @@ print("\nexecution report (cold run):")
 print(session.last_report.render())
 
 # ----------------------------------------------------------------------
-# 3. Re-running the same prepared query (or a *structurally shared*
-#    one that plans to the same physical shape) is a cache hit:
-#    zero physical operators execute.
+# 3. Re-running the same query is a cache hit, answered before
+#    planning: the cache is keyed by the expression, the options and
+#    the contents' version token, and zero physical operators execute.
 # ----------------------------------------------------------------------
 
 frequents.run()

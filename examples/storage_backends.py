@@ -14,7 +14,7 @@ gate, and deterministic cleanup.
 """
 
 from repro import Session, database
-from repro.engine import Executor, PlannerOptions
+from repro.engine import Executor
 from repro.errors import SchemaError, StaleDataError
 from repro.storage import BACKEND_KINDS, open_backend
 from repro.storage.shm import live_segment_names

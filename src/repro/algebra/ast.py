@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.algebra.conditions import Condition, condition
 from repro.data.universe import Value

@@ -32,7 +32,6 @@ from repro.algebra.ast import (
     Selection,
     Semijoin,
     Union,
-    identity_projection,
 )
 from repro.algebra.conditions import Atom, Condition
 from repro.errors import FragmentError, SchemaError

@@ -18,7 +18,7 @@ from typing import Mapping
 
 from repro.algebra.ast import Expr
 from repro.algebra.evaluator import Relation, evaluate
-from repro.data.database import Database, Row
+from repro.data.database import Database
 
 
 @dataclass(frozen=True)

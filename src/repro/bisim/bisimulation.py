@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import permutations
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.bisim.partial_iso import (
     PartialIso,
@@ -36,7 +36,6 @@ from repro.bisim.partial_iso import (
 )
 from repro.data.database import Database, Row
 from repro.data.universe import Value
-from repro.errors import SchemaError
 
 
 def _forth_ok(

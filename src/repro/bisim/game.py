@@ -22,11 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Literal
 
-from repro.bisim.bisimulation import (
-    _back_ok,
-    _forth_ok,
-    greatest_bisimulation,
-)
+from repro.bisim.bisimulation import greatest_bisimulation
 from repro.bisim.partial_iso import (
     PartialIso,
     is_c_partial_isomorphism,

@@ -29,10 +29,10 @@ suite and the FIG4/THM17 experiments replay them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
-from repro.algebra.ast import Expr, Join, Semijoin
+from repro.algebra.ast import Join, Semijoin
 from repro.algebra.evaluator import evaluate
 from repro.core.freevalues import free_values
 from repro.core.joininfo import JoinInfo

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.algebra.ast import Expr, Join, Semijoin
+from repro.algebra.ast import Join, Semijoin
 from repro.core.joininfo import JoinInfo
 from repro.data.database import Row
 from repro.data.universe import Universe, Value

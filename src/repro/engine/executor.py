@@ -248,11 +248,11 @@ class IndexCache:
         Sightings go with the cache.  The grouping's keys are what a
         semijoin compares with its right index's keys to learn, without
         reading a row, that it keeps its whole left input."""
-        cache_key = (key, positions)
+        slot = (key, positions)
         with self._lock:
-            if cache_key not in self._indexes:
-                if cache_key not in self._sighted:
-                    self._sighted.add(cache_key)
+            if slot not in self._indexes:
+                if slot not in self._sighted:
+                    self._sighted.add(slot)
                     return None
                 if self.rows_indexed + len(rows) > self.row_budget:
                     return None
@@ -273,8 +273,8 @@ class IndexCache:
         """
         from repro.engine.wcoj import build_trie
 
-        cache_key = (key, ("trie",) + columns_by_variable)
-        return self._fetch(cache_key, build_trie, rows, columns_by_variable)
+        slot = (key, ("trie",) + columns_by_variable)
+        return self._fetch(slot, build_trie, rows, columns_by_variable)
 
     def sets_for(self, key: object, rows: Collection[Row]) -> dict:
         """Build/fetch a binary input's set grouping (:func:`repro.
@@ -293,29 +293,29 @@ class IndexCache:
         with self._lock:
             return self._hit((key, positions))
 
-    def _fetch(self, cache_key, build, *args):
-        """The payload under ``cache_key`` (a reuse), or ``build(*args)``'s
+    def _fetch(self, slot, build, *args):
+        """The payload under ``slot`` (a reuse), or ``build(*args)``'s
         ``(payload, rows counted)``, admitted (a build)."""
         with self._lock:
-            payload = self._hit(cache_key)
+            payload = self._hit(slot)
             if payload is None:
                 payload, count = build(*args)
-                self._admit(cache_key, payload, count)
+                self._admit(slot, payload, count)
             return payload
 
-    def _hit(self, cache_key):
+    def _hit(self, slot):
         """The cached payload, marked most recent and counted as a
         reuse, or ``None`` (lock held)."""
-        cached = self._indexes.get(cache_key)
+        cached = self._indexes.get(slot)
         if cached is None:
             return None
-        self._indexes.move_to_end(cache_key)
+        self._indexes.move_to_end(slot)
         self.reuses += 1
         return cached[0]
 
-    def _admit(self, cache_key, built, count: int) -> None:
+    def _admit(self, slot, built, count: int) -> None:
         """Record a fresh build and rebalance the LRU (lock held)."""
-        self._indexes[cache_key] = (built, count)
+        self._indexes[slot] = (built, count)
         self.builds += 1
         self.rows_indexed += count
         while (
@@ -366,18 +366,16 @@ class ResultCache:
     moves it, and a write that restores earlier contents restores the
     earlier token — A→B→A *is* the same contents, so an entry stored
     under A is as correct after the swap back as it was before it.
-    Staleness is therefore structural, not temporal, and the two
-    owners differ only in what they keep:
+    Staleness is therefore structural, not temporal.  Both owners key
+    on what fixes a query's rows — the expression asked for and the
+    token, whatever plan computes them — and differ only in what they
+    keep:
 
-    * a :class:`~repro.session.Session` keys on ``(plan fingerprint,
-      planner options, token)`` (:meth:`Executor.cache_key` — the
-      fingerprint says *what* is computed, so distinct texts that plan
-      to the same physical shape share one entry; the options tell
-      apart plans one fingerprint could not and keep ablation runs
-      honest) and **invalidates**: :meth:`Executor.check_version` calls
-      :meth:`invalidate` on every token movement, because a session
-      serves one contents at a time and has no use for the last one's
-      rows;
+    * a :class:`~repro.session.Session` keys on ``(expression, planner
+      options, token)`` (the options keep ablation runs honest) and
+      **invalidates**: it calls :meth:`invalidate` when it sees the
+      token move, because a session serves one contents at a time and
+      has no use for the last one's rows;
     * a :class:`~repro.serve.server.Server` keys its front-door cache
       on ``(token, expression)`` and **retains by token**: reads pinned
       to the contents a write just replaced are still arriving, and a
@@ -524,12 +522,7 @@ class Executor:
     #: Max (expression, options) plans and per-plan estimate maps kept.
     PLAN_CACHE_SIZE = 512
 
-    def __init__(
-        self,
-        db: Database,
-        results: ResultCache | None = None,
-        backend=None,
-    ) -> None:
+    def __init__(self, db: Database, backend=None) -> None:
         from repro.engine.stats import StatsCatalog
         from repro.storage import Backend, open_backend
 
@@ -567,11 +560,6 @@ class Executor:
             OrderedDict()
         )
         self._fresh_cost_model()
-        #: The cross-query result cache seam (None → no caching).  The
-        #: :class:`~repro.session.Session` front door passes one in;
-        #: it is invalidated with every other cache on version-token
-        #: movement, so a mutated database is never served stale rows.
-        self.results = results
         self._memo: dict[PlanNode, Relation] = {}
         self._plans: "OrderedDict[tuple[Expr, object], PlanNode]" = (
             OrderedDict()
@@ -601,8 +589,6 @@ class Executor:
         self.catalog.invalidate()
         self._fresh_cost_model()
         self.stats = ExecutionStats()
-        if self.results is not None:
-            self.results.invalidate()
         # The shm backend snapshots contents at encode time; re-encode
         # so the next scan reads the new contents instead of raising
         # StaleDataError on the stale snapshot.
@@ -664,37 +650,6 @@ class Executor:
         self.stats.index_reuses = self.indexes.reuses
         self.stats.node_estimates.update(self._estimates_for(plan))
         return result
-
-    def cache_key(self, plan: PlanNode, options) -> tuple:
-        """The result-cache key for ``plan`` under ``options`` *now*.
-
-        ``(plan fingerprint, planner options, version token)`` — see
-        :class:`ResultCache` for why each component is needed.  Call
-        after :meth:`check_version` (``plan``/``execute`` do) so the
-        token matches the statistics the plan was priced against.
-        """
-        return (plan.fingerprint(), options, self._version)
-
-    def execute_cached(self, plan: PlanNode, options) -> tuple[Relation, bool]:
-        """Execute ``plan``, serving from the result cache when possible.
-
-        Returns ``(rows, cached)``.  On a hit no plan node is
-        dispatched at all — ``ExecutionStats`` records zero operator
-        executions — which is the contract the session-level cache
-        tests assert.  On a miss the result is computed by
-        :meth:`execute` and stored.  With no :attr:`results` cache
-        attached this is exactly ``(self.execute(plan), False)``.
-        """
-        self.check_version()
-        if self.results is None:
-            return self.execute(plan), False
-        key = self.cache_key(plan, options)
-        cached = self.results.get(key)
-        if cached is not None:
-            return cached, True
-        result = self.execute(plan)
-        self.results.put(key, result)
-        return result, False
 
     def _estimates_for(self, plan: PlanNode):
         """Cost-model estimates for ``plan``, memoized per version.

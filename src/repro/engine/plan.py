@@ -60,11 +60,6 @@ class PlanNode:
         """The operator name with its arguments, e.g. ``HashJoin[2=1]``."""
         raise NotImplementedError
 
-    def digest(self) -> str:
-        """What :meth:`fingerprint` hashes for this node: its label,
-        unless the label leaves out a parameter the result depends on."""
-        return self.label()
-
     # ------------------------------------------------------------------
     # Traversal / rendering
     # ------------------------------------------------------------------
@@ -88,43 +83,6 @@ class PlanNode:
         for child in self.children():
             yield from child._nodes(seen)
         yield self
-
-    def size(self) -> int:
-        return 1 + sum(child.size() for child in self.children())
-
-    def fingerprint(self) -> str:
-        """A stable digest of what this plan *computes*.
-
-        Two plans with equal fingerprints produce equal results against
-        the same relation contents: the digest covers each operator's
-        :meth:`digest` — its :meth:`label`, which renders every
-        execution-relevant parameter (scanned relation, key/condition
-        atoms, projection positions, division method and empty-divisor
-        policy, grouping spec), plus a multiway join's variable layout
-        — and the child fingerprints, but deliberately *not* the
-        planner's ``note`` rationale or the ``logical`` source
-        expression.  Distinct logical expressions that plan to the same
-        physical shape (e.g. ``π₁(R ⋈ S)`` and ``π₁(R ⋉ S)`` after the
-        Corollary 19 rewrite) therefore share a fingerprint, which is
-        what lets the session result cache serve structurally shared
-        queries from one entry.  Keyed caches must pair the fingerprint
-        with a :meth:`~repro.data.database.Database.version_token` —
-        the fingerprint identifies the computation, the token the
-        contents it ran against.
-        """
-        cached = self.__dict__.get("_fingerprint")
-        if cached is None:
-            import hashlib
-
-            digest = hashlib.sha256()
-            digest.update(self.digest().encode())
-            for child in self.children():
-                digest.update(b"(")
-                digest.update(child.fingerprint().encode())
-                digest.update(b")")
-            cached = digest.hexdigest()[:32]
-            object.__setattr__(self, "_fingerprint", cached)
-        return cached
 
     def explain(self, indent: str = "", annotate=None) -> str:
         """EXPLAIN-style rendering: one line per operator.
@@ -571,12 +529,6 @@ class MultiwayJoinOp(PlanNode):
             free = f"{free}|{rest}"
         project = ",".join(str(p) for p in self.positions)
         return f"MultiwayJoin[vars={free},agm={self.agm:g},project={project}]"
-
-    def digest(self) -> str:
-        # Two wirings of the same inputs can share an order and a bound
-        # (E(a,b) F(b,c) G(c,a) against G(a,c)), so the label alone
-        # would let one answer the other from the result cache.
-        return f"{self.label()}{self.attrs}"
 
 
 #: Operator types :class:`PartitionedOp` may wrap.  Hash (semi)joins

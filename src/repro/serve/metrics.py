@@ -27,7 +27,7 @@ neither.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 __all__ = ["MetricsRegistry", "ServerMetrics", "TenantMetrics"]
 

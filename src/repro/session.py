@@ -14,17 +14,21 @@ The paper's dichotomy (Theorem 17) and the division lower bound
   explained any number of times;
 * it owns the ROADMAP's **cross-query result cache**
   (:class:`~repro.engine.executor.ResultCache`): results keyed by
-  ``(plan fingerprint, planner options, version token)``, LRU-evicted
-  against a byte budget, invalidated whenever the version token moves.
-  A repeated identical query — or a structurally shared one that plans
-  to the same physical shape — is served with **zero** physical
-  operator executions; a mutation between runs is detected before
-  planning, so the cold re-run recomputes against fresh contents
-  instead of raising :class:`~repro.errors.StaleDataError`;
+  ``(expression, planner options, version token)`` — what fixes the
+  rows, whatever plan computes them, as the
+  :class:`~repro.serve.server.Server`'s door keys on ``(token,
+  expression)`` — LRU-evicted against a byte budget.  A repeated query
+  is answered before it is planned, with **zero** physical operator
+  executions.  The session invalidates where the Server retains: a
+  mutation between runs moves the token, which the session sees before
+  it looks up, so it empties the cache and the cold re-run recomputes
+  against fresh contents instead of raising
+  :class:`~repro.errors.StaleDataError`;
 * every run leaves an :class:`ExecutionReport` in
-  :attr:`Session.last_report`: row count, cache hit/miss counters, and
-  the :class:`~repro.engine.executor.ExecutionStats` with per-operator
-  estimated-vs-actual rows and the peak rows in flight.
+  :attr:`Session.last_report`: row count, the result cache's
+  counters, and the :class:`~repro.engine.executor.ExecutionStats`
+  with per-operator estimated-vs-actual rows and the peak rows in
+  flight.
 
 Typical use::
 
@@ -84,23 +88,16 @@ class ExecutionReport:
     ExecutionStats` for this query alone (a fresh, empty record when
     the result came from the cache — zero operator executions is the
     cache's contract, and :meth:`operators_executed` asserts it);
-    the ``cache_*`` fields snapshot the session's result-cache
-    counters at completion time.
+    ``cache_line`` is the session's result-cache
+    :meth:`~repro.engine.executor.ResultCache.stats_line` when the run
+    completed.
     """
 
     rows: int
     cached: bool
-    fingerprint: str
     options: PlannerOptions
     stats: ExecutionStats
-    cache_hits: int
-    cache_misses: int
-    cache_entries: int
-    cache_bytes: int
-    #: Whether the session's result cache served lookups at all;
-    #: disabled caches report bypassed lookups, not misses.
-    cache_enabled: bool = True
-    cache_disabled_lookups: int = 0
+    cache_line: str
 
     def operators_executed(self) -> int:
         """How many physical operators ran (0 for a cache hit)."""
@@ -115,21 +112,10 @@ class ExecutionReport:
         wall-clock seconds.
         """
         source = "result cache (hit)" if self.cached else "executed"
-        if self.cache_enabled:
-            cache_line = (
-                f"result cache     : {self.cache_hits} hit(s), "
-                f"{self.cache_misses} miss(es), {self.cache_entries} "
-                f"entr(y/ies), ~{self.cache_bytes} byte(s)"
-            )
-        else:
-            cache_line = (
-                "result cache     : off "
-                f"({self.cache_disabled_lookups} bypassed lookup(s))"
-            )
         lines = [
             f"rows             : {self.rows}",
             f"source           : {source}",
-            cache_line,
+            self.cache_line,
             self.stats.report(),
         ]
         return "\n".join(lines)
@@ -139,11 +125,12 @@ class PreparedQuery:
     """A query parsed once, planned lazily, runnable many times.
 
     Created by :meth:`Session.query`.  The logical expression is fixed
-    at construction; the physical plan is *not* — every :meth:`run` and
-    :meth:`explain` asks the session's executor for the plan valid
-    under the current statistics state (the executor memoizes plans per
-    ``(expression, options)`` and drops them when the version token
-    moves, so re-planning only happens when the contents changed).
+    at construction; the physical plan is *not* — every :meth:`run` the
+    result cache does not answer, and every :meth:`explain`, asks the
+    session's executor for the plan valid under the current statistics
+    state (the executor memoizes plans per ``(expression, options)``
+    and drops them when the version token moves, so re-planning only
+    happens when the contents changed).
     """
 
     def __init__(
@@ -242,7 +229,8 @@ class Session:
     cache_results:
         The result-cache knob.  ``True`` (default) serves repeated
         queries against unchanged contents from the cross-query result
-        cache; ``False`` records misses but never stores or serves.
+        cache; ``False`` counts bypassed lookups but never stores or
+        serves.
     cache_bytes:
         LRU byte budget for cached results (estimated bytes of the
         cached row tuples; see
@@ -268,13 +256,12 @@ class Session:
         backend=None,
     ) -> None:
         self.db = db
-        self._executor = Executor(
-            db,
-            results=ResultCache(
-                enabled=cache_results, byte_budget=cache_bytes
-            ),
-            backend=backend,
+        self._executor = Executor(db, backend=backend)
+        self._results = ResultCache(
+            enabled=cache_results, byte_budget=cache_bytes
         )
+        #: The version token the result cache's entries were made at.
+        self._token = self._executor.version
         self.options = options if options is not None else DEFAULT_OPTIONS
         #: The report of the session's most recent run (any query).
         self.last_report: ExecutionReport | None = None
@@ -321,7 +308,7 @@ class Session:
     @property
     def result_cache(self) -> ResultCache:
         """The session's cross-query result cache (counters included)."""
-        return self._executor.results
+        return self._results
 
     # ------------------------------------------------------------------
     # Queries
@@ -470,32 +457,37 @@ class Session:
 
     def _run(self, prepared: PreparedQuery) -> Relation:
         executor = self._executor
-        # Planning re-checks the version token first, so a mutation
-        # between runs invalidates every cache (results included)
-        # *here* — the subsequent cold run computes against the new
-        # contents instead of raising StaleDataError mid-flight.
-        plan = executor.plan(prepared.expr, prepared.options)
-        result, cached = executor.execute_cached(plan, prepared.options)
+        cache = self._results
+        # The version check comes first, so a mutation between runs
+        # empties every cache (results included) *here* — the cold
+        # re-run computes against the new contents instead of raising
+        # StaleDataError mid-flight.  A repeat is answered before
+        # anything is planned: its rows are fixed by the expression,
+        # the options and the contents, whatever plan computes them.
+        executor.check_version()
+        token = executor.version
+        if token != self._token:
+            self._token = token
+            cache.invalidate()
+        expr, options = prepared.expr, prepared.options
+        result = cache.get((expr, options, token))
+        cached = result is not None
         if cached:
             stats = ExecutionStats()
         else:
+            result = executor.execute(executor.plan(expr, options))
+            # Stored under the contents the rows were computed from.
+            cache.put((expr, options, executor.version), result)
             stats = executor.stats
             # Per-query stats and result memo: cached cross-query reuse
             # lives in the bounded ResultCache, not pinned in the memo.
             executor.reset_query_state()
-        cache = executor.results
         report = ExecutionReport(
             rows=len(result),
             cached=cached,
-            fingerprint=plan.fingerprint(),
-            options=prepared.options,
+            options=options,
             stats=stats,
-            cache_hits=cache.hits,
-            cache_misses=cache.misses,
-            cache_entries=len(cache),
-            cache_bytes=cache.total_bytes,
-            cache_enabled=cache.enabled,
-            cache_disabled_lookups=cache.disabled_lookups,
+            cache_line=cache.stats_line(),
         )
         prepared.last_report = report
         self.last_report = report

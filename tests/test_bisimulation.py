@@ -4,7 +4,6 @@ Also property-tests Corollary 14: C-guarded bisimilar pairs agree on
 every SA= expression with constants in C.
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.algebra.evaluator import evaluate

@@ -1,8 +1,6 @@
 """Tests for the dichotomy classifier (:mod:`repro.core.classify`)."""
 
-import pytest
-
-from repro.algebra.ast import Join, Rel, rel, select_eq_const
+from repro.algebra.ast import Join, rel, select_eq_const
 from repro.algebra.parser import parse
 from repro.core.classify import (
     Verdict,
@@ -14,7 +12,7 @@ from repro.core.classify import (
 )
 from repro.data.database import database
 from repro.data.schema import Schema
-from repro.data.universe import INTEGERS, RATIONALS
+from repro.data.universe import RATIONALS
 
 SCHEMA = Schema({"R": 2, "S": 1, "T": 3})
 

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.algebra.ast import Join, Rel, is_sa_eq, rel
+from repro.algebra.ast import Join, is_sa_eq, rel
 from repro.algebra.evaluator import evaluate
 from repro.algebra.parser import parse
 from repro.core.compile_sa import compile_join, compile_to_sa, tagged_values

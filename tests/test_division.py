@@ -11,9 +11,7 @@ from repro.setjoins.division import (
     DIVISION_ALGORITHMS,
     DIVISION_EQ_ALGORITHMS,
     classic_division_expr,
-    divide_counting,
     divide_hash,
-    divide_nested_loop,
     divide_reference,
     divide_reference_eq,
     divide_sort_merge,

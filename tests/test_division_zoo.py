@@ -18,7 +18,6 @@ import pytest
 
 from repro.algebra.evaluator import evaluate
 from repro.data.database import Database, database
-from repro.data.schema import Schema
 from repro.errors import SchemaError
 from repro.extended.division_plan import (
     containment_division_plan,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.algebra.ast import Join, Projection, Rel, Semijoin, rel
+from repro.algebra.ast import Join, Projection, Rel, rel
 from repro.algebra.evaluator import evaluate
 from repro.algebra.parser import parse
 from repro.algebra.trace import trace
@@ -10,7 +10,6 @@ from repro.data.database import database
 from repro.data.schema import Schema
 from repro.engine import (
     Executor,
-    Planner,
     PlannerOptions,
     plan_expression,
 )
@@ -22,7 +21,6 @@ from repro.engine.plan import (
     NestedLoopJoinOp,
     NestedLoopSemijoinOp,
     ProjectOp,
-    ScanOp,
 )
 from repro.engine.planner import explain, match_division
 from repro.errors import ArityError, SchemaError

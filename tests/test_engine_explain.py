@@ -280,7 +280,7 @@ def test_every_node_kind_explains_and_core_logicals_roundtrip():
                 assert parse(rendered, schema) == logical
 
 
-def test_multiway_label_fingerprint_and_note_render():
+def test_multiway_label_and_note_render():
     from repro.data.database import Database
     from repro.engine import MultiwayJoinOp
     from tests.strategies import CYCLE_SCHEMA, cycle_expr
@@ -300,7 +300,6 @@ def test_multiway_label_fingerprint_and_note_render():
     assert node.label().startswith("MultiwayJoin[vars=")
     assert f"agm={node.agm:g}" in node.label()
     assert SEPARATOR not in node.label()
-    assert node.fingerprint() == plan.fingerprint()
     text = explain(expr, plan=plan, costs=True, cost_model=executor.cost_model)
     first = text.splitlines()[0]
     assert "MultiwayJoin[vars=" in first

@@ -153,7 +153,6 @@ class TestWorkers:
         assert serial.workers == 1
         assert serial.label() == "Partitioned[k=3,budget=50]"
         assert node != serial
-        assert node.fingerprint() != serial.fingerprint()
 
     def test_options_validate_workers(self):
         with pytest.raises(SchemaError):

@@ -22,7 +22,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.engine.partition as partition_module
-from repro.algebra.evaluator import evaluate
 from repro.algebra.parser import parse
 from repro.algebra.reference import evaluate_reference
 from repro.data.database import database

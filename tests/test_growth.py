@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.algebra.ast import Join, Rel, rel
+from repro.algebra.ast import Join, Rel
 from repro.algebra.parser import parse
 from repro.core.blowup import BlowupWitness
 from repro.core.classify import Verdict

@@ -5,7 +5,6 @@ classifier → blow-up → bisimulation → translation → compilation, on
 both dense and discrete universes.
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.algebra.ast import Join, Rel, is_sa_eq

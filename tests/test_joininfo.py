@@ -2,9 +2,8 @@
 (free values), pinned to Examples 21 and 23 of the paper."""
 
 import pytest
-from fractions import Fraction
 
-from repro.algebra.ast import Join, Rel, select_eq_const
+from repro.algebra.ast import Join, Rel
 from repro.algebra.conditions import Condition
 from repro.core.freevalues import (
     doubly_free_pairs,

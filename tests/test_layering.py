@@ -10,6 +10,7 @@ path.  ``workloads`` sits with them: its generators and serving
 traffic are data that every layer above may read.
 """
 
+import ast
 import os
 import re
 import subprocess
@@ -160,3 +161,82 @@ def test_nothing_in_src_maps_files():
         if mapping.search(path.read_text())
     )
     assert importers == []
+
+
+#: Folders whose modules may not import a name they never use.
+#: ``perfbench/`` is left out: it is the benchmark's own code, changed
+#: only together with the benchmark.
+IMPORT_CHECKED = ("src", "tests", "benchmarks", "tools", "examples")
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The names ``path`` imports and never uses.
+
+    A use is a name read anywhere in the module, a name inside a quoted
+    annotation, a function parameter (pytest fixtures arrive that way)
+    or an entry of ``__all__``; a mention in a docstring is not.
+    ``__future__`` imports and lines marked ``# noqa: F401`` are
+    skipped.
+    """
+    source = path.read_text()
+    lines = source.splitlines()
+    imported: dict[str, int] = {}
+    used: set[str] = set()
+
+    def read_quoted(annotation) -> None:
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    quoted = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue
+                used.update(
+                    n.id for n in ast.walk(quoted) if isinstance(n, ast.Name)
+                )
+
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                marked = {lines[node.lineno - 1], lines[alias.lineno - 1]}
+                if alias.name == "*" or any("noqa: F401" in m for m in marked):
+                    continue
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, alias.lineno)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg):
+            used.add(node.arg)
+            if node.annotation is not None:
+                read_quoted(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.returns is not None:
+                read_quoted(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            read_quoted(node.annotation)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            read_quoted(node.value)
+    return [
+        f"{line}: {name}"
+        for name, line in sorted(imported.items(), key=lambda kv: kv[1])
+        if name not in used
+    ]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """An import nothing reads is dead weight that no linter catches
+    here; ``__init__.py`` files are skipped, their imports are the
+    package's re-exports."""
+    root = SRC.parent
+    unused = [
+        f"{path.relative_to(root)}:{finding}"
+        for folder in IMPORT_CHECKED
+        for path in sorted((root / folder).rglob("*.py"))
+        if path.name != "__init__.py"
+        for finding in _unused_imports(path)
+    ]
+    assert unused == []

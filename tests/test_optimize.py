@@ -15,7 +15,7 @@ from repro.algebra.parser import parse
 from repro.algebra.trace import trace
 from repro.data.database import database
 from repro.data.schema import Schema
-from tests.strategies import TEST_SCHEMA, databases, expressions
+from tests.strategies import databases, expressions
 
 SCHEMA = Schema({"R": 2, "S": 1, "T": 3})
 

@@ -41,7 +41,7 @@ from repro.algebra.parser import parse
 from repro.data.database import Database, database
 from repro.data.schema import Schema
 from repro.engine import PlannerOptions
-from repro.engine.executor import ResultCache
+from repro.engine.executor import Executor, ResultCache
 from repro.engine.planner import Planner, plan_expression
 from repro.errors import SchemaError, StaleDataError, UnknownRelationError
 from repro.extended.division_plan import (
@@ -174,9 +174,10 @@ class TestResultCache:
         assert session.result_cache.hits == 1
         assert session.result_cache.misses == 1
 
-    def test_structurally_shared_queries_share_one_entry(self):
+    def test_structurally_shared_queries_each_execute_once(self):
         # Sized so Corollary 19 routes the projected join through a
-        # semijoin: both texts then plan to the same physical shape.
+        # semijoin: both texts plan to the same physical shape, but the
+        # cache keys on the expression asked for, not on the plan.
         db = database(
             {"R": 2, "S": 1},
             R=[(i, i % 8) for i in range(32)],
@@ -186,16 +187,37 @@ class TestResultCache:
         joined = session.query("project[1](R join[2=1] S)")
         semi = session.query("project[1](R semijoin[2=1] S)")
         assert joined.expr != semi.expr  # different logical queries
-        assert (
-            joined.plan().fingerprint() == semi.plan().fingerprint()
-        )  # same physical computation
         first = joined.run()
-        assert not joined.last_report.cached
-        shared = semi.run()
-        assert shared == first
-        assert semi.last_report.cached
-        assert semi.last_report.operators_executed() == 0
-        assert len(session.result_cache) == 1
+        assert semi.run() == first
+        for prepared in (joined, semi):
+            assert not prepared.last_report.cached
+            assert prepared.last_report.operators_executed() > 0
+        for prepared in (joined, semi):
+            assert prepared.run() == first
+            assert prepared.last_report.cached
+            assert prepared.last_report.operators_executed() == 0
+        assert len(session.result_cache) == 2
+        assert session.result_cache.hits == 2
+        assert session.result_cache.misses == 2
+
+    def test_a_repeat_is_answered_before_planning(self, monkeypatch):
+        calls = []
+        plan = Executor.plan
+
+        def counted(executor, expr, options=None):
+            calls.append(expr)
+            return plan(executor, expr, options)
+
+        monkeypatch.setattr(Executor, "plan", counted)
+        session = Session(join_db())
+        prepared = session.query("R join[2=1] S")
+        cold = prepared.run()
+        assert len(calls) == 1
+        for __ in range(3):
+            assert prepared.run() == cold
+            assert prepared.last_report.cached
+        assert session.run("R join[2=1] S") == cold
+        assert len(calls) == 1
 
     def test_hit_rate_on_repeated_workload(self):
         session = Session(join_db())
@@ -263,7 +285,7 @@ class TestResultCache:
             ResultCache(byte_budget=-1)
 
     def test_options_partition_the_key_space(self):
-        # Same fingerprint never crosses options: an ablation run must
+        # One expression never crosses options: an ablation run must
         # not be served a default-options result.
         session = Session(join_db())
         ablation = PlannerOptions(rewrite_divisions=False)
@@ -450,14 +472,15 @@ class TestDivideUniformity:
     @pytest.mark.parametrize("eq", [False, True])
     def test_a_repeated_engine_division_plans_one_expression(self, eq):
         # The expression is built once per operand pair, so the plan
-        # memo finds a repeated division by identity.
+        # memo finds a repeated division by identity (the result cache
+        # is off: it would answer the repeat before planning).
         db = database(
             {"R": 2, "Q": 2, "S": 1},
             R=[(1, 7), (1, 8), (2, 7)],
             Q=[(3, 7), (3, 8)],
             S=[(7,), (8,)],
         )
-        session = Session(db)
+        session = Session(db, cache_results=False)
         planned = []
         real = session.executor.plan
 

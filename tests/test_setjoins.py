@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from repro.setjoins.containment import (
     CONTAINMENT_ALGORITHMS,
     containment_join_binary,
-    scj_inverted,
     scj_nested_loop,
     scj_partition,
     scj_signature,

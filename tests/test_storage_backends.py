@@ -44,7 +44,6 @@ from repro.session import Session
 from repro.setjoins.division import classic_division_expr
 from repro.storage import (
     BACKEND_KINDS,
-    Backend,
     MemoryBackend,
     SharedMemoryBackend,
     attach_snapshot,

@@ -24,7 +24,7 @@ from repro.data.schema import Schema
 from repro.data.stored import is_c_stored
 from repro.errors import FragmentError
 from repro.logic.ast import Not, atom, eq, exists, lt
-from repro.logic.eval import answers, answers_c_stored, satisfies
+from repro.logic.eval import answers, answers_c_stored
 from repro.logic.gf_to_sa import gf_to_sa
 from repro.logic.sa_to_gf import sa_to_gf
 from repro.logic.stored_expr import c_stored_expr, empty_expr

@@ -5,10 +5,9 @@ from hypothesis import given, settings
 
 from repro.algebra.ast import rel
 from repro.algebra.evaluator import evaluate
-from repro.algebra.parser import parse
-from repro.algebra.trace import EvalTrace, max_intermediate_size, trace
+from repro.algebra.trace import max_intermediate_size, trace
 from repro.data.database import database
-from tests.strategies import TEST_SCHEMA, databases, expressions
+from tests.strategies import databases, expressions
 
 R = rel("R", 2)
 S = rel("S", 1)
