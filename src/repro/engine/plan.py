@@ -47,7 +47,8 @@ class PlanNode:
 
     @property
     def logical(self) -> Expr:
-        raise NotImplementedError
+        """The logical expression this operator computes."""
+        return self.expr
 
     @property
     def arity(self) -> int:
@@ -130,10 +131,6 @@ class ScanOp(PlanNode):
         if not isinstance(self.expr, Rel):
             raise SchemaError("ScanOp needs a Rel logical node")
 
-    @property
-    def logical(self) -> Expr:
-        return self.expr
-
     def children(self) -> tuple[PlanNode, ...]:
         return ()
 
@@ -152,10 +149,6 @@ class UnionOp(PlanNode):
         if self.left.arity != self.right.arity:
             raise ArityError("union operands must have equal arity")
 
-    @property
-    def logical(self) -> Expr:
-        return self.expr
-
     def children(self) -> tuple[PlanNode, ...]:
         return (self.left, self.right)
 
@@ -173,10 +166,6 @@ class DifferenceOp(PlanNode):
     def __post_init__(self) -> None:
         if self.left.arity != self.right.arity:
             raise ArityError("difference operands must have equal arity")
-
-    @property
-    def logical(self) -> Expr:
-        return self.expr
 
     def children(self) -> tuple[PlanNode, ...]:
         return (self.left, self.right)
@@ -200,10 +189,6 @@ class ProjectOp(PlanNode):
                     f"projection position {position} out of range "
                     f"1..{self.child.arity}"
                 )
-
-    @property
-    def logical(self) -> Expr:
-        return self.expr
 
     def children(self) -> tuple[PlanNode, ...]:
         return (self.child,)
@@ -235,10 +220,6 @@ class FilterOp(PlanNode):
                         f"1..{self.child.arity}"
                     )
 
-    @property
-    def logical(self) -> Expr:
-        return self.expr
-
     def children(self) -> tuple[PlanNode, ...]:
         return (self.child,)
 
@@ -256,10 +237,6 @@ class TagOp(PlanNode):
 
     def __post_init__(self) -> None:
         pass  # the base raises; any constructed TagOp is well-formed
-
-    @property
-    def logical(self) -> Expr:
-        return self.expr
 
     def children(self) -> tuple[PlanNode, ...]:
         return (self.child,)
@@ -286,10 +263,6 @@ class HashJoinOp(PlanNode):
             )
         self.cond.validate(self.left.arity, self.right.arity)
 
-    @property
-    def logical(self) -> Expr:
-        return self.expr
-
     def children(self) -> tuple[PlanNode, ...]:
         return (self.left, self.right)
 
@@ -309,10 +282,6 @@ class NestedLoopJoinOp(PlanNode):
 
     def __post_init__(self) -> None:
         self.cond.validate(self.left.arity, self.right.arity)
-
-    @property
-    def logical(self) -> Expr:
-        return self.expr
 
     def children(self) -> tuple[PlanNode, ...]:
         return (self.left, self.right)
@@ -338,10 +307,6 @@ class HashSemijoinOp(PlanNode):
             )
         self.cond.validate(self.left.arity, self.right.arity)
 
-    @property
-    def logical(self) -> Expr:
-        return self.expr
-
     def children(self) -> tuple[PlanNode, ...]:
         return (self.left, self.right)
 
@@ -359,10 +324,6 @@ class NestedLoopSemijoinOp(PlanNode):
 
     def __post_init__(self) -> None:
         self.cond.validate(self.left.arity, self.right.arity)
-
-    @property
-    def logical(self) -> Expr:
-        return self.expr
 
     def children(self) -> tuple[PlanNode, ...]:
         return (self.left, self.right)
@@ -399,10 +360,6 @@ class DivisionOp(PlanNode):
             )
         if self.dividend.arity != 2 or self.divisor.arity != 1:
             raise ArityError("DivisionOp needs dividend/2 and divisor/1")
-
-    @property
-    def logical(self) -> Expr:
-        return self.expr
 
     def children(self) -> tuple[PlanNode, ...]:
         return (self.dividend, self.divisor)
@@ -512,10 +469,6 @@ class MultiwayJoinOp(PlanNode):
             return len(self.order)
         return len(self._free_variables())
 
-    @property
-    def logical(self) -> Expr:
-        return self.expr
-
     def children(self) -> tuple[PlanNode, ...]:
         return self.relations
 
@@ -612,10 +565,6 @@ class GroupByOp(PlanNode):
 
         if not isinstance(self.expr, GroupBy):
             raise SchemaError("GroupByOp needs a GroupBy logical node")
-
-    @property
-    def logical(self) -> Expr:
-        return self.expr
 
     def children(self) -> tuple[PlanNode, ...]:
         return (self.child,)

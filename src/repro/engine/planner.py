@@ -13,17 +13,15 @@ pre-cost-model behaviour.
 
 Routing rules (documented in ``docs/engine.md``):
 
-1. **Division patterns collapse to direct algorithms.**  The classic
-   quadratic RA plan ``π_A(R) − π_A((π_A(R) × S) − R)`` (Proposition 26
-   says *every* RA expression for division is quadratic) and the §5
-   γ plans (containment and equality) are recognized structurally and
-   replaced by a single linear :class:`~repro.engine.plan.DivisionOp`
-   (a ∀ test per candidate of the dividend's set grouping).  The
-   empty-divisor semantics of the source expression is preserved
-   exactly.  Under the cost model the direct operator is kept only
-   while its estimated cost does not exceed the RA plan's (it never
-   does on the witness families — the regression tests pin that no
-   re-quadratification sneaks in).
+1. **Division patterns collapse to direct algorithms.**  A sub-tree
+   that instantiates a builder's division plan — the classic quadratic
+   RA plan ``π_A(R) − π_A((π_A(R) × S) − R)`` (Proposition 26 says
+   *every* RA expression for division is quadratic) or a §5 γ plan —
+   becomes one linear :class:`~repro.engine.plan.DivisionOp` (a ∀ test
+   per candidate of the dividend's set grouping) with the source's
+   empty-divisor semantics.  Under the cost model the direct operator
+   is kept only while its estimated cost does not exceed the RA plan's
+   (the regression tests pin that it never does on the witness families).
 2. **A join read only as a filter is a semijoin, wherever it sits.**
    Before planning, one walk (:func:`repro.algebra.optimize.rewrite`)
    pushes σ and turns every join whose one side supplies no column an
@@ -116,9 +114,6 @@ from repro.engine.plan import (
     UnionOp,
 )
 from repro.errors import SchemaError
-
-#: The empty condition, used to recognize cartesian products.
-_TRUE = Condition()
 
 #: The note of a semijoin a written join became, by whether mirrored.
 _FILTER_NOTES = {
@@ -213,154 +208,55 @@ class DivisionMatch:
     origin: str
 
 
-def match_classic_division(expr: Expr) -> DivisionMatch | None:
-    """Recognize ``π_A(R) − π_A((π_A(R) × S) − R)`` (any sub-exprs R, S).
-
-    The textbook plan built by
-    :func:`repro.setjoins.division.classic_division_expr`; on an empty
-    divisor it returns all candidates (``R ÷ ∅ = π_A(R)``).
-    """
-    if not isinstance(expr, Difference):
-        return None
-    candidates, disqualified = expr.left, expr.right
-    if not (
-        isinstance(candidates, Projection)
-        and candidates.positions == (1,)
-        and candidates.child.arity == 2
-    ):
-        return None
-    dividend = candidates.child
-    if not (
-        isinstance(disqualified, Projection)
-        and disqualified.positions == (1,)
-        and isinstance(disqualified.child, Difference)
-    ):
-        return None
-    missing = disqualified.child
-    if missing.right != dividend:
-        return None
-    cross = missing.left
-    if not (
-        isinstance(cross, Join)
-        and cross.cond == _TRUE
-        and cross.left == candidates
-        and cross.right.arity == 1
-    ):
-        return None
-    return DivisionMatch(
-        dividend=dividend,
-        divisor=cross.right,
-        eq=False,
-        empty_divisor="all",
-        origin="classic RA division plan (quadratic, Prop. 26)",
-    )
+#: Rule 1's shapes, ``(template, eq, empty_divisor, origin)``, built on
+#: the first match: each template is its builder's expression over two
+#: placeholders no parsed text can name.  A new spelling is a new row.
+_DIVIDEND, _DIVISOR = Rel("\0dividend", 2), Rel("\0divisor", 1)
+_DIVISION_SHAPES: list[tuple[Expr, bool, str, str]] = []
 
 
-def _is_count_group(expr: Expr, positions: tuple[int, ...], over: int):
-    """Whether ``expr`` is ``γ_{positions, count(over)}(child)``; → child."""
-    from repro.extended.ast import GroupBy
+def _division_shapes() -> list[tuple[Expr, bool, str, str]]:
+    from repro.extended import division_plan as gamma
+    from repro.setjoins.division import classic_division_expr
 
-    if not isinstance(expr, GroupBy):
-        return None
-    if expr.group_positions != positions:
-        return None
-    if len(expr.aggregates) != 1:
-        return None
-    aggregate = expr.aggregates[0]
-    if aggregate.func != "count" or aggregate.position != over:
-        return None
-    return expr.child
-
-
-_B_EQ_C = Condition((Atom(2, "=", 1),))
+    r, s = _DIVIDEND, _DIVISOR
+    _DIVISION_SHAPES[:] = [
+        (classic_division_expr(r, s), False, "all",
+         "classic RA division plan (quadratic, Prop. 26)"),
+        (gamma.containment_division_plan(r, s), False, "none",
+         "§5 γ containment-division plan"),
+        (gamma.equality_division_plan(r, s), True, "none",
+         "§5 γ equality-division plan"),
+    ]
+    return _DIVISION_SHAPES
 
 
-def match_gamma_containment_division(expr: Expr) -> DivisionMatch | None:
-    """Recognize the §5 containment plan
-    ``π_A(γ_{A,count}(R ⋈_{2=1} S) ⋈_{2=1} γ_{count}(S))``.
-
-    Returns ∅ on an empty divisor (the documented caveat), which the
-    match records as the ``"none"`` policy.
-    """
-    if not (isinstance(expr, Projection) and expr.positions == (1,)):
-        return None
-    matched = expr.child
-    if not (isinstance(matched, Join) and matched.cond == _B_EQ_C):
-        return None
-    joined = _is_count_group(matched.left, (1,), 2)
-    divisor = _is_count_group(matched.right, (), 1)
-    if joined is None or divisor is None:
-        return None
-    if not (isinstance(joined, Join) and joined.cond == _B_EQ_C):
-        return None
-    dividend = joined.left
-    if dividend.arity != 2 or joined.right != divisor:
-        return None
-    if divisor.arity != 1:
-        return None
-    return DivisionMatch(
-        dividend=dividend,
-        divisor=divisor,
-        eq=False,
-        empty_divisor="none",
-        origin="§5 γ containment-division plan",
-    )
-
-
-def match_gamma_equality_division(expr: Expr) -> DivisionMatch | None:
-    """Recognize the §5 equality plan built by
-    :func:`repro.extended.division_plan.equality_division_plan`."""
-    if not (isinstance(expr, Projection) and expr.positions == (1,)):
-        return None
-    selected = expr.child
-    if not (
-        isinstance(selected, Selection)
-        and selected.op == "="
-        and (selected.i, selected.j) == (4, 5)
-    ):
-        return None
-    with_k = selected.child
-    if not (isinstance(with_k, Join) and with_k.cond == _B_EQ_C):
-        return None
-    per_candidate, divisor_size = with_k.left, with_k.right
-    divisor = _is_count_group(divisor_size, (), 1)
-    if divisor is None or divisor.arity != 1:
-        return None
-    if not (
-        isinstance(per_candidate, Join)
-        and per_candidate.cond == Condition((Atom(1, "=", 1),))
-    ):
-        return None
-    joined = _is_count_group(per_candidate.left, (1,), 2)
-    totals = _is_count_group(per_candidate.right, (1,), 2)
-    if joined is None or totals is None:
-        return None
-    if not (isinstance(joined, Join) and joined.cond == _B_EQ_C):
-        return None
-    dividend = joined.left
-    if dividend.arity != 2 or dividend != totals:
-        return None
-    if joined.right != divisor:
-        return None
-    return DivisionMatch(
-        dividend=dividend,
-        divisor=divisor,
-        eq=True,
-        empty_divisor="none",
-        origin="§5 γ equality-division plan",
-    )
+def _unify(pattern: Expr, expr: Expr, bound: dict[Expr, Expr]) -> bool:
+    """Whether ``expr`` instantiates ``pattern``: a placeholder binds the
+    first subtree it meets, of its arity, and later occurrences must equal
+    it; any other node needs the same type and equal non-``Expr`` fields."""
+    if isinstance(pattern, Rel):  # a template's only relations
+        first = bound.setdefault(pattern, expr)
+        return expr.arity == pattern.arity if first is expr else first == expr
+    if type(expr) is not type(pattern):
+        return False
+    for name in pattern.__dataclass_fields__:
+        want = getattr(pattern, name)
+        if not isinstance(want, Expr) and want != getattr(expr, name):
+            return False
+    for sub, part in zip(pattern.children(), expr.children()):
+        if not _unify(sub, part, bound):
+            return False
+    return True
 
 
 def match_division(expr: Expr) -> DivisionMatch | None:
-    """Try all known division shapes at this node."""
-    for matcher in (
-        match_classic_division,
-        match_gamma_containment_division,
-        match_gamma_equality_division,
-    ):
-        found = matcher(expr)
-        if found is not None:
-            return found
+    """The first of rule 1's shapes that ``expr`` instantiates, if any."""
+    shapes = _DIVISION_SHAPES or _division_shapes()
+    for pattern, eq, empty_divisor, origin in shapes:
+        if type(expr) is type(pattern) and _unify(pattern, expr, bound := {}):
+            dividend, divisor = bound[_DIVIDEND], bound[_DIVISOR]
+            return DivisionMatch(dividend, divisor, eq, empty_divisor, origin)
     return None
 
 

@@ -16,9 +16,10 @@ groups and the plans return ∅, whereas ``R ÷ ∅ = π_A(R)``.  The paper's
 expression has the same behaviour; the experiments avoid the empty
 divisor and the tests document it.
 
-Production execution goes through the engine: the planner recognizes
-both plans structurally (:func:`repro.engine.planner.match_division`)
-and collapses them into a single linear division operator —
+Production execution goes through the engine: the planner matches a
+sub-tree against what these builders return over placeholder operands
+(:func:`repro.engine.planner.match_division`) and collapses it into a
+single linear division operator —
 ``Session(db).run(division_plan(eq))`` — and the expressions above stay
 as the reference semantics the engine is tested against (the
 empty-divisor caveat is preserved exactly).

@@ -1,8 +1,13 @@
 """Tests for the cost-aware engine: planner routing and executor."""
 
-import pytest
+from dataclasses import fields, replace
+from itertools import count
 
-from repro.algebra.ast import Join, Projection, Rel, rel
+import pytest
+from hypothesis import assume, given
+
+from repro.algebra.ast import Expr, Join, Projection, Rel, rel
+from repro.algebra.conditions import Condition
 from repro.algebra.evaluator import evaluate
 from repro.algebra.parser import parse
 from repro.algebra.trace import trace
@@ -22,7 +27,7 @@ from repro.engine.plan import (
     NestedLoopSemijoinOp,
     ProjectOp,
 )
-from repro.engine.planner import explain, match_division
+from repro.engine.planner import DivisionMatch, explain, match_division
 from repro.errors import ArityError, SchemaError
 from repro.extended.division_plan import (
     containment_division_plan,
@@ -36,7 +41,7 @@ from repro.workloads.generators import (
     crossproduct_division_family,
     division_database,
 )
-from tests.strategies import engine_run
+from tests.strategies import engine_run, expressions
 
 SCHEMA = Schema({"R": 2, "S": 1})
 
@@ -95,6 +100,76 @@ class TestDivisionRouting:
         assert not any(
             isinstance(node, DivisionOp) for node in plan.nodes()
         )
+
+
+#: Rule 1's shapes: each builder with the match its output must give.
+DIVISION_BUILDERS = (
+    (classic_division_expr, False, "all",
+     "classic RA division plan (quadratic, Prop. 26)"),
+    (containment_division_plan, False, "none",
+     "§5 γ containment-division plan"),
+    (equality_division_plan, True, "none", "§5 γ equality-division plan"),
+)
+
+BINARY = expressions(max_depth=3).map(
+    lambda e: e if e.arity == 2 else Projection(e, (1, e.arity))
+)
+UNARY = expressions(max_depth=3).map(
+    lambda e: e if e.arity == 1 else Projection(e, (e.arity,))
+)
+
+
+def _rebuilt(expr, operands, edit):
+    """``expr`` rebuilt with ``edit(node, n)`` applied to its ``n``-th node
+    in post-order, counted along every path; an operand (by identity) is
+    visited but not entered."""
+    numbers = count()
+
+    def walk(node):
+        if not any(node is operand for operand in operands):
+            node = replace(node, **{
+                f.name: walk(getattr(node, f.name))
+                for f in fields(node)
+                if isinstance(getattr(node, f.name), Expr)
+            })
+        return edit(node, next(numbers))
+
+    return walk(expr)
+
+
+@given(BINARY, BINARY, UNARY, UNARY)
+def test_rule_1_matches_each_builder_and_no_near_miss(r, r2, s, s2):
+    assume(r != r2 and s != s2)
+    for builder, eq, empty_divisor, origin in DIVISION_BUILDERS:
+        built = builder(r, s)
+        assert match_division(built) == DivisionMatch(
+            r, s, eq, empty_divisor, origin
+        )
+        nodes = []
+        _rebuilt(built, (r, s), lambda node, n: nodes.append(node) or node)
+        for n, node in enumerate(nodes):
+            if node is r or node is s:
+                if sum(other is node for other in nodes) == 1:
+                    continue
+                near = r2 if node is r else s2  # one use of two differs
+            elif isinstance(node, Join):
+                near = replace(node, cond=Condition() if node.cond else "1=1")
+            elif isinstance(node, Projection):
+                moved = (2,) if node.positions == (1,) else (1,)
+                near = replace(node, positions=moved)
+            else:
+                continue
+            edited = _rebuilt(
+                built, (r, s), lambda old, m: near if m == n else old
+            )
+            assert match_division(edited) is None, (n, edited)
+        try:  # a divisor of arity 2 (the classic plan cannot hold one)
+            wide = _rebuilt(
+                built, (r, s), lambda old, m: r2 if old is s else old
+            )
+        except ArityError:
+            continue
+        assert match_division(wide) is None
 
 
 class TestOperatorChoice:

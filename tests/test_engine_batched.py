@@ -5,13 +5,13 @@ record; ``docs/engine.md`` § Batched execution), and its ``workers``
 field says only *where* a batch runs.  The contract under test:
 
 * for each operator kind, budget and storage backend, the in-process
-  loop (``workers=1``, built implicitly and explicitly), real two- and
-  three-worker pools and a pool that breaks mid-run return the
-  one-shot rows **and** record-for-record the batches an in-process
-  run on the memory backend records — neither the runner, the pool's
-  width nor the transport that ships fragments to the pool changes a
-  batch, a budget that holds the whole input runs one batch that never
-  reaches the pool, and nothing is leaked;
+  loop (``workers=1``, one node whether built implicitly or
+  explicitly), real two- and three-worker pools and a pool that breaks
+  mid-run return the one-shot rows **and** record-for-record the
+  batches an in-process run on the memory backend records — neither
+  the runner, the pool's width nor the transport that ships fragments
+  to the pool changes a batch, a budget that holds the whole input
+  runs one batch that never reaches the pool, and nothing is leaked;
 * the rungs of the degradation ladder that need a sick environment —
   a pool that cannot be created, shipment storage that cannot be
   allocated — end in the serial loop with the reason recorded and
@@ -95,11 +95,11 @@ KINDS = {
     ),
 }
 
-RUNNERS = ("partitioned", "workers=1", "pool", "pool-3", "broken-pool")
+RUNNERS = ("partitioned", "pool", "pool-3", "broken-pool")
 
 #: runner → the ``workers`` of its ``PartitionedOp`` (``partitioned``
 #: leaves the field at its default)
-WORKERS = {"workers=1": 1, "pool": 2, "pool-3": 3, "broken-pool": 2}
+WORKERS = {"pool": 2, "pool-3": 3, "broken-pool": 2}
 
 #: a budget no kind's input comes near: every kind packs one batch
 AMPLE = 10**6
@@ -156,6 +156,20 @@ def shape(run):
 # ----------------------------------------------------------------------
 
 
+def test_explicit_workers_1_is_the_partitioned_runner():
+    """``workers=1`` written out is the node ``partitioned`` builds, so
+    that runner's cases below cover it."""
+    for make_db, expr, tight, _ in KINDS.values():
+        executor = Executor(make_db())
+        try:
+            inner = executor.plan(expr)
+        finally:
+            executor.close()
+        assert PartitionedOp(inner, 1, tight) == PartitionedOp(
+            inner, 1, tight, workers=1
+        )
+
+
 @pytest.mark.parametrize("runner", RUNNERS)
 @pytest.mark.parametrize("backend", sorted(TRANSPORTS))
 @pytest.mark.parametrize(
@@ -185,7 +199,7 @@ def test_every_runner_runs_the_same_batches(
     assert rows == one_shot
     assert shm_module.live_segment_names() == segments
 
-    if WORKERS.get(runner, 1) == 1:
+    if runner == "partitioned":
         assert type(run) is PartitionRun  # in-process: no pool record
     else:
         assert isinstance(run, ParallelRun)
