@@ -81,11 +81,21 @@ def selective_partition_db() -> Database:
 #: degenerate budget is the replicated side's row count where there is
 #: one (θ-semijoin's right side, the divisor: the one-shot fallback)
 #: and 1 for the keyed operators (every group an oversized singleton).
+#: The three division kinds are rule 1's three shapes, so each of its
+#: ``DivisionOp``s (classic: empty=all; γ: contains and eq, empty=none)
+#: runs batched.
 KINDS = {
     "hash-join": (mixed_db, parse("L join[2=2,1<1] M", SCHEMA), 40, 1),
     "hash-semijoin": (mixed_db, parse("L semijoin[2=2] M", SCHEMA), 25, 1),
+    "hash-semijoin-rest": (
+        mixed_db,
+        parse("L semijoin[2=2,1<1] M", SCHEMA),
+        30,
+        1,
+    ),
     "theta-semijoin": (mixed_db, parse("L semijoin[1>1] M", SCHEMA), 36, 30),
     "division-contains": (mixed_db, classic_division_expr(), 12, 3),
+    "division-gamma-contains": (mixed_db, division_plan(eq=False), 12, 3),
     "division-eq": (mixed_db, division_plan(eq=True), 12, 3),
     "selective-join": (
         selective_partition_db,
@@ -229,7 +239,12 @@ def test_every_runner_runs_the_same_batches(
         assert run.actual() > 1 and run.fallback is None
     elif budget_case == "ample":
         assert run.actual() == 1 and run.fallback is None
-    elif kind in ("hash-join", "hash-semijoin", "selective-join"):
+    elif kind in (
+        "hash-join",
+        "hash-semijoin",
+        "hash-semijoin-rest",
+        "selective-join",
+    ):
         assert all(b.groups == 1 for b in run.batches)
     else:
         assert run.actual() == 1 and "one-shot" in run.render()
