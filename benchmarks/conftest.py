@@ -2,15 +2,13 @@
 
 Sizes are chosen so the full suite runs in well under a minute while
 the quadratic-vs-linear separations stay clearly visible in the
-asserted work and intermediate sizes; ``results_writer`` serves the
-``BENCH_parallel.json`` emitter, and ``best_of`` the timed arms.
+asserted work and intermediate sizes; ``best_of`` serves the timed
+arms.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import pytest
 
@@ -23,29 +21,8 @@ from repro.workloads.generators import (
 )
 
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-
 #: Runs per timed arm in :func:`best_of`.
 TIMING_REPEATS = 3
-
-
-def results_writer(file_name: str, results: dict):
-    """A module fixture writing ``results`` to ``<repo root>/file_name``.
-
-    Bind the return value to a module-level name in the benchmark
-    module; the accumulated trajectory is written once, after the
-    module's tests ran.  The ``BENCH_*.json`` files are build outputs
-    (git-ignored; CI uploads them as artifacts).
-    """
-
-    @pytest.fixture(scope="module", autouse=True)
-    def emit_results():
-        yield
-        (REPO_ROOT / file_name).write_text(
-            json.dumps(results, indent=2, sort_keys=True) + "\n"
-        )
-
-    return emit_results
 
 
 def timed(fn):

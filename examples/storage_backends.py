@@ -72,8 +72,8 @@ backend.close()
 print("\n== per-backend transport pricing ==")
 for kind in ("memory", "shm"):
     executor = Executor(db, backend=kind)
-    print(f"{kind:>6}: cost model prices backend "
-          f"{executor.cost_model.backend!r}")
+    print(f"{kind:>6}: cost model prices an attached backend: "
+          f"{executor.cost_model.attached}")
     executor.close()
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,6 @@ Subcommands::
     repro explain  'R cartesian S' --schema 'R:2,S:1'       # physical plan
     repro explain  -d db.json --costs 'R join[2=1] S'       # + cost estimates
     repro eval     -d db.json --partition-budget 500 'R join[2=1] S'
-    repro eval     -d db.json --partition-budget 500 --max-workers 4 'R join[2=1] S'
     repro trace    -d db.json 'project[1](R) cartesian S'
     repro classify -d db.json 'R cartesian S'           # db optional
     repro compile  'R join[2=1] S' --schema 'R:2,S:1'
@@ -17,9 +16,8 @@ Subcommands::
 
 ``eval``, ``explain`` and ``divide`` build one
 :class:`~repro.session.Session` from the shared session flags: the
-planner flags (``--partition-budget``, ``--max-workers``,
-``--no-multiway``) become its ``PlannerOptions``, which reject bad
-values up front, and ``--backend`` picks its storage.  ``optimize`` is
+planner flags (``--partition-budget``, ``--no-multiway``) become its
+``PlannerOptions``, which reject bad values up front.  ``optimize`` is
 pure rewriting and takes none of them.  Expressions use the textual syntax of
 :mod:`repro.algebra.parser`; the schema comes from the database file or
 from ``--schema 'R:2,S:1'``.
@@ -42,7 +40,6 @@ from repro.data.universe import INTEGERS, RATIONALS, STRINGS
 from repro.errors import ReproError
 from repro.io.json_io import load_database
 from repro.setjoins.division import DIVISION_ALGORITHMS
-from repro.storage.backend import BACKEND_KINDS
 
 _UNIVERSES = {
     "integers": INTEGERS,
@@ -101,14 +98,6 @@ _SESSION_FLAGS = (
         "whose estimated in-flight bound exceeds it run in batches "
         "(needs a database's statistics)",
     )),
-    ("--max-workers", "max_workers", dict(
-        type=int,
-        metavar="N",
-        help="run the batches --partition-budget cuts on N worker "
-        "processes when the cost model certifies the parallel cost "
-        "beats serial (needs --partition-budget and a database's "
-        "statistics; 1 = exactly serial)",
-    )),
     ("--no-multiway", "use_multiway", dict(
         action="store_true",
         help="never collapse an equi-join chain into the worst-case-"
@@ -151,14 +140,12 @@ def _session_from_flags(args):
     from repro.session import Session
 
     db = _load_database(args.database)
-    return Session(db, options=_session_options(args), backend=args.backend)
+    return Session(db, options=_session_options(args))
 
 
 def _engine_flags_given(args) -> tuple[str, ...]:
     """Engine-only flags present on ``args`` (for --no-engine checks)."""
     given = tuple(_session_flags_given(args))
-    if args.backend is not None:
-        given += ("--backend",)
     if getattr(args, "stats", False):
         given += ("--stats",)
     return given
@@ -312,21 +299,13 @@ def _session_flags_parser() -> argparse.ArgumentParser:
 
     Attached to every subcommand that builds a :class:`~repro.session.
     Session` (``eval``, ``explain``, ``divide``), so the planner knobs
-    and the storage choice read identically everywhere and are applied
-    session-level rather than per call.
+    read identically everywhere and are applied session-level rather
+    than per call.
     """
     flags = argparse.ArgumentParser(add_help=False)
     group = flags.add_argument_group("session options")
     for flag, __, kwargs in _SESSION_FLAGS:
         group.add_argument(flag, **kwargs)
-    group.add_argument(
-        "--backend",
-        choices=BACKEND_KINDS,
-        help="storage backend the session reads relations from: "
-        "'memory' (default) serves rows straight off the loaded "
-        "database, 'shm' encodes them columnar into shared memory "
-        "(parallel workers attach by segment name)",
-    )
     return flags
 
 

@@ -66,7 +66,6 @@ from repro.engine.executor import (
 from repro.engine.parallel import (
     ParallelRun,
     WorkerSlice,
-    apply_parallelism,
     available_cpus,
     shutdown_worker_pools,
 )
@@ -114,7 +113,6 @@ __all__ = [
     "StatsCatalog",
     "WcojRun",
     "WorkerSlice",
-    "apply_parallelism",
     "apply_partitioning",
     "available_cpus",
     "explain",

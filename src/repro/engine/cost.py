@@ -84,8 +84,6 @@ AGM_MAX_EDGES = 12
 #: while underpricing would certify dispatches that lose — and the two
 #: fixed costs below are not fitted to this kernel, whose batches are
 #: cheap enough for pool dispatch to lose (ROADMAP item 2).
-#: ``BENCH_parallel.json`` records the fit next to this constant on
-#: every benchmark run.
 PARALLEL_IPC_ROW_COST = 5.0
 
 #: Per-row surcharge when the backend is *attached* (shm): the
@@ -167,14 +165,14 @@ class CostModel:
     def __init__(
         self,
         catalog: StatsCatalog | None = None,
-        backend: str = "memory",
+        attached: bool = False,
     ) -> None:
         self.catalog = catalog
-        #: The storage-backend kind (:data:`repro.storage.backend.
-        #: BACKEND_KINDS`) execution will run against — it decides the
-        #: per-row transport price in :func:`parallel_cost_split`
-        #: (attached backends ship descriptors, not pickles).
-        self.backend = backend
+        #: Whether execution reads an attached backend (shm) — it
+        #: decides the per-row transport price in
+        #: :func:`parallel_cost_split` (attached backends ship
+        #: descriptors, not pickles).
+        self.attached = attached
         self._memo: dict[PlanNode, Estimate] = {}
 
     # ------------------------------------------------------------------
@@ -196,6 +194,13 @@ class CostModel:
     def __len__(self) -> int:
         """Memoized node count — callers recycle models grown too big."""
         return len(self._memo)
+
+    def cardinalities(self, scans) -> list[float]:
+        """The exact row counts of stored-relation ``scans``, in order."""
+        return [
+            float(self.catalog.relation(scan.expr.name).rows)
+            for scan in scans
+        ]
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -567,11 +572,7 @@ class CostModel:
         edges = [frozenset(row) for row in attrs]
         if not all(edges):  # an arity-0 leaf: no hyperedge to weight
             return None
-        cards = [
-            float(self.catalog.relation(leaf.expr.name).rows)
-            for leaf in leaves
-        ]
-        bound, __ = fractional_edge_cover(edges, cards)
+        bound, __ = fractional_edge_cover(edges, self.cardinalities(leaves))
         return bound
 
     # ------------------------------------------------------------------
@@ -655,14 +656,12 @@ class CostModel:
             return None
         if not all(node.attrs):
             return None
-        cards = [
-            float(self.catalog.relation(child.expr.name).rows)
-            for child in node.relations
-        ]
         free = None
         if node.positions is not None:
             free = node.order[: node.free]
-        bound, __ = multiway_bound(node.attrs, cards, free)
+        bound, __ = multiway_bound(
+            node.attrs, self.cardinalities(node.relations), free
+        )
         return bound
 
 
@@ -1013,7 +1012,7 @@ def parallel_cost_split(
     operator's own work (:func:`parallel_work_bound`) by the worker
     count, and charges the fixed per-batch and startup overheads.
 
-    The transport price is per-backend (``model.backend``): rows going
+    The transport price is per-backend (``model.attached``): rows going
     *out* to workers cost :data:`PARALLEL_IPC_ROW_COST` each on the
     memory backend (pickled fragments) but only
     :data:`PARALLEL_ATTACHED_ROW_COST` on attached backends, where the
@@ -1027,8 +1026,6 @@ def parallel_cost_split(
     paid back, so the planner keeps the serial plan (mirroring the
     partition gate's refusal to partition uncertified plans).
     """
-    from repro.storage.backend import ATTACHED_KINDS
-
     work = parallel_work_bound(model, node.inner)
     if not math.isfinite(work):
         return None
@@ -1042,7 +1039,7 @@ def parallel_cost_split(
         return None
     outbound_price = (
         PARALLEL_ATTACHED_ROW_COST
-        if model.backend in ATTACHED_KINDS
+        if model.attached
         else PARALLEL_IPC_ROW_COST
     )
     base = sum(c.cost for c in children)

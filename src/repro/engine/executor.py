@@ -522,40 +522,21 @@ class Executor:
     #: Max (expression, options) plans and per-plan estimate maps kept.
     PLAN_CACHE_SIZE = 512
 
-    def __init__(self, db: Database, backend=None) -> None:
+    def __init__(self, db: Database, backend: str | None = "memory") -> None:
         from repro.engine.stats import StatsCatalog
-        from repro.storage import Backend, open_backend
+        from repro.storage import open_backend
 
         self.db = db
-        if backend is None:
-            backend = open_backend(db, "memory")
-        elif isinstance(backend, str):
-            backend = open_backend(db, backend)
-        elif not isinstance(backend, Backend):
-            raise SchemaError(
-                "backend must be a kind name or a repro.storage."
-                f"Backend, got {type(backend).__name__}"
-            )
-        elif backend.db is not db:
-            # Identity, not equality: version tokens are per-handle,
-            # so a backend over an equal-but-distinct Database would
-            # never observe this handle's mutations.
-            raise SchemaError(
-                "backend is bound to a different database; storage "
-                "snapshots are per-database — open a matching backend"
-            )
-        #: Where relation contents are read from (``repro.storage``).
+        #: Where relation contents are read from (``repro.storage``),
+        #: opened from a kind name (``None`` means ``"memory"``).
         #: Scans, the partition/parallel staleness checks, and the
-        #: parallel shipment transport all go through it; the memory
-        #: backend reproduces the pre-backend direct-dict behaviour
-        #: exactly.
-        self.backend = backend
+        #: parallel shipment transport all go through it.
+        self.backend = open_backend(
+            db, "memory" if backend is None else backend
+        )
         self.indexes = IndexCache()
         self.stats = ExecutionStats()
-        # Statistics read rows through the backend and key their cache
-        # by its version token, so the profile describes exactly the
-        # snapshot scans execute against.
-        self.catalog = StatsCatalog(db, backend=backend)
+        self.catalog = StatsCatalog(db)
         self._estimates: "OrderedDict[PlanNode, dict[PlanNode, object]]" = (
             OrderedDict()
         )
@@ -564,7 +545,7 @@ class Executor:
         self._plans: "OrderedDict[tuple[Expr, object], PlanNode]" = (
             OrderedDict()
         )
-        self._version = backend.version_token()
+        self._version = self.backend.version_token()
 
     @property
     def version(self) -> int:
@@ -635,7 +616,9 @@ class Executor:
 
         #: One cost model for planning *and* execution-time recording,
         #: so estimates priced during planning are reused, not redone.
-        self.cost_model = CostModel(self.catalog, backend=self.backend.kind)
+        self.cost_model = CostModel(
+            self.catalog, attached=self.backend.attached
+        )
         self._subplans: dict[object, dict[Expr, PlanNode]] = {}
         self._estimates.clear()
 

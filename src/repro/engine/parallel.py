@@ -18,9 +18,9 @@ Three properties the implementation is organized around:
   shared columnar shipment, the tasks carrying only block descriptors
   (:mod:`repro.storage.ship`) — which is what makes the dispatch pay
   off on multi-core machines.
-* **Certified dispatch only.**  The planner post-pass
-  (:func:`apply_parallelism`) gives a batched operator workers only
-  when :func:`~repro.engine.cost.parallel_cost_split` certifies, from
+* **Certified dispatch only.**  The planner's partition post-pass
+  (:func:`~repro.engine.partition.apply_partitioning`) gives a batched
+  operator workers only when :func:`~repro.engine.cost.parallel_cost_split` certifies, from
   sound bounds, that scatter + IPC + divided work beats the serial
   cost — zero-stats plans never parallelize, mirroring the partition
   gate.
@@ -44,7 +44,7 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.data.database import Row
 from repro.engine.partition import (
@@ -56,7 +56,7 @@ from repro.engine.partition import (
     run_task,
     scatter_for,
 )
-from repro.engine.plan import PartitionedOp, PlanNode, rewrite_plan
+from repro.engine.plan import PartitionedOp
 from repro.storage.ship import ShipmentWriter, run_shipped_task
 
 
@@ -252,7 +252,7 @@ def _run_on_pool(
         return f"pool unavailable ({error})"
     ship: ShipmentWriter | None = None
     if executor.backend.attached:
-        ship = ShipmentWriter(executor.backend.kind)
+        ship = ShipmentWriter()
     tasks = [scatter.task(keys, ship) for keys in batches]
     shipment = None
     if ship is not None:
@@ -314,47 +314,3 @@ def _gather_pool(
             future.cancel()
         raise
 
-
-# ----------------------------------------------------------------------
-# Planning: the certified-dispatch post-pass
-# ----------------------------------------------------------------------
-
-
-def apply_parallelism(
-    plan: PlanNode, cost_model, workers: int
-) -> PlanNode:
-    """Post-pass: give ``workers`` to batched operators that certify.
-
-    Runs after :func:`~repro.engine.partition.apply_partitioning` (and,
-    like it, after every operator-choice cost comparison, so the
-    parallel repricing can never flip one).  A one-worker
-    :class:`~repro.engine.plan.PartitionedOp` gets ``workers`` — the
-    batches its budget cuts anyway are simply run on the pool — only
-    when :func:`~repro.engine.cost.parallel_cost_split` certifies that
-    the parallel cost (scatter + IPC + divided work + fixed overheads)
-    beats the serial cost from the same sound bounds.  Unsound or
-    infinite bounds — zero-stats planning — certify nothing and leave
-    the plan untouched.
-    """
-    from repro.engine.cost import parallel_cost_split
-
-    if workers <= 1:
-        return plan
-
-    def step(node: PlanNode, descend) -> PlanNode:
-        node = descend(node)
-        if not isinstance(node, PartitionedOp) or node.workers > 1:
-            return node  # not batched, or already on a pool
-        candidate = replace(node, workers=workers)
-        split = parallel_cost_split(cost_model, candidate)
-        if split is None or split[1] >= split[0]:
-            return node
-        note = (
-            f"parallel bound {split[1]:.0f} beats serial "
-            f"{split[0]:.0f} on {workers} worker(s)"
-        )
-        if node.note:
-            note = f"{node.note}; {note}"
-        return replace(candidate, note=note)
-
-    return rewrite_plan(plan, step)

@@ -96,6 +96,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.data.database import Row
 from repro.engine import kernels
+from repro.engine.cost import parallel_cost_split
 from repro.engine.plan import (
     PARTITIONABLE_OPS,
     DivisionOp,
@@ -142,17 +143,26 @@ def planned_partitions(upper: float, budget: int) -> int:
     return max(1, min(MAX_PARTITIONS, math.ceil(upper / budget)))
 
 
-def apply_partitioning(plan: PlanNode, cost_model, budget: int) -> PlanNode:
-    """Post-pass: wrap every oversized partitionable operator in ``plan``.
+def apply_partitioning(
+    plan: PlanNode, cost_model, budget: int, workers: int = 1
+) -> PlanNode:
+    """Post-pass: wrap every oversized partitionable operator in ``plan``,
+    and give a wrapper ``workers`` where that certifies.
 
     Runs *after* all of the planner's cost comparisons, so the scatter
-    surcharge a :class:`~repro.engine.plan.PartitionedOp` adds can
-    never flip an operator-choice decision — the budget, not the cost
-    model, is what forces batching.  The tree is rebuilt bottom-up
-    (children first, so an operator's in-flight bound is computed over
-    its possibly-wrapped children); shared sub-plans stay shared, and
-    untouched subtrees are returned as the same objects so executor
-    memoization is unaffected (:func:`~repro.engine.plan.rewrite_plan`).
+    surcharge a :class:`~repro.engine.plan.PartitionedOp` adds — or its
+    parallel repricing — can never flip an operator-choice decision:
+    the budget, not the cost model, is what forces batching.  The tree
+    is rebuilt bottom-up (children first, so an operator's in-flight
+    bound is computed over its possibly-wrapped children); shared
+    sub-plans stay shared, and untouched subtrees are returned as the
+    same objects so executor memoization is unaffected
+    (:func:`~repro.engine.plan.rewrite_plan`).
+
+    With ``workers > 1`` a new wrapper runs its batches on a pool only
+    when :func:`~repro.engine.cost.parallel_cost_split` certifies that
+    scatter + transport + divided work beats the serial cost from the
+    same sound bounds; otherwise it keeps one worker.
     """
 
     def step(node: PlanNode, descend) -> PlanNode:
@@ -187,6 +197,8 @@ def apply_partitioning(plan: PlanNode, cost_model, budget: int) -> PlanNode:
                 rebuilt = PartitionedOp(
                     rebuilt, partitions, budget, note=note
                 )
+                if workers > 1:
+                    rebuilt = _pooled(cost_model, rebuilt, workers)
         elif isinstance(rebuilt, MultiwayJoinOp):
             # Generic joins batch nothing (working set = inputs +
             # certified output), so an over-budget one is annotated,
@@ -207,6 +219,19 @@ def apply_partitioning(plan: PlanNode, cost_model, budget: int) -> PlanNode:
         return rebuilt
 
     return rewrite_plan(plan, step)
+
+
+def _pooled(cost_model, node: PartitionedOp, workers: int) -> PartitionedOp:
+    """``node`` on ``workers`` workers if the parallel split certifies."""
+    candidate = replace(node, workers=workers)
+    split = parallel_cost_split(cost_model, candidate)
+    if split is None or split[1] >= split[0]:
+        return node
+    note = (
+        f"{node.note}; parallel bound {split[1]:.0f} beats serial "
+        f"{split[0]:.0f} on {workers} worker(s)"
+    )
+    return replace(candidate, note=note)
 
 
 # ----------------------------------------------------------------------

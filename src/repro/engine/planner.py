@@ -320,32 +320,27 @@ class Planner:
         return self.cost_model.estimate(node).cost
 
     def _post_passes(self, plan: PlanNode) -> PlanNode:
-        """Partition the plan once it is wholly chosen, then give its
-        batched operators workers.
+        """Partition the plan once it is wholly chosen, giving its
+        batched operators workers where that certifies.
 
-        Post-passes, deliberately not part of operator choice: wrapping
+        A post-pass, deliberately not part of operator choice: wrapping
         adds the scatter pass (:func:`repro.engine.partition.
         apply_partitioning`) or the parallel repricing
         (:func:`repro.engine.cost.parallel_cost_split`) to an
         operator's cost, and pricing candidates with either could flip
         a comparison toward an unpartitionable — hence budget-unbounded
         — alternative.  Both need certified bounds, so without
-        statistics, a budget or ``max_workers > 1`` plans come back
-        untouched and serial planning stays byte-identical.
+        statistics or a budget plans come back untouched and serial
+        planning stays byte-identical.
         """
         budget = self.options.partition_budget
         if not self._costed() or budget is None:
             return plan
         from repro.engine.partition import apply_partitioning
 
-        plan = apply_partitioning(plan, self.cost_model, budget)
-        if self.options.max_workers > 1:
-            from repro.engine.parallel import apply_parallelism
-
-            plan = apply_parallelism(
-                plan, self.cost_model, self.options.max_workers
-            )
-        return plan
+        return apply_partitioning(
+            plan, self.cost_model, budget, self.options.max_workers
+        )
 
     def plan(self, expr: Expr) -> PlanNode:
         """Plan a logical expression (RA/SA, optionally with γ)."""
@@ -468,10 +463,7 @@ class Planner:
 
         flat = [v for row in child.attrs for v in row]
         free = {flat[p - 1] for p in expr.positions}
-        cards = [
-            float(self.cost_model.catalog.relation(plan.expr.name).rows)
-            for plan in child.relations
-        ]
+        cards = self.cost_model.cardinalities(child.relations)
         agm, __ = multiway_bound(child.attrs, cards, free)
         return MultiwayJoinOp(
             child.relations,
@@ -696,10 +688,7 @@ class Planner:
         edges = [frozenset(row) for row in attrs]
         if not all(edges):  # an arity-0 leaf carries no hyperedge
             return None
-        cards = [
-            float(self.cost_model.catalog.relation(plan.expr.name).rows)
-            for plan in plans
-        ]
+        cards = self.cost_model.cardinalities(plans)
         agm, cover = fractional_edge_cover(edges, cards)
         peak = self._binary_intermediate_bound(binary)
         if peak is None or not agm < peak:

@@ -107,42 +107,29 @@ def relation_stats(
 class StatsCatalog:
     """Lazy, cached statistics for one database.
 
-    ``relation(name)`` profiles a relation on first use and caches the
+    ``relation(name)`` profiles ``db[name]`` on first use and caches the
     result keyed by the **version token** current at profile time, so a
     swapped relation (same name, different contents) is re-profiled
-    instead of served stale.  When a ``backend`` is given, rows are
-    read through it, so the profile describes exactly the snapshot
-    scans will execute against.
+    instead of served stale.  The database, not a storage backend, is
+    read: a backend serves the same contents, and profiling it could
+    mean decoding a snapshot just to count it.
     :meth:`invalidate` drops the statistics — the executor calls it
     when the version token changes.
     """
 
-    def __init__(self, db: Database, backend=None) -> None:
+    def __init__(self, db: Database) -> None:
         self.db = db
-        #: Optional :class:`repro.storage.backend.Backend` rows and
-        #: tokens are read through (None → the database handle itself).
-        self.backend = backend
         self._cache: dict[str, tuple[int, RelationStats]] = {}
         #: Profiling passes actually run (the regression tests in
         #: ``tests/test_engine_caches.py`` count these across reads).
         self.profiles = 0
 
-    def _token(self) -> int:
-        if self.backend is not None:
-            return self.backend.version_token()
-        return self.db.version_token()
-
-    def _rows(self, name: str) -> frozenset[Row]:
-        if self.backend is not None:
-            return self.backend.rows(name)
-        return self.db[name]
-
     def relation(self, name: str) -> RelationStats:
-        token = self._token()
+        token = self.db.version_token()
         cached = self._cache.get(name)
         if cached is not None and cached[0] == token:
             return cached[1]
-        profiled = relation_stats(self._rows(name), self.db.schema[name])
+        profiled = relation_stats(self.db[name], self.db.schema[name])
         self.profiles += 1
         self._cache[name] = (token, profiled)
         return profiled

@@ -237,12 +237,9 @@ class Session:
         :class:`~repro.engine.executor.ResultCache`).
     backend:
         Storage the session's executor reads relations from, for the
-        session's whole life: a kind name from
-        :data:`~repro.storage.backend.BACKEND_KINDS` (``"memory"``,
-        ``"shm"``), an already-open
-        :class:`~repro.storage.backend.Backend` over the same ``db``,
-        or ``None`` (default) for ``"memory"``.  An unknown kind
-        raises :class:`~repro.errors.SchemaError`.  The shm backend
+        session's whole life: a storage kind name (``"memory"`` or
+        ``"shm"``), or ``None`` (default) for ``"memory"``.  Anything
+        else raises :class:`~repro.errors.SchemaError`.  The shm backend
         owns real OS resources — close the session (or use it as a
         context manager) to release them.
     """

@@ -13,7 +13,6 @@ from repro.storage.backend import (
     Backend,
     ColumnarBackend,
     MemoryBackend,
-    SharedMemoryBackend,
     open_backend,
 )
 from repro.storage.ship import BlockRef, Shipment, ShipmentWriter
@@ -25,7 +24,6 @@ __all__ = [
     "BlockRef",
     "ColumnarBackend",
     "MemoryBackend",
-    "SharedMemoryBackend",
     "Shipment",
     "ShipmentWriter",
     "attach_snapshot",

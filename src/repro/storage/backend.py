@@ -29,7 +29,7 @@ Two implementations ship, both in this module:
   zero setup; parallel workers receive pickled row fragments, and
   serving snapshots travel as one columnar image encoded once per
   content version.
-* :class:`SharedMemoryBackend` — relations encoded
+* :class:`ColumnarBackend` (kind ``"shm"``) — relations encoded
   columnar into a :mod:`multiprocessing.shared_memory` segment.  Its
   ``attached`` flag tells the parallel layer workers can attach batch
   fragments by segment name instead of receiving pickled rows.
@@ -52,13 +52,8 @@ from repro.errors import SchemaError, StaleDataError
 from repro.storage.columnar import decode_rows, encode_rows
 from repro.storage.image import PLACEMENT_OF_KIND, Image
 
-#: The selectable backend kinds, in CLI/option spelling.
+#: The selectable backend kinds, in option spelling.
 BACKEND_KINDS = ("memory", "shm")
-
-#: The kinds whose storage parallel workers attach by name —
-#: what :mod:`repro.engine.cost` prices at the descriptor (not pickle)
-#: transport rate.
-ATTACHED_KINDS = frozenset({"shm"})
 
 #: relation name → ``(base offset, BlockMeta)`` into one columnar image.
 Layout = dict[str, tuple[int, tuple]]
@@ -219,16 +214,14 @@ class Backend(abc.ABC):
 
 
 class MemoryBackend(Backend):
-    """The original in-memory dict storage: reads straight off the db.
+    """In-memory storage: reads straight off the db.
 
     No snapshot exists, so nothing can go stale between the token check
-    and the read — ``rows`` is exactly the pre-backend ``db[name]``
-    path and mutation detection stays entirely with the executor's
-    version-token discipline.
+    and the read — ``rows`` is ``db[name]`` and mutation detection
+    stays entirely with the executor's version-token discipline.
     """
 
     kind = "memory"
-    attached = False
 
     def __init__(self, db: Database) -> None:
         super().__init__(db)
@@ -254,13 +247,16 @@ class MemoryBackend(Backend):
 
 
 class ColumnarBackend(Backend):
-    """The encoded-snapshot machinery behind the shm backend.
+    """Relations encoded columnar into one shared-memory segment.
 
     A content version is one immutable :class:`~repro.storage.image.
-    Image` plus the layout table that indexes it; the subclass's
-    ``kind`` picks the placement.  The per-relation layout, the
-    snapshot token, staleness checks, re-encode on refresh and the
-    decoded relations (memoised per content version) all live here.
+    Image` plus the layout table that indexes it, written once per
+    version and re-encoded by :meth:`refresh` when the version token
+    moves.  Decoded relations are memoised per content version, so
+    serial reads pay the decode once; the segment's purpose is the
+    parallel path, where batch shipments ride the same shared-memory
+    transport and workers attach by name instead of unpickling row
+    fragments.
 
     **How long an old version lives.**  :meth:`refresh` makes a new
     version current; the old one is released on the spot unless readers
@@ -271,6 +267,9 @@ class ColumnarBackend(Backend):
     synchronised here; the server calls all three under its scheduler
     lock.
     """
+
+    kind = "shm"
+    attached = True
 
     def __init__(self, db: Database) -> None:
         super().__init__(db)
@@ -363,24 +362,9 @@ class ColumnarBackend(Backend):
         return (self.kind, image.locator, dict(layout))
 
 
-class SharedMemoryBackend(ColumnarBackend):
-    """Relations encoded columnar into one shared-memory segment.
-
-    The segment is written once per content version (and re-encoded by
-    :meth:`refresh` when the version token moves).  Decoded relations
-    are memoized, so serial reads pay the decode once; the segment's
-    purpose is the parallel path, where batch shipments ride the same
-    shared-memory transport and workers attach by name instead of
-    unpickling row fragments.
-    """
-
-    kind = "shm"
-    attached = True
-
-
 def open_backend(db: Database, kind: str = "memory") -> Backend:
     """Construct the backend implementation named ``kind`` over ``db``."""
-    for backend in (MemoryBackend, SharedMemoryBackend):
+    for backend in (MemoryBackend, ColumnarBackend):
         if backend.kind == kind:
             return backend(db)
     raise SchemaError(

@@ -45,7 +45,7 @@ from repro.storage.columnar import (
     encode_rows,
     encode_values,
 )
-from repro.storage.image import PLACEMENT_OF_KIND, Image, attached
+from repro.storage.image import Image, attached
 
 
 class BlockRef:
@@ -104,10 +104,11 @@ class Shipment:
 class ShipmentWriter:
     """Collects fragments during scatter; seals them into a shipment."""
 
-    def __init__(self, backend_kind: str) -> None:
-        #: Where the sealed image goes — the placement the backend of
-        #: that kind stores its own image at (``"shm"``).
-        self.transport = PLACEMENT_OF_KIND[backend_kind]
+    #: Where the sealed image goes: only an attached backend ships, and
+    #: it ships through shared memory.
+    transport = "shm"
+
+    def __init__(self) -> None:
         self._payloads: list[tuple[str, list]] = []
         self._by_id: dict[int, BlockRef] = {}
 

@@ -1,7 +1,5 @@
 """Tests for the command-line interface."""
 
-import re
-
 import pytest
 
 from repro.cli import main
@@ -78,12 +76,45 @@ class TestSessionFlags:
             assert main(argv) == 0, argv
         capsys.readouterr()
 
-    def test_max_workers_needs_a_partition_budget(self, db_path, capsys):
-        # The pool runs only the batches a budget cuts.
-        argv = ["eval", "-d", db_path, "--max-workers", "2", "R join[2=1] S"]
-        assert main(argv) == 2
-        assert "needs a partition_budget" in capsys.readouterr().err
-        assert main([*argv[:3], "--partition-budget", "1000", *argv[3:]]) == 0
+    @pytest.mark.parametrize(
+        "flag", [["--max-workers", "2"], ["--backend", "shm"]]
+    )
+    def test_pool_and_storage_are_not_flags(self, db_path, flag, capsys):
+        # A CLI session plans serially in memory; the pool and the
+        # storage kind are options of Session and Server only.
+        for argv in (
+            ["eval", "-d", db_path, *flag, "R join[2=1] S"],
+            ["explain", "-d", db_path, *flag, "R join[2=1] S"],
+            ["divide", "-d", db_path, *flag],
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2, argv
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_cli_session_is_serial_and_in_memory(
+        self, db_path, monkeypatch, capsys
+    ):
+        import repro.session
+
+        opened = []
+
+        class Recording(repro.session.Session):
+            def __init__(self, db, **kwargs):
+                super().__init__(db, **kwargs)
+                opened.append(
+                    (self.executor.backend.kind, self.options.max_workers)
+                )
+
+        monkeypatch.setattr(repro.session, "Session", Recording)
+        budget = ["--partition-budget", "1000"]
+        for argv in (
+            ["eval", "-d", db_path, *budget, "R join[2=1] S"],
+            ["explain", "-d", db_path, *budget, "R join[2=1] S"],
+            ["divide", "-d", db_path, *budget],
+        ):
+            assert main(argv) == 0, argv
+        assert opened == [("memory", 1)] * 3
         capsys.readouterr()
 
     def test_without_statistics_explain_plans_structurally(
@@ -116,7 +147,6 @@ class TestSessionFlags:
             ["--stats"],
             ["--no-multiway"],
             ["--partition-budget", "5"],
-            ["--backend", "shm"],
         ):
             code = main(
                 ["eval", "-d", db_path, "--no-engine", *extra,
@@ -124,35 +154,6 @@ class TestSessionFlags:
             )
             assert code == 2, extra
             assert "--no-engine" in capsys.readouterr().err
-
-    def test_backend_flag_reaches_the_session(
-        self, db_path, monkeypatch, capsys
-    ):
-        import repro.session
-
-        opened = []
-
-        class Recording(repro.session.Session):
-            def __init__(self, db, **kwargs):
-                super().__init__(db, **kwargs)
-                opened.append(self.executor.backend.kind)
-
-        monkeypatch.setattr(repro.session, "Session", Recording)
-        for kind in ("memory", "shm"):
-            argv = ["eval", "-d", db_path, "--backend", kind, "R join[2=1] S"]
-            assert main(argv) == 0, kind
-        assert opened == ["memory", "shm"]
-        capsys.readouterr()
-
-    def test_backend_mmap_is_an_invalid_choice(self, db_path, capsys):
-        argv = ["eval", "-d", db_path, "--backend", "mmap", "R join[2=1] S"]
-        with pytest.raises(SystemExit) as exit_info:
-            main(argv)
-        assert exit_info.value.code == 2
-        err = capsys.readouterr().err
-        assert "argument --backend: invalid choice: 'mmap'" in err
-        # Quoting of the choices differs across Python versions.
-        assert re.search(r"choose from '?memory'?, '?shm'?\)", err)
 
     def test_optimize_takes_no_session_flags(self, db_path, capsys):
         assert (

@@ -17,8 +17,9 @@ replaced, so no plan priced by an old model outlives it; and the
 freshness of the catalog and of ``explain``:
 
 * :class:`~repro.engine.stats.StatsCatalog` keys its cache by *version
-  token*, so reads through a backend profile once, not once per
-  access;
+  token*, so a session profiles each relation once, not once per
+  query, and reads the database, so planning on the shm backend
+  decodes nothing from its segment;
 * every explain entry point re-checks the version token before
   rendering costs, so a mutation is never shown with pre-mutation
   statistics;
@@ -34,10 +35,10 @@ from repro.data.schema import Schema
 from repro.engine import Executor, IndexCache, PlannerOptions, ResultCache
 from repro.engine.plan import HashJoinOp, NestedLoopJoinOp
 from repro.engine.planner import DEFAULT_OPTIONS, Planner
-from repro.engine.stats import StatsCatalog
 from repro.errors import SchemaError
+from repro.serve.server import Server
 from repro.session import Session
-from repro.storage.backend import open_backend
+from repro.storage.backend import ColumnarBackend
 
 
 def correlated_db() -> Database:
@@ -252,14 +253,30 @@ class TestSubPlanMemoLifetime:
 
 
 class TestStatsFreshness:
-    def test_shm_catalog_profiles_once_across_reads(self):
+    def test_shm_planning_decodes_no_relation(self, monkeypatch):
+        # Statistics read the Database: pricing a plan on the shm
+        # backend never decodes a relation out of its segment.
+        decoded = []
+        rows = ColumnarBackend.rows
+
+        def counted(self, name):
+            decoded.append(name)
+            return rows(self, name)
+
+        monkeypatch.setattr(ColumnarBackend, "rows", counted)
         db = correlated_db()
-        with open_backend(db, "shm") as backend:
-            catalog = StatsCatalog(db, backend=backend)
-            stats = catalog.relation("A")
-            assert catalog.relation("A") is stats
-            assert catalog.relation("A") is stats
-            assert catalog.profiles == 1
+        with Session(db, backend="shm") as session:
+            assert "~rows=" in session.explain("A join[2=1] B", costs=True)
+            assert session.executor.catalog.profiles == len(db.schema)
+        assert decoded == []
+        # A shm Server prices every read on its own session; workers=0
+        # runs the read inline from the pinned snapshot descriptor.
+        with Server(correlated_db(), workers=0, backend="shm") as server:
+            handle = server.connect("t")
+            handle.write(additions={"A": [(99, 0)]})
+            rows = handle.submit("A join[2=1] B").result(30)
+            assert (99, 0, 0, 0) in rows
+        assert decoded == []
 
     def test_shm_session_profiles_once_across_queries(self):
         db = correlated_db()

@@ -41,7 +41,7 @@ from repro.engine import (
     PartitionedOp,
     PartitionRun,
     PlannerOptions,
-    apply_parallelism,
+    apply_partitioning,
     plan_expression,
 )
 from repro.engine.cost import parallel_cost_split, parallel_work_bound
@@ -238,12 +238,14 @@ class TestDispatchGate:
             (n.inner, n.partitions, n.budget) for n in serial
         ]
 
-    def test_apply_parallelism_is_idempotent(self):
+    def test_apply_partitioning_is_idempotent(self):
         db = hot_symptom_db()
         executor = Executor(db)
         plan = executor.plan(parse(HOT_QUERY, db.schema), HOT_OPTIONS)
         assert parallel_nodes(plan)
-        again = apply_parallelism(plan, executor.cost_model, 4)
+        again = apply_partitioning(
+            plan, executor.cost_model, HOT_OPTIONS.partition_budget, 4
+        )
         assert again == plan
 
     def test_work_bound_prices_rest_atom_pairs(self):

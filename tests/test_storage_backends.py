@@ -44,8 +44,8 @@ from repro.session import Session
 from repro.setjoins.division import classic_division_expr
 from repro.storage import (
     BACKEND_KINDS,
+    ColumnarBackend,
     MemoryBackend,
-    SharedMemoryBackend,
     attach_snapshot,
     open_backend,
 )
@@ -101,7 +101,7 @@ class TestBackendProtocol:
     def test_open_backend_kinds(self, kind):
         expected = {
             "memory": MemoryBackend,
-            "shm": SharedMemoryBackend,
+            "shm": ColumnarBackend,
         }[kind]
         with open_backend(small_db(), kind) as backend:
             assert type(backend) is expected
@@ -277,29 +277,29 @@ class TestSnapshots:
 
 
 class TestExecutorIntegration:
-    def test_executor_accepts_kind_and_backend_object(self):
+    def test_executor_opens_a_kind(self):
         db = small_db()
         assert Executor(db).backend.kind == "memory"
+        assert Executor(db, backend=None).backend.kind == "memory"
         executor = Executor(db, backend="shm")
         assert executor.backend.kind == "shm"
+        assert executor.backend.db is db
         executor.close()
-        with open_backend(db, "shm") as backend:
-            assert Executor(db, backend=backend).backend is backend
         assert no_leaks()
 
-    def test_executor_rejects_foreign_backend_and_junk(self):
+    def test_executor_rejects_a_backend_object_and_junk(self):
         db = small_db()
-        with open_backend(small_db(), "memory") as other:
-            with pytest.raises(SchemaError, match="different database"):
-                Executor(db, backend=other)
-        with pytest.raises(SchemaError):
+        with open_backend(db, "memory") as backend:
+            with pytest.raises(SchemaError, match="unknown storage backend"):
+                Executor(db, backend=backend)
+        with pytest.raises(SchemaError, match="unknown storage backend"):
             Executor(db, backend=object())
 
     def test_cost_model_prices_the_executor_backend(self):
         db = small_db()
-        assert Executor(db).cost_model.backend == "memory"
+        assert Executor(db).cost_model.attached is False
         executor = Executor(db, backend="shm")
-        assert executor.cost_model.backend == "shm"
+        assert executor.cost_model.attached is True
         executor.close()
 
     @pytest.mark.parametrize("kind", SNAPSHOT_KINDS)

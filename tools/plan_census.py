@@ -17,8 +17,9 @@ renders one fixed corpus through a checkout's engine:
   on ``division_warm``'s database, ``HOT_QUERY`` on
   ``hot_symptom_db(1)`` and the seven ``MIXED_QUERIES`` on the serving
   database (seed 1);
-* under four option sets: the defaults, ``no_stats``,
-  ``use_multiway=False`` and ``partition_budget=50``.
+* under five option sets: the defaults, ``no_stats``,
+  ``use_multiway=False``, ``partition_budget=50`` and ``pooled``
+  (``partition_budget=50, max_workers=2``).
 
 Each text is planned by a fresh ``Session(db, cache_results=False)``:
 ``explain(costs=True)``, then the run, whose rows must equal the
@@ -63,6 +64,7 @@ OPTION_SETS = {
     "no_stats": {},
     "no_multiway": {"use_multiway": False},
     "budget_50": {"partition_budget": 50},
+    "pooled": {"partition_budget": 50, "max_workers": 2},
 }
 
 #: Operators that run a join (a semijoin is not one).
