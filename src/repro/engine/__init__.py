@@ -19,9 +19,9 @@ algorithm one level down.  This package is the layer that acts on that:
 * :mod:`repro.engine.wcoj` — the worst-case-optimal generic join:
   variable-at-a-time execution of cyclic equi-join chains within the
   AGM fractional-edge-cover bound (``PlannerOptions.use_multiway``);
-* :mod:`repro.engine.planner` — structural recognition of division
-  patterns plus cost-based operator choice and join ordering, with
-  the structural rules as the zero-stats fallback
+* :mod:`repro.engine.planner` — structural operator choice (division
+  patterns collapse, equality joins hash) plus cost-based join
+  ordering, with the written order as the zero-stats fallback
   (:func:`~repro.engine.planner.plan_expression`);
 * :mod:`repro.engine.executor` — memoizing streaming execution with a
   per-database hash-index cache, the statistics catalog, and a

@@ -4,12 +4,12 @@ The planner runs in one of two modes, and its
 :class:`~repro.engine.cost.CostModel` decides which.  When the model
 has a :class:`~repro.engine.stats.StatsCatalog` (how
 :meth:`repro.engine.executor.Executor.plan` calls it), its bounds are
-certified and operator choice is **cost-based**: candidate operators
-are priced by the model and the cheapest wins, with the structural
-choice as the tie-break.  Without statistics (the zero-stats fallback —
-:func:`plan_expression`, or a model with no catalog) the decisions
-below fall back to their purely structural forms, which is exactly the
-pre-cost-model behaviour.
+certified and the decisions that need statistics are **cost-based**:
+join order (rule 4), the multiway collapse (rule 4) and batching
+(rule 6).  Operator choice is structural in both modes (rules 1 and
+3).  Without statistics (the zero-stats fallback —
+:func:`plan_expression`, or a model with no catalog) the cost-based
+decisions are skipped: the written join order, no collapse, no batches.
 
 Routing rules (documented in ``docs/engine.md``):
 
@@ -19,9 +19,7 @@ Routing rules (documented in ``docs/engine.md``):
    *every* RA expression for division is quadratic) or a §5 γ plan —
    becomes one linear :class:`~repro.engine.plan.DivisionOp` (a ∀ test
    per candidate of the dividend's set grouping) with the source's
-   empty-divisor semantics.  Under the cost model the direct operator
-   is kept only while its estimated cost does not exceed the RA plan's
-   (the regression tests pin that it never does on the witness families).
+   empty-divisor semantics, in both planning modes.
 2. **A join read only as a filter is a semijoin, wherever it sits.**
    Before planning, one walk (:func:`repro.algebra.optimize.rewrite`)
    pushes σ and turns every join whose one side supplies no column an
@@ -34,9 +32,7 @@ Routing rules (documented in ``docs/engine.md``):
    from the left); pure θ/cartesian joins fall back to nested loops
    and the planner records the dichotomy risk
    (:func:`repro.core.classify.join_is_safe`, Definition 20 data from
-   :mod:`repro.core.joininfo`) in the operator's ``note``.  Costed
-   mode compares the two (a nested loop beats building a hash table
-   when a side is near-empty).
+   :mod:`repro.core.joininfo`) in the operator's ``note``.
 4. **≥3-way join chains are reordered by estimated size** (costed mode
    only): the chain is flattened into its leaves and equality atoms,
    a greedy smallest-intermediate-first order is built left-deep, and
@@ -72,8 +68,8 @@ Routing rules (documented in ``docs/engine.md``):
    its batches on that many workers (:mod:`repro.engine.parallel`).
 
 :func:`plan_expression` is the entry point; :func:`explain` renders the
-chosen plan, optionally with the full Theorem 17 dichotomy verdict from
-:func:`repro.core.dichotomy.analyze` and (``costs=True``) the cost
+chosen plan, optionally with the Theorem 17 dichotomy verdict from
+:func:`repro.core.classify.classify` and (``costs=True``) the cost
 model's per-operator estimates.
 """
 
@@ -95,7 +91,7 @@ from repro.algebra.ast import (
 )
 from repro.algebra.conditions import Atom, Condition
 from repro.algebra.optimize import rewrite
-from repro.core.classify import join_is_safe
+from repro.core.classify import classify, join_is_safe
 from repro.data.schema import Schema
 from repro.engine.plan import (
     DivisionOp,
@@ -130,8 +126,8 @@ class PlannerOptions:
     ``rewrite_divisions`` gates rule 1, so the quadratic RA plan it
     replaces can still be planned and measured.  The other rewrites
     (filter joins become semijoins, selection pushdown) always apply.
-    Whether the cost-based decisions — operator choice, join ordering,
-    the multiway collapse, partitioning, parallelism — apply is not an
+    Whether the cost-based decisions — join ordering, the multiway
+    collapse, partitioning, parallelism — apply is not an
     option: they do exactly when the planner's cost model has
     statistics (:func:`plan_expression` plans without).
 
@@ -304,10 +300,6 @@ class Planner:
             cost_model if cost_model is not None else CostModel()
         )
         self._memo = {} if memo is None else memo
-        #: Set while pricing a division rewrite's alternative: the one
-        #: node whose division match is suppressed (rewrites below it
-        #: stay on, keeping the cost comparison symmetric).
-        self._no_division_root: Expr | None = None
         #: The nodes of this text over a semijoin made from a join →
         #: their notes (:func:`repro.algebra.optimize.rewrite`).
         self._filters: dict[Expr, tuple] = {}
@@ -323,7 +315,7 @@ class Planner:
         """Partition the plan once it is wholly chosen, giving its
         batched operators workers where that certifies.
 
-        A post-pass, deliberately not part of operator choice: wrapping
+        A post-pass, deliberately not part of plan choice: wrapping
         adds the scatter pass (:func:`repro.engine.partition.
         apply_partitioning`) or the parallel repricing
         (:func:`repro.engine.cost.parallel_cost_split`) to an
@@ -368,7 +360,7 @@ class Planner:
         return planned
 
     def _plan_node(self, expr: Expr) -> PlanNode:
-        if self.options.rewrite_divisions and expr != self._no_division_root:
+        if self.options.rewrite_divisions:
             match = match_division(expr)
             if match is not None:
                 return self._division(expr, match)
@@ -414,7 +406,7 @@ class Planner:
     # -- operator choice ------------------------------------------------
 
     def _division(self, expr: Expr, match: DivisionMatch) -> PlanNode:
-        division = DivisionOp(
+        return DivisionOp(
             dividend=self._plan(match.dividend),
             divisor=self._plan(match.divisor),
             eq=match.eq,
@@ -423,25 +415,6 @@ class Planner:
             note=f"rewritten from {match.origin}; direct hash "
             "division is O(|R|+|S|)",
         )
-        if not self._costed():
-            return division
-        # Price the source RA/γ plan too, suppressing the division
-        # match at this node only: nested patterns keep their rewrites
-        # (the comparison stays symmetric).  The suppression is a field
-        # on *this* planner around one direct ``_plan_node`` call, so
-        # the alternative is never memoized under ``expr`` — a memo
-        # shared across calls stays exact — and each distinct
-        # sub-expression is planned at most twice.  Keep the direct
-        # operator on ties.
-        previous = self._no_division_root
-        self._no_division_root = expr
-        try:
-            structural = self._plan_node(expr)
-        finally:
-            self._no_division_root = previous
-        if self._cost(structural) < self._cost(division):
-            return structural
-        return division
 
     def _projection(self, expr: Projection) -> PlanNode:
         """π over the planned child; a collapsed chain absorbs it.
@@ -502,7 +475,12 @@ class Planner:
     def _join_operator(
         self, expr: Expr, left: PlanNode, right: PlanNode, cond: Condition
     ) -> PlanNode:
-        """Hash vs nested-loop for one join, costed when stats allow."""
+        """A hash join when ``cond`` has an ``=`` atom, else a nested loop.
+
+        Structural in both planning modes: the hash index costs one
+        pass over the right side, and a nested loop is cheaper only when
+        a side is near-empty, where both are.
+        """
         try:
             safe = isinstance(expr, Join) and join_is_safe(expr)
         except SchemaError:
@@ -519,18 +497,7 @@ class Planner:
                     "; dichotomy: no side fully constrained — output "
                     "may still be quadratic (Thm. 17)"
                 )
-            hashed = HashJoinOp(left, right, cond, expr, note=note)
-            if not self._costed():
-                return hashed
-            looped = NestedLoopJoinOp(
-                left, right, cond, expr,
-                note="equality atoms, but an input is small enough "
-                "that a nested loop beats building the hash index "
-                "(cost-based)",
-            )
-            if self._cost(looped) < self._cost(hashed):
-                return looped
-            return hashed
+            return HashJoinOp(left, right, cond, expr, note=note)
         note = (
             "no equality atoms: nested loop; dichotomy: quadratic "
             "candidate space (Thm. 17 / Lemma 24)"
@@ -788,13 +755,12 @@ def plan_expression(
 
 
 def dichotomy_line(expr: Expr, schema: Schema) -> str:
-    """The Theorem 17 verdict for ``expr``, rendered as a comment line."""
-    from repro.core.dichotomy import analyze as run_analysis
-
-    report = run_analysis(expr, schema)
+    """The Theorem 17 verdict for ``expr`` (the classifier's alone, no
+    SA= compilation or growth run), rendered as a comment line."""
+    classification = classify(expr, schema)
     return (
-        f"-- dichotomy: {report.verdict.value} "
-        f"({report.classification.reason})"
+        f"-- dichotomy: {classification.verdict.value} "
+        f"({classification.reason})"
     )
 
 
@@ -811,7 +777,7 @@ def explain(
 
     With ``analyze=True`` (requires ``schema``) the output is prefixed
     with the Theorem 17 dichotomy verdict from
-    :func:`repro.core.dichotomy.analyze` — the planner's authority for
+    :func:`repro.core.classify.classify` — the planner's authority for
     routing claims.  Pass a pre-built ``plan`` to render exactly the
     plan some caller is about to execute.
 

@@ -140,6 +140,18 @@ def _run_pinned(token, descriptor, schema, expr, options):
     return rows, report.stats.total_rows(), report.stats.max_in_flight()
 
 
+def _serial(options: PlannerOptions) -> PlannerOptions:
+    """The options a read is priced, explained and run with.
+
+    A worker runs serial plans — one process per read is the
+    parallelism here, and nesting pools inside workers would just
+    oversubscribe — so the server prices and explains that same plan.
+    """
+    if options.max_workers == 1:
+        return options
+    return replace(options, max_workers=1)
+
+
 # ----------------------------------------------------------------------
 # The door cache's key
 # ----------------------------------------------------------------------
@@ -297,7 +309,7 @@ class ClientHandle:
         return self.submit(query, options).result(timeout)
 
     def explain(self, query, costs: bool = False) -> str:
-        """Render the plan the server would price this query with."""
+        """Render the plan the server prices and runs this query with."""
         self._check_open()
         return self.server._explain(query, options=self.options, costs=costs)
 
@@ -519,20 +531,6 @@ class Server:
     # Reads
     # ------------------------------------------------------------------
 
-    def _resolve_options(
-        self, handle: ClientHandle, options: PlannerOptions | None
-    ) -> tuple[PlannerOptions, PlannerOptions]:
-        """``(pricing options, worker options)`` for one submit.
-
-        Pricing uses the options as given, on the server's own session
-        (its backend is what the cost model prices); execution happens
-        in a worker running serial plans — one process per read is the
-        parallelism here, nesting pools inside workers would just
-        oversubscribe.
-        """
-        base = options or handle.options or self.options
-        return base, replace(base, max_workers=1)
-
     def _submit(
         self,
         handle: ClientHandle,
@@ -548,8 +546,8 @@ class Server:
                 f"{type(query).__name__}"
             )
         text = query if isinstance(query, str) else None
-        pricing, worker = self._resolve_options(handle, options)
-        ticket = Ticket(handle.tenant, expr, text, worker)
+        options = _serial(options or handle.options or self.options)
+        ticket = Ticket(handle.tenant, expr, text, options)
         executor = self._session.executor
         with self._lock:
             self._check_open()
@@ -577,7 +575,7 @@ class Server:
                 riders.append(ticket)
                 return ticket
             try:
-                price = price_plan(executor, executor.plan(expr, pricing))
+                price = price_plan(executor, executor.plan(expr, options))
             except Exception:
                 tenant.failed += 1
                 raise
@@ -602,7 +600,7 @@ class Server:
                 executor.backend.export_snapshot(),
                 self.db.schema,
                 expr,
-                worker,
+                options,
             )
             self._in_flight[key] = []
             self._note_asked(key)
@@ -753,6 +751,7 @@ class Server:
         options: PlannerOptions | None = None,
         costs: bool = False,
     ) -> str:
+        options = _serial(options or self.options)
         with self._lock:
             self._check_open()
             return self._session.explain(query, costs=costs, options=options)

@@ -120,18 +120,20 @@ class TestSessionFlags:
     def test_without_statistics_explain_plans_structurally(
         self, tmp_path, capsys
     ):
-        # Against a one-row S the cost model prefers a nested loop;
-        # schema-only planning has no statistics and keeps the
-        # structural hash choice.
+        # Both plan the hash join (operator choice is structural), but
+        # only the database's statistics certify a bound: one S row
+        # caps the join at one row; schema-only planning prints ub=?.
         path = str(tmp_path / "tiny.json")
         save_database(
             database({"R": 2, "S": 1}, R=[(1, 7), (2, 8)], S=[(7,)]), path
         )
-        assert main(["explain", "-d", path, "R join[2=1] S"]) == 0
-        assert capsys.readouterr().out.startswith("NestedLoopJoin")
-        argv = ["explain", "--schema", "R:2,S:1", "R join[2=1] S"]
+        assert main(["explain", "--costs", "-d", path, "R join[2=1] S"]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first.startswith("HashJoin") and "ub=1 " in first
+        argv = ["explain", "--costs", "--schema", "R:2,S:1", "R join[2=1] S"]
         assert main(argv) == 0
-        assert capsys.readouterr().out.startswith("HashJoin")
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first.startswith("HashJoin") and "ub=? " in first
 
     def test_no_costs_is_not_a_flag(self, db_path, capsys):
         # Statistics decide cost-based planning; no flag switches it.

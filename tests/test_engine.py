@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 from itertools import count
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import HealthCheck, assume, given, settings
 
 from repro.algebra.ast import Expr, Join, Projection, Rel, rel
 from repro.algebra.conditions import Condition
@@ -41,7 +41,7 @@ from repro.workloads.generators import (
     crossproduct_division_family,
     division_database,
 )
-from tests.strategies import engine_run, expressions
+from tests.strategies import databases, engine_run, expressions
 
 SCHEMA = Schema({"R": 2, "S": 1})
 
@@ -170,6 +170,52 @@ def test_rule_1_matches_each_builder_and_no_near_miss(r, r2, s, s2):
         except ArityError:
             continue
         assert match_division(wide) is None
+
+
+#: The costed option sets of ``tools/plan_census.py`` (all but
+#: ``no_stats``): operator choice must not depend on them.
+COSTED_OPTION_SETS = (
+    PlannerOptions(),
+    PlannerOptions(use_multiway=False),
+    PlannerOptions(partition_budget=50),
+    PlannerOptions(partition_budget=50, max_workers=2),
+)
+
+PINNED = settings(
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@PINNED
+@given(expressions(), databases())
+def test_operator_choice_is_structural_under_statistics(expr, db):
+    """With statistics, a join with an ``=`` atom still hashes under
+    every costed option set (only order, collapse and batching are
+    priced)."""
+    with Session(db, cache_results=False) as session:
+        for options in COSTED_OPTION_SETS:
+            plan = session.query(expr, options).plan()
+            looped = [
+                node for node in plan.nodes()
+                if isinstance(node, NestedLoopJoinOp) and node.cond.by_op("=")
+            ]
+            assert not looped, plan.explain()
+
+
+@PINNED
+@given(databases())
+def test_every_division_builder_plans_a_division_op(db):
+    """Rule 1 collapses in costed planning too, on any contents of its
+    operands — empty ones included — and the ``DivisionOp`` keeps the
+    source's rows (its empty-divisor semantics among them)."""
+    with Session(db, cache_results=False) as session:
+        for builder, *__ in DIVISION_BUILDERS:
+            expr = builder(Rel("R", 2), Rel("S", 1))
+            query = session.query(expr)
+            assert isinstance(query.plan(), DivisionOp)
+            assert query.run() == evaluate_extended(expr, db)
 
 
 class TestOperatorChoice:

@@ -33,7 +33,7 @@ from repro.algebra.parser import parse
 from repro.data.database import Database, database
 from repro.data.schema import Schema
 from repro.engine import Executor, IndexCache, PlannerOptions, ResultCache
-from repro.engine.plan import HashJoinOp, NestedLoopJoinOp
+from repro.engine.plan import PartitionedOp
 from repro.engine.planner import DEFAULT_OPTIONS, Planner
 from repro.errors import SchemaError
 from repro.serve.server import Server
@@ -169,7 +169,7 @@ class TestResultCacheDisabledCounters:
 
 
 def keyed_db(divisor_rows):
-    """``R ⋈_{2=1} S`` hashes over 60 ``S`` rows and loops over one."""
+    """``R ⋈_{2=1} S`` over 60 ``R`` rows on 7 keys."""
     return database(
         {"R": 2, "S": 2},
         R=[(i, i % 7) for i in range(60)],
@@ -212,14 +212,17 @@ class TestSubPlanMemoLifetime:
     def test_a_version_change_drops_it(self):
         db = keyed_db(BIG_S)
         executor = Executor(db)
-        first = executor.plan(JOIN)
-        assert isinstance(first, HashJoinOp)
-        # New contents behind the same handle: one S row, and the join
-        # is now cheaper as a nested loop.
-        db._relations = keyed_db([(1, 2)])._relations
-        tagged = executor.plan(TAGGED)
-        assert isinstance(tagged.child, NestedLoopJoinOp)
-        assert tagged == private_plan(executor, TAGGED)
+        budget = PlannerOptions(partition_budget=100)
+        first = executor.plan(JOIN, budget)
+        assert isinstance(first, PartitionedOp) and first.partitions == 7
+        # New contents behind the same handle: 20 S rows, and the join's
+        # in-flight bound now needs fewer batches.
+        db._relations = keyed_db(BIG_S[:20])._relations
+        tagged = executor.plan(TAGGED, budget)
+        assert isinstance(tagged.child, PartitionedOp)
+        assert tagged.child.partitions == 3
+        assert shares_no_node(tagged, first)
+        assert tagged == private_plan(executor, TAGGED, budget)
 
     def test_a_size_recycle_drops_it(self, monkeypatch):
         monkeypatch.setattr(Executor, "PLAN_CACHE_SIZE", 2)

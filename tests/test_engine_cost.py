@@ -429,15 +429,15 @@ class TestCostBasedChoice:
         assert not isinstance(plan, ProjectOp)
         assert executor.execute(plan) == evaluate_reference(expr, db)
 
-    def test_nested_loop_wins_for_tiny_inputs(self):
-        # Building a hash index on a 1-row side costs more than one
-        # nested-loop pass; the structural rule always hashes.
+    def test_an_equality_join_hashes_against_a_one_row_side(self):
+        # Operator choice is structural: an `=` atom hashes in both
+        # modes, however small a side is.
         db = database(
             {"R": 2, "S": 1, "T": 3}, R=[(1, 7), (2, 8)], S=[(7,)]
         )
         expr = parse("R join[2=1] S", TEST_SCHEMA)
         executor = Executor(db)
-        assert isinstance(executor.plan(expr), NestedLoopJoinOp)
+        assert isinstance(executor.plan(expr), HashJoinOp)
         assert isinstance(plan_expression(expr), HashJoinOp)
         assert executor.execute(executor.plan(expr)) == (
             evaluate_reference(expr, db)
@@ -446,9 +446,9 @@ class TestCostBasedChoice:
 
 class TestPlanningScalability:
     def test_nested_division_patterns_plan_in_linear_time(self):
-        """Pricing a division rewrite's alternative shares the planning
-        memo; nesting the pattern 25 deep must not blow up (each level
-        would double the work with a fresh sub-planner memo)."""
+        """Nesting the pattern 25 deep plans each level once: the
+        planning memo keeps the nested divisions from being planned
+        again per occurrence."""
         db = database({"R": 2, "S": 1}, R=[(1, 7), (2, 7)], S=[(7,)])
         expr = Rel("S", 1)
         for __ in range(25):

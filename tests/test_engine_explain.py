@@ -7,6 +7,7 @@ parse back to exactly the logical expression — otherwise EXPLAIN
 output drifts away from the language and plans stop being auditable.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.algebra.ast import is_ra, is_sa
@@ -14,7 +15,7 @@ from repro.algebra.parser import parse
 from repro.algebra.printer import to_ascii
 from repro.engine import Executor, PlannerOptions, plan_expression
 from repro.engine.plan import DivisionOp
-from repro.engine.planner import explain
+from repro.engine.planner import dichotomy_line, explain
 from repro.setjoins.division import classic_division_expr, small_divisor_expr
 from repro.workloads.generators import crossproduct_division_family
 from tests.strategies import TEST_SCHEMA, databases, expressions
@@ -145,21 +146,63 @@ def test_prop26_witness_family_keeps_linear_division_under_costs():
 
 def test_explain_plans_with_the_cost_model_it_annotates_from():
     """One model both plans and annotates: given the executor's model
-    and no plan, ``explain`` prints the executor's cost-based plan (a
-    nested loop against a one-row side), not the structural hash join
-    that planning without statistics keeps."""
+    and no plan, ``explain`` prints the executor's plan with its
+    certified ``ub=`` figures, where planning and pricing without
+    statistics print ``ub=?``."""
     from repro.data.database import database
 
     db = database({"R": 2, "S": 1}, R=[(1, 7), (2, 8)], S=[(7,)])
     executor = Executor(db)
     expr = parse("R join[2=1] S", TEST_SCHEMA)
+    plan = executor.plan(expr)
     text = explain(expr, costs=True, cost_model=executor.cost_model)
-    assert text.startswith("NestedLoopJoin")
     assert text == explain(
-        expr, plan=executor.plan(expr), costs=True,
-        cost_model=executor.cost_model,
+        expr, plan=plan, costs=True, cost_model=executor.cost_model
     )
-    assert explain(expr).startswith("HashJoin")
+    bounds = [
+        f"ub={executor.cost_model.estimate(node).upper:g}"
+        for node in (plan, *plan.children())
+    ]
+    assert bounds == ["ub=1", "ub=2", "ub=1"]
+    structural = explain(expr, costs=True)
+    for line, bare, bound in zip(
+        text.splitlines(), structural.splitlines(), bounds, strict=True
+    ):
+        assert bound in line and "ub=?" in bare
+        # The same operators: only the annotation differs.
+        assert line.split("{")[0] == bare.split("{")[0]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "R semijoin[2=1] S",  # LINEAR
+        "R cartesian S",  # QUADRATIC
+        "(R minus R) join[1>1] T",  # UNKNOWN: no witness in the search
+    ],
+)
+def test_the_dichotomy_line_runs_the_classifier_only(text, monkeypatch):
+    """``explain(analyze=True)`` prints the verdict and reason alone, so
+    it neither compiles to SA= nor measures blow-up growth the way
+    :func:`repro.core.dichotomy.analyze` does — and prints the same."""
+    import repro.core.dichotomy as dichotomy
+
+    expr = parse(text, TEST_SCHEMA)
+    report = dichotomy.analyze(expr, TEST_SCHEMA)
+    expected = (
+        f"-- dichotomy: {report.verdict.value} "
+        f"({report.classification.reason})"
+    )
+
+    def never(*args, **kwargs):
+        raise AssertionError("the dichotomy line ran more than classify")
+
+    monkeypatch.setattr(dichotomy, "compile_to_sa", never)
+    monkeypatch.setattr(dichotomy, "measure_growth", never)
+    assert dichotomy_line(expr, TEST_SCHEMA) == expected
+    assert explain(expr, schema=TEST_SCHEMA, analyze=True).splitlines()[0] == (
+        expected
+    )
 
 
 # ----------------------------------------------------------------------

@@ -4,9 +4,10 @@ The parent stand-in is a copy of this tree's ``src/`` whose planner
 rewrites nothing before planning, so its fresh-query plans keep every
 join; the change stand-in is this tree.  A dozen texts per stream show
 that the census renders each checkout with its own code, counts the
-texts that plan a join, lists the texts that moved, and checks every
-row set against ``evaluate``.  The report's bookkeeping is checked on
-hand-made records too.  The full census is not run here.
+texts that plan a join and the texts that plan each counted operator,
+lists the texts that moved, and checks every row set against
+``evaluate``.  The report's bookkeeping is checked on hand-made
+records too.  The full census is not run here.
 """
 
 import importlib.util
@@ -54,6 +55,16 @@ def table(out: str) -> dict:
     return rows
 
 
+def operator_table(out: str) -> dict:
+    """The operator table's rows: (options, side) → the counts."""
+    rows = {}
+    for line in out.splitlines():
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        if len(cells) == 7 and cells[1] in ("parent", "change"):
+            rows[cells[0], cells[1]] = [int(c) for c in cells[2:]]
+    return rows
+
+
 def test_two_checkouts_render_apart_and_the_moved_texts_are_listed(
     tmp_path, capsys
 ):
@@ -78,13 +89,25 @@ def test_two_checkouts_render_apart_and_the_moved_texts_are_listed(
         and "`" in line
     ]
     assert moved and all(" → " in line for line in moved)
+    counted = operator_table(out)
+    assert set(counted) == {
+        (name, side)
+        for name in ("default", "no_stats", "no_multiway", "budget_50",
+                     "pooled")
+        for side in ("parent", "change")
+    }
+    # DivisionOp, HashJoinOp, eq_loops, MultiwayJoinOp, PartitionedOp
+    for name in ("default", "no_stats"):
+        parent_row, change_row = counted[name, "parent"], counted[name, "change"]
+        assert parent_row[1] > change_row[1]  # hash joins became semijoins
+    assert all(row[2] == 0 for row in counted.values())
 
 
 def record(text, options="default", **fields):
     base = {
         "stream": "adhoc_tiny", "seed": 7, "options": options,
         "text": text, "explain": "Scan R", "rows": "a", "joins": 0,
-        "in_flight": 3, "correct": True,
+        "kinds": ["ScanOp"], "eq_loops": 0, "in_flight": 3, "correct": True,
     }
     return {**base, **fields}
 
@@ -92,13 +115,15 @@ def record(text, options="default", **fields):
 def test_the_report_counts_joins_leaks_and_wrong_rows(capsys):
     tool = load_tool()
     parent = [
-        record("t1", joins=1, in_flight=10),
+        record("t1", joins=1, in_flight=10,
+               kinds=["HashJoinOp", "PartitionedOp", "ScanOp"]),
         record("t2", streamed="Scan R"),
         record("t2", options="no_stats", streamed="Scan R"),
     ]
     change = [
         record("t1", explain="Semijoin", in_flight=4),
-        record("t2", streamed="Scan R  -- a note from an earlier text"),
+        record("t2", streamed="Scan R  -- a note from an earlier text",
+               kinds=["DivisionOp", "NestedLoopJoinOp"], eq_loops=2),
         record("t2", options="no_stats", rows="b", correct=False,
                streamed="Scan R"),
     ]
@@ -112,3 +137,9 @@ def test_the_report_counts_joins_leaks_and_wrong_rows(capsys):
     assert "### Moved (fresh explain): 1 texts" in out
     assert "| adhoc_tiny | 7 | default | 1 → 0 | `t1` |" in out
     assert "### Moved (streamed explain): 1 texts" in out
+    assert operator_table(out) == {
+        ("default", "parent"): [0, 1, 0, 0, 1],
+        ("no_stats", "parent"): [0, 0, 0, 0, 0],
+        ("default", "change"): [1, 0, 1, 0, 0],
+        ("no_stats", "change"): [0, 0, 0, 0, 0],
+    }

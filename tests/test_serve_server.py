@@ -348,6 +348,32 @@ def test_explain_routes_through_the_server(db):
         assert "join" in text.lower()
 
 
+def test_explain_shows_the_plan_the_ticket_is_priced_and_run_with(
+    monkeypatch,
+):
+    # A worker runs serial plans, so a handle asking for a pool is
+    # priced, explained and run with max_workers=1 alike.
+    from repro.engine.planner import PlannerOptions
+    from tests.test_engine_parallel import HOT_QUERY, hot_symptom_db
+
+    priced = []
+    real_price = serve_server.price_plan
+
+    def recording(executor, plan):
+        priced.append(plan)
+        return real_price(executor, plan)
+
+    monkeypatch.setattr(serve_server, "price_plan", recording)
+    options = PlannerOptions(partition_budget=50, max_workers=2)
+    with Server(hot_symptom_db(1), workers=0) as server:
+        handle = server.connect("t", options=options)
+        text = handle.explain(HOT_QUERY)
+        ticket = handle.submit(HOT_QUERY)
+        ticket.result(30)
+    assert text.startswith("Partitioned[")
+    assert "workers=" not in text
+    assert ticket.options.max_workers == 1
+    assert [plan.explain() for plan in priced] == [text]
 # ----------------------------------------------------------------------
 # Snapshot isolation (gated, deterministic)
 # ----------------------------------------------------------------------

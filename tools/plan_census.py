@@ -31,6 +31,11 @@ one long-lived ``Session`` per stream, seed and option set, and counts
 the texts whose streamed ``explain`` differs from the fresh one: a
 cache that outlives a text must not show in its plan.
 
+Each record also keeps the operator kinds its plan holds and how many
+of its nested-loop joins carry an ``=`` atom; the report counts, per
+option set and side, the texts that plan each of :data:`COUNTED`, so
+"the traffic never selects this operator" is one command.
+
 With ``--parent <checkout>`` both trees are rendered and the Markdown
 report lists the texts whose ``explain`` moved, the texts that plan a
 join node (default options), the ``max_in_flight`` sums, and any text
@@ -69,6 +74,12 @@ OPTION_SETS = {
 
 #: Operators that run a join (a semijoin is not one).
 JOIN_OPERATORS = {"HashJoinOp", "NestedLoopJoinOp", "MultiwayJoinOp"}
+
+#: The operator table's columns: a record's kinds, and ``eq_loops`` for
+#: its nested-loop joins that carry an ``=`` atom.
+COUNTED = (
+    "DivisionOp", "HashJoinOp", "eq_loops", "MultiwayJoinOp", "PartitionedOp",
+)
 
 #: stream → (adhoc_query's arguments after ``rng``, database arguments).
 STREAMS = {
@@ -153,11 +164,15 @@ def render(texts: int, seeds, fixed: bool, streamed: bool) -> list[dict]:
                 explain, plan, rows, in_flight = run_text(session, text, name)
                 if text not in truth:
                     truth[text] = digest(evaluate(session.parse(text), db))
+                kinds = [type(node).__name__ for node in plan.nodes()]
                 record = {
                     "stream": stream, "seed": seed, "options": name,
                     "text": text, "explain": explain, "rows": digest(rows),
-                    "joins": sum(
-                        type(node).__name__ in JOIN_OPERATORS
+                    "joins": sum(kind in JOIN_OPERATORS for kind in kinds),
+                    "kinds": sorted(set(kinds)),
+                    "eq_loops": sum(
+                        type(node).__name__ == "NestedLoopJoinOp"
+                        and bool(node.cond.by_op("="))
                         for node in plan.nodes()
                     ),
                     "in_flight": in_flight,
@@ -217,6 +232,19 @@ def census(records: list[dict]) -> dict:
     return table
 
 
+def operators(records: list[dict]) -> dict:
+    """Per option set: how many texts plan each of :data:`COUNTED`."""
+    table: dict = {}
+    for record in records:
+        row = table.setdefault(record["options"], [0] * len(COUNTED))
+        for column, kind in enumerate(COUNTED):
+            if kind == "eq_loops":
+                row[column] += record["eq_loops"] > 0
+            else:
+                row[column] += kind in record["kinds"]
+    return table
+
+
 def leaks(records: list[dict]) -> dict:
     """Per stream, seed and option set: texts whose streamed explain
     differs from the fresh one."""
@@ -245,6 +273,13 @@ def report(change: list[dict], parent: list[dict] | None = None) -> int:
             cells += [str(joins), str(flight)]
         print(f"| {group[0]} | {group[1]} | {tables['change'][group][0]} | "
               + " | ".join(cells) + " |")
+    print("\nTexts whose plan holds each operator (`eq_loops`: a "
+          "nested-loop join with an `=` atom):\n")
+    print("| options | side | " + " | ".join(COUNTED) + " |")
+    print("|---" * (2 + len(COUNTED)) + "|")
+    for side, records in sides.items():
+        for name, row in operators(records).items():
+            print(f"| {name} | {side} | " + " | ".join(map(str, row)) + " |")
     for side, records in sides.items():
         wrong = [r for r in records if not r["correct"]]
         print(f"\n{side}: {len(records)} runs, {len(wrong)} with rows "
